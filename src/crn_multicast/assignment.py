@@ -64,27 +64,49 @@ class Decision:
     min_pos_at_choice: float
 
 
+def choose_channels(scheme: Scheme, pos, rate, mu_idle, idle, starts) -> np.ndarray:
+    """Channel of every event in a table under pos, masa or mdr.
+
+    pos and rate are (receivers x channels) with each event's receivers in
+    consecutive rows starting at starts[e]; idle is (events x channels). The
+    worst receiver of each event is its column minimum over its rows. Ties go
+    to the lowest channel index (np.argmax returns the first maximum), and an
+    event without an idle channel gets -1.
+    """
+    if scheme is Scheme.POS:
+        score = np.minimum.reduceat(pos, starts, axis=0)
+    elif scheme is Scheme.MDR:
+        score = np.minimum.reduceat(rate, starts, axis=0)
+    elif scheme is Scheme.MASA:
+        score = mu_idle[None, :]
+    else:
+        raise ValueError(f"scheme {scheme!r} does not choose by table")
+    best = np.argmax(np.where(idle, score, -np.inf), axis=1)
+    return np.where(idle.any(axis=1), best, -1)
+
+
+def random_channel(idle_channels: list[int], rng: np.random.Generator | None) -> int:
+    """Uniform pick among one event's idle channels with one rng call; -1,
+    and no call, when none is idle."""
+    if not idle_channels:
+        return -1
+    if rng is None:
+        raise ValueError("random selection needs an rng")
+    return idle_channels[int(rng.integers(len(idle_channels)))]
+
+
 def select_channel(scheme: Scheme, metrics: LinkMetrics, rng: np.random.Generator | None = None) -> Decision:
     """Pick the unified channel for one event under the given scheme.
 
-    Ties go to the lowest channel index (np.argmax returns the first maximum).
+    Runs the same choosers as whole-tree sessions, on a one-event table.
     An empty idle set yields a Decision without a channel: the event fails.
     """
-    idle_idx = np.flatnonzero(metrics.idle)
-    if idle_idx.size == 0:
+    if scheme is Scheme.RS:
+        j = random_channel(np.flatnonzero(metrics.idle).tolist(), rng)
+    else:
+        j = int(choose_channels(
+            scheme, metrics.pos, metrics.rate, metrics.mu_idle, metrics.idle[None, :], np.zeros(1, dtype=np.intp)
+        )[0])
+    if j < 0:
         return Decision(None, 0.0)
-    if scheme is Scheme.POS:
-        worst = metrics.pos[:, idle_idx].min(axis=0)
-        j = idle_idx[int(np.argmax(worst))]
-    elif scheme is Scheme.MASA:
-        j = idle_idx[int(np.argmax(metrics.mu_idle[idle_idx]))]
-    elif scheme is Scheme.MDR:
-        worst = metrics.rate[:, idle_idx].min(axis=0)
-        j = idle_idx[int(np.argmax(worst))]
-    elif scheme is Scheme.RS:
-        if rng is None:
-            raise ValueError("random selection needs an rng")
-        j = idle_idx[int(rng.integers(idle_idx.size))]
-    else:  # pragma: no cover
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return Decision(int(j), float(metrics.pos[:, j].min()))
+    return Decision(j, float(metrics.pos[:, j].min()))

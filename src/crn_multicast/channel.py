@@ -54,10 +54,6 @@ class EventState:
     idle: np.ndarray  # bool, shape (M,)
     available_time: np.ndarray  # s, shape (M,); NaN on busy channels
 
-    @property
-    def idle_channels(self) -> np.ndarray:
-        return np.flatnonzero(self.idle)
-
 
 def make_channels(m: int, mu_min: float, mu_max: float, p_idle: float) -> ChannelModel:
     """Model with m channels whose mean idle durations are evenly spaced over

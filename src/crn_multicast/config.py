@@ -11,19 +11,12 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .assignment import Scheme
-from .experiment import SWEEP_VARIABLES, ScenarioParams, SweepSpec
+from .experiment import SWEEP_VARIABLES, ScenarioParams, SweepSpec, _parse_number
 from .session import TreeKind
 
 
 class ConfigError(Exception):
     """Bad configuration input (unknown key, unparsable value, bad combination)."""
-
-
-def _parse_number(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
 
 
 def _parse_schemes(text: str) -> tuple[Scheme, ...]:

@@ -10,6 +10,7 @@ aggregate means with 95% normal-approximation confidence intervals.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 from .assignment import Scheme
 from .channel import ChannelModel, make_channels
 from .phy import PhyParams
-from .session import SessionResult, TreeKind, draw_events, execute_schedule, link_metrics
+from .session import SessionResult, TreeKind, execute_schedule, sample_table
 from .topology import build_mst, build_spt, generate_topology, layerize, prune_tree
 
 
@@ -46,6 +47,10 @@ class ScenarioParams:
     comm_range_m: float = 60.0
 
     def validate(self) -> None:
+        for name in ("n_nodes", "n_dest", "m_channels", "packet_bits"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_nodes < 2:
             raise ValueError("n_nodes must be at least 2")
         if not 1 <= self.n_dest < self.n_nodes:
@@ -146,16 +151,12 @@ def run_scenario_sessions(
         build = build_spt if tree_kind is TreeKind.SPT else build_mst
         pruned = prune_tree(build(topo, 0), destinations)
         schedule = layerize(pruned)
-        draws = draw_events(schedule, model, _rng(seed, _STREAM_EVENTS, _TREE_CODE[tree_kind]))
-        per_event = []
-        for entry, draw in zip(schedule.entries, draws):
-            distances = np.array([pruned.edge_dist[r] for r in entry.receivers])
-            metrics = link_metrics(phy, distances, draw, model.mu_idle, entry.receivers)
-            per_event.append((metrics, draw.state.available_time))
+        table = sample_table(pruned, schedule, phy, model, _rng(seed, _STREAM_EVENTS, _TREE_CODE[tree_kind]))
         for scheme in schemes:
-            sel_rng = _rng(seed, _STREAM_SELECTION, _TREE_CODE[tree_kind], _SCHEME_CODE[scheme])
+            rs = scheme is Scheme.RS  # only random selection draws, so only rs gets a generator
+            sel_rng = _rng(seed, _STREAM_SELECTION, _TREE_CODE[tree_kind], _SCHEME_CODE[scheme]) if rs else None
             results[(tree_kind, scheme)] = execute_schedule(
-                schedule, per_event, destinations, phy.packet_bits, scheme, sel_rng
+                schedule, table, destinations, phy.packet_bits, scheme, sel_rng
             )
     return results
 
@@ -195,6 +196,18 @@ class SweepSpec:
             raise ValueError("seed must be non-negative")
         if not self.schemes or not self.trees:
             raise ValueError("sweep needs at least one scheme and one tree kind")
+        # Every swept scenario is checked here, so a bad value fails before
+        # the first trial runs rather than partway through the sweep.
+        for value, params in self.scenarios():
+            try:
+                params.validate()
+            except ValueError as exc:
+                raise ValueError(f"{self.variable} = {value!r}: {exc}") from None
+
+    def scenarios(self) -> list[tuple[float | int, ScenarioParams]]:
+        """(swept value, full scenario) pairs in sweep order."""
+        field = SWEEP_VARIABLES[self.variable]
+        return [(value, replace(self.base, **{field: value})) for value in self.values]
 
 
 @dataclass(frozen=True)
@@ -251,10 +264,8 @@ def run_sweep(spec: SweepSpec) -> tuple[list[TrialRow], list[AggregateRow]]:
     Reusing trial seeds across values pairs the sweep points through common
     topologies and draws, which keeps trends smooth at modest trial counts.
     """
-    field = SWEEP_VARIABLES[spec.variable]
     rows: list[TrialRow] = []
-    for value in spec.values:
-        params = replace(spec.base, **{field: value})
+    for value, params in spec.scenarios():
         for i in range(spec.trials):
             outcomes = run_trial(params, spec.schemes, spec.trees, spec.seed + i)
             for (tree, scheme), oc in outcomes.items():

@@ -7,6 +7,10 @@ gets the packet iff a channel was selected and the packet's air time on that
 channel fits within the channel's sampled availability. A destination is
 delivered iff every hop on its root path succeeded, and its throughput is the
 packet size divided by the summed air time along that path.
+
+A session is evaluated as one event table per tree: the draws, link metrics
+and deterministic channel choices of every layer entry are whole-array
+operations, and only the judging of hops walks the schedule entry by entry.
 """
 
 from __future__ import annotations
@@ -14,11 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .assignment import LinkMetrics, Scheme, select_channel
-from .channel import ChannelModel, EventState, sample_event_state, sample_gain
+from .assignment import Scheme, choose_channels, random_channel
+from .channel import ChannelModel
 from .phy import PhyParams, data_rate, pos, received_power, tx_time
 from .topology import LayerSchedule, Topology, Tree, layerize
 
@@ -60,15 +65,16 @@ class SessionResult:
     avg_throughput: float  # total divided by the number of destinations
     pdr: float  # delivered fraction of destinations
     hops: tuple[HopRecord, ...]
-    control_trace: tuple[tuple[str, int, int], ...]  # (kind, from, to), kind MA or ACK
 
-
-@dataclass(frozen=True)
-class EventDraw:
-    """Pre-drawn randomness for one layer entry."""
-
-    state: EventState
-    gains: np.ndarray  # (receivers, channels) fading power gains
+    @property
+    def control_trace(self) -> tuple[tuple[str, int, int], ...]:
+        """(kind, from, to) per control message: each recorded hop announces
+        the packet to its receivers (MA), then collects their ACKs."""
+        trace = []
+        for hop in self.hops:
+            trace += [("MA", hop.transmitter, r) for r in hop.receivers]
+            trace += [("ACK", r, hop.transmitter) for r in hop.receivers]
+        return tuple(trace)
 
 
 @dataclass(frozen=True)
@@ -83,75 +89,144 @@ class InjectedEvent:
     available_time: np.ndarray  # (M,) s; NaN on busy channels
 
 
-def draw_events(schedule: LayerSchedule, model: ChannelModel, rng: np.random.Generator) -> list[EventDraw]:
+@dataclass(frozen=True, eq=False)
+class EventTable:
+    """Link metrics of every entry of a layer schedule, as flat arrays.
+
+    Events are the schedule entries in order. Their receivers fill
+    consecutive slots in the same order, so event e owns the slots from
+    starts[e] up to the next event's start. Per-event arrays are (events x
+    channels), per-receiver ones (slots x channels); busy channels carry
+    zero success probability.
+    """
+
+    starts: np.ndarray  # (E,) first slot of each event
+    idle: np.ndarray  # (E, M) bool
+    available_time: np.ndarray  # (E, M) s; NaN on busy channels
+    pos: np.ndarray  # (R, M) success probability
+    rate: np.ndarray  # (R, M) bits/s
+    tx_time: np.ndarray  # (R, M) s
+    mu_idle: np.ndarray  # (M,) mean availability per channel, s
+
+    def __post_init__(self):
+        e, (r, m) = len(self.starts), self.tx_time.shape
+        counts = np.diff(self.starts, append=r)
+        if m == 0 or e == 0 or self.starts[0] != 0 or np.any(counts < 1):
+            raise ValueError("metrics need at least one receiver per event and one channel")
+        shapes = {"pos": (r, m), "rate": (r, m), "mu_idle": (m,), "idle": (e, m), "available_time": (e, m)}
+        for name, shape in shapes.items():
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must have shape {shape}")
+        if np.any(self.pos[~np.repeat(self.idle, counts, axis=0)] != 0.0):
+            raise ValueError("busy channels must carry zero success probability")
+
+    @cached_property
+    def rows(self) -> tuple[list[int], list[list[float]], list[list[float]]]:
+        """Slot starts, air times and availabilities as plain lists for the
+        entry-by-entry judging loop."""
+        return self.starts.tolist(), self.tx_time.tolist(), self.available_time.tolist()
+
+    @cached_property
+    def idle_channels(self) -> list[list[int]]:
+        """Idle channel indices of each event, ascending."""
+        channels = np.nonzero(self.idle)[1].tolist()
+        ends = np.cumsum(self.idle.sum(axis=1)).tolist()
+        return [channels[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+
+def _starts(schedule: LayerSchedule) -> np.ndarray:
+    counts = [len(entry.receivers) for entry in schedule.entries]
+    return np.cumsum([0, *counts[:-1]])
+
+
+def draw_events(schedule: LayerSchedule, model: ChannelModel, rng: np.random.Generator):
     """Sample channel states and fading gains for every schedule entry up front,
-    so several schemes can replay the same draws."""
-    out = []
-    for entry in schedule.entries:
-        state = sample_event_state(model, rng)
-        gains = sample_gain(rng, size=(len(entry.receivers), model.m))
-        out.append(EventDraw(state, gains))
-    return out
+    so several schemes can replay the same draws.
+
+    Entries are drawn one after another in schedule order, each as idle
+    flags, then residual availability of every channel, then the gains of its
+    receivers, so the generator stream is the same as drawing every event on
+    its own. Returns (E, M) idle flags, (E, M) availability (NaN on busy
+    channels) and (R, M) gains, one row per receiver slot.
+    """
+    m = model.m
+    uniform = np.empty((len(schedule.entries), m))
+    residual = np.empty_like(uniform)
+    gains = []
+    for e, entry in enumerate(schedule.entries):
+        rng.random(out=uniform[e])
+        # Residuals are drawn for every channel, busy ones included, so that
+        # runs differing only in p_idle consume identical generator positions.
+        residual[e] = rng.exponential(model.mu_idle)
+        gains.append(rng.exponential(1.0, (len(entry.receivers), m)))
+    idle = uniform < model.p_idle
+    return idle, np.where(idle, residual, np.nan), np.concatenate(gains)
 
 
-def link_metrics(phy: PhyParams, distances: np.ndarray, draw: EventDraw, mu_idle: np.ndarray, receivers) -> LinkMetrics:
-    """Evaluate the link equations for one event: gains to received power to
-    rate to air time to success probability, per receiver and channel."""
-    pr = received_power(phy, distances[:, None], draw.gains)
+def link_metrics(phy: PhyParams, distances: np.ndarray, draws, mu_idle: np.ndarray, starts: np.ndarray) -> EventTable:
+    """Evaluate the link equations for a whole tree at once: gains to received
+    power to rate to air time to success probability, per slot and channel."""
+    idle, available, gains = draws
+    pr = received_power(phy, distances[:, None], gains)
     rate = data_rate(phy, pr)
     t = tx_time(phy, rate)
-    p = np.where(draw.state.idle[None, :], pos(t, mu_idle[None, :]), 0.0)
-    return LinkMetrics(tuple(receivers), p, rate, t, mu_idle, draw.state.idle)
+    slot_idle = np.repeat(idle, np.diff(starts, append=len(distances)), axis=0)
+    p = np.where(slot_idle, pos(t, mu_idle[None, :]), 0.0)
+    return EventTable(starts, idle, available, p, rate, t, mu_idle)
+
+
+def sample_table(tree: Tree, schedule: LayerSchedule, phy: PhyParams, model: ChannelModel, rng) -> EventTable:
+    """Draw and evaluate every entry of a tree's layer schedule."""
+    distances = np.array([tree.edge_dist[r] for entry in schedule.entries for r in entry.receivers])
+    return link_metrics(phy, distances, draw_events(schedule, model, rng), model.mu_idle, _starts(schedule))
 
 
 def execute_schedule(
     schedule: LayerSchedule,
-    per_event: list[tuple[LinkMetrics, np.ndarray]],
+    table: EventTable,
     destinations,
     packet_bits: int,
     scheme: Scheme,
     rng: np.random.Generator | None = None,
     replay_all: bool = False,
 ) -> SessionResult:
-    """Run the per-layer select/judge loop over prepared (metrics, availability)
-    pairs.
+    """Run the per-layer select/judge loop over a schedule's event table.
 
     With replay_all=False (sampled sessions) an entry whose transmitter never
     received the packet is skipped outright: no control messages, no decision,
-    no hop record. With replay_all=True (injected replays) every supplied event
-    is evaluated and recorded, but receivers below a failed relay still count
-    as undelivered.
+    no hop record, and under rs no draw from rng. With replay_all=True
+    (injected replays) every entry is evaluated and recorded, but receivers
+    below a failed relay still count as undelivered.
     """
-    root = schedule.entries[0].transmitter
-    reached = {root}
-    air_time = {root: 0.0}
-    hops: list[HopRecord] = []
-    trace: list[tuple[str, int, int]] = []
-    for entry, (metrics, avail) in zip(schedule.entries, per_event):
-        live = entry.transmitter in reached
-        if not live and not replay_all:
+    if scheme is Scheme.RS:
+        channels = None
+        idle_channels = table.idle_channels
+    else:
+        channels = choose_channels(scheme, table.pos, table.rate, table.mu_idle, table.idle, table.starts).tolist()
+    starts, tx_rows, avail_rows = table.rows
+    air_time = {schedule.entries[0].transmitter: 0.0}  # reached nodes: summed air time from the root
+    hops = []
+    for e, entry in enumerate(schedule.entries):
+        tx, receivers = entry.transmitter, entry.receivers
+        live = tx in air_time
+        if not (live or replay_all):
             continue
-        for r in entry.receivers:
-            trace.append(("MA", entry.transmitter, r))
-        for r in entry.receivers:
-            trace.append(("ACK", r, entry.transmitter))
-        decision = select_channel(scheme, metrics, rng)
-        if decision.channel is None:
-            times = tuple(math.nan for _ in entry.receivers)
-            success = tuple(False for _ in entry.receivers)
-            hop_avail = math.nan
-        else:
-            hop_avail = float(avail[decision.channel])
-            times = tuple(float(t) for t in metrics.tx_time[:, decision.channel])
-            success = tuple(t <= hop_avail for t in times)
-        hops.append(HopRecord(entry.transmitter, entry.receivers, decision.channel, times, success, hop_avail))
+        ch = channels[e] if channels is not None else random_channel(idle_channels[e], rng)
+        if ch < 0:
+            n = len(receivers)
+            hops.append(HopRecord(tx, receivers, None, (math.nan,) * n, (False,) * n, math.nan))
+            continue
+        avail = avail_rows[e][ch]
+        times = tuple([row[ch] for row in tx_rows[starts[e]:starts[e] + len(receivers)]])
+        success = tuple([t <= avail for t in times])
+        hops.append(HopRecord(tx, receivers, ch, times, success, avail))
         if live:
-            for r, t, ok in zip(entry.receivers, times, success):
+            base = air_time[tx]
+            for r, t, ok in zip(receivers, times, success):
                 if ok:
-                    reached.add(r)
-                    air_time[r] = air_time[entry.transmitter] + t
+                    air_time[r] = base + t
     dests = sorted(destinations)
-    delivered = {k: k in reached for k in dests}
+    delivered = {k: k in air_time for k in dests}
     throughput = {k: (packet_bits / air_time[k] if delivered[k] else 0.0) for k in dests}
     total = sum(throughput.values())
     return SessionResult(
@@ -161,7 +236,6 @@ def execute_schedule(
         avg_throughput=total / len(dests),
         pdr=sum(delivered.values()) / len(dests),
         hops=tuple(hops),
-        control_trace=tuple(trace),
     )
 
 
@@ -192,13 +266,8 @@ def run_session(
     if bad:
         raise ValueError(f"tree nodes outside the topology: {bad}")
     schedule = layerize(tree)
-    draws = draw_events(schedule, channel_model, rng)
-    per_event = []
-    for entry, draw in zip(schedule.entries, draws):
-        distances = np.array([tree.edge_dist[r] for r in entry.receivers])
-        metrics = link_metrics(cfg.phy, distances, draw, channel_model.mu_idle, entry.receivers)
-        per_event.append((metrics, draw.state.available_time))
-    return execute_schedule(schedule, per_event, cfg.destinations, cfg.phy.packet_bits, cfg.scheme, rng)
+    table = sample_table(tree, schedule, cfg.phy, channel_model, rng)
+    return execute_schedule(schedule, table, cfg.destinations, cfg.phy.packet_bits, cfg.scheme, rng)
 
 
 def inject_metrics_session(
@@ -226,7 +295,7 @@ def inject_metrics_session(
         if scheme is Scheme.MASA:
             raise ValueError("availability-based selection needs mu_idle")
         mu_idle = np.full(events[0].idle.size, np.nan)
-    per_event = []
+    pos_rows, tx_rows = [], []
     for entry, ev in zip(schedule.entries, events):
         if ev.transmitter != entry.transmitter or set(ev.receivers) != set(entry.receivers):
             raise ValueError(
@@ -234,18 +303,21 @@ def inject_metrics_session(
                 f"schedule entry ({entry.transmitter} -> {entry.receivers})"
             )
         order = [ev.receivers.index(r) for r in entry.receivers]
-        with np.errstate(divide="ignore"):
-            rate = np.where(ev.tx_time > 0.0, packet_bits / ev.tx_time, np.inf)
-        metrics = LinkMetrics(
-            entry.receivers,
-            np.asarray(ev.pos, dtype=float)[order],
-            rate[order],
-            np.asarray(ev.tx_time, dtype=float)[order],
-            np.asarray(mu_idle, dtype=float),
-            np.asarray(ev.idle, dtype=bool),
-        )
-        per_event.append((metrics, np.asarray(ev.available_time, dtype=float)))
-    return execute_schedule(schedule, per_event, destinations, packet_bits, scheme, rng, replay_all=True)
+        pos_rows.append(np.asarray(ev.pos, dtype=float)[order])
+        tx_rows.append(np.asarray(ev.tx_time, dtype=float)[order])
+    tx = np.concatenate(tx_rows)
+    with np.errstate(divide="ignore"):
+        rate = np.where(tx > 0.0, packet_bits / tx, np.inf)
+    table = EventTable(
+        _starts(schedule),
+        np.array([np.asarray(ev.idle, dtype=bool) for ev in events]),
+        np.array([np.asarray(ev.available_time, dtype=float) for ev in events]),
+        np.concatenate(pos_rows),
+        rate,
+        tx,
+        np.asarray(mu_idle, dtype=float),
+    )
+    return execute_schedule(schedule, table, destinations, packet_bits, scheme, rng, replay_all=True)
 
 
 def session_to_csv(result: SessionResult) -> str:

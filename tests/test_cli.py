@@ -175,6 +175,29 @@ class TestSweepAndPlot:
         assert code == 2
 
 
+class TestBadSweepFailsFast:
+    """A bad swept value is a config error (exit 2) found before any trial,
+    so no output is written; exit 1 stays reserved for example mismatches."""
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("sweep_variable = M\nsweep_values = 4,5.0\n", "m_channels must be an integer, got 5.0"),
+            ("n_dest = 16\nsweep_variable = n_nodes\nsweep_values = 40,16\n", "n_nodes = 16: n_dest"),
+            ("sweep_variable = p_idle\nsweep_values = 0.5,1.0\n", "p_idle = 1.0: p_idle"),
+        ],
+        ids=["non_integral_M", "n_nodes_not_above_n_dest", "p_idle_one"],
+    )
+    def test_bad_swept_value_is_usage_error(self, tmp_path, capsys, lines, message):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(lines + "trials = 2\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 2
+        assert err.startswith("error:") and message in err
+        assert not out_dir.exists()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -1,0 +1,150 @@
+"""Engine equivalence: the event-table engine against the per-event reference.
+
+tests/reference_engine.py keeps the per-event pipeline that whole-tree tables
+replaced. Both engines draw from the same generator calls in the same order
+and apply the same arithmetic element by element, so their session results
+must be equal with `==`: every decision, hop record, control message,
+delivery and throughput, bit for bit.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_engine as ref
+from crn_multicast import example_case
+from crn_multicast.assignment import LinkMetrics, Scheme, choose_channels
+from crn_multicast.channel import ChannelModel, ChannelParams
+from crn_multicast.example_case import builtin_fixture, run_fixture
+from crn_multicast.experiment import ScenarioParams, run_scenario_sessions
+from crn_multicast.session import SessionConfig, TreeKind, inject_metrics_session, run_session
+from crn_multicast.topology import build_mst, build_spt, generate_topology, layerize, prune_tree
+
+SCHEMES = tuple(Scheme)
+TREES = (TreeKind.SPT, TreeKind.MST)
+SEEDS = range(100)
+DEFAULTS = ScenarioParams()
+MU_GRID = np.linspace(DEFAULTS.mu_min_s, DEFAULTS.mu_max_s, DEFAULTS.m_channels)
+
+CASES = {
+    "defaults": (DEFAULTS, None),
+    "p_idle_0.1": (replace(DEFAULTS, p_idle=0.1), None),
+    "n_nodes_160": (replace(DEFAULTS, n_nodes=160, n_dest=4), None),
+    "one_channel": (replace(DEFAULTS, m_channels=1), None),
+    "all_busy": (DEFAULTS, ChannelModel(tuple(ChannelParams(float(mu), 0.0) for mu in MU_GRID))),
+    "always_idle": (DEFAULTS, ChannelModel(tuple(ChannelParams(float(mu), 1.0) for mu in MU_GRID))),
+}
+
+
+def assert_same(got, want):
+    result, trace = want
+    assert got == result
+    assert got.control_trace == trace
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_scenario_sessions_match_reference(case):
+    params, model = CASES[case]
+    for seed in SEEDS:
+        got = run_scenario_sessions(params, SCHEMES, TREES, seed, channel_model=model)
+        want = ref.run_scenario_sessions(params, SCHEMES, TREES, seed, channel_model=model)
+        assert list(got) == list(want)
+        for key in want:
+            assert_same(got[key], want[key])
+
+
+def test_cases_exercise_every_outcome():
+    # The oracle is only as strong as its cases: together they must contain
+    # events without an idle channel, failed hops and successful ones.
+    hops = [
+        hop
+        for params, model in CASES.values()
+        for res in run_scenario_sessions(params, SCHEMES, TREES, 0, channel_model=model).values()
+        for hop in res.hops
+    ]
+    assert any(hop.chosen_channel is None for hop in hops)
+    assert any(True in hop.success for hop in hops)
+    assert any(False in hop.success for hop in hops if hop.chosen_channel is not None)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("build", [build_spt, build_mst], ids=["spt", "mst"])
+def test_run_session_matches_reference(scheme, build):
+    params = replace(DEFAULTS, p_idle=0.5)
+    model = params.channels()
+    skipped = 0
+    for seed in range(25):
+        topo = generate_topology(params.n_nodes, params.area_side_m, params.comm_range_m, np.random.default_rng(seed))
+        dests = frozenset(int(v) for v in np.random.default_rng(seed + 1).choice(np.arange(1, 40), 8, replace=False))
+        tree = prune_tree(build(topo, 0), dests)
+        cfg = SessionConfig(params.phy(), scheme, TreeKind.SPT, dests)
+        got = run_session(topo, tree, cfg, model, np.random.default_rng(seed))
+        want = ref.run_session(topo, tree, cfg, model, np.random.default_rng(seed))
+        assert_same(got, want)
+        skipped += len(got.hops) < len(layerize(tree).entries)
+    assert skipped  # relays that never got the packet were skipped
+
+
+def fixture_events():
+    """The InjectedEvents the worked example replays."""
+    captured = {}
+
+    def capture(tree, events, **kwargs):
+        captured.update(tree=tree, events=events, **kwargs)
+        return inject_metrics_session(tree, events, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(example_case, "inject_metrics_session", capture)
+        run_fixture(builtin_fixture())
+    return captured
+
+
+@pytest.mark.parametrize("scheme", [Scheme.POS, Scheme.MASA, Scheme.MDR])
+def test_run_fixture_matches_reference(scheme, monkeypatch):
+    got = run_fixture(builtin_fixture(), scheme=scheme)
+    monkeypatch.setattr(example_case, "inject_metrics_session", ref.inject_metrics_session)
+    result, trace = run_fixture(builtin_fixture(), scheme=scheme)
+    assert_same(got, (result, trace))
+
+
+def test_random_replay_of_fixture_matches_reference():
+    kwargs = fixture_events()
+    kwargs["scheme"] = Scheme.RS
+    for engine in (inject_metrics_session, ref.inject_metrics_session):
+        with pytest.raises(ValueError, match="needs an rng"):
+            engine(**kwargs)
+    for seed in range(50):
+        got = inject_metrics_session(**kwargs, rng=np.random.default_rng(seed))
+        want = ref.inject_metrics_session(**kwargs, rng=np.random.default_rng(seed))
+        assert_same(got, want)
+
+
+@st.composite
+def event_tables(draw):
+    """Several events over M channels; values come from a small grid so that
+    column minima tie often, and some events have no idle channel."""
+    m = draw(st.integers(1, 6))
+    counts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    grid = st.sampled_from([0.0, 0.25, 0.5, 0.75])
+    cells = st.lists(st.lists(grid, min_size=m, max_size=m), min_size=sum(counts), max_size=sum(counts))
+    pos, rate = np.array(draw(cells)), np.array(draw(cells)) * 1e6
+    idle = np.array(draw(st.lists(st.lists(st.booleans(), min_size=m, max_size=m),
+                                  min_size=len(counts), max_size=len(counts))))
+    starts = np.cumsum([0, *counts[:-1]])
+    pos[~np.repeat(idle, counts, axis=0)] = 0.0
+    mu = np.array(draw(st.lists(st.sampled_from([0.01, 0.02, 0.03]), min_size=m, max_size=m)))
+    return starts, counts, pos, rate, mu, idle
+
+
+@settings(max_examples=200, deadline=None)
+@given(event_tables(), st.sampled_from([Scheme.POS, Scheme.MASA, Scheme.MDR]))
+def test_table_choice_matches_per_event_choice(table, scheme):
+    starts, counts, pos, rate, mu, idle = table
+    chosen = choose_channels(scheme, pos, rate, mu, idle, starts)
+    for e, (lo, n) in enumerate(zip(starts, counts)):
+        rows = slice(lo, lo + n)
+        one = LinkMetrics(tuple(range(n)), pos[rows], rate[rows], np.zeros((n, len(mu))), mu, idle[e])
+        want = ref.select_channel(scheme, one).channel
+        assert chosen[e] == (-1 if want is None else want)

@@ -118,6 +118,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec(base=SMALL, variable="bw", values=(), trials=1, seed=0)
 
+    @pytest.mark.parametrize(
+        "variable, good, bad", [("M", 4, 5.0), ("n_dest", 4, 14), ("p_idle", 0.5, 1.0), ("packet_bits", 8192, 0)]
+    )
+    def test_every_swept_value_validated_up_front(self, variable, good, bad):
+        with pytest.raises(ValueError, match=f"{variable} = {bad!r}"):
+            SweepSpec(base=SMALL, variable=variable, values=(good, bad), trials=1, seed=0)
+
 
 class TestCsvRoundTrip:
     @pytest.fixture()

@@ -135,6 +135,12 @@ class TestInjectedSession:
         assert result.pdr == 1.0
         assert result.throughput[2] == pytest.approx(PACKET_BITS / 0.006)
 
+    def test_air_time_equal_to_availability_succeeds(self):
+        tree = tree_from_parents(0, {1: 0}, {1: 5.0})
+        ev = injected(0, [1], [[0.9]], [[0.005]], [0.005])
+        result = inject_metrics_session(tree, [ev], {1}, PACKET_BITS)
+        assert result.hops[0].success == (True,)
+
     def test_event_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             inject_metrics_session(two_hop_tree(), [], {2}, PACKET_BITS)
