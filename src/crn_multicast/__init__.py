@@ -3,8 +3,8 @@ networks: random topologies, SPT/MST multicast trees, per-layer unified channel
 assignment (pos, masa, mdr, rs) under a Markov idle/busy primary-user model
 with Rayleigh fading, and throughput/packet-delivery-rate measurement."""
 
-from .assignment import Decision, LinkMetrics, Scheme, select_channel
-from .channel import ChannelModel, ChannelParams, EventState, make_channels, sample_event_state, sample_gain
+from .assignment import Scheme
+from .channel import ChannelModel, ChannelParams, make_channels
 from .experiment import (
     AggregateRow,
     ScenarioParams,
@@ -13,16 +13,13 @@ from .experiment import (
     aggregate_trials,
     run_scenario_sessions,
     run_sweep,
-    run_trial,
 )
 from .phy import PhyParams, data_rate, pos, received_power, tx_time
 from .session import (
     HopRecord,
-    InjectedEvent,
     SessionConfig,
     SessionResult,
     TreeKind,
-    inject_metrics_session,
     run_session,
     session_to_csv,
 )
@@ -48,13 +45,9 @@ __all__ = [
     "AggregateRow",
     "ChannelModel",
     "ChannelParams",
-    "Decision",
-    "EventState",
     "HopRecord",
-    "InjectedEvent",
     "LayerEntry",
     "LayerSchedule",
-    "LinkMetrics",
     "PhyParams",
     "Point",
     "ScenarioParams",
@@ -72,7 +65,6 @@ __all__ = [
     "data_rate",
     "dump_topology",
     "generate_topology",
-    "inject_metrics_session",
     "layerize",
     "load_topology",
     "make_channels",
@@ -82,10 +74,6 @@ __all__ = [
     "run_scenario_sessions",
     "run_session",
     "run_sweep",
-    "run_trial",
-    "sample_event_state",
-    "sample_gain",
-    "select_channel",
     "session_to_csv",
     "tree_from_parents",
     "tx_time",

@@ -15,7 +15,6 @@ receiver is that receiver), so no separate rule is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -26,42 +25,6 @@ class Scheme(Enum):
     MASA = "masa"
     MDR = "mdr"
     RS = "rs"
-
-
-@dataclass(frozen=True)
-class LinkMetrics:
-    """Per-receiver, per-channel link metrics for one transmitter event.
-
-    Matrices are (receivers x channels); busy channels carry zero success
-    probability.
-    """
-
-    receivers: tuple[int, ...]
-    pos: np.ndarray  # success probability
-    rate: np.ndarray  # bits/s
-    tx_time: np.ndarray  # s
-    mu_idle: np.ndarray  # (M,) mean availability per channel, s
-    idle: np.ndarray  # (M,) bool
-
-    def __post_init__(self):
-        r, m = len(self.receivers), len(self.mu_idle)
-        if r == 0 or m == 0:
-            raise ValueError("metrics need at least one receiver and one channel")
-        for name in ("pos", "rate", "tx_time"):
-            if getattr(self, name).shape != (r, m):
-                raise ValueError(f"{name} must have shape ({r}, {m})")
-        if self.idle.shape != (m,):
-            raise ValueError(f"idle must have shape ({m},)")
-        if np.any(self.pos[:, ~self.idle] != 0.0):
-            raise ValueError("busy channels must carry zero success probability")
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Outcome of channel selection; channel is None when no channel is idle."""
-
-    channel: int | None
-    min_pos_at_choice: float
 
 
 def choose_channels(scheme: Scheme, pos, rate, mu_idle, idle, starts) -> np.ndarray:
@@ -93,20 +56,3 @@ def random_channel(idle_channels: list[int], rng: np.random.Generator | None) ->
     if rng is None:
         raise ValueError("random selection needs an rng")
     return idle_channels[int(rng.integers(len(idle_channels)))]
-
-
-def select_channel(scheme: Scheme, metrics: LinkMetrics, rng: np.random.Generator | None = None) -> Decision:
-    """Pick the unified channel for one event under the given scheme.
-
-    Runs the same choosers as whole-tree sessions, on a one-event table.
-    An empty idle set yields a Decision without a channel: the event fails.
-    """
-    if scheme is Scheme.RS:
-        j = random_channel(np.flatnonzero(metrics.idle).tolist(), rng)
-    else:
-        j = int(choose_channels(
-            scheme, metrics.pos, metrics.rate, metrics.mu_idle, metrics.idle[None, :], np.zeros(1, dtype=np.intp)
-        )[0])
-    if j < 0:
-        return Decision(None, 0.0)
-    return Decision(j, float(metrics.pos[:, j].min()))

@@ -1,10 +1,11 @@
 """Primary-user channel occupancy and Rayleigh fading.
 
 Each licensed channel alternates between busy (primary user present) and idle
-periods. Secondary transmissions sample channel state per transmitter event:
-an idle flag per channel plus, for idle channels, the residual time the
-channel stays available. Residuals are exponential with the channel's mean
-idle duration, which is the memoryless residual of exponential idle periods.
+periods. Secondary transmissions sample channel state per transmitter event
+(session.draw_events): an idle flag per channel plus, for idle channels, the
+residual time the channel stays available. Residuals are exponential with the
+channel's mean idle duration, which is the memoryless residual of exponential
+idle periods.
 """
 
 from __future__ import annotations
@@ -19,11 +20,6 @@ import numpy as np
 class ChannelParams:
     mu_idle: float  # mean idle-period duration, s
     p_idle: float  # long-run fraction of time the channel is idle
-
-    @property
-    def mean_busy(self) -> float:
-        """Mean busy-period duration implied by mu_idle and p_idle, s."""
-        return self.mu_idle * (1.0 - self.p_idle) / self.p_idle
 
 
 @dataclass(frozen=True)
@@ -47,14 +43,6 @@ class ChannelModel:
         return np.array([c.p_idle for c in self.channels])
 
 
-@dataclass(frozen=True)
-class EventState:
-    """Channel state seen by one transmitter event."""
-
-    idle: np.ndarray  # bool, shape (M,)
-    available_time: np.ndarray  # s, shape (M,); NaN on busy channels
-
-
 def make_channels(m: int, mu_min: float, mu_max: float, p_idle: float) -> ChannelModel:
     """Model with m channels whose mean idle durations are evenly spaced over
     [mu_min, mu_max] (a single channel gets mu_min) and a common idle probability."""
@@ -66,19 +54,3 @@ def make_channels(m: int, mu_min: float, mu_max: float, p_idle: float) -> Channe
         raise ValueError("p_idle must lie strictly between 0 and 1")
     mu = np.linspace(mu_min, mu_max, m) if m > 1 else np.array([mu_min])
     return ChannelModel(tuple(ChannelParams(float(x), p_idle) for x in mu))
-
-
-def sample_event_state(model: ChannelModel, rng: np.random.Generator) -> EventState:
-    """Draw one per-event channel state: independent idle flags and residual
-    availability per channel."""
-    idle = rng.random(model.m) < model.p_idle
-    # Residuals are drawn for every channel, busy ones included, so that runs
-    # differing only in p_idle consume identical generator positions.
-    residual = rng.exponential(model.mu_idle)
-    return EventState(idle, np.where(idle, residual, np.nan))
-
-
-def sample_gain(rng: np.random.Generator, size=None):
-    """Rayleigh-fading power gain: exponential with mean 1."""
-    g = rng.exponential(1.0, size)
-    return float(g) if size is None else g

@@ -98,6 +98,9 @@ def cmd_example(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
     sessions = run_scenario_sessions(cfg.params, cfg.schemes, cfg.trees, cfg.seed)
     if args.json:
         payload = {
@@ -123,8 +126,6 @@ def cmd_run(args) -> int:
                 state = "delivered" if res.delivered[dest] else "missed"
                 print(f"  dest {dest}: {state}, {res.throughput[dest] / 1e6:.4f} Mbps")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         for (tree, scheme), res in sessions.items():
             path = out / f"session_{tree.value}_{scheme.value}.csv"
             path.write_text(session_to_csv(res), encoding="utf-8", newline="\n")
@@ -135,6 +136,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     spec = sweep_from_config(cfg)
+    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     rows, agg = run_sweep(spec)
     trials_path, agg_path = write_sweep_csv(rows, agg, cfg.out_dir)
     print(f"wrote {trials_path} ({len(rows)} rows)")
@@ -160,7 +162,7 @@ def main(argv=None) -> int:
     handlers = {"example": cmd_example, "run": cmd_run, "sweep": cmd_sweep, "plot": cmd_plot}
     try:
         return handlers[args.command](args)
-    except (ConfigError, DataFormatError) as exc:
+    except (ConfigError, DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .assignment import Scheme
-from .experiment import SWEEP_VARIABLES, ScenarioParams, SweepSpec, _parse_number
+from .experiment import ScenarioParams, SweepSpec, _parse_number
 from .session import TreeKind
 
 
@@ -150,12 +150,6 @@ def load_config(path=None, overrides: dict | None = None) -> Config:
 
 
 def sweep_from_config(cfg: Config) -> SweepSpec:
-    if cfg.sweep_variable not in SWEEP_VARIABLES:
-        raise ConfigError(
-            f"unknown sweep_variable {cfg.sweep_variable!r}, expected one of {sorted(SWEEP_VARIABLES)}"
-        )
-    if not cfg.sweep_values:
-        raise ConfigError("sweep_values must not be empty")
     try:
         return SweepSpec(
             base=cfg.params,

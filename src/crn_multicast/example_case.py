@@ -22,8 +22,8 @@ import math
 import numpy as np
 
 from .assignment import Scheme
-from .session import InjectedEvent, SessionResult, inject_metrics_session
-from .topology import Tree, tree_from_parents
+from .session import EventTable, SessionResult, check_pruned, execute_schedule, starts_of
+from .topology import Tree, layerize, tree_from_parents
 
 PACKET_BITS = 32768  # 4 KB
 MU_MS = (10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
@@ -113,32 +113,54 @@ def _tree_from_fixture(fixture: dict) -> Tree:
     return tree_from_parents(int(fixture["root"]), parent, {v: math.nan for v in parent})
 
 
-def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS) -> SessionResult:
-    """Replay the fixture's session and return the full result."""
-    m = len(fixture["mu_ms"])
+def _idle_channels(ev: dict, m: int) -> list[int]:
+    """0-based indices of an event's idle channels; ids in the fixture are 1..m."""
+    ids = [int(c) for c in ev["idle_channels"]]
+    bad = [c for c in ids if not 1 <= c <= m]
+    if bad:
+        raise ValueError(f"event of transmitter {ev['transmitter']}: idle channel ids {bad} outside 1..{m}")
+    return [c - 1 for c in ids]
+
+
+def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Generator | None = None) -> SessionResult:
+    """Replay the fixture's session from its link tables instead of sampling.
+
+    Events must line up one-to-one with the tree's layer schedule (same
+    transmitters and receiver sets, in order); receivers are taken in schedule
+    order. Every event is evaluated, even below a failed relay, so all
+    selections can be inspected; delivery still requires the full root path to
+    succeed. Data rates are recovered from the air times, so rate-based
+    selection stays available. rng feeds random selection.
+    """
+    tree = _tree_from_fixture(fixture)
+    destinations = [int(d) for d in fixture["destinations"]]
+    check_pruned(tree, destinations)
+    schedule = layerize(tree)
+    events = fixture["events"]
+    if len(events) != len(schedule.entries):
+        raise ValueError(f"expected {len(schedule.entries)} events for this tree, got {len(events)}")
+    packet_bits = int(fixture["packet_bits"])
     mu = np.asarray(fixture["mu_ms"], dtype=float) / 1000.0
-    events = []
-    for ev in fixture["events"]:
-        receivers = tuple(int(r) for r in ev["receivers"])
-        idle = np.zeros(m, dtype=bool)
-        idle[[int(c) - 1 for c in ev["idle_channels"]]] = True
-        pos = np.array([ev["pos"][str(r)] for r in receivers], dtype=float)
-        tx = np.array(
-            [[math.inf if t is None else t for t in ev["tx_time_s"][str(r)]] for r in receivers],
-            dtype=float,
-        )
-        avail = np.array(
-            [math.nan if a is None else a for a in ev["available_time_s"]], dtype=float
-        )
-        events.append(InjectedEvent(int(ev["transmitter"]), receivers, idle, pos, tx, avail))
-    return inject_metrics_session(
-        _tree_from_fixture(fixture),
-        events,
-        destinations=[int(d) for d in fixture["destinations"]],
-        packet_bits=int(fixture["packet_bits"]),
-        mu_idle=mu,
-        scheme=scheme,
+    idle = np.zeros((len(events), mu.size), dtype=bool)
+    pos_rows, tx_rows, avail_rows = [], [], []
+    for e, (entry, ev) in enumerate(zip(schedule.entries, events)):
+        if int(ev["transmitter"]) != entry.transmitter or {int(r) for r in ev["receivers"]} != set(entry.receivers):
+            raise ValueError(
+                f"event for transmitter {ev['transmitter']} does not match the "
+                f"schedule entry ({entry.transmitter} -> {entry.receivers})"
+            )
+        idle[e, _idle_channels(ev, mu.size)] = True
+        for r in entry.receivers:
+            pos_rows.append(ev["pos"][str(r)])
+            tx_rows.append([math.inf if t is None else t for t in ev["tx_time_s"][str(r)]])
+        avail_rows.append([math.nan if a is None else a for a in ev["available_time_s"]])
+    tx = np.array(tx_rows, dtype=float)
+    with np.errstate(divide="ignore"):
+        rate = np.where(tx > 0.0, packet_bits / tx, np.inf)
+    table = EventTable(
+        starts_of(schedule), idle, np.array(avail_rows, dtype=float), np.array(pos_rows, dtype=float), rate, tx, mu
     )
+    return execute_schedule(schedule, table, destinations, packet_bits, scheme, rng, replay_all=True)
 
 
 def check_fixture(fixture: dict, rel_tol: float = 0.005) -> tuple[bool, list[str], dict]:

@@ -116,12 +116,6 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng((seed, *stream))
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    avg_throughput_bps: float
-    pdr: float
-
-
 def run_scenario_sessions(
     params: ScenarioParams,
     schemes,
@@ -159,18 +153,6 @@ def run_scenario_sessions(
                 schedule, table, destinations, phy.packet_bits, scheme, sel_rng
             )
     return results
-
-
-def run_trial(
-    params: ScenarioParams,
-    schemes,
-    trees,
-    seed: int,
-    channel_model: ChannelModel | None = None,
-) -> dict[tuple[TreeKind, Scheme], TrialOutcome]:
-    """Paired trial summary: average throughput and PDR per (tree, scheme)."""
-    sessions = run_scenario_sessions(params, schemes, trees, seed, channel_model)
-    return {key: TrialOutcome(res.avg_throughput, res.pdr) for key, res in sessions.items()}
 
 
 @dataclass(frozen=True)
@@ -267,11 +249,9 @@ def run_sweep(spec: SweepSpec) -> tuple[list[TrialRow], list[AggregateRow]]:
     rows: list[TrialRow] = []
     for value, params in spec.scenarios():
         for i in range(spec.trials):
-            outcomes = run_trial(params, spec.schemes, spec.trees, spec.seed + i)
-            for (tree, scheme), oc in outcomes.items():
-                rows.append(
-                    TrialRow(tree, scheme, spec.variable, value, i, oc.avg_throughput_bps, oc.pdr)
-                )
+            sessions = run_scenario_sessions(params, spec.schemes, spec.trees, spec.seed + i)
+            for (tree, scheme), res in sessions.items():
+                rows.append(TrialRow(tree, scheme, spec.variable, value, i, res.avg_throughput, res.pdr))
     return rows, aggregate_trials(rows)
 
 

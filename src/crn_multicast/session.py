@@ -25,7 +25,7 @@ import numpy as np
 from .assignment import Scheme, choose_channels, random_channel
 from .channel import ChannelModel
 from .phy import PhyParams, data_rate, pos, received_power, tx_time
-from .topology import LayerSchedule, Topology, Tree, layerize
+from .topology import LayerSchedule, Topology, Tree, layerize, prune_tree
 
 
 class TreeKind(Enum):
@@ -77,18 +77,6 @@ class SessionResult:
         return tuple(trace)
 
 
-@dataclass(frozen=True)
-class InjectedEvent:
-    """Externally supplied metrics for one layer entry (test/replay seam)."""
-
-    transmitter: int
-    receivers: tuple[int, ...]
-    idle: np.ndarray  # (M,) bool
-    pos: np.ndarray  # (R, M); zero on busy channels
-    tx_time: np.ndarray  # (R, M) s
-    available_time: np.ndarray  # (M,) s; NaN on busy channels
-
-
 @dataclass(frozen=True, eq=False)
 class EventTable:
     """Link metrics of every entry of a layer schedule, as flat arrays.
@@ -134,7 +122,8 @@ class EventTable:
         return [channels[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
-def _starts(schedule: LayerSchedule) -> np.ndarray:
+def starts_of(schedule: LayerSchedule) -> np.ndarray:
+    """First receiver slot of each schedule entry."""
     counts = [len(entry.receivers) for entry in schedule.entries]
     return np.cumsum([0, *counts[:-1]])
 
@@ -178,7 +167,7 @@ def link_metrics(phy: PhyParams, distances: np.ndarray, draws, mu_idle: np.ndarr
 def sample_table(tree: Tree, schedule: LayerSchedule, phy: PhyParams, model: ChannelModel, rng) -> EventTable:
     """Draw and evaluate every entry of a tree's layer schedule."""
     distances = np.array([tree.edge_dist[r] for entry in schedule.entries for r in entry.receivers])
-    return link_metrics(phy, distances, draw_events(schedule, model, rng), model.mu_idle, _starts(schedule))
+    return link_metrics(phy, distances, draw_events(schedule, model, rng), model.mu_idle, starts_of(schedule))
 
 
 def execute_schedule(
@@ -195,7 +184,7 @@ def execute_schedule(
     With replay_all=False (sampled sessions) an entry whose transmitter never
     received the packet is skipped outright: no control messages, no decision,
     no hop record, and under rs no draw from rng. With replay_all=True
-    (injected replays) every entry is evaluated and recorded, but receivers
+    (fixture replays) every entry is evaluated and recorded, but receivers
     below a failed relay still count as undelivered.
     """
     if scheme is Scheme.RS:
@@ -239,18 +228,11 @@ def execute_schedule(
     )
 
 
-def _check_pruned(tree: Tree, destinations) -> None:
-    dests = set(destinations)
-    if not dests:
-        raise ValueError("a session needs at least one destination")
-    if tree.root in dests:
-        raise ValueError("the root cannot be one of its own destinations")
-    spanned = set(tree.nodes())
-    if not dests <= spanned:
-        raise ValueError(f"destinations not spanned by the tree: {sorted(dests - spanned)}")
-    stray = [u for u in tree.leaves() if u not in dests]
+def check_pruned(tree: Tree, destinations) -> None:
+    """Require a tree that pruning to the destinations leaves unchanged."""
+    stray = set(tree.parent) - set(prune_tree(tree, destinations).parent)
     if stray:
-        raise ValueError(f"tree is not pruned to the destination set, stray leaves: {stray}")
+        raise ValueError(f"tree is not pruned to the destination set, stray nodes: {sorted(stray)}")
 
 
 def run_session(
@@ -261,63 +243,13 @@ def run_session(
     rng: np.random.Generator,
 ) -> SessionResult:
     """Sample and execute one full multicast session on a pruned tree."""
-    _check_pruned(tree, cfg.destinations)
+    check_pruned(tree, cfg.destinations)
     bad = [u for u in tree.nodes() if not 0 <= u < topology.n]
     if bad:
         raise ValueError(f"tree nodes outside the topology: {bad}")
     schedule = layerize(tree)
     table = sample_table(tree, schedule, cfg.phy, channel_model, rng)
     return execute_schedule(schedule, table, cfg.destinations, cfg.phy.packet_bits, cfg.scheme, rng)
-
-
-def inject_metrics_session(
-    tree: Tree,
-    events: list[InjectedEvent],
-    destinations,
-    packet_bits: int,
-    mu_idle: np.ndarray | None = None,
-    scheme: Scheme = Scheme.POS,
-    rng: np.random.Generator | None = None,
-) -> SessionResult:
-    """Replay a session from externally supplied link tables instead of sampling.
-
-    Events must line up one-to-one with the tree's layer schedule (same
-    transmitters and receiver sets, in order). Every event is evaluated, even
-    below a failed relay, so all selections can be inspected; delivery still
-    requires the full root path to succeed. Data rates are recovered from the
-    injected air times, so rate-based selection stays available.
-    """
-    _check_pruned(tree, destinations)
-    schedule = layerize(tree)
-    if len(events) != len(schedule.entries):
-        raise ValueError(f"expected {len(schedule.entries)} events for this tree, got {len(events)}")
-    if mu_idle is None:
-        if scheme is Scheme.MASA:
-            raise ValueError("availability-based selection needs mu_idle")
-        mu_idle = np.full(events[0].idle.size, np.nan)
-    pos_rows, tx_rows = [], []
-    for entry, ev in zip(schedule.entries, events):
-        if ev.transmitter != entry.transmitter or set(ev.receivers) != set(entry.receivers):
-            raise ValueError(
-                f"event for transmitter {ev.transmitter} does not match the "
-                f"schedule entry ({entry.transmitter} -> {entry.receivers})"
-            )
-        order = [ev.receivers.index(r) for r in entry.receivers]
-        pos_rows.append(np.asarray(ev.pos, dtype=float)[order])
-        tx_rows.append(np.asarray(ev.tx_time, dtype=float)[order])
-    tx = np.concatenate(tx_rows)
-    with np.errstate(divide="ignore"):
-        rate = np.where(tx > 0.0, packet_bits / tx, np.inf)
-    table = EventTable(
-        _starts(schedule),
-        np.array([np.asarray(ev.idle, dtype=bool) for ev in events]),
-        np.array([np.asarray(ev.available_time, dtype=float) for ev in events]),
-        np.concatenate(pos_rows),
-        rate,
-        tx,
-        np.asarray(mu_idle, dtype=float),
-    )
-    return execute_schedule(schedule, table, destinations, packet_bits, scheme, rng, replay_all=True)
 
 
 def session_to_csv(result: SessionResult) -> str:

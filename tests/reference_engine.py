@@ -1,10 +1,12 @@
 """Reference engine: the per-event session pipeline the event-table engine replaced.
 
-Kept only as a test oracle. Every layer entry is drawn, evaluated, selected
-and judged on its own (draw_events -> link_metrics -> select_channel ->
-execute_schedule), exactly as sessions ran before whole-tree tables. The
-equivalence tests require the package's engine to reproduce these results
-bit for bit, hops and control trace included.
+Kept only as a test oracle, independent of the package's draw, metric and
+selection code. Every layer entry is drawn, evaluated, selected and judged
+on its own (draw_event -> link_metrics -> select_channel ->
+execute_schedule), exactly as sessions ran before whole-tree tables; fixture
+replays are parsed into the same per-event metrics. The equivalence tests
+require the package's engine to reproduce these results bit for bit, hops
+and control trace included.
 
 Results are returned as (SessionResult, control trace) pairs, so they can be
 compared with `==` against the package's results and their derived traces.
@@ -17,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crn_multicast.assignment import Decision, LinkMetrics, Scheme
-from crn_multicast.channel import ChannelModel, EventState, sample_event_state, sample_gain
+from crn_multicast.assignment import Scheme
+from crn_multicast.channel import ChannelModel
 from crn_multicast.phy import PhyParams, data_rate, pos, received_power, tx_time
-from crn_multicast.session import HopRecord, InjectedEvent, SessionConfig, SessionResult, TreeKind
+from crn_multicast.session import HopRecord, SessionConfig, SessionResult, TreeKind
 from crn_multicast.topology import (
     LayerSchedule,
     Topology,
@@ -30,6 +32,7 @@ from crn_multicast.topology import (
     generate_topology,
     layerize,
     prune_tree,
+    tree_from_parents,
 )
 
 _TREE_CODE = {TreeKind.SPT: 0, TreeKind.MST: 1}
@@ -44,10 +47,24 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng((seed, *stream))
 
 
-def select_channel(scheme: Scheme, metrics: LinkMetrics, rng: np.random.Generator | None = None) -> Decision:
+@dataclass(frozen=True)
+class EventMetrics:
+    """Link metrics of one transmitter event: (receivers x channels) tables
+    plus the event's (channels,) idle flags and sampled availability."""
+
+    pos: np.ndarray
+    rate: np.ndarray
+    tx_time: np.ndarray
+    mu_idle: np.ndarray
+    idle: np.ndarray
+    available_time: np.ndarray  # NaN on busy channels
+
+
+def select_channel(scheme: Scheme, metrics: EventMetrics, rng: np.random.Generator | None = None) -> int | None:
+    """The event's chosen channel, or None when no channel is idle."""
     idle_idx = np.flatnonzero(metrics.idle)
     if idle_idx.size == 0:
-        return Decision(None, 0.0)
+        return None
     if scheme is Scheme.POS:
         worst = metrics.pos[:, idle_idx].min(axis=0)
         j = idle_idx[int(np.argmax(worst))]
@@ -62,30 +79,35 @@ def select_channel(scheme: Scheme, metrics: LinkMetrics, rng: np.random.Generato
         j = idle_idx[int(rng.integers(idle_idx.size))]
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return Decision(int(j), float(metrics.pos[:, j].min()))
+    return int(j)
 
 
 @dataclass(frozen=True)
 class EventDraw:
-    state: EventState
+    idle: np.ndarray
+    available_time: np.ndarray
     gains: np.ndarray
 
 
+def draw_event(model: ChannelModel, n_receivers: int, rng: np.random.Generator) -> EventDraw:
+    """One event: idle flags, then residual availability of every channel
+    (busy ones included), then the gains of its receivers."""
+    idle = rng.random(model.m) < model.p_idle
+    residual = rng.exponential(model.mu_idle)
+    gains = rng.exponential(1.0, (n_receivers, model.m))
+    return EventDraw(idle, np.where(idle, residual, np.nan), gains)
+
+
 def draw_events(schedule: LayerSchedule, model: ChannelModel, rng: np.random.Generator) -> list[EventDraw]:
-    out = []
-    for entry in schedule.entries:
-        state = sample_event_state(model, rng)
-        gains = sample_gain(rng, size=(len(entry.receivers), model.m))
-        out.append(EventDraw(state, gains))
-    return out
+    return [draw_event(model, len(entry.receivers), rng) for entry in schedule.entries]
 
 
-def link_metrics(phy: PhyParams, distances: np.ndarray, draw: EventDraw, mu_idle: np.ndarray, receivers) -> LinkMetrics:
+def link_metrics(phy: PhyParams, distances: np.ndarray, draw: EventDraw, mu_idle: np.ndarray) -> EventMetrics:
     pr = received_power(phy, distances[:, None], draw.gains)
     rate = data_rate(phy, pr)
     t = tx_time(phy, rate)
-    p = np.where(draw.state.idle[None, :], pos(t, mu_idle[None, :]), 0.0)
-    return LinkMetrics(tuple(receivers), p, rate, t, mu_idle, draw.state.idle)
+    p = np.where(draw.idle[None, :], pos(t, mu_idle[None, :]), 0.0)
+    return EventMetrics(p, rate, t, mu_idle, draw.idle, draw.available_time)
 
 
 def execute_schedule(schedule, per_event, destinations, packet_bits, scheme, rng=None, replay_all=False):
@@ -94,7 +116,7 @@ def execute_schedule(schedule, per_event, destinations, packet_bits, scheme, rng
     air_time = {root: 0.0}
     hops = []
     trace = []
-    for entry, (metrics, avail) in zip(schedule.entries, per_event):
+    for entry, metrics in zip(schedule.entries, per_event):
         live = entry.transmitter in reached
         if not live and not replay_all:
             continue
@@ -102,16 +124,16 @@ def execute_schedule(schedule, per_event, destinations, packet_bits, scheme, rng
             trace.append(("MA", entry.transmitter, r))
         for r in entry.receivers:
             trace.append(("ACK", r, entry.transmitter))
-        decision = select_channel(scheme, metrics, rng)
-        if decision.channel is None:
+        channel = select_channel(scheme, metrics, rng)
+        if channel is None:
             times = tuple(math.nan for _ in entry.receivers)
             success = tuple(False for _ in entry.receivers)
             hop_avail = math.nan
         else:
-            hop_avail = float(avail[decision.channel])
-            times = tuple(float(t) for t in metrics.tx_time[:, decision.channel])
+            hop_avail = float(metrics.available_time[channel])
+            times = tuple(float(t) for t in metrics.tx_time[:, channel])
             success = tuple(t <= hop_avail for t in times)
-        hops.append(HopRecord(entry.transmitter, entry.receivers, decision.channel, times, success, hop_avail))
+        hops.append(HopRecord(entry.transmitter, entry.receivers, channel, times, success, hop_avail))
         if live:
             for r, t, ok in zip(entry.receivers, times, success):
                 if ok:
@@ -153,47 +175,39 @@ def run_session(topology: Topology, tree: Tree, cfg: SessionConfig, channel_mode
         raise ValueError(f"tree nodes outside the topology: {bad}")
     schedule = layerize(tree)
     draws = draw_events(schedule, channel_model, rng)
-    per_event = []
-    for entry, draw in zip(schedule.entries, draws):
-        distances = np.array([tree.edge_dist[r] for r in entry.receivers])
-        metrics = link_metrics(cfg.phy, distances, draw, channel_model.mu_idle, entry.receivers)
-        per_event.append((metrics, draw.state.available_time))
+    per_event = [
+        link_metrics(cfg.phy, np.array([tree.edge_dist[r] for r in entry.receivers]), draw, channel_model.mu_idle)
+        for entry, draw in zip(schedule.entries, draws)
+    ]
     return execute_schedule(schedule, per_event, cfg.destinations, cfg.phy.packet_bits, cfg.scheme, rng)
 
 
-def inject_metrics_session(
-    tree: Tree,
-    events: list[InjectedEvent],
-    destinations,
-    packet_bits: int,
-    mu_idle: np.ndarray | None = None,
-    scheme: Scheme = Scheme.POS,
-    rng: np.random.Generator | None = None,
-):
+def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Generator | None = None):
+    """Replay a worked-example fixture dict: one EventMetrics per event, rows
+    in schedule order, rates recovered from the air times."""
+    parent = {int(v): int(u) for u, v in fixture["tree_edges"]}
+    tree = tree_from_parents(int(fixture["root"]), parent, {v: math.nan for v in parent})
+    destinations = [int(d) for d in fixture["destinations"]]
     _check_pruned(tree, destinations)
     schedule = layerize(tree)
-    if len(events) != len(schedule.entries):
-        raise ValueError(f"expected {len(schedule.entries)} events for this tree, got {len(events)}")
-    if mu_idle is None:
-        if scheme is Scheme.MASA:
-            raise ValueError("availability-based selection needs mu_idle")
-        mu_idle = np.full(events[0].idle.size, np.nan)
+    if len(fixture["events"]) != len(schedule.entries):
+        raise ValueError("event count does not match the schedule")
+    packet_bits = int(fixture["packet_bits"])
+    mu_idle = np.asarray(fixture["mu_ms"], dtype=float) / 1000.0
     per_event = []
-    for entry, ev in zip(schedule.entries, events):
-        if ev.transmitter != entry.transmitter or set(ev.receivers) != set(entry.receivers):
+    for entry, ev in zip(schedule.entries, fixture["events"]):
+        if int(ev["transmitter"]) != entry.transmitter or {int(r) for r in ev["receivers"]} != set(entry.receivers):
             raise ValueError("event does not match the schedule entry")
-        order = [ev.receivers.index(r) for r in entry.receivers]
-        with np.errstate(divide="ignore"):
-            rate = np.where(ev.tx_time > 0.0, packet_bits / ev.tx_time, np.inf)
-        metrics = LinkMetrics(
-            entry.receivers,
-            np.asarray(ev.pos, dtype=float)[order],
-            rate[order],
-            np.asarray(ev.tx_time, dtype=float)[order],
-            np.asarray(mu_idle, dtype=float),
-            np.asarray(ev.idle, dtype=bool),
+        idle = np.zeros(mu_idle.size, dtype=bool)
+        idle[[int(c) - 1 for c in ev["idle_channels"]]] = True
+        tx = np.array(
+            [[math.inf if t is None else t for t in ev["tx_time_s"][str(r)]] for r in entry.receivers], dtype=float
         )
-        per_event.append((metrics, np.asarray(ev.available_time, dtype=float)))
+        with np.errstate(divide="ignore"):
+            rate = np.where(tx > 0.0, packet_bits / tx, np.inf)
+        pos_rows = np.array([ev["pos"][str(r)] for r in entry.receivers], dtype=float)
+        avail = np.array([math.nan if a is None else a for a in ev["available_time_s"]], dtype=float)
+        per_event.append(EventMetrics(pos_rows, rate, tx, mu_idle, idle, avail))
     return execute_schedule(schedule, per_event, destinations, packet_bits, scheme, rng, replay_all=True)
 
 
@@ -215,11 +229,10 @@ def run_scenario_sessions(params, schemes, trees, seed: int, channel_model: Chan
         pruned = prune_tree(build(topo, 0), destinations)
         schedule = layerize(pruned)
         draws = draw_events(schedule, model, _rng(seed, _STREAM_EVENTS, _TREE_CODE[tree_kind]))
-        per_event = []
-        for entry, draw in zip(schedule.entries, draws):
-            distances = np.array([pruned.edge_dist[r] for r in entry.receivers])
-            metrics = link_metrics(phy, distances, draw, model.mu_idle, entry.receivers)
-            per_event.append((metrics, draw.state.available_time))
+        per_event = [
+            link_metrics(phy, np.array([pruned.edge_dist[r] for r in entry.receivers]), draw, model.mu_idle)
+            for entry, draw in zip(schedule.entries, draws)
+        ]
         for scheme in schemes:
             sel_rng = _rng(seed, _STREAM_SELECTION, _TREE_CODE[tree_kind], _SCHEME_CODE[scheme])
             results[(tree_kind, scheme)] = execute_schedule(

@@ -10,15 +10,22 @@ from dataclasses import replace
 
 import numpy as np
 
-from crn_multicast.assignment import Scheme
-from crn_multicast.channel import ChannelModel, ChannelParams, make_channels, sample_event_state, sample_gain
+from crn_multicast.assignment import Scheme, random_channel
+from crn_multicast.channel import ChannelModel, ChannelParams, make_channels
 from crn_multicast.example_case import builtin_fixture, run_fixture
-from crn_multicast.experiment import ScenarioParams, SweepSpec, aggregate_to_csv, run_sweep, run_trial, trials_to_csv
+from crn_multicast.experiment import (
+    ScenarioParams,
+    SweepSpec,
+    aggregate_to_csv,
+    run_scenario_sessions,
+    run_sweep,
+    trials_to_csv,
+)
 from crn_multicast.phy import PhyParams, data_rate, pos, received_power
 from crn_multicast.session import TreeKind
 from crn_multicast.topology import build_mst, build_spt
 
-from test_assignment import metrics_from_pos
+from test_channel import draw
 from test_topology import floyd_warshall, min_spanning_weight_bruteforce, random_connected_topology
 
 ALL_SCHEMES = (Scheme.POS, Scheme.MASA, Scheme.MDR, Scheme.RS)
@@ -34,10 +41,10 @@ def mean_results(params, schemes, trees, trials, base_seed=10_000):
     tput = {(t, s): 0.0 for t in trees for s in schemes}
     pdr = {(t, s): 0.0 for t in trees for s in schemes}
     for i in range(trials):
-        out = run_trial(params, schemes, trees, seed=base_seed + i)
-        for key, oc in out.items():
-            tput[key] += oc.avg_throughput_bps / trials
-            pdr[key] += oc.pdr / trials
+        out = run_scenario_sessions(params, schemes, trees, seed=base_seed + i)
+        for key, res in out.items():
+            tput[key] += res.avg_throughput / trials
+            pdr[key] += res.pdr / trials
     return tput, pdr
 
 
@@ -182,33 +189,24 @@ def test_criterion_7_monotone_trends():
 
 
 def test_criterion_8_statistical_sanity():
-    model = make_channels(4, 0.01, 0.07, 0.5)
-    rng = np.random.default_rng(81)
+    # Samples come from the draws sessions use (session.draw_events) and from
+    # the rs chooser they call (random_channel).
     n = 100_000
-    idle_hits = np.zeros(4)
-    for _ in range(n):
-        idle_hits += sample_event_state(model, rng).idle
-    idle_ok = np.all(np.abs(idle_hits / n - 0.5) < 0.01)
+    idle, _, _ = draw(make_channels(4, 0.01, 0.07, 0.5), np.random.default_rng(81), n)
+    idle_ok = np.all(np.abs(idle.mean(axis=0) - 0.5) < 0.01)
 
-    gains = sample_gain(np.random.default_rng(82), size=n)
+    _, _, gains = draw(make_channels(1, 0.01, 0.01, 0.5), np.random.default_rng(82), 1, receivers=n)
     gain_ok = abs(gains.mean() - 1.0) < 0.02
 
     avail_model = ChannelModel((ChannelParams(0.05, 0.999),))
-    rng = np.random.default_rng(83)
-    avail = np.array([sample_event_state(avail_model, rng).available_time[0] for _ in range(n)])
-    avail = avail[~np.isnan(avail)]
+    _, avail, _ = draw(avail_model, np.random.default_rng(83), n)
+    avail = avail[:, 0][~np.isnan(avail[:, 0])]
     avail_ok = abs(avail.mean() - 0.05) / 0.05 < 0.02
 
-    from crn_multicast.assignment import select_channel
-
-    metrics = metrics_from_pos(
-        [[0.5, 0.0, 0.6, 0.7, 0.0, 0.8]], busy=(2, 5),
-        mu=np.linspace(0.01, 0.06, 6),
-    )
     rng = np.random.default_rng(84)
     counts = np.zeros(6)
     for _ in range(n):
-        counts[select_channel(Scheme.RS, metrics, rng).channel] += 1
+        counts[random_channel([0, 2, 3, 5], rng)] += 1  # channels 2 and 5 busy
     rs_ok = np.all(np.abs(counts[[0, 2, 3, 5]] / n - 0.25) < 0.01) and counts[[1, 4]].sum() == 0
 
     report(

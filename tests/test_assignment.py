@@ -1,16 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from crn_multicast.assignment import Decision, LinkMetrics, Scheme, select_channel
+from crn_multicast.assignment import Scheme, choose_channels, random_channel
+from crn_multicast.session import EventTable
 
 MU_S = np.array([0.010, 0.020, 0.030, 0.040, 0.050, 0.060])
 
 
-def metrics_from_pos(pos_rows, busy, receivers=None, mu=MU_S, packet_bits=32768):
-    """LinkMetrics built from a success-probability table plus a busy set
-    (channels 1-based), with air times and rates consistent with the table."""
+def metrics_from_pos(pos_rows, busy, mu=MU_S, packet_bits=32768):
+    """One-event EventTable built from a success-probability table (one row
+    per receiver) plus a busy set (channels 1-based), with air times and
+    rates consistent with the table."""
     pos = np.array(pos_rows, dtype=float)
     m = pos.shape[1]
     idle = np.ones(m, dtype=bool)
@@ -20,13 +24,19 @@ def metrics_from_pos(pos_rows, busy, receivers=None, mu=MU_S, packet_bits=32768)
         tx = np.where(pos > 0.0, -mu[None, :] * np.log(np.maximum(pos, 1e-300)), np.inf)
     with np.errstate(divide="ignore"):
         rate = np.where(np.isfinite(tx), packet_bits / tx, 0.0)
-    if receivers is None:
-        receivers = tuple(range(len(pos_rows)))
-    return LinkMetrics(tuple(receivers), pos, rate, tx, mu, idle)
+    return EventTable(np.zeros(1, dtype=np.intp), idle[None, :], np.where(idle, mu, np.nan)[None, :], pos, rate, tx, mu)
+
+
+def select_channel(scheme, table, rng=None) -> int:
+    """Channel the session engine picks for a one-event table; -1 when none
+    is idle. rs draws through random_channel, the others choose by table."""
+    if scheme is Scheme.RS:
+        return random_channel(table.idle_channels[0], rng)
+    return int(choose_channels(scheme, table.pos, table.rate, table.mu_idle, table.idle, table.starts)[0])
 
 
 def group_table():
-    # one transmitter, four receivers, busy channels 2 and 3;
+    # one transmitter, receivers 6, 8, 9 and 2, busy channels 2 and 3;
     # column minima over idle channels: 0.2903, 0.7716, 0.8869, 0.796
     return metrics_from_pos(
         [
@@ -36,33 +46,32 @@ def group_table():
             [0.6658, 0, 0, 0.9071, 0.8869, 0.796],
         ],
         busy=(2, 3),
-        receivers=(6, 8, 9, 2),
     )
 
 
 def unicast_relay_table():
-    return metrics_from_pos([[0, 0, 0.842, 0.8048, 0.7958, 0.91]], busy=(1, 2), receivers=(10,))
+    return metrics_from_pos([[0, 0, 0.842, 0.8048, 0.7958, 0.91]], busy=(1, 2))  # receiver 10
 
 
 def unicast_leaf_table():
-    return metrics_from_pos([[0.1939, 0, 0.768, 0.8093, 0, 0]], busy=(2, 5, 6), receivers=(7,))
+    return metrics_from_pos([[0.1939, 0, 0.768, 0.8093, 0, 0]], busy=(2, 5, 6))  # receiver 7
 
 
 class TestMaxMinSelection:
     def test_group_event_picks_best_worst_receiver(self):
-        decision = select_channel(Scheme.POS, group_table())
-        assert decision.channel == 4  # channel 5, 1-based
-        assert decision.min_pos_at_choice == pytest.approx(0.8869)
+        table = group_table()
+        assert select_channel(Scheme.POS, table) == 4  # channel 5, 1-based
+        assert table.pos[:, 4].min() == pytest.approx(0.8869)
 
     def test_unicast_through_relay(self):
-        decision = select_channel(Scheme.POS, unicast_relay_table())
-        assert decision.channel == 5  # channel 6
-        assert decision.min_pos_at_choice == pytest.approx(0.91)
+        table = unicast_relay_table()
+        assert select_channel(Scheme.POS, table) == 5  # channel 6
+        assert table.pos[:, 5].min() == pytest.approx(0.91)
 
     def test_unicast_leaf_hop(self):
-        decision = select_channel(Scheme.POS, unicast_leaf_table())
-        assert decision.channel == 3  # channel 4
-        assert decision.min_pos_at_choice == pytest.approx(0.8093)
+        table = unicast_leaf_table()
+        assert select_channel(Scheme.POS, table) == 3  # channel 4
+        assert table.pos[:, 3].min() == pytest.approx(0.8093)
 
     def test_perturbed_column_moves_the_choice(self):
         # Dropping one channel-5 entry below every other column minimum makes
@@ -73,46 +82,41 @@ class TestMaxMinSelection:
             [0.6563, 0, 0, 0.9207, 0.9037, 0.936],
             [0.6658, 0, 0, 0.9071, 0.70, 0.796],
         ]
-        assert select_channel(Scheme.POS, metrics_from_pos(rows, busy=(2, 3))).channel == 5
+        assert select_channel(Scheme.POS, metrics_from_pos(rows, busy=(2, 3))) == 5
         # Dropping the channel-6 entry of the same row as well leaves channel 4
         # (min 0.7716) as the winner: minima become 0.2903, 0.7716, 0.70, 0.60.
         rows[3] = [0.6658, 0, 0, 0.9071, 0.70, 0.60]
-        assert select_channel(Scheme.POS, metrics_from_pos(rows, busy=(2, 3))).channel == 3
+        assert select_channel(Scheme.POS, metrics_from_pos(rows, busy=(2, 3))) == 3
 
     def test_single_receiver_increasing_pos_picks_last_idle(self):
         rows = [[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]]
-        assert select_channel(Scheme.POS, metrics_from_pos(rows, busy=())).channel == 5
+        assert select_channel(Scheme.POS, metrics_from_pos(rows, busy=())) == 5
 
     def test_scaling_every_pos_value_keeps_the_choice(self):
         base = group_table()
         for c in (0.1, 0.5, 0.9):
-            scaled = LinkMetrics(
-                base.receivers, base.pos * c, base.rate, base.tx_time, base.mu_idle, base.idle
-            )
-            assert select_channel(Scheme.POS, scaled).channel == select_channel(Scheme.POS, base).channel
+            scaled = replace(base, pos=base.pos * c)
+            assert select_channel(Scheme.POS, scaled) == select_channel(Scheme.POS, base)
 
 
 class TestOtherSchemes:
     def test_masa_picks_largest_availability(self):
-        decision = select_channel(Scheme.MASA, group_table())
-        assert decision.channel == 5  # 60 ms channel, busy ones excluded
+        assert select_channel(Scheme.MASA, group_table()) == 5  # 60 ms channel, busy ones excluded
 
     def test_masa_skips_busy_high_availability(self):
         metrics = metrics_from_pos([[0.5, 0.5, 0.5, 0.5, 0.5, 0.0]], busy=(6,))
-        assert select_channel(Scheme.MASA, metrics).channel == 4
+        assert select_channel(Scheme.MASA, metrics) == 4
 
     def test_mdr_picks_largest_worst_rate(self):
         metrics = group_table()
-        idle = np.flatnonzero(metrics.idle)
+        idle = np.flatnonzero(metrics.idle[0])
         expected = idle[int(np.argmax(metrics.rate[:, idle].min(axis=0)))]
-        assert select_channel(Scheme.MDR, metrics).channel == expected
+        assert select_channel(Scheme.MDR, metrics) == expected
 
     def test_mdr_scaling_invariance(self):
         base = group_table()
-        scaled = LinkMetrics(
-            base.receivers, base.pos, base.rate * 3.5, base.tx_time, base.mu_idle, base.idle
-        )
-        assert select_channel(Scheme.MDR, scaled).channel == select_channel(Scheme.MDR, base).channel
+        scaled = replace(base, rate=base.rate * 3.5)
+        assert select_channel(Scheme.MDR, scaled) == select_channel(Scheme.MDR, base)
 
     def test_rs_is_uniform_over_idle_channels(self):
         metrics = group_table()  # 4 idle channels
@@ -120,9 +124,9 @@ class TestOtherSchemes:
         counts = np.zeros(6)
         n = 100_000
         for _ in range(n):
-            counts[select_channel(Scheme.RS, metrics, rng).channel] += 1
-        idle = np.flatnonzero(metrics.idle)
-        assert counts[~metrics.idle].sum() == 0
+            counts[select_channel(Scheme.RS, metrics, rng)] += 1
+        idle = np.flatnonzero(metrics.idle[0])
+        assert counts[~metrics.idle[0]].sum() == 0
         freqs = counts[idle] / n
         assert np.all(np.abs(freqs - 0.25) < 0.01)
         chi2 = stats.chisquare(counts[idle]).pvalue
@@ -130,8 +134,8 @@ class TestOtherSchemes:
 
     def test_rs_deterministic_given_seed(self):
         metrics = group_table()
-        a = [select_channel(Scheme.RS, metrics, np.random.default_rng(5)).channel for _ in range(1)]
-        b = [select_channel(Scheme.RS, metrics, np.random.default_rng(5)).channel for _ in range(1)]
+        a = [select_channel(Scheme.RS, metrics, np.random.default_rng(5)) for _ in range(1)]
+        b = [select_channel(Scheme.RS, metrics, np.random.default_rng(5)) for _ in range(1)]
         assert a == b
 
     def test_rs_without_rng_rejected(self):
@@ -145,41 +149,28 @@ class TestEdgeCases:
         metrics = metrics_from_pos(rows, busy=(1, 2, 3, 4, 6))
         rng = np.random.default_rng(0)
         for scheme in Scheme:
-            assert select_channel(scheme, metrics, rng).channel == 4
+            assert select_channel(scheme, metrics, rng) == 4
 
     def test_no_idle_channel_yields_no_decision(self):
         rows = [[0, 0, 0, 0, 0, 0]]
         metrics = metrics_from_pos(rows, busy=(1, 2, 3, 4, 5, 6))
         for scheme in Scheme:
-            decision = select_channel(scheme, metrics, np.random.default_rng(0))
-            assert decision == Decision(None, 0.0)
+            assert select_channel(scheme, metrics, np.random.default_rng(0)) == -1
 
     def test_pos_tie_breaks_to_lowest_channel(self):
         rows = [[0.7, 0.7, 0.3, 0, 0, 0]]
         metrics = metrics_from_pos(rows, busy=(4, 5, 6))
-        assert select_channel(Scheme.POS, metrics).channel == 0
+        assert select_channel(Scheme.POS, metrics) == 0
 
     def test_busy_channel_with_nonzero_pos_rejected(self):
-        with pytest.raises(ValueError):
-            LinkMetrics(
-                (0,),
-                np.array([[0.5, 0.5]]),
-                np.zeros((1, 2)),
-                np.zeros((1, 2)),
-                np.array([0.01, 0.02]),
-                np.array([True, False]),
-            )
+        table = metrics_from_pos([[0.5, 0.0]], busy=(2,), mu=MU_S[:2])
+        with pytest.raises(ValueError, match="busy channels"):
+            replace(table, pos=np.array([[0.5, 0.5]]))
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            LinkMetrics(
-                (0, 1),
-                np.zeros((1, 6)),
-                np.zeros((2, 6)),
-                np.zeros((2, 6)),
-                MU_S,
-                np.ones(6, dtype=bool),
-            )
+        table = metrics_from_pos([[0.5] * 6, [0.5] * 6], busy=())
+        with pytest.raises(ValueError, match="pos must have shape"):
+            replace(table, pos=np.zeros((1, 6)))
 
 
 @st.composite
@@ -202,18 +193,18 @@ def random_metrics(draw):
 @settings(max_examples=200, deadline=None)
 @given(random_metrics(), st.sampled_from(list(Scheme)), st.integers(min_value=0, max_value=2**31))
 def test_chosen_channel_is_always_idle(metrics, scheme, seed):
-    decision = select_channel(scheme, metrics, np.random.default_rng(seed))
-    if decision.channel is None:
+    channel = select_channel(scheme, metrics, np.random.default_rng(seed))
+    if channel == -1:
         assert not metrics.idle.any()
     else:
-        assert metrics.idle[decision.channel]
+        assert metrics.idle[0, channel]
 
 
 @settings(max_examples=200, deadline=None)
 @given(random_metrics())
 def test_pos_choice_dominates_every_idle_column_minimum(metrics):
-    decision = select_channel(Scheme.POS, metrics)
-    if decision.channel is None:
+    channel = select_channel(Scheme.POS, metrics)
+    if channel == -1:
         return
-    for j in np.flatnonzero(metrics.idle):
-        assert decision.min_pos_at_choice >= metrics.pos[:, j].min() - 1e-12
+    for j in np.flatnonzero(metrics.idle[0]):
+        assert metrics.pos[:, channel].min() >= metrics.pos[:, j].min() - 1e-12

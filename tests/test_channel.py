@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from crn_multicast.channel import (
-    ChannelModel,
-    ChannelParams,
-    make_channels,
-    sample_event_state,
-    sample_gain,
-)
+from crn_multicast.channel import ChannelModel, ChannelParams, make_channels
+from crn_multicast.session import draw_events
+from crn_multicast.topology import LayerEntry, LayerSchedule
+
+
+def draw(model, rng, events, receivers=1):
+    """session.draw_events over a schedule of `events` entries with
+    `receivers` receivers each: (E, M) idle flags, (E, M) availability,
+    (E * receivers, M) gains."""
+    entry = LayerEntry(0, tuple(range(1, receivers + 1)))
+    return draw_events(LayerSchedule((entry,) * events), model, rng)
 
 
 class TestMakeChannels:
@@ -42,90 +46,68 @@ class TestMakeChannels:
         with pytest.raises(ValueError):
             make_channels(*args)
 
-    def test_implied_busy_duration(self):
-        c = ChannelParams(mu_idle=0.03, p_idle=0.75)
-        # p_idle = mu / (mu + busy) inverted
-        assert c.mu_idle / (c.mu_idle + c.mean_busy) == pytest.approx(0.75)
-
 
 class TestEventState:
     def test_boundary_p_idle_one_means_all_idle(self):
         model = ChannelModel(tuple(ChannelParams(0.05, 1.0) for _ in range(8)))
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            state = sample_event_state(model, rng)
-            assert state.idle.all()
-            assert np.all(state.available_time > 0)
+        idle, available, _ = draw(model, np.random.default_rng(0), 50)
+        assert idle.all()
+        assert np.all(available > 0)
 
     def test_idle_frequency_matches_p_idle(self):
         model = make_channels(4, 0.01, 0.07, 0.5)
-        rng = np.random.default_rng(42)
-        hits = np.zeros(4)
-        n = 100_000
-        for _ in range(n):
-            hits += sample_event_state(model, rng).idle
-        assert np.all(np.abs(hits / n - 0.5) < 0.01)
+        idle, _, _ = draw(model, np.random.default_rng(42), 100_000)
+        assert np.all(np.abs(idle.mean(axis=0) - 0.5) < 0.01)
 
     def test_available_time_mean(self):
         model = ChannelModel((ChannelParams(0.050, 0.999),))
-        rng = np.random.default_rng(7)
-        draws = np.array(
-            [sample_event_state(model, rng).available_time[0] for _ in range(100_000)]
-        )
-        draws = draws[~np.isnan(draws)]
+        _, available, _ = draw(model, np.random.default_rng(7), 100_000)
+        draws = available[:, 0][~np.isnan(available[:, 0])]
         assert abs(draws.mean() - 0.050) / 0.050 < 0.02
 
     def test_available_time_is_exponential(self):
         # KS statistic against Exponential(mu) under the asymptotic 1% critical value
         mu = 0.030
-        rng = np.random.default_rng(11)
         model = ChannelModel((ChannelParams(mu, 0.999),))
-        n = 10_000
-        draws = np.array([sample_event_state(model, rng).available_time[0] for _ in range(n)])
-        draws = draws[~np.isnan(draws)]
+        _, available, _ = draw(model, np.random.default_rng(11), 10_000)
+        draws = available[:, 0][~np.isnan(available[:, 0])]
         stat = stats.kstest(draws, "expon", args=(0, mu)).statistic
         assert stat < 1.63 / np.sqrt(len(draws))
 
     def test_channels_sample_independently(self):
         model = make_channels(4, 0.01, 0.07, 0.5)
-        rng = np.random.default_rng(3)
-        n = 100_000
-        flags = np.empty((n, 4), dtype=bool)
-        for i in range(n):
-            flags[i] = sample_event_state(model, rng).idle
-        corr = np.corrcoef(flags.T)
+        idle, _, _ = draw(model, np.random.default_rng(3), 100_000)
+        corr = np.corrcoef(idle.T)
         off_diag = corr[~np.eye(4, dtype=bool)]
         assert np.all(np.abs(off_diag) < 0.02)
 
     def test_busy_channels_have_no_available_time(self):
         model = make_channels(10, 0.01, 0.07, 0.3)
-        rng = np.random.default_rng(5)
-        state = sample_event_state(model, rng)
-        assert np.isnan(state.available_time[~state.idle]).all()
-        assert not np.isnan(state.available_time[state.idle]).any()
+        idle, available, _ = draw(model, np.random.default_rng(5), 20)
+        assert not idle.all() and idle.any()
+        assert np.isnan(available[~idle]).all()
+        assert not np.isnan(available[idle]).any()
 
     def test_same_seed_same_states(self):
         model = make_channels(6, 0.002, 0.07, 0.4)
-        a = [sample_event_state(model, np.random.default_rng(99)).idle for _ in range(1)]
-        b = [sample_event_state(model, np.random.default_rng(99)).idle for _ in range(1)]
-        assert np.array_equal(a, b)
+        a = draw(model, np.random.default_rng(99), 3, receivers=2)
+        b = draw(model, np.random.default_rng(99), 3, receivers=2)
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
 
 
 class TestGain:
+    MODEL = make_channels(1, 0.01, 0.01, 0.5)
+
     def test_mean_is_one(self):
-        rng = np.random.default_rng(13)
-        draws = sample_gain(rng, size=100_000)
-        assert abs(draws.mean() - 1.0) < 0.02
+        _, _, gains = draw(self.MODEL, np.random.default_rng(13), 1, receivers=100_000)
+        assert abs(gains.mean() - 1.0) < 0.02
 
     def test_strictly_positive(self):
-        rng = np.random.default_rng(17)
-        assert np.all(sample_gain(rng, size=100_000) > 0.0)
+        _, _, gains = draw(self.MODEL, np.random.default_rng(17), 1, receivers=100_000)
+        assert np.all(gains > 0.0)
 
     def test_same_seed_same_sequence(self):
-        a = sample_gain(np.random.default_rng(23), size=100)
-        b = sample_gain(np.random.default_rng(23), size=100)
+        a = draw(self.MODEL, np.random.default_rng(23), 1, receivers=100)[2]
+        b = draw(self.MODEL, np.random.default_rng(23), 1, receivers=100)[2]
         assert np.array_equal(a, b)
-
-    def test_scalar_draw(self):
-        g = sample_gain(np.random.default_rng(1))
-        assert isinstance(g, float) and g > 0

@@ -56,6 +56,18 @@ class TestExampleCommand:
         code, _, err = run_cli(capsys, "example", "--fixture", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("channel_id", [0, 7], ids=["zero", "m_plus_one"])
+    def test_channel_id_outside_range_is_usage_error(self, tmp_path, capsys, channel_id):
+        # ids are 1..M (M = 6); 0 must not wrap around to channel M
+        fixture = builtin_fixture()
+        fixture["events"][0]["idle_channels"].append(channel_id)
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(fixture), encoding="utf-8")
+        code, out, err = run_cli(capsys, "example", "--fixture", str(path))
+        assert code == 2
+        assert err.startswith("error:") and f"idle channel ids [{channel_id}] outside 1..6" in err
+        assert out == ""
+
 
 SMALL_CONFIG = """
 # compact scenario for fast tests
@@ -122,6 +134,24 @@ class TestRunCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unwritable_out_is_usage_error_before_any_trial(tmp_path, capsys, monkeypatch, command):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMALL_CONFIG, encoding="utf-8")
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the output directory was created")
+
+    monkeypatch.setattr("crn_multicast.cli.run_sweep", no_trials)
+    monkeypatch.setattr("crn_multicast.cli.run_scenario_sessions", no_trials)
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(blocker / "x"))
+    assert code == 2
+    assert err.startswith("error:") and str(blocker) in err
+    assert out == ""
+
+
 class TestSweepAndPlot:
     @pytest.fixture()
     def sweep_dir(self, tmp_path, capsys):
@@ -185,8 +215,10 @@ class TestBadSweepFailsFast:
             ("sweep_variable = M\nsweep_values = 4,5.0\n", "m_channels must be an integer, got 5.0"),
             ("n_dest = 16\nsweep_variable = n_nodes\nsweep_values = 40,16\n", "n_nodes = 16: n_dest"),
             ("sweep_variable = p_idle\nsweep_values = 0.5,1.0\n", "p_idle = 1.0: p_idle"),
+            ("sweep_variable = frequency\n", "unknown sweep variable 'frequency'"),
+            ("sweep_values =\n", "sweep needs at least one value"),
         ],
-        ids=["non_integral_M", "n_nodes_not_above_n_dest", "p_idle_one"],
+        ids=["non_integral_M", "n_nodes_not_above_n_dest", "p_idle_one", "unknown_variable", "no_values"],
     )
     def test_bad_swept_value_is_usage_error(self, tmp_path, capsys, lines, message):
         cfg = tmp_path / "cfg.txt"

@@ -14,12 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_engine as ref
-from crn_multicast import example_case
-from crn_multicast.assignment import LinkMetrics, Scheme, choose_channels
+from crn_multicast.assignment import Scheme, choose_channels
 from crn_multicast.channel import ChannelModel, ChannelParams
 from crn_multicast.example_case import builtin_fixture, run_fixture
 from crn_multicast.experiment import ScenarioParams, run_scenario_sessions
-from crn_multicast.session import SessionConfig, TreeKind, inject_metrics_session, run_session
+from crn_multicast.session import SessionConfig, TreeKind, run_session
 from crn_multicast.topology import build_mst, build_spt, generate_topology, layerize, prune_tree
 
 SCHEMES = tuple(Scheme)
@@ -87,37 +86,19 @@ def test_run_session_matches_reference(scheme, build):
     assert skipped  # relays that never got the packet were skipped
 
 
-def fixture_events():
-    """The InjectedEvents the worked example replays."""
-    captured = {}
-
-    def capture(tree, events, **kwargs):
-        captured.update(tree=tree, events=events, **kwargs)
-        return inject_metrics_session(tree, events, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(example_case, "inject_metrics_session", capture)
-        run_fixture(builtin_fixture())
-    return captured
-
-
 @pytest.mark.parametrize("scheme", [Scheme.POS, Scheme.MASA, Scheme.MDR])
-def test_run_fixture_matches_reference(scheme, monkeypatch):
-    got = run_fixture(builtin_fixture(), scheme=scheme)
-    monkeypatch.setattr(example_case, "inject_metrics_session", ref.inject_metrics_session)
-    result, trace = run_fixture(builtin_fixture(), scheme=scheme)
-    assert_same(got, (result, trace))
+def test_run_fixture_matches_reference(scheme):
+    assert_same(run_fixture(builtin_fixture(), scheme=scheme), ref.run_fixture(builtin_fixture(), scheme=scheme))
 
 
 def test_random_replay_of_fixture_matches_reference():
-    kwargs = fixture_events()
-    kwargs["scheme"] = Scheme.RS
-    for engine in (inject_metrics_session, ref.inject_metrics_session):
+    fixture = builtin_fixture()
+    for engine in (run_fixture, ref.run_fixture):
         with pytest.raises(ValueError, match="needs an rng"):
-            engine(**kwargs)
+            engine(fixture, scheme=Scheme.RS)
     for seed in range(50):
-        got = inject_metrics_session(**kwargs, rng=np.random.default_rng(seed))
-        want = ref.inject_metrics_session(**kwargs, rng=np.random.default_rng(seed))
+        got = run_fixture(fixture, Scheme.RS, rng=np.random.default_rng(seed))
+        want = ref.run_fixture(fixture, Scheme.RS, rng=np.random.default_rng(seed))
         assert_same(got, want)
 
 
@@ -145,6 +126,6 @@ def test_table_choice_matches_per_event_choice(table, scheme):
     chosen = choose_channels(scheme, pos, rate, mu, idle, starts)
     for e, (lo, n) in enumerate(zip(starts, counts)):
         rows = slice(lo, lo + n)
-        one = LinkMetrics(tuple(range(n)), pos[rows], rate[rows], np.zeros((n, len(mu))), mu, idle[e])
-        want = ref.select_channel(scheme, one).channel
+        one = ref.EventMetrics(pos[rows], rate[rows], np.zeros((n, len(mu))), mu, idle[e], np.full(len(mu), np.nan))
+        want = ref.select_channel(scheme, one)
         assert chosen[e] == (-1 if want is None else want)

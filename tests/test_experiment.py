@@ -14,7 +14,6 @@ from crn_multicast.experiment import (
     read_trials_csv,
     run_scenario_sessions,
     run_sweep,
-    run_trial,
     trials_to_csv,
     write_sweep_csv,
 )
@@ -26,8 +25,8 @@ ALL_SCHEMES = (Scheme.POS, Scheme.MASA, Scheme.MDR, Scheme.RS)
 
 class TestRunTrial:
     def test_deterministic(self):
-        a = run_trial(SMALL, [Scheme.POS], [TreeKind.SPT], seed=42)
-        b = run_trial(SMALL, [Scheme.POS], [TreeKind.SPT], seed=42)
+        a = run_scenario_sessions(SMALL, [Scheme.POS], [TreeKind.SPT], seed=42)
+        b = run_scenario_sessions(SMALL, [Scheme.POS], [TreeKind.SPT], seed=42)
         assert a == b
 
     def test_schemes_and_trees_share_draws(self):
@@ -56,22 +55,22 @@ class TestRunTrial:
 
     def test_single_idle_channel_removes_all_freedom(self):
         model = ChannelModel((ChannelParams(0.050, 0.9),))
-        outcomes = run_trial(SMALL, ALL_SCHEMES, [TreeKind.SPT], seed=11, channel_model=model)
-        values = {outcomes[(TreeKind.SPT, s)] for s in ALL_SCHEMES}
-        assert len(values) == 1
+        outcomes = run_scenario_sessions(SMALL, ALL_SCHEMES, [TreeKind.SPT], seed=11, channel_model=model)
+        first = outcomes[(TreeKind.SPT, Scheme.POS)]
+        assert all(outcomes[(TreeKind.SPT, s)] == first for s in ALL_SCHEMES)
 
     def test_always_idle_abundant_availability_delivers_all(self):
         model = ChannelModel(tuple(ChannelParams(1e6, 1.0) for _ in range(4)))
-        outcomes = run_trial(SMALL, ALL_SCHEMES, [TreeKind.SPT, TreeKind.MST], seed=5, channel_model=model)
+        outcomes = run_scenario_sessions(SMALL, ALL_SCHEMES, [TreeKind.SPT, TreeKind.MST], seed=5, channel_model=model)
         assert all(oc.pdr == 1.0 for oc in outcomes.values())
 
     def test_bad_seed_rejected(self):
         with pytest.raises(ValueError):
-            run_trial(SMALL, [Scheme.POS], [TreeKind.SPT], seed=-1)
+            run_scenario_sessions(SMALL, [Scheme.POS], [TreeKind.SPT], seed=-1)
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
-            run_trial(replace(SMALL, n_dest=14), [Scheme.POS], [TreeKind.SPT], seed=0)
+            run_scenario_sessions(replace(SMALL, n_dest=14), [Scheme.POS], [TreeKind.SPT], seed=0)
 
 
 class TestSweep:

@@ -5,14 +5,7 @@ from crn_multicast.assignment import Scheme
 from crn_multicast.channel import ChannelModel, ChannelParams, make_channels
 from crn_multicast.example_case import builtin_fixture, check_fixture, run_fixture
 from crn_multicast.phy import PhyParams
-from crn_multicast.session import (
-    InjectedEvent,
-    SessionConfig,
-    TreeKind,
-    inject_metrics_session,
-    run_session,
-    session_to_csv,
-)
+from crn_multicast.session import SessionConfig, TreeKind, run_session, session_to_csv
 from crn_multicast.topology import Point, Topology, layerize, tree_from_parents
 
 PACKET_BITS = 32768
@@ -85,40 +78,47 @@ class TestWorkedExampleReplay:
 
 # ------------------------------------------------------------ injected sessions
 
-def two_hop_tree():
-    return tree_from_parents(0, {1: 0, 2: 1}, {1: 10.0, 2: 10.0})
+TWO_HOP = ((0, 1), (1, 2))
 
 
-def injected(tx, receivers, pos_rows, tx_rows, avail, idle=None):
-    pos = np.array(pos_rows, dtype=float)
-    m = pos.shape[1]
-    mask = np.ones(m, dtype=bool) if idle is None else np.array(idle, dtype=bool)
-    pos[:, ~mask] = 0.0
-    return InjectedEvent(
-        tx,
-        tuple(receivers),
-        mask,
-        pos,
-        np.array(tx_rows, dtype=float),
-        np.array(avail, dtype=float),
-    )
+def injected(tx, receivers, pos_rows, tx_rows, avail):
+    """One fixture event with every channel idle."""
+    return {
+        "transmitter": tx,
+        "receivers": list(receivers),
+        "idle_channels": list(range(1, len(avail) + 1)),
+        "pos": {str(r): list(row) for r, row in zip(receivers, pos_rows)},
+        "tx_time_s": {str(r): list(row) for r, row in zip(receivers, tx_rows)},
+        "available_time_s": list(avail),
+    }
+
+
+def replay(edges, events, destinations):
+    """run_fixture on a small fixture rooted at node 0."""
+    fixture = {
+        "mu_ms": [10.0 * (j + 1) for j in range(len(events[0]["available_time_s"]))],
+        "packet_bits": PACKET_BITS,
+        "root": 0,
+        "tree_edges": [list(e) for e in edges],
+        "destinations": sorted(destinations),
+        "events": events,
+    }
+    return run_fixture(fixture)
 
 
 class TestInjectedSession:
     def test_single_hop_success(self):
-        tree = tree_from_parents(0, {1: 0}, {1: 5.0})
         ev = injected(0, [1], [[0.9, 0.8]], [[0.004, 0.006]], [0.005, 0.005])
-        result = inject_metrics_session(tree, [ev], {1}, PACKET_BITS)
+        result = replay([(0, 1)], [ev], {1})
         assert result.pdr == 1.0
         assert result.throughput[1] == pytest.approx(PACKET_BITS / 0.004)
 
     def test_downstream_failure_zeroes_the_subtree(self):
-        tree = two_hop_tree()
         events = [
             injected(0, [1], [[0.9]], [[0.010]], [0.005]),  # hop 0->1 fails
             injected(1, [2], [[0.9]], [[0.001]], [0.005]),  # would succeed locally
         ]
-        result = inject_metrics_session(tree, events, {1, 2}, PACKET_BITS)
+        result = replay(TWO_HOP, events, {1, 2})
         assert result.delivered == {1: False, 2: False}
         assert result.throughput == {1: 0.0, 2: 0.0}
         assert result.pdr == 0.0
@@ -126,45 +126,50 @@ class TestInjectedSession:
         assert [h.success for h in result.hops] == [(False,), (True,)]
 
     def test_two_hop_throughput_sums_air_time(self):
-        tree = two_hop_tree()
         events = [
             injected(0, [1], [[0.9]], [[0.004]], [0.006]),
             injected(1, [2], [[0.9]], [[0.002]], [0.006]),
         ]
-        result = inject_metrics_session(tree, events, {2}, PACKET_BITS)
+        result = replay(TWO_HOP, events, {2})
         assert result.pdr == 1.0
         assert result.throughput[2] == pytest.approx(PACKET_BITS / 0.006)
 
     def test_air_time_equal_to_availability_succeeds(self):
-        tree = tree_from_parents(0, {1: 0}, {1: 5.0})
         ev = injected(0, [1], [[0.9]], [[0.005]], [0.005])
-        result = inject_metrics_session(tree, [ev], {1}, PACKET_BITS)
+        result = replay([(0, 1)], [ev], {1})
         assert result.hops[0].success == (True,)
 
+    def test_receivers_aligned_to_the_schedule(self):
+        # the event lists its receivers out of schedule order; each row
+        # stays with its receiver, so only receiver 2 overruns
+        ev = injected(0, [2, 1], [[0.9], [0.8]], [[0.009], [0.004]], [0.005])
+        result = replay([(0, 1), (0, 2)], [ev], {1, 2})
+        assert result.hops[0].receivers == (1, 2)
+        assert result.hops[0].tx_time == (0.004, 0.009)
+        assert result.delivered == {1: True, 2: False}
+
     def test_event_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            inject_metrics_session(two_hop_tree(), [], {2}, PACKET_BITS)
+        ev = injected(0, [1], [[0.9]], [[0.004]], [0.006])
+        with pytest.raises(ValueError, match="expected 2 events"):
+            replay(TWO_HOP, [ev], {2})
 
     def test_event_alignment_checked(self):
-        tree = two_hop_tree()
         events = [
             injected(0, [2], [[0.9]], [[0.004]], [0.006]),  # wrong receiver
             injected(1, [2], [[0.9]], [[0.002]], [0.006]),
         ]
-        with pytest.raises(ValueError):
-            inject_metrics_session(tree, events, {2}, PACKET_BITS)
+        with pytest.raises(ValueError, match="does not match"):
+            replay(TWO_HOP, events, {2})
 
     def test_dimension_mismatch_rejected(self):
-        tree = tree_from_parents(0, {1: 0}, {1: 5.0})
         ev = injected(0, [1], [[0.9, 0.8]], [[0.004]], [0.005, 0.005])
         with pytest.raises(ValueError):
-            inject_metrics_session(tree, [ev], {1}, PACKET_BITS)
+            replay([(0, 1)], [ev], {1})
 
     def test_unpruned_tree_rejected(self):
-        tree = tree_from_parents(0, {1: 0, 2: 0}, {1: 5.0, 2: 5.0})
         ev = injected(0, [1, 2], [[0.9, 0.8]] * 2, [[0.004, 0.006]] * 2, [0.005, 0.005])
-        with pytest.raises(ValueError):
-            inject_metrics_session(tree, [ev], {1}, PACKET_BITS)  # leaf 2 is not a destination
+        with pytest.raises(ValueError, match="stray nodes: \\[2\\]"):
+            replay([(0, 1), (0, 2)], [ev], {1})  # leaf 2 is not a destination
 
 
 # ------------------------------------------------------------ sampled sessions
