@@ -6,7 +6,8 @@ Commands:
   sweep     run a Monte Carlo parameter sweep and write CSV files
   plot      render an aggregate CSV to SVG line charts
 
-Exit codes: 0 success, 1 example verification mismatch, 2 usage/config error.
+Exit codes: 0 success, 1 example verification mismatch, 2 usage/config error,
+3 internal error (an unexpected exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from .assignment import Scheme
-from .config import Config, ConfigError, load_config, sweep_from_config
+from .config import SWEEP_OUT_DIR, Config, ConfigError, load_config, sweep_from_config
 from .example_case import builtin_fixture, check_fixture
 from .experiment import DataFormatError, read_aggregate_csv, run_scenario_sessions, run_sweep, write_sweep_csv
 from .plotting import write_charts
@@ -39,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="key = value config file")
     common.add_argument("--seed", type=int, help="base random seed (overrides config)")
     common.add_argument("--trials", type=int, help="trials per sweep value (overrides config)")
-    common.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
+    common.add_argument("--out", metavar="DIR", help="output directory (overrides config out_dir)")
     common.add_argument(
         "--scheme", action="append", choices=[s.value for s in Scheme],
         help="channel assignment scheme, repeatable (overrides config)",
@@ -98,8 +100,8 @@ def cmd_example(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
-    if args.out:
-        out = Path(args.out)
+    if cfg.out_dir:
+        out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
     sessions = run_scenario_sessions(cfg.params, cfg.schemes, cfg.trees, cfg.seed)
     if args.json:
@@ -125,7 +127,7 @@ def cmd_run(args) -> int:
             for dest in sorted(res.delivered):
                 state = "delivered" if res.delivered[dest] else "missed"
                 print(f"  dest {dest}: {state}, {res.throughput[dest] / 1e6:.4f} Mbps")
-    if args.out:
+    if cfg.out_dir:
         for (tree, scheme), res in sessions.items():
             path = out / f"session_{tree.value}_{scheme.value}.csv"
             path.write_text(session_to_csv(res), encoding="utf-8", newline="\n")
@@ -136,9 +138,10 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     spec = sweep_from_config(cfg)
-    Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    out = Path(cfg.out_dir or SWEEP_OUT_DIR)
+    out.mkdir(parents=True, exist_ok=True)
     rows, agg = run_sweep(spec)
-    trials_path, agg_path = write_sweep_csv(rows, agg, cfg.out_dir)
+    trials_path, agg_path = write_sweep_csv(rows, agg, out)
     print(f"wrote {trials_path} ({len(rows)} rows)")
     print(f"wrote {agg_path} ({len(agg)} rows)")
     return 0
@@ -165,6 +168,9 @@ def main(argv=None) -> int:
     except (ConfigError, DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:  # anything else is a defect; exit 1 stays reserved for example mismatches
+        print(f"internal error:\n{traceback.format_exc()}", file=sys.stderr, end="")
+        return 3
 
 
 if __name__ == "__main__":

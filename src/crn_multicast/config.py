@@ -59,7 +59,10 @@ class Config:
     sweep_values: tuple = (0.1, 0.5, 0.9)
     trials: int = 1000
     seed: int = 1
-    out_dir: str = "out"
+    out_dir: str | None = None  # unset: run writes no files, sweep writes to SWEEP_OUT_DIR
+
+
+SWEEP_OUT_DIR = "out"
 
 
 _SCENARIO_KEYS = {
@@ -179,6 +182,6 @@ def default_config_text() -> str:
         f"sweep_values = {','.join(str(v) for v in cfg.sweep_values)}",
         f"trials = {cfg.trials}",
         f"seed = {cfg.seed}",
-        f"out_dir = {cfg.out_dir}",
+        f"# out_dir = {SWEEP_OUT_DIR}  # unset: run writes no files, sweep writes to {SWEEP_OUT_DIR}",
     ]
     return "\n".join(lines) + "\n"

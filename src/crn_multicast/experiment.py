@@ -4,14 +4,17 @@ A trial fixes one topology and destination set from its seed, then replays the
 same pre-drawn channel states and fading gains under every requested scheme
 (common random numbers), so scheme comparisons differ only in channel choice.
 Sweeps repeat trials with seeds seed+i at each value of one swept variable and
-aggregate means with 95% normal-approximation confidence intervals.
+aggregate means with 95% normal-approximation confidence intervals. A sweep
+runs seed by seed: what a seed fixes regardless of the swept value (its
+geometry and, unless the channel count is swept, its raw draws) is built once
+and shared by every value, while rows stay in value-major order.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +22,18 @@ import numpy as np
 from .assignment import Scheme
 from .channel import ChannelModel, make_channels
 from .phy import PhyParams
-from .session import SessionResult, TreeKind, execute_schedule, sample_table
-from .topology import build_mst, build_spt, generate_topology, layerize, prune_tree
+from .session import (
+    SessionResult,
+    TreeKind,
+    draw_events,
+    draw_raw,
+    execute_schedule,
+    link_metrics,
+    slot_distances,
+    starts_of,
+    threshold_draws,
+)
+from .topology import LayerSchedule, build_mst, build_spt, generate_topology, layerize, prune_tree
 
 
 class DataFormatError(ValueError):
@@ -47,6 +60,10 @@ class ScenarioParams:
     comm_range_m: float = 60.0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("n_nodes", "n_dest", "m_channels", "packet_bits"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral):
@@ -116,22 +133,36 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng((seed, *stream))
 
 
-def run_scenario_sessions(
-    params: ScenarioParams,
-    schemes,
-    trees,
-    seed: int,
-    channel_model: ChannelModel | None = None,
-) -> dict[tuple[TreeKind, Scheme], SessionResult]:
-    """One seeded scenario: full session results per (tree kind, scheme).
+@dataclass(frozen=True)
+class TreeStages:
+    """One pruned tree of a trial seed, ready for draws: its layer schedule,
+    each receiver slot's parent-edge distance and each event's first slot.
+    raw holds the tree's raw draws (session.draw_raw) when they are shared."""
 
-    All schemes of one tree kind see bitwise-identical channel states and
-    gains; only their channel decisions (and hence successes) differ.
+    schedule: LayerSchedule
+    distances: np.ndarray
+    starts: np.ndarray
+    raw: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+
+@dataclass(frozen=True)
+class SeedStages:
+    """What a trial seed fixes before link metrics: the destination set and,
+    per tree kind, the pruned tree's stages."""
+
+    destinations: frozenset[int]
+    trees: dict[TreeKind, TreeStages]
+
+
+def seed_stages(
+    params: ScenarioParams, trees, seed: int, channel_model: ChannelModel | None = None
+) -> SeedStages:
+    """Topology, destinations, pruned trees and layer schedules of one seed.
+
+    These depend on the seed, n_nodes, n_dest, area and range only. Given a
+    channel model, each tree's raw draws are taken too; those depend on its
+    channel count and mean idle durations as well, but not on p_idle.
     """
-    params.validate()
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    model = channel_model if channel_model is not None else params.channels()
     topo = generate_topology(
         params.n_nodes, params.area_side_m, params.comm_range_m, _rng(seed, _STREAM_TOPOLOGY)
     )
@@ -139,18 +170,54 @@ def run_scenario_sessions(
     destinations = frozenset(
         int(v) for v in dest_rng.choice(np.arange(1, params.n_nodes), size=params.n_dest, replace=False)
     )
-    phy = params.phy()
-    results: dict[tuple[TreeKind, Scheme], SessionResult] = {}
+    stages = {}
     for tree_kind in trees:
         build = build_spt if tree_kind is TreeKind.SPT else build_mst
         pruned = prune_tree(build(topo, 0), destinations)
         schedule = layerize(pruned)
-        table = sample_table(pruned, schedule, phy, model, _rng(seed, _STREAM_EVENTS, _TREE_CODE[tree_kind]))
+        raw = None
+        if channel_model is not None:
+            raw = draw_raw(schedule, channel_model, _rng(seed, _STREAM_EVENTS, _TREE_CODE[tree_kind]))
+        stages[tree_kind] = TreeStages(schedule, slot_distances(pruned, schedule), starts_of(schedule), raw)
+    return SeedStages(destinations, stages)
+
+
+def run_scenario_sessions(
+    params: ScenarioParams,
+    schemes,
+    trees,
+    seed: int,
+    channel_model: ChannelModel | None = None,
+    phy: PhyParams | None = None,
+    stages: SeedStages | None = None,
+) -> dict[tuple[TreeKind, Scheme], SessionResult]:
+    """One seeded scenario: full session results per (tree kind, scheme).
+
+    All schemes of one tree kind see bitwise-identical channel states and
+    gains; only their channel decisions (and hence successes) differ.
+    channel_model and phy default to the ones params describes, and stages
+    to seed_stages(params, trees, seed); a sweep passes ones it built once
+    and shares, which must equal what these defaults would build.
+    """
+    params.validate()
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    model = channel_model if channel_model is not None else params.channels()
+    phy = phy if phy is not None else params.phy()
+    stages = stages if stages is not None else seed_stages(params, trees, seed)
+    results: dict[tuple[TreeKind, Scheme], SessionResult] = {}
+    for tree_kind in trees:
+        tree = stages.trees[tree_kind]
+        if tree.raw is None:
+            draws = draw_events(tree.schedule, model, _rng(seed, _STREAM_EVENTS, _TREE_CODE[tree_kind]))
+        else:
+            draws = threshold_draws(tree.raw, model.p_idle)
+        table = link_metrics(phy, tree.distances, draws, model.mu_idle, tree.starts)
         for scheme in schemes:
             rs = scheme is Scheme.RS  # only random selection draws, so only rs gets a generator
             sel_rng = _rng(seed, _STREAM_SELECTION, _TREE_CODE[tree_kind], _SCHEME_CODE[scheme]) if rs else None
             results[(tree_kind, scheme)] = execute_schedule(
-                schedule, table, destinations, phy.packet_bits, scheme, sel_rng
+                tree.schedule, table, stages.destinations, phy.packet_bits, scheme, sel_rng
             )
     return results
 
@@ -240,18 +307,35 @@ def aggregate_trials(rows: list[TrialRow]) -> list[AggregateRow]:
     return out
 
 
+# Swept fields that change a trial seed's geometry (seed_stages without a
+# channel model), and those that also change its raw draws.
+_GEOMETRY_FIELDS = {"n_nodes", "n_dest"}
+_DRAW_FIELDS = _GEOMETRY_FIELDS | {"m_channels"}
+
+
 def run_sweep(spec: SweepSpec) -> tuple[list[TrialRow], list[AggregateRow]]:
     """Run trials at every swept value with trial seeds seed+i and aggregate.
 
     Reusing trial seeds across values pairs the sweep points through common
     topologies and draws, which keeps trends smooth at modest trial counts.
+    Trials run seed by seed, so the stages a seed shares across values are
+    built once and only one seed's are alive at a time; the channel model
+    and radio parameters are built once per value. Rows come out value-major.
     """
-    rows: list[TrialRow] = []
-    for value, params in spec.scenarios():
-        for i in range(spec.trials):
-            sessions = run_scenario_sessions(params, spec.schemes, spec.trees, spec.seed + i)
+    field = SWEEP_VARIABLES[spec.variable]
+    points = [(value, params, params.channels(), params.phy()) for value, params in spec.scenarios()]
+    _, first, first_model, _ = points[0]
+    blocks: list[list[TrialRow]] = [[] for _ in points]
+    for i in range(spec.trials):
+        seed = spec.seed + i
+        stages = None
+        if field not in _GEOMETRY_FIELDS:
+            stages = seed_stages(first, spec.trees, seed, None if field in _DRAW_FIELDS else first_model)
+        for block, (value, params, model, phy) in zip(blocks, points):
+            sessions = run_scenario_sessions(params, spec.schemes, spec.trees, seed, model, phy, stages)
             for (tree, scheme), res in sessions.items():
-                rows.append(TrialRow(tree, scheme, spec.variable, value, i, res.avg_throughput, res.pdr))
+                block.append(TrialRow(tree, scheme, spec.variable, value, i, res.avg_throughput, res.pdr))
+    rows = [row for block in blocks for row in block]
     return rows, aggregate_trials(rows)
 
 

@@ -128,15 +128,17 @@ def starts_of(schedule: LayerSchedule) -> np.ndarray:
     return np.cumsum([0, *counts[:-1]])
 
 
-def draw_events(schedule: LayerSchedule, model: ChannelModel, rng: np.random.Generator):
-    """Sample channel states and fading gains for every schedule entry up front,
-    so several schemes can replay the same draws.
+def draw_raw(schedule: LayerSchedule, model: ChannelModel, rng: np.random.Generator):
+    """Draw the random numbers behind every schedule entry's channel states and
+    fading gains, before any idle probability applies.
 
-    Entries are drawn one after another in schedule order, each as idle
-    flags, then residual availability of every channel, then the gains of its
-    receivers, so the generator stream is the same as drawing every event on
-    its own. Returns (E, M) idle flags, (E, M) availability (NaN on busy
-    channels) and (R, M) gains, one row per receiver slot.
+    Entries are drawn one after another in schedule order, each as one
+    uniform per channel, then residual availability of every channel, then
+    the gains of its receivers, so the generator stream is the same as
+    drawing every event on its own. Only the channel count and mean idle
+    durations of the model are used, so models differing only in p_idle share
+    these draws. Returns (E, M) uniforms, (E, M) residuals and (R, M) gains,
+    one row per receiver slot.
     """
     m = model.m
     uniform = np.empty((len(schedule.entries), m))
@@ -148,8 +150,26 @@ def draw_events(schedule: LayerSchedule, model: ChannelModel, rng: np.random.Gen
         # runs differing only in p_idle consume identical generator positions.
         residual[e] = rng.exponential(model.mu_idle)
         gains.append(rng.exponential(1.0, (len(entry.receivers), m)))
-    idle = uniform < model.p_idle
-    return idle, np.where(idle, residual, np.nan), np.concatenate(gains)
+    return uniform, residual, np.concatenate(gains)
+
+
+def threshold_draws(raw, p_idle: np.ndarray):
+    """Turn raw draws into channel states: a channel is idle where its uniform
+    falls below its idle probability. Returns (E, M) idle flags, (E, M)
+    availability (NaN on busy channels) and the (R, M) gains unchanged."""
+    uniform, residual, gains = raw
+    idle = uniform < p_idle
+    return idle, np.where(idle, residual, np.nan), gains
+
+
+def draw_events(schedule: LayerSchedule, model: ChannelModel, rng: np.random.Generator):
+    """Sample channel states and fading gains for every schedule entry up front,
+    so several schemes can replay the same draws.
+
+    Returns (E, M) idle flags, (E, M) availability (NaN on busy channels) and
+    (R, M) gains, one row per receiver slot.
+    """
+    return threshold_draws(draw_raw(schedule, model, rng), model.p_idle)
 
 
 def link_metrics(phy: PhyParams, distances: np.ndarray, draws, mu_idle: np.ndarray, starts: np.ndarray) -> EventTable:
@@ -164,10 +184,15 @@ def link_metrics(phy: PhyParams, distances: np.ndarray, draws, mu_idle: np.ndarr
     return EventTable(starts, idle, available, p, rate, t, mu_idle)
 
 
+def slot_distances(tree: Tree, schedule: LayerSchedule) -> np.ndarray:
+    """Parent-edge distance of each receiver slot of a tree's layer schedule."""
+    return np.array([tree.edge_dist[r] for entry in schedule.entries for r in entry.receivers])
+
+
 def sample_table(tree: Tree, schedule: LayerSchedule, phy: PhyParams, model: ChannelModel, rng) -> EventTable:
     """Draw and evaluate every entry of a tree's layer schedule."""
-    distances = np.array([tree.edge_dist[r] for entry in schedule.entries for r in entry.receivers])
-    return link_metrics(phy, distances, draw_events(schedule, model, rng), model.mu_idle, starts_of(schedule))
+    draws = draw_events(schedule, model, rng)
+    return link_metrics(phy, slot_distances(tree, schedule), draws, model.mu_idle, starts_of(schedule))
 
 
 def execute_schedule(

@@ -137,8 +137,8 @@ def generate_topology(
     """
     if n < 2:
         raise ValueError("a topology needs at least 2 nodes")
-    if area_side <= 0 or comm_range <= 0:
-        raise ValueError("area_side and comm_range must be positive")
+    if not (0.0 < area_side < math.inf and 0.0 < comm_range < math.inf):
+        raise ValueError("area_side and comm_range must be positive and finite")
     for _ in range(max_retries):
         pts = rng.uniform(0.0, area_side, size=(n, 2))
         edges = _pair_edges(pts, comm_range)

@@ -134,21 +134,83 @@ class TestRunCommand:
         assert code == 2
 
 
+@pytest.fixture()
+def no_trials(monkeypatch):
+    """Make any trial the CLI starts fail the test."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("crn_multicast.cli.run_sweep", fail)
+    monkeypatch.setattr("crn_multicast.cli.run_scenario_sessions", fail)
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_unwritable_out_is_usage_error_before_any_trial(tmp_path, capsys, monkeypatch, command):
+def test_unwritable_out_is_usage_error_before_any_trial(tmp_path, capsys, no_trials, command):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(SMALL_CONFIG, encoding="utf-8")
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
-
-    def no_trials(*args, **kwargs):
-        raise AssertionError("a trial ran before the output directory was created")
-
-    monkeypatch.setattr("crn_multicast.cli.run_sweep", no_trials)
-    monkeypatch.setattr("crn_multicast.cli.run_scenario_sessions", no_trials)
     code, out, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(blocker / "x"))
     assert code == 2
     assert err.startswith("error:") and str(blocker) in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "command, lines, message",
+    [
+        ("run", "comm_range_m = nan\n", "comm_range_m must be finite, got nan"),
+        ("run", "pt_watts = inf\n", "pt_watts must be finite, got inf"),
+        ("run", "pt_watts = nan\n", "pt_watts must be finite, got nan"),
+        ("run", "bandwidth_hz = nan\n", "bandwidth_hz must be finite, got nan"),
+        ("sweep", "sweep_variable = pt\nsweep_values = 0.1,nan\n", "pt = nan: pt_watts must be finite"),
+    ],
+    ids=["range_nan", "pt_inf", "pt_nan", "bw_nan", "swept_pt_nan"],
+)
+def test_non_finite_parameter_is_usage_error_before_any_trial(tmp_path, capsys, no_trials, command, lines, message):
+    # before: a NaN range hung, an infinite power ended in a traceback, and a
+    # NaN power or bandwidth exited 0 with every destination missed
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(lines, encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith("error:") and message in err
+    assert out == ""
+
+
+def test_run_writes_to_config_out_dir(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMALL_CONFIG, encoding="utf-8")
+    code, _, _ = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 0
+    assert list(tmp_path.iterdir()) == [cfg]  # neither out_dir nor --out: nothing written
+    cfg.write_text(SMALL_CONFIG + f"out_dir = {tmp_path / 'from_config'}\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 0
+    written = sorted(p.name for p in (tmp_path / "from_config").iterdir())
+    assert written == ["session_spt_pos.csv", "session_spt_rs.csv"]
+    assert f"wrote {tmp_path / 'from_config' / 'session_spt_pos.csv'}" in out
+
+
+def test_sweep_without_out_dir_writes_to_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMALL_CONFIG, encoding="utf-8")
+    assert run_cli(capsys, "sweep", "--config", str(cfg))[0] == 0
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["aggregate.csv", "trials.csv"]
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("crn_multicast.cli.cmd_run", broken)
+    code, out, err = run_cli(capsys, "run")
+    assert code == 3  # never 1, which means the example did not verify
+    assert err.startswith("internal error:")
+    assert "Traceback" in err and "RuntimeError: boom" in err
     assert out == ""
 
 

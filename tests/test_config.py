@@ -1,4 +1,8 @@
+import math
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crn_multicast.assignment import Scheme
 from crn_multicast.config import (
@@ -9,7 +13,10 @@ from crn_multicast.config import (
     parse_config_text,
     sweep_from_config,
 )
+from crn_multicast.experiment import ScenarioParams
 from crn_multicast.session import TreeKind
+
+FLOAT_KEYS = [f.name for f in fields(ScenarioParams) if f.type == "float"]
 
 
 def test_default_template_round_trips_to_defaults(tmp_path):
@@ -74,3 +81,26 @@ def test_sweep_from_config_builds_spec():
     assert spec.variable == "p_idle"
     assert spec.values == (0.1, 0.5, 0.9)
     assert spec.trials == 1000
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    key=st.sampled_from(FLOAT_KEYS),
+    value=st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0]) | st.floats(),
+)
+def test_float_scenario_value_loads_or_raises_config_error(key, value):
+    # a value either loads as given, finite, or is a ConfigError; nothing else escapes
+    text = f"{key} = {value!r}\n"
+    try:
+        cfg = load_config(None, parse_config_text(text))
+    except ConfigError as exc:
+        assert key in str(exc)
+        return
+    loaded = getattr(cfg.params, key)
+    assert math.isfinite(loaded) and loaded == value
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_value_names_the_key(value):
+    with pytest.raises(ConfigError, match=f"pt_watts must be finite, got {value}"):
+        load_config(None, parse_config_text(f"pt_watts = {value}\n"))

@@ -2,12 +2,14 @@ from dataclasses import replace
 
 import pytest
 
+from crn_multicast import experiment, session
 from crn_multicast.assignment import Scheme
 from crn_multicast.channel import ChannelModel, ChannelParams
 from crn_multicast.experiment import (
     DataFormatError,
     ScenarioParams,
     SweepSpec,
+    TrialRow,
     aggregate_to_csv,
     aggregate_trials,
     read_aggregate_csv,
@@ -123,6 +125,67 @@ class TestSweep:
     def test_every_swept_value_validated_up_front(self, variable, good, bad):
         with pytest.raises(ValueError, match=f"{variable} = {bad!r}"):
             SweepSpec(base=SMALL, variable=variable, values=(good, bad), trials=1, seed=0)
+
+
+# Two values per sweep variable, valid for SMALL (14 nodes, 5 destinations, M = 8).
+SWEEP_AXES = {
+    "bw": (0.5e6, 2e6),
+    "packet_bits": (8192, 65536),
+    "M": (3, 8),
+    "pt": (0.05, 0.2),
+    "p_idle": (0.3, 0.8),
+    "n_dest": (3, 6),
+    "n_nodes": (10, 16),
+}
+GEOMETRY_SWEPT = {"n_nodes", "n_dest"}
+DRAWS_SWEPT = GEOMETRY_SWEPT | {"M"}
+
+
+def value_major_rows(spec: SweepSpec) -> list[TrialRow]:
+    """The sweep without shared stages: every (value, trial) from scratch."""
+    rows = []
+    for value, params in spec.scenarios():
+        for i in range(spec.trials):
+            for (tree, scheme), res in run_scenario_sessions(params, spec.schemes, spec.trees, spec.seed + i).items():
+                rows.append(TrialRow(tree, scheme, spec.variable, value, i, res.avg_throughput, res.pdr))
+    return rows
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Replace `name` in each module with one wrapper that counts its calls."""
+    original = getattr(modules[0], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestSharedStages:
+    @pytest.mark.parametrize("variable", list(SWEEP_AXES))
+    def test_sweep_equals_value_major_loop_byte_for_byte(self, variable):
+        spec = SweepSpec(base=SMALL, variable=variable, values=SWEEP_AXES[variable], trials=4, seed=13)
+        rows, agg = run_sweep(spec)
+        reference = value_major_rows(spec)
+        assert trials_to_csv(rows) == trials_to_csv(reference)
+        assert aggregate_to_csv(agg) == aggregate_to_csv(aggregate_trials(reference))
+
+    @pytest.mark.parametrize("variable", list(SWEEP_AXES))
+    def test_topology_built_once_per_seed_unless_geometry_swept(self, monkeypatch, variable):
+        calls = count_calls(monkeypatch, "generate_topology", experiment)
+        run_sweep(SweepSpec(base=SMALL, variable=variable, values=SWEEP_AXES[variable], trials=3, seed=0))
+        assert len(calls) == (3 * 2 if variable in GEOMETRY_SWEPT else 3)
+
+    @pytest.mark.parametrize("variable", list(SWEEP_AXES))
+    def test_raw_draws_taken_once_per_seed_and_tree_unless_channels_swept(self, monkeypatch, variable):
+        calls = count_calls(monkeypatch, "draw_raw", session, experiment)
+        run_sweep(SweepSpec(base=SMALL, variable=variable, values=SWEEP_AXES[variable], trials=3, seed=0))
+        trees = 2
+        assert len(calls) == (3 * trees * 2 if variable in DRAWS_SWEPT else 3 * trees)
 
 
 class TestCsvRoundTrip:

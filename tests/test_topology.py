@@ -132,6 +132,14 @@ class TestGenerateTopology:
         with pytest.raises(ValueError):
             generate_topology(1, 100.0, 30.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("which", ["area_side", "comm_range"])
+    def test_non_positive_or_non_finite_area_and_range_rejected(self, which, bad):
+        # a NaN range used to grow forever, because no distance is <= NaN
+        kwargs = {"area_side": 100.0, "comm_range": 30.0, which: bad}
+        with pytest.raises(ValueError, match="positive and finite"):
+            generate_topology(10, rng=np.random.default_rng(0), **kwargs)
+
 
 # ---------------------------------------------------------------- SPT
 
