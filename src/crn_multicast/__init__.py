@@ -15,26 +15,16 @@ from .experiment import (
     run_sweep,
 )
 from .phy import PhyParams, data_rate, pos, received_power, tx_time
-from .session import (
-    HopRecord,
-    SessionConfig,
-    SessionResult,
-    TreeKind,
-    run_session,
-    session_to_csv,
-)
+from .session import HopRecord, SessionResult, TreeKind, session_to_csv
 from .topology import (
     LayerEntry,
     LayerSchedule,
-    Point,
     Topology,
     Tree,
     build_mst,
     build_spt,
-    dump_topology,
     generate_topology,
     layerize,
-    load_topology,
     prune_tree,
     tree_from_parents,
 )
@@ -49,10 +39,8 @@ __all__ = [
     "LayerEntry",
     "LayerSchedule",
     "PhyParams",
-    "Point",
     "ScenarioParams",
     "Scheme",
-    "SessionConfig",
     "SessionResult",
     "SweepSpec",
     "Topology",
@@ -63,16 +51,13 @@ __all__ = [
     "build_mst",
     "build_spt",
     "data_rate",
-    "dump_topology",
     "generate_topology",
     "layerize",
-    "load_topology",
     "make_channels",
     "pos",
     "prune_tree",
     "received_power",
     "run_scenario_sessions",
-    "run_session",
     "run_sweep",
     "session_to_csv",
     "tree_from_parents",

@@ -2,8 +2,9 @@
 
 Each licensed channel alternates between busy (primary user present) and idle
 periods. Secondary transmissions sample channel state per transmitter event
-(session.draw_events): an idle flag per channel plus, for idle channels, the
-residual time the channel stays available. Residuals are exponential with the
+(session.draw_raw, turned into states by session.threshold_draws): an idle
+flag per channel plus, for idle channels, the residual time the channel stays
+available. Residuals are exponential with the
 channel's mean idle duration, which is the memoryless residual of exponential
 idle periods.
 """

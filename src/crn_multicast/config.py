@@ -65,22 +65,8 @@ class Config:
 SWEEP_OUT_DIR = "out"
 
 
-_SCENARIO_KEYS = {
-    "n_nodes": int,
-    "n_dest": int,
-    "m_channels": int,
-    "bandwidth_hz": float,
-    "packet_bits": int,
-    "pt_watts": float,
-    "p_idle": float,
-    "mu_min_s": float,
-    "mu_max_s": float,
-    "noise_psd": float,
-    "path_loss_exp": float,
-    "carrier_freq_hz": float,
-    "area_side_m": float,
-    "comm_range_m": float,
-}
+# Each scenario key is cast with the type of its field's default (int or float).
+_SCENARIO_KEYS = {f.name: type(f.default) for f in fields(ScenarioParams)}
 
 _HARNESS_KEYS = {
     "schemes": _parse_schemes,

@@ -22,8 +22,8 @@ import math
 import numpy as np
 
 from .assignment import Scheme
-from .session import EventTable, SessionResult, check_pruned, execute_schedule, starts_of
-from .topology import Tree, layerize, tree_from_parents
+from .session import EventTable, SessionResult, execute_schedule, starts_of
+from .topology import Tree, layerize, prune_tree, tree_from_parents
 
 PACKET_BITS = 32768  # 4 KB
 MU_MS = (10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
@@ -111,6 +111,13 @@ def _tree_from_fixture(fixture: dict) -> Tree:
     parent = {int(v): int(u) for u, v in fixture["tree_edges"]}
     # The fixture injects every metric, so parent-edge lengths are unknown.
     return tree_from_parents(int(fixture["root"]), parent, {v: math.nan for v in parent})
+
+
+def check_pruned(tree: Tree, destinations) -> None:
+    """Require a tree that pruning to the destinations leaves unchanged."""
+    stray = set(tree.parent) - set(prune_tree(tree, destinations).parent)
+    if stray:
+        raise ValueError(f"tree is not pruned to the destination set, stray nodes: {sorted(stray)}")
 
 
 def _idle_channels(ev: dict, m: int) -> list[int]:

@@ -6,7 +6,7 @@ same pre-drawn channel states and fading gains under every requested scheme
 Sweeps repeat trials with seeds seed+i at each value of one swept variable and
 aggregate means with 95% normal-approximation confidence intervals. A sweep
 runs seed by seed: what a seed fixes regardless of the swept value (its
-geometry and, unless the channel count is swept, its raw draws) is built once
+geometry, and its raw draws once per distinct channel count) is built once
 and shared by every value, while rows stay in value-major order.
 """
 
@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+import sys
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ from .phy import PhyParams
 from .session import (
     SessionResult,
     TreeKind,
-    draw_events,
     draw_raw,
     execute_schedule,
     link_metrics,
@@ -62,7 +62,8 @@ class ScenarioParams:
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, numbers.Real) and not math.isfinite(value):
+            # Bounds, not math.isfinite, which overflows on ints beyond float range.
+            if isinstance(value, numbers.Real) and not -sys.float_info.max <= value <= sys.float_info.max:
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("n_nodes", "n_dest", "m_channels", "packet_bits"):
             value = getattr(self, name)
@@ -136,32 +137,39 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class TreeStages:
     """One pruned tree of a trial seed, ready for draws: its layer schedule,
-    each receiver slot's parent-edge distance and each event's first slot.
-    raw holds the tree's raw draws (session.draw_raw) when they are shared."""
+    each receiver slot's parent-edge distance and each event's first slot."""
 
     schedule: LayerSchedule
     distances: np.ndarray
     starts: np.ndarray
-    raw: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
 class SeedStages:
-    """What a trial seed fixes before link metrics: the destination set and,
-    per tree kind, the pruned tree's stages."""
+    """What a trial seed fixes before link metrics: the destination set, per
+    tree kind the pruned tree's stages, and the raw draws taken so far."""
 
+    seed: int
     destinations: frozenset[int]
     trees: dict[TreeKind, TreeStages]
+    _raw: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def raw(self, tree_kind: TreeKind, model: ChannelModel):
+        """The tree's raw draws (session.draw_raw) under model, taken when
+        first asked for. They are keyed on what draw_raw reads of the model,
+        its mean idle durations (whose length is M), so models differing
+        only in p_idle share them."""
+        key = (tree_kind, model.mu_idle.tobytes())
+        if key not in self._raw:
+            rng = _rng(self.seed, _STREAM_EVENTS, _TREE_CODE[tree_kind])
+            self._raw[key] = draw_raw(self.trees[tree_kind].schedule, model, rng)
+        return self._raw[key]
 
 
-def seed_stages(
-    params: ScenarioParams, trees, seed: int, channel_model: ChannelModel | None = None
-) -> SeedStages:
+def seed_stages(params: ScenarioParams, trees, seed: int) -> SeedStages:
     """Topology, destinations, pruned trees and layer schedules of one seed.
 
-    These depend on the seed, n_nodes, n_dest, area and range only. Given a
-    channel model, each tree's raw draws are taken too; those depend on its
-    channel count and mean idle durations as well, but not on p_idle.
+    These depend on the seed, n_nodes, n_dest, area and range only.
     """
     topo = generate_topology(
         params.n_nodes, params.area_side_m, params.comm_range_m, _rng(seed, _STREAM_TOPOLOGY)
@@ -175,11 +183,8 @@ def seed_stages(
         build = build_spt if tree_kind is TreeKind.SPT else build_mst
         pruned = prune_tree(build(topo, 0), destinations)
         schedule = layerize(pruned)
-        raw = None
-        if channel_model is not None:
-            raw = draw_raw(schedule, channel_model, _rng(seed, _STREAM_EVENTS, _TREE_CODE[tree_kind]))
-        stages[tree_kind] = TreeStages(schedule, slot_distances(pruned, schedule), starts_of(schedule), raw)
-    return SeedStages(destinations, stages)
+        stages[tree_kind] = TreeStages(schedule, slot_distances(pruned, schedule), starts_of(schedule))
+    return SeedStages(seed, destinations, stages)
 
 
 def run_scenario_sessions(
@@ -188,30 +193,26 @@ def run_scenario_sessions(
     trees,
     seed: int,
     channel_model: ChannelModel | None = None,
-    phy: PhyParams | None = None,
     stages: SeedStages | None = None,
 ) -> dict[tuple[TreeKind, Scheme], SessionResult]:
     """One seeded scenario: full session results per (tree kind, scheme).
 
     All schemes of one tree kind see bitwise-identical channel states and
     gains; only their channel decisions (and hence successes) differ.
-    channel_model and phy default to the ones params describes, and stages
-    to seed_stages(params, trees, seed); a sweep passes ones it built once
-    and shares, which must equal what these defaults would build.
+    channel_model defaults to the one params describes, and stages to
+    seed_stages(params, trees, seed); a sweep passes stages it shares across
+    values, which must equal what that default would build.
     """
     params.validate()
     if seed < 0:
         raise ValueError("seed must be non-negative")
     model = channel_model if channel_model is not None else params.channels()
-    phy = phy if phy is not None else params.phy()
+    phy = params.phy()
     stages = stages if stages is not None else seed_stages(params, trees, seed)
     results: dict[tuple[TreeKind, Scheme], SessionResult] = {}
     for tree_kind in trees:
         tree = stages.trees[tree_kind]
-        if tree.raw is None:
-            draws = draw_events(tree.schedule, model, _rng(seed, _STREAM_EVENTS, _TREE_CODE[tree_kind]))
-        else:
-            draws = threshold_draws(tree.raw, model.p_idle)
+        draws = threshold_draws(stages.raw(tree_kind, model), model.p_idle)
         table = link_metrics(phy, tree.distances, draws, model.mu_idle, tree.starts)
         for scheme in schemes:
             rs = scheme is Scheme.RS  # only random selection draws, so only rs gets a generator
@@ -252,11 +253,15 @@ class SweepSpec:
                 params.validate()
             except ValueError as exc:
                 raise ValueError(f"{self.variable} = {value!r}: {exc}") from None
+        # Equal values would be aggregated as one point with every seed counted twice.
+        repeats = [v for i, v in enumerate(self.values) if v in self.values[:i]]
+        if repeats:
+            raise ValueError(f"{self.variable} = {repeats[0]!r} equals an earlier swept value")
 
     def scenarios(self) -> list[tuple[float | int, ScenarioParams]]:
         """(swept value, full scenario) pairs in sweep order."""
-        field = SWEEP_VARIABLES[self.variable]
-        return [(value, replace(self.base, **{field: value})) for value in self.values]
+        name = SWEEP_VARIABLES[self.variable]
+        return [(value, replace(self.base, **{name: value})) for value in self.values]
 
 
 @dataclass(frozen=True)
@@ -307,10 +312,8 @@ def aggregate_trials(rows: list[TrialRow]) -> list[AggregateRow]:
     return out
 
 
-# Swept fields that change a trial seed's geometry (seed_stages without a
-# channel model), and those that also change its raw draws.
+# Swept fields that change a trial seed's geometry, so seed_stages cannot be shared.
 _GEOMETRY_FIELDS = {"n_nodes", "n_dest"}
-_DRAW_FIELDS = _GEOMETRY_FIELDS | {"m_channels"}
 
 
 def run_sweep(spec: SweepSpec) -> tuple[list[TrialRow], list[AggregateRow]]:
@@ -318,21 +321,19 @@ def run_sweep(spec: SweepSpec) -> tuple[list[TrialRow], list[AggregateRow]]:
 
     Reusing trial seeds across values pairs the sweep points through common
     topologies and draws, which keeps trends smooth at modest trial counts.
-    Trials run seed by seed, so the stages a seed shares across values are
-    built once and only one seed's are alive at a time; the channel model
-    and radio parameters are built once per value. Rows come out value-major.
+    Trials run seed by seed, so a seed's stages, and the raw draws they take,
+    are built once for all values unless the geometry is swept, and only one
+    seed's are alive at a time; channel models are built once per value.
+    Rows come out value-major.
     """
-    field = SWEEP_VARIABLES[spec.variable]
-    points = [(value, params, params.channels(), params.phy()) for value, params in spec.scenarios()]
-    _, first, first_model, _ = points[0]
+    points = [(value, params, params.channels()) for value, params in spec.scenarios()]
+    shared = SWEEP_VARIABLES[spec.variable] not in _GEOMETRY_FIELDS
     blocks: list[list[TrialRow]] = [[] for _ in points]
     for i in range(spec.trials):
         seed = spec.seed + i
-        stages = None
-        if field not in _GEOMETRY_FIELDS:
-            stages = seed_stages(first, spec.trees, seed, None if field in _DRAW_FIELDS else first_model)
-        for block, (value, params, model, phy) in zip(blocks, points):
-            sessions = run_scenario_sessions(params, spec.schemes, spec.trees, seed, model, phy, stages)
+        stages = seed_stages(spec.base, spec.trees, seed) if shared else None
+        for block, (value, params, model) in zip(blocks, points):
+            sessions = run_scenario_sessions(params, spec.schemes, spec.trees, seed, model, stages)
             for (tree, scheme), res in sessions.items():
                 block.append(TrialRow(tree, scheme, spec.variable, value, i, res.avg_throughput, res.pdr))
     rows = [row for block in blocks for row in block]

@@ -25,24 +25,12 @@ import numpy as np
 from .assignment import Scheme, choose_channels, random_channel
 from .channel import ChannelModel
 from .phy import PhyParams, data_rate, pos, received_power, tx_time
-from .topology import LayerSchedule, Topology, Tree, layerize, prune_tree
+from .topology import LayerSchedule, Tree
 
 
 class TreeKind(Enum):
     SPT = "spt"
     MST = "mst"
-
-
-@dataclass(frozen=True)
-class SessionConfig:
-    phy: PhyParams
-    scheme: Scheme
-    tree_kind: TreeKind
-    destinations: frozenset[int]
-
-    def __post_init__(self):
-        if not self.destinations:
-            raise ValueError("a session needs at least one destination")
 
 
 @dataclass(frozen=True)
@@ -162,16 +150,6 @@ def threshold_draws(raw, p_idle: np.ndarray):
     return idle, np.where(idle, residual, np.nan), gains
 
 
-def draw_events(schedule: LayerSchedule, model: ChannelModel, rng: np.random.Generator):
-    """Sample channel states and fading gains for every schedule entry up front,
-    so several schemes can replay the same draws.
-
-    Returns (E, M) idle flags, (E, M) availability (NaN on busy channels) and
-    (R, M) gains, one row per receiver slot.
-    """
-    return threshold_draws(draw_raw(schedule, model, rng), model.p_idle)
-
-
 def link_metrics(phy: PhyParams, distances: np.ndarray, draws, mu_idle: np.ndarray, starts: np.ndarray) -> EventTable:
     """Evaluate the link equations for a whole tree at once: gains to received
     power to rate to air time to success probability, per slot and channel."""
@@ -187,12 +165,6 @@ def link_metrics(phy: PhyParams, distances: np.ndarray, draws, mu_idle: np.ndarr
 def slot_distances(tree: Tree, schedule: LayerSchedule) -> np.ndarray:
     """Parent-edge distance of each receiver slot of a tree's layer schedule."""
     return np.array([tree.edge_dist[r] for entry in schedule.entries for r in entry.receivers])
-
-
-def sample_table(tree: Tree, schedule: LayerSchedule, phy: PhyParams, model: ChannelModel, rng) -> EventTable:
-    """Draw and evaluate every entry of a tree's layer schedule."""
-    draws = draw_events(schedule, model, rng)
-    return link_metrics(phy, slot_distances(tree, schedule), draws, model.mu_idle, starts_of(schedule))
 
 
 def execute_schedule(
@@ -251,30 +223,6 @@ def execute_schedule(
         pdr=sum(delivered.values()) / len(dests),
         hops=tuple(hops),
     )
-
-
-def check_pruned(tree: Tree, destinations) -> None:
-    """Require a tree that pruning to the destinations leaves unchanged."""
-    stray = set(tree.parent) - set(prune_tree(tree, destinations).parent)
-    if stray:
-        raise ValueError(f"tree is not pruned to the destination set, stray nodes: {sorted(stray)}")
-
-
-def run_session(
-    topology: Topology,
-    tree: Tree,
-    cfg: SessionConfig,
-    channel_model: ChannelModel,
-    rng: np.random.Generator,
-) -> SessionResult:
-    """Sample and execute one full multicast session on a pruned tree."""
-    check_pruned(tree, cfg.destinations)
-    bad = [u for u in tree.nodes() if not 0 <= u < topology.n]
-    if bad:
-        raise ValueError(f"tree nodes outside the topology: {bad}")
-    schedule = layerize(tree)
-    table = sample_table(tree, schedule, cfg.phy, channel_model, rng)
-    return execute_schedule(schedule, table, cfg.destinations, cfg.phy.packet_bits, cfg.scheme, rng)
 
 
 def session_to_csv(result: SessionResult) -> str:

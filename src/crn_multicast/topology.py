@@ -17,23 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
-
-    def distance_to(self, other: "Point") -> float:
-        # same operation order as the vectorized pair-distance computation,
-        # so recomputed distances are bit-identical to generated ones
-        dx, dy = self.x - other.x, self.y - other.y
-        return math.sqrt(dx * dx + dy * dy)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
-    """Connected undirected graph; edges are (u, v, d) with u < v, d in meters."""
+    """Connected undirected graph over node positions, an (n, 2) array in
+    meters; edges are (u, v, d) with u < v, d in meters."""
 
-    points: tuple[Point, ...]
+    points: np.ndarray
     edges: tuple[tuple[int, int, float], ...]
     area_side: float
     comm_range: float
@@ -152,8 +141,7 @@ def generate_topology(
             if _is_connected(n, edges):
                 comm_range = grown
                 break
-    points = tuple(Point(float(x), float(y)) for x, y in pts)
-    return Topology(points, edges, area_side, comm_range)
+    return Topology(pts, edges, area_side, comm_range)
 
 
 def tree_from_parents(root: int, parent: dict[int, int], edge_dist: dict[int, float]) -> Tree:
@@ -294,58 +282,3 @@ def layerize(tree: Tree) -> LayerSchedule:
             entries.append(LayerEntry(u, tuple(kids)))
             queue.extend(kids)
     return LayerSchedule(tuple(entries))
-
-
-def dump_topology(topology: Topology) -> str:
-    """Plain-text form: `node_id,x,y` rows then `u,v` rows.
-
-    Floats use their shortest round-tripping decimal representation, so
-    loading the text reproduces the topology exactly.
-    """
-    lines = [
-        f"# area_side = {topology.area_side!r}",
-        f"# comm_range = {topology.comm_range!r}",
-    ]
-    for i, p in enumerate(topology.points):
-        lines.append(f"{i},{p.x!r},{p.y!r}")
-    for u, v, _ in topology.edges:
-        lines.append(f"{u},{v}")
-    return "\n".join(lines) + "\n"
-
-
-def load_topology(text: str) -> Topology:
-    """Inverse of dump_topology. Edge distances are recomputed from coordinates."""
-    area_side = comm_range = None
-    coords: dict[int, Point] = {}
-    pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            key, _, value = line.lstrip("# ").partition("=")
-            key = key.strip()
-            if key == "area_side":
-                area_side = float(value)
-            elif key == "comm_range":
-                comm_range = float(value)
-            continue
-        fields = line.split(",")
-        if len(fields) == 3:
-            coords[int(fields[0])] = Point(float(fields[1]), float(fields[2]))
-        elif len(fields) == 2:
-            pairs.append((int(fields[0]), int(fields[1])))
-        else:
-            raise ValueError(f"line {lineno}: expected 2 or 3 comma-separated fields")
-    if sorted(coords) != list(range(len(coords))):
-        raise ValueError("node ids must be contiguous from 0")
-    points = tuple(coords[i] for i in range(len(coords)))
-    edges = []
-    for u, v in pairs:
-        u, v = min(u, v), max(u, v)
-        edges.append((u, v, points[u].distance_to(points[v])))
-    if area_side is None:
-        area_side = max((max(p.x, p.y) for p in points), default=0.0)
-    if comm_range is None:
-        comm_range = max((d for _, _, d in edges), default=0.0)
-    return Topology(points, tuple(edges), area_side, comm_range)

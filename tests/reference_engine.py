@@ -22,10 +22,9 @@ import numpy as np
 from crn_multicast.assignment import Scheme
 from crn_multicast.channel import ChannelModel
 from crn_multicast.phy import PhyParams, data_rate, pos, received_power, tx_time
-from crn_multicast.session import HopRecord, SessionConfig, SessionResult, TreeKind
+from crn_multicast.session import HopRecord, SessionResult, TreeKind
 from crn_multicast.topology import (
     LayerSchedule,
-    Topology,
     Tree,
     build_mst,
     build_spt,
@@ -166,20 +165,6 @@ def _check_pruned(tree: Tree, destinations) -> None:
     stray = [u for u in tree.leaves() if u not in dests]
     if stray:
         raise ValueError(f"tree is not pruned to the destination set, stray leaves: {stray}")
-
-
-def run_session(topology: Topology, tree: Tree, cfg: SessionConfig, channel_model: ChannelModel, rng):
-    _check_pruned(tree, cfg.destinations)
-    bad = [u for u in tree.nodes() if not 0 <= u < topology.n]
-    if bad:
-        raise ValueError(f"tree nodes outside the topology: {bad}")
-    schedule = layerize(tree)
-    draws = draw_events(schedule, channel_model, rng)
-    per_event = [
-        link_metrics(cfg.phy, np.array([tree.edge_dist[r] for r in entry.receivers]), draw, channel_model.mu_idle)
-        for entry, draw in zip(schedule.entries, draws)
-    ]
-    return execute_schedule(schedule, per_event, cfg.destinations, cfg.phy.packet_bits, cfg.scheme, rng)
 
 
 def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Generator | None = None):

@@ -189,8 +189,9 @@ def test_criterion_7_monotone_trends():
 
 
 def test_criterion_8_statistical_sanity():
-    # Samples come from the draws sessions use (session.draw_events) and from
-    # the rs chooser they call (random_channel).
+    # Samples come from the draws sessions use (session.draw_raw, thresholded
+    # by session.threshold_draws) and from the rs chooser they call
+    # (random_channel).
     n = 100_000
     idle, _, _ = draw(make_channels(4, 0.01, 0.07, 0.5), np.random.default_rng(81), n)
     idle_ok = np.all(np.abs(idle.mean(axis=0) - 0.5) < 0.01)

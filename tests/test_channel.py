@@ -3,16 +3,17 @@ import pytest
 from scipy import stats
 
 from crn_multicast.channel import ChannelModel, ChannelParams, make_channels
-from crn_multicast.session import draw_events
+from crn_multicast.session import draw_raw, threshold_draws
 from crn_multicast.topology import LayerEntry, LayerSchedule
 
 
 def draw(model, rng, events, receivers=1):
-    """session.draw_events over a schedule of `events` entries with
-    `receivers` receivers each: (E, M) idle flags, (E, M) availability,
-    (E * receivers, M) gains."""
+    """The draws sessions take (session.draw_raw, thresholded at the model's
+    idle probabilities) over a schedule of `events` entries with `receivers`
+    receivers each: (E, M) idle flags, (E, M) availability, (E * receivers,
+    M) gains."""
     entry = LayerEntry(0, tuple(range(1, receivers + 1)))
-    return draw_events(LayerSchedule((entry,) * events), model, rng)
+    return threshold_draws(draw_raw(LayerSchedule((entry,) * events), model, rng), model.p_idle)
 
 
 class TestMakeChannels:

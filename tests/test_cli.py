@@ -279,8 +279,13 @@ class TestBadSweepFailsFast:
             ("sweep_variable = p_idle\nsweep_values = 0.5,1.0\n", "p_idle = 1.0: p_idle"),
             ("sweep_variable = frequency\n", "unknown sweep variable 'frequency'"),
             ("sweep_values =\n", "sweep needs at least one value"),
+            ("sweep_variable = bw\nsweep_values = 1e6,1000000\n", "bw = 1000000 equals an earlier swept value"),
+            (f"sweep_variable = pt\nsweep_values = {'9' * 400}\n", "pt_watts must be finite"),
         ],
-        ids=["non_integral_M", "n_nodes_not_above_n_dest", "p_idle_one", "unknown_variable", "no_values"],
+        ids=[
+            "non_integral_M", "n_nodes_not_above_n_dest", "p_idle_one", "unknown_variable", "no_values",
+            "repeated_value", "integer_beyond_float_range",
+        ],
     )
     def test_bad_swept_value_is_usage_error(self, tmp_path, capsys, lines, message):
         cfg = tmp_path / "cfg.txt"

@@ -13,7 +13,7 @@ from crn_multicast.config import (
     parse_config_text,
     sweep_from_config,
 )
-from crn_multicast.experiment import ScenarioParams
+from crn_multicast.experiment import SWEEP_VARIABLES, ScenarioParams
 from crn_multicast.session import TreeKind
 
 FLOAT_KEYS = [f.name for f in fields(ScenarioParams) if f.type == "float"]
@@ -104,3 +104,29 @@ def test_float_scenario_value_loads_or_raises_config_error(key, value):
 def test_non_finite_value_names_the_key(value):
     with pytest.raises(ConfigError, match=f"pt_watts must be finite, got {value}"):
         load_config(None, parse_config_text(f"pt_watts = {value}\n"))
+
+
+SWEEP_NAMES = [*SWEEP_VARIABLES, "frequency", "m", "P_IDLE", "n-nodes", ""]
+SWEEP_TOKENS = (
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "1" * 400, "0", "-1", "4", "5.0", "0.5", "1e6", "1000000"])
+    | st.sampled_from(["x", " ", "1_000", "0x10"])
+    | st.integers(-5, 200).map(str)
+    | st.floats().map(repr)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(variable=st.sampled_from(SWEEP_NAMES), tokens=st.lists(SWEEP_TOKENS, max_size=5))
+def test_sweep_text_builds_a_valid_spec_or_raises_config_error(variable, tokens):
+    # known and unknown names, non-finite, duplicate, non-integral and empty
+    # values: either every swept scenario is valid or a ConfigError says why
+    text = f"sweep_variable = {variable}\nsweep_values = {','.join(tokens)}\n"
+    try:
+        spec = sweep_from_config(load_config(None, parse_config_text(text)))
+    except ConfigError:
+        return
+    assert spec.variable in SWEEP_VARIABLES
+    assert spec.values and len(set(spec.values)) == len(spec.values)
+    for value, params in spec.scenarios():
+        assert math.isfinite(value)
+        params.validate()

@@ -17,9 +17,8 @@ import reference_engine as ref
 from crn_multicast.assignment import Scheme, choose_channels
 from crn_multicast.channel import ChannelModel, ChannelParams
 from crn_multicast.example_case import builtin_fixture, run_fixture
-from crn_multicast.experiment import ScenarioParams, run_scenario_sessions
-from crn_multicast.session import SessionConfig, TreeKind, run_session
-from crn_multicast.topology import build_mst, build_spt, generate_topology, layerize, prune_tree
+from crn_multicast.experiment import ScenarioParams, run_scenario_sessions, seed_stages
+from crn_multicast.session import TreeKind
 
 SCHEMES = tuple(Scheme)
 TREES = (TreeKind.SPT, TreeKind.MST)
@@ -56,34 +55,18 @@ def test_scenario_sessions_match_reference(case):
 
 def test_cases_exercise_every_outcome():
     # The oracle is only as strong as its cases: together they must contain
-    # events without an idle channel, failed hops and successful ones.
-    hops = [
-        hop
-        for params, model in CASES.values()
-        for res in run_scenario_sessions(params, SCHEMES, TREES, 0, channel_model=model).values()
-        for hop in res.hops
-    ]
+    # events without an idle channel, failed hops and successful ones, and
+    # relays that never got the packet and were skipped.
+    hops, skipped = [], 0
+    for params, model in CASES.values():
+        stages = seed_stages(params, TREES, 0)
+        for (tree, _), res in run_scenario_sessions(params, SCHEMES, TREES, 0, model, stages).items():
+            hops += res.hops
+            skipped += len(res.hops) < len(stages.trees[tree].schedule.entries)
     assert any(hop.chosen_channel is None for hop in hops)
     assert any(True in hop.success for hop in hops)
     assert any(False in hop.success for hop in hops if hop.chosen_channel is not None)
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("build", [build_spt, build_mst], ids=["spt", "mst"])
-def test_run_session_matches_reference(scheme, build):
-    params = replace(DEFAULTS, p_idle=0.5)
-    model = params.channels()
-    skipped = 0
-    for seed in range(25):
-        topo = generate_topology(params.n_nodes, params.area_side_m, params.comm_range_m, np.random.default_rng(seed))
-        dests = frozenset(int(v) for v in np.random.default_rng(seed + 1).choice(np.arange(1, 40), 8, replace=False))
-        tree = prune_tree(build(topo, 0), dests)
-        cfg = SessionConfig(params.phy(), scheme, TreeKind.SPT, dests)
-        got = run_session(topo, tree, cfg, model, np.random.default_rng(seed))
-        want = ref.run_session(topo, tree, cfg, model, np.random.default_rng(seed))
-        assert_same(got, want)
-        skipped += len(got.hops) < len(layerize(tree).entries)
-    assert skipped  # relays that never got the packet were skipped
+    assert skipped
 
 
 @pytest.mark.parametrize("scheme", [Scheme.POS, Scheme.MASA, Scheme.MDR])

@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from crn_multicast import experiment, session
@@ -120,7 +121,12 @@ class TestSweep:
             SweepSpec(base=SMALL, variable="bw", values=(), trials=1, seed=0)
 
     @pytest.mark.parametrize(
-        "variable, good, bad", [("M", 4, 5.0), ("n_dest", 4, 14), ("p_idle", 0.5, 1.0), ("packet_bits", 8192, 0)]
+        "variable, good, bad",
+        [
+            ("M", 4, 5.0), ("n_dest", 4, 14), ("p_idle", 0.5, 1.0), ("packet_bits", 8192, 0),
+            # numerically equal values, which aggregation would merge into one point
+            ("bw", 1e6, 1000000), ("pt", 0.1, 0.1), ("M", 4, 4),
+        ],
     )
     def test_every_swept_value_validated_up_front(self, variable, good, bad):
         with pytest.raises(ValueError, match=f"{variable} = {bad!r}"):
@@ -186,6 +192,21 @@ class TestSharedStages:
         run_sweep(SweepSpec(base=SMALL, variable=variable, values=SWEEP_AXES[variable], trials=3, seed=0))
         trees = 2
         assert len(calls) == (3 * trees * 2 if variable in DRAWS_SWEPT else 3 * trees)
+
+
+    def test_raw_draws_keyed_on_tree_and_mean_idle_durations(self):
+        stages = experiment.seed_stages(SMALL, [TreeKind.SPT, TreeKind.MST], 3)
+        base = stages.raw(TreeKind.SPT, SMALL.channels())
+        assert stages.raw(TreeKind.SPT, replace(SMALL, p_idle=0.2).channels()) is base
+        assert stages.raw(TreeKind.MST, SMALL.channels()) is not base
+        other_m = stages.raw(TreeKind.SPT, replace(SMALL, m_channels=3).channels())
+        other_mu = stages.raw(TreeKind.SPT, replace(SMALL, mu_max_s=0.05).channels())
+        assert other_m[0].shape[1] == 3
+        assert other_mu is not base and other_mu[0].shape == base[0].shape
+        # a fresh stages object draws the same numbers from the tree's own stream
+        again = experiment.seed_stages(SMALL, [TreeKind.SPT], 3).raw(TreeKind.SPT, SMALL.channels())
+        for x, y in zip(again, base):
+            assert np.array_equal(x, y)
 
 
 class TestCsvRoundTrip:

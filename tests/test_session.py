@@ -1,34 +1,14 @@
-import numpy as np
+from dataclasses import replace
+
 import pytest
 
 from crn_multicast.assignment import Scheme
-from crn_multicast.channel import ChannelModel, ChannelParams, make_channels
+from crn_multicast.channel import ChannelModel, ChannelParams
 from crn_multicast.example_case import builtin_fixture, check_fixture, run_fixture
-from crn_multicast.phy import PhyParams
-from crn_multicast.session import SessionConfig, TreeKind, run_session, session_to_csv
-from crn_multicast.topology import Point, Topology, layerize, tree_from_parents
+from crn_multicast.experiment import ScenarioParams, run_scenario_sessions, seed_stages
+from crn_multicast.session import TreeKind, session_to_csv
 
 PACKET_BITS = 32768
-
-
-def make_phy(**overrides):
-    base = dict(pt=0.1, path_loss_exp=4.0, wavelength=0.5, noise_psd=1e-18, bandwidth=1e6, packet_bits=PACKET_BITS)
-    base.update(overrides)
-    return PhyParams(**base)
-
-
-def line_topology(*gaps):
-    xs = [0.0]
-    for g in gaps:
-        xs.append(xs[-1] + g)
-    points = tuple(Point(x, 0.0) for x in xs)
-    edges = tuple((i, i + 1, float(g)) for i, g in enumerate(gaps))
-    return Topology(points, edges, max(xs), max(gaps))
-
-
-def line_tree(*gaps):
-    parent = {i + 1: i for i in range(len(gaps))}
-    return tree_from_parents(0, parent, {i + 1: float(g) for i, g in enumerate(gaps)})
 
 
 # ------------------------------------------------------------ worked example
@@ -174,35 +154,41 @@ class TestInjectedSession:
 
 # ------------------------------------------------------------ sampled sessions
 
-def sampled_setup(p_idle=0.9, mu=0.050, m=6):
-    topo = line_topology(20.0, 25.0)
-    tree = line_tree(20.0, 25.0)
-    cfg = SessionConfig(make_phy(), Scheme.POS, TreeKind.SPT, frozenset({2}))
-    model = ChannelModel(tuple(ChannelParams(mu, p_idle) for _ in range(m)))
-    return topo, tree, cfg, model
+# One destination, so each pruned tree is a single path from the root.
+SAMPLED = ScenarioParams(n_nodes=12, n_dest=1)
+
+
+def sampled_params(p_idle=0.9, mu=0.050, m=6):
+    """SAMPLED with m identical channels of mean availability mu."""
+    return replace(SAMPLED, p_idle=p_idle, mu_min_s=mu, mu_max_s=mu, m_channels=m)
+
+
+def sampled(params, seed, channel_model=None, stages=None):
+    """The pos session over the SPT of one seeded scenario."""
+    sessions = run_scenario_sessions(params, [Scheme.POS], [TreeKind.SPT], seed, channel_model, stages)
+    return sessions[(TreeKind.SPT, Scheme.POS)]
 
 
 class TestSampledSession:
     def test_all_channels_busy_delivers_nothing(self):
-        topo, tree, cfg, _ = sampled_setup()
         model = ChannelModel(tuple(ChannelParams(0.05, 1e-12) for _ in range(6)))
-        result = run_session(topo, tree, cfg, model, np.random.default_rng(0))
+        result = sampled(sampled_params(), 0, model)
         assert result.pdr == 0.0
         assert result.total_throughput == 0.0
         assert all(h.chosen_channel is None for h in result.hops)
 
     def test_abundant_availability_delivers_everything(self):
-        topo, tree, cfg, _ = sampled_setup()
         model = ChannelModel(tuple(ChannelParams(1e6, 1.0) for _ in range(6)))
-        result = run_session(topo, tree, cfg, model, np.random.default_rng(0))
+        result = sampled(sampled_params(), 0, model)
         assert result.pdr == 1.0
         hop_times = [h.tx_time[0] for h in result.hops]
-        assert result.throughput[2] == pytest.approx(PACKET_BITS / sum(hop_times))
+        (dest,) = result.throughput
+        assert result.throughput[dest] == pytest.approx(PACKET_BITS / sum(hop_times))
 
     def test_success_is_exactly_airtime_within_availability(self):
-        topo, tree, cfg, model = sampled_setup(p_idle=0.7)
+        params = sampled_params(p_idle=0.7)
         for seed in range(60):
-            result = run_session(topo, tree, cfg, model, np.random.default_rng(seed))
+            result = sampled(params, seed)
             for hop in result.hops:
                 if hop.chosen_channel is None:
                     assert not any(hop.success)
@@ -211,56 +197,37 @@ class TestSampledSession:
                         assert ok == (t <= hop.available_time)
 
     def test_skipped_relay_transmits_nothing(self):
-        topo, tree, cfg, model = sampled_setup(p_idle=0.4, mu=0.004)
+        params = sampled_params(p_idle=0.4, mu=0.004)
         saw_skip = False
         for seed in range(200):
-            result = run_session(topo, tree, cfg, model, np.random.default_rng(seed))
+            stages = seed_stages(params, [TreeKind.SPT], seed)
+            result = sampled(params, seed, stages=stages)
             first = result.hops[0] if result.hops else None
             if first is not None and not any(first.success):
-                saw_skip = True
-                assert len(result.hops) == 1  # second layer never transmits
+                saw_skip |= len(stages.trees[TreeKind.SPT].schedule.entries) > 1
+                assert len(result.hops) == 1  # later layers never transmit
                 assert result.pdr == 0.0
         assert saw_skip
 
     def test_control_trace_shape(self):
-        topo, tree, cfg, model = sampled_setup()
-        parent = {2: 1, 3: 1, 4: 2}
-        tree = tree_from_parents(1, parent, {v: 15.0 for v in parent})
-        topo = Topology(
-            tuple(Point(float(i) * 10.0, 0.0) for i in range(5)),
-            ((1, 2, 15.0), (1, 3, 15.0), (2, 4, 15.0)),
-            50.0,
-            20.0,
-        )
-        cfg = SessionConfig(make_phy(), Scheme.POS, TreeKind.SPT, frozenset({3, 4}))
-        pruned = tree
+        params = replace(sampled_params(), n_dest=4)  # branching tree
+        stages = seed_stages(params, [TreeKind.SPT], 1)
         model = ChannelModel(tuple(ChannelParams(1e6, 1.0) for _ in range(4)))
-        result = run_session(topo, pruned, cfg, model, np.random.default_rng(1))
-        schedule = layerize(pruned)
+        result = sampled(params, 1, model, stages)
         expected = []
-        for entry in schedule.entries:
+        for entry in stages.trees[TreeKind.SPT].schedule.entries:
             expected += [("MA", entry.transmitter, r) for r in entry.receivers]
             expected += [("ACK", r, entry.transmitter) for r in entry.receivers]
         assert list(result.control_trace) == expected
 
     def test_same_seed_same_result(self):
-        topo, tree, cfg, model = sampled_setup(p_idle=0.6)
-        a = run_session(topo, tree, cfg, model, np.random.default_rng(33))
-        b = run_session(topo, tree, cfg, model, np.random.default_rng(33))
-        assert a == b
-
-    def test_unpruned_tree_rejected(self):
-        topo = line_topology(20.0, 25.0)
-        tree = line_tree(20.0, 25.0)
-        cfg = SessionConfig(make_phy(), Scheme.POS, TreeKind.SPT, frozenset({1}))
-        model = make_channels(4, 0.01, 0.07, 0.5)
-        with pytest.raises(ValueError):
-            run_session(topo, tree, cfg, model, np.random.default_rng(0))
+        params = sampled_params(p_idle=0.6)
+        assert sampled(params, 33) == sampled(params, 33)
 
     def test_delivered_count_matches_pdr(self):
-        topo, tree, cfg, model = sampled_setup(p_idle=0.6, mu=0.01)
+        params = sampled_params(p_idle=0.6, mu=0.01)
         for seed in range(40):
-            result = run_session(topo, tree, cfg, model, np.random.default_rng(seed))
+            result = sampled(params, seed)
             n = len(result.delivered)
             assert result.pdr * n == pytest.approx(sum(result.delivered.values()))
             for k, ok in result.delivered.items():

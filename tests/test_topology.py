@@ -6,14 +6,11 @@ import pytest
 
 from crn_multicast.topology import (
     LayerEntry,
-    Point,
     Topology,
     build_mst,
     build_spt,
-    dump_topology,
     generate_topology,
     layerize,
-    load_topology,
     prune_tree,
     tree_from_parents,
 )
@@ -79,12 +76,18 @@ def random_connected_topology(rng, n_max=12, n_min=4):
     return generate_topology(n, area_side=100.0, comm_range=55.0, rng=rng)
 
 
+def point_distance(topo, u, v):
+    # same operation order as the vectorized pair distances, so bit-identical
+    dx, dy = topo.points[u] - topo.points[v]
+    return math.sqrt(dx * dx + dy * dy)
+
+
 def path_topology(*weights):
     # nodes 0..k on a line with the given consecutive gaps
     xs = [0.0]
     for w in weights:
         xs.append(xs[-1] + w)
-    points = tuple(Point(x, 0.0) for x in xs)
+    points = np.column_stack([xs, np.zeros(len(xs))])
     edges = tuple((i, i + 1, float(w)) for i, w in enumerate(weights))
     return Topology(points, edges, area_side=max(xs), comm_range=max(weights))
 
@@ -97,12 +100,13 @@ class TestGenerateTopology:
         topo = generate_topology(2, area_side=10.0, comm_range=20.0, rng=rng)
         assert len(topo.edges) == 1
         u, v, d = topo.edges[0]
-        assert d == pytest.approx(topo.points[u].distance_to(topo.points[v]))
+        assert d == pytest.approx(point_distance(topo, u, v))
 
     def test_same_seed_same_topology(self):
         a = generate_topology(25, 200.0, 60.0, np.random.default_rng(5))
         b = generate_topology(25, 200.0, 60.0, np.random.default_rng(5))
-        assert a == b
+        assert np.array_equal(a.points, b.points)
+        assert (a.edges, a.area_side, a.comm_range) == (b.edges, b.area_side, b.comm_range)
 
     def test_connectivity_over_many_seeds(self):
         for seed in range(100):
@@ -114,7 +118,7 @@ class TestGenerateTopology:
         have = {(u, v) for u, v, _ in topo.edges}
         for u in range(topo.n):
             for v in range(u + 1, topo.n):
-                d = topo.points[u].distance_to(topo.points[v])
+                d = point_distance(topo, u, v)
                 assert ((u, v) in have) == (d <= topo.comm_range)
 
     def test_range_grows_when_placements_cannot_connect(self):
@@ -125,8 +129,8 @@ class TestGenerateTopology:
 
     def test_positions_inside_area(self):
         topo = generate_topology(50, 120.0, 50.0, np.random.default_rng(8))
-        for p in topo.points:
-            assert 0.0 <= p.x <= 120.0 and 0.0 <= p.y <= 120.0
+        assert topo.points.shape == (50, 2)
+        assert np.all((0.0 <= topo.points) & (topo.points <= 120.0))
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError):
@@ -165,7 +169,7 @@ class TestShortestPathTree:
 
     def test_tie_breaks_prefer_lower_predecessor(self):
         # 0-1 and 0-2 weight 1; both 1-3 and 2-3 weight 1: two equal paths to 3
-        points = tuple(Point(float(i), 0.0) for i in range(4))
+        points = np.column_stack([np.arange(4.0), np.zeros(4)])
         edges = ((0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0))
         topo = Topology(points, edges, 4.0, 2.0)
         tree = build_spt(topo, 0)
@@ -180,7 +184,7 @@ class TestShortestPathTree:
 
 class TestMinimumSpanningTree:
     def test_triangle(self):
-        points = (Point(0.0, 0.0), Point(1.0, 0.0), Point(0.0, 2.0))
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         edges = ((0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0))
         topo = Topology(points, edges, 3.0, 3.0)
         tree = build_mst(topo, 0)
@@ -294,16 +298,3 @@ class TestLayerize:
         for entry in schedule.entries:
             assert entry.transmitter in seen
             seen.update(entry.receivers)
-
-
-# ---------------------------------------------------------------- text round trip
-
-class TestTopologyText:
-    def test_round_trip_is_exact(self):
-        topo = generate_topology(17, 200.0, 70.0, np.random.default_rng(21))
-        again = load_topology(dump_topology(topo))
-        assert again == topo
-
-    def test_rejects_garbage_rows(self):
-        with pytest.raises(ValueError):
-            load_topology("0,1.0,2.0,3.0,4.0\n")
