@@ -69,6 +69,24 @@ def test_cases_exercise_every_outcome():
     assert skipped
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("tree", TREES, ids=["spt", "mst"])
+def test_run_session_matches_reference(scheme, tree):
+    # One tree and one scheme at a time, at a p_idle no scenario case uses:
+    # the session path must match the oracle when run alone, not only in the
+    # full (tree, scheme) grid, and must skip relays that never got the packet.
+    params = replace(DEFAULTS, p_idle=0.5)
+    skipped = 0
+    for seed in range(25):
+        stages = seed_stages(params, (tree,), seed)
+        got = run_scenario_sessions(params, (scheme,), (tree,), seed, stages=stages)
+        want = ref.run_scenario_sessions(params, (scheme,), (tree,), seed)
+        assert list(got) == list(want) == [(tree, scheme)]
+        assert_same(got[(tree, scheme)], want[(tree, scheme)])
+        skipped += len(got[(tree, scheme)].hops) < len(stages.trees[tree].schedule.entries)
+    assert skipped
+
+
 @pytest.mark.parametrize("scheme", [Scheme.POS, Scheme.MASA, Scheme.MDR])
 def test_run_fixture_matches_reference(scheme):
     assert_same(run_fixture(builtin_fixture(), scheme=scheme), ref.run_fixture(builtin_fixture(), scheme=scheme))
