@@ -206,6 +206,8 @@ def run_scenario_sessions(
     params.validate()
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    if stages is not None and stages.seed != seed:
+        raise ValueError(f"stages were built for seed {stages.seed}, not {seed}")
     model = channel_model if channel_model is not None else params.channels()
     phy = params.phy()
     stages = stages if stages is not None else seed_stages(params, trees, seed)

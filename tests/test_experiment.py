@@ -75,6 +75,11 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             run_scenario_sessions(replace(SMALL, n_dest=14), [Scheme.POS], [TreeKind.SPT], seed=0)
 
+    def test_stages_of_another_seed_rejected(self):
+        stages = experiment.seed_stages(SMALL, [TreeKind.SPT], 3)
+        with pytest.raises(ValueError, match="seed 3, not 4"):
+            run_scenario_sessions(SMALL, [Scheme.POS], [TreeKind.SPT], seed=4, stages=stages)
+
 
 class TestSweep:
     def test_single_trial_aggregate_equals_the_trial(self):
@@ -192,7 +197,6 @@ class TestSharedStages:
         run_sweep(SweepSpec(base=SMALL, variable=variable, values=SWEEP_AXES[variable], trials=3, seed=0))
         trees = 2
         assert len(calls) == (3 * trees * 2 if variable in DRAWS_SWEPT else 3 * trees)
-
 
     def test_raw_draws_keyed_on_tree_and_mean_idle_durations(self):
         stages = experiment.seed_stages(SMALL, [TreeKind.SPT, TreeKind.MST], 3)

@@ -210,12 +210,14 @@ class TestSampledSession:
         assert saw_skip
 
     def test_control_trace_shape(self):
-        params = replace(sampled_params(), n_dest=4)  # branching tree
+        params = replace(sampled_params(), n_dest=4)
         stages = seed_stages(params, [TreeKind.SPT], 1)
+        entries = stages.trees[TreeKind.SPT].schedule.entries
+        assert any(len(e.receivers) > 1 for e in entries)  # a branching tree, not a path
         model = ChannelModel(tuple(ChannelParams(1e6, 1.0) for _ in range(4)))
         result = sampled(params, 1, model, stages)
         expected = []
-        for entry in stages.trees[TreeKind.SPT].schedule.entries:
+        for entry in entries:
             expected += [("MA", entry.transmitter, r) for r in entry.receivers]
             expected += [("ACK", r, entry.transmitter) for r in entry.receivers]
         assert list(result.control_trace) == expected
