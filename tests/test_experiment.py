@@ -80,6 +80,16 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="seed 3, not 4"):
             run_scenario_sessions(SMALL, [Scheme.POS], [TreeKind.SPT], seed=4, stages=stages)
 
+    def test_stages_reused_across_scenarios_match_fresh_ones(self):
+        # one stages object serving scenarios that differ in p_idle, M and
+        # bandwidth, revisiting a cached key last, must give what each
+        # scenario builds alone
+        trees = [TreeKind.SPT, TreeKind.MST]
+        stages = experiment.seed_stages(SMALL, trees, 9)
+        for params in (SMALL, replace(SMALL, m_channels=3), replace(SMALL, p_idle=0.3, bandwidth_hz=2e6)):
+            shared = run_scenario_sessions(params, ALL_SCHEMES, trees, 9, stages=stages)
+            assert shared == run_scenario_sessions(params, ALL_SCHEMES, trees, 9)
+
 
 class TestSweep:
     def test_single_trial_aggregate_equals_the_trial(self):
