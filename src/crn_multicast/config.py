@@ -7,7 +7,7 @@ are rejected so typos fail loudly. Command-line flags win over file values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .assignment import Scheme
@@ -118,15 +118,13 @@ def load_config(path=None, overrides: dict | None = None) -> Config:
         values.update({k: v for k, v in overrides.items() if v is not None})
 
     scenario_kwargs = {k: v for k, v in values.items() if k in _SCENARIO_KEYS}
-    params = replace(ScenarioParams(), **scenario_kwargs)
     try:
-        params.validate()
+        params = ScenarioParams(**scenario_kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    cfg = Config(params=params)
     harness_kwargs = {k: v for k, v in values.items() if k in _HARNESS_KEYS}
-    cfg = replace(cfg, **harness_kwargs)
+    cfg = Config(params=params, **harness_kwargs)
     if cfg.trials < 1:
         raise ConfigError("trials must be at least 1")
     if cfg.seed < 0:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .assignment import Scheme
 from .channel import ChannelModel, make_channels
-from .phy import PhyParams
+from .phy import SPEED_OF_LIGHT, PhyParams
 from .session import (
     SessionResult,
     TreeKind,
@@ -40,9 +40,14 @@ class DataFormatError(ValueError):
     """A results file does not match the expected CSV schema."""
 
 
+def _finite(x) -> bool:
+    # Bounds, not math.isfinite, which overflows on ints beyond float range.
+    return -sys.float_info.max <= x <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class ScenarioParams:
-    """Full parameter set for one simulated scenario."""
+    """Full parameter set for one simulated scenario, validated on construction."""
 
     n_nodes: int = 40
     n_dest: int = 16
@@ -59,11 +64,13 @@ class ScenarioParams:
     area_side_m: float = 200.0
     comm_range_m: float = 60.0
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            # Bounds, not math.isfinite, which overflows on ints beyond float range.
-            if isinstance(value, numbers.Real) and not -sys.float_info.max <= value <= sys.float_info.max:
+            if isinstance(value, numbers.Real) and not _finite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("n_nodes", "n_dest", "m_channels", "packet_bits"):
             value = getattr(self, name)
@@ -93,6 +100,14 @@ class ScenarioParams:
                 raise ValueError(f"{name} must be strictly positive")
         if self.mu_min_s > self.mu_max_s:
             raise ValueError("mu_min_s must not exceed mu_max_s")
+        # Received power is this constant over d**path_loss_exp times a gain;
+        # x * x, unlike x ** 2, gives inf rather than OverflowError.
+        half_wave = SPEED_OF_LIGHT / self.carrier_freq_hz / (4.0 * math.pi)
+        if not _finite(self.pt_watts * half_wave * half_wave):
+            raise ValueError(
+                f"pt_watts = {self.pt_watts!r} and carrier_freq_hz = {self.carrier_freq_hz!r} give a "
+                "non-finite link budget pt_watts * (wavelength / 4 pi)**2"
+            )
 
     def phy(self) -> PhyParams:
         return PhyParams.from_carrier(
@@ -203,7 +218,6 @@ def run_scenario_sessions(
     seed_stages(params, trees, seed); a sweep passes stages it shares across
     values, which must equal what that default would build.
     """
-    params.validate()
     if seed < 0:
         raise ValueError("seed must be non-negative")
     if stages is not None and stages.seed != seed:
@@ -248,13 +262,9 @@ class SweepSpec:
             raise ValueError("seed must be non-negative")
         if not self.schemes or not self.trees:
             raise ValueError("sweep needs at least one scheme and one tree kind")
-        # Every swept scenario is checked here, so a bad value fails before
-        # the first trial runs rather than partway through the sweep.
-        for value, params in self.scenarios():
-            try:
-                params.validate()
-            except ValueError as exc:
-                raise ValueError(f"{self.variable} = {value!r}: {exc}") from None
+        # Every swept scenario is built, and so validated, here, so a bad
+        # value fails before the first trial runs rather than partway through.
+        self.scenarios()
         # Equal values would be aggregated as one point with every seed counted twice.
         repeats = [v for i, v in enumerate(self.values) if v in self.values[:i]]
         if repeats:
@@ -263,7 +273,13 @@ class SweepSpec:
     def scenarios(self) -> list[tuple[float | int, ScenarioParams]]:
         """(swept value, full scenario) pairs in sweep order."""
         name = SWEEP_VARIABLES[self.variable]
-        return [(value, replace(self.base, **{name: value})) for value in self.values]
+        out = []
+        for value in self.values:
+            try:
+                out.append((value, replace(self.base, **{name: value})))
+            except ValueError as exc:
+                raise ValueError(f"{self.variable} = {value!r}: {exc}") from None
+        return out
 
 
 @dataclass(frozen=True)
@@ -416,14 +432,18 @@ def read_aggregate_csv(path) -> list[AggregateRow]:
     text = Path(path).read_text(encoding="utf-8")
     for lineno, f in _parse_csv(text, AGGREGATE_HEADER, path):
         try:
-            rows.append(
-                AggregateRow(
-                    TreeKind(f[0]), Scheme(f[1]), f[2], _parse_number(f[3]),
-                    float(f[4]), float(f[5]), float(f[6]), float(f[7]), int(f[8]),
-                )
+            row = AggregateRow(
+                TreeKind(f[0]), Scheme(f[1]), f[2], _parse_number(f[3]),
+                float(f[4]), float(f[5]), float(f[6]), float(f[7]), int(f[8]),
             )
+            values = (row.value, row.mean_throughput_bps, row.ci95_throughput, row.mean_pdr, row.ci95_pdr)
+            if not all(_finite(x) for x in values):
+                raise ValueError(f"numbers must be finite, got {values}")
+            if rows and row.variable != rows[0].variable:
+                raise ValueError(f"variable {row.variable!r} differs from {rows[0].variable!r} above")
         except ValueError as exc:
             raise DataFormatError(f"{path}, line {lineno}: {exc}") from exc
+        rows.append(row)
     return rows
 
 

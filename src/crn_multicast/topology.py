@@ -10,6 +10,7 @@ transmits once to all of its children.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -87,30 +88,6 @@ class LayerSchedule:
     entries: tuple[LayerEntry, ...]
 
 
-def _pair_edges(pts: np.ndarray, comm_range: float) -> tuple[tuple[int, int, float], ...]:
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    iu, ju = np.triu_indices(len(pts), k=1)
-    keep = dist[iu, ju] <= comm_range
-    return tuple((int(u), int(v), float(d)) for u, v, d in zip(iu[keep], ju[keep], dist[iu, ju][keep]))
-
-
-def _is_connected(n: int, edges) -> bool:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v, _ in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == n
-
-
 def generate_topology(
     n: int,
     area_side: float,
@@ -120,27 +97,37 @@ def generate_topology(
 ) -> Topology:
     """Place n nodes uniformly in a square and connect pairs within range.
 
-    Disconnected placements are redrawn up to max_retries times; after that the
-    last placement is kept and the range grown by 10% steps until the graph
-    connects (guaranteed at the area diagonal, where the graph is complete).
+    A disconnected placement is redrawn, up to max_retries placements in all;
+    after that the last placement is kept and the range grown in 10% steps
+    until the graph connects (guaranteed at the area diagonal, where the graph
+    is complete). The returned comm_range is the range actually used, so a
+    grown range shows there and nowhere else.
     """
     if n < 2:
         raise ValueError("a topology needs at least 2 nodes")
     if not (0.0 < area_side < math.inf and 0.0 < comm_range < math.inf):
         raise ValueError("area_side and comm_range must be positive and finite")
-    for _ in range(max_retries):
-        pts = rng.uniform(0.0, area_side, size=(n, 2))
-        edges = _pair_edges(pts, comm_range)
-        if _is_connected(n, edges):
+    if max_retries < 1:
+        raise ValueError("max_retries must be at least 1, the placement that range growth keeps")
+    for attempt in itertools.count():
+        if attempt < max_retries:
+            pts = rng.uniform(0.0, area_side, size=(n, 2))
+            diff = pts[:, None, :] - pts[None, :, :]
+            dist = np.sqrt((diff**2).sum(axis=2))
+        else:
+            comm_range *= 1.1
+        # Connected iff the frontier grown from node 0 along in-range pairs reaches every node.
+        within = dist <= comm_range
+        reach, size = within[0], 0
+        while np.count_nonzero(reach) > size:
+            size = np.count_nonzero(reach)
+            reach = within[reach].any(axis=0)
+        if size == n:
             break
-    else:
-        grown = comm_range
-        while True:
-            grown *= 1.1
-            edges = _pair_edges(pts, grown)
-            if _is_connected(n, edges):
-                comm_range = grown
-                break
+    iu, ju = np.triu_indices(n, k=1)
+    d = dist[iu, ju]
+    keep = d <= comm_range
+    edges = tuple(zip(iu[keep].tolist(), ju[keep].tolist(), d[keep].tolist()))
     return Topology(pts, edges, area_side, comm_range)
 
 
@@ -191,14 +178,13 @@ def build_spt(topology: Topology, root: int) -> Tree:
 
 
 def build_mst(topology: Topology, root: int) -> Tree:
-    """Minimum spanning tree (Kruskal), re-rooted at root.
+    """Minimum spanning tree (Kruskal), rooted at root.
 
     Equal-weight ties are broken by lexicographic (u, v) edge order, so the
-    edge set is deterministic and independent of the chosen root.
+    edge set is deterministic and independent of the chosen root. A tree has
+    one path to each node, so its shortest path tree is the tree itself,
+    rooted; build_spt does the rooting.
     """
-    if not 0 <= root < topology.n:
-        raise ValueError(f"root {root} is not a node of the topology")
-    rank = [0] * topology.n
     head = list(range(topology.n))
 
     def find(x: int) -> int:
@@ -212,34 +198,13 @@ def build_mst(topology: Topology, root: int) -> Tree:
         ru, rv = find(u), find(v)
         if ru == rv:
             continue
-        if rank[ru] < rank[rv]:
-            ru, rv = rv, ru
         head[rv] = ru
-        if rank[ru] == rank[rv]:
-            rank[ru] += 1
         chosen.append((u, v, w))
         if len(chosen) == topology.n - 1:
             break
     if len(chosen) != topology.n - 1:
         raise ValueError("topology is not connected")
-
-    adj: dict[int, list[tuple[int, float]]] = {i: [] for i in range(topology.n)}
-    for u, v, w in chosen:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    parent: dict[int, int] = {}
-    edge_dist: dict[int, float] = {}
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v, w in sorted(adj[u]):
-            if v not in seen:
-                seen.add(v)
-                parent[v] = u
-                edge_dist[v] = w
-                queue.append(v)
-    return tree_from_parents(root, parent, edge_dist)
+    return build_spt(Topology(topology.points, tuple(chosen), topology.area_side, topology.comm_range), root)
 
 
 def prune_tree(tree: Tree, destinations) -> Tree:

@@ -1,7 +1,7 @@
 """Reference engine: the per-event session pipeline the event-table engine replaced.
 
 Kept only as a test oracle, independent of the package's draw, metric and
-selection code. Every layer entry is drawn, evaluated, selected and judged
+selection code, and of its placement, connectivity and MST code. Every layer entry is drawn, evaluated, selected and judged
 on its own (draw_event -> link_metrics -> select_channel ->
 execute_schedule), exactly as sessions ran before whole-tree tables; fixture
 replays are parsed into the same per-event metrics. The equivalence tests
@@ -15,6 +15,7 @@ compared with `==` against the package's results and their derived traces.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +26,9 @@ from crn_multicast.phy import PhyParams, data_rate, pos, received_power, tx_time
 from crn_multicast.session import HopRecord, SessionResult, TreeKind
 from crn_multicast.topology import (
     LayerSchedule,
+    Topology,
     Tree,
-    build_mst,
     build_spt,
-    generate_topology,
     layerize,
     prune_tree,
     tree_from_parents,
@@ -44,6 +44,118 @@ _STREAM_SELECTION = 3
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng((seed, *stream))
+
+
+# Geometry as the package had it before connectivity and MST rooting were
+# folded into one distance matrix and build_spt, kept verbatim as an oracle.
+
+def _pair_edges(pts: np.ndarray, comm_range: float) -> tuple[tuple[int, int, float], ...]:
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    iu, ju = np.triu_indices(len(pts), k=1)
+    keep = dist[iu, ju] <= comm_range
+    return tuple((int(u), int(v), float(d)) for u, v, d in zip(iu[keep], ju[keep], dist[iu, ju][keep]))
+
+
+def _is_connected(n: int, edges) -> bool:
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v, _ in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0}
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return len(seen) == n
+
+
+def generate_topology(
+    n: int,
+    area_side: float,
+    comm_range: float,
+    rng: np.random.Generator,
+    max_retries: int = 100,
+) -> Topology:
+    """Place n nodes uniformly in a square and connect pairs within range.
+
+    Disconnected placements are redrawn up to max_retries times; after that the
+    last placement is kept and the range grown by 10% steps until the graph
+    connects (guaranteed at the area diagonal, where the graph is complete).
+    """
+    if n < 2:
+        raise ValueError("a topology needs at least 2 nodes")
+    if not (0.0 < area_side < math.inf and 0.0 < comm_range < math.inf):
+        raise ValueError("area_side and comm_range must be positive and finite")
+    for _ in range(max_retries):
+        pts = rng.uniform(0.0, area_side, size=(n, 2))
+        edges = _pair_edges(pts, comm_range)
+        if _is_connected(n, edges):
+            break
+    else:
+        grown = comm_range
+        while True:
+            grown *= 1.1
+            edges = _pair_edges(pts, grown)
+            if _is_connected(n, edges):
+                comm_range = grown
+                break
+    return Topology(pts, edges, area_side, comm_range)
+
+
+def build_mst(topology: Topology, root: int) -> Tree:
+    """Minimum spanning tree (Kruskal), re-rooted at root.
+
+    Equal-weight ties are broken by lexicographic (u, v) edge order, so the
+    edge set is deterministic and independent of the chosen root.
+    """
+    if not 0 <= root < topology.n:
+        raise ValueError(f"root {root} is not a node of the topology")
+    rank = [0] * topology.n
+    head = list(range(topology.n))
+
+    def find(x: int) -> int:
+        while head[x] != x:
+            head[x] = head[head[x]]
+            x = head[x]
+        return x
+
+    chosen: list[tuple[int, int, float]] = []
+    for u, v, w in sorted(topology.edges, key=lambda e: (e[2], e[0], e[1])):
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            continue
+        if rank[ru] < rank[rv]:
+            ru, rv = rv, ru
+        head[rv] = ru
+        if rank[ru] == rank[rv]:
+            rank[ru] += 1
+        chosen.append((u, v, w))
+        if len(chosen) == topology.n - 1:
+            break
+    if len(chosen) != topology.n - 1:
+        raise ValueError("topology is not connected")
+
+    adj: dict[int, list[tuple[int, float]]] = {i: [] for i in range(topology.n)}
+    for u, v, w in chosen:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    parent: dict[int, int] = {}
+    edge_dist: dict[int, float] = {}
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v, w in sorted(adj[u]):
+            if v not in seen:
+                seen.add(v)
+                parent[v] = u
+                edge_dist[v] = w
+                queue.append(v)
+    return tree_from_parents(root, parent, edge_dist)
 
 
 @dataclass(frozen=True)

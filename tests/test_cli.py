@@ -165,12 +165,21 @@ def test_unwritable_out_is_usage_error_before_any_trial(tmp_path, capsys, no_tri
         ("run", "pt_watts = nan\n", "pt_watts must be finite, got nan"),
         ("run", "bandwidth_hz = nan\n", "bandwidth_hz must be finite, got nan"),
         ("sweep", "sweep_variable = pt\nsweep_values = 0.1,nan\n", "pt = nan: pt_watts must be finite"),
+        (
+            "run", "n_nodes = 12\nn_dest = 3\ncarrier_freq_hz = 1e-300\n",
+            "pt_watts = 0.1 and carrier_freq_hz = 1e-300 give a non-finite link budget",
+        ),
+        (
+            "run", "n_nodes = 12\nn_dest = 3\npt_watts = 1e300\ncarrier_freq_hz = 1e-10\n",
+            "pt_watts = 1e+300 and carrier_freq_hz = 1e-10 give a non-finite link budget",
+        ),
     ],
-    ids=["range_nan", "pt_inf", "pt_nan", "bw_nan", "swept_pt_nan"],
+    ids=["range_nan", "pt_inf", "pt_nan", "bw_nan", "swept_pt_nan", "wavelength_inf", "link_budget_inf"],
 )
 def test_non_finite_parameter_is_usage_error_before_any_trial(tmp_path, capsys, no_trials, command, lines, message):
-    # before: a NaN range hung, an infinite power ended in a traceback, and a
-    # NaN power or bandwidth exited 0 with every destination missed
+    # before: a NaN range hung, an infinite power ended in a traceback, a
+    # NaN power or bandwidth exited 0 with every destination missed, and an
+    # infinite wavelength or link budget gave zero air time and a traceback
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(lines, encoding="utf-8")
     code, out, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "out"))
@@ -262,6 +271,31 @@ class TestSweepAndPlot:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("spt,pos,p_idle,0.3,nan,0.0,1.0,0.0,2\n", "line 3: numbers must be finite"),
+            ("spt,pos,p_idle,0.3,1.0,inf,1.0,0.0,2\n", "line 3: numbers must be finite"),
+            ("spt,pos,p_idle,nan,1.0,0.0,1.0,0.0,2\n", "line 3: numbers must be finite"),
+            ("spt,rs,M,4,1.0,0.0,1.0,0.0,2\n", "line 3: variable 'M' differs from 'p_idle'"),
+        ],
+        ids=["mean_nan", "ci_inf", "value_nan", "two_variables"],
+    )
+    def test_plot_rejects_csv_it_cannot_draw(self, tmp_path, capsys, rows, message):
+        # before: nan/inf exited 0 with nan coordinates in the SVG, and a
+        # second variable was drawn into the first one's chart
+        bad = tmp_path / "agg.csv"
+        bad.write_text(
+            "tree,scheme,variable,value,mean_throughput_bps,ci95_throughput,mean_pdr,ci95_pdr,trials\n"
+            "spt,pos,p_idle,0.5,2.0,0.1,0.5,0.1,2\n" + rows,
+            encoding="utf-8",
+        )
+        charts = tmp_path / "charts"
+        code, out, err = run_cli(capsys, "plot", str(bad), "--out", str(charts))
+        assert code == 2
+        assert err.startswith("error:") and f"{bad}, {message}" in err
+        assert out == "" and not charts.exists()
+
     def test_plot_missing_file_is_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "plot", str(tmp_path / "none.csv"))
         assert code == 2
@@ -281,10 +315,14 @@ class TestBadSweepFailsFast:
             ("sweep_values =\n", "sweep needs at least one value"),
             ("sweep_variable = bw\nsweep_values = 1e6,1000000\n", "bw = 1000000 equals an earlier swept value"),
             (f"sweep_variable = pt\nsweep_values = {'9' * 400}\n", "pt_watts must be finite"),
+            (
+                "carrier_freq_hz = 1e-10\nsweep_variable = pt\nsweep_values = 0.1,1e300\n",
+                "pt = 1e+300: pt_watts = 1e+300 and carrier_freq_hz = 1e-10 give a non-finite link budget",
+            ),
         ],
         ids=[
             "non_integral_M", "n_nodes_not_above_n_dest", "p_idle_one", "unknown_variable", "no_values",
-            "repeated_value", "integer_beyond_float_range",
+            "repeated_value", "integer_beyond_float_range", "link_budget_inf",
         ],
     )
     def test_bad_swept_value_is_usage_error(self, tmp_path, capsys, lines, message):

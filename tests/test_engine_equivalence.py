@@ -19,6 +19,7 @@ from crn_multicast.channel import ChannelModel, ChannelParams
 from crn_multicast.example_case import builtin_fixture, run_fixture
 from crn_multicast.experiment import ScenarioParams, run_scenario_sessions, seed_stages
 from crn_multicast.session import TreeKind
+from crn_multicast.topology import build_mst, generate_topology, layerize, prune_tree
 
 SCHEMES = tuple(Scheme)
 TREES = (TreeKind.SPT, TreeKind.MST)
@@ -113,3 +114,42 @@ def test_table_choice_matches_per_event_choice(table, scheme):
         one = ref.EventMetrics(pos[rows], rate[rows], np.zeros((n, len(mu))), mu, idle[e], np.full(len(mu), np.nan))
         want = ref.select_channel(scheme, one)
         assert chosen[e] == (-1 if want is None else want)
+
+
+# (n, area_side, comm_range, max_retries, seeds, grown): grown is how many of
+# the seeds end with a grown range, so the redraw path, range growth after
+# one or two placements, and a mix of both are all exercised.
+GEOMETRY_SETTINGS = [
+    (12, 200.0, 60.0, 100, 100, 0),
+    (40, 200.0, 60.0, 100, 100, 0),
+    (80, 150.0, 35.0, 100, 40, 0),
+    (160, 200.0, 60.0, 100, 20, 0),
+    (20, 200.0, 30.0, 2, 100, 100),
+    (40, 200.0, 20.0, 1, 100, 100),
+    (12, 200.0, 70.0, 2, 100, 71),
+]
+
+
+@pytest.mark.parametrize("n, area, comm_range, max_retries, seeds, grown", GEOMETRY_SETTINGS)
+def test_geometry_matches_reference(n, area, comm_range, max_retries, seeds, grown):
+    # Placement, edges, range growth and the MST at three roots against the
+    # reference engine's copy of the earlier geometry code; the pruned tree
+    # must match down to its dict order, and so must its layer schedule.
+    n_grown = 0
+    for seed in range(seeds):
+        got = generate_topology(n, area, comm_range, np.random.default_rng(seed), max_retries)
+        want = ref.generate_topology(n, area, comm_range, np.random.default_rng(seed), max_retries)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.edges == want.edges
+        assert (got.area_side, got.comm_range) == (want.area_side, want.comm_range)
+        n_grown += got.comm_range > comm_range
+        dests = np.random.default_rng((seed, 1)).choice(np.arange(1, n), size=max(1, n // 3), replace=False)
+        for root in (0, n // 2, n - 1):
+            tree, ref_tree = build_mst(got, root), ref.build_mst(want, root)
+            assert tree == ref_tree
+            if root == 0:
+                pruned, ref_pruned = prune_tree(tree, dests), prune_tree(ref_tree, dests)
+                assert list(pruned.parent.items()) == list(ref_pruned.parent.items())
+                assert pruned == ref_pruned
+                assert layerize(pruned) == layerize(ref_pruned)
+    assert n_grown == grown

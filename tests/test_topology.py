@@ -136,6 +136,13 @@ class TestGenerateTopology:
         with pytest.raises(ValueError):
             generate_topology(1, 100.0, 30.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("max_retries", [0, -1])
+    def test_no_placement_rejected(self, max_retries):
+        # with no placement drawn, range growth had nothing to grow on and
+        # raised UnboundLocalError
+        with pytest.raises(ValueError, match="max_retries must be at least 1"):
+            generate_topology(10, 100.0, 30.0, np.random.default_rng(0), max_retries)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("which", ["area_side", "comm_range"])
     def test_non_positive_or_non_finite_area_and_range_rejected(self, which, bad):
