@@ -22,6 +22,7 @@ from .assignment import Scheme
 from .config import SWEEP_OUT_DIR, Config, ConfigError, load_config, sweep_from_config
 from .example_case import builtin_fixture, check_fixture
 from .experiment import DataFormatError, read_aggregate_csv, run_scenario_sessions, run_sweep, write_sweep_csv
+from .phy import LinkBudgetError
 from .plotting import write_charts
 from .session import TreeKind, session_to_csv
 
@@ -165,7 +166,7 @@ def main(argv=None) -> int:
     handlers = {"example": cmd_example, "run": cmd_run, "sweep": cmd_sweep, "plot": cmd_plot}
     try:
         return handlers[args.command](args)
-    except (ConfigError, DataFormatError, OSError) as exc:
+    except (ConfigError, DataFormatError, LinkBudgetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # anything else is a defect; exit 1 stays reserved for example mismatches

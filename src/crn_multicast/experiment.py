@@ -108,6 +108,12 @@ class ScenarioParams:
                 f"pt_watts = {self.pt_watts!r} and carrier_freq_hz = {self.carrier_freq_hz!r} give a "
                 "non-finite link budget pt_watts * (wavelength / 4 pi)**2"
             )
+        # A zero noise power would divide every received power by zero.
+        if self.bandwidth_hz * self.noise_psd == 0.0:
+            raise ValueError(
+                f"bandwidth_hz = {self.bandwidth_hz!r} and noise_psd = {self.noise_psd!r} give a noise power "
+                "bandwidth_hz * noise_psd that underflows to 0"
+            )
 
     def phy(self) -> PhyParams:
         return PhyParams.from_carrier(

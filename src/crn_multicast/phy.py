@@ -14,6 +14,10 @@ import numpy as np
 SPEED_OF_LIGHT = 299_792_458.0
 
 
+class LinkBudgetError(ValueError):
+    """Radio parameters drive a link equation out of float range."""
+
+
 @dataclass(frozen=True)
 class PhyParams:
     """Radio parameters shared by every link in a scenario."""

@@ -24,7 +24,7 @@ import numpy as np
 
 from .assignment import Scheme, choose_channels, random_channel
 from .channel import ChannelModel
-from .phy import PhyParams, data_rate, pos, received_power, tx_time
+from .phy import LinkBudgetError, PhyParams, data_rate, pos, received_power, tx_time
 from .topology import LayerSchedule, Tree
 
 
@@ -129,16 +129,20 @@ def draw_raw(schedule: LayerSchedule, model: ChannelModel, rng: np.random.Genera
     one row per receiver slot.
     """
     m = model.m
-    uniform = np.empty((len(schedule.entries), m))
+    starts = starts_of(schedule).tolist()
+    uniform = np.empty((len(starts), m))
     residual = np.empty_like(uniform)
-    gains = []
-    for e, entry in enumerate(schedule.entries):
+    gains = np.empty((starts[-1] + len(schedule.entries[-1].receivers), m))
+    for e, (lo, entry) in enumerate(zip(starts, schedule.entries)):
         rng.random(out=uniform[e])
         # Residuals are drawn for every channel, busy ones included, so that
         # runs differing only in p_idle consume identical generator positions.
-        residual[e] = rng.exponential(model.mu_idle)
-        gains.append(rng.exponential(1.0, (len(entry.receivers), m)))
-    return uniform, residual, np.concatenate(gains)
+        rng.standard_exponential(out=residual[e])
+        rng.standard_exponential(out=gains[lo:lo + len(entry.receivers)])
+    # Scaling unit exponentials afterwards gives the same numbers as drawing
+    # each channel's exponential with its own mean.
+    residual *= model.mu_idle
+    return uniform, residual, gains
 
 
 def threshold_draws(raw, p_idle: np.ndarray):
@@ -152,10 +156,19 @@ def threshold_draws(raw, p_idle: np.ndarray):
 
 def link_metrics(phy: PhyParams, distances: np.ndarray, draws, mu_idle: np.ndarray, starts: np.ndarray) -> EventTable:
     """Evaluate the link equations for a whole tree at once: gains to received
-    power to rate to air time to success probability, per slot and channel."""
+    power to rate to air time to success probability, per slot and channel.
+
+    An infinite rate would give zero air time, so it is an error: the signal
+    to noise ratio overflows at a short enough distance whenever the transmit
+    power is large enough against the noise power."""
     idle, available, gains = draws
-    pr = received_power(phy, distances[:, None], gains)
-    rate = data_rate(phy, pr)
+    with np.errstate(over="ignore"):
+        rate = data_rate(phy, received_power(phy, distances[:, None], gains))
+    if not np.isfinite(rate).all():
+        raise LinkBudgetError(
+            f"pt_watts = {phy.pt!r} against a noise power bandwidth_hz * noise_psd = "
+            f"{phy.bandwidth * phy.noise_psd!r} W overflows the signal to noise ratio: a data rate is not finite"
+        )
     t = tx_time(phy, rate)
     slot_idle = np.repeat(idle, np.diff(starts, append=len(distances)), axis=0)
     p = np.where(slot_idle, pos(t, mu_idle[None, :]), 0.0)

@@ -1,19 +1,21 @@
 """Random node placements, multicast trees, and layered transmission schedules.
 
 A topology is a connected unit-disk graph: nodes placed uniformly in a square
-area, with an edge between every pair within communication range, weighted by
-Euclidean distance. Trees are rooted at the multicast source, pruned to the
-destination set, and split into breadth-first layers where each internal node
-transmits once to all of its children.
+area, with an edge between every pair within communication range, held as one
+(n, n) matrix of Euclidean edge lengths, inf off the edges. Trees are rooted
+at the multicast source (shortest paths by min-plus relaxation, giving the
+tree Dijkstra's algorithm builds; minimum spanning by Kruskal's algorithm),
+pruned to the destination set and split into breadth-first layers where each
+internal node transmits once to all of its children.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,23 +23,30 @@ import numpy as np
 @dataclass(frozen=True, eq=False)
 class Topology:
     """Connected undirected graph over node positions, an (n, 2) array in
-    meters; edges are (u, v, d) with u < v, d in meters."""
+    meters; weights is the symmetric (n, n) matrix of edge lengths in meters,
+    inf on the diagonal and wherever two nodes share no edge."""
 
     points: np.ndarray
-    edges: tuple[tuple[int, int, float], ...]
+    weights: np.ndarray
     area_side: float
     comm_range: float
+
+    @classmethod
+    def from_edges(cls, points, edges, area_side: float, comm_range: float) -> Topology:
+        weights = np.full((len(points), len(points)), math.inf)
+        for u, v, d in edges:
+            weights[u, v] = weights[v, u] = d
+        return cls(np.asarray(points, dtype=float), weights, area_side, comm_range)
 
     @property
     def n(self) -> int:
         return len(self.points)
 
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for u, v, d in self.edges:
-            adj[u].append((v, d))
-            adj[v].append((u, d))
-        return adj
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int, float], ...]:
+        """(u, v, d) per edge with u < v, in (u, v) order."""
+        u, v = np.nonzero(np.triu(self.weights < math.inf))
+        return tuple(zip(u.tolist(), v.tolist(), self.weights[u, v].tolist()))
 
 
 @dataclass(frozen=True)
@@ -89,19 +98,14 @@ class LayerSchedule:
 
 
 def generate_topology(
-    n: int,
-    area_side: float,
-    comm_range: float,
-    rng: np.random.Generator,
-    max_retries: int = 100,
+    n: int, area_side: float, comm_range: float, rng: np.random.Generator, max_retries: int = 100
 ) -> Topology:
     """Place n nodes uniformly in a square and connect pairs within range.
 
     A disconnected placement is redrawn, up to max_retries placements in all;
-    after that the last placement is kept and the range grown in 10% steps
-    until the graph connects (guaranteed at the area diagonal, where the graph
-    is complete). The returned comm_range is the range actually used, so a
-    grown range shows there and nowhere else.
+    then the last one is kept and the range grown in 10% steps until the graph
+    connects (at the latest at the area diagonal). The returned comm_range is
+    the range used, the only place a grown range shows.
     """
     if n < 2:
         raise ValueError("a topology needs at least 2 nodes")
@@ -112,8 +116,8 @@ def generate_topology(
     for attempt in itertools.count():
         if attempt < max_retries:
             pts = rng.uniform(0.0, area_side, size=(n, 2))
-            diff = pts[:, None, :] - pts[None, :, :]
-            dist = np.sqrt((diff**2).sum(axis=2))
+            dx, dy = pts.T[:, :, None] - pts.T[:, None, :]
+            dist = np.sqrt(dx * dx + dy * dy)
         else:
             comm_range *= 1.1
         # Connected iff the frontier grown from node 0 along in-range pairs reaches every node.
@@ -124,11 +128,8 @@ def generate_topology(
             reach = within[reach].any(axis=0)
         if size == n:
             break
-    iu, ju = np.triu_indices(n, k=1)
-    d = dist[iu, ju]
-    keep = d <= comm_range
-    edges = tuple(zip(iu[keep].tolist(), ju[keep].tolist(), d[keep].tolist()))
-    return Topology(pts, edges, area_side, comm_range)
+    weights = np.where(within & ~np.eye(n, dtype=bool), dist, math.inf)
+    return Topology(pts, weights, area_side, comm_range)
 
 
 def tree_from_parents(root: int, parent: dict[int, int], edge_dist: dict[int, float]) -> Tree:
@@ -142,50 +143,39 @@ def tree_from_parents(root: int, parent: dict[int, int], edge_dist: dict[int, fl
 
 
 def build_spt(topology: Topology, root: int) -> Tree:
-    """Shortest path tree rooted at root (Dijkstra).
+    """Shortest path tree rooted at root: the tree Dijkstra's algorithm builds.
 
-    Equal-distance ties keep the predecessor with the lower node id.
-    """
+    Distances relax as best[v] = min over u of best[u] + w[u, v] until none
+    changes; the parent of v is the lowest-id u closer to the root with
+    best[u] + w[u, v] == best[v], Dijkstra's rule for equal-distance ties."""
     if not 0 <= root < topology.n:
         raise ValueError(f"root {root} is not a node of the topology")
-    adj = topology.adjacency()
-    dist: dict[int, float] = {root: 0.0}
-    parent: dict[int, int] = {}
-    edge_dist: dict[int, float] = {}
-    done: set[int] = set()
-    heap: list[tuple[float, int]] = [(0.0, root)]
-    while heap:
-        du, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for v, w in adj[u]:
-            if v in done:
-                continue
-            nd = du + w
-            old = dist.get(v)
-            if old is None or nd < old:
-                dist[v] = nd
-                parent[v] = u
-                edge_dist[v] = w
-                heapq.heappush(heap, (nd, v))
-            elif nd == old and u < parent[v]:
-                parent[v] = u
-                edge_dist[v] = w
-    if len(done) != topology.n:
+    w = topology.weights
+    best, relaxed = None, np.where(np.arange(topology.n) == root, 0.0, math.inf)
+    while not np.array_equal(best, relaxed):
+        best = relaxed
+        relaxed = np.minimum(best, (best[:, None] + w).min(axis=0))
+    if np.isinf(best).any():
         raise ValueError("topology is not connected")
-    return tree_from_parents(root, parent, edge_dist)
+    on_path = (best[:, None] + w == best) & (best[:, None] < best)
+    kids = np.flatnonzero(on_path.any(axis=0))
+    if len(kids) != topology.n - 1:
+        raise ValueError("edge lengths too short to order the shortest paths")
+    parents = on_path[:, kids].argmax(axis=0)
+    keys = kids.tolist()
+    return tree_from_parents(root, dict(zip(keys, parents.tolist())), dict(zip(keys, w[parents, kids].tolist())))
 
 
 def build_mst(topology: Topology, root: int) -> Tree:
-    """Minimum spanning tree (Kruskal), rooted at root.
-
-    Equal-weight ties are broken by lexicographic (u, v) edge order, so the
-    edge set is deterministic and independent of the chosen root. A tree has
-    one path to each node, so its shortest path tree is the tree itself,
-    rooted; build_spt does the rooting.
-    """
-    head = list(range(topology.n))
+    """Minimum spanning tree (Kruskal, equal lengths taken in (u, v) order, so
+    the edge set does not depend on the root), rooted by a walk from root."""
+    n = topology.n
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} is not a node of the topology")
+    flat = np.flatnonzero((topology.weights < math.inf) & ~np.tri(n, dtype=bool))  # u * n + v with u < v
+    lengths = topology.weights.ravel()[flat]
+    order = np.argsort(lengths, kind="stable")  # equal lengths stay in (u, v) order
+    head = list(range(n))
 
     def find(x: int) -> int:
         while head[x] != x:
@@ -193,18 +183,28 @@ def build_mst(topology: Topology, root: int) -> Tree:
             x = head[x]
         return x
 
-    chosen: list[tuple[int, int, float]] = []
-    for u, v, w in sorted(topology.edges, key=lambda e: (e[2], e[0], e[1])):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            continue
-        head[rv] = ru
-        chosen.append((u, v, w))
-        if len(chosen) == topology.n - 1:
-            break
-    if len(chosen) != topology.n - 1:
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    joined = 1
+    for x, w in zip(flat[order].tolist(), lengths[order].tolist()):
+        a, b = divmod(x, n)
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            head[rb] = ra
+            adj[a].append((b, w))
+            adj[b].append((a, w))
+            joined += 1
+            if joined == n:
+                break
+    if joined != n:
         raise ValueError("topology is not connected")
-    return build_spt(Topology(topology.points, tuple(chosen), topology.area_side, topology.comm_range), root)
+    parent, edge_dist, stack = {}, {}, [root]
+    while stack:
+        x = stack.pop()
+        for y, w in adj[x]:
+            if y != root and y not in parent:
+                parent[y], edge_dist[y] = x, w
+                stack.append(y)
+    return tree_from_parents(root, parent, edge_dist)
 
 
 def prune_tree(tree: Tree, destinations) -> Tree:

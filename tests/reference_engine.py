@@ -1,7 +1,9 @@
 """Reference engine: the per-event session pipeline the event-table engine replaced.
 
 Kept only as a test oracle, independent of the package's draw, metric and
-selection code, and of its placement, connectivity and MST code. Every layer entry is drawn, evaluated, selected and judged
+selection code, and of its placement, connectivity, SPT and MST code, which
+work on a weight matrix where these copies keep edge tuples and adjacency
+lists. Every layer entry is drawn, evaluated, selected and judged
 on its own (draw_event -> link_metrics -> select_channel ->
 execute_schedule), exactly as sessions ran before whole-tree tables; fixture
 replays are parsed into the same per-event metrics. The equivalence tests
@@ -14,6 +16,7 @@ compared with `==` against the package's results and their derived traces.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -26,9 +29,7 @@ from crn_multicast.phy import PhyParams, data_rate, pos, received_power, tx_time
 from crn_multicast.session import HopRecord, SessionResult, TreeKind
 from crn_multicast.topology import (
     LayerSchedule,
-    Topology,
     Tree,
-    build_spt,
     layerize,
     prune_tree,
     tree_from_parents,
@@ -46,8 +47,31 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng((seed, *stream))
 
 
-# Geometry as the package had it before connectivity and MST rooting were
-# folded into one distance matrix and build_spt, kept verbatim as an oracle.
+# Geometry as the package had it before it moved to one weight matrix per
+# topology, kept verbatim as an oracle: tuple edges, adjacency lists, the heap
+# Dijkstra, and sorted-key Kruskal rooted by breadth-first search.
+
+@dataclass(frozen=True, eq=False)
+class Topology:
+    """Connected undirected graph over node positions, an (n, 2) array in
+    meters; edges are (u, v, d) with u < v, d in meters."""
+
+    points: np.ndarray
+    edges: tuple[tuple[int, int, float], ...]
+    area_side: float
+    comm_range: float
+
+    @property
+    def n(self) -> int:
+        return len(self.points)
+
+    def adjacency(self) -> list[list[tuple[int, float]]]:
+        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
+        for u, v, d in self.edges:
+            adj[u].append((v, d))
+            adj[v].append((u, d))
+        return adj
+
 
 def _pair_edges(pts: np.ndarray, comm_range: float) -> tuple[tuple[int, int, float], ...]:
     diff = pts[:, None, :] - pts[None, :, :]
@@ -104,6 +128,42 @@ def generate_topology(
                 comm_range = grown
                 break
     return Topology(pts, edges, area_side, comm_range)
+
+
+def build_spt(topology: Topology, root: int) -> Tree:
+    """Shortest path tree rooted at root (Dijkstra).
+
+    Equal-distance ties keep the predecessor with the lower node id.
+    """
+    if not 0 <= root < topology.n:
+        raise ValueError(f"root {root} is not a node of the topology")
+    adj = topology.adjacency()
+    dist: dict[int, float] = {root: 0.0}
+    parent: dict[int, int] = {}
+    edge_dist: dict[int, float] = {}
+    done: set[int] = set()
+    heap: list[tuple[float, int]] = [(0.0, root)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for v, w in adj[u]:
+            if v in done:
+                continue
+            nd = du + w
+            old = dist.get(v)
+            if old is None or nd < old:
+                dist[v] = nd
+                parent[v] = u
+                edge_dist[v] = w
+                heapq.heappush(heap, (nd, v))
+            elif nd == old and u < parent[v]:
+                parent[v] = u
+                edge_dist[v] = w
+    if len(done) != topology.n:
+        raise ValueError("topology is not connected")
+    return tree_from_parents(root, parent, edge_dist)
 
 
 def build_mst(topology: Topology, root: int) -> Tree:

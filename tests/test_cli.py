@@ -173,8 +173,15 @@ def test_unwritable_out_is_usage_error_before_any_trial(tmp_path, capsys, no_tri
             "run", "n_nodes = 12\nn_dest = 3\npt_watts = 1e300\ncarrier_freq_hz = 1e-10\n",
             "pt_watts = 1e+300 and carrier_freq_hz = 1e-10 give a non-finite link budget",
         ),
+        (
+            "run", "n_nodes = 12\nn_dest = 3\nnoise_psd = 1e-300\nbandwidth_hz = 1e-300\n",
+            "bandwidth_hz = 1e-300 and noise_psd = 1e-300 give a noise power bandwidth_hz * noise_psd that underflows to 0",
+        ),
     ],
-    ids=["range_nan", "pt_inf", "pt_nan", "bw_nan", "swept_pt_nan", "wavelength_inf", "link_budget_inf"],
+    ids=[
+        "range_nan", "pt_inf", "pt_nan", "bw_nan", "swept_pt_nan", "wavelength_inf", "link_budget_inf",
+        "noise_power_underflow",
+    ],
 )
 def test_non_finite_parameter_is_usage_error_before_any_trial(tmp_path, capsys, no_trials, command, lines, message):
     # before: a NaN range hung, an infinite power ended in a traceback, a
@@ -185,6 +192,19 @@ def test_non_finite_parameter_is_usage_error_before_any_trial(tmp_path, capsys, 
     code, out, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert code == 2
     assert err.startswith("error:") and message in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_overflowing_signal_to_noise_ratio_is_usage_error(tmp_path, capsys, command):
+    # pt_watts = 1e308 passes every parameter check: the signal to noise ratio
+    # overflows only at short distances. The infinite rate gave zero air time
+    # and a ZeroDivisionError, exit 3.
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("n_nodes = 12\nn_dest = 3\npt_watts = 1e308\ntrials = 1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith("error: pt_watts = 1e+308 against a noise power") and "data rate is not finite" in err
     assert out == ""
 
 
@@ -319,10 +339,14 @@ class TestBadSweepFailsFast:
                 "carrier_freq_hz = 1e-10\nsweep_variable = pt\nsweep_values = 0.1,1e300\n",
                 "pt = 1e+300: pt_watts = 1e+300 and carrier_freq_hz = 1e-10 give a non-finite link budget",
             ),
+            (
+                "noise_psd = 1e-30\nsweep_variable = bw\nsweep_values = 1e6,1e-300\n",
+                "bw = 1e-300: bandwidth_hz = 1e-300 and noise_psd = 1e-30 give a noise power",
+            ),
         ],
         ids=[
             "non_integral_M", "n_nodes_not_above_n_dest", "p_idle_one", "unknown_variable", "no_values",
-            "repeated_value", "integer_beyond_float_range", "link_budget_inf",
+            "repeated_value", "integer_beyond_float_range", "link_budget_inf", "noise_power_underflow",
         ],
     )
     def test_bad_swept_value_is_usage_error(self, tmp_path, capsys, lines, message):

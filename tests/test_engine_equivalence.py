@@ -19,7 +19,7 @@ from crn_multicast.channel import ChannelModel, ChannelParams
 from crn_multicast.example_case import builtin_fixture, run_fixture
 from crn_multicast.experiment import ScenarioParams, run_scenario_sessions, seed_stages
 from crn_multicast.session import TreeKind
-from crn_multicast.topology import build_mst, generate_topology, layerize, prune_tree
+from crn_multicast.topology import build_mst, build_spt, generate_topology, layerize, prune_tree
 
 SCHEMES = tuple(Scheme)
 TREES = (TreeKind.SPT, TreeKind.MST)
@@ -132,9 +132,10 @@ GEOMETRY_SETTINGS = [
 
 @pytest.mark.parametrize("n, area, comm_range, max_retries, seeds, grown", GEOMETRY_SETTINGS)
 def test_geometry_matches_reference(n, area, comm_range, max_retries, seeds, grown):
-    # Placement, edges, range growth and the MST at three roots against the
-    # reference engine's copy of the earlier geometry code; the pruned tree
-    # must match down to its dict order, and so must its layer schedule.
+    # Placement, edges, range growth, and the SPT and MST at three roots
+    # against the reference engine's copy of the earlier geometry code; the
+    # pruned trees must match down to their dict order, and so must their
+    # layer schedules.
     n_grown = 0
     for seed in range(seeds):
         got = generate_topology(n, area, comm_range, np.random.default_rng(seed), max_retries)
@@ -145,11 +146,12 @@ def test_geometry_matches_reference(n, area, comm_range, max_retries, seeds, gro
         n_grown += got.comm_range > comm_range
         dests = np.random.default_rng((seed, 1)).choice(np.arange(1, n), size=max(1, n // 3), replace=False)
         for root in (0, n // 2, n - 1):
-            tree, ref_tree = build_mst(got, root), ref.build_mst(want, root)
-            assert tree == ref_tree
-            if root == 0:
-                pruned, ref_pruned = prune_tree(tree, dests), prune_tree(ref_tree, dests)
-                assert list(pruned.parent.items()) == list(ref_pruned.parent.items())
-                assert pruned == ref_pruned
-                assert layerize(pruned) == layerize(ref_pruned)
+            for build, ref_build in ((build_spt, ref.build_spt), (build_mst, ref.build_mst)):
+                tree, ref_tree = build(got, root), ref_build(want, root)
+                assert tree == ref_tree
+                if root == 0:
+                    pruned, ref_pruned = prune_tree(tree, dests), prune_tree(ref_tree, dests)
+                    assert list(pruned.parent.items()) == list(ref_pruned.parent.items())
+                    assert pruned == ref_pruned
+                    assert layerize(pruned) == layerize(ref_pruned)
     assert n_grown == grown

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_engine as ref
 from crn_multicast.topology import (
     LayerEntry,
     Topology,
@@ -89,7 +90,7 @@ def path_topology(*weights):
         xs.append(xs[-1] + w)
     points = np.column_stack([xs, np.zeros(len(xs))])
     edges = tuple((i, i + 1, float(w)) for i, w in enumerate(weights))
-    return Topology(points, edges, area_side=max(xs), comm_range=max(weights))
+    return Topology.from_edges(points, edges, area_side=max(xs), comm_range=max(weights))
 
 
 # ---------------------------------------------------------------- generation
@@ -178,13 +179,40 @@ class TestShortestPathTree:
         # 0-1 and 0-2 weight 1; both 1-3 and 2-3 weight 1: two equal paths to 3
         points = np.column_stack([np.arange(4.0), np.zeros(4)])
         edges = ((0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0))
-        topo = Topology(points, edges, 4.0, 2.0)
+        topo = Topology.from_edges(points, edges, 4.0, 2.0)
         tree = build_spt(topo, 0)
         assert tree.parent[3] == 1
 
     def test_determinism(self):
         topo = generate_topology(20, 150.0, 60.0, np.random.default_rng(9))
         assert build_spt(topo, 0) == build_spt(topo, 0)
+
+    # Equal path sums over one hop and over two or three; every sum is exact
+    # in binary, so the tie is exact. Dijkstra keeps the lower-id predecessor,
+    # whichever of the two paths that lies on.
+    @pytest.mark.parametrize(
+        "root, edges, node, parent",
+        [
+            (0, ((0, 1, 2.0), (0, 2, 1.0), (1, 2, 1.0)), 1, 0),
+            (1, ((1, 2, 2.0), (0, 1, 1.0), (0, 2, 1.0)), 2, 0),
+            (0, ((0, 3, 2.0), (0, 1, 0.5), (1, 2, 0.5), (2, 3, 1.0)), 3, 0),
+            (3, ((0, 3, 2.0), (2, 3, 0.5), (1, 2, 0.5), (0, 1, 1.0)), 0, 1),
+        ],
+        ids=["direct_lower_two_hops", "relay_lower_two_hops", "direct_lower_three_hops", "relay_lower_three_hops"],
+    )
+    def test_equal_sums_over_different_hop_counts(self, root, edges, node, parent):
+        n = 1 + max(max(u, v) for u, v, _ in edges)
+        points = np.zeros((n, 2))
+        tree = build_spt(Topology.from_edges(points, edges, 1.0, 2.0), root)
+        assert tree.parent[node] == parent
+        assert tree == ref.build_spt(ref.Topology(points, edges, 1.0, 2.0), root)
+
+    def test_edge_too_short_to_order_paths_rejected(self):
+        # node 1 sits at zero distance from the root, so no node is closer
+        # to the root than it and it has no parent to take
+        topo = Topology.from_edges(np.zeros((3, 2)), ((0, 1, 0.0), (1, 2, 1.0)), 1.0, 1.0)
+        with pytest.raises(ValueError, match="edge lengths too short"):
+            build_spt(topo, 0)
 
 
 # ---------------------------------------------------------------- MST
@@ -193,7 +221,7 @@ class TestMinimumSpanningTree:
     def test_triangle(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         edges = ((0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0))
-        topo = Topology(points, edges, 3.0, 3.0)
+        topo = Topology.from_edges(points, edges, 3.0, 3.0)
         tree = build_mst(topo, 0)
         kept = {(min(v, p), max(v, p)) for v, p in tree.parent.items()}
         assert kept == {(0, 1), (0, 2)}
@@ -227,6 +255,13 @@ class TestMinimumSpanningTree:
             mst = build_mst(topo, 0)
             for v in range(topo.n):
                 assert spt.path_distance(v) <= mst.path_distance(v) + 1e-9
+
+
+@pytest.mark.parametrize("build", [build_spt, build_mst])
+def test_disconnected_graph_rejected_by_both_builders(build):
+    topo = Topology.from_edges(np.zeros((4, 2)), ((0, 1, 1.0), (2, 3, 1.0)), 1.0, 1.0)
+    with pytest.raises(ValueError, match="topology is not connected"):
+        build(topo, 0)
 
 
 # ---------------------------------------------------------------- pruning and layering
