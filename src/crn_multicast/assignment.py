@@ -44,7 +44,7 @@ def choose_channels(scheme: Scheme, pos, rate, mu_idle, idle, starts) -> np.ndar
         score = mu_idle[None, :]
     else:
         raise ValueError(f"scheme {scheme!r} does not choose by table")
-    best = np.argmax(np.where(idle, score, -np.inf), axis=1)
+    best = np.where(idle, score, -np.inf).argmax(axis=1)
     return np.where(idle.any(axis=1), best, -1)
 
 

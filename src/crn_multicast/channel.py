@@ -11,6 +11,7 @@ idle periods.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,11 +26,21 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class ChannelModel:
+    """Licensed channels of a scenario, checked on construction: sessions
+    use the mean idle durations and idle probabilities without checking
+    them again."""
+
     channels: tuple[ChannelParams, ...]
 
     def __post_init__(self):
         if len(self.channels) < 1:
             raise ValueError("a channel model needs at least one channel")
+        for j, c in enumerate(self.channels):
+            # Written so that NaN fails both tests.
+            if not 0.0 < c.mu_idle < math.inf:
+                raise ValueError(f"channel {j}: mu_idle must be finite and positive, got {c.mu_idle!r}")
+            if not 0.0 <= c.p_idle <= 1.0:
+                raise ValueError(f"channel {j}: p_idle must lie in [0, 1], got {c.p_idle!r}")
 
     @property
     def m(self) -> int:

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 example verification mismatch, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -27,7 +28,11 @@ from .plotting import write_charts
 from .session import TreeKind, session_to_csv
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every later
+    main call in the process: parsing leaves the parser unchanged, and each
+    parse gets a fresh namespace, with fresh lists for repeated flags."""
     parser = argparse.ArgumentParser(
         prog="crn-multicast",
         description="Monte Carlo simulator for tree-based multicast in cognitive radio networks",

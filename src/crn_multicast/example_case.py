@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .assignment import Scheme
-from .session import EventTable, SessionResult, execute_schedule, starts_of
+from .session import EventTable, SessionResult, execute_schedule, slot_index
 from .topology import Tree, layerize, prune_tree, tree_from_parents
 
 PACKET_BITS = 32768  # 4 KB
@@ -164,10 +164,11 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
     tx = np.array(tx_rows, dtype=float)
     with np.errstate(divide="ignore"):
         rate = np.where(tx > 0.0, packet_bits / tx, np.inf)
+    slots = slot_index(schedule, destinations)
     table = EventTable(
-        starts_of(schedule), idle, np.array(avail_rows, dtype=float), np.array(pos_rows, dtype=float), rate, tx, mu
+        slots.starts, idle, np.array(avail_rows, dtype=float), np.array(pos_rows, dtype=float), rate, tx, mu
     )
-    return execute_schedule(schedule, table, destinations, packet_bits, scheme, rng, replay_all=True)
+    return execute_schedule(schedule, table, slots, packet_bits, scheme, rng, replay_all=True)
 
 
 def check_fixture(fixture: dict, rel_tol: float = 0.005) -> tuple[bool, list[str], dict]:

@@ -25,12 +25,13 @@ from .channel import ChannelModel, make_channels
 from .phy import SPEED_OF_LIGHT, PhyParams
 from .session import (
     SessionResult,
+    SlotIndex,
     TreeKind,
     draw_raw,
     execute_schedule,
     link_metrics,
     slot_distances,
-    starts_of,
+    slot_index,
     threshold_draws,
 )
 from .topology import LayerSchedule, build_mst, build_spt, generate_topology, layerize, prune_tree
@@ -108,6 +109,18 @@ class ScenarioParams:
                 f"pt_watts = {self.pt_watts!r} and carrier_freq_hz = {self.carrier_freq_hz!r} give a "
                 "non-finite link budget pt_watts * (wavelength / 4 pi)**2"
             )
+        # Node distances come from squared coordinate differences of up to the
+        # area side: an overflowing squared diagonal makes them infinite, and
+        # a square below the smallest normal float loses them to underflow.
+        side_sq = self.area_side_m * self.area_side_m
+        if not _finite(side_sq + side_sq):
+            raise ValueError(
+                f"area_side_m = {self.area_side_m!r} gives a squared diagonal 2 * area_side_m**2 that overflows"
+            )
+        if side_sq < sys.float_info.min:
+            raise ValueError(
+                f"area_side_m = {self.area_side_m!r} gives a square area_side_m**2 below the smallest normal float"
+            )
         # A zero noise power would divide every received power by zero.
         if self.bandwidth_hz * self.noise_psd == 0.0:
             raise ValueError(
@@ -158,11 +171,11 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
 @dataclass(frozen=True)
 class TreeStages:
     """One pruned tree of a trial seed, ready for draws: its layer schedule,
-    each receiver slot's parent-edge distance and each event's first slot."""
+    each receiver slot's parent-edge distance and its slot index."""
 
     schedule: LayerSchedule
     distances: np.ndarray
-    starts: np.ndarray
+    slots: SlotIndex
 
 
 @dataclass(frozen=True)
@@ -204,7 +217,11 @@ def seed_stages(params: ScenarioParams, trees, seed: int) -> SeedStages:
         build = build_spt if tree_kind is TreeKind.SPT else build_mst
         pruned = prune_tree(build(topo, 0), destinations)
         schedule = layerize(pruned)
-        stages[tree_kind] = TreeStages(schedule, slot_distances(pruned, schedule), starts_of(schedule))
+        distances = slot_distances(pruned, schedule)
+        # The one check on distances: link_metrics runs the link equations unchecked.
+        if not (distances > 0.0).all():
+            raise ValueError("distance must be positive (co-located nodes)")
+        stages[tree_kind] = TreeStages(schedule, distances, slot_index(schedule, destinations))
     return SeedStages(seed, destinations, stages)
 
 
@@ -235,12 +252,12 @@ def run_scenario_sessions(
     for tree_kind in trees:
         tree = stages.trees[tree_kind]
         draws = threshold_draws(stages.raw(tree_kind, model), model.p_idle)
-        table = link_metrics(phy, tree.distances, draws, model.mu_idle, tree.starts)
+        table = link_metrics(phy, tree.distances, draws, model.mu_idle, tree.slots)
         for scheme in schemes:
             rs = scheme is Scheme.RS  # only random selection draws, so only rs gets a generator
             sel_rng = _rng(seed, _STREAM_SELECTION, _TREE_CODE[tree_kind], _SCHEME_CODE[scheme]) if rs else None
             results[(tree_kind, scheme)] = execute_schedule(
-                tree.schedule, table, stages.destinations, phy.packet_bits, scheme, sel_rng
+                tree.schedule, table, tree.slots, phy.packet_bits, scheme, sel_rng
             )
     return results
 

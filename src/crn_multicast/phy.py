@@ -48,7 +48,7 @@ def received_power(phy: PhyParams, d, gain):
         raise ValueError("distance must be positive (co-located nodes)")
     if np.any(gain < 0.0):
         raise ValueError("gain must be non-negative")
-    pr = phy.pt / d**phy.path_loss_exp * (phy.wavelength / (4.0 * math.pi)) ** 2 * gain
+    pr = _received_power(phy, d, gain)
     return float(pr) if pr.ndim == 0 else pr
 
 
@@ -57,7 +57,7 @@ def data_rate(phy: PhyParams, pr):
     pr = np.asarray(pr, dtype=float)
     if np.any(pr < 0.0):
         raise ValueError("received power must be non-negative")
-    r = phy.bandwidth * np.log2(1.0 + pr / (phy.bandwidth * phy.noise_psd))
+    r = _data_rate(phy, pr)
     return float(r) if r.ndim == 0 else r
 
 
@@ -67,7 +67,7 @@ def tx_time(phy: PhyParams, rate):
     if np.any(rate < 0.0):
         raise ValueError("rate must be non-negative")
     with np.errstate(divide="ignore"):
-        t = np.where(rate > 0.0, phy.packet_bits / rate, np.inf)
+        t = _tx_time(phy, rate)
     return float(t) if t.ndim == 0 else t
 
 
@@ -80,5 +80,42 @@ def pos(tx_time, mu_idle):
         raise ValueError("tx_time must be non-negative")
     if np.any(mu <= 0.0):
         raise ValueError("mu_idle must be positive")
-    p = np.exp(-t / mu)
+    p = _pos(t, mu)
     return float(p) if p.ndim == 0 else p
+
+
+def link_arrays(phy: PhyParams, d: np.ndarray, gain: np.ndarray, mu_idle: np.ndarray):
+    """Rate, air time and success probability of every (receiver, channel)
+    pair at once, from (R, 1) distances, (R, M) gains and (M,) mean idle
+    durations, without the range checks of the functions above.
+
+    For callers whose inputs hold by construction: distances positive (a
+    tree's parent edges, checked once per tree), gains non-negative
+    (exponential draws) and mean idle durations positive (ChannelModel
+    checks them), so received power, rate and air time are non-negative too.
+    Overflow gives an infinite rate, which the caller must reject.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        rate = _data_rate(phy, _received_power(phy, d, gain))
+        t = _tx_time(phy, rate)
+    return rate, t, _pos(t, mu_idle)
+
+
+# The link equations, each written once: the public functions above check
+# their inputs first, link_arrays relies on its callers.
+
+
+def _received_power(phy: PhyParams, d: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    return phy.pt / d**phy.path_loss_exp * (phy.wavelength / (4.0 * math.pi)) ** 2 * gain
+
+
+def _data_rate(phy: PhyParams, pr: np.ndarray) -> np.ndarray:
+    return phy.bandwidth * np.log2(1.0 + pr / (phy.bandwidth * phy.noise_psd))
+
+
+def _tx_time(phy: PhyParams, rate: np.ndarray) -> np.ndarray:
+    return np.where(rate > 0.0, phy.packet_bits / rate, np.inf)
+
+
+def _pos(t: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    return np.exp(-t / mu)

@@ -8,15 +8,28 @@ channel fits within the channel's sampled availability. A destination is
 delivered iff every hop on its root path succeeded, and its throughput is the
 packet size divided by the summed air time along that path.
 
-A session is evaluated as one event table per tree: the draws, link metrics
-and deterministic channel choices of every layer entry are whole-array
-operations, and only the judging of hops walks the schedule entry by entry.
+A session runs on flat arrays. Each receiver of a tree's layer schedule owns
+one slot, in schedule order, and a SlotIndex, built once per tree, says which
+entry each slot belongs to, which slot its transmitter received in, and where
+the destinations sit. A tree's draws and link metrics are one EventTable.
+pos, masa and mdr choose every entry's channel at once; rs picks entry by
+entry, drawing only for entries whose transmitter has the packet. Then one
+index over the slots reads each hop's air time and success on its chosen
+channel, and one pass from the root to the leaves sums the air times.
+
+Hop records (SessionResult.hops, and control_trace from them) are a view
+built from the table when first read; sampled sweeps never read it. Checks
+on inputs that hold by construction run once per tree or per model, not per
+table: seed_stages rejects co-located parent edges, ChannelModel non-positive
+mean idle durations; the phy functions keep every check for direct callers.
+EventTable(...) validates its arrays; link_metrics, whose arrays have the
+right shapes by construction, skips that and only rejects a non-finite rate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property
 
@@ -24,7 +37,7 @@ import numpy as np
 
 from .assignment import Scheme, choose_channels, random_channel
 from .channel import ChannelModel
-from .phy import LinkBudgetError, PhyParams, data_rate, pos, received_power, tx_time
+from .phy import LinkBudgetError, PhyParams, link_arrays
 from .topology import LayerSchedule, Tree
 
 
@@ -45,24 +58,46 @@ class HopRecord:
     available_time: float  # sampled availability of the chosen channel; NaN if none
 
 
-@dataclass(frozen=True)
-class SessionResult:
-    delivered: dict[int, bool]
-    throughput: dict[int, float]  # bits/s per destination; 0 when undelivered
-    total_throughput: float
-    avg_throughput: float  # total divided by the number of destinations
-    pdr: float  # delivered fraction of destinations
-    hops: tuple[HopRecord, ...]
+@dataclass(frozen=True, eq=False)
+class SlotIndex:
+    """Where the receiver slots of a layer schedule sit.
 
-    @property
-    def control_trace(self) -> tuple[tuple[str, int, int], ...]:
-        """(kind, from, to) per control message: each recorded hop announces
-        the packet to its receivers (MA), then collects their ACKs."""
-        trace = []
-        for hop in self.hops:
-            trace += [("MA", hop.transmitter, r) for r in hop.receivers]
-            trace += [("ACK", r, hop.transmitter) for r in hop.receivers]
-        return tuple(trace)
+    Entry e's receivers fill the slots from starts[e] on, in schedule order.
+    A transmitter other than the root received the packet in an earlier
+    entry, so every slot comes after its transmitter's slot, and one pass in
+    slot order runs from the root to the leaves.
+    """
+
+    starts: np.ndarray  # (E,) first slot of each entry
+    event: np.ndarray  # (R,) entry of each slot
+    tx_slot: list[int]  # (E,) slot of each entry's transmitter; -1 for the root
+    parent: list[int]  # (R,) slot of each slot's transmitter; -1 under the root
+    destinations: tuple[int, ...]  # sorted
+    dest_slot: list[int]  # slot of each destination, in the same order
+
+
+def starts_of(schedule: LayerSchedule) -> np.ndarray:
+    """First receiver slot of each schedule entry."""
+    counts = [len(entry.receivers) for entry in schedule.entries]
+    return np.cumsum([0, *counts[:-1]])
+
+
+def slot_events(starts: np.ndarray, n_slots: int) -> np.ndarray:
+    """(R,) entry of each of n_slots slots, from the first slot of each entry."""
+    return np.repeat(np.arange(len(starts)), np.diff(starts, append=n_slots))
+
+
+def slot_index(schedule: LayerSchedule, destinations) -> SlotIndex:
+    """Slot index of a layer schedule whose destinations are all receivers."""
+    receivers = [r for entry in schedule.entries for r in entry.receivers]
+    slot_of = {r: s for s, r in enumerate(receivers)}
+    starts = starts_of(schedule)
+    event = slot_events(starts, len(receivers))
+    tx_slot = [slot_of.get(entry.transmitter, -1) for entry in schedule.entries]
+    dests = tuple(sorted(destinations))
+    return SlotIndex(
+        starts, event, tx_slot, [tx_slot[e] for e in event.tolist()], dests, [slot_of[k] for k in dests]
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +118,7 @@ class EventTable:
     rate: np.ndarray  # (R, M) bits/s
     tx_time: np.ndarray  # (R, M) s
     mu_idle: np.ndarray  # (M,) mean availability per channel, s
+    event: np.ndarray = field(init=False)  # (R,) event of each slot, slot_events(starts, R)
 
     def __post_init__(self):
         e, (r, m) = len(self.starts), self.tx_time.shape
@@ -93,27 +129,72 @@ class EventTable:
         for name, shape in shapes.items():
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
-        if np.any(self.pos[~np.repeat(self.idle, counts, axis=0)] != 0.0):
+        object.__setattr__(self, "event", slot_events(self.starts, r))
+        if np.any(self.pos[~self.idle[self.event]] != 0.0):
             raise ValueError("busy channels must carry zero success probability")
 
-    @cached_property
-    def rows(self) -> tuple[list[int], list[list[float]], list[list[float]]]:
-        """Slot starts, air times and availabilities as plain lists for the
-        entry-by-entry judging loop."""
-        return self.starts.tolist(), self.tx_time.tolist(), self.available_time.tolist()
+    @classmethod
+    def _unchecked(cls, **arrays: np.ndarray) -> EventTable:
+        """A table from every field, event included, by name, for arrays that
+        meet __post_init__'s checks by construction; it skips them."""
+        if arrays.keys() != _TABLE_FIELDS:
+            raise TypeError(f"EventTable needs exactly the fields {sorted(_TABLE_FIELDS)}")
+        table = object.__new__(cls)
+        table.__dict__.update(arrays)
+        return table
 
     @cached_property
-    def idle_channels(self) -> list[list[int]]:
-        """Idle channel indices of each event, ascending."""
-        channels = np.nonzero(self.idle)[1].tolist()
-        ends = np.cumsum(self.idle.sum(axis=1)).tolist()
-        return [channels[lo:hi] for lo, hi in zip([0, *ends], ends)]
+    def fits(self) -> np.ndarray:
+        """(R, M) bool: whether the packet's air time to each slot fits within
+        its event's sampled availability of each channel, the success rule of
+        every hop. Busy channels never fit: their availability is NaN."""
+        return self.tx_time <= self.available_time[self.event]
 
 
-def starts_of(schedule: LayerSchedule) -> np.ndarray:
-    """First receiver slot of each schedule entry."""
-    counts = [len(entry.receivers) for entry in schedule.entries]
-    return np.cumsum([0, *counts[:-1]])
+_TABLE_FIELDS = frozenset(f.name for f in fields(EventTable))
+
+
+@dataclass(frozen=True)
+class SessionResult:
+    """Outcome of one session. == compares the outcome fields only; the hop
+    records are a view over the fields after them."""
+
+    delivered: dict[int, bool]
+    throughput: dict[int, float]  # bits/s per destination; 0 when undelivered
+    total_throughput: float
+    avg_throughput: float  # total divided by the number of destinations
+    pdr: float  # delivered fraction of destinations
+    schedule: LayerSchedule = field(repr=False, compare=False)
+    table: EventTable = field(repr=False, compare=False)
+    channels: np.ndarray = field(repr=False, compare=False)  # per entry; -1 for none or not picked
+    recorded: list[int] = field(repr=False, compare=False)  # entries the hop view lists
+
+    @cached_property
+    def hops(self) -> tuple[HopRecord, ...]:
+        """What happened at each recorded entry, in schedule order: in sampled
+        sessions every entry whose transmitter had the packet, in fixture
+        replays every entry."""
+        hops = []
+        for e in self.recorded:
+            entry, ch, lo = self.schedule.entries[e], int(self.channels[e]), int(self.table.starts[e])
+            tx, receivers, n = entry.transmitter, entry.receivers, len(entry.receivers)
+            if ch < 0:
+                hops.append(HopRecord(tx, receivers, None, (math.nan,) * n, (False,) * n, math.nan))
+                continue
+            times = tuple(self.table.tx_time[lo:lo + n, ch].tolist())
+            success = tuple(self.table.fits[lo:lo + n, ch].tolist())
+            hops.append(HopRecord(tx, receivers, ch, times, success, float(self.table.available_time[e, ch])))
+        return tuple(hops)
+
+    @property
+    def control_trace(self) -> tuple[tuple[str, int, int], ...]:
+        """(kind, from, to) per control message: each recorded hop announces
+        the packet to its receivers (MA), then collects their ACKs."""
+        trace = []
+        for hop in self.hops:
+            trace += [("MA", hop.transmitter, r) for r in hop.receivers]
+            trace += [("ACK", r, hop.transmitter) for r in hop.receivers]
+        return tuple(trace)
 
 
 def draw_raw(schedule: LayerSchedule, model: ChannelModel, rng: np.random.Generator):
@@ -154,7 +235,7 @@ def threshold_draws(raw, p_idle: np.ndarray):
     return idle, np.where(idle, residual, np.nan), gains
 
 
-def link_metrics(phy: PhyParams, distances: np.ndarray, draws, mu_idle: np.ndarray, starts: np.ndarray) -> EventTable:
+def link_metrics(phy: PhyParams, distances: np.ndarray, draws, mu_idle: np.ndarray, slots: SlotIndex) -> EventTable:
     """Evaluate the link equations for a whole tree at once: gains to received
     power to rate to air time to success probability, per slot and channel.
 
@@ -162,17 +243,17 @@ def link_metrics(phy: PhyParams, distances: np.ndarray, draws, mu_idle: np.ndarr
     to noise ratio overflows at a short enough distance whenever the transmit
     power is large enough against the noise power."""
     idle, available, gains = draws
-    with np.errstate(over="ignore"):
-        rate = data_rate(phy, received_power(phy, distances[:, None], gains))
+    rate, t, p = link_arrays(phy, distances[:, None], gains, mu_idle)
     if not np.isfinite(rate).all():
         raise LinkBudgetError(
             f"pt_watts = {phy.pt!r} against a noise power bandwidth_hz * noise_psd = "
             f"{phy.bandwidth * phy.noise_psd!r} W overflows the signal to noise ratio: a data rate is not finite"
         )
-    t = tx_time(phy, rate)
-    slot_idle = np.repeat(idle, np.diff(starts, append=len(distances)), axis=0)
-    p = np.where(slot_idle, pos(t, mu_idle[None, :]), 0.0)
-    return EventTable(starts, idle, available, p, rate, t, mu_idle)
+    p = np.where(idle[slots.event], p, 0.0)
+    return EventTable._unchecked(
+        starts=slots.starts, idle=idle, available_time=available, pos=p, rate=rate, tx_time=t, mu_idle=mu_idle,
+        event=slots.event,
+    )
 
 
 def slot_distances(tree: Tree, schedule: LayerSchedule) -> np.ndarray:
@@ -180,61 +261,72 @@ def slot_distances(tree: Tree, schedule: LayerSchedule) -> np.ndarray:
     return np.array([tree.edge_dist[r] for entry in schedule.entries for r in entry.receivers])
 
 
+def _random_channels(table: EventTable, slots: SlotIndex, rng: np.random.Generator | None, replay_all: bool):
+    """rs: one uniform pick among an entry's idle channels per entry whose
+    transmitter has the packet, or per entry under replay_all, in schedule
+    order. Which transmitters have it depends on the picks above them, so the
+    loop follows the packet down the tree as it picks."""
+    channels = [-1] * len(slots.tx_slot)
+    has = [False] * len(slots.parent) + [True]  # per slot; the extra last entry, slot -1, is the root
+    bounds = [*slots.starts.tolist(), len(slots.parent)]
+    for e, tx in enumerate(slots.tx_slot):
+        if has[tx] or replay_all:
+            channels[e] = ch = random_channel(table.idle[e].nonzero()[0].tolist(), rng)
+            if has[tx] and ch >= 0:
+                has[bounds[e]:bounds[e + 1]] = table.fits[bounds[e]:bounds[e + 1], ch].tolist()
+    return np.array(channels)
+
+
 def execute_schedule(
     schedule: LayerSchedule,
     table: EventTable,
-    destinations,
+    slots: SlotIndex,
     packet_bits: int,
     scheme: Scheme,
     rng: np.random.Generator | None = None,
     replay_all: bool = False,
 ) -> SessionResult:
-    """Run the per-layer select/judge loop over a schedule's event table.
+    """Choose every entry's channel, judge every hop and deliver along the
+    tree; slots is slot_index(schedule, destinations).
 
-    With replay_all=False (sampled sessions) an entry whose transmitter never
-    received the packet is skipped outright: no control messages, no decision,
-    no hop record, and under rs no draw from rng. With replay_all=True
-    (fixture replays) every entry is evaluated and recorded, but receivers
-    below a failed relay still count as undelivered.
+    A slot gets the packet iff its transmitter has it and its air time fits
+    within the availability of the chosen channel. Under rs an entry whose
+    transmitter never got the packet makes no rng call, except with
+    replay_all=True (fixture replays), where every entry picks and every
+    entry is listed in hops; sampled sessions list only the entries whose
+    transmitter had the packet.
     """
     if scheme is Scheme.RS:
-        channels = None
-        idle_channels = table.idle_channels
+        channels = _random_channels(table, slots, rng, replay_all)
     else:
-        channels = choose_channels(scheme, table.pos, table.rate, table.mu_idle, table.idle, table.starts).tolist()
-    starts, tx_rows, avail_rows = table.rows
-    air_time = {schedule.entries[0].transmitter: 0.0}  # reached nodes: summed air time from the root
-    hops = []
-    for e, entry in enumerate(schedule.entries):
-        tx, receivers = entry.transmitter, entry.receivers
-        live = tx in air_time
-        if not (live or replay_all):
-            continue
-        ch = channels[e] if channels is not None else random_channel(idle_channels[e], rng)
-        if ch < 0:
-            n = len(receivers)
-            hops.append(HopRecord(tx, receivers, None, (math.nan,) * n, (False,) * n, math.nan))
-            continue
-        avail = avail_rows[e][ch]
-        times = tuple([row[ch] for row in tx_rows[starts[e]:starts[e] + len(receivers)]])
-        success = tuple([t <= avail for t in times])
-        hops.append(HopRecord(tx, receivers, ch, times, success, avail))
-        if live:
-            base = air_time[tx]
-            for r, t, ok in zip(receivers, times, success):
-                if ok:
-                    air_time[r] = base + t
-    dests = sorted(destinations)
-    delivered = {k: k in air_time for k in dests}
-    throughput = {k: (packet_bits / air_time[k] if delivered[k] else 0.0) for k in dests}
+        channels = choose_channels(scheme, table.pos, table.rate, table.mu_idle, table.idle, table.starts)
+    slot_ch = channels[slots.event]
+    rows = np.arange(len(slot_ch))
+    success = (table.fits[rows, slot_ch] & (slot_ch >= 0)).tolist()
+    times = table.tx_time[rows, slot_ch].tolist()
+    # Air time summed from the root for each slot that got the packet, None
+    # for the others; the extra last entry, slot -1, is the root.
+    air: list[float | None] = [None] * len(times) + [0.0]
+    for s, (p, ok, t) in enumerate(zip(slots.parent, success, times)):
+        if ok and air[p] is not None:
+            air[s] = air[p] + t
+    dests = slots.destinations
+    delivered = {k: air[s] is not None for k, s in zip(dests, slots.dest_slot)}
+    throughput = {k: (packet_bits / air[s] if air[s] is not None else 0.0) for k, s in zip(dests, slots.dest_slot)}
     total = sum(throughput.values())
+    recorded = list(range(len(channels))) if replay_all else [
+        e for e, tx in enumerate(slots.tx_slot) if air[tx] is not None
+    ]
     return SessionResult(
         delivered=delivered,
         throughput=throughput,
         total_throughput=total,
         avg_throughput=total / len(dests),
         pdr=sum(delivered.values()) / len(dests),
-        hops=tuple(hops),
+        schedule=schedule,
+        table=table,
+        channels=channels,
+        recorded=recorded,
     )
 
 

@@ -10,8 +10,11 @@ replays are parsed into the same per-event metrics. The equivalence tests
 require the package's engine to reproduce these results bit for bit, hops
 and control trace included.
 
-Results are returned as (SessionResult, control trace) pairs, so they can be
-compared with `==` against the package's results and their derived traces.
+Results are returned as (Result, control trace) pairs. Result holds the
+same outcome fields as the package's SessionResult plus the hop records as
+a plain tuple, built in the loop, so the equivalence tests compare them
+field by field with the package's results, its hop view and its derived
+trace.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from crn_multicast.assignment import Scheme
 from crn_multicast.channel import ChannelModel
 from crn_multicast.phy import PhyParams, data_rate, pos, received_power, tx_time
-from crn_multicast.session import HopRecord, SessionResult, TreeKind
+from crn_multicast.session import HopRecord, TreeKind
 from crn_multicast.topology import (
     LayerSchedule,
     Tree,
@@ -219,6 +222,18 @@ def build_mst(topology: Topology, root: int) -> Tree:
 
 
 @dataclass(frozen=True)
+class Result:
+    """Outcome of one session, with every hop record."""
+
+    delivered: dict[int, bool]
+    throughput: dict[int, float]
+    total_throughput: float
+    avg_throughput: float
+    pdr: float
+    hops: tuple[HopRecord, ...]
+
+
+@dataclass(frozen=True)
 class EventMetrics:
     """Link metrics of one transmitter event: (receivers x channels) tables
     plus the event's (channels,) idle flags and sampled availability."""
@@ -314,7 +329,7 @@ def execute_schedule(schedule, per_event, destinations, packet_bits, scheme, rng
     delivered = {k: k in reached for k in dests}
     throughput = {k: (packet_bits / air_time[k] if delivered[k] else 0.0) for k in dests}
     total = sum(throughput.values())
-    result = SessionResult(
+    result = Result(
         delivered=delivered,
         throughput=throughput,
         total_throughput=total,

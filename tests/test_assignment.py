@@ -31,7 +31,7 @@ def select_channel(scheme, table, rng=None) -> int:
     """Channel the session engine picks for a one-event table; -1 when none
     is idle. rs draws through random_channel, the others choose by table."""
     if scheme is Scheme.RS:
-        return random_channel(table.idle_channels[0], rng)
+        return random_channel(table.idle[0].nonzero()[0].tolist(), rng)
     return int(choose_channels(scheme, table.pos, table.rate, table.mu_idle, table.idle, table.starts)[0])
 
 

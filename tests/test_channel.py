@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -46,6 +48,30 @@ class TestMakeChannels:
     def test_invalid_parameters_rejected(self, args):
         with pytest.raises(ValueError):
             make_channels(*args)
+
+
+class TestChannelModel:
+    @pytest.mark.parametrize(
+        "mu, p_idle, message",
+        [
+            (float("nan"), 0.5, "channel 1: mu_idle must be finite and positive, got nan"),
+            (float("inf"), 0.5, "mu_idle must be finite and positive, got inf"),
+            (0.0, 0.5, "mu_idle must be finite and positive, got 0.0"),
+            (-0.01, 0.5, "mu_idle must be finite and positive"),
+            (0.05, 1.5, "channel 1: p_idle must lie in [0, 1], got 1.5"),
+            (0.05, float("nan"), "p_idle must lie in [0, 1], got nan"),
+            (0.05, -0.1, "p_idle must lie in [0, 1]"),
+        ],
+    )
+    def test_invalid_channel_rejected_on_construction(self, mu, p_idle, message):
+        # before: a NaN mu_idle gave pdr 0 under every scheme, and p_idle
+        # 1.5 or NaN was accepted, when passed to run_scenario_sessions
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ChannelModel((ChannelParams(0.05, 0.5), ChannelParams(mu, p_idle)))
+
+    @pytest.mark.parametrize("p_idle", [0.0, 1.0])
+    def test_boundary_idle_probabilities_are_legal(self, p_idle):
+        assert ChannelModel((ChannelParams(0.05, p_idle),)).p_idle.tolist() == [p_idle]
 
 
 class TestEventState:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from crn_multicast.cli import main
+import crn_multicast
+from crn_multicast.cli import _build_parser, main
 from crn_multicast.example_case import builtin_fixture
 
 
@@ -177,16 +182,35 @@ def test_unwritable_out_is_usage_error_before_any_trial(tmp_path, capsys, no_tri
             "run", "n_nodes = 12\nn_dest = 3\nnoise_psd = 1e-300\nbandwidth_hz = 1e-300\n",
             "bandwidth_hz = 1e-300 and noise_psd = 1e-300 give a noise power bandwidth_hz * noise_psd that underflows to 0",
         ),
+        (
+            "run", "area_side_m = 1e300\n",
+            "area_side_m = 1e+300 gives a squared diagonal 2 * area_side_m**2 that overflows",
+        ),
+        (
+            "sweep", "area_side_m = 1e300\n",
+            "area_side_m = 1e+300 gives a squared diagonal 2 * area_side_m**2 that overflows",
+        ),
+        (
+            "run", "area_side_m = 1e-300\ncomm_range_m = 1e-300\n",
+            "area_side_m = 1e-300 gives a square area_side_m**2 below the smallest normal float",
+        ),
+        (
+            "sweep", "area_side_m = 1e-170\ncomm_range_m = 1e-170\n",
+            "area_side_m = 1e-170 gives a square area_side_m**2 below the smallest normal float",
+        ),
     ],
     ids=[
         "range_nan", "pt_inf", "pt_nan", "bw_nan", "swept_pt_nan", "wavelength_inf", "link_budget_inf",
-        "noise_power_underflow",
+        "noise_power_underflow", "run_area_diagonal_overflow", "sweep_area_diagonal_overflow",
+        "run_area_square_underflow", "sweep_area_square_underflow",
     ],
 )
 def test_non_finite_parameter_is_usage_error_before_any_trial(tmp_path, capsys, no_trials, command, lines, message):
     # before: a NaN range hung, an infinite power ended in a traceback, a
-    # NaN power or bandwidth exited 0 with every destination missed, and an
-    # infinite wavelength or link budget gave zero air time and a traceback
+    # NaN power or bandwidth exited 0 with every destination missed, an
+    # infinite wavelength or link budget gave zero air time and a traceback,
+    # and an area whose squared diagonal overflows, or whose square
+    # underflows, exited 3 on an infinite or unorderable distance
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(lines, encoding="utf-8")
     code, out, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(tmp_path / "out"))
@@ -357,6 +381,33 @@ class TestBadSweepFailsFast:
         assert code == 2
         assert err.startswith("error:") and message in err
         assert not out_dir.exists()
+
+
+def test_parser_is_reused_across_calls_without_carrying_state(tmp_path, capsys):
+    # main builds its parser once per process; each call must still print
+    # what a fresh process prints, whatever the calls before it parsed.
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMALL_CONFIG, encoding="utf-8")
+    calls = [
+        ["run", "--config", str(cfg), "--json", "--scheme", "masa", "--scheme", "mdr", "--tree", "mst"],
+        ["example", "--json"],
+        ["run", "--config", str(cfg), "--json"],
+        ["sweep", "--config", str(cfg), "--scheme", "rs", "--trials", "2", "--out", str(tmp_path / "sweep")],
+        ["run", "--config", str(cfg), "--json", "--scheme", "pos", "--seed", "4"],
+    ]
+    in_process = []
+    for argv in calls:
+        in_process.append(run_cli(capsys, *argv))
+    assert _build_parser.cache_info().misses <= 1
+    src = str(Path(crn_multicast.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    for argv, (code, out, err) in zip(calls, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "crn_multicast.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert json.loads(in_process[0][1]).keys() == {"mst/masa", "mst/mdr", "seed"}
+    assert json.loads(in_process[2][1]).keys() == {"spt/pos", "spt/rs", "seed"}
 
 
 def test_usage_error_exit_code():

@@ -3,8 +3,10 @@
 tests/reference_engine.py keeps the per-event pipeline that whole-tree tables
 replaced. Both engines draw from the same generator calls in the same order
 and apply the same arithmetic element by element, so their session results
-must be equal with `==`: every decision, hop record, control message,
-delivery and throughput, bit for bit.
+must be equal: every decision, hop record, control message, delivery and
+throughput, bit for bit. SessionResult's == sees only the outcome fields, so
+the hop records, a view the package builds when first read, are compared on
+their own.
 """
 
 from dataclasses import replace
@@ -38,9 +40,16 @@ CASES = {
 }
 
 
+OUTCOME_FIELDS = ("delivered", "throughput", "total_throughput", "avg_throughput", "pdr")
+
+
 def assert_same(got, want):
     result, trace = want
-    assert got == result
+    for name in OUTCOME_FIELDS:
+        assert getattr(got, name) == getattr(result, name), name
+    # HopRecord's == compares every field; a NaN matches only when both sides
+    # hold math.nan itself, which both engines use for a hop without a channel.
+    assert got.hops == result.hops
     assert got.control_trace == trace
 
 

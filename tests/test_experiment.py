@@ -21,6 +21,7 @@ from crn_multicast.experiment import (
     write_sweep_csv,
 )
 from crn_multicast.session import TreeKind
+from crn_multicast.topology import Topology
 
 SMALL = ScenarioParams(n_nodes=14, n_dest=5, m_channels=8)
 ALL_SCHEMES = (Scheme.POS, Scheme.MASA, Scheme.MDR, Scheme.RS)
@@ -31,12 +32,15 @@ class TestRunTrial:
         a = run_scenario_sessions(SMALL, [Scheme.POS], [TreeKind.SPT], seed=42)
         b = run_scenario_sessions(SMALL, [Scheme.POS], [TreeKind.SPT], seed=42)
         assert a == b
+        assert [r.hops for r in a.values()] == [r.hops for r in b.values()]
 
     def test_schemes_and_trees_share_draws(self):
         # adding schemes or tree kinds must not disturb anyone else's streams
         alone = run_scenario_sessions(SMALL, [Scheme.POS], [TreeKind.SPT], seed=7)
         together = run_scenario_sessions(SMALL, ALL_SCHEMES, [TreeKind.SPT, TreeKind.MST], seed=7)
-        assert together[(TreeKind.SPT, Scheme.POS)] == alone[(TreeKind.SPT, Scheme.POS)]
+        key = (TreeKind.SPT, Scheme.POS)
+        assert together[key] == alone[key]
+        assert together[key].hops == alone[key].hops
 
     def test_paired_schemes_see_identical_events(self):
         # availability is drawn once per (event, channel): two schemes picking
@@ -61,6 +65,7 @@ class TestRunTrial:
         outcomes = run_scenario_sessions(SMALL, ALL_SCHEMES, [TreeKind.SPT], seed=11, channel_model=model)
         first = outcomes[(TreeKind.SPT, Scheme.POS)]
         assert all(outcomes[(TreeKind.SPT, s)] == first for s in ALL_SCHEMES)
+        assert all(outcomes[(TreeKind.SPT, s)].hops == first.hops for s in ALL_SCHEMES)
 
     def test_always_idle_abundant_availability_delivers_all(self):
         model = ChannelModel(tuple(ChannelParams(1e6, 1.0) for _ in range(4)))
@@ -88,7 +93,32 @@ class TestRunTrial:
         stages = experiment.seed_stages(SMALL, trees, 9)
         for params in (SMALL, replace(SMALL, m_channels=3), replace(SMALL, p_idle=0.3, bandwidth_hz=2e6)):
             shared = run_scenario_sessions(params, ALL_SCHEMES, trees, 9, stages=stages)
-            assert shared == run_scenario_sessions(params, ALL_SCHEMES, trees, 9)
+            fresh = run_scenario_sessions(params, ALL_SCHEMES, trees, 9)
+            assert shared == fresh
+            assert [r.hops for r in shared.values()] == [r.hops for r in fresh.values()]
+
+    def test_sampled_sessions_build_no_hop_records(self, monkeypatch):
+        # Hop records are a view built when first read; sweeps never read it.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a hop record was built")
+
+        monkeypatch.setattr(session, "HopRecord", refuse)
+        spec = SweepSpec(base=SMALL, variable="p_idle", values=(0.3, 0.9), trials=3, seed=4)
+        rows, _ = run_sweep(spec)
+        assert len(rows) == 2 * 3 * len(ALL_SCHEMES) * 2
+        result = run_scenario_sessions(SMALL, ALL_SCHEMES, [TreeKind.SPT], seed=4)[(TreeKind.SPT, Scheme.RS)]
+        with pytest.raises(AssertionError, match="a hop record was built"):
+            result.hops
+
+    def test_co_located_nodes_rejected_once_per_tree(self, monkeypatch):
+        # link_metrics runs the link equations without range checks, so
+        # seed_stages rejects a zero parent-edge length of a pruned tree.
+        points = [(0.0, 0.0), (10.0, 0.0), (10.0, 0.0)]
+        topo = Topology.from_edges(points, [(0, 1, 10.0), (1, 2, 0.0)], 200.0, 60.0)
+        monkeypatch.setattr(experiment, "generate_topology", lambda *args: topo)
+        params = ScenarioParams(n_nodes=3, n_dest=2)
+        with pytest.raises(ValueError, match="distance must be positive"):
+            experiment.seed_stages(params, [TreeKind.MST], 0)
 
 
 class TestSweep:

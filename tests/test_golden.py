@@ -1,14 +1,19 @@
-"""Golden regression: a committed sweep must reproduce its committed CSVs.
+"""Golden regression: committed runs must reproduce their committed outputs.
 
 Criterion 9 compares two runs of the same code, so it cannot see drift
-between versions; these files can. A change that alters them on purpose
-regenerates them with
+between versions; these files can. The sweep files pin per-value averages,
+the run files per-destination throughputs of every tree and scheme. A change
+that alters them on purpose regenerates them with
 
     crn-multicast sweep --config tests/golden/sweep.cfg --out tests/golden
+    crn-multicast run --config tests/golden/run.cfg --seed 7 --json --out tests/golden/run \
+        | grep -v '^wrote ' > tests/golden/run/run.json
 
 and says why in CHANGES.md.
 """
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
@@ -16,6 +21,8 @@ import pytest
 from crn_multicast.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+RUN_GOLDEN = GOLDEN / "run"
+SESSION_FILES = sorted(p.name for p in RUN_GOLDEN.glob("session_*.csv"))
 
 
 @pytest.fixture(scope="module")
@@ -28,3 +35,28 @@ def rerun(tmp_path_factory):
 @pytest.mark.parametrize("name", ["trials.csv", "aggregate.csv"])
 def test_sweep_reproduces_golden_bytes(rerun, name):
     assert (rerun / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def rerun_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden_run")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["run", "--config", str(GOLDEN / "run.cfg"), "--seed", "7", "--json", "--out", str(out)]) == 0
+    report = "".join(line for line in stdout.getvalue().splitlines(keepends=True) if not line.startswith("wrote "))
+    return out, report
+
+
+def test_run_covers_every_tree_and_scheme():
+    assert len(SESSION_FILES) == 8
+
+
+def test_run_reproduces_golden_report(rerun_run):
+    _, report = rerun_run
+    assert report.encode() == (RUN_GOLDEN / "run.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", SESSION_FILES)
+def test_run_reproduces_golden_session_bytes(rerun_run, name):
+    out, _ = rerun_run
+    assert (out / name).read_bytes() == (RUN_GOLDEN / name).read_bytes()

@@ -224,7 +224,9 @@ class TestSampledSession:
 
     def test_same_seed_same_result(self):
         params = sampled_params(p_idle=0.6)
-        assert sampled(params, 33) == sampled(params, 33)
+        a, b = sampled(params, 33), sampled(params, 33)
+        assert a == b
+        assert a.hops == b.hops
 
     def test_delivered_count_matches_pdr(self):
         params = sampled_params(p_idle=0.6, mu=0.01)
