@@ -19,26 +19,22 @@ class ConfigError(Exception):
     """Bad configuration input (unknown key, unparsable value, bad combination)."""
 
 
-def _parse_schemes(text: str) -> tuple[Scheme, ...]:
-    out = []
-    for part in text.split(","):
-        name = part.strip().lower()
-        try:
-            out.append(Scheme(name))
-        except ValueError:
-            raise ConfigError(f"unknown scheme {name!r}, expected pos, masa, mdr or rs") from None
-    return tuple(out)
+def _enum_list(kind, noun: str):
+    """Parser of a comma-separated list of kind's values, any case."""
+    names = [k.value for k in kind]
+    expected = f"{', '.join(names[:-1])} or {names[-1]}"
 
+    def parse(text: str) -> tuple:
+        out = []
+        for part in text.split(","):
+            name = part.strip().lower()
+            try:
+                out.append(kind(name))
+            except ValueError:
+                raise ConfigError(f"unknown {noun} {name!r}, expected {expected}") from None
+        return tuple(out)
 
-def _parse_trees(text: str) -> tuple[TreeKind, ...]:
-    out = []
-    for part in text.split(","):
-        name = part.strip().lower()
-        try:
-            out.append(TreeKind(name))
-        except ValueError:
-            raise ConfigError(f"unknown tree kind {name!r}, expected spt or mst") from None
-    return tuple(out)
+    return parse
 
 
 def _parse_values(text: str) -> tuple:
@@ -69,8 +65,8 @@ SWEEP_OUT_DIR = "out"
 _SCENARIO_KEYS = {f.name: type(f.default) for f in fields(ScenarioParams)}
 
 _HARNESS_KEYS = {
-    "schemes": _parse_schemes,
-    "trees": _parse_trees,
+    "schemes": _enum_list(Scheme, "scheme"),
+    "trees": _enum_list(TreeKind, "tree kind"),
     "sweep_variable": str.strip,
     "sweep_values": _parse_values,
     "trials": int,

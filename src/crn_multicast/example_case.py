@@ -18,6 +18,7 @@ from a file; channel ids inside it are 1-based as in the tables above.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -138,6 +139,8 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
     selections can be inspected; delivery still requires the full root path to
     succeed. Data rates are recovered from the air times, so rate-based
     selection stays available. rng feeds random selection.
+    Every value read is checked, as fixtures come from outside the program;
+    a null air time is an infinite one (a zero rate).
     """
     tree = _tree_from_fixture(fixture)
     destinations = [int(d) for d in fixture["destinations"]]
@@ -146,8 +149,14 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
     events = fixture["events"]
     if len(events) != len(schedule.entries):
         raise ValueError(f"expected {len(schedule.entries)} events for this tree, got {len(events)}")
-    packet_bits = int(fixture["packet_bits"])
+    packet_bits = fixture["packet_bits"]
+    if isinstance(packet_bits, bool) or not isinstance(packet_bits, numbers.Integral) or packet_bits < 1:
+        raise ValueError(f"packet_bits must be a positive integer, got {packet_bits!r}")
     mu = np.asarray(fixture["mu_ms"], dtype=float) / 1000.0
+    if mu.size == 0:
+        raise ValueError("metrics need at least one receiver per event and one channel")
+    if mu.ndim != 1 or not (np.isfinite(mu) & (mu > 0.0)).all():
+        raise ValueError(f"mu_ms must be a list of finite positive numbers, got {fixture['mu_ms']!r}")
     idle = np.zeros((len(events), mu.size), dtype=bool)
     pos_rows, tx_rows, avail_rows = [], [], []
     for e, (entry, ev) in enumerate(zip(schedule.entries, events)):
@@ -161,14 +170,26 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
             pos_rows.append(ev["pos"][str(r)])
             tx_rows.append([math.inf if t is None else t for t in ev["tx_time_s"][str(r)]])
         avail_rows.append([math.nan if a is None else a for a in ev["available_time_s"]])
-    tx = np.array(tx_rows, dtype=float)
+    slots = slot_index(tree, schedule, destinations)
+    pos, tx, available = (np.array(rows, dtype=float) for rows in (pos_rows, tx_rows, avail_rows))
+    for name, array in (("pos", pos), ("tx_time", tx), ("available_time", available)):
+        if array.shape != (len(array), mu.size):  # one row per receiver or event by construction
+            raise ValueError(f"{name} must have shape {(len(array), mu.size)}")
+    slot_idle, slot_avail = idle[slots.event], available[slots.event]
+    at = [f"event of transmitter {x.transmitter}, receiver {v}" for x in schedule.entries for v in x.receivers]
+    for bad, values, message in (
+        (~((pos >= 0.0) & (pos <= 1.0)), pos, "pos must lie in [0, 1]"),
+        (~slot_idle & (pos != 0.0), pos, "busy channels must carry zero success probability"),
+        (slot_idle & ~(tx > 0.0), tx, "air time on an idle channel must be positive (null: infinite)"),
+        (slot_idle & ~(slot_avail >= 0.0), slot_avail, "availability of an idle channel must be a number >= 0"),
+    ):
+        if bad.any():
+            s, j = np.argwhere(bad)[0]
+            raise ValueError(f"{at[s]}, channel {j + 1}: {message}, got {float(values[s, j])!r}")
     with np.errstate(divide="ignore"):
         rate = np.where(tx > 0.0, packet_bits / tx, np.inf)
-    slots = slot_index(schedule, destinations)
-    table = EventTable(
-        slots.starts, idle, np.array(avail_rows, dtype=float), np.array(pos_rows, dtype=float), rate, tx, mu
-    )
-    return execute_schedule(schedule, table, slots, packet_bits, scheme, rng, replay_all=True)
+    table = EventTable(slots, idle, available, pos, rate, tx, mu)
+    return execute_schedule(schedule, table, packet_bits, scheme, rng, replay_all=True)
 
 
 def check_fixture(fixture: dict, rel_tol: float = 0.005) -> tuple[bool, list[str], dict]:

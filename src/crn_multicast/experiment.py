@@ -30,7 +30,6 @@ from .session import (
     draw_raw,
     execute_schedule,
     link_metrics,
-    slot_distances,
     slot_index,
     threshold_draws,
 )
@@ -170,11 +169,10 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class TreeStages:
-    """One pruned tree of a trial seed, ready for draws: its layer schedule,
-    each receiver slot's parent-edge distance and its slot index."""
+    """One pruned tree of a trial seed, ready for draws: its layer schedule
+    and its slot index."""
 
     schedule: LayerSchedule
-    distances: np.ndarray
     slots: SlotIndex
 
 
@@ -217,11 +215,11 @@ def seed_stages(params: ScenarioParams, trees, seed: int) -> SeedStages:
         build = build_spt if tree_kind is TreeKind.SPT else build_mst
         pruned = prune_tree(build(topo, 0), destinations)
         schedule = layerize(pruned)
-        distances = slot_distances(pruned, schedule)
+        slots = slot_index(pruned, schedule, destinations)
         # The one check on distances: link_metrics runs the link equations unchecked.
-        if not (distances > 0.0).all():
+        if not (slots.distances > 0.0).all():
             raise ValueError("distance must be positive (co-located nodes)")
-        stages[tree_kind] = TreeStages(schedule, distances, slot_index(schedule, destinations))
+        stages[tree_kind] = TreeStages(schedule, slots)
     return SeedStages(seed, destinations, stages)
 
 
@@ -252,13 +250,11 @@ def run_scenario_sessions(
     for tree_kind in trees:
         tree = stages.trees[tree_kind]
         draws = threshold_draws(stages.raw(tree_kind, model), model.p_idle)
-        table = link_metrics(phy, tree.distances, draws, model.mu_idle, tree.slots)
+        table = link_metrics(phy, draws, model.mu_idle, tree.slots)
         for scheme in schemes:
             rs = scheme is Scheme.RS  # only random selection draws, so only rs gets a generator
             sel_rng = _rng(seed, _STREAM_SELECTION, _TREE_CODE[tree_kind], _SCHEME_CODE[scheme]) if rs else None
-            results[(tree_kind, scheme)] = execute_schedule(
-                tree.schedule, table, tree.slots, phy.packet_bits, scheme, sel_rng
-            )
+            results[(tree_kind, scheme)] = execute_schedule(tree.schedule, table, phy.packet_bits, scheme, sel_rng)
     return results
 
 

@@ -9,27 +9,28 @@ delivered iff every hop on its root path succeeded, and its throughput is the
 packet size divided by the summed air time along that path.
 
 A session runs on flat arrays. Each receiver of a tree's layer schedule owns
-one slot, in schedule order, and a SlotIndex, built once per tree, says which
-entry each slot belongs to, which slot its transmitter received in, and where
-the destinations sit. A tree's draws and link metrics are one EventTable.
-pos, masa and mdr choose every entry's channel at once; rs picks entry by
-entry, drawing only for entries whose transmitter has the packet. Then one
-index over the slots reads each hop's air time and success on its chosen
-channel, and one pass from the root to the leaves sums the air times.
+one slot, in schedule order, and a SlotIndex, built once per tree, is the one
+description of that layout: each slot's entry, transmitter slot and parent
+edge length, and the destinations' slots. A tree's draws and link metrics
+are one EventTable over it. pos, masa and mdr choose every entry's channel
+at once; rs picks entry by entry, drawing only for entries whose transmitter
+has the packet. Then one index over the slots reads each hop's air time and
+success on its chosen channel, and one pass from the root to the leaves sums
+the air times.
 
 Hop records (SessionResult.hops, and control_trace from them) are a view
-built from the table when first read; sampled sweeps never read it. Checks
-on inputs that hold by construction run once per tree or per model, not per
-table: seed_stages rejects co-located parent edges, ChannelModel non-positive
-mean idle durations; the phy functions keep every check for direct callers.
-EventTable(...) validates its arrays; link_metrics, whose arrays have the
-right shapes by construction, skips that and only rejects a non-finite rate.
+built from the table when first read; sampled sweeps never read it. Inputs
+are checked where they enter, once: seed_stages rejects co-located parent
+edges, ChannelModel non-positive mean idle durations, link_metrics a
+non-finite rate, and example_case.run_fixture every fixture value. An
+EventTable checks nothing; the phy functions keep every check for direct
+callers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -60,7 +61,7 @@ class HopRecord:
 
 @dataclass(frozen=True, eq=False)
 class SlotIndex:
-    """Where the receiver slots of a layer schedule sit.
+    """Where the receiver slots of a tree's layer schedule sit.
 
     Entry e's receivers fill the slots from starts[e] on, in schedule order.
     A transmitter other than the root received the packet in an earlier
@@ -74,84 +75,44 @@ class SlotIndex:
     parent: list[int]  # (R,) slot of each slot's transmitter; -1 under the root
     destinations: tuple[int, ...]  # sorted
     dest_slot: list[int]  # slot of each destination, in the same order
+    distances: np.ndarray  # (R,) parent-edge length of each slot's receiver
 
 
-def starts_of(schedule: LayerSchedule) -> np.ndarray:
-    """First receiver slot of each schedule entry."""
-    counts = [len(entry.receivers) for entry in schedule.entries]
-    return np.cumsum([0, *counts[:-1]])
-
-
-def slot_events(starts: np.ndarray, n_slots: int) -> np.ndarray:
-    """(R,) entry of each of n_slots slots, from the first slot of each entry."""
-    return np.repeat(np.arange(len(starts)), np.diff(starts, append=n_slots))
-
-
-def slot_index(schedule: LayerSchedule, destinations) -> SlotIndex:
-    """Slot index of a layer schedule whose destinations are all receivers."""
+def slot_index(tree: Tree, schedule: LayerSchedule, destinations) -> SlotIndex:
+    """Slot index of a tree's layer schedule whose destinations are all receivers."""
     receivers = [r for entry in schedule.entries for r in entry.receivers]
     slot_of = {r: s for s, r in enumerate(receivers)}
-    starts = starts_of(schedule)
-    event = slot_events(starts, len(receivers))
+    counts = [len(entry.receivers) for entry in schedule.entries]
+    event = np.repeat(np.arange(len(counts)), counts)
     tx_slot = [slot_of.get(entry.transmitter, -1) for entry in schedule.entries]
     dests = tuple(sorted(destinations))
     return SlotIndex(
-        starts, event, tx_slot, [tx_slot[e] for e in event.tolist()], dests, [slot_of[k] for k in dests]
+        np.cumsum([0, *counts[:-1]]), event, tx_slot, [tx_slot[e] for e in event.tolist()], dests,
+        [slot_of[k] for k in dests], np.array([tree.edge_dist[r] for r in receivers]),
     )
 
 
 @dataclass(frozen=True, eq=False)
 class EventTable:
-    """Link metrics of every entry of a layer schedule, as flat arrays.
+    """Link metrics of every entry of a layer schedule, as flat arrays in the
+    slot layout of slots. Per-event arrays are (events x channels),
+    per-receiver ones (slots x channels); busy channels carry zero success
+    probability. Builders check what they pass in (see the module docstring)."""
 
-    Events are the schedule entries in order. Their receivers fill
-    consecutive slots in the same order, so event e owns the slots from
-    starts[e] up to the next event's start. Per-event arrays are (events x
-    channels), per-receiver ones (slots x channels); busy channels carry
-    zero success probability.
-    """
-
-    starts: np.ndarray  # (E,) first slot of each event
+    slots: SlotIndex
     idle: np.ndarray  # (E, M) bool
     available_time: np.ndarray  # (E, M) s; NaN on busy channels
     pos: np.ndarray  # (R, M) success probability
     rate: np.ndarray  # (R, M) bits/s
     tx_time: np.ndarray  # (R, M) s
     mu_idle: np.ndarray  # (M,) mean availability per channel, s
-    event: np.ndarray = field(init=False)  # (R,) event of each slot, slot_events(starts, R)
-
-    def __post_init__(self):
-        e, (r, m) = len(self.starts), self.tx_time.shape
-        counts = np.diff(self.starts, append=r)
-        if m == 0 or e == 0 or self.starts[0] != 0 or np.any(counts < 1):
-            raise ValueError("metrics need at least one receiver per event and one channel")
-        shapes = {"pos": (r, m), "rate": (r, m), "mu_idle": (m,), "idle": (e, m), "available_time": (e, m)}
-        for name, shape in shapes.items():
-            if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} must have shape {shape}")
-        object.__setattr__(self, "event", slot_events(self.starts, r))
-        if np.any(self.pos[~self.idle[self.event]] != 0.0):
-            raise ValueError("busy channels must carry zero success probability")
-
-    @classmethod
-    def _unchecked(cls, **arrays: np.ndarray) -> EventTable:
-        """A table from every field, event included, by name, for arrays that
-        meet __post_init__'s checks by construction; it skips them."""
-        if arrays.keys() != _TABLE_FIELDS:
-            raise TypeError(f"EventTable needs exactly the fields {sorted(_TABLE_FIELDS)}")
-        table = object.__new__(cls)
-        table.__dict__.update(arrays)
-        return table
 
     @cached_property
     def fits(self) -> np.ndarray:
         """(R, M) bool: whether the packet's air time to each slot fits within
         its event's sampled availability of each channel, the success rule of
         every hop. Busy channels never fit: their availability is NaN."""
-        return self.tx_time <= self.available_time[self.event]
-
-
-_TABLE_FIELDS = frozenset(f.name for f in fields(EventTable))
+        return self.tx_time <= self.available_time[self.slots.event]
 
 
 @dataclass(frozen=True)
@@ -176,7 +137,7 @@ class SessionResult:
         replays every entry."""
         hops = []
         for e in self.recorded:
-            entry, ch, lo = self.schedule.entries[e], int(self.channels[e]), int(self.table.starts[e])
+            entry, ch, lo = self.schedule.entries[e], int(self.channels[e]), int(self.table.slots.starts[e])
             tx, receivers, n = entry.transmitter, entry.receivers, len(entry.receivers)
             if ch < 0:
                 hops.append(HopRecord(tx, receivers, None, (math.nan,) * n, (False,) * n, math.nan))
@@ -209,17 +170,18 @@ def draw_raw(schedule: LayerSchedule, model: ChannelModel, rng: np.random.Genera
     these draws. Returns (E, M) uniforms, (E, M) residuals and (R, M) gains,
     one row per receiver slot.
     """
-    m = model.m
-    starts = starts_of(schedule).tolist()
-    uniform = np.empty((len(starts), m))
+    m, entries = model.m, schedule.entries
+    uniform = np.empty((len(entries), m))
     residual = np.empty_like(uniform)
-    gains = np.empty((starts[-1] + len(schedule.entries[-1].receivers), m))
-    for e, (lo, entry) in enumerate(zip(starts, schedule.entries)):
+    gains = np.empty((sum(len(entry.receivers) for entry in entries), m))
+    hi = 0
+    for e, entry in enumerate(entries):
         rng.random(out=uniform[e])
         # Residuals are drawn for every channel, busy ones included, so that
         # runs differing only in p_idle consume identical generator positions.
         rng.standard_exponential(out=residual[e])
-        rng.standard_exponential(out=gains[lo:lo + len(entry.receivers)])
+        lo, hi = hi, hi + len(entry.receivers)
+        rng.standard_exponential(out=gains[lo:hi])
     # Scaling unit exponentials afterwards gives the same numbers as drawing
     # each channel's exponential with its own mean.
     residual *= model.mu_idle
@@ -235,37 +197,30 @@ def threshold_draws(raw, p_idle: np.ndarray):
     return idle, np.where(idle, residual, np.nan), gains
 
 
-def link_metrics(phy: PhyParams, distances: np.ndarray, draws, mu_idle: np.ndarray, slots: SlotIndex) -> EventTable:
+def link_metrics(phy: PhyParams, draws, mu_idle: np.ndarray, slots: SlotIndex) -> EventTable:
     """Evaluate the link equations for a whole tree at once: gains to received
-    power to rate to air time to success probability, per slot and channel.
+    power to rate to air time to success probability, per slot and channel,
+    over each slot's parent-edge distance in slots.
 
     An infinite rate would give zero air time, so it is an error: the signal
     to noise ratio overflows at a short enough distance whenever the transmit
     power is large enough against the noise power."""
     idle, available, gains = draws
-    rate, t, p = link_arrays(phy, distances[:, None], gains, mu_idle)
+    rate, t, p = link_arrays(phy, slots.distances[:, None], gains, mu_idle)
     if not np.isfinite(rate).all():
         raise LinkBudgetError(
             f"pt_watts = {phy.pt!r} against a noise power bandwidth_hz * noise_psd = "
             f"{phy.bandwidth * phy.noise_psd!r} W overflows the signal to noise ratio: a data rate is not finite"
         )
-    p = np.where(idle[slots.event], p, 0.0)
-    return EventTable._unchecked(
-        starts=slots.starts, idle=idle, available_time=available, pos=p, rate=rate, tx_time=t, mu_idle=mu_idle,
-        event=slots.event,
-    )
+    return EventTable(slots, idle, available, np.where(idle[slots.event], p, 0.0), rate, t, mu_idle)
 
 
-def slot_distances(tree: Tree, schedule: LayerSchedule) -> np.ndarray:
-    """Parent-edge distance of each receiver slot of a tree's layer schedule."""
-    return np.array([tree.edge_dist[r] for entry in schedule.entries for r in entry.receivers])
-
-
-def _random_channels(table: EventTable, slots: SlotIndex, rng: np.random.Generator | None, replay_all: bool):
+def _random_channels(table: EventTable, rng: np.random.Generator | None, replay_all: bool):
     """rs: one uniform pick among an entry's idle channels per entry whose
     transmitter has the packet, or per entry under replay_all, in schedule
     order. Which transmitters have it depends on the picks above them, so the
     loop follows the packet down the tree as it picks."""
+    slots = table.slots
     channels = [-1] * len(slots.tx_slot)
     has = [False] * len(slots.parent) + [True]  # per slot; the extra last entry, slot -1, is the root
     bounds = [*slots.starts.tolist(), len(slots.parent)]
@@ -280,14 +235,13 @@ def _random_channels(table: EventTable, slots: SlotIndex, rng: np.random.Generat
 def execute_schedule(
     schedule: LayerSchedule,
     table: EventTable,
-    slots: SlotIndex,
     packet_bits: int,
     scheme: Scheme,
     rng: np.random.Generator | None = None,
     replay_all: bool = False,
 ) -> SessionResult:
     """Choose every entry's channel, judge every hop and deliver along the
-    tree; slots is slot_index(schedule, destinations).
+    tree of schedule, whose slots table.slots lays out.
 
     A slot gets the packet iff its transmitter has it and its air time fits
     within the availability of the chosen channel. Under rs an entry whose
@@ -296,10 +250,11 @@ def execute_schedule(
     entry is listed in hops; sampled sessions list only the entries whose
     transmitter had the packet.
     """
+    slots = table.slots
     if scheme is Scheme.RS:
-        channels = _random_channels(table, slots, rng, replay_all)
+        channels = _random_channels(table, rng, replay_all)
     else:
-        channels = choose_channels(scheme, table.pos, table.rate, table.mu_idle, table.idle, table.starts)
+        channels = choose_channels(scheme, table.pos, table.rate, table.mu_idle, table.idle, slots.starts)
     slot_ch = channels[slots.event]
     rows = np.arange(len(slot_ch))
     success = (table.fits[rows, slot_ch] & (slot_ch >= 0)).tolist()

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from crn_multicast.assignment import Scheme, choose_channels, random_channel
-from crn_multicast.session import EventTable
+from crn_multicast.session import EventTable, slot_index
+from crn_multicast.topology import layerize, tree_from_parents
 
 MU_S = np.array([0.010, 0.020, 0.030, 0.040, 0.050, 0.060])
 
@@ -24,7 +25,11 @@ def metrics_from_pos(pos_rows, busy, mu=MU_S, packet_bits=32768):
         tx = np.where(pos > 0.0, -mu[None, :] * np.log(np.maximum(pos, 1e-300)), np.inf)
     with np.errstate(divide="ignore"):
         rate = np.where(np.isfinite(tx), packet_bits / tx, 0.0)
-    return EventTable(np.zeros(1, dtype=np.intp), idle[None, :], np.where(idle, mu, np.nan)[None, :], pos, rate, tx, mu)
+    # one transmitter, node 0, with a receiver per row, at unit distance
+    receivers = range(1, len(pos) + 1)
+    tree = tree_from_parents(0, {r: 0 for r in receivers}, {r: 1.0 for r in receivers})
+    slots = slot_index(tree, layerize(tree), receivers)
+    return EventTable(slots, idle[None, :], np.where(idle, mu, np.nan)[None, :], pos, rate, tx, mu)
 
 
 def select_channel(scheme, table, rng=None) -> int:
@@ -32,7 +37,7 @@ def select_channel(scheme, table, rng=None) -> int:
     is idle. rs draws through random_channel, the others choose by table."""
     if scheme is Scheme.RS:
         return random_channel(table.idle[0].nonzero()[0].tolist(), rng)
-    return int(choose_channels(scheme, table.pos, table.rate, table.mu_idle, table.idle, table.starts)[0])
+    return int(choose_channels(scheme, table.pos, table.rate, table.mu_idle, table.idle, table.slots.starts)[0])
 
 
 def group_table():
@@ -161,16 +166,6 @@ class TestEdgeCases:
         rows = [[0.7, 0.7, 0.3, 0, 0, 0]]
         metrics = metrics_from_pos(rows, busy=(4, 5, 6))
         assert select_channel(Scheme.POS, metrics) == 0
-
-    def test_busy_channel_with_nonzero_pos_rejected(self):
-        table = metrics_from_pos([[0.5, 0.0]], busy=(2,), mu=MU_S[:2])
-        with pytest.raises(ValueError, match="busy channels"):
-            replace(table, pos=np.array([[0.5, 0.5]]))
-
-    def test_shape_mismatch_rejected(self):
-        table = metrics_from_pos([[0.5] * 6, [0.5] * 6], busy=())
-        with pytest.raises(ValueError, match="pos must have shape"):
-            replace(table, pos=np.zeros((1, 6)))
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -72,6 +73,58 @@ class TestExampleCommand:
         assert code == 2
         assert err.startswith("error:") and f"idle channel ids [{channel_id}] outside 1..6" in err
         assert out == ""
+
+
+    # Event 0 is node 1 -> 2, 6, 8, 9 with channels 2 and 3 busy; channel 5 is chosen.
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("events", 0, "tx_time_s", "6", 4), 0.0,
+             "event of transmitter 1, receiver 6, channel 5: air time on an idle channel must be positive"),
+            (("events", 0, "tx_time_s", "6", 4), -0.001, "positive (null: infinite), got -0.001"),
+            (("events", 0, "tx_time_s", "8", 0), math.nan, "positive (null: infinite), got nan"),
+            (("events", 0, "available_time_s", 4), None,
+             "channel 5: availability of an idle channel must be a number >= 0, got nan"),
+            (("events", 1, "available_time_s", 2), -0.001, "a number >= 0, got -0.001"),
+            (("mu_ms", 5), -60, "mu_ms must be a list of finite positive numbers"),
+            (("mu_ms", 0), 0.0, "mu_ms must be a list of finite positive numbers"),
+            (("mu_ms", 0), math.inf, "mu_ms must be a list of finite positive numbers"),
+            (("packet_bits",), -5, "packet_bits must be a positive integer, got -5"),
+            (("packet_bits",), 0.5, "packet_bits must be a positive integer, got 0.5"),
+            (("events", 0, "pos", "9", 3), 1.5, "receiver 9, channel 4: pos must lie in [0, 1], got 1.5"),
+            (("events", 2, "pos", "7", 0), -0.1, "pos must lie in [0, 1], got -0.1"),
+        ],
+        ids=[
+            "air_time_zero", "air_time_negative", "air_time_nan", "availability_missing", "availability_negative",
+            "mu_negative", "mu_zero", "mu_inf", "packet_bits_negative", "packet_bits_fraction", "pos_above_one",
+            "pos_negative",
+        ],
+    )
+    def test_bad_fixture_value_is_usage_error(self, tmp_path, capsys, path, value, message):
+        # before: a zero air time on the chosen channel ended in a traceback
+        # (exit 3), a negative one delivered at a negative throughput, and a
+        # negative mean availability or a negative or fractional packet size
+        # changed the outcome or the throughputs without an error
+        fixture = builtin_fixture()
+        *keys, last = path
+        target = fixture
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        file = tmp_path / "fixture.json"
+        file.write_text(json.dumps(fixture), encoding="utf-8")
+        code, out, err = run_cli(capsys, "example", "--fixture", str(file))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and message in err
+
+    def test_null_air_time_on_an_idle_channel_is_an_infinite_one(self, tmp_path, capsys):
+        fixture = builtin_fixture()
+        fixture["events"][0]["tx_time_s"]["6"][4] = None  # zero rate: destination 6 misses the packet
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(fixture), encoding="utf-8")
+        code, out, err = run_cli(capsys, "example", "--fixture", str(path))
+        assert (code, err) == (1, "")
+        assert "destination 6: missed" in out
 
 
 SMALL_CONFIG = """

@@ -47,9 +47,18 @@ def test_list_values_parse():
     assert values["sweep_values"] == (0.1, 0.9)
 
 
-def test_unknown_scheme_rejected():
-    with pytest.raises(ConfigError, match="nope"):
-        parse_config_text("schemes = pos,nope\n")
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("schemes = pos,Nope\n", "unknown scheme 'nope', expected pos, masa, mdr or rs"),
+        ("trees = spt, TREE\n", "unknown tree kind 'tree', expected spt or mst"),
+    ],
+    ids=["scheme", "tree"],
+)
+def test_unknown_list_value_rejected(line, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(line)
+    assert str(err.value) == message
 
 
 def test_overrides_beat_file_values(tmp_path):

@@ -2,12 +2,15 @@
 
 Criterion 9 compares two runs of the same code, so it cannot see drift
 between versions; these files can. The sweep files pin per-value averages,
-the run files per-destination throughputs of every tree and scheme. A change
-that alters them on purpose regenerates them with
+the run files per-destination throughputs of every tree and scheme, and the
+example files both reports of the worked example. A change that alters them
+on purpose regenerates them with
 
     crn-multicast sweep --config tests/golden/sweep.cfg --out tests/golden
     crn-multicast run --config tests/golden/run.cfg --seed 7 --json --out tests/golden/run \
         | grep -v '^wrote ' > tests/golden/run/run.json
+    crn-multicast example > tests/golden/example/example.txt
+    crn-multicast example --json > tests/golden/example/example.json
 
 and says why in CHANGES.md.
 """
@@ -60,3 +63,9 @@ def test_run_reproduces_golden_report(rerun_run):
 def test_run_reproduces_golden_session_bytes(rerun_run, name):
     out, _ = rerun_run
     assert (out / name).read_bytes() == (RUN_GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name, argv", [("example.txt", ["example"]), ("example.json", ["example", "--json"])])
+def test_example_reproduces_golden_report(capsys, name, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "example" / name).read_bytes()

@@ -151,6 +151,20 @@ class TestInjectedSession:
         with pytest.raises(ValueError, match="stray nodes: \\[2\\]"):
             replay([(0, 1), (0, 2)], [ev], {1})  # leaf 2 is not a destination
 
+    def test_busy_channel_with_nonzero_pos_rejected(self):
+        fixture = builtin_fixture()
+        fixture["events"][0]["pos"]["2"][1] = 0.5  # channel 2 is busy in the first event
+        with pytest.raises(ValueError, match="busy channels must carry zero success probability"):
+            run_fixture(fixture)
+
+    def test_shape_mismatch_rejected(self):
+        fixture = builtin_fixture()
+        for ev in fixture["events"]:
+            for row in ev["pos"].values():
+                row.pop()  # five columns for six channels
+        with pytest.raises(ValueError, match=r"pos must have shape \(6, 6\)"):
+            run_fixture(fixture)
+
 
 # ------------------------------------------------------------ sampled sessions
 
