@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
 from .assignment import Scheme
-from .session import EventTable, SessionResult, execute_schedule, slot_index
+from .session import EventTable, SessionResult, judge, select_channels, session_results, slot_index
 from .topology import Tree, layerize, prune_tree, tree_from_parents
 
 PACKET_BITS = 32768  # 4 KB
@@ -152,6 +153,8 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
     packet_bits = fixture["packet_bits"]
     if isinstance(packet_bits, bool) or not isinstance(packet_bits, numbers.Integral) or packet_bits < 1:
         raise ValueError(f"packet_bits must be a positive integer, got {packet_bits!r}")
+    if packet_bits > sys.float_info.max:
+        raise ValueError(f"packet_bits must not exceed the largest float, {sys.float_info.max!r}")
     mu = np.asarray(fixture["mu_ms"], dtype=float) / 1000.0
     if mu.size == 0:
         raise ValueError("metrics need at least one receiver per event and one channel")
@@ -176,20 +179,22 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
         if array.shape != (len(array), mu.size):  # one row per receiver or event by construction
             raise ValueError(f"{name} must have shape {(len(array), mu.size)}")
     slot_idle, slot_avail = idle[slots.event], available[slots.event]
+    with np.errstate(divide="ignore", over="ignore"):
+        rate = np.where(tx > 0.0, float(packet_bits) / tx, np.inf)
     at = [f"event of transmitter {x.transmitter}, receiver {v}" for x in schedule.entries for v in x.receivers]
     for bad, values, message in (
         (~((pos >= 0.0) & (pos <= 1.0)), pos, "pos must lie in [0, 1]"),
         (~slot_idle & (pos != 0.0), pos, "busy channels must carry zero success probability"),
         (slot_idle & ~(tx > 0.0), tx, "air time on an idle channel must be positive (null: infinite)"),
+        (slot_idle & ~(rate < math.inf), tx, "packet_bits / air time overflows the data rate"),
         (slot_idle & ~(slot_avail >= 0.0), slot_avail, "availability of an idle channel must be a number >= 0"),
     ):
         if bad.any():
             s, j = np.argwhere(bad)[0]
             raise ValueError(f"{at[s]}, channel {j + 1}: {message}, got {float(values[s, j])!r}")
-    with np.errstate(divide="ignore"):
-        rate = np.where(tx > 0.0, packet_bits / tx, np.inf)
     table = EventTable(slots, idle, available, pos, rate, tx, mu)
-    return execute_schedule(schedule, table, packet_bits, scheme, rng, replay_all=True)
+    channels = select_channels(table, scheme, [rng], replay_all=True)[:, None]
+    return session_results(schedule, table, channels, judge(table, channels, packet_bits), replay_all=True)[0]
 
 
 def check_fixture(fixture: dict, rel_tol: float = 0.005) -> tuple[bool, list[str], dict]:

@@ -5,9 +5,11 @@ same pre-drawn channel states and fading gains under every requested scheme
 (common random numbers), so scheme comparisons differ only in channel choice.
 Sweeps repeat trials with seeds seed+i at each value of one swept variable and
 aggregate means with 95% normal-approximation confidence intervals. A sweep
-runs seed by seed: what a seed fixes regardless of the swept value (its
-geometry, and its raw draws once per distinct channel count) is built once
-and shared by every value, while rows stay in value-major order.
+runs in blocks of trial seeds: what a seed fixes regardless of the swept value
+(its geometry, and its raw draws once per distinct channel count) is built
+once per block and shared by every value, each (value, tree kind) of a block
+is one stacked event table judged in one pass, and rows stay in value-major
+order, as if every trial had run on its own.
 """
 
 from __future__ import annotations
@@ -24,13 +26,18 @@ from .assignment import Scheme
 from .channel import ChannelModel, make_channels
 from .phy import SPEED_OF_LIGHT, PhyParams
 from .session import (
+    EventTable,
+    Judgement,
     SessionResult,
     SlotIndex,
     TreeKind,
     draw_raw,
-    execute_schedule,
+    judge,
     link_metrics,
+    select_channels,
+    session_results,
     slot_index,
+    stack_slots,
     threshold_draws,
 )
 from .topology import LayerSchedule, build_mst, build_spt, generate_topology, layerize, prune_tree
@@ -167,6 +174,14 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng((seed, *stream))
 
 
+def _selection_seeds(seeds, tree_kind: TreeKind) -> list[np.random.SeedSequence]:
+    """Seed sequence of each seed's rs generator for one tree kind, hashed
+    once: np.random.Generator(np.random.PCG64(seq)) gives the stream of
+    _rng(seed, _STREAM_SELECTION, tree code, rs code) without hashing again."""
+    stream = (_STREAM_SELECTION, _TREE_CODE[tree_kind], _SCHEME_CODE[Scheme.RS])
+    return [np.random.SeedSequence((seed, *stream)) for seed in seeds]
+
+
 @dataclass(frozen=True)
 class TreeStages:
     """One pruned tree of a trial seed, ready for draws: its layer schedule
@@ -186,15 +201,38 @@ class SeedStages:
     trees: dict[TreeKind, TreeStages]
     _raw: dict = field(default_factory=dict, repr=False, compare=False)
 
+    def draw(self, tree_kind: TreeKind, model: ChannelModel):
+        """The tree's raw draws (session.draw_raw) under model, from the
+        tree's own generator."""
+        rng = _rng(self.seed, _STREAM_EVENTS, _TREE_CODE[tree_kind])
+        return draw_raw(self.trees[tree_kind].schedule, model, rng)
+
     def raw(self, tree_kind: TreeKind, model: ChannelModel):
-        """The tree's raw draws (session.draw_raw) under model, taken when
-        first asked for. They are keyed on what draw_raw reads of the model,
-        its mean idle durations (whose length is M), so models differing
-        only in p_idle share them."""
+        """The tree's raw draws, taken when first asked for. They are keyed
+        on what draw_raw reads of the model, its mean idle durations (whose
+        length is M), so models differing only in p_idle share them."""
         key = (tree_kind, model.mu_idle.tobytes())
         if key not in self._raw:
-            rng = _rng(self.seed, _STREAM_EVENTS, _TREE_CODE[tree_kind])
-            self._raw[key] = draw_raw(self.trees[tree_kind].schedule, model, rng)
+            self._raw[key] = self.draw(tree_kind, model)
+        return self._raw[key]
+
+
+@dataclass(frozen=True)
+class BlockStages:
+    """The stages of a block of trial seeds, stacked seed after seed: per
+    tree kind one slot index, and raw draws keyed as in SeedStages.raw.
+    Each seed draws from its own generators, and only the stacked draws are
+    kept."""
+
+    seeds: list[SeedStages]
+    slots: dict[TreeKind, SlotIndex]
+    _raw: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def raw(self, tree_kind: TreeKind, model: ChannelModel):
+        key = (tree_kind, model.mu_idle.tobytes())
+        if key not in self._raw:
+            draws = [stages.draw(tree_kind, model) for stages in self.seeds]
+            self._raw[key] = tuple(np.concatenate(parts) for parts in zip(*draws))
         return self._raw[key]
 
 
@@ -236,8 +274,9 @@ def run_scenario_sessions(
     All schemes of one tree kind see bitwise-identical channel states and
     gains; only their channel decisions (and hence successes) differ.
     channel_model defaults to the one params describes, and stages to
-    seed_stages(params, trees, seed); a sweep passes stages it shares across
-    values, which must equal what that default would build.
+    seed_stages(params, trees, seed); a caller may pass stages it shares
+    across scenarios, which must equal what that default would build. Each
+    tree kind is a block of one seed for _judge_block, as in run_sweep.
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")
@@ -249,13 +288,26 @@ def run_scenario_sessions(
     results: dict[tuple[TreeKind, Scheme], SessionResult] = {}
     for tree_kind in trees:
         tree = stages.trees[tree_kind]
-        draws = threshold_draws(stages.raw(tree_kind, model), model.p_idle)
-        table = link_metrics(phy, draws, model.mu_idle, tree.slots)
-        for scheme in schemes:
-            rs = scheme is Scheme.RS  # only random selection draws, so only rs gets a generator
-            sel_rng = _rng(seed, _STREAM_SELECTION, _TREE_CODE[tree_kind], _SCHEME_CODE[scheme]) if rs else None
-            results[(tree_kind, scheme)] = execute_schedule(tree.schedule, table, phy.packet_bits, scheme, sel_rng)
+        selection = _selection_seeds([seed], tree_kind) if Scheme.RS in schemes else []
+        table, channels, judged = _judge_block(phy, model, schemes, tree.slots, stages.raw(tree_kind, model), selection)
+        for scheme, result in zip(schemes, session_results(tree.schedule, table, channels, judged)):
+            results[(tree_kind, scheme)] = result
     return results
+
+
+def _judge_block(
+    phy: PhyParams, model: ChannelModel, schemes, slots: SlotIndex, raw, selection
+) -> tuple[EventTable, np.ndarray, Judgement]:
+    """Link metrics of one tree kind over a block of seeds, whose slot index
+    and raw draws come stacked seed after seed, then every scheme's channels
+    and their judgement in one pass. selection holds each seed's rs seed
+    sequence; every rs scheme gets fresh generators from them."""
+    table = link_metrics(phy, threshold_draws(raw, model.p_idle), model.mu_idle, slots)
+    channels = np.empty((len(slots.starts), len(schemes)), dtype=np.intp)
+    for k, scheme in enumerate(schemes):
+        rngs = [np.random.Generator(np.random.PCG64(seq)) for seq in selection] if scheme is Scheme.RS else ()
+        channels[:, k] = select_channels(table, scheme, rngs)
+    return table, channels, judge(table, channels, phy.packet_bits)
 
 
 @dataclass(frozen=True)
@@ -325,32 +377,50 @@ class AggregateRow:
     trials: int
 
 
-def _mean_ci95(values: list[float]) -> tuple[float, float]:
-    mean = float(np.mean(values))
-    if len(values) < 2:
-        return mean, 0.0
-    half = 1.96 * float(np.std(values, ddof=1)) / math.sqrt(len(values))
-    return mean, half
-
-
 def aggregate_trials(rows: list[TrialRow]) -> list[AggregateRow]:
     """Collapse per-trial rows into mean and CI rows, one per
-    (tree, scheme, value), in first-seen order."""
-    groups: dict[tuple, list[TrialRow]] = {}
-    for row in rows:
-        groups.setdefault((row.tree, row.scheme, row.variable, row.value), []).append(row)
-    out = []
-    for (tree, scheme, variable, value), members in groups.items():
-        mean_tp, ci_tp = _mean_ci95([r.avg_throughput_bps for r in members])
-        mean_pdr, ci_pdr = _mean_ci95([r.pdr for r in members])
-        out.append(
-            AggregateRow(tree, scheme, variable, value, mean_tp, ci_tp, mean_pdr, ci_pdr, len(members))
-        )
-    return out
+    (tree, scheme, value), in first-seen order.
+
+    Groups with equally many members are reduced together, one group per
+    row of a (groups x members) array, so each group's mean and standard
+    deviation (ddof=1) are numpy's for that group alone. A group of one has
+    a CI of 0."""
+    groups: dict[tuple, list[int]] = {}
+    for k, row in enumerate(rows):
+        groups.setdefault((row.tree, row.scheme, row.variable, row.value), []).append(k)
+    members = list(groups.values())
+    by_size: dict[int, list[int]] = {}
+    for g, ks in enumerate(members):
+        by_size.setdefault(len(ks), []).append(g)
+    # Per group: mean throughput, its CI, mean PDR, its CI.
+    stats = np.zeros((len(members), 4))
+    for column, values in enumerate((
+        np.array([r.avg_throughput_bps for r in rows]), np.array([r.pdr for r in rows]),
+    )):
+        for size, gs in by_size.items():
+            matrix = values[[members[g] for g in gs]]
+            stats[gs, 2 * column] = matrix.mean(axis=1)
+            if size > 1:
+                stats[gs, 2 * column + 1] = 1.96 * matrix.std(axis=1, ddof=1) / math.sqrt(size)
+    return [
+        AggregateRow(tree, scheme, variable, value, mean_tp, ci_tp, mean_pdr, ci_pdr, len(ks))
+        for (tree, scheme, variable, value), ks, (mean_tp, ci_tp, mean_pdr, ci_pdr)
+        in zip(groups, members, stats.tolist())
+    ]
 
 
 # Swept fields that change a trial seed's geometry, so seed_stages cannot be shared.
 _GEOMETRY_FIELDS = {"n_nodes", "n_dest"}
+
+# Trial seeds judged together: each tree kind's tables of a block's seeds are
+# stacked into one, so per-call overhead is paid per block rather than per seed.
+BLOCK_SEEDS = 64
+
+
+def _block_stages(params: ScenarioParams, trees, seeds) -> BlockStages:
+    """seed_stages of every seed of a block, stacked."""
+    block = [seed_stages(params, trees, seed) for seed in seeds]
+    return BlockStages(block, {t: stack_slots([stages.trees[t].slots for stages in block]) for t in trees})
 
 
 def run_sweep(spec: SweepSpec) -> tuple[list[TrialRow], list[AggregateRow]]:
@@ -358,22 +428,40 @@ def run_sweep(spec: SweepSpec) -> tuple[list[TrialRow], list[AggregateRow]]:
 
     Reusing trial seeds across values pairs the sweep points through common
     topologies and draws, which keeps trends smooth at modest trial counts.
-    Trials run seed by seed, so a seed's stages, and the raw draws they take,
-    are built once for all values unless the geometry is swept, and only one
-    seed's are alive at a time; channel models are built once per value.
-    Rows come out value-major.
+    Trials run in blocks of up to BLOCK_SEEDS seeds (BlockStages). Each
+    seed's stages and raw draws come from its own generators, as in
+    run_scenario_sessions, stacked seed after seed, and are built once per
+    block for all values unless the geometry is swept; one block's stages
+    are alive at a time. Per (block, value, tree kind) the stacked slot
+    index and draws make one event table, which gets one threshold, one set
+    of link metrics and one channel choice per scheme (rs picks tree by tree
+    with each seed's generator), and judge settles every seed and scheme in
+    one pass. Rows come out value-major, equal to running
+    run_scenario_sessions seed by seed.
     """
-    points = [(value, params, params.channels()) for value, params in spec.scenarios()]
+    points = [(value, params, params.channels(), params.phy()) for value, params in spec.scenarios()]
     shared = SWEEP_VARIABLES[spec.variable] not in _GEOMETRY_FIELDS
-    blocks: list[list[TrialRow]] = [[] for _ in points]
-    for i in range(spec.trials):
-        seed = spec.seed + i
-        stages = seed_stages(spec.base, spec.trees, seed) if shared else None
-        for block, (value, params, model) in zip(blocks, points):
-            sessions = run_scenario_sessions(params, spec.schemes, spec.trees, seed, model, stages)
-            for (tree, scheme), res in sessions.items():
-                block.append(TrialRow(tree, scheme, spec.variable, value, i, res.avg_throughput, res.pdr))
-    rows = [row for block in blocks for row in block]
+    # Keyed like run_scenario_sessions' results: a repeated scheme or tree kind counts once.
+    schemes, trees = tuple(dict.fromkeys(spec.schemes)), tuple(dict.fromkeys(spec.trees))
+    value_rows: list[list[TrialRow]] = [[] for _ in points]
+    for first in range(0, spec.trials, BLOCK_SEEDS):
+        trials = range(first, min(first + BLOCK_SEEDS, spec.trials))
+        seeds = [spec.seed + i for i in trials]
+        selection = {t: _selection_seeds(seeds, t) if Scheme.RS in schemes else [] for t in trees}
+        shared_block = _block_stages(spec.base, trees, seeds) if shared else None
+        for out, (value, params, model, phy) in zip(value_rows, points):
+            block = shared_block or _block_stages(params, trees, seeds)
+            outcomes = {}
+            for t in trees:
+                judged = _judge_block(phy, model, schemes, block.slots[t], block.raw(t, model), selection[t])[2]
+                n_dest = judged.delivered.shape[1]
+                outcomes[t] = (judged.total / n_dest).tolist(), (judged.delivered.sum(axis=1) / n_dest).tolist()
+            for j, i in enumerate(trials):
+                for t, (avg, pdr) in outcomes.items():
+                    out += [TrialRow(t, s, spec.variable, value, i, a, p) for s, a, p in zip(schemes, avg[j], pdr[j])]
+            del block  # gone before the next block is built, so one block is alive at a time
+        del shared_block
+    rows = [row for block_rows in value_rows for row in block_rows]
     return rows, aggregate_trials(rows)
 
 

@@ -11,12 +11,18 @@ packet size divided by the summed air time along that path.
 A session runs on flat arrays. Each receiver of a tree's layer schedule owns
 one slot, in schedule order, and a SlotIndex, built once per tree, is the one
 description of that layout: each slot's entry, transmitter slot and parent
-edge length, and the destinations' slots. A tree's draws and link metrics
-are one EventTable over it. pos, masa and mdr choose every entry's channel
-at once; rs picks entry by entry, drawing only for entries whose transmitter
-has the packet. Then one index over the slots reads each hop's air time and
-success on its chosen channel, and one pass from the root to the leaves sums
-the air times.
+edge length, and the destinations' slots. stack_slots lays several trees'
+indexes one after another, so a block of trial seeds is one index, and a
+tree's or a block's draws and link metrics are one EventTable over it. pos,
+masa and mdr choose every entry's channel at once; rs picks entry by entry,
+drawing only for entries whose transmitter has the packet, with each tree's
+own generator. judge then settles every tree under every scheme's channels
+in one array pass: one gather reads each hop's air time and fit on its
+chosen channel, and the air times are summed along each destination's path
+from the root (SlotIndex.dest_paths, built once per index), one step at a
+time for all paths together. Sweeps read only each tree's delivered
+destinations and total throughput; run and fixture replays judge a block of
+one tree and build SessionResults from it (session_results).
 
 Hop records (SessionResult.hops, and control_trace from them) are a view
 built from the table when first read; sampled sweeps never read it. Inputs
@@ -61,21 +67,47 @@ class HopRecord:
 
 @dataclass(frozen=True, eq=False)
 class SlotIndex:
-    """Where the receiver slots of a tree's layer schedule sit.
+    """Where the receiver slots of one tree's layer schedule, or of a stack
+    of trees (stack_slots), sit.
 
     Entry e's receivers fill the slots from starts[e] on, in schedule order.
-    A transmitter other than the root received the packet in an earlier
-    entry, so every slot comes after its transmitter's slot, and one pass in
-    slot order runs from the root to the leaves.
+    A transmitter other than a root received the packet in an earlier entry
+    of its tree, so every slot comes after its transmitter's slot. In a
+    stack each tree's entries and slots follow the previous tree's, and
+    tree_starts[j] is tree j's first entry.
     """
 
     starts: np.ndarray  # (E,) first slot of each entry
     event: np.ndarray  # (R,) entry of each slot
-    tx_slot: list[int]  # (E,) slot of each entry's transmitter; -1 for the root
-    parent: list[int]  # (R,) slot of each slot's transmitter; -1 under the root
-    destinations: tuple[int, ...]  # sorted
-    dest_slot: list[int]  # slot of each destination, in the same order
+    tx_slot: np.ndarray  # (E,) slot of each entry's transmitter; -1 for a root
+    height: int  # slots on the longest path from a root
+    destinations: tuple[int, ...]  # each tree's, sorted, tree after tree
+    dest_slot: np.ndarray  # (trees, D) slot of each destination, in the same order
     distances: np.ndarray  # (R,) parent-edge length of each slot's receiver
+    tree_starts: np.ndarray  # (trees + 1,) first entry of each tree, then E
+
+    def _paths_to(self, ends: np.ndarray) -> np.ndarray:
+        """(height, len(ends)) slots on the path from its root to each slot
+        in ends: row k holds every path's k-th slot, root side first, and the
+        last row ends itself. Shorter paths are padded at the root side with
+        -1, the index of an extra last row that stands for the roots."""
+        parent = np.append(self.tx_slot[self.event], -1)
+        paths = np.empty((self.height, len(ends)), dtype=np.intp)
+        paths[-1] = ends
+        for k in range(self.height - 1, 0, -1):
+            paths[k - 1] = parent[paths[k]]
+        return paths
+
+    @cached_property
+    def paths(self) -> np.ndarray:
+        """Root paths of every slot (see _paths_to), for the hop view."""
+        return self._paths_to(np.arange(len(self.event)))
+
+    @cached_property
+    def dest_paths(self) -> np.ndarray:
+        """Root paths of the destinations, tree after tree, built once per
+        index, the first time a table over it is judged."""
+        return self._paths_to(self.dest_slot.ravel())
 
 
 def slot_index(tree: Tree, schedule: LayerSchedule, destinations) -> SlotIndex:
@@ -83,12 +115,39 @@ def slot_index(tree: Tree, schedule: LayerSchedule, destinations) -> SlotIndex:
     receivers = [r for entry in schedule.entries for r in entry.receivers]
     slot_of = {r: s for s, r in enumerate(receivers)}
     counts = [len(entry.receivers) for entry in schedule.entries]
-    event = np.repeat(np.arange(len(counts)), counts)
     tx_slot = [slot_of.get(entry.transmitter, -1) for entry in schedule.entries]
     dests = tuple(sorted(destinations))
+    # In breadth-first order the last receiver is a deepest one.
+    height = len(tree.path_to_root(receivers[-1])) - 1
     return SlotIndex(
-        np.cumsum([0, *counts[:-1]]), event, tx_slot, [tx_slot[e] for e in event.tolist()], dests,
-        [slot_of[k] for k in dests], np.array([tree.edge_dist[r] for r in receivers]),
+        np.cumsum([0, *counts[:-1]]), np.repeat(np.arange(len(counts)), counts), np.array(tx_slot),
+        height, dests, np.array([[slot_of[k] for k in dests]]),
+        np.array([tree.edge_dist[r] for r in receivers]), np.array([0, len(counts)]),
+    )
+
+
+def stack_slots(indexes) -> SlotIndex:
+    """One index over several indexes' slots, each one's entries and slots
+    after the previous one's. Every tree must have equally many destinations."""
+    n_entries = [len(x.starts) for x in indexes]
+    n_slots = [len(x.event) for x in indexes]
+    n_trees = [len(x.dest_slot) for x in indexes]
+    entry_off = np.cumsum([0, *n_entries])
+    slot_off = np.cumsum([0, *n_slots])
+    # Each index's first slot or first entry, once per value of an array:
+    # slot numbers held per entry, entry numbers held per slot, and so on.
+    slot_per_entry = np.repeat(slot_off[:-1], n_entries)
+    tx_slot = np.concatenate([x.tx_slot for x in indexes])
+    return SlotIndex(
+        np.concatenate([x.starts for x in indexes]) + slot_per_entry,
+        np.concatenate([x.event for x in indexes]) + np.repeat(entry_off[:-1], n_slots),
+        np.where(tx_slot < 0, -1, tx_slot + slot_per_entry),
+        max(x.height for x in indexes),
+        tuple(k for x in indexes for k in x.destinations),
+        np.concatenate([x.dest_slot for x in indexes]) + np.repeat(slot_off[:-1], n_trees)[:, None],
+        np.concatenate([x.distances for x in indexes]),
+        np.append(np.concatenate([x.tree_starts[:-1] for x in indexes]) + np.repeat(entry_off[:-1], n_trees),
+                  entry_off[-1]),
     )
 
 
@@ -128,15 +187,24 @@ class SessionResult:
     schedule: LayerSchedule = field(repr=False, compare=False)
     table: EventTable = field(repr=False, compare=False)
     channels: np.ndarray = field(repr=False, compare=False)  # per entry; -1 for none or not picked
-    recorded: list[int] = field(repr=False, compare=False)  # entries the hop view lists
+    air: np.ndarray = field(repr=False, compare=False)  # per slot, as in Judgement.air
+    replay_all: bool = field(repr=False, compare=False)  # whether the hop view lists every entry
 
     @cached_property
     def hops(self) -> tuple[HopRecord, ...]:
         """What happened at each recorded entry, in schedule order: in sampled
         sessions every entry whose transmitter had the packet, in fixture
         replays every entry."""
+        tx_slot = self.table.slots.tx_slot.tolist()
+        if self.replay_all:
+            recorded = range(len(tx_slot))
+        else:
+            # The extra last entry, slot -1, is the root.
+            with np.errstate(over="ignore"):
+                got = [*(~np.isnan(path_sums(self.air, self.table.slots.paths))).tolist(), True]
+            recorded = [e for e, tx in enumerate(tx_slot) if got[tx]]
         hops = []
-        for e in self.recorded:
+        for e in recorded:
             entry, ch, lo = self.schedule.entries[e], int(self.channels[e]), int(self.table.slots.starts[e])
             tx, receivers, n = entry.transmitter, entry.receivers, len(entry.receivers)
             if ch < 0:
@@ -215,74 +283,113 @@ def link_metrics(phy: PhyParams, draws, mu_idle: np.ndarray, slots: SlotIndex) -
     return EventTable(slots, idle, available, np.where(idle[slots.event], p, 0.0), rate, t, mu_idle)
 
 
-def _random_channels(table: EventTable, rng: np.random.Generator | None, replay_all: bool):
-    """rs: one uniform pick among an entry's idle channels per entry whose
-    transmitter has the packet, or per entry under replay_all, in schedule
-    order. Which transmitters have it depends on the picks above them, so the
-    loop follows the packet down the tree as it picks."""
+def select_channels(table: EventTable, scheme: Scheme, rngs=(), replay_all: bool = False) -> np.ndarray:
+    """Channel of every entry of table under scheme; -1 for none.
+
+    pos, masa and mdr choose for the whole table at once. rs picks one
+    uniform idle channel per entry whose transmitter has the packet, or per
+    entry under replay_all (fixture replays), in schedule order, with rngs[j]
+    picking for tree j of the table. Which transmitters have the packet
+    depends on the picks above them, so the loop follows the packet down
+    each tree as it picks.
+    """
     slots = table.slots
-    channels = [-1] * len(slots.tx_slot)
-    has = [False] * len(slots.parent) + [True]  # per slot; the extra last entry, slot -1, is the root
-    bounds = [*slots.starts.tolist(), len(slots.parent)]
-    for e, tx in enumerate(slots.tx_slot):
-        if has[tx] or replay_all:
-            channels[e] = ch = random_channel(table.idle[e].nonzero()[0].tolist(), rng)
-            if has[tx] and ch >= 0:
-                has[bounds[e]:bounds[e + 1]] = table.fits[bounds[e]:bounds[e + 1], ch].tolist()
+    if scheme is not Scheme.RS:
+        return choose_channels(scheme, table.pos, table.rate, table.mu_idle, table.idle, slots.starts)
+    tree_starts = slots.tree_starts.tolist()
+    if len(rngs) != len(tree_starts) - 1:
+        raise ValueError(f"random selection needs one rng per tree, got {len(rngs)} for {len(tree_starts) - 1}")
+    tx_slot = slots.tx_slot.tolist()
+    channels = [-1] * len(tx_slot)
+    has = [False] * len(slots.event) + [True]  # per slot; the extra last entry, slot -1, is every root
+    bounds = [*slots.starts.tolist(), len(slots.event)]
+    for rng, first, end in zip(rngs, tree_starts, tree_starts[1:]):
+        for e in range(first, end):
+            tx = tx_slot[e]
+            if has[tx] or replay_all:
+                channels[e] = ch = random_channel(table.idle[e].nonzero()[0].tolist(), rng)
+                if has[tx] and ch >= 0:
+                    has[bounds[e]:bounds[e + 1]] = table.fits[bounds[e]:bounds[e + 1], ch].tolist()
     return np.array(channels)
 
 
-def execute_schedule(
-    schedule: LayerSchedule,
-    table: EventTable,
-    packet_bits: int,
-    scheme: Scheme,
-    rng: np.random.Generator | None = None,
-    replay_all: bool = False,
-) -> SessionResult:
-    """Choose every entry's channel, judge every hop and deliver along the
-    tree of schedule, whose slots table.slots lays out.
+@dataclass(frozen=True, eq=False)
+class Judgement:
+    """Outcome of every tree of a table under each of S channel columns."""
 
-    A slot gets the packet iff its transmitter has it and its air time fits
-    within the availability of the chosen channel. Under rs an entry whose
-    transmitter never got the packet makes no rng call, except with
-    replay_all=True (fixture replays), where every entry picks and every
-    entry is listed in hops; sampled sessions list only the entries whose
-    transmitter had the packet.
+    air: np.ndarray  # (R + 1, S) air time of each slot's hop, NaN where it fails; 0 in the roots' last row
+    delivered: np.ndarray  # (trees, D, S) bool per destination
+    throughput: np.ndarray  # (trees, D, S) bits/s per destination; 0 when undelivered
+    total: np.ndarray  # (trees, S) throughputs summed one destination after another
+
+
+def path_sums(air: np.ndarray, paths: np.ndarray) -> np.ndarray:
+    """Sum of air along each column of paths (SlotIndex.paths or dest_paths),
+    added from the root side one slot after another, the same float
+    additions as walking the path hop by hop. A failed hop leaves NaN on
+    every path through it: fitting air times are numbers, and a sum of
+    numbers that overflows is inf, never NaN. Call it under
+    np.errstate(over="ignore"): like Python floats, an overflowing sum is
+    no error."""
+    along = np.take(air, paths, axis=0)
+    sums = along[0].copy()
+    for step in along[1:]:
+        sums += step
+    return sums
+
+
+def judge(table: EventTable, channels: np.ndarray, packet_bits: int) -> Judgement:
+    """Judge every hop of every tree of table under each column of channels,
+    an (E, S) array of chosen channels (-1 for none), and deliver.
+
+    A slot gets the packet iff every hop on its path from the root fits: a
+    channel was chosen and the air time on it fits within its sampled
+    availability (table.fits). One gather reads every slot's air time and
+    fit on its chosen channel, and path_sums adds the air times along every
+    destination's path. A destination's throughput is packet_bits over its
+    path's sum, and a tree's total adds the throughputs in destination
+    order, as Python's sum does.
     """
     slots = table.slots
-    if scheme is Scheme.RS:
-        channels = _random_channels(table, rng, replay_all)
-    else:
-        channels = choose_channels(scheme, table.pos, table.rate, table.mu_idle, table.idle, slots.starts)
-    slot_ch = channels[slots.event]
-    rows = np.arange(len(slot_ch))
-    success = (table.fits[rows, slot_ch] & (slot_ch >= 0)).tolist()
-    times = table.tx_time[rows, slot_ch].tolist()
-    # Air time summed from the root for each slot that got the packet, None
-    # for the others; the extra last entry, slot -1, is the root.
-    air: list[float | None] = [None] * len(times) + [0.0]
-    for s, (p, ok, t) in enumerate(zip(slots.parent, success, times)):
-        if ok and air[p] is not None:
-            air[s] = air[p] + t
-    dests = slots.destinations
-    delivered = {k: air[s] is not None for k, s in zip(dests, slots.dest_slot)}
-    throughput = {k: (packet_bits / air[s] if air[s] is not None else 0.0) for k, s in zip(dests, slots.dest_slot)}
-    total = sum(throughput.values())
-    recorded = list(range(len(channels))) if replay_all else [
-        e for e, tx in enumerate(slots.tx_slot) if air[tx] is not None
+    slot_ch = np.take(channels, slots.event, axis=0)
+    # Flat cell indexes; a -1 channel reads a neighbouring cell, never used.
+    cells = slot_ch + (np.arange(len(slot_ch)) * table.tx_time.shape[1])[:, None]
+    # One row per slot plus a last one for the roots, which hold the packet at air time 0.
+    air = np.zeros((len(slot_ch) + 1, slot_ch.shape[1]))
+    air[:-1] = np.where(np.take(table.fits, cells) & (slot_ch >= 0), np.take(table.tx_time, cells), np.nan)
+    with np.errstate(over="ignore"):
+        dest_air = path_sums(air, slots.dest_paths).reshape(slots.dest_slot.shape + (-1,))
+        delivered = ~np.isnan(dest_air)
+        throughput = np.divide(float(packet_bits), dest_air, out=np.zeros(dest_air.shape), where=delivered)
+    # np.add.accumulate adds in order along its axis, as Python's sum does.
+    total = np.add.accumulate(throughput, axis=1)[:, -1]
+    return Judgement(air, delivered, throughput, total)
+
+
+def session_results(
+    schedule: LayerSchedule, table: EventTable, channels: np.ndarray, judged: Judgement, replay_all: bool = False
+) -> list[SessionResult]:
+    """One SessionResult per channel column of a one-tree table's judgement.
+    The hop view lists every entry under replay_all (fixture replays), else
+    every entry whose transmitter had the packet."""
+    dests = table.slots.destinations
+    return [
+        SessionResult(
+            delivered=dict(zip(dests, delivered)),
+            throughput=dict(zip(dests, throughput)),
+            total_throughput=total,
+            avg_throughput=total / len(dests),
+            pdr=sum(delivered) / len(dests),
+            schedule=schedule,
+            table=table,
+            channels=channels[:, k],
+            air=judged.air[:, k],
+            replay_all=replay_all,
+        )
+        for k, (delivered, throughput, total) in enumerate(zip(
+            judged.delivered[0].T.tolist(), judged.throughput[0].T.tolist(), judged.total[0].tolist(),
+        ))
     ]
-    return SessionResult(
-        delivered=delivered,
-        throughput=throughput,
-        total_throughput=total,
-        avg_throughput=total / len(dests),
-        pdr=sum(delivered.values()) / len(dests),
-        schedule=schedule,
-        table=table,
-        channels=channels,
-        recorded=recorded,
-    )
 
 
 def session_to_csv(result: SessionResult) -> str:

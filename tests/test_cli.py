@@ -91,20 +91,24 @@ class TestExampleCommand:
             (("mu_ms", 0), math.inf, "mu_ms must be a list of finite positive numbers"),
             (("packet_bits",), -5, "packet_bits must be a positive integer, got -5"),
             (("packet_bits",), 0.5, "packet_bits must be a positive integer, got 0.5"),
+            (("packet_bits",), 10**400, "packet_bits must not exceed the largest float"),
+            (("packet_bits",), 10**308, "channel 1: packet_bits / air time overflows the data rate"),
             (("events", 0, "pos", "9", 3), 1.5, "receiver 9, channel 4: pos must lie in [0, 1], got 1.5"),
             (("events", 2, "pos", "7", 0), -0.1, "pos must lie in [0, 1], got -0.1"),
         ],
         ids=[
             "air_time_zero", "air_time_negative", "air_time_nan", "availability_missing", "availability_negative",
-            "mu_negative", "mu_zero", "mu_inf", "packet_bits_negative", "packet_bits_fraction", "pos_above_one",
-            "pos_negative",
+            "mu_negative", "mu_zero", "mu_inf", "packet_bits_negative", "packet_bits_fraction",
+            "packet_bits_beyond_float", "packet_bits_infinite_rate", "pos_above_one", "pos_negative",
         ],
     )
     def test_bad_fixture_value_is_usage_error(self, tmp_path, capsys, path, value, message):
         # before: a zero air time on the chosen channel ended in a traceback
         # (exit 3), a negative one delivered at a negative throughput, and a
         # negative mean availability or a negative or fractional packet size
-        # changed the outcome or the throughputs without an error
+        # changed the outcome or the throughputs without an error; a packet
+        # size beyond float range ended in a traceback, and one whose rate
+        # overflowed gave a RuntimeWarning and infinite throughputs
         fixture = builtin_fixture()
         *keys, last = path
         target = fixture

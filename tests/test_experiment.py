@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference_engine as ref
 from crn_multicast import experiment, session
 from crn_multicast.assignment import Scheme
 from crn_multicast.channel import ChannelModel, ChannelParams
@@ -251,6 +252,51 @@ class TestSharedStages:
         again = experiment.seed_stages(SMALL, [TreeKind.SPT], 3).raw(TreeKind.SPT, SMALL.channels())
         for x, y in zip(again, base):
             assert np.array_equal(x, y)
+
+
+class TestSeedBlocks:
+    @pytest.mark.parametrize("variable", list(SWEEP_AXES))
+    def test_blocks_match_reference_engine_seed_by_seed(self, monkeypatch, variable):
+        # Blocks of 3 over 7 trials: two full blocks and a partial one, each
+        # judged as one stacked table per (value, tree kind). The reference
+        # engine runs every seed on its own and shares no code with judge.
+        monkeypatch.setattr(experiment, "BLOCK_SEEDS", 3)
+        tables = count_calls(monkeypatch, "_judge_block", experiment)
+        spec = SweepSpec(base=SMALL, variable=variable, values=SWEEP_AXES[variable], trials=7, seed=21)
+        rows, agg = run_sweep(spec)
+        assert len(tables) == 3 * len(spec.values) * len(spec.trees)
+        reference = []
+        for value, params in spec.scenarios():
+            for i in range(spec.trials):
+                sessions = ref.run_scenario_sessions(params, spec.schemes, spec.trees, spec.seed + i)
+                for (tree, scheme), (res, _) in sessions.items():
+                    reference.append(TrialRow(tree, scheme, spec.variable, value, i, res.avg_throughput, res.pdr))
+        assert trials_to_csv(rows) == trials_to_csv(reference)
+        assert aggregate_to_csv(agg) == aggregate_to_csv(aggregate_trials(reference))
+
+
+def test_aggregate_equals_per_group_numpy_statistics():
+    # Groups of 1, 2, 9 and 20 members, interleaved: a group of one has CI 0
+    # without a RuntimeWarning (an error under this suite's settings), larger
+    # groups take numpy's pairwise sums, and groups keep first-seen order.
+    rng = np.random.default_rng(3)
+    sizes = {0.1: 1, 0.2: 9, 0.3: 2, 0.4: 20, 0.5: 1}
+    rows = [
+        TrialRow(TreeKind.SPT, Scheme.POS, "p_idle", value, i, float(rng.exponential(1e6)), float(rng.random()))
+        for i in range(max(sizes.values())) for value, size in sizes.items() if i < size
+    ]
+    agg = aggregate_trials(rows)
+    assert [a.value for a in agg] == list(sizes)
+    for a in agg:
+        members = [r for r in rows if r.value == a.value]
+        for got, ci, values in (
+            (a.mean_throughput_bps, a.ci95_throughput, [r.avg_throughput_bps for r in members]),
+            (a.mean_pdr, a.ci95_pdr, [r.pdr for r in members]),
+        ):
+            assert got == float(np.mean(values))
+            n = len(values)
+            assert ci == (1.96 * float(np.std(values, ddof=1)) / np.sqrt(n) if n > 1 else 0.0)
+        assert a.trials == len(members)
 
 
 class TestCsvRoundTrip:
