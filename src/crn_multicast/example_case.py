@@ -194,7 +194,7 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
             raise ValueError(f"{at[s]}, channel {j + 1}: {message}, got {float(values[s, j])!r}")
     table = EventTable(slots, idle, available, pos, rate, tx, mu)
     channels = select_channels(table, scheme, [rng], replay_all=True)[:, None]
-    return session_results(schedule, table, channels, judge(table, channels, packet_bits), replay_all=True)[0]
+    return session_results([schedule], table, channels, judge(table, channels, packet_bits), replay_all=True)[0][0]
 
 
 def check_fixture(fixture: dict, rel_tol: float = 0.005) -> tuple[bool, list[str], dict]:

@@ -191,6 +191,27 @@ class TreeStages:
     slots: SlotIndex
 
 
+def _raw_draws(cache: dict, tree_kind: TreeKind, model: ChannelModel, seeds, schedules, slots: SlotIndex):
+    """Raw draws (session.draw_raw) of each seed's schedule of tree_kind under
+    model, each from its seed's own generator, drawn seed after seed into
+    one set of arrays laid out as slots, the schedules' slot index stacked,
+    when first asked for and then kept in cache. They are keyed on what
+    draw_raw reads of the model, its mean idle durations (whose length is
+    M), so models differing only in p_idle share them."""
+    key = (tree_kind, model.mu_idle.tobytes())
+    if key not in cache:
+        entry_at = slots.tree_starts.tolist()
+        slot_at = [*slots.starts[slots.tree_starts[:-1]].tolist(), len(slots.event)]
+        uniform, residual = np.empty((entry_at[-1], model.m)), np.empty((entry_at[-1], model.m))
+        gains = np.empty((slot_at[-1], model.m))
+        for j, (seed, schedule) in enumerate(zip(seeds, schedules)):
+            e, r = slice(entry_at[j], entry_at[j + 1]), slice(slot_at[j], slot_at[j + 1])
+            rng = _rng(seed, _STREAM_EVENTS, _TREE_CODE[tree_kind])
+            draw_raw(schedule, model, rng, (uniform[e], residual[e], gains[r]))
+        cache[key] = uniform, residual, gains
+    return cache[key]
+
+
 @dataclass(frozen=True)
 class SeedStages:
     """What a trial seed fixes before link metrics: the destination set, per
@@ -201,39 +222,26 @@ class SeedStages:
     trees: dict[TreeKind, TreeStages]
     _raw: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def draw(self, tree_kind: TreeKind, model: ChannelModel):
-        """The tree's raw draws (session.draw_raw) under model, from the
-        tree's own generator."""
-        rng = _rng(self.seed, _STREAM_EVENTS, _TREE_CODE[tree_kind])
-        return draw_raw(self.trees[tree_kind].schedule, model, rng)
-
     def raw(self, tree_kind: TreeKind, model: ChannelModel):
-        """The tree's raw draws, taken when first asked for. They are keyed
-        on what draw_raw reads of the model, its mean idle durations (whose
-        length is M), so models differing only in p_idle share them."""
-        key = (tree_kind, model.mu_idle.tobytes())
-        if key not in self._raw:
-            self._raw[key] = self.draw(tree_kind, model)
-        return self._raw[key]
+        """The tree's raw draws under model (see _raw_draws)."""
+        tree = self.trees[tree_kind]
+        return _raw_draws(self._raw, tree_kind, model, [self.seed], [tree.schedule], tree.slots)
 
 
 @dataclass(frozen=True)
 class BlockStages:
-    """The stages of a block of trial seeds, stacked seed after seed: per
-    tree kind one slot index, and raw draws keyed as in SeedStages.raw.
-    Each seed draws from its own generators, and only the stacked draws are
-    kept."""
+    """What a block of trial seeds fixes before link metrics, stacked seed
+    after seed: per tree kind one slot index (session.stack_slots), each
+    seed's layer schedule, and the raw draws taken so far."""
 
-    seeds: list[SeedStages]
+    seeds: list[int]
+    schedules: dict[TreeKind, list[LayerSchedule]]
     slots: dict[TreeKind, SlotIndex]
     _raw: dict = field(default_factory=dict, repr=False, compare=False)
 
     def raw(self, tree_kind: TreeKind, model: ChannelModel):
-        key = (tree_kind, model.mu_idle.tobytes())
-        if key not in self._raw:
-            draws = [stages.draw(tree_kind, model) for stages in self.seeds]
-            self._raw[key] = tuple(np.concatenate(parts) for parts in zip(*draws))
-        return self._raw[key]
+        """The block's raw draws of tree_kind under model, stacked (see _raw_draws)."""
+        return _raw_draws(self._raw, tree_kind, model, self.seeds, self.schedules[tree_kind], self.slots[tree_kind])
 
 
 def seed_stages(params: ScenarioParams, trees, seed: int) -> SeedStages:
@@ -275,8 +283,10 @@ def run_scenario_sessions(
     gains; only their channel decisions (and hence successes) differ.
     channel_model defaults to the one params describes, and stages to
     seed_stages(params, trees, seed); a caller may pass stages it shares
-    across scenarios, which must equal what that default would build. Each
-    tree kind is a block of one seed for _judge_block, as in run_sweep.
+    across scenarios, which must equal what that default would build. The
+    seed's trees are stacked (stack_slots) into one table for _judge_block,
+    a block of one seed, so the fixed cost of each array call is paid once
+    per seed rather than once per tree.
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")
@@ -285,12 +295,16 @@ def run_scenario_sessions(
     model = channel_model if channel_model is not None else params.channels()
     phy = params.phy()
     stages = stages if stages is not None else seed_stages(params, trees, seed)
+    # Keyed results: a repeated tree kind counts once, in first-seen order.
+    trees = tuple(dict.fromkeys(trees))
+    slots = stack_slots([stages.trees[t].slots for t in trees])
+    raw = tuple(np.concatenate(parts) for parts in zip(*(stages.raw(t, model) for t in trees)))
+    selection = [seq for t in trees for seq in _selection_seeds([seed], t)] if Scheme.RS in schemes else []
+    table, channels, judged = _judge_block(phy, model, schemes, slots, raw, selection)
+    schedules = [stages.trees[t].schedule for t in trees]
     results: dict[tuple[TreeKind, Scheme], SessionResult] = {}
-    for tree_kind in trees:
-        tree = stages.trees[tree_kind]
-        selection = _selection_seeds([seed], tree_kind) if Scheme.RS in schemes else []
-        table, channels, judged = _judge_block(phy, model, schemes, tree.slots, stages.raw(tree_kind, model), selection)
-        for scheme, result in zip(schemes, session_results(tree.schedule, table, channels, judged)):
+    for tree_kind, tree_results in zip(trees, session_results(schedules, table, channels, judged)):
+        for scheme, result in zip(schemes, tree_results):
             results[(tree_kind, scheme)] = result
     return results
 
@@ -385,26 +399,26 @@ def aggregate_trials(rows: list[TrialRow]) -> list[AggregateRow]:
     row of a (groups x members) array, so each group's mean and standard
     deviation (ddof=1) are numpy's for that group alone. A group of one has
     a CI of 0."""
-    groups: dict[tuple, list[int]] = {}
-    for k, row in enumerate(rows):
-        groups.setdefault((row.tree, row.scheme, row.variable, row.value), []).append(k)
+    groups: dict[tuple, list[TrialRow]] = {}
+    for row in rows:
+        groups.setdefault((row.tree, row.scheme, row.variable, row.value), []).append(row)
     members = list(groups.values())
     by_size: dict[int, list[int]] = {}
-    for g, ks in enumerate(members):
-        by_size.setdefault(len(ks), []).append(g)
+    for g, group in enumerate(members):
+        by_size.setdefault(len(group), []).append(g)
     # Per group: mean throughput, its CI, mean PDR, its CI.
     stats = np.zeros((len(members), 4))
-    for column, values in enumerate((
-        np.array([r.avg_throughput_bps for r in rows]), np.array([r.pdr for r in rows]),
-    )):
-        for size, gs in by_size.items():
-            matrix = values[[members[g] for g in gs]]
+    for size, gs in by_size.items():
+        for column, values in enumerate((
+            (r.avg_throughput_bps for g in gs for r in members[g]), (r.pdr for g in gs for r in members[g]),
+        )):
+            matrix = np.fromiter(values, float, count=size * len(gs)).reshape(len(gs), size)
             stats[gs, 2 * column] = matrix.mean(axis=1)
             if size > 1:
                 stats[gs, 2 * column + 1] = 1.96 * matrix.std(axis=1, ddof=1) / math.sqrt(size)
     return [
-        AggregateRow(tree, scheme, variable, value, mean_tp, ci_tp, mean_pdr, ci_pdr, len(ks))
-        for (tree, scheme, variable, value), ks, (mean_tp, ci_tp, mean_pdr, ci_pdr)
+        AggregateRow(tree, scheme, variable, value, mean_tp, ci_tp, mean_pdr, ci_pdr, len(group))
+        for (tree, scheme, variable, value), group, (mean_tp, ci_tp, mean_pdr, ci_pdr)
         in zip(groups, members, stats.tolist())
     ]
 
@@ -414,13 +428,20 @@ _GEOMETRY_FIELDS = {"n_nodes", "n_dest"}
 
 # Trial seeds judged together: each tree kind's tables of a block's seeds are
 # stacked into one, so per-call overhead is paid per block rather than per seed.
-BLOCK_SEEDS = 64
+# On a 1000-trial sweep 32 was within 3% of the fastest size, 64, at about 40%
+# of its block memory (README "Sweeps" has the measurement).
+BLOCK_SEEDS = 32
 
 
 def _block_stages(params: ScenarioParams, trees, seeds) -> BlockStages:
-    """seed_stages of every seed of a block, stacked."""
-    block = [seed_stages(params, trees, seed) for seed in seeds]
-    return BlockStages(block, {t: stack_slots([stages.trees[t].slots for stages in block]) for t in trees})
+    """seed_stages of every seed of a block, stacked; only the schedules and
+    the stacked slot indexes are kept."""
+    block = [seed_stages(params, trees, seed).trees for seed in seeds]
+    return BlockStages(
+        list(seeds),
+        {t: [stages[t].schedule for stages in block] for t in trees},
+        {t: stack_slots([stages[t].slots for stages in block]) for t in trees},
+    )
 
 
 def run_sweep(spec: SweepSpec) -> tuple[list[TrialRow], list[AggregateRow]]:

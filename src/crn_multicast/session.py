@@ -12,8 +12,9 @@ A session runs on flat arrays. Each receiver of a tree's layer schedule owns
 one slot, in schedule order, and a SlotIndex, built once per tree, is the one
 description of that layout: each slot's entry, transmitter slot and parent
 edge length, and the destinations' slots. stack_slots lays several trees'
-indexes one after another, so a block of trial seeds is one index, and a
-tree's or a block's draws and link metrics are one EventTable over it. pos,
+indexes one after another, so a block of trial seeds, or the trees of one
+seed, is one index, and its draws and link metrics are one EventTable over
+it. pos,
 masa and mdr choose every entry's channel at once; rs picks entry by entry,
 drawing only for entries whose transmitter has the packet, with each tree's
 own generator. judge then settles every tree under every scheme's channels
@@ -21,8 +22,9 @@ in one array pass: one gather reads each hop's air time and fit on its
 chosen channel, and the air times are summed along each destination's path
 from the root (SlotIndex.dest_paths, built once per index), one step at a
 time for all paths together. Sweeps read only each tree's delivered
-destinations and total throughput; run and fixture replays judge a block of
-one tree and build SessionResults from it (session_results).
+destinations and total throughput; run judges its seed's trees as one table
+and fixture replays judge one tree, and both build SessionResults from the
+judgement (session_results).
 
 Hop records (SessionResult.hops, and control_trace from them) are a view
 built from the table when first read; sampled sweeps never read it. Inputs
@@ -86,28 +88,20 @@ class SlotIndex:
     distances: np.ndarray  # (R,) parent-edge length of each slot's receiver
     tree_starts: np.ndarray  # (trees + 1,) first entry of each tree, then E
 
-    def _paths_to(self, ends: np.ndarray) -> np.ndarray:
-        """(height, len(ends)) slots on the path from its root to each slot
-        in ends: row k holds every path's k-th slot, root side first, and the
-        last row ends itself. Shorter paths are padded at the root side with
-        -1, the index of an extra last row that stands for the roots."""
-        parent = np.append(self.tx_slot[self.event], -1)
-        paths = np.empty((self.height, len(ends)), dtype=np.intp)
-        paths[-1] = ends
+    @cached_property
+    def dest_paths(self) -> np.ndarray:
+        """(height, trees x D) slots on the path from its root to each
+        destination, tree after tree: row k holds every path's k-th slot,
+        root side first, and the last row the destinations' own. Shorter
+        paths are padded at the root side with -1, the index of an extra last
+        row that stands for the roots. Built once per index, the first time a
+        table over it is judged."""
+        parent = np.concatenate((self.tx_slot[self.event], [-1]))
+        paths = np.empty((self.height, self.dest_slot.size), dtype=np.intp)
+        paths[-1] = self.dest_slot.ravel()
         for k in range(self.height - 1, 0, -1):
             paths[k - 1] = parent[paths[k]]
         return paths
-
-    @cached_property
-    def paths(self) -> np.ndarray:
-        """Root paths of every slot (see _paths_to), for the hop view."""
-        return self._paths_to(np.arange(len(self.event)))
-
-    @cached_property
-    def dest_paths(self) -> np.ndarray:
-        """Root paths of the destinations, tree after tree, built once per
-        index, the first time a table over it is judged."""
-        return self._paths_to(self.dest_slot.ravel())
 
 
 def slot_index(tree: Tree, schedule: LayerSchedule, destinations) -> SlotIndex:
@@ -185,9 +179,10 @@ class SessionResult:
     avg_throughput: float  # total divided by the number of destinations
     pdr: float  # delivered fraction of destinations
     schedule: LayerSchedule = field(repr=False, compare=False)
-    table: EventTable = field(repr=False, compare=False)
-    channels: np.ndarray = field(repr=False, compare=False)  # per entry; -1 for none or not picked
-    air: np.ndarray = field(repr=False, compare=False)  # per slot, as in Judgement.air
+    table: EventTable = field(repr=False, compare=False)  # the table the tree was judged in
+    first_entry: int = field(repr=False, compare=False)  # table entry of the schedule's first entry
+    channels: np.ndarray = field(repr=False, compare=False)  # per table entry; -1 for none or not picked
+    air: np.ndarray = field(repr=False, compare=False)  # per table slot, as in Judgement.air
     replay_all: bool = field(repr=False, compare=False)  # whether the hop view lists every entry
 
     @cached_property
@@ -196,16 +191,20 @@ class SessionResult:
         sessions every entry whose transmitter had the packet, in fixture
         replays every entry."""
         tx_slot = self.table.slots.tx_slot.tolist()
-        if self.replay_all:
-            recorded = range(len(tx_slot))
-        else:
-            # The extra last entry, slot -1, is the root.
-            with np.errstate(over="ignore"):
-                got = [*(~np.isnan(path_sums(self.air, self.table.slots.paths))).tolist(), True]
-            recorded = [e for e, tx in enumerate(tx_slot) if got[tx]]
+        first = self.first_entry
+        recorded = range(first, first + len(self.schedule.entries))
+        if not self.replay_all:
+            # A slot got the packet iff its hop fits and its transmitter got
+            # it; every slot comes after its transmitter's, and the extra last
+            # entry, slot -1, is every root.
+            air = self.air.tolist()
+            got = [False] * (len(air) - 1) + [True]
+            for s, entry in enumerate(self.table.slots.event.tolist()):
+                got[s] = got[tx_slot[entry]] and not math.isnan(air[s])
+            recorded = [e for e in recorded if got[tx_slot[e]]]
         hops = []
         for e in recorded:
-            entry, ch, lo = self.schedule.entries[e], int(self.channels[e]), int(self.table.slots.starts[e])
+            entry, ch, lo = self.schedule.entries[e - first], int(self.channels[e]), int(self.table.slots.starts[e])
             tx, receivers, n = entry.transmitter, entry.receivers, len(entry.receivers)
             if ch < 0:
                 hops.append(HopRecord(tx, receivers, None, (math.nan,) * n, (False,) * n, math.nan))
@@ -226,7 +225,7 @@ class SessionResult:
         return tuple(trace)
 
 
-def draw_raw(schedule: LayerSchedule, model: ChannelModel, rng: np.random.Generator):
+def draw_raw(schedule: LayerSchedule, model: ChannelModel, rng: np.random.Generator, out=None):
     """Draw the random numbers behind every schedule entry's channel states and
     fading gains, before any idle probability applies.
 
@@ -236,12 +235,13 @@ def draw_raw(schedule: LayerSchedule, model: ChannelModel, rng: np.random.Genera
     drawing every event on its own. Only the channel count and mean idle
     durations of the model are used, so models differing only in p_idle share
     these draws. Returns (E, M) uniforms, (E, M) residuals and (R, M) gains,
-    one row per receiver slot.
+    one row per receiver slot, drawn into the three arrays of out when given.
     """
     m, entries = model.m, schedule.entries
-    uniform = np.empty((len(entries), m))
-    residual = np.empty_like(uniform)
-    gains = np.empty((sum(len(entry.receivers) for entry in entries), m))
+    if out is None:
+        n_slots = sum(len(entry.receivers) for entry in entries)
+        out = np.empty((len(entries), m)), np.empty((len(entries), m)), np.empty((n_slots, m))
+    uniform, residual, gains = out
     hi = 0
     for e, entry in enumerate(entries):
         rng.random(out=uniform[e])
@@ -253,7 +253,7 @@ def draw_raw(schedule: LayerSchedule, model: ChannelModel, rng: np.random.Genera
     # Scaling unit exponentials afterwards gives the same numbers as drawing
     # each channel's exponential with its own mean.
     residual *= model.mu_idle
-    return uniform, residual, gains
+    return out
 
 
 def threshold_draws(raw, p_idle: np.ndarray):
@@ -323,21 +323,6 @@ class Judgement:
     total: np.ndarray  # (trees, S) throughputs summed one destination after another
 
 
-def path_sums(air: np.ndarray, paths: np.ndarray) -> np.ndarray:
-    """Sum of air along each column of paths (SlotIndex.paths or dest_paths),
-    added from the root side one slot after another, the same float
-    additions as walking the path hop by hop. A failed hop leaves NaN on
-    every path through it: fitting air times are numbers, and a sum of
-    numbers that overflows is inf, never NaN. Call it under
-    np.errstate(over="ignore"): like Python floats, an overflowing sum is
-    no error."""
-    along = np.take(air, paths, axis=0)
-    sums = along[0].copy()
-    for step in along[1:]:
-        sums += step
-    return sums
-
-
 def judge(table: EventTable, channels: np.ndarray, packet_bits: int) -> Judgement:
     """Judge every hop of every tree of table under each column of channels,
     an (E, S) array of chosen channels (-1 for none), and deliver.
@@ -345,20 +330,31 @@ def judge(table: EventTable, channels: np.ndarray, packet_bits: int) -> Judgemen
     A slot gets the packet iff every hop on its path from the root fits: a
     channel was chosen and the air time on it fits within its sampled
     availability (table.fits). One gather reads every slot's air time and
-    fit on its chosen channel, and path_sums adds the air times along every
-    destination's path. A destination's throughput is packet_bits over its
-    path's sum, and a tree's total adds the throughputs in destination
-    order, as Python's sum does.
+    fit on its chosen channel, NaN where the hop fails, and the air times
+    are added along every destination's path (SlotIndex.dest_paths) from
+    the root side one slot after another, the same float additions as
+    walking the path hop by hop. A failed hop leaves NaN on every path
+    through it: fitting air times are numbers, and a sum of numbers that
+    overflows is inf, never NaN, and as with Python floats no error. A
+    destination's throughput is packet_bits over its path's sum, and a
+    tree's total adds the throughputs in destination order, as Python's sum
+    does.
     """
     slots = table.slots
-    slot_ch = np.take(channels, slots.event, axis=0)
+    # ndarray.take, not np.take: on a table of one tree np.take's Python
+    # wrapper costs more than the gather itself.
+    slot_ch = channels.take(slots.event, axis=0)
     # Flat cell indexes; a -1 channel reads a neighbouring cell, never used.
-    cells = slot_ch + (np.arange(len(slot_ch)) * table.tx_time.shape[1])[:, None]
+    m = table.tx_time.shape[1]
+    cells = slot_ch + np.arange(0, len(slot_ch) * m, m)[:, None]
     # One row per slot plus a last one for the roots, which hold the packet at air time 0.
     air = np.zeros((len(slot_ch) + 1, slot_ch.shape[1]))
-    air[:-1] = np.where(np.take(table.fits, cells) & (slot_ch >= 0), np.take(table.tx_time, cells), np.nan)
+    air[:-1] = np.where(table.fits.take(cells) & (slot_ch >= 0), table.tx_time.take(cells), np.nan)
+    along = air.take(slots.dest_paths, axis=0).reshape((-1, *slots.dest_slot.shape, air.shape[1]))
     with np.errstate(over="ignore"):
-        dest_air = path_sums(air, slots.dest_paths).reshape(slots.dest_slot.shape + (-1,))
+        dest_air = along[0].copy()
+        for step in along[1:]:
+            dest_air += step
         delivered = ~np.isnan(dest_air)
         throughput = np.divide(float(packet_bits), dest_air, out=np.zeros(dest_air.shape), where=delivered)
     # np.add.accumulate adds in order along its axis, as Python's sum does.
@@ -367,29 +363,35 @@ def judge(table: EventTable, channels: np.ndarray, packet_bits: int) -> Judgemen
 
 
 def session_results(
-    schedule: LayerSchedule, table: EventTable, channels: np.ndarray, judged: Judgement, replay_all: bool = False
-) -> list[SessionResult]:
-    """One SessionResult per channel column of a one-tree table's judgement.
-    The hop view lists every entry under replay_all (fixture replays), else
-    every entry whose transmitter had the packet."""
-    dests = table.slots.destinations
-    return [
-        SessionResult(
-            delivered=dict(zip(dests, delivered)),
-            throughput=dict(zip(dests, throughput)),
-            total_throughput=total,
-            avg_throughput=total / len(dests),
-            pdr=sum(delivered) / len(dests),
-            schedule=schedule,
-            table=table,
-            channels=channels[:, k],
-            air=judged.air[:, k],
-            replay_all=replay_all,
-        )
-        for k, (delivered, throughput, total) in enumerate(zip(
-            judged.delivered[0].T.tolist(), judged.throughput[0].T.tolist(), judged.total[0].tolist(),
-        ))
-    ]
+    schedules, table: EventTable, channels: np.ndarray, judged: Judgement, replay_all: bool = False
+) -> list[list[SessionResult]]:
+    """SessionResults of a table's judgement: per tree, whose layer schedule
+    is schedules[j], one per channel column. The hop view lists every entry
+    under replay_all (fixture replays), else every entry whose transmitter
+    had the packet."""
+    n_dest = judged.delivered.shape[1]
+    results = []
+    for j, (schedule, first) in enumerate(zip(schedules, table.slots.tree_starts.tolist())):
+        dests = table.slots.destinations[j * n_dest:(j + 1) * n_dest]
+        results.append([
+            SessionResult(
+                delivered=dict(zip(dests, delivered)),
+                throughput=dict(zip(dests, throughput)),
+                total_throughput=total,
+                avg_throughput=total / n_dest,
+                pdr=sum(delivered) / n_dest,
+                schedule=schedule,
+                table=table,
+                first_entry=first,
+                channels=channels[:, k],
+                air=judged.air[:, k],
+                replay_all=replay_all,
+            )
+            for k, (delivered, throughput, total) in enumerate(zip(
+                judged.delivered[j].T.tolist(), judged.throughput[j].T.tolist(), judged.total[j].tolist(),
+            ))
+        ])
+    return results
 
 
 def session_to_csv(result: SessionResult) -> str:
