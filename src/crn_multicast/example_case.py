@@ -109,10 +109,30 @@ def builtin_fixture() -> dict:
     }
 
 
+def _ids(values, what: str) -> list[int]:
+    """A fixture's node or channel ids, each a JSON integer, none repeated: a
+    bool, a float or a string is an error, never truncated to an id."""
+    ids = list(values)
+    for x in ids:
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+            raise ValueError(f"{what}: {x!r} is not an integer id")
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"{what}: an id is listed twice in {ids!r}")
+    return [int(x) for x in ids]
+
+
 def _tree_from_fixture(fixture: dict) -> Tree:
-    parent = {int(v): int(u) for u, v in fixture["tree_edges"]}
+    (root,) = _ids([fixture["root"]], "root")
+    parent: dict[int, int] = {}
+    for edge in fixture["tree_edges"]:
+        u, v = _ids(edge, f"tree edge {edge!r}")
+        if v == root:
+            raise ValueError(f"tree edge {edge!r} leads into the root {root}")
+        if v in parent:
+            raise ValueError(f"node {v} has two parent edges, from {parent[v]} and from {u}")
+        parent[v] = u
     # The fixture injects every metric, so parent-edge lengths are unknown.
-    return tree_from_parents(int(fixture["root"]), parent, {v: math.nan for v in parent})
+    return tree_from_parents(root, parent, {v: math.nan for v in parent})
 
 
 def check_pruned(tree: Tree, destinations) -> None:
@@ -124,7 +144,7 @@ def check_pruned(tree: Tree, destinations) -> None:
 
 def _idle_channels(ev: dict, m: int) -> list[int]:
     """0-based indices of an event's idle channels; ids in the fixture are 1..m."""
-    ids = [int(c) for c in ev["idle_channels"]]
+    ids = _ids(ev["idle_channels"], f"event of transmitter {ev['transmitter']}, idle channels")
     bad = [c for c in ids if not 1 <= c <= m]
     if bad:
         raise ValueError(f"event of transmitter {ev['transmitter']}: idle channel ids {bad} outside 1..{m}")
@@ -144,9 +164,13 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
     a null air time is an infinite one (a zero rate).
     """
     tree = _tree_from_fixture(fixture)
-    destinations = [int(d) for d in fixture["destinations"]]
-    check_pruned(tree, destinations)
     schedule = layerize(tree)
+    # Nodes on a cycle of tree edges never lead up to the root, so the schedule misses them.
+    stray = set(tree.parent) - {r for entry in schedule.entries for r in entry.receivers}
+    if stray:
+        raise ValueError(f"nodes {sorted(stray)} have no path to the root {tree.root} along tree_edges")
+    destinations = _ids(fixture["destinations"], "destinations")
+    check_pruned(tree, destinations)
     events = fixture["events"]
     if len(events) != len(schedule.entries):
         raise ValueError(f"expected {len(schedule.entries)} events for this tree, got {len(events)}")
@@ -163,7 +187,9 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
     idle = np.zeros((len(events), mu.size), dtype=bool)
     pos_rows, tx_rows, avail_rows = [], [], []
     for e, (entry, ev) in enumerate(zip(schedule.entries, events)):
-        if int(ev["transmitter"]) != entry.transmitter or {int(r) for r in ev["receivers"]} != set(entry.receivers):
+        (tx,) = _ids([ev["transmitter"]], "transmitter")
+        receivers = _ids(ev["receivers"], f"receivers of transmitter {tx}")
+        if tx != entry.transmitter or set(receivers) != set(entry.receivers):
             raise ValueError(
                 f"event for transmitter {ev['transmitter']} does not match the "
                 f"schedule entry ({entry.transmitter} -> {entry.receivers})"
@@ -194,7 +220,7 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
             raise ValueError(f"{at[s]}, channel {j + 1}: {message}, got {float(values[s, j])!r}")
     table = EventTable(slots, idle, available, pos, rate, tx, mu)
     channels = select_channels(table, scheme, [rng], replay_all=True)[:, None]
-    return session_results([schedule], table, channels, judge(table, channels, packet_bits), replay_all=True)[0][0]
+    return session_results(table, channels, judge(table, channels, packet_bits), replay_all=True)[0][0]
 
 
 def check_fixture(fixture: dict, rel_tol: float = 0.005) -> tuple[bool, list[str], dict]:

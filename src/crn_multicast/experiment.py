@@ -4,20 +4,27 @@ A trial fixes one topology and destination set from its seed, then replays the
 same pre-drawn channel states and fading gains under every requested scheme
 (common random numbers), so scheme comparisons differ only in channel choice.
 Sweeps repeat trials with seeds seed+i at each value of one swept variable and
-aggregate means with 95% normal-approximation confidence intervals. A sweep
-runs in blocks of trial seeds: what a seed fixes regardless of the swept value
-(its geometry, and its raw draws once per distinct channel count) is built
-once per block and shared by every value, each (value, tree kind) of a block
-is one stacked event table judged in one pass, and rows stay in value-major
-order, as if every trial had run on its own.
+aggregate means with 95% normal-approximation confidence intervals.
+
+Every trial is judged in a block of trial seeds (BlockStages): the tree of
+every (seed, tree kind), seed after seed with tree kinds in order, stacked
+into one slot index and one event table, each tree drawn and picked for
+with its own generators. A run is a block of one seed. A sweep runs blocks
+of up to BLOCK_SEEDS seeds, builds what a seed fixes regardless of the
+swept value (its geometry, and its raw draws once per distinct channel
+count) once per block for every value, judges each (block, value) as one
+table, and keeps rows in value-major order, as if every trial had run on
+its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import sys
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +47,7 @@ from .session import (
     stack_slots,
     threshold_draws,
 )
-from .topology import LayerSchedule, build_mst, build_spt, generate_topology, layerize, prune_tree
+from .topology import build_mst, build_spt, generate_topology, layerize, prune_tree
 
 
 class DataFormatError(ValueError):
@@ -174,78 +181,18 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng((seed, *stream))
 
 
-def _selection_seeds(seeds, tree_kind: TreeKind) -> list[np.random.SeedSequence]:
-    """Seed sequence of each seed's rs generator for one tree kind, hashed
-    once: np.random.Generator(np.random.PCG64(seq)) gives the stream of
+def _selection_seeds(seeds, trees) -> list[np.random.SeedSequence]:
+    """Seed sequence of the rs generator of every (seed, tree kind), seed
+    after seed with tree kinds in order, hashed once:
+    np.random.Generator(np.random.PCG64(seq)) gives the stream of
     _rng(seed, _STREAM_SELECTION, tree code, rs code) without hashing again."""
-    stream = (_STREAM_SELECTION, _TREE_CODE[tree_kind], _SCHEME_CODE[Scheme.RS])
-    return [np.random.SeedSequence((seed, *stream)) for seed in seeds]
+    rs = _SCHEME_CODE[Scheme.RS]
+    return [np.random.SeedSequence((seed, _STREAM_SELECTION, _TREE_CODE[t], rs)) for seed in seeds for t in trees]
 
 
-@dataclass(frozen=True)
-class TreeStages:
-    """One pruned tree of a trial seed, ready for draws: its layer schedule
-    and its slot index."""
-
-    schedule: LayerSchedule
-    slots: SlotIndex
-
-
-def _raw_draws(cache: dict, tree_kind: TreeKind, model: ChannelModel, seeds, schedules, slots: SlotIndex):
-    """Raw draws (session.draw_raw) of each seed's schedule of tree_kind under
-    model, each from its seed's own generator, drawn seed after seed into
-    one set of arrays laid out as slots, the schedules' slot index stacked,
-    when first asked for and then kept in cache. They are keyed on what
-    draw_raw reads of the model, its mean idle durations (whose length is
-    M), so models differing only in p_idle share them."""
-    key = (tree_kind, model.mu_idle.tobytes())
-    if key not in cache:
-        entry_at = slots.tree_starts.tolist()
-        slot_at = [*slots.starts[slots.tree_starts[:-1]].tolist(), len(slots.event)]
-        uniform, residual = np.empty((entry_at[-1], model.m)), np.empty((entry_at[-1], model.m))
-        gains = np.empty((slot_at[-1], model.m))
-        for j, (seed, schedule) in enumerate(zip(seeds, schedules)):
-            e, r = slice(entry_at[j], entry_at[j + 1]), slice(slot_at[j], slot_at[j + 1])
-            rng = _rng(seed, _STREAM_EVENTS, _TREE_CODE[tree_kind])
-            draw_raw(schedule, model, rng, (uniform[e], residual[e], gains[r]))
-        cache[key] = uniform, residual, gains
-    return cache[key]
-
-
-@dataclass(frozen=True)
-class SeedStages:
-    """What a trial seed fixes before link metrics: the destination set, per
-    tree kind the pruned tree's stages, and the raw draws taken so far."""
-
-    seed: int
-    destinations: frozenset[int]
-    trees: dict[TreeKind, TreeStages]
-    _raw: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def raw(self, tree_kind: TreeKind, model: ChannelModel):
-        """The tree's raw draws under model (see _raw_draws)."""
-        tree = self.trees[tree_kind]
-        return _raw_draws(self._raw, tree_kind, model, [self.seed], [tree.schedule], tree.slots)
-
-
-@dataclass(frozen=True)
-class BlockStages:
-    """What a block of trial seeds fixes before link metrics, stacked seed
-    after seed: per tree kind one slot index (session.stack_slots), each
-    seed's layer schedule, and the raw draws taken so far."""
-
-    seeds: list[int]
-    schedules: dict[TreeKind, list[LayerSchedule]]
-    slots: dict[TreeKind, SlotIndex]
-    _raw: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def raw(self, tree_kind: TreeKind, model: ChannelModel):
-        """The block's raw draws of tree_kind under model, stacked (see _raw_draws)."""
-        return _raw_draws(self._raw, tree_kind, model, self.seeds, self.schedules[tree_kind], self.slots[tree_kind])
-
-
-def seed_stages(params: ScenarioParams, trees, seed: int) -> SeedStages:
-    """Topology, destinations, pruned trees and layer schedules of one seed.
+def seed_stages(params: ScenarioParams, trees, seed: int) -> list[SlotIndex]:
+    """Slot index of each tree kind's pruned tree of one seed, built from the
+    seed's topology, destinations and layer schedules.
 
     These depend on the seed, n_nodes, n_dest, area and range only.
     """
@@ -256,17 +203,67 @@ def seed_stages(params: ScenarioParams, trees, seed: int) -> SeedStages:
     destinations = frozenset(
         int(v) for v in dest_rng.choice(np.arange(1, params.n_nodes), size=params.n_dest, replace=False)
     )
-    stages = {}
+    indexes = []
     for tree_kind in trees:
         build = build_spt if tree_kind is TreeKind.SPT else build_mst
         pruned = prune_tree(build(topo, 0), destinations)
-        schedule = layerize(pruned)
-        slots = slot_index(pruned, schedule, destinations)
+        slots = slot_index(pruned, layerize(pruned), destinations)
         # The one check on distances: link_metrics runs the link equations unchecked.
         if not (slots.distances > 0.0).all():
             raise ValueError("distance must be positive (co-located nodes)")
-        stages[tree_kind] = TreeStages(schedule, slots)
-    return SeedStages(seed, destinations, stages)
+        indexes.append(slots)
+    return indexes
+
+
+@dataclass(frozen=True)
+class BlockStages:
+    """What a block of trial seeds fixes before link metrics: one slot index
+    over the tree of every (seed, tree kind), seed after seed with tree
+    kinds in order within each seed (session.stack_slots), and the raw
+    draws taken so far."""
+
+    seeds: tuple[int, ...]
+    trees: tuple[TreeKind, ...]
+    slots: SlotIndex
+    _raw: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def raw(self, model: ChannelModel):
+        """Raw draws (session.draw_raw) of every tree under model, each tree
+        from its own (seed, tree kind) generator, when first asked for and
+        then kept. They are keyed on what draw_raw reads of the model, its
+        mean idle durations (whose length is M), so models differing only in
+        p_idle share them."""
+        key = model.mu_idle.tobytes()
+        if key not in self._raw:
+            rngs = [_rng(seed, _STREAM_EVENTS, _TREE_CODE[t]) for seed in self.seeds for t in self.trees]
+            self._raw[key] = draw_raw(self.slots, model, rngs)
+        return self._raw[key]
+
+    @cached_property
+    def selection(self) -> list[np.random.SeedSequence]:
+        """Seed sequence of each tree's rs generator (_selection_seeds)."""
+        return _selection_seeds(self.seeds, self.trees)
+
+
+def _block_stages(params: ScenarioParams, trees, seeds) -> BlockStages:
+    """seed_stages of every seed of a block, stacked into one slot index."""
+    indexes = [slots for seed in seeds for slots in seed_stages(params, trees, seed)]
+    return BlockStages(tuple(seeds), tuple(trees), stack_slots(indexes))
+
+
+def _judge_block(
+    phy: PhyParams, model: ChannelModel, schemes, block: BlockStages
+) -> tuple[EventTable, np.ndarray, Judgement]:
+    """Link metrics of every tree of a block under model in one event table,
+    then every scheme's channels and their judgement in one pass. Every rs
+    scheme picks tree by tree with fresh generators from the block's seed
+    sequences."""
+    table = link_metrics(phy, threshold_draws(block.raw(model), model.p_idle), model.mu_idle, block.slots)
+    channels = np.empty((len(block.slots.starts), len(schemes)), dtype=np.intp)
+    for k, scheme in enumerate(schemes):
+        rngs = [np.random.Generator(np.random.PCG64(seq)) for seq in block.selection] if scheme is Scheme.RS else ()
+        channels[:, k] = select_channels(table, scheme, rngs)
+    return table, channels, judge(table, channels, phy.packet_bits)
 
 
 def run_scenario_sessions(
@@ -275,53 +272,26 @@ def run_scenario_sessions(
     trees,
     seed: int,
     channel_model: ChannelModel | None = None,
-    stages: SeedStages | None = None,
 ) -> dict[tuple[TreeKind, Scheme], SessionResult]:
     """One seeded scenario: full session results per (tree kind, scheme).
 
     All schemes of one tree kind see bitwise-identical channel states and
     gains; only their channel decisions (and hence successes) differ.
-    channel_model defaults to the one params describes, and stages to
-    seed_stages(params, trees, seed); a caller may pass stages it shares
-    across scenarios, which must equal what that default would build. The
-    seed's trees are stacked (stack_slots) into one table for _judge_block,
-    a block of one seed, so the fixed cost of each array call is paid once
-    per seed rather than once per tree.
+    channel_model defaults to the one params describes. The scenario is a
+    block of one seed (_block_stages), judged as one table, as each block of
+    a sweep is.
     """
     if seed < 0:
         raise ValueError("seed must be non-negative")
-    if stages is not None and stages.seed != seed:
-        raise ValueError(f"stages were built for seed {stages.seed}, not {seed}")
     model = channel_model if channel_model is not None else params.channels()
-    phy = params.phy()
-    stages = stages if stages is not None else seed_stages(params, trees, seed)
     # Keyed results: a repeated tree kind counts once, in first-seen order.
     trees = tuple(dict.fromkeys(trees))
-    slots = stack_slots([stages.trees[t].slots for t in trees])
-    raw = tuple(np.concatenate(parts) for parts in zip(*(stages.raw(t, model) for t in trees)))
-    selection = [seq for t in trees for seq in _selection_seeds([seed], t)] if Scheme.RS in schemes else []
-    table, channels, judged = _judge_block(phy, model, schemes, slots, raw, selection)
-    schedules = [stages.trees[t].schedule for t in trees]
+    table, channels, judged = _judge_block(params.phy(), model, schemes, _block_stages(params, trees, [seed]))
     results: dict[tuple[TreeKind, Scheme], SessionResult] = {}
-    for tree_kind, tree_results in zip(trees, session_results(schedules, table, channels, judged)):
+    for tree_kind, tree_results in zip(trees, session_results(table, channels, judged)):
         for scheme, result in zip(schemes, tree_results):
             results[(tree_kind, scheme)] = result
     return results
-
-
-def _judge_block(
-    phy: PhyParams, model: ChannelModel, schemes, slots: SlotIndex, raw, selection
-) -> tuple[EventTable, np.ndarray, Judgement]:
-    """Link metrics of one tree kind over a block of seeds, whose slot index
-    and raw draws come stacked seed after seed, then every scheme's channels
-    and their judgement in one pass. selection holds each seed's rs seed
-    sequence; every rs scheme gets fresh generators from them."""
-    table = link_metrics(phy, threshold_draws(raw, model.p_idle), model.mu_idle, slots)
-    channels = np.empty((len(slots.starts), len(schemes)), dtype=np.intp)
-    for k, scheme in enumerate(schemes):
-        rngs = [np.random.Generator(np.random.PCG64(seq)) for seq in selection] if scheme is Scheme.RS else ()
-        channels[:, k] = select_channels(table, scheme, rngs)
-    return table, channels, judge(table, channels, phy.packet_bits)
 
 
 @dataclass(frozen=True)
@@ -426,22 +396,11 @@ def aggregate_trials(rows: list[TrialRow]) -> list[AggregateRow]:
 # Swept fields that change a trial seed's geometry, so seed_stages cannot be shared.
 _GEOMETRY_FIELDS = {"n_nodes", "n_dest"}
 
-# Trial seeds judged together: each tree kind's tables of a block's seeds are
-# stacked into one, so per-call overhead is paid per block rather than per seed.
+# Trial seeds judged together: the trees of a block's seeds are stacked into
+# one table, so per-call overhead is paid per block rather than per seed.
 # On a 1000-trial sweep 32 was within 3% of the fastest size, 64, at about 40%
 # of its block memory (README "Sweeps" has the measurement).
 BLOCK_SEEDS = 32
-
-
-def _block_stages(params: ScenarioParams, trees, seeds) -> BlockStages:
-    """seed_stages of every seed of a block, stacked; only the schedules and
-    the stacked slot indexes are kept."""
-    block = [seed_stages(params, trees, seed).trees for seed in seeds]
-    return BlockStages(
-        list(seeds),
-        {t: [stages[t].schedule for stages in block] for t in trees},
-        {t: stack_slots([stages[t].slots for stages in block]) for t in trees},
-    )
 
 
 def run_sweep(spec: SweepSpec) -> tuple[list[TrialRow], list[AggregateRow]]:
@@ -449,16 +408,12 @@ def run_sweep(spec: SweepSpec) -> tuple[list[TrialRow], list[AggregateRow]]:
 
     Reusing trial seeds across values pairs the sweep points through common
     topologies and draws, which keeps trends smooth at modest trial counts.
-    Trials run in blocks of up to BLOCK_SEEDS seeds (BlockStages). Each
-    seed's stages and raw draws come from its own generators, as in
-    run_scenario_sessions, stacked seed after seed, and are built once per
-    block for all values unless the geometry is swept; one block's stages
-    are alive at a time. Per (block, value, tree kind) the stacked slot
-    index and draws make one event table, which gets one threshold, one set
-    of link metrics and one channel choice per scheme (rs picks tree by tree
-    with each seed's generator), and judge settles every seed and scheme in
-    one pass. Rows come out value-major, equal to running
-    run_scenario_sessions seed by seed.
+    Trials run in blocks of up to BLOCK_SEEDS seeds (BlockStages), each
+    block built once for all values unless the geometry is swept; one
+    block's stages are alive at a time. Per (block, value) the block is one
+    event table, judged by _judge_block exactly as run_scenario_sessions
+    judges its block of one seed, so rows come out value-major, equal to
+    running run_scenario_sessions seed by seed.
     """
     points = [(value, params, params.channels(), params.phy()) for value, params in spec.scenarios()]
     shared = SWEEP_VARIABLES[spec.variable] not in _GEOMETRY_FIELDS
@@ -468,18 +423,15 @@ def run_sweep(spec: SweepSpec) -> tuple[list[TrialRow], list[AggregateRow]]:
     for first in range(0, spec.trials, BLOCK_SEEDS):
         trials = range(first, min(first + BLOCK_SEEDS, spec.trials))
         seeds = [spec.seed + i for i in trials]
-        selection = {t: _selection_seeds(seeds, t) if Scheme.RS in schemes else [] for t in trees}
         shared_block = _block_stages(spec.base, trees, seeds) if shared else None
         for out, (value, params, model, phy) in zip(value_rows, points):
             block = shared_block or _block_stages(params, trees, seeds)
-            outcomes = {}
-            for t in trees:
-                judged = _judge_block(phy, model, schemes, block.slots[t], block.raw(t, model), selection[t])[2]
-                n_dest = judged.delivered.shape[1]
-                outcomes[t] = (judged.total / n_dest).tolist(), (judged.delivered.sum(axis=1) / n_dest).tolist()
-            for j, i in enumerate(trials):
-                for t, (avg, pdr) in outcomes.items():
-                    out += [TrialRow(t, s, spec.variable, value, i, a, p) for s, a, p in zip(schemes, avg[j], pdr[j])]
+            judged = _judge_block(phy, model, schemes, block)[2]
+            n_dest = judged.delivered.shape[1]
+            avg, pdr = (judged.total / n_dest).tolist(), (judged.delivered.sum(axis=1) / n_dest).tolist()
+            # Tree j of the block is trial j // len(trees) on tree kind j % len(trees).
+            for j, (i, t) in enumerate(itertools.product(trials, trees)):
+                out += [TrialRow(t, s, spec.variable, value, i, a, p) for s, a, p in zip(schemes, avg[j], pdr[j])]
             del block  # gone before the next block is built, so one block is alive at a time
         del shared_block
     rows = [row for block_rows in value_rows for row in block_rows]
@@ -556,7 +508,10 @@ def read_trials_csv(path) -> list[TrialRow]:
 
 
 def read_aggregate_csv(path) -> list[AggregateRow]:
-    rows = []
+    """Aggregate rows of a CSV file that charts can draw: finite numbers, one
+    swept variable, one row per (tree, scheme, value), and axis ranges that
+    stay finite (the span of the values, 1.05 x (mean + CI))."""
+    rows, seen, lo, hi = [], {}, math.inf, -math.inf
     text = Path(path).read_text(encoding="utf-8")
     for lineno, f in _parse_csv(text, AGGREGATE_HEADER, path):
         try:
@@ -569,6 +524,16 @@ def read_aggregate_csv(path) -> list[AggregateRow]:
                 raise ValueError(f"numbers must be finite, got {values}")
             if rows and row.variable != rows[0].variable:
                 raise ValueError(f"variable {row.variable!r} differs from {rows[0].variable!r} above")
+            key = (row.tree, row.scheme, float(row.value))
+            if key in seen:
+                raise ValueError(f"{row.tree.value}/{row.scheme.value} at {row.value!r} repeats line {seen[key]}")
+            seen[key] = lineno
+            lo, hi = min(lo, key[2]), max(hi, key[2])
+            if not _finite(hi - lo):
+                raise ValueError(f"swept values from {lo!r} to {hi!r} span a range that overflows")
+            for mean, ci in ((row.mean_throughput_bps, row.ci95_throughput), (row.mean_pdr, row.ci95_pdr)):
+                if not _finite(1.05 * (mean + ci)):
+                    raise ValueError(f"1.05 x (mean + CI) overflows for mean {mean!r} and CI {ci!r}")
         except ValueError as exc:
             raise DataFormatError(f"{path}, line {lineno}: {exc}") from exc
         rows.append(row)

@@ -10,29 +10,29 @@ packet size divided by the summed air time along that path.
 
 A session runs on flat arrays. Each receiver of a tree's layer schedule owns
 one slot, in schedule order, and a SlotIndex, built once per tree, is the one
-description of that layout: each slot's entry, transmitter slot and parent
-edge length, and the destinations' slots. stack_slots lays several trees'
-indexes one after another, so a block of trial seeds, or the trees of one
-seed, is one index, and its draws and link metrics are one EventTable over
-it. pos,
-masa and mdr choose every entry's channel at once; rs picks entry by entry,
-drawing only for entries whose transmitter has the packet, with each tree's
-own generator. judge then settles every tree under every scheme's channels
-in one array pass: one gather reads each hop's air time and fit on its
-chosen channel, and the air times are summed along each destination's path
-from the root (SlotIndex.dest_paths, built once per index), one step at a
-time for all paths together. Sweeps read only each tree's delivered
-destinations and total throughput; run judges its seed's trees as one table
-and fixture replays judge one tree, and both build SessionResults from the
-judgement (session_results).
+description of that layout: each entry's transmitter node, each slot's
+receiver node, entry, transmitter slot and parent edge length, and the
+destinations' slots. stack_slots lays several trees' indexes one after
+another, so every (seed, tree kind) of a block of trial seeds is one index,
+drawn tree by tree with each tree's own generator (draw_raw), and its link
+metrics are one EventTable over it. pos, masa and mdr choose every entry's
+channel at once; rs picks entry by entry, drawing only for entries whose
+transmitter has the packet, with each tree's own generator. judge then
+settles every tree under every scheme's channels in one array pass: one
+gather reads each hop's air time and fit on its chosen channel, and the air
+times are summed along each destination's path from the root
+(SlotIndex.dest_paths, built once per index), one step at a time for all
+paths together. Sweeps read only each tree's delivered destinations and
+total throughput; run (a block of one seed) and fixture replays (one tree)
+build SessionResults from the judgement (session_results).
 
 Hop records (SessionResult.hops, and control_trace from them) are a view
-built from the table when first read; sampled sweeps never read it. Inputs
-are checked where they enter, once: seed_stages rejects co-located parent
-edges, ChannelModel non-positive mean idle durations, link_metrics a
-non-finite rate, and example_case.run_fixture every fixture value. An
-EventTable checks nothing; the phy functions keep every check for direct
-callers.
+built from the table and the node ids of its index when first read; sampled
+sweeps never read it. Inputs are checked where they enter, once:
+seed_stages rejects co-located parent edges, ChannelModel non-positive mean
+idle durations, link_metrics a non-finite rate, and example_case.run_fixture
+every fixture value. An EventTable checks nothing; the phy functions keep
+every check for direct callers.
 """
 
 from __future__ import annotations
@@ -82,6 +82,8 @@ class SlotIndex:
     starts: np.ndarray  # (E,) first slot of each entry
     event: np.ndarray  # (R,) entry of each slot
     tx_slot: np.ndarray  # (E,) slot of each entry's transmitter; -1 for a root
+    transmitter: np.ndarray  # (E,) node id of each entry's transmitter
+    receiver: np.ndarray  # (R,) node id of each slot's receiver
     height: int  # slots on the longest path from a root
     destinations: tuple[int, ...]  # each tree's, sorted, tree after tree
     dest_slot: np.ndarray  # (trees, D) slot of each destination, in the same order
@@ -115,6 +117,7 @@ def slot_index(tree: Tree, schedule: LayerSchedule, destinations) -> SlotIndex:
     height = len(tree.path_to_root(receivers[-1])) - 1
     return SlotIndex(
         np.cumsum([0, *counts[:-1]]), np.repeat(np.arange(len(counts)), counts), np.array(tx_slot),
+        np.array([entry.transmitter for entry in schedule.entries]), np.array(receivers),
         height, dests, np.array([[slot_of[k] for k in dests]]),
         np.array([tree.edge_dist[r] for r in receivers]), np.array([0, len(counts)]),
     )
@@ -136,6 +139,8 @@ def stack_slots(indexes) -> SlotIndex:
         np.concatenate([x.starts for x in indexes]) + slot_per_entry,
         np.concatenate([x.event for x in indexes]) + np.repeat(entry_off[:-1], n_slots),
         np.where(tx_slot < 0, -1, tx_slot + slot_per_entry),
+        np.concatenate([x.transmitter for x in indexes]),
+        np.concatenate([x.receiver for x in indexes]),
         max(x.height for x in indexes),
         tuple(k for x in indexes for k in x.destinations),
         np.concatenate([x.dest_slot for x in indexes]) + np.repeat(slot_off[:-1], n_trees)[:, None],
@@ -178,9 +183,8 @@ class SessionResult:
     total_throughput: float
     avg_throughput: float  # total divided by the number of destinations
     pdr: float  # delivered fraction of destinations
-    schedule: LayerSchedule = field(repr=False, compare=False)
     table: EventTable = field(repr=False, compare=False)  # the table the tree was judged in
-    first_entry: int = field(repr=False, compare=False)  # table entry of the schedule's first entry
+    entries: range = field(repr=False, compare=False)  # table entries of the tree
     channels: np.ndarray = field(repr=False, compare=False)  # per table entry; -1 for none or not picked
     air: np.ndarray = field(repr=False, compare=False)  # per table slot, as in Judgement.air
     replay_all: bool = field(repr=False, compare=False)  # whether the hop view lists every entry
@@ -189,28 +193,30 @@ class SessionResult:
     def hops(self) -> tuple[HopRecord, ...]:
         """What happened at each recorded entry, in schedule order: in sampled
         sessions every entry whose transmitter had the packet, in fixture
-        replays every entry."""
-        tx_slot = self.table.slots.tx_slot.tolist()
-        first = self.first_entry
-        recorded = range(first, first + len(self.schedule.entries))
+        replays every entry. Node ids come from the table's slot index."""
+        slots = self.table.slots
+        tx_slot = slots.tx_slot.tolist()
+        recorded = self.entries
         if not self.replay_all:
             # A slot got the packet iff its hop fits and its transmitter got
             # it; every slot comes after its transmitter's, and the extra last
             # entry, slot -1, is every root.
             air = self.air.tolist()
             got = [False] * (len(air) - 1) + [True]
-            for s, entry in enumerate(self.table.slots.event.tolist()):
+            for s, entry in enumerate(slots.event.tolist()):
                 got[s] = got[tx_slot[entry]] and not math.isnan(air[s])
             recorded = [e for e in recorded if got[tx_slot[e]]]
+        transmitter, receiver = slots.transmitter.tolist(), slots.receiver.tolist()
+        bounds = [*slots.starts.tolist(), len(receiver)]
         hops = []
         for e in recorded:
-            entry, ch, lo = self.schedule.entries[e - first], int(self.channels[e]), int(self.table.slots.starts[e])
-            tx, receivers, n = entry.transmitter, entry.receivers, len(entry.receivers)
+            ch, lo, hi = int(self.channels[e]), bounds[e], bounds[e + 1]
+            tx, receivers, n = transmitter[e], tuple(receiver[lo:hi]), hi - lo
             if ch < 0:
                 hops.append(HopRecord(tx, receivers, None, (math.nan,) * n, (False,) * n, math.nan))
                 continue
-            times = tuple(self.table.tx_time[lo:lo + n, ch].tolist())
-            success = tuple(self.table.fits[lo:lo + n, ch].tolist())
+            times = tuple(self.table.tx_time[lo:hi, ch].tolist())
+            success = tuple(self.table.fits[lo:hi, ch].tolist())
             hops.append(HopRecord(tx, receivers, ch, times, success, float(self.table.available_time[e, ch])))
         return tuple(hops)
 
@@ -225,35 +231,35 @@ class SessionResult:
         return tuple(trace)
 
 
-def draw_raw(schedule: LayerSchedule, model: ChannelModel, rng: np.random.Generator, out=None):
-    """Draw the random numbers behind every schedule entry's channel states and
-    fading gains, before any idle probability applies.
+def draw_raw(slots: SlotIndex, model: ChannelModel, rngs):
+    """Draw the random numbers behind every entry's channel states and fading
+    gains, before any idle probability applies, tree j of slots with rngs[j].
 
-    Entries are drawn one after another in schedule order, each as one
-    uniform per channel, then residual availability of every channel, then
-    the gains of its receivers, so the generator stream is the same as
-    drawing every event on its own. Only the channel count and mean idle
-    durations of the model are used, so models differing only in p_idle share
-    these draws. Returns (E, M) uniforms, (E, M) residuals and (R, M) gains,
-    one row per receiver slot, drawn into the three arrays of out when given.
+    Each tree's entries are drawn one after another in schedule order, each
+    as one uniform per channel, then residual availability of every
+    channel, then the gains of its receivers, so each generator's stream is
+    the same as drawing every event of its tree on its own. Only the channel
+    count and mean idle durations of the model are used, so models differing
+    only in p_idle share these draws. Returns (E, M) uniforms, (E, M)
+    residuals and (R, M) gains, one row per receiver slot.
     """
-    m, entries = model.m, schedule.entries
-    if out is None:
-        n_slots = sum(len(entry.receivers) for entry in entries)
-        out = np.empty((len(entries), m)), np.empty((len(entries), m)), np.empty((n_slots, m))
-    uniform, residual, gains = out
-    hi = 0
-    for e, entry in enumerate(entries):
-        rng.random(out=uniform[e])
-        # Residuals are drawn for every channel, busy ones included, so that
-        # runs differing only in p_idle consume identical generator positions.
-        rng.standard_exponential(out=residual[e])
-        lo, hi = hi, hi + len(entry.receivers)
-        rng.standard_exponential(out=gains[lo:hi])
+    tree_starts = slots.tree_starts.tolist()
+    if len(rngs) != len(tree_starts) - 1:
+        raise ValueError(f"drawing needs one rng per tree, got {len(rngs)} for {len(tree_starts) - 1}")
+    bounds = [*slots.starts.tolist(), len(slots.event)]
+    uniform, residual = np.empty((len(slots.starts), model.m)), np.empty((len(slots.starts), model.m))
+    gains = np.empty((len(slots.event), model.m))
+    for rng, first, end in zip(rngs, tree_starts, tree_starts[1:]):
+        for e in range(first, end):
+            rng.random(out=uniform[e])
+            # Residuals are drawn for every channel, busy ones included, so that
+            # runs differing only in p_idle consume identical generator positions.
+            rng.standard_exponential(out=residual[e])
+            rng.standard_exponential(out=gains[bounds[e]:bounds[e + 1]])
     # Scaling unit exponentials afterwards gives the same numbers as drawing
     # each channel's exponential with its own mean.
     residual *= model.mu_idle
-    return out
+    return uniform, residual, gains
 
 
 def threshold_draws(raw, p_idle: np.ndarray):
@@ -363,15 +369,15 @@ def judge(table: EventTable, channels: np.ndarray, packet_bits: int) -> Judgemen
 
 
 def session_results(
-    schedules, table: EventTable, channels: np.ndarray, judged: Judgement, replay_all: bool = False
+    table: EventTable, channels: np.ndarray, judged: Judgement, replay_all: bool = False
 ) -> list[list[SessionResult]]:
-    """SessionResults of a table's judgement: per tree, whose layer schedule
-    is schedules[j], one per channel column. The hop view lists every entry
-    under replay_all (fixture replays), else every entry whose transmitter
-    had the packet."""
+    """SessionResults of a table's judgement: per tree, one per channel
+    column. The hop view lists every entry under replay_all (fixture
+    replays), else every entry whose transmitter had the packet."""
     n_dest = judged.delivered.shape[1]
+    tree_starts = table.slots.tree_starts.tolist()
     results = []
-    for j, (schedule, first) in enumerate(zip(schedules, table.slots.tree_starts.tolist())):
+    for j, (first, end) in enumerate(zip(tree_starts, tree_starts[1:])):
         dests = table.slots.destinations[j * n_dest:(j + 1) * n_dest]
         results.append([
             SessionResult(
@@ -380,9 +386,8 @@ def session_results(
                 total_throughput=total,
                 avg_throughput=total / n_dest,
                 pdr=sum(delivered) / n_dest,
-                schedule=schedule,
                 table=table,
-                first_entry=first,
+                entries=range(first, end),
                 channels=channels[:, k],
                 air=judged.air[:, k],
                 replay_all=replay_all,

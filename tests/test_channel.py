@@ -5,17 +5,24 @@ import pytest
 from scipy import stats
 
 from crn_multicast.channel import ChannelModel, ChannelParams, make_channels
-from crn_multicast.session import draw_raw, threshold_draws
-from crn_multicast.topology import LayerEntry, LayerSchedule
+from crn_multicast.session import draw_raw, slot_index, threshold_draws
+from crn_multicast.topology import layerize, tree_from_parents
 
 
 def draw(model, rng, events, receivers=1):
     """The draws sessions take (session.draw_raw, thresholded at the model's
-    idle probabilities) over a schedule of `events` entries with `receivers`
+    idle probabilities) over one tree of `events` entries with `receivers`
     receivers each: (E, M) idle flags, (E, M) availability, (E * receivers,
-    M) gains."""
-    entry = LayerEntry(0, tuple(range(1, receivers + 1)))
-    return threshold_draws(draw_raw(LayerSchedule((entry,) * events), model, rng), model.p_idle)
+    M) gains. Node v > 0 is a receiver of entry (v - 1) // receivers, whose
+    transmitter is the first receiver of the entry before (the root, 0, for
+    entry 0)."""
+    parent = {
+        v: ((v - 1) // receivers - 1) * receivers + 1 if v > receivers else 0
+        for v in range(1, events * receivers + 1)
+    }
+    tree = tree_from_parents(0, parent, dict.fromkeys(parent, 1.0))
+    slots = slot_index(tree, layerize(tree), [events * receivers])
+    return threshold_draws(draw_raw(slots, model, [rng]), model.p_idle)
 
 
 class TestMakeChannels:

@@ -18,6 +18,25 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_fixture_rejected(tmp_path, capsys, path, value, message):
+    """Set the built-in fixture's value at path (a list index one past the
+    end appends) and require `example --fixture` to exit 2 with message."""
+    fixture = builtin_fixture()
+    *keys, last = path
+    target = fixture
+    for key in keys:
+        target = target[key]
+    if isinstance(target, list) and last == len(target):
+        target.append(value)
+    else:
+        target[last] = value
+    file = tmp_path / "fixture.json"
+    file.write_text(json.dumps(fixture), encoding="utf-8")
+    code, out, err = run_cli(capsys, "example", "--fixture", str(file))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err
+
+
 class TestExampleCommand:
     def test_default_run_passes(self, capsys):
         code, out, _ = run_cli(capsys, "example")
@@ -109,17 +128,34 @@ class TestExampleCommand:
         # changed the outcome or the throughputs without an error; a packet
         # size beyond float range ended in a traceback, and one whose rate
         # overflowed gave a RuntimeWarning and infinite throughputs
-        fixture = builtin_fixture()
-        *keys, last = path
-        target = fixture
-        for key in keys:
-            target = target[key]
-        target[last] = value
-        file = tmp_path / "fixture.json"
-        file.write_text(json.dumps(fixture), encoding="utf-8")
-        code, out, err = run_cli(capsys, "example", "--fixture", str(file))
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and message in err
+        assert_fixture_rejected(tmp_path, capsys, path, value, message)
+
+    # Edges 1->2, 1->6, 1->8, 1->9, 2->10, 8->7; events of transmitters 1, 2 and 8.
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("events", 0, "idle_channels", 2), 4.9, "event of transmitter 1, idle channels: 4.9 is not an integer id"),
+            (("destinations", 0), 6.5, "destinations: 6.5 is not an integer id"),
+            (("tree_edges", 5), [8, 7.7], "tree edge [8, 7.7]: 7.7 is not an integer id"),
+            (("root",), True, "root: True is not an integer id"),
+            (("events", 1, "transmitter"), "2", "transmitter: '2' is not an integer id"),
+            (("events", 2, "receivers", 0), 7.0, "receivers of transmitter 8: 7.0 is not an integer id"),
+            (("tree_edges", 6), [1, 6], "node 6 has two parent edges, from 1 and from 1"),
+            (("tree_edges", 6), [2, 1], "tree edge [2, 1] leads into the root 1"),
+            (("tree_edges", 2), [7, 8], "nodes [7, 8] have no path to the root 1 along tree_edges"),
+            (("destinations", 5), 10, "destinations: an id is listed twice in [6, 7, 8, 9, 10, 10]"),
+        ],
+        ids=[
+            "idle_channel_float", "destination_float", "edge_float", "root_bool", "transmitter_string",
+            "receiver_float", "child_with_two_parents", "edge_into_root", "cycle", "destination_twice",
+        ],
+    )
+    def test_fixture_tree_and_ids_checked_not_truncated(self, tmp_path, capsys, path, value, message):
+        # before: int() truncated 4.9, 6.5 and 7.7 and read true as 1, and the
+        # last parent of a child listed twice won, each ending in "result:
+        # OK"; a cycle away from the root never finished, and a destination
+        # listed twice was counted twice
+        assert_fixture_rejected(tmp_path, capsys, path, value, message)
 
     def test_null_air_time_on_an_idle_channel_is_an_infinite_one(self, tmp_path, capsys):
         fixture = builtin_fixture()
@@ -379,12 +415,22 @@ class TestSweepAndPlot:
             ("spt,pos,p_idle,0.3,1.0,inf,1.0,0.0,2\n", "line 3: numbers must be finite"),
             ("spt,pos,p_idle,nan,1.0,0.0,1.0,0.0,2\n", "line 3: numbers must be finite"),
             ("spt,rs,M,4,1.0,0.0,1.0,0.0,2\n", "line 3: variable 'M' differs from 'p_idle'"),
+            ("spt,pos,p_idle,5e-1,1.0,0.0,1.0,0.0,2\n", "line 3: spt/pos at 0.5 repeats line 2"),
+            ("spt,rs,p_idle,1e308,1.0,0.0,1.0,0.0,2\nspt,rs,p_idle,-1e308,1.0,0.0,1.0,0.0,2\n",
+             "line 4: swept values from -1e+308 to 1e+308 span a range that overflows"),
+            ("spt,pos,p_idle,0.3,1e308,1e308,1.0,0.0,2\n", "line 3: 1.05 x (mean + CI) overflows"),
+            ("spt,pos,p_idle,0.3,1.75e308,0.0,1.0,0.0,2\n", "line 3: 1.05 x (mean + CI) overflows"),
         ],
-        ids=["mean_nan", "ci_inf", "value_nan", "two_variables"],
+        ids=[
+            "mean_nan", "ci_inf", "value_nan", "two_variables", "repeated_key", "x_span_overflows",
+            "mean_plus_ci_overflows", "y_margin_overflows",
+        ],
     )
     def test_plot_rejects_csv_it_cannot_draw(self, tmp_path, capsys, rows, message):
-        # before: nan/inf exited 0 with nan coordinates in the SVG, and a
-        # second variable was drawn into the first one's chart
+        # before: nan/inf exited 0 with nan coordinates in the SVG, a second
+        # variable was drawn into the first one's chart, a repeated (tree,
+        # scheme, value) as a zig-zag, and values or means near the float
+        # limit gave nan and inf coordinates
         bad = tmp_path / "agg.csv"
         bad.write_text(
             "tree,scheme,variable,value,mean_throughput_bps,ci95_throughput,mean_pdr,ci95_pdr,trials\n"

@@ -81,22 +81,26 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             run_scenario_sessions(replace(SMALL, n_dest=14), [Scheme.POS], [TreeKind.SPT], seed=0)
 
-    def test_stages_of_another_seed_rejected(self):
-        stages = experiment.seed_stages(SMALL, [TreeKind.SPT], 3)
-        with pytest.raises(ValueError, match="seed 3, not 4"):
-            run_scenario_sessions(SMALL, [Scheme.POS], [TreeKind.SPT], seed=4, stages=stages)
-
     def test_stages_reused_across_scenarios_match_fresh_ones(self):
-        # one stages object serving scenarios that differ in p_idle, M and
+        # one block's stages serving scenarios that differ in p_idle, M and
         # bandwidth, revisiting a cached key last, must give what each
         # scenario builds alone
-        trees = [TreeKind.SPT, TreeKind.MST]
-        stages = experiment.seed_stages(SMALL, trees, 9)
+        trees, seeds = (TreeKind.SPT, TreeKind.MST), [9, 10]
+        block = experiment._block_stages(SMALL, trees, seeds)
         for params in (SMALL, replace(SMALL, m_channels=3), replace(SMALL, p_idle=0.3, bandwidth_hz=2e6)):
-            shared = run_scenario_sessions(params, ALL_SCHEMES, trees, 9, stages=stages)
-            fresh = run_scenario_sessions(params, ALL_SCHEMES, trees, 9)
-            assert shared == fresh
-            assert [r.hops for r in shared.values()] == [r.hops for r in fresh.values()]
+            phy, model = params.phy(), params.channels()
+            table, channels, shared = experiment._judge_block(phy, model, ALL_SCHEMES, block)
+            fresh_block = experiment._block_stages(params, trees, seeds)
+            _, fresh_channels, fresh = experiment._judge_block(phy, model, ALL_SCHEMES, fresh_block)
+            assert np.array_equal(channels, fresh_channels)
+            for name in ("air", "delivered", "throughput", "total"):
+                assert np.array_equal(getattr(shared, name), getattr(fresh, name), equal_nan=True)
+            results = session.session_results(table, channels, shared)
+            for j, seed in enumerate(seeds):
+                alone = run_scenario_sessions(params, ALL_SCHEMES, trees, seed)
+                for t, tree in enumerate(trees):
+                    got = dict(zip(ALL_SCHEMES, results[len(trees) * j + t]))
+                    assert all(got[s] == alone[(tree, s)] for s in ALL_SCHEMES)
 
     def test_sampled_sessions_build_no_hop_records(self, monkeypatch):
         # Hop records are a view built when first read; sweeps never read it.
@@ -233,38 +237,40 @@ class TestSharedStages:
         assert len(calls) == (3 * 2 if variable in GEOMETRY_SWEPT else 3)
 
     @pytest.mark.parametrize("variable", list(SWEEP_AXES))
-    def test_raw_draws_taken_once_per_seed_and_tree_unless_channels_swept(self, monkeypatch, variable):
+    def test_raw_draws_taken_once_per_block_unless_channels_swept(self, monkeypatch, variable):
+        # 3 trials are one block; each draw_raw call draws every tree of it
         calls = count_calls(monkeypatch, "draw_raw", session, experiment)
         run_sweep(SweepSpec(base=SMALL, variable=variable, values=SWEEP_AXES[variable], trials=3, seed=0))
-        trees = 2
-        assert len(calls) == (3 * trees * 2 if variable in DRAWS_SWEPT else 3 * trees)
+        assert len(calls) == (2 if variable in DRAWS_SWEPT else 1)
 
-    def test_raw_draws_keyed_on_tree_and_mean_idle_durations(self):
-        stages = experiment.seed_stages(SMALL, [TreeKind.SPT, TreeKind.MST], 3)
-        base = stages.raw(TreeKind.SPT, SMALL.channels())
-        assert stages.raw(TreeKind.SPT, replace(SMALL, p_idle=0.2).channels()) is base
-        assert stages.raw(TreeKind.MST, SMALL.channels()) is not base
-        other_m = stages.raw(TreeKind.SPT, replace(SMALL, m_channels=3).channels())
-        other_mu = stages.raw(TreeKind.SPT, replace(SMALL, mu_max_s=0.05).channels())
+    def test_raw_draws_keyed_on_mean_idle_durations(self):
+        block = experiment._block_stages(SMALL, [TreeKind.SPT, TreeKind.MST], [3, 4])
+        base = block.raw(SMALL.channels())
+        assert block.raw(replace(SMALL, p_idle=0.2).channels()) is base
+        other_m = block.raw(replace(SMALL, m_channels=3).channels())
+        other_mu = block.raw(replace(SMALL, mu_max_s=0.05).channels())
         assert other_m[0].shape[1] == 3
         assert other_mu is not base and other_mu[0].shape == base[0].shape
-        # a fresh stages object draws the same numbers from the tree's own stream
-        again = experiment.seed_stages(SMALL, [TreeKind.SPT], 3).raw(TreeKind.SPT, SMALL.channels())
-        for x, y in zip(again, base):
-            assert np.array_equal(x, y)
+        # the last tree, seed 4's MST, drawn alone gives the same numbers:
+        # every (seed, tree kind) draws from its own stream
+        uniform, residual, gains = experiment._block_stages(SMALL, [TreeKind.MST], [4]).raw(SMALL.channels())
+        first = block.slots.tree_starts[3]
+        assert np.array_equal(uniform, base[0][first:]) and np.array_equal(residual, base[1][first:])
+        assert np.array_equal(gains, base[2][block.slots.starts[first]:])
 
 
 class TestSeedBlocks:
     @pytest.mark.parametrize("variable", list(SWEEP_AXES))
     def test_blocks_match_reference_engine_seed_by_seed(self, monkeypatch, variable):
         # Blocks of 3 over 7 trials: two full blocks and a partial one, each
-        # judged as one stacked table per (value, tree kind). The reference
-        # engine runs every seed on its own and shares no code with judge.
+        # judged as one stacked table of every (seed, tree kind) per value.
+        # The reference engine runs every seed on its own and shares no code
+        # with judge.
         monkeypatch.setattr(experiment, "BLOCK_SEEDS", 3)
         tables = count_calls(monkeypatch, "_judge_block", experiment)
         spec = SweepSpec(base=SMALL, variable=variable, values=SWEEP_AXES[variable], trials=7, seed=21)
         rows, agg = run_sweep(spec)
-        assert len(tables) == 3 * len(spec.values) * len(spec.trees)
+        assert len(tables) == 3 * len(spec.values)
         reference = []
         for value, params in spec.scenarios():
             for i in range(spec.trials):
@@ -273,6 +279,32 @@ class TestSeedBlocks:
                     reference.append(TrialRow(tree, scheme, spec.variable, value, i, res.avg_throughput, res.pdr))
         assert trials_to_csv(rows) == trials_to_csv(reference)
         assert aggregate_to_csv(agg) == aggregate_to_csv(aggregate_trials(reference))
+
+
+def test_tree_kinds_are_independent(monkeypatch):
+    # A block stacks every (seed, tree kind), but each tree keeps its own
+    # generators: reversing the tree kinds or running one alone leaves every
+    # (tree, scheme)'s results and rows as they are.
+    monkeypatch.setattr(experiment, "BLOCK_SEEDS", 2)
+    spt, mst = experiment.seed_stages(SMALL, (TreeKind.SPT, TreeKind.MST), 6)
+    stacked = session.stack_slots([spt, mst])
+    for name in ("transmitter", "receiver"):
+        assert np.array_equal(getattr(stacked, name), np.concatenate([getattr(spt, name), getattr(mst, name)]))
+    spec = SweepSpec(base=SMALL, variable="M", values=(3, 8), trials=5, seed=6)
+    sessions = run_scenario_sessions(SMALL, ALL_SCHEMES, spec.trees, 6)
+    rows, agg = run_sweep(spec)
+    rows = {(r.tree, r.scheme, r.value, r.trial): r for r in rows}
+    agg = {(r.tree, r.scheme, r.value): r for r in agg}
+    for trees in ((TreeKind.MST, TreeKind.SPT), (TreeKind.SPT,), (TreeKind.MST,)):
+        got = run_scenario_sessions(SMALL, ALL_SCHEMES, trees, 6)
+        assert list(got) == [(t, s) for t in trees for s in ALL_SCHEMES]
+        for key, result in got.items():
+            assert result == sessions[key] and result.hops == sessions[key].hops
+        got_rows, got_agg = run_sweep(replace(spec, trees=trees))
+        assert len(got_rows) == 2 * 5 * len(ALL_SCHEMES) * len(trees)
+        assert len(got_agg) == 2 * len(ALL_SCHEMES) * len(trees)
+        assert all(row == rows[(row.tree, row.scheme, row.value, row.trial)] for row in got_rows)
+        assert all(row == agg[(row.tree, row.scheme, row.value)] for row in got_agg)
 
 
 def test_aggregate_equals_per_group_numpy_statistics():

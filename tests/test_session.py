@@ -177,9 +177,9 @@ def sampled_params(p_idle=0.9, mu=0.050, m=6):
     return replace(SAMPLED, p_idle=p_idle, mu_min_s=mu, mu_max_s=mu, m_channels=m)
 
 
-def sampled(params, seed, channel_model=None, stages=None):
+def sampled(params, seed, channel_model=None):
     """The pos session over the SPT of one seeded scenario."""
-    sessions = run_scenario_sessions(params, [Scheme.POS], [TreeKind.SPT], seed, channel_model, stages)
+    sessions = run_scenario_sessions(params, [Scheme.POS], [TreeKind.SPT], seed, channel_model)
     return sessions[(TreeKind.SPT, Scheme.POS)]
 
 
@@ -214,26 +214,29 @@ class TestSampledSession:
         params = sampled_params(p_idle=0.4, mu=0.004)
         saw_skip = False
         for seed in range(200):
-            stages = seed_stages(params, [TreeKind.SPT], seed)
-            result = sampled(params, seed, stages=stages)
+            (slots,) = seed_stages(params, [TreeKind.SPT], seed)
+            result = sampled(params, seed)
             first = result.hops[0] if result.hops else None
             if first is not None and not any(first.success):
-                saw_skip |= len(stages.trees[TreeKind.SPT].schedule.entries) > 1
+                saw_skip |= len(slots.starts) > 1
                 assert len(result.hops) == 1  # later layers never transmit
                 assert result.pdr == 0.0
         assert saw_skip
 
     def test_control_trace_shape(self):
         params = replace(sampled_params(), n_dest=4)
-        stages = seed_stages(params, [TreeKind.SPT], 1)
-        entries = stages.trees[TreeKind.SPT].schedule.entries
-        assert any(len(e.receivers) > 1 for e in entries)  # a branching tree, not a path
+        (slots,) = seed_stages(params, [TreeKind.SPT], 1)
+        # Each entry's transmitter and receivers, from the slot index's node ids.
+        bounds = [*slots.starts.tolist(), len(slots.receiver)]
+        receivers = [slots.receiver[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])]
+        entries = list(zip(slots.transmitter.tolist(), receivers))
+        assert any(len(rs) > 1 for _, rs in entries)  # a branching tree, not a path
         model = ChannelModel(tuple(ChannelParams(1e6, 1.0) for _ in range(4)))
-        result = sampled(params, 1, model, stages)
+        result = sampled(params, 1, model)
         expected = []
-        for entry in entries:
-            expected += [("MA", entry.transmitter, r) for r in entry.receivers]
-            expected += [("ACK", r, entry.transmitter) for r in entry.receivers]
+        for tx, rs in entries:
+            expected += [("MA", tx, r) for r in rs]
+            expected += [("ACK", r, tx) for r in rs]
         assert list(result.control_trace) == expected
 
     def test_same_seed_same_result(self):
