@@ -2,11 +2,13 @@
 
 Criterion 9 compares two runs of the same code, so it cannot see drift
 between versions; these files can. The sweep files pin per-value averages,
-the run files per-destination throughputs of every tree and scheme, and the
+the nodes/ sweep the geometry of each swept node count (SPTs, deep MSTs,
+pruning and layer order), the run files per-destination throughputs of every tree and scheme, and the
 example files both reports of the worked example. A change that alters them
 on purpose regenerates them with
 
     crn-multicast sweep --config tests/golden/sweep.cfg --out tests/golden
+    crn-multicast sweep --config tests/golden/nodes/sweep.cfg --out tests/golden/nodes
     crn-multicast run --config tests/golden/run.cfg --seed 7 --json --out tests/golden/run \
         | grep -v '^wrote ' > tests/golden/run/run.json
     crn-multicast example > tests/golden/example/example.txt
@@ -24,6 +26,7 @@ import pytest
 from crn_multicast.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+NODES_GOLDEN = GOLDEN / "nodes"
 RUN_GOLDEN = GOLDEN / "run"
 SESSION_FILES = sorted(p.name for p in RUN_GOLDEN.glob("session_*.csv"))
 
@@ -38,6 +41,18 @@ def rerun(tmp_path_factory):
 @pytest.mark.parametrize("name", ["trials.csv", "aggregate.csv"])
 def test_sweep_reproduces_golden_bytes(rerun, name):
     assert (rerun / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def rerun_nodes(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden_nodes")
+    assert main(["sweep", "--config", str(NODES_GOLDEN / "sweep.cfg"), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", ["trials.csv", "aggregate.csv"])
+def test_node_count_sweep_reproduces_golden_bytes(rerun_nodes, name):
+    assert (rerun_nodes / name).read_bytes() == (NODES_GOLDEN / name).read_bytes()
 
 
 @pytest.fixture(scope="module")
