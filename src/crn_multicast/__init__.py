@@ -16,18 +16,7 @@ from .experiment import (
 )
 from .phy import PhyParams, data_rate, pos, received_power, tx_time
 from .session import HopRecord, SessionResult, TreeKind, session_to_csv
-from .topology import (
-    LayerEntry,
-    LayerSchedule,
-    Topology,
-    Tree,
-    build_mst,
-    build_spt,
-    generate_topology,
-    layerize,
-    prune_tree,
-    tree_from_parents,
-)
+from .topology import Topology, Tree, build_mst, build_spt, generate_topology
 
 __version__ = "0.1.0"
 
@@ -36,8 +25,6 @@ __all__ = [
     "ChannelModel",
     "ChannelParams",
     "HopRecord",
-    "LayerEntry",
-    "LayerSchedule",
     "PhyParams",
     "ScenarioParams",
     "Scheme",
@@ -52,14 +39,11 @@ __all__ = [
     "build_spt",
     "data_rate",
     "generate_topology",
-    "layerize",
     "make_channels",
     "pos",
-    "prune_tree",
     "received_power",
     "run_scenario_sessions",
     "run_sweep",
     "session_to_csv",
-    "tree_from_parents",
     "tx_time",
 ]

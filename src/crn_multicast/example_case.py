@@ -20,12 +20,13 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .assignment import Scheme
 from .session import EventTable, SessionResult, judge, select_channels, session_results, slot_index
-from .topology import Tree, layerize, prune_tree, tree_from_parents
+from .topology import tree_levels
 
 PACKET_BITS = 32768  # 4 KB
 MU_MS = (10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
@@ -121,7 +122,8 @@ def _ids(values, what: str) -> list[int]:
     return [int(x) for x in ids]
 
 
-def _tree_from_fixture(fixture: dict) -> Tree:
+def _tree_from_fixture(fixture: dict) -> tuple[int, dict[int, int]]:
+    """The fixture's root and the parent of every other node of its tree."""
     (root,) = _ids([fixture["root"]], "root")
     parent: dict[int, int] = {}
     for edge in fixture["tree_edges"]:
@@ -131,15 +133,7 @@ def _tree_from_fixture(fixture: dict) -> Tree:
         if v in parent:
             raise ValueError(f"node {v} has two parent edges, from {parent[v]} and from {u}")
         parent[v] = u
-    # The fixture injects every metric, so parent-edge lengths are unknown.
-    return tree_from_parents(root, parent, {v: math.nan for v in parent})
-
-
-def check_pruned(tree: Tree, destinations) -> None:
-    """Require a tree that pruning to the destinations leaves unchanged."""
-    stray = set(tree.parent) - set(prune_tree(tree, destinations).parent)
-    if stray:
-        raise ValueError(f"tree is not pruned to the destination set, stray nodes: {sorted(stray)}")
+    return root, parent
 
 
 def _idle_channels(ev: dict, m: int) -> list[int]:
@@ -163,17 +157,34 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
     Every value read is checked, as fixtures come from outside the program;
     a null air time is an infinite one (a zero rate).
     """
-    tree = _tree_from_fixture(fixture)
-    schedule = layerize(tree)
-    # Nodes on a cycle of tree edges never lead up to the root, so the schedule misses them.
-    stray = set(tree.parent) - {r for entry in schedule.entries for r in entry.receivers}
+    root, parent = _tree_from_fixture(fixture)
+    # The tree's node ids, numbered in order of id as indexes of its parent array.
+    ids = np.array(sorted({root, *parent, *parent.values()}))
+    index = {v: i for i, v in enumerate(ids.tolist())}
+    parent_of = np.full(len(ids), -1)
+    parent_of[[index[v] for v in parent]] = [index[u] for u in parent.values()]
+    reached = set(ids[np.concatenate(tree_levels(parent_of[None], index[root]))].tolist())
+    # Nodes on a cycle of tree edges never lead up to the root, so no level holds them.
+    stray = set(parent) - reached
     if stray:
-        raise ValueError(f"nodes {sorted(stray)} have no path to the root {tree.root} along tree_edges")
+        raise ValueError(f"nodes {sorted(stray)} have no path to the root {root} along tree_edges")
     destinations = _ids(fixture["destinations"], "destinations")
-    check_pruned(tree, destinations)
+    missing = set(destinations) - reached
+    if missing:
+        raise ValueError(f"destinations not spanned by the tree: {sorted(missing)}")
+    # The fixture injects every metric, so parent-edge lengths are unknown.
+    slots = slot_index(
+        parent_of[None], np.full((1, len(ids)), math.nan), [[index[d] for d in destinations]], index[root]
+    )
+    slots = replace(slots, transmitter=ids[slots.transmitter], receiver=ids[slots.receiver],
+                    destinations=tuple(sorted(destinations)))
+    transmitter, receiver = slots.transmitter.tolist(), slots.receiver.tolist()
+    stray = set(parent) - set(receiver)
+    if stray:
+        raise ValueError(f"tree is not pruned to the destination set, stray nodes: {sorted(stray)}")
     events = fixture["events"]
-    if len(events) != len(schedule.entries):
-        raise ValueError(f"expected {len(schedule.entries)} events for this tree, got {len(events)}")
+    if len(events) != len(transmitter):
+        raise ValueError(f"expected {len(transmitter)} events for this tree, got {len(events)}")
     packet_bits = fixture["packet_bits"]
     if isinstance(packet_bits, bool) or not isinstance(packet_bits, numbers.Integral) or packet_bits < 1:
         raise ValueError(f"packet_bits must be a positive integer, got {packet_bits!r}")
@@ -186,20 +197,21 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
         raise ValueError(f"mu_ms must be a list of finite positive numbers, got {fixture['mu_ms']!r}")
     idle = np.zeros((len(events), mu.size), dtype=bool)
     pos_rows, tx_rows, avail_rows = [], [], []
-    for e, (entry, ev) in enumerate(zip(schedule.entries, events)):
+    bounds = [*slots.starts.tolist(), len(receiver)]
+    for e, ev in enumerate(events):
         (tx,) = _ids([ev["transmitter"]], "transmitter")
         receivers = _ids(ev["receivers"], f"receivers of transmitter {tx}")
-        if tx != entry.transmitter or set(receivers) != set(entry.receivers):
+        entry = tuple(receiver[bounds[e]:bounds[e + 1]])
+        if tx != transmitter[e] or set(receivers) != set(entry):
             raise ValueError(
                 f"event for transmitter {ev['transmitter']} does not match the "
-                f"schedule entry ({entry.transmitter} -> {entry.receivers})"
+                f"schedule entry ({transmitter[e]} -> {entry})"
             )
         idle[e, _idle_channels(ev, mu.size)] = True
-        for r in entry.receivers:
+        for r in entry:
             pos_rows.append(ev["pos"][str(r)])
             tx_rows.append([math.inf if t is None else t for t in ev["tx_time_s"][str(r)]])
         avail_rows.append([math.nan if a is None else a for a in ev["available_time_s"]])
-    slots = slot_index(tree, schedule, destinations)
     pos, tx, available = (np.array(rows, dtype=float) for rows in (pos_rows, tx_rows, avail_rows))
     for name, array in (("pos", pos), ("tx_time", tx), ("available_time", available)):
         if array.shape != (len(array), mu.size):  # one row per receiver or event by construction
@@ -207,7 +219,7 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
     slot_idle, slot_avail = idle[slots.event], available[slots.event]
     with np.errstate(divide="ignore", over="ignore"):
         rate = np.where(tx > 0.0, float(packet_bits) / tx, np.inf)
-    at = [f"event of transmitter {x.transmitter}, receiver {v}" for x in schedule.entries for v in x.receivers]
+    at = [f"event of transmitter {transmitter[e]}, receiver {v}" for e, v in zip(slots.event.tolist(), receiver)]
     for bad, values, message in (
         (~((pos >= 0.0) & (pos <= 1.0)), pos, "pos must lie in [0, 1]"),
         (~slot_idle & (pos != 0.0), pos, "busy channels must carry zero success probability"),

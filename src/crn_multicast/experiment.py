@@ -9,12 +9,14 @@ aggregate means with 95% normal-approximation confidence intervals.
 Every trial is judged in a block of trial seeds (BlockStages): the tree of
 every (seed, tree kind), seed after seed with tree kinds in order, stacked
 into one slot index and one event table, each tree drawn and picked for
-with its own generators. A run is a block of one seed. A sweep runs blocks
-of up to BLOCK_SEEDS seeds, builds what a seed fixes regardless of the
-swept value (its geometry, and its raw draws once per distinct channel
-count) once per block for every value, judges each (block, value) as one
-table, and keeps rows in value-major order, as if every trial had run on
-its own.
+with its own generators. Each seed contributes its trees as parent arrays,
+and one level pass over the block's stack of them prunes, orders and
+indexes every tree at once (session.slot_index). A run is a block of one
+seed. A sweep runs blocks of up to BLOCK_SEEDS seeds, builds what a seed
+fixes regardless of the swept value (its geometry, and its raw draws once
+per distinct channel count) once per block for every value, judges each
+(block, value) as one table, and keeps rows in value-major order, as if
+every trial had run on its own.
 """
 
 from __future__ import annotations
@@ -44,10 +46,9 @@ from .session import (
     select_channels,
     session_results,
     slot_index,
-    stack_slots,
     threshold_draws,
 )
-from .topology import build_mst, build_spt, generate_topology, layerize, prune_tree
+from .topology import generate_topology, mst_parents, spt_parents
 
 
 class DataFormatError(ValueError):
@@ -190,37 +191,12 @@ def _selection_seeds(seeds, trees) -> list[np.random.SeedSequence]:
     return [np.random.SeedSequence((seed, _STREAM_SELECTION, _TREE_CODE[t], rs)) for seed in seeds for t in trees]
 
 
-def seed_stages(params: ScenarioParams, trees, seed: int) -> list[SlotIndex]:
-    """Slot index of each tree kind's pruned tree of one seed, built from the
-    seed's topology, destinations and layer schedules.
-
-    These depend on the seed, n_nodes, n_dest, area and range only.
-    """
-    topo = generate_topology(
-        params.n_nodes, params.area_side_m, params.comm_range_m, _rng(seed, _STREAM_TOPOLOGY)
-    )
-    dest_rng = _rng(seed, _STREAM_DESTINATIONS)
-    destinations = frozenset(
-        int(v) for v in dest_rng.choice(np.arange(1, params.n_nodes), size=params.n_dest, replace=False)
-    )
-    indexes = []
-    for tree_kind in trees:
-        build = build_spt if tree_kind is TreeKind.SPT else build_mst
-        pruned = prune_tree(build(topo, 0), destinations)
-        slots = slot_index(pruned, layerize(pruned), destinations)
-        # The one check on distances: link_metrics runs the link equations unchecked.
-        if not (slots.distances > 0.0).all():
-            raise ValueError("distance must be positive (co-located nodes)")
-        indexes.append(slots)
-    return indexes
-
-
 @dataclass(frozen=True)
 class BlockStages:
     """What a block of trial seeds fixes before link metrics: one slot index
     over the tree of every (seed, tree kind), seed after seed with tree
-    kinds in order within each seed (session.stack_slots), and the raw
-    draws taken so far."""
+    kinds in order within each seed (_block_stages), and the raw draws taken
+    so far."""
 
     seeds: tuple[int, ...]
     trees: tuple[TreeKind, ...]
@@ -246,9 +222,30 @@ class BlockStages:
 
 
 def _block_stages(params: ScenarioParams, trees, seeds) -> BlockStages:
-    """seed_stages of every seed of a block, stacked into one slot index."""
-    indexes = [slots for seed in seeds for slots in seed_stages(params, trees, seed)]
-    return BlockStages(tuple(seeds), tuple(trees), stack_slots(indexes))
+    """The slot index of every (seed, tree kind) of a block, seed after seed
+    with tree kinds in order. Each seed's topology and destinations come
+    from its own generators and its trees are (n,) parent arrays
+    (spt_parents, mst_parents); the block's (trees, n) stack of them is
+    pruned, ordered and laid out as slots in one level pass
+    (session.slot_index). These depend on the seeds, n_nodes, n_dest, area
+    and range only."""
+    rows, n = len(seeds) * len(trees), params.n_nodes
+    parent, dist = np.empty((rows, n), dtype=np.intp), np.empty((rows, n))
+    destinations = np.empty((rows, params.n_dest), dtype=np.intp)
+    for i, seed in enumerate(seeds):
+        topo = generate_topology(n, params.area_side_m, params.comm_range_m, _rng(seed, _STREAM_TOPOLOGY))
+        dest_rng = _rng(seed, _STREAM_DESTINATIONS)
+        destinations[i * len(trees):(i + 1) * len(trees)] = dest_rng.choice(
+            np.arange(1, n), size=params.n_dest, replace=False
+        )
+        for j, tree_kind in enumerate(trees, start=i * len(trees)):
+            parent[j], dist[j] = (spt_parents if tree_kind is TreeKind.SPT else mst_parents)(topo, 0)
+        del topo  # gone before the next seed's placement, so one topology is alive at a time
+    slots = slot_index(parent, dist, destinations)
+    # The one check on distances: link_metrics runs the link equations unchecked.
+    if not (slots.distances > 0.0).all():
+        raise ValueError("distance must be positive (co-located nodes)")
+    return BlockStages(tuple(seeds), tuple(trees), slots)
 
 
 def _judge_block(
@@ -393,7 +390,7 @@ def aggregate_trials(rows: list[TrialRow]) -> list[AggregateRow]:
     ]
 
 
-# Swept fields that change a trial seed's geometry, so seed_stages cannot be shared.
+# Swept fields that change a trial seed's geometry, so a block's stages cannot be shared.
 _GEOMETRY_FIELDS = {"n_nodes", "n_dest"}
 
 # Trial seeds judged together: the trees of a block's seeds are stacked into
@@ -508,7 +505,8 @@ def read_trials_csv(path) -> list[TrialRow]:
 
 
 def read_aggregate_csv(path) -> list[AggregateRow]:
-    """Aggregate rows of a CSV file that charts can draw: finite numbers, one
+    """Aggregate rows of a CSV file that charts can draw: finite numbers,
+    means and CIs that are not negative with a mean PDR of at most 1, one
     swept variable, one row per (tree, scheme, value), and axis ranges that
     stay finite (the span of the values, 1.05 x (mean + CI))."""
     rows, seen, lo, hi = [], {}, math.inf, -math.inf
@@ -522,6 +520,10 @@ def read_aggregate_csv(path) -> list[AggregateRow]:
             values = (row.value, row.mean_throughput_bps, row.ci95_throughput, row.mean_pdr, row.ci95_pdr)
             if not all(_finite(x) for x in values):
                 raise ValueError(f"numbers must be finite, got {values}")
+            if not 0.0 <= row.mean_pdr <= 1.0:
+                raise ValueError(f"mean_pdr must lie in [0, 1], got {row.mean_pdr!r}")
+            if min(values[1:]) < 0.0:
+                raise ValueError(f"means and CIs must not be negative, got {values[1:]}")
             if rows and row.variable != rows[0].variable:
                 raise ValueError(f"variable {row.variable!r} differs from {rows[0].variable!r} above")
             key = (row.tree, row.scheme, float(row.value))

@@ -8,31 +8,34 @@ channel fits within the channel's sampled availability. A destination is
 delivered iff every hop on its root path succeeded, and its throughput is the
 packet size divided by the summed air time along that path.
 
-A session runs on flat arrays. Each receiver of a tree's layer schedule owns
-one slot, in schedule order, and a SlotIndex, built once per tree, is the one
-description of that layout: each entry's transmitter node, each slot's
-receiver node, entry, transmitter slot and parent edge length, and the
-destinations' slots. stack_slots lays several trees' indexes one after
-another, so every (seed, tree kind) of a block of trial seeds is one index,
-drawn tree by tree with each tree's own generator (draw_raw), and its link
-metrics are one EventTable over it. pos, masa and mdr choose every entry's
-channel at once; rs picks entry by entry, drawing only for entries whose
-transmitter has the packet, with each tree's own generator. judge then
-settles every tree under every scheme's channels in one array pass: one
-gather reads each hop's air time and fit on its chosen channel, and the air
-times are summed along each destination's path from the root
-(SlotIndex.dest_paths, built once per index), one step at a time for all
-paths together. Sweeps read only each tree's delivered destinations and
-total throughput; run (a block of one seed) and fixture replays (one tree)
-build SessionResults from the judgement (session_results).
+A session runs on flat arrays. Each receiver of a tree's breadth-first layer
+schedule owns one slot, and a SlotIndex is the one description of that
+layout: each entry's transmitter node, each slot's receiver node, entry,
+transmitter slot and parent edge length, and the destinations' slots.
+slot_index builds it for a whole stack of trees at once, straight from their
+(trees, n) parent arrays: one level pass orders every tree breadth-first,
+marking the parents of marked nodes up from the destinations prunes each
+tree, and the kept nodes, tree after tree, are the slots. So every (seed, tree kind) of a
+block of trial seeds is one index, drawn tree by tree with each tree's own
+generator (draw_raw), and its link metrics are one EventTable over it. pos,
+masa and mdr choose every entry's channel at once; rs picks entry by entry,
+drawing only for entries whose transmitter has the packet, with each tree's
+own generator. judge then settles every tree under every scheme's channels
+in one array pass: one gather reads each hop's air time and fit on its
+chosen channel, and the air times are summed along each destination's path
+from the root (SlotIndex.dest_paths, built once per index), one step at a
+time for all paths together. Sweeps read only each tree's delivered
+destinations and total throughput; run (a block of one seed) and fixture
+replays (one tree) build SessionResults from the judgement
+(session_results).
 
 Hop records (SessionResult.hops, and control_trace from them) are a view
 built from the table and the node ids of its index when first read; sampled
 sweeps never read it. Inputs are checked where they enter, once:
-seed_stages rejects co-located parent edges, ChannelModel non-positive mean
-idle durations, link_metrics a non-finite rate, and example_case.run_fixture
-every fixture value. An EventTable checks nothing; the phy functions keep
-every check for direct callers.
+experiment._block_stages rejects co-located parent edges, ChannelModel
+non-positive mean idle durations, link_metrics a non-finite rate, and
+example_case.run_fixture every fixture value. An EventTable checks nothing;
+the phy functions keep every check for direct callers.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import numpy as np
 from .assignment import Scheme, choose_channels, random_channel
 from .channel import ChannelModel
 from .phy import LinkBudgetError, PhyParams, link_arrays
-from .topology import LayerSchedule, Tree
+from .topology import tree_levels
 
 
 class TreeKind(Enum):
@@ -69,8 +72,8 @@ class HopRecord:
 
 @dataclass(frozen=True, eq=False)
 class SlotIndex:
-    """Where the receiver slots of one tree's layer schedule, or of a stack
-    of trees (stack_slots), sit.
+    """Where the receiver slots of a stack of trees' layer schedules sit
+    (slot_index).
 
     Entry e's receivers fill the slots from starts[e] on, in schedule order.
     A transmitter other than a root received the packet in an earlier entry
@@ -106,47 +109,58 @@ class SlotIndex:
         return paths
 
 
-def slot_index(tree: Tree, schedule: LayerSchedule, destinations) -> SlotIndex:
-    """Slot index of a tree's layer schedule whose destinations are all receivers."""
-    receivers = [r for entry in schedule.entries for r in entry.receivers]
-    slot_of = {r: s for s, r in enumerate(receivers)}
-    counts = [len(entry.receivers) for entry in schedule.entries]
-    tx_slot = [slot_of.get(entry.transmitter, -1) for entry in schedule.entries]
-    dests = tuple(sorted(destinations))
-    # In breadth-first order the last receiver is a deepest one.
-    height = len(tree.path_to_root(receivers[-1])) - 1
-    return SlotIndex(
-        np.cumsum([0, *counts[:-1]]), np.repeat(np.arange(len(counts)), counts), np.array(tx_slot),
-        np.array([entry.transmitter for entry in schedule.entries]), np.array(receivers),
-        height, dests, np.array([[slot_of[k] for k in dests]]),
-        np.array([tree.edge_dist[r] for r in receivers]), np.array([0, len(counts)]),
-    )
+def slot_index(parent: np.ndarray, dist: np.ndarray, destinations: np.ndarray, root: int = 0) -> SlotIndex:
+    """Slot index of a stack of trees over the same n node ids, each pruned
+    to its destinations: parent and dist are (trees, n) arrays of each
+    node's parent (-1 at the root and at nodes outside a tree) and
+    parent-edge length, destinations a (trees, D) array of each tree's
+    nodes to reach, each joined to the root by parent edges; the root
+    itself is not one.
 
-
-def stack_slots(indexes) -> SlotIndex:
-    """One index over several indexes' slots, each one's entries and slots
-    after the previous one's. Every tree must have equally many destinations."""
-    n_entries = [len(x.starts) for x in indexes]
-    n_slots = [len(x.event) for x in indexes]
-    n_trees = [len(x.dest_slot) for x in indexes]
-    entry_off = np.cumsum([0, *n_entries])
-    slot_off = np.cumsum([0, *n_slots])
-    # Each index's first slot or first entry, once per value of an array:
-    # slot numbers held per entry, entry numbers held per slot, and so on.
-    slot_per_entry = np.repeat(slot_off[:-1], n_entries)
-    tx_slot = np.concatenate([x.tx_slot for x in indexes])
+    One level pass (topology.tree_levels) orders every tree's nodes
+    breadth-first. Marking the parent of every marked node, starting from
+    the destinations, prunes each tree to its root-to-destination paths;
+    the marks climb along a parent pointer that doubles its reach each
+    step, so log2(levels) steps mark every path. The marked non-roots in
+    level order, tree after tree, are the slots: each entry's receivers are
+    one node's marked children, in order of id, and entries follow their
+    transmitters' breadth-first order, as a walk from each root transmitting
+    once per internal node gives them.
+    """
+    trees, n = parent.shape
+    dests = np.sort(destinations, axis=1)
+    if not dests.size:
+        raise ValueError("destination set is empty, nothing to multicast")
+    if (dests == root).any():
+        raise ValueError("the root cannot be one of its own destinations")
+    levels = tree_levels(parent, root)
+    # Flat parent ids, with one extra node, trees * n, above every root and itself.
+    flat = np.append(np.where(parent >= 0, parent + np.arange(0, trees * n, n)[:, None], trees * n), trees * n)
+    dest_flat = dests + np.arange(0, trees * n, n)[:, None]
+    keep = np.zeros(trees * n + 1, dtype=bool)
+    keep[dest_flat] = True
+    # Mark the parent of every marked node, doubling the reach each step: after
+    # j steps every node fewer than 2**j steps above a destination is marked,
+    # and no destination is as deep as the number of levels.
+    up = flat
+    for _ in range((len(levels) - 1).bit_length()):
+        keep[up[keep]] = True
+        up = up[up]
+    order = np.concatenate(levels[1:])
+    kept = keep[order]
+    # The depth of the deepest kept node.
+    height = int(np.repeat(np.arange(1, len(levels)), [len(level) for level in levels[1:]])[kept].max())
+    order = order[kept]
+    order = order[np.argsort(order // n, kind="stable")]  # level order within each tree, tree after tree
+    slot_of = np.full(trees * n, -1)
+    slot_of[order] = np.arange(len(order))
+    tx = flat[order]
+    new = np.concatenate(([True], tx[1:] != tx[:-1]))  # a receiver whose parent differs from the previous one's
+    starts = np.flatnonzero(new)
+    tx = tx[starts]
     return SlotIndex(
-        np.concatenate([x.starts for x in indexes]) + slot_per_entry,
-        np.concatenate([x.event for x in indexes]) + np.repeat(entry_off[:-1], n_slots),
-        np.where(tx_slot < 0, -1, tx_slot + slot_per_entry),
-        np.concatenate([x.transmitter for x in indexes]),
-        np.concatenate([x.receiver for x in indexes]),
-        max(x.height for x in indexes),
-        tuple(k for x in indexes for k in x.destinations),
-        np.concatenate([x.dest_slot for x in indexes]) + np.repeat(slot_off[:-1], n_trees)[:, None],
-        np.concatenate([x.distances for x in indexes]),
-        np.append(np.concatenate([x.tree_starts[:-1] for x in indexes]) + np.repeat(entry_off[:-1], n_trees),
-                  entry_off[-1]),
+        starts, np.cumsum(new) - 1, slot_of[tx], tx % n, order % n, height, tuple(dests.ravel().tolist()),
+        slot_of[dest_flat], dist.ravel()[order], np.searchsorted(tx // n, np.arange(trees + 1)),
     )
 
 

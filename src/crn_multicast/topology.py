@@ -1,19 +1,22 @@
-"""Random node placements, multicast trees, and layered transmission schedules.
+"""Random node placements, multicast trees as parent arrays, and their levels.
 
 A topology is a connected unit-disk graph: nodes placed uniformly in a square
 area, with an edge between every pair within communication range, held as one
 (n, n) matrix of Euclidean edge lengths, inf off the edges. Trees are rooted
 at the multicast source (shortest paths by min-plus relaxation, giving the
-tree Dijkstra's algorithm builds; minimum spanning by Kruskal's algorithm),
-pruned to the destination set and split into breadth-first layers where each
-internal node transmits once to all of its children.
+tree Dijkstra's algorithm builds; minimum spanning by Kruskal's algorithm)
+and held as (n,) arrays of each node's parent and parent-edge length;
+build_spt and build_mst wrap them as a Tree of dicts. tree_levels walks a
+stack of such trees down from their roots one level at a time, every tree of
+the stack in the same numpy calls, in breadth-first order;
+session.slot_index prunes the levels to the destinations and lays the
+result out as transmission slots.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,50 +54,24 @@ class Topology:
 
 @dataclass(frozen=True)
 class Tree:
-    """Rooted tree over a subset of node ids.
-
-    parent maps every non-root node to its parent; children holds every
-    spanned node (leaves map to an empty list, entries sorted by id);
-    edge_dist maps each non-root node to the length of its parent edge.
-    """
+    """Rooted tree over a subset of node ids: parent maps every non-root node
+    to its parent, edge_dist to the length of its parent edge."""
 
     root: int
     parent: dict[int, int]
-    children: dict[int, list[int]]
     edge_dist: dict[int, float]
-
-    def nodes(self) -> list[int]:
-        return [self.root, *self.parent]
 
     @property
     def n_edges(self) -> int:
         return len(self.parent)
 
-    def leaves(self) -> list[int]:
-        return [u for u in self.nodes() if not self.children[u]]
-
-    def path_to_root(self, v: int) -> list[int]:
-        """Nodes from v up to and including the root."""
-        path = [v]
-        while path[-1] != self.root:
-            path.append(self.parent[path[-1]])
-        return path
-
     def path_distance(self, v: int) -> float:
-        return sum(self.edge_dist[u] for u in self.path_to_root(v)[:-1])
-
-
-@dataclass(frozen=True)
-class LayerEntry:
-    transmitter: int
-    receivers: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class LayerSchedule:
-    """One entry per internal tree node, in breadth-first order from the root."""
-
-    entries: tuple[LayerEntry, ...]
+        """Summed edge lengths from v up to the root, v's edge first."""
+        total = 0
+        while v != self.root:
+            total += self.edge_dist[v]
+            v = self.parent[v]
+        return total
 
 
 def generate_topology(
@@ -117,7 +94,10 @@ def generate_topology(
         if attempt < max_retries:
             pts = rng.uniform(0.0, area_side, size=(n, 2))
             dx, dy = pts.T[:, :, None] - pts.T[:, None, :]
-            dist = np.sqrt(dx * dx + dy * dy)
+            # dx * dx + dy * dy, then its root, in one (n, n) buffer.
+            dist = dx * dx
+            dist += dy * dy
+            np.sqrt(dist, out=dist)
         else:
             comm_range *= 1.1
         # Connected iff the frontier grown from node 0 along in-range pairs reaches every node.
@@ -132,18 +112,16 @@ def generate_topology(
     return Topology(pts, weights, area_side, comm_range)
 
 
-def tree_from_parents(root: int, parent: dict[int, int], edge_dist: dict[int, float]) -> Tree:
-    """Assemble a Tree from a child-to-parent map; children lists sorted by id."""
-    children: dict[int, list[int]] = {root: []}
-    for v in parent:
-        children.setdefault(v, [])
-    for v in sorted(parent):
-        children.setdefault(parent[v], []).append(v)
-    return Tree(root, dict(parent), children, dict(edge_dist))
+def _tree(root: int, parent: np.ndarray, dist: np.ndarray) -> Tree:
+    kids = np.flatnonzero(parent >= 0)
+    keys = kids.tolist()
+    return Tree(root, dict(zip(keys, parent[kids].tolist())), dict(zip(keys, dist[kids].tolist())))
 
 
-def build_spt(topology: Topology, root: int) -> Tree:
-    """Shortest path tree rooted at root: the tree Dijkstra's algorithm builds.
+def spt_parents(topology: Topology, root: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest path tree rooted at root, the tree Dijkstra's algorithm
+    builds, as (n,) arrays: each node's parent (-1 at the root) and the
+    length of its parent edge.
 
     Distances relax as best[v] = min over u of best[u] + w[u, v] until none
     changes; the parent of v is the lowest-id u closer to the root with
@@ -158,17 +136,19 @@ def build_spt(topology: Topology, root: int) -> Tree:
     if np.isinf(best).any():
         raise ValueError("topology is not connected")
     on_path = (best[:, None] + w == best) & (best[:, None] < best)
-    kids = np.flatnonzero(on_path.any(axis=0))
-    if len(kids) != topology.n - 1:
+    if np.count_nonzero(on_path.any(axis=0)) != topology.n - 1:
         raise ValueError("edge lengths too short to order the shortest paths")
-    parents = on_path[:, kids].argmax(axis=0)
-    keys = kids.tolist()
-    return tree_from_parents(root, dict(zip(keys, parents.tolist())), dict(zip(keys, w[parents, kids].tolist())))
+    parent = on_path.argmax(axis=0)
+    parent[root] = -1
+    dist = w[parent, np.arange(topology.n)]
+    dist[root] = 0.0
+    return parent, dist
 
 
-def build_mst(topology: Topology, root: int) -> Tree:
+def mst_parents(topology: Topology, root: int) -> tuple[np.ndarray, np.ndarray]:
     """Minimum spanning tree (Kruskal, equal lengths taken in (u, v) order, so
-    the edge set does not depend on the root), rooted by a walk from root."""
+    the edge set does not depend on the root), rooted by a walk from root,
+    as spt_parents' arrays."""
     n = topology.n
     if not 0 <= root < n:
         raise ValueError(f"root {root} is not a node of the topology")
@@ -197,53 +177,46 @@ def build_mst(topology: Topology, root: int) -> Tree:
                 break
     if joined != n:
         raise ValueError("topology is not connected")
-    parent, edge_dist, stack = {}, {}, [root]
+    parent, dist, stack = [-1] * n, [0.0] * n, [root]
     while stack:
         x = stack.pop()
         for y, w in adj[x]:
-            if y != root and y not in parent:
-                parent[y], edge_dist[y] = x, w
+            if y != root and parent[y] < 0:
+                parent[y], dist[y] = x, w
                 stack.append(y)
-    return tree_from_parents(root, parent, edge_dist)
+    return np.array(parent), np.array(dist)
 
 
-def prune_tree(tree: Tree, destinations) -> Tree:
-    """Keep only the union of root-to-destination paths.
-
-    Every leaf of the result is a destination. Pruning an already pruned tree
-    is a no-op.
-    """
-    dests = set(destinations)
-    if not dests:
-        raise ValueError("destination set is empty, nothing to multicast")
-    if tree.root in dests:
-        raise ValueError("the root cannot be one of its own destinations")
-    spanned = set(tree.nodes())
-    missing = dests - spanned
-    if missing:
-        raise ValueError(f"destinations not spanned by the tree: {sorted(missing)}")
-    keep: set[int] = set()
-    for d in dests:
-        for u in tree.path_to_root(d):
-            if u in keep:
-                break
-            keep.add(u)
-    parent = {v: tree.parent[v] for v in keep if v != tree.root}
-    edge_dist = {v: tree.edge_dist[v] for v in parent}
-    return tree_from_parents(tree.root, parent, edge_dist)
+def build_spt(topology: Topology, root: int) -> Tree:
+    """spt_parents' tree as a Tree."""
+    return _tree(root, *spt_parents(topology, root))
 
 
-def layerize(tree: Tree) -> LayerSchedule:
-    """Breadth-first transmission schedule: one entry per internal node,
-    grouping all of its children as one multicast event."""
-    if tree.n_edges == 0:
-        raise ValueError("tree has no edges to schedule")
-    entries: list[LayerEntry] = []
-    queue = deque([tree.root])
-    while queue:
-        u = queue.popleft()
-        kids = tree.children[u]
-        if kids:
-            entries.append(LayerEntry(u, tuple(kids)))
-            queue.extend(kids)
-    return LayerSchedule(tuple(entries))
+def build_mst(topology: Topology, root: int) -> Tree:
+    """mst_parents' tree as a Tree."""
+    return _tree(root, *mst_parents(topology, root))
+
+
+def tree_levels(parent: np.ndarray, root: int) -> list[np.ndarray]:
+    """Breadth-first levels of a stack of trees over the same n node ids,
+    given as a (trees, n) parent array with -1 at the root and at nodes
+    outside a tree. Nodes are flat ids, tree * n + node. Level 0 holds every
+    tree's root, and level k + 1 the children of level k's nodes, ordered by
+    (tree, parent's place in level k, id): the order a breadth-first walk
+    that visits each node's children by id gives, tree after tree. A node no
+    parent edges join to the root is in no level."""
+    trees, n = parent.shape
+    flat = np.where(parent >= 0, parent + np.arange(0, trees * n, n)[:, None], trees * n).ravel()
+    # Children grouped by parent, by id within a parent: those of node p are
+    # kids[first[p]:first[p] + n_kids[p]].
+    kids = np.argsort(flat, kind="stable")
+    first = np.searchsorted(flat[kids], np.arange(trees * n + 1))
+    n_kids = np.diff(first)
+    levels = [np.arange(root, trees * n, n)]
+    while True:
+        level = levels[-1]
+        counts = n_kids[level]
+        ends = counts.cumsum()
+        if not ends[-1]:
+            return levels
+        levels.append(kids[np.arange(ends[-1]) + (first[level] - ends + counts).repeat(counts)])

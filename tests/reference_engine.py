@@ -1,9 +1,12 @@
 """Reference engine: the per-event session pipeline the event-table engine replaced.
 
 Kept only as a test oracle, independent of the package's draw, metric and
-selection code, and of its placement, connectivity, SPT and MST code, which
+selection code, of its placement, connectivity, SPT and MST code, which
 work on a weight matrix where these copies keep edge tuples and adjacency
-lists. Every layer entry is drawn, evaluated, selected and judged
+lists, and of its pruning, layering and slot layout, which work on parent
+arrays where these copies keep a dict tree and a layer schedule (slot_index
+and stack_slots lay a schedule out as the package's SlotIndex, so the
+layouts compare array for array). Every layer entry is drawn, evaluated, selected and judged
 on its own (draw_event -> link_metrics -> select_channel ->
 execute_schedule), exactly as sessions ran before whole-tree tables; fixture
 replays are parsed into the same per-event metrics. The equivalence tests
@@ -29,14 +32,7 @@ import numpy as np
 from crn_multicast.assignment import Scheme
 from crn_multicast.channel import ChannelModel
 from crn_multicast.phy import PhyParams, data_rate, pos, received_power, tx_time
-from crn_multicast.session import HopRecord, TreeKind
-from crn_multicast.topology import (
-    LayerSchedule,
-    Tree,
-    layerize,
-    prune_tree,
-    tree_from_parents,
-)
+from crn_multicast.session import HopRecord, SlotIndex, TreeKind
 
 _TREE_CODE = {TreeKind.SPT: 0, TreeKind.MST: 1}
 _SCHEME_CODE = {Scheme.POS: 0, Scheme.MASA: 1, Scheme.MDR: 2, Scheme.RS: 3}
@@ -48,6 +44,154 @@ _STREAM_SELECTION = 3
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng((seed, *stream))
+
+
+# Trees, pruning, layering and slot layouts as the package had them before
+# it moved to parent arrays and one level pass per block, kept verbatim as
+# an oracle: a dict tree, root-path walks and a breadth-first queue.
+
+@dataclass(frozen=True)
+class Tree:
+    """Rooted tree over a subset of node ids.
+
+    parent maps every non-root node to its parent; children holds every
+    spanned node (leaves map to an empty list, entries sorted by id);
+    edge_dist maps each non-root node to the length of its parent edge.
+    """
+
+    root: int
+    parent: dict[int, int]
+    children: dict[int, list[int]]
+    edge_dist: dict[int, float]
+
+    def nodes(self) -> list[int]:
+        return [self.root, *self.parent]
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.parent)
+
+    def leaves(self) -> list[int]:
+        return [u for u in self.nodes() if not self.children[u]]
+
+    def path_to_root(self, v: int) -> list[int]:
+        """Nodes from v up to and including the root."""
+        path = [v]
+        while path[-1] != self.root:
+            path.append(self.parent[path[-1]])
+        return path
+
+    def path_distance(self, v: int) -> float:
+        return sum(self.edge_dist[u] for u in self.path_to_root(v)[:-1])
+
+
+@dataclass(frozen=True)
+class LayerEntry:
+    transmitter: int
+    receivers: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class LayerSchedule:
+    """One entry per internal tree node, in breadth-first order from the root."""
+
+    entries: tuple[LayerEntry, ...]
+
+
+def tree_from_parents(root: int, parent: dict[int, int], edge_dist: dict[int, float]) -> Tree:
+    """Assemble a Tree from a child-to-parent map; children lists sorted by id."""
+    children: dict[int, list[int]] = {root: []}
+    for v in parent:
+        children.setdefault(v, [])
+    for v in sorted(parent):
+        children.setdefault(parent[v], []).append(v)
+    return Tree(root, dict(parent), children, dict(edge_dist))
+
+
+def prune_tree(tree: Tree, destinations) -> Tree:
+    """Keep only the union of root-to-destination paths.
+
+    Every leaf of the result is a destination. Pruning an already pruned tree
+    is a no-op.
+    """
+    dests = set(destinations)
+    if not dests:
+        raise ValueError("destination set is empty, nothing to multicast")
+    if tree.root in dests:
+        raise ValueError("the root cannot be one of its own destinations")
+    spanned = set(tree.nodes())
+    missing = dests - spanned
+    if missing:
+        raise ValueError(f"destinations not spanned by the tree: {sorted(missing)}")
+    keep: set[int] = set()
+    for d in dests:
+        for u in tree.path_to_root(d):
+            if u in keep:
+                break
+            keep.add(u)
+    parent = {v: tree.parent[v] for v in keep if v != tree.root}
+    edge_dist = {v: tree.edge_dist[v] for v in parent}
+    return tree_from_parents(tree.root, parent, edge_dist)
+
+
+def layerize(tree: Tree) -> LayerSchedule:
+    """Breadth-first transmission schedule: one entry per internal node,
+    grouping all of its children as one multicast event."""
+    if tree.n_edges == 0:
+        raise ValueError("tree has no edges to schedule")
+    entries: list[LayerEntry] = []
+    queue = deque([tree.root])
+    while queue:
+        u = queue.popleft()
+        kids = tree.children[u]
+        if kids:
+            entries.append(LayerEntry(u, tuple(kids)))
+            queue.extend(kids)
+    return LayerSchedule(tuple(entries))
+
+
+def slot_index(tree: Tree, schedule: LayerSchedule, destinations) -> SlotIndex:
+    """Slot index of a tree's layer schedule whose destinations are all receivers."""
+    receivers = [r for entry in schedule.entries for r in entry.receivers]
+    slot_of = {r: s for s, r in enumerate(receivers)}
+    counts = [len(entry.receivers) for entry in schedule.entries]
+    tx_slot = [slot_of.get(entry.transmitter, -1) for entry in schedule.entries]
+    dests = tuple(sorted(destinations))
+    # In breadth-first order the last receiver is a deepest one.
+    height = len(tree.path_to_root(receivers[-1])) - 1
+    return SlotIndex(
+        np.cumsum([0, *counts[:-1]]), np.repeat(np.arange(len(counts)), counts), np.array(tx_slot),
+        np.array([entry.transmitter for entry in schedule.entries]), np.array(receivers),
+        height, dests, np.array([[slot_of[k] for k in dests]]),
+        np.array([tree.edge_dist[r] for r in receivers]), np.array([0, len(counts)]),
+    )
+
+
+def stack_slots(indexes) -> SlotIndex:
+    """One index over several indexes' slots, each one's entries and slots
+    after the previous one's. Every tree must have equally many destinations."""
+    n_entries = [len(x.starts) for x in indexes]
+    n_slots = [len(x.event) for x in indexes]
+    n_trees = [len(x.dest_slot) for x in indexes]
+    entry_off = np.cumsum([0, *n_entries])
+    slot_off = np.cumsum([0, *n_slots])
+    # Each index's first slot or first entry, once per value of an array:
+    # slot numbers held per entry, entry numbers held per slot, and so on.
+    slot_per_entry = np.repeat(slot_off[:-1], n_entries)
+    tx_slot = np.concatenate([x.tx_slot for x in indexes])
+    return SlotIndex(
+        np.concatenate([x.starts for x in indexes]) + slot_per_entry,
+        np.concatenate([x.event for x in indexes]) + np.repeat(entry_off[:-1], n_slots),
+        np.where(tx_slot < 0, -1, tx_slot + slot_per_entry),
+        np.concatenate([x.transmitter for x in indexes]),
+        np.concatenate([x.receiver for x in indexes]),
+        max(x.height for x in indexes),
+        tuple(k for x in indexes for k in x.destinations),
+        np.concatenate([x.dest_slot for x in indexes]) + np.repeat(slot_off[:-1], n_trees)[:, None],
+        np.concatenate([x.distances for x in indexes]),
+        np.append(np.concatenate([x.tree_starts[:-1] for x in indexes]) + np.repeat(entry_off[:-1], n_trees),
+                  entry_off[-1]),
+    )
 
 
 # Geometry as the package had it before it moved to one weight matrix per

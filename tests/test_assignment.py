@@ -7,7 +7,6 @@ from scipy import stats
 
 from crn_multicast.assignment import Scheme, choose_channels, random_channel
 from crn_multicast.session import EventTable, slot_index
-from crn_multicast.topology import layerize, tree_from_parents
 
 MU_S = np.array([0.010, 0.020, 0.030, 0.040, 0.050, 0.060])
 
@@ -26,9 +25,8 @@ def metrics_from_pos(pos_rows, busy, mu=MU_S, packet_bits=32768):
     with np.errstate(divide="ignore"):
         rate = np.where(np.isfinite(tx), packet_bits / tx, 0.0)
     # one transmitter, node 0, with a receiver per row, at unit distance
-    receivers = range(1, len(pos) + 1)
-    tree = tree_from_parents(0, {r: 0 for r in receivers}, {r: 1.0 for r in receivers})
-    slots = slot_index(tree, layerize(tree), receivers)
+    parent = np.array([[-1] + [0] * len(pos)])
+    slots = slot_index(parent, np.ones(parent.shape), np.array([range(1, len(pos) + 1)]))
     return EventTable(slots, idle[None, :], np.where(idle, mu, np.nan)[None, :], pos, rate, tx, mu)
 
 

@@ -6,7 +6,6 @@ from scipy import stats
 
 from crn_multicast.channel import ChannelModel, ChannelParams, make_channels
 from crn_multicast.session import draw_raw, slot_index, threshold_draws
-from crn_multicast.topology import layerize, tree_from_parents
 
 
 def draw(model, rng, events, receivers=1):
@@ -16,12 +15,10 @@ def draw(model, rng, events, receivers=1):
     M) gains. Node v > 0 is a receiver of entry (v - 1) // receivers, whose
     transmitter is the first receiver of the entry before (the root, 0, for
     entry 0)."""
-    parent = {
-        v: ((v - 1) // receivers - 1) * receivers + 1 if v > receivers else 0
-        for v in range(1, events * receivers + 1)
-    }
-    tree = tree_from_parents(0, parent, dict.fromkeys(parent, 1.0))
-    slots = slot_index(tree, layerize(tree), [events * receivers])
+    nodes = range(1, events * receivers + 1)
+    parent = [-1, *(((v - 1) // receivers - 1) * receivers + 1 if v > receivers else 0 for v in nodes)]
+    # Every node a destination, so pruning keeps the whole tree.
+    slots = slot_index(np.array([parent]), np.ones((1, len(parent))), np.array([nodes]))
     return threshold_draws(draw_raw(slots, model, [rng]), model.p_idle)
 
 

@@ -420,17 +420,24 @@ class TestSweepAndPlot:
              "line 4: swept values from -1e+308 to 1e+308 span a range that overflows"),
             ("spt,pos,p_idle,0.3,1e308,1e308,1.0,0.0,2\n", "line 3: 1.05 x (mean + CI) overflows"),
             ("spt,pos,p_idle,0.3,1.75e308,0.0,1.0,0.0,2\n", "line 3: 1.05 x (mean + CI) overflows"),
+            ("spt,pos,p_idle,0.3,1.0,0.0,5.0,0.0,2\n", "line 3: mean_pdr must lie in [0, 1], got 5.0"),
+            ("spt,pos,p_idle,0.3,1.0,0.0,-0.2,0.0,2\n", "line 3: mean_pdr must lie in [0, 1], got -0.2"),
+            ("spt,pos,p_idle,0.3,-3.0,0.0,1.0,0.0,2\n", "line 3: means and CIs must not be negative"),
+            ("spt,pos,p_idle,0.3,1.0,-0.5,1.0,0.0,2\n", "line 3: means and CIs must not be negative"),
+            ("spt,pos,p_idle,0.3,1.0,0.0,1.0,-0.1,2\n", "line 3: means and CIs must not be negative"),
         ],
         ids=[
             "mean_nan", "ci_inf", "value_nan", "two_variables", "repeated_key", "x_span_overflows",
-            "mean_plus_ci_overflows", "y_margin_overflows",
+            "mean_plus_ci_overflows", "y_margin_overflows", "pdr_above_one", "pdr_negative",
+            "throughput_negative", "throughput_ci_negative", "pdr_ci_negative",
         ],
     )
     def test_plot_rejects_csv_it_cannot_draw(self, tmp_path, capsys, rows, message):
         # before: nan/inf exited 0 with nan coordinates in the SVG, a second
         # variable was drawn into the first one's chart, a repeated (tree,
         # scheme, value) as a zig-zag, and values or means near the float
-        # limit gave nan and inf coordinates
+        # limit gave nan and inf coordinates; a mean PDR above 1 or a negative
+        # mean drew its point off the chart
         bad = tmp_path / "agg.csv"
         bad.write_text(
             "tree,scheme,variable,value,mean_throughput_bps,ci95_throughput,mean_pdr,ci95_pdr,trials\n"

@@ -19,9 +19,11 @@ import reference_engine as ref
 from crn_multicast.assignment import Scheme, choose_channels
 from crn_multicast.channel import ChannelModel, ChannelParams
 from crn_multicast.example_case import builtin_fixture, run_fixture
-from crn_multicast.experiment import ScenarioParams, run_scenario_sessions, seed_stages
-from crn_multicast.session import TreeKind
-from crn_multicast.topology import build_mst, build_spt, generate_topology, layerize, prune_tree
+from crn_multicast import experiment
+from crn_multicast.experiment import ScenarioParams, run_scenario_sessions
+from crn_multicast.session import TreeKind, slot_index
+from crn_multicast.topology import build_mst, build_spt, generate_topology, mst_parents, spt_parents
+from test_topology import assert_same_slots, reference_slots
 
 SCHEMES = tuple(Scheme)
 TREES = (TreeKind.SPT, TreeKind.MST)
@@ -71,7 +73,7 @@ def test_cases_exercise_every_outcome():
     hops, skipped = [], 0
     for params, model in CASES.values():
         # Entries of each tree kind's layer schedule, one per transmitter.
-        entries = {tree: len(slots.starts) for tree, slots in zip(TREES, seed_stages(params, TREES, 0))}
+        entries = dict(zip(TREES, np.diff(experiment._block_stages(params, TREES, [0]).slots.tree_starts)))
         for (tree, _), res in run_scenario_sessions(params, SCHEMES, TREES, 0, model).items():
             hops += res.hops
             skipped += len(res.hops) < entries[tree]
@@ -143,9 +145,9 @@ GEOMETRY_SETTINGS = [
 @pytest.mark.parametrize("n, area, comm_range, max_retries, seeds, grown", GEOMETRY_SETTINGS)
 def test_geometry_matches_reference(n, area, comm_range, max_retries, seeds, grown):
     # Placement, edges, range growth, and the SPT and MST at three roots
-    # against the reference engine's copy of the earlier geometry code; the
-    # pruned trees must match down to their dict order, and so must their
-    # layer schedules.
+    # against the reference engine's copy of the earlier geometry code; at
+    # root 0 the slot index of both trees, pruned and layered in one level
+    # pass, must equal the reference's layout of each tree on its own.
     n_grown = 0
     for seed in range(seeds):
         got = generate_topology(n, area, comm_range, np.random.default_rng(seed), max_retries)
@@ -158,10 +160,8 @@ def test_geometry_matches_reference(n, area, comm_range, max_retries, seeds, gro
         for root in (0, n // 2, n - 1):
             for build, ref_build in ((build_spt, ref.build_spt), (build_mst, ref.build_mst)):
                 tree, ref_tree = build(got, root), ref_build(want, root)
-                assert tree == ref_tree
-                if root == 0:
-                    pruned, ref_pruned = prune_tree(tree, dests), prune_tree(ref_tree, dests)
-                    assert list(pruned.parent.items()) == list(ref_pruned.parent.items())
-                    assert pruned == ref_pruned
-                    assert layerize(pruned) == layerize(ref_pruned)
+                assert (tree.root, tree.parent, tree.edge_dist) == (ref_tree.root, ref_tree.parent, ref_tree.edge_dist)
+        arrays = [spt_parents(got, 0), mst_parents(got, 0)]
+        slots = slot_index(np.stack([a[0] for a in arrays]), np.stack([a[1] for a in arrays]), np.array([dests] * 2))
+        assert_same_slots(slots, reference_slots([ref.build_spt(want, 0), ref.build_mst(want, 0)], [dests] * 2))
     assert n_grown == grown

@@ -117,13 +117,13 @@ class TestRunTrial:
 
     def test_co_located_nodes_rejected_once_per_tree(self, monkeypatch):
         # link_metrics runs the link equations without range checks, so
-        # seed_stages rejects a zero parent-edge length of a pruned tree.
+        # _block_stages rejects a zero parent-edge length of a pruned tree.
         points = [(0.0, 0.0), (10.0, 0.0), (10.0, 0.0)]
         topo = Topology.from_edges(points, [(0, 1, 10.0), (1, 2, 0.0)], 200.0, 60.0)
         monkeypatch.setattr(experiment, "generate_topology", lambda *args: topo)
         params = ScenarioParams(n_nodes=3, n_dest=2)
         with pytest.raises(ValueError, match="distance must be positive"):
-            experiment.seed_stages(params, [TreeKind.MST], 0)
+            experiment._block_stages(params, [TreeKind.MST], [0])
 
 
 class TestSweep:
@@ -286,8 +286,8 @@ def test_tree_kinds_are_independent(monkeypatch):
     # generators: reversing the tree kinds or running one alone leaves every
     # (tree, scheme)'s results and rows as they are.
     monkeypatch.setattr(experiment, "BLOCK_SEEDS", 2)
-    spt, mst = experiment.seed_stages(SMALL, (TreeKind.SPT, TreeKind.MST), 6)
-    stacked = session.stack_slots([spt, mst])
+    spt, mst = (experiment._block_stages(SMALL, [tree], [6]).slots for tree in (TreeKind.SPT, TreeKind.MST))
+    stacked = experiment._block_stages(SMALL, (TreeKind.SPT, TreeKind.MST), [6]).slots
     for name in ("transmitter", "receiver"):
         assert np.array_equal(getattr(stacked, name), np.concatenate([getattr(spt, name), getattr(mst, name)]))
     spec = SweepSpec(base=SMALL, variable="M", values=(3, 8), trials=5, seed=6)

@@ -5,7 +5,8 @@ import pytest
 from crn_multicast.assignment import Scheme
 from crn_multicast.channel import ChannelModel, ChannelParams
 from crn_multicast.example_case import builtin_fixture, check_fixture, run_fixture
-from crn_multicast.experiment import ScenarioParams, run_scenario_sessions, seed_stages
+from crn_multicast import experiment
+from crn_multicast.experiment import ScenarioParams, run_scenario_sessions
 from crn_multicast.session import TreeKind, session_to_csv
 
 PACKET_BITS = 32768
@@ -151,6 +152,41 @@ class TestInjectedSession:
         with pytest.raises(ValueError, match="stray nodes: \\[2\\]"):
             replay([(0, 1), (0, 2)], [ev], {1})  # leaf 2 is not a destination
 
+    @pytest.mark.parametrize(
+        "destinations, message",
+        [
+            ([2, 5], r"destinations not spanned by the tree: \[5\]"),
+            ([], "destination set is empty"),
+            ([0, 2], "the root cannot be one of its own destinations"),
+        ],
+        ids=["off_the_tree", "none", "root"],
+    )
+    def test_destinations_checked(self, destinations, message):
+        events = [injected(0, [1], [[0.9]], [[0.004]], [0.006]), injected(1, [2], [[0.9]], [[0.002]], [0.006])]
+        fixture = {"mu_ms": [10.0], "packet_bits": PACKET_BITS, "root": 0, "tree_edges": [list(e) for e in TWO_HOP],
+                   "destinations": destinations, "events": events}
+        with pytest.raises(ValueError, match=message):
+            run_fixture(fixture)
+
+    @pytest.mark.parametrize("shift", [-7, 10**12])
+    def test_node_ids_need_not_be_small_or_positive(self, shift):
+        # Node ids index the parent array only through their order, so a
+        # negative or huge id replays like any other.
+        fixture, moved = builtin_fixture(), builtin_fixture()
+        moved["root"] += shift
+        moved["tree_edges"] = [[u + shift, v + shift] for u, v in fixture["tree_edges"]]
+        moved["destinations"] = [d + shift for d in fixture["destinations"]]
+        for ev in moved["events"]:
+            ev["transmitter"] += shift
+            ev["receivers"] = [r + shift for r in ev["receivers"]]
+            for table in ("pos", "tx_time_s"):
+                ev[table] = {str(int(r) + shift): row for r, row in ev[table].items()}
+        want, got = run_fixture(fixture), run_fixture(moved)
+        assert got.throughput == {k + shift: v for k, v in want.throughput.items()}
+        assert [(h.transmitter, h.receivers) for h in got.hops] == [
+            (h.transmitter + shift, tuple(r + shift for r in h.receivers)) for h in want.hops
+        ]
+
     def test_busy_channel_with_nonzero_pos_rejected(self):
         fixture = builtin_fixture()
         fixture["events"][0]["pos"]["2"][1] = 0.5  # channel 2 is busy in the first event
@@ -214,7 +250,7 @@ class TestSampledSession:
         params = sampled_params(p_idle=0.4, mu=0.004)
         saw_skip = False
         for seed in range(200):
-            (slots,) = seed_stages(params, [TreeKind.SPT], seed)
+            slots = experiment._block_stages(params, [TreeKind.SPT], [seed]).slots
             result = sampled(params, seed)
             first = result.hops[0] if result.hops else None
             if first is not None and not any(first.success):
@@ -225,7 +261,7 @@ class TestSampledSession:
 
     def test_control_trace_shape(self):
         params = replace(sampled_params(), n_dest=4)
-        (slots,) = seed_stages(params, [TreeKind.SPT], 1)
+        slots = experiment._block_stages(params, [TreeKind.SPT], [1]).slots
         # Each entry's transmitter and receivers, from the slot index's node ids.
         bounds = [*slots.starts.tolist(), len(slots.receiver)]
         receivers = [slots.receiver[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])]

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 import reference_engine as ref
+from crn_multicast import experiment
+from crn_multicast.experiment import ScenarioParams
+from crn_multicast.session import TreeKind, slot_index
 from crn_multicast.topology import (
-    LayerEntry,
     Topology,
     build_mst,
     build_spt,
     generate_topology,
-    layerize,
-    prune_tree,
-    tree_from_parents,
+    mst_parents,
+    spt_parents,
 )
 
 
@@ -205,7 +206,8 @@ class TestShortestPathTree:
         points = np.zeros((n, 2))
         tree = build_spt(Topology.from_edges(points, edges, 1.0, 2.0), root)
         assert tree.parent[node] == parent
-        assert tree == ref.build_spt(ref.Topology(points, edges, 1.0, 2.0), root)
+        want = ref.build_spt(ref.Topology(points, edges, 1.0, 2.0), root)
+        assert (tree.parent, tree.edge_dist) == (want.parent, want.edge_dist)
 
     def test_edge_too_short_to_order_paths_rejected(self):
         # node 1 sits at zero distance from the root, so no node is closer
@@ -266,77 +268,157 @@ def test_disconnected_graph_rejected_by_both_builders(build):
 
 # ---------------------------------------------------------------- pruning and layering
 
+def slots_of(parent, root, destinations):
+    """Slot index of one tree given as a child-to-parent dict, every edge of
+    length 10, pruned to destinations."""
+    n = 1 + max(root, *parent, *parent.values())
+    parents = np.full(n, -1)
+    parents[list(parent)] = list(parent.values())
+    return slot_index(parents[None], np.full((1, n), 10.0), np.array([sorted(destinations)]), root)
+
+
+def entries(slots):
+    """(transmitter, receivers) of each entry: the layer schedule the slots lay out."""
+    bounds = [*slots.starts.tolist(), len(slots.receiver)]
+    receivers = [tuple(slots.receiver[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
+    return list(zip(slots.transmitter.tolist(), receivers))
+
+
+def kept_parent(slots):
+    """Child-to-parent dict of the pruned tree the slots cover."""
+    return {r: tx for tx, receivers in entries(slots) for r in receivers}
+
+
 def example_tree():
     # Source 1 reaches 6, 8, 9 directly, 7 through 8, 10 through 2;
     # 14 hangs off 8 and 11 off 2 without being destinations.
-    parent = {2: 1, 6: 1, 8: 1, 9: 1, 10: 2, 7: 8, 14: 8, 11: 2}
-    return tree_from_parents(1, parent, {v: 10.0 for v in parent})
+    return {2: 1, 6: 1, 8: 1, 9: 1, 10: 2, 7: 8, 14: 8, 11: 2}
 
 
 class TestPruneTree:
     def test_non_destination_branches_removed(self):
-        pruned = prune_tree(example_tree(), {6, 7, 8, 9, 10})
-        assert set(pruned.nodes()) == {1, 2, 6, 7, 8, 9, 10}
-        assert 14 not in pruned.parent and 11 not in pruned.parent
-        assert pruned.parent[7] == 8  # relay hop retained
-        assert set(pruned.leaves()) <= {6, 7, 8, 9, 10}
+        pruned = kept_parent(slots_of(example_tree(), 1, {6, 7, 8, 9, 10}))
+        assert {1, *pruned} == {1, 2, 6, 7, 8, 9, 10}
+        assert 14 not in pruned and 11 not in pruned
+        assert pruned[7] == 8  # relay hop retained
+        assert set(pruned) - set(pruned.values()) <= {6, 7, 8, 9, 10}  # every leaf a destination
 
     def test_unchanged_when_everything_is_a_destination(self):
         tree = example_tree()
-        assert prune_tree(tree, set(tree.nodes()) - {1}) == tree
+        assert kept_parent(slots_of(tree, 1, set(tree))) == tree
 
     def test_star_with_single_destination(self):
-        tree = tree_from_parents(0, {1: 0, 2: 0, 3: 0}, {1: 1.0, 2: 1.0, 3: 1.0})
-        pruned = prune_tree(tree, {2})
-        assert pruned.n_edges == 1
-        assert pruned.parent == {2: 0}
+        slots = slots_of({1: 0, 2: 0, 3: 0}, 0, {2})
+        assert len(slots.receiver) == 1
+        assert kept_parent(slots) == {2: 0}
 
     def test_idempotent(self):
         dests = {6, 7, 9}
-        once = prune_tree(example_tree(), dests)
-        assert prune_tree(once, dests) == once
+        once = slots_of(example_tree(), 1, dests)
+        assert_same_slots(slots_of(kept_parent(once), 1, dests), once)
 
     def test_empty_destinations_rejected(self):
         with pytest.raises(ValueError):
-            prune_tree(example_tree(), set())
+            slots_of(example_tree(), 1, set())
 
     def test_root_as_destination_rejected(self):
         with pytest.raises(ValueError):
-            prune_tree(example_tree(), {1, 6})
+            slots_of(example_tree(), 1, {1, 6})
 
 
 class TestLayerize:
     def test_single_edge(self):
-        tree = tree_from_parents(0, {5: 0}, {5: 2.0})
-        schedule = layerize(tree)
-        assert schedule.entries == (LayerEntry(0, (5,)),)
+        assert entries(slots_of({5: 0}, 0, {5})) == [(0, (5,))]
 
     def test_example_layering(self):
-        pruned = prune_tree(example_tree(), {6, 7, 8, 9, 10})
-        schedule = layerize(pruned)
-        assert [e.transmitter for e in schedule.entries] == [1, 2, 8]
-        assert set(schedule.entries[0].receivers) == {2, 6, 8, 9}
-        assert schedule.entries[1].receivers == (10,)
-        assert schedule.entries[2].receivers == (7,)
+        schedule = entries(slots_of(example_tree(), 1, {6, 7, 8, 9, 10}))
+        assert [tx for tx, _ in schedule] == [1, 2, 8]
+        assert set(schedule[0][1]) == {2, 6, 8, 9}
+        assert schedule[1][1] == (10,)
+        assert schedule[2][1] == (7,)
 
     def test_chain_gives_one_entry_per_hop(self):
         k = 5
-        parent = {i + 1: i for i in range(k)}
-        tree = tree_from_parents(0, parent, {v: 1.0 for v in parent})
-        schedule = layerize(tree)
-        assert len(schedule.entries) == k
-        assert all(len(e.receivers) == 1 for e in schedule.entries)
+        schedule = entries(slots_of({i + 1: i for i in range(k)}, 0, {k}))
+        assert len(schedule) == k
+        assert all(len(receivers) == 1 for _, receivers in schedule)
 
     def test_receiver_slots_cover_all_non_root_nodes(self):
-        pruned = prune_tree(example_tree(), {6, 7, 8, 9, 10})
-        schedule = layerize(pruned)
-        receivers = [r for e in schedule.entries for r in e.receivers]
-        assert sorted(receivers) == sorted(set(pruned.nodes()) - {pruned.root})
+        slots = slots_of(example_tree(), 1, {6, 7, 8, 9, 10})
+        receivers = [r for _, rs in entries(slots) for r in rs]
+        assert sorted(receivers) == sorted(set(kept_parent(slots))) == [2, 6, 7, 8, 9, 10]
 
     def test_transmitters_receive_before_transmitting(self):
-        pruned = prune_tree(example_tree(), {6, 7, 8, 9, 10})
-        schedule = layerize(pruned)
-        seen = {pruned.root}
-        for entry in schedule.entries:
-            assert entry.transmitter in seen
-            seen.update(entry.receivers)
+        seen = {1}
+        for tx, receivers in entries(slots_of(example_tree(), 1, {6, 7, 8, 9, 10})):
+            assert tx in seen
+            seen.update(receivers)
+
+
+# ---------------------------------------------------------------- block slot index against the reference
+
+SLOT_ARRAYS = ("starts", "event", "tx_slot", "transmitter", "receiver", "dest_slot", "distances", "tree_starts")
+
+
+def assert_same_slots(got, want):
+    for name in SLOT_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.height, got.destinations) == (want.height, want.destinations)
+    assert np.array_equal(got.dest_paths, want.dest_paths)
+
+
+def reference_slots(trees, destinations):
+    """The reference engine's layout of each tree pruned to its destinations
+    and layered, stacked tree after tree."""
+    indexes = []
+    for tree, dests in zip(trees, destinations):
+        pruned = ref.prune_tree(tree, dests)
+        indexes.append(ref.slot_index(pruned, ref.layerize(pruned), dests))
+    return ref.stack_slots(indexes)
+
+
+REF_BUILD = {TreeKind.SPT: ref.build_spt, TreeKind.MST: ref.build_mst}
+TREE_ORDERS = [(TreeKind.SPT,), (TreeKind.MST,), (TreeKind.SPT, TreeKind.MST), (TreeKind.MST, TreeKind.SPT)]
+
+
+# (n_nodes, n_dest, seeds in the block): one node pair, every node a
+# destination, and blocks of 1, 3 and 32 seeds up to 160 nodes.
+@pytest.mark.parametrize(
+    "n, n_dest, block",
+    [(2, 1, 1), (20, 19, 3), (20, 4, 32), (40, 8, 1), (40, 16, 32), (80, 16, 3), (160, 4, 3), (160, 32, 32)],
+)
+def test_block_slot_index_matches_reference(n, n_dest, block):
+    # The whole block in one level pass against each tree built, pruned,
+    # layered and laid out on its own by the reference engine's dict code.
+    params = ScenarioParams(n_nodes=n, n_dest=n_dest)
+    seeds = range(100 * n, 100 * n + block)
+    trees, dests = {}, {}
+    for seed in seeds:
+        topo = ref.generate_topology(n, params.area_side_m, params.comm_range_m, ref._rng(seed, ref._STREAM_TOPOLOGY))
+        dests[seed] = ref._rng(seed, ref._STREAM_DESTINATIONS).choice(np.arange(1, n), size=n_dest, replace=False)
+        for kind, build in REF_BUILD.items():
+            trees[seed, kind] = build(topo, 0)
+    for order in TREE_ORDERS:
+        got = experiment._block_stages(params, order, seeds).slots
+        keys = [(seed, kind) for seed in seeds for kind in order]
+        assert_same_slots(got, reference_slots([trees[k] for k in keys], [dests[seed] for seed, _ in keys]))
+
+
+def test_equal_lengths_keep_kruskal_order_and_lower_id_predecessor():
+    # A 4 x 4 grid with every edge of length 1: many shortest paths and
+    # spanning trees tie, so the SPT takes Dijkstra's lower-id predecessor and
+    # the MST Kruskal's (u, v) order, in the block as in the reference.
+    side = 4
+    points = np.array([(i % side, i // side) for i in range(side * side)], dtype=float)
+    edges = tuple(
+        (u, v, 1.0) for u in range(side * side) for v in (u + 1, u + side)
+        if v < side * side and (v == u + side or v % side)
+    )
+    topo, want = Topology.from_edges(points, edges, side, 1.0), ref.Topology(points, edges, side, 1.0)
+    dests = [5, 10, 15, 12]
+    arrays = {TreeKind.SPT: spt_parents(topo, 0), TreeKind.MST: mst_parents(topo, 0)}
+    for order in TREE_ORDERS:
+        parent = np.stack([arrays[kind][0] for kind in order])
+        dist = np.stack([arrays[kind][1] for kind in order])
+        got = slot_index(parent, dist, np.array([dests] * len(order)))
+        assert_same_slots(got, reference_slots([REF_BUILD[kind](want, 0) for kind in order], [dests] * len(order)))
