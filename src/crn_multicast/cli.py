@@ -20,7 +20,7 @@ import traceback
 from pathlib import Path
 
 from .assignment import Scheme
-from .config import SWEEP_OUT_DIR, Config, ConfigError, load_config, sweep_from_config
+from .config import SWEEP_OUT_DIR, Config, ConfigError, load_config
 from .example_case import builtin_fixture, check_fixture
 from .experiment import DataFormatError, read_aggregate_csv, run_scenario_sessions, run_sweep, write_sweep_csv
 from .phy import LinkBudgetError
@@ -109,7 +109,7 @@ def cmd_run(args) -> int:
     if cfg.out_dir:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    sessions = run_scenario_sessions(cfg.params, cfg.schemes, cfg.trees, cfg.seed)
+    sessions = run_scenario_sessions(cfg.base, cfg.schemes, cfg.trees, cfg.seed)
     if args.json:
         payload = {
             f"{tree.value}/{scheme.value}": {
@@ -123,7 +123,7 @@ def cmd_run(args) -> int:
         payload["seed"] = cfg.seed
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"seed {cfg.seed}: {cfg.params.n_nodes} nodes, {cfg.params.n_dest} destinations")
+        print(f"seed {cfg.seed}: {cfg.base.n_nodes} nodes, {cfg.base.n_dest} destinations")
         for (tree, scheme), res in sessions.items():
             delivered = sum(res.delivered.values())
             print(
@@ -143,10 +143,9 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    spec = sweep_from_config(cfg)
     out = Path(cfg.out_dir or SWEEP_OUT_DIR)
     out.mkdir(parents=True, exist_ok=True)
-    rows, agg = run_sweep(spec)
+    rows, agg = run_sweep(cfg)
     trials_path, agg_path = write_sweep_csv(rows, agg, out)
     print(f"wrote {trials_path} ({len(rows)} rows)")
     print(f"wrote {agg_path} ({len(agg)} rows)")

@@ -3,6 +3,10 @@
 The format is a plain text file: one `key = value` pair per line, `#` starts
 a comment, blank lines ignored. List values are comma separated. Unknown keys
 are rejected so typos fail loudly. Command-line flags win over file values.
+
+A loaded file is a Config: a SweepSpec plus out_dir. SweepSpec holds the
+defaults and the checks of every harness value and swept scenario, so `run`
+and `sweep` accept and reject the same files.
 """
 
 from __future__ import annotations
@@ -45,16 +49,10 @@ def _parse_values(text: str) -> tuple:
 
 
 @dataclass(frozen=True)
-class Config:
-    """Everything a command needs: scenario, scheme/tree lists, sweep and output."""
+class Config(SweepSpec):
+    """Everything a command needs: the sweep, checked as a whole by SweepSpec
+    for every command, plus where output goes."""
 
-    params: ScenarioParams = ScenarioParams()
-    schemes: tuple[Scheme, ...] = (Scheme.POS, Scheme.MASA, Scheme.MDR, Scheme.RS)
-    trees: tuple[TreeKind, ...] = (TreeKind.SPT, TreeKind.MST)
-    sweep_variable: str = "p_idle"
-    sweep_values: tuple = (0.1, 0.5, 0.9)
-    trials: int = 1000
-    seed: int = 1
     out_dir: str | None = None  # unset: run writes no files, sweep writes to SWEEP_OUT_DIR
 
 
@@ -64,14 +62,15 @@ SWEEP_OUT_DIR = "out"
 # Each scenario key is cast with the type of its field's default (int or float).
 _SCENARIO_KEYS = {f.name: type(f.default) for f in fields(ScenarioParams)}
 
+# Each harness key: the Config field it sets and its parser.
 _HARNESS_KEYS = {
-    "schemes": _enum_list(Scheme, "scheme"),
-    "trees": _enum_list(TreeKind, "tree kind"),
-    "sweep_variable": str.strip,
-    "sweep_values": _parse_values,
-    "trials": int,
-    "seed": int,
-    "out_dir": str.strip,
+    "schemes": ("schemes", _enum_list(Scheme, "scheme")),
+    "trees": ("trees", _enum_list(TreeKind, "tree kind")),
+    "sweep_variable": ("variable", str.strip),
+    "sweep_values": ("values", _parse_values),
+    "trials": ("trials", int),
+    "seed": ("seed", int),
+    "out_dir": ("out_dir", str.strip),
 }
 
 
@@ -90,7 +89,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         if key in _SCENARIO_KEYS:
             caster = _SCENARIO_KEYS[key]
         elif key in _HARNESS_KEYS:
-            caster = _HARNESS_KEYS[key]
+            caster = _HARNESS_KEYS[key][1]
         else:
             raise ConfigError(f"{source}, line {lineno}: unknown config key {key!r}")
         try:
@@ -103,7 +102,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 
 def load_config(path=None, overrides: dict | None = None) -> Config:
-    """Build a Config from an optional file plus override values (flags win)."""
+    """Build a Config from an optional file plus override values (flags win).
+    The scenario, the harness values and every swept scenario are checked
+    here, so every command rejects a bad file before any trial runs."""
     values: dict = {}
     if path is not None:
         p = Path(path)
@@ -113,55 +114,14 @@ def load_config(path=None, overrides: dict | None = None) -> Config:
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
 
-    scenario_kwargs = {k: v for k, v in values.items() if k in _SCENARIO_KEYS}
+    scenario = {k: v for k, v in values.items() if k in _SCENARIO_KEYS}
+    harness = {_HARNESS_KEYS[k][0]: v for k, v in values.items() if k in _HARNESS_KEYS}
     try:
-        params = ScenarioParams(**scenario_kwargs)
+        return Config(ScenarioParams(**scenario), **harness)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    harness_kwargs = {k: v for k, v in values.items() if k in _HARNESS_KEYS}
-    cfg = Config(params=params, **harness_kwargs)
-    if cfg.trials < 1:
-        raise ConfigError("trials must be at least 1")
-    if cfg.seed < 0:
-        raise ConfigError("seed must be non-negative")
-    if not cfg.schemes:
-        raise ConfigError("need at least one scheme")
-    if not cfg.trees:
-        raise ConfigError("need at least one tree kind")
-    return cfg
 
 
 def sweep_from_config(cfg: Config) -> SweepSpec:
-    try:
-        return SweepSpec(
-            base=cfg.params,
-            variable=cfg.sweep_variable,
-            values=cfg.sweep_values,
-            trials=cfg.trials,
-            seed=cfg.seed,
-            schemes=cfg.schemes,
-            trees=cfg.trees,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def default_config_text() -> str:
-    """A commented template with every recognized key at its default."""
-    lines = ["# scenario"]
-    for f in fields(ScenarioParams):
-        lines.append(f"{f.name} = {getattr(ScenarioParams(), f.name)}")
-    cfg = Config()
-    lines += [
-        "",
-        "# harness",
-        f"schemes = {','.join(s.value for s in cfg.schemes)}",
-        f"trees = {','.join(t.value for t in cfg.trees)}",
-        f"sweep_variable = {cfg.sweep_variable}",
-        f"sweep_values = {','.join(str(v) for v in cfg.sweep_values)}",
-        f"trials = {cfg.trials}",
-        f"seed = {cfg.seed}",
-        f"# out_dir = {SWEEP_OUT_DIR}  # unset: run writes no files, sweep writes to {SWEEP_OUT_DIR}",
-    ]
-    return "\n".join(lines) + "\n"
+    """The sweep a config describes: the config itself, checked when it was built."""
+    return cfg

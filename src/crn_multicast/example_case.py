@@ -122,6 +122,17 @@ def _ids(values, what: str) -> list[int]:
     return [int(x) for x in ids]
 
 
+def _numbers(values, what: str, null: float = math.nan) -> list:
+    """A fixture's list of numbers, each null read as `null`: anything but a
+    JSON number or null, such as a string or a bool, is an error, never
+    coerced to a number."""
+    out = list(values)
+    for x in out:
+        if x is not None and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+            raise ValueError(f"{what}: {x!r} is not a number")
+    return [null if x is None else x for x in out]
+
+
 def _tree_from_fixture(fixture: dict) -> tuple[int, dict[int, int]]:
     """The fixture's root and the parent of every other node of its tree."""
     (root,) = _ids([fixture["root"]], "root")
@@ -190,10 +201,10 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
         raise ValueError(f"packet_bits must be a positive integer, got {packet_bits!r}")
     if packet_bits > sys.float_info.max:
         raise ValueError(f"packet_bits must not exceed the largest float, {sys.float_info.max!r}")
-    mu = np.asarray(fixture["mu_ms"], dtype=float) / 1000.0
+    mu = np.array(_numbers(fixture["mu_ms"], "mu_ms"), dtype=float) / 1000.0
     if mu.size == 0:
         raise ValueError("metrics need at least one receiver per event and one channel")
-    if mu.ndim != 1 or not (np.isfinite(mu) & (mu > 0.0)).all():
+    if not (np.isfinite(mu) & (mu > 0.0)).all():
         raise ValueError(f"mu_ms must be a list of finite positive numbers, got {fixture['mu_ms']!r}")
     idle = np.zeros((len(events), mu.size), dtype=bool)
     pos_rows, tx_rows, avail_rows = [], [], []
@@ -209,9 +220,10 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
             )
         idle[e, _idle_channels(ev, mu.size)] = True
         for r in entry:
-            pos_rows.append(ev["pos"][str(r)])
-            tx_rows.append([math.inf if t is None else t for t in ev["tx_time_s"][str(r)]])
-        avail_rows.append([math.nan if a is None else a for a in ev["available_time_s"]])
+            pos_rows.append(_numbers(ev["pos"][str(r)], f"event of transmitter {tx}, receiver {r}, pos"))
+            tx_rows.append(_numbers(ev["tx_time_s"][str(r)], f"event of transmitter {tx}, receiver {r}, tx_time_s",
+                                    null=math.inf))
+        avail_rows.append(_numbers(ev["available_time_s"], f"event of transmitter {tx}, available_time_s"))
     pos, tx, available = (np.array(rows, dtype=float) for rows in (pos_rows, tx_rows, avail_rows))
     for name, array in (("pos", pos), ("tx_time", tx), ("available_time", available)):
         if array.shape != (len(array), mu.size):  # one row per receiver or event by construction

@@ -276,10 +276,9 @@ def run_scenario_sessions(
     gains; only their channel decisions (and hence successes) differ.
     channel_model defaults to the one params describes. The scenario is a
     block of one seed (_block_stages), judged as one table, as each block of
-    a sweep is.
+    a sweep is. A negative seed is a ValueError from the seed's first
+    generator, before any draw.
     """
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
     model = channel_model if channel_model is not None else params.channels()
     # Keyed results: a repeated tree kind counts once, in first-seen order.
     trees = tuple(dict.fromkeys(trees))
@@ -293,11 +292,16 @@ def run_scenario_sessions(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    base: ScenarioParams
-    variable: str
-    values: tuple
-    trials: int
-    seed: int
+    """One-parameter sweep: the base scenario, the swept variable and its
+    values, trials per value, base seed, schemes and tree kinds. Every field
+    and every swept scenario is checked on construction; the defaults are the
+    config file's."""
+
+    base: ScenarioParams = ScenarioParams()
+    variable: str = "p_idle"
+    values: tuple = (0.1, 0.5, 0.9)
+    trials: int = 1000
+    seed: int = 1
     schemes: tuple[Scheme, ...] = (Scheme.POS, Scheme.MASA, Scheme.MDR, Scheme.RS)
     trees: tuple[TreeKind, ...] = (TreeKind.SPT, TreeKind.MST)
 

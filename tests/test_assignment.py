@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from crn_multicast import experiment
 from crn_multicast.assignment import Scheme, choose_channels, random_channel
-from crn_multicast.session import EventTable, slot_index
+from crn_multicast.experiment import ScenarioParams
+from crn_multicast.session import EventTable, TreeKind, link_metrics, select_channels, slot_index, threshold_draws
 
 MU_S = np.array([0.010, 0.020, 0.030, 0.040, 0.050, 0.060])
 
@@ -201,3 +203,41 @@ def test_pos_choice_dominates_every_idle_column_minimum(metrics):
         return
     for j in np.flatnonzero(metrics.idle[0]):
         assert metrics.pos[:, channel].min() >= metrics.pos[:, j].min() - 1e-12
+
+
+@pytest.fixture(scope="module")
+def oracle_block():
+    """64 seeds' SPT and MST slots at M = 6: about 2400 entries."""
+    return experiment._block_stages(ScenarioParams(m_channels=6), (TreeKind.SPT, TreeKind.MST), range(64))
+
+
+@pytest.mark.parametrize("p_idle", [0.1, 0.5, 0.9])
+def test_masa_and_rs_choice_frequencies_match_the_model(oracle_block, p_idle):
+    # Model-level oracle: masa and rs ignore gains, and each entry's channels
+    # are idle independently with probability p, so over the sampled
+    # entries, within 5 standard errors of a binomial frequency:
+    #   masa picks channel j with probability p (1 - p)^k, k the number of
+    #   channels with a larger mean availability;
+    #   rs picks each channel with probability (1 - (1 - p)^M) / M;
+    #   no channel is idle with probability (1 - p)^M.
+    params = ScenarioParams(m_channels=6, p_idle=p_idle)
+    model = params.channels()
+    draws = threshold_draws(oracle_block.raw(model), model.p_idle)
+    table = link_metrics(params.phy(), draws, model.mu_idle, oracle_block.slots)
+    rngs = [np.random.Generator(np.random.PCG64(seq)) for seq in oracle_block.selection]
+    picks = {
+        Scheme.MASA: select_channels(table, Scheme.MASA),
+        Scheme.RS: select_channels(table, Scheme.RS, rngs, replay_all=True),
+    }
+    m, q, n = model.m, 1.0 - p_idle, len(table.idle)
+    larger = (model.mu_idle[None, :] > model.mu_idle[:, None]).sum(axis=1)
+    expected = {Scheme.MASA: p_idle * q ** larger, Scheme.RS: np.full(m, (1.0 - q ** m) / m)}
+
+    def z(count, prob):
+        return (count / n - prob) / np.sqrt(prob * (1.0 - prob) / n)
+
+    assert np.abs(z(np.count_nonzero(~draws[0].any(axis=1)), q ** m)) <= 5.0
+    for scheme, chosen in picks.items():
+        assert np.array_equal(chosen == -1, ~table.idle.any(axis=1))
+        counts = np.bincount(chosen[chosen >= 0], minlength=m)
+        assert np.abs(z(counts, expected[scheme])).max() <= 5.0, scheme

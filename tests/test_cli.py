@@ -114,11 +114,22 @@ class TestExampleCommand:
             (("packet_bits",), 10**308, "channel 1: packet_bits / air time overflows the data rate"),
             (("events", 0, "pos", "9", 3), 1.5, "receiver 9, channel 4: pos must lie in [0, 1], got 1.5"),
             (("events", 2, "pos", "7", 0), -0.1, "pos must lie in [0, 1], got -0.1"),
+            (("mu_ms", 0), "10", "mu_ms: '10' is not a number"),
+            (("mu_ms", 5), True, "mu_ms: True is not a number"),
+            (("events", 0, "pos", "6", 0), "0.534", "event of transmitter 1, receiver 6, pos: '0.534' is not a number"),
+            (("events", 2, "pos", "7", 2), True, "event of transmitter 8, receiver 7, pos: True is not a number"),
+            (("events", 0, "tx_time_s", "6", 4), "0.0059",
+             "event of transmitter 1, receiver 6, tx_time_s: '0.0059' is not a number"),
+            (("events", 1, "tx_time_s", "10", 2), False, "receiver 10, tx_time_s: False is not a number"),
+            (("events", 0, "available_time_s", 4), True, "event of transmitter 1, available_time_s: True is not a number"),
+            (("events", 2, "available_time_s", 3), "0.003", "available_time_s: '0.003' is not a number"),
         ],
         ids=[
             "air_time_zero", "air_time_negative", "air_time_nan", "availability_missing", "availability_negative",
             "mu_negative", "mu_zero", "mu_inf", "packet_bits_negative", "packet_bits_fraction",
             "packet_bits_beyond_float", "packet_bits_infinite_rate", "pos_above_one", "pos_negative",
+            "mu_string", "mu_bool", "pos_string", "pos_bool", "air_time_string", "air_time_bool",
+            "availability_bool", "availability_string",
         ],
     )
     def test_bad_fixture_value_is_usage_error(self, tmp_path, capsys, path, value, message):
@@ -127,7 +138,8 @@ class TestExampleCommand:
         # negative mean availability or a negative or fractional packet size
         # changed the outcome or the throughputs without an error; a packet
         # size beyond float range ended in a traceback, and one whose rate
-        # overflowed gave a RuntimeWarning and infinite throughputs
+        # overflowed gave a RuntimeWarning and infinite throughputs; a number
+        # given as a string or a bool was read as that number
         assert_fixture_rejected(tmp_path, capsys, path, value, message)
 
     # Edges 1->2, 1->6, 1->8, 1->9, 2->10, 8->7; events of transmitters 1, 2 and 8.
@@ -456,8 +468,9 @@ class TestSweepAndPlot:
 
 
 class TestBadSweepFailsFast:
-    """A bad swept value is a config error (exit 2) found before any trial,
-    so no output is written; exit 1 stays reserved for example mismatches."""
+    """A bad swept value is a config error (exit 2) for every command, found
+    before any trial, so no output is written; exit 1 stays reserved for
+    example mismatches."""
 
     @pytest.mark.parametrize(
         "lines, message",
@@ -483,11 +496,13 @@ class TestBadSweepFailsFast:
             "repeated_value", "integer_beyond_float_range", "link_budget_inf", "noise_power_underflow",
         ],
     )
-    def test_bad_swept_value_is_usage_error(self, tmp_path, capsys, lines, message):
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_bad_swept_value_is_usage_error(self, tmp_path, capsys, command, lines, message):
+        # run checks the whole config too, sweep section included
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(lines + "trials = 2\n", encoding="utf-8")
         out_dir = tmp_path / "out"
-        code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(out_dir))
+        code, _, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out_dir))
         assert code == 2
         assert err.startswith("error:") and message in err
         assert not out_dir.exists()

@@ -1,5 +1,7 @@
 import math
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,6 @@ from crn_multicast.assignment import Scheme
 from crn_multicast.config import (
     Config,
     ConfigError,
-    default_config_text,
     load_config,
     parse_config_text,
     sweep_from_config,
@@ -19,10 +20,11 @@ from crn_multicast.session import TreeKind
 FLOAT_KEYS = [f.name for f in fields(ScenarioParams) if f.type == "float"]
 
 
-def test_default_template_round_trips_to_defaults(tmp_path):
-    path = tmp_path / "cfg.txt"
-    path.write_text(default_config_text(), encoding="utf-8")
-    assert load_config(path) == Config()
+def test_readme_config_block_is_every_default():
+    # The README's example config documents each key at its default value.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```\n(# scenario\n.*?)```", readme, re.DOTALL).group(1)
+    assert load_config(None, parse_config_text(block)) == Config(out_dir="out")
 
 
 def test_unknown_key_names_key_and_line():
@@ -79,10 +81,19 @@ def test_bad_numeric_value_names_key():
         parse_config_text("p_idle = often\n")
 
 
-def test_sweep_from_config_rejects_unknown_variable():
-    cfg = Config(sweep_variable="frequency")
+def test_unknown_sweep_variable_rejected():
     with pytest.raises(ConfigError, match="frequency"):
-        sweep_from_config(cfg)
+        load_config(None, {"sweep_variable": "frequency"})
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("trials", 0, "trials must be at least 1"), ("seed", -1, "seed must be non-negative")],
+)
+def test_bad_harness_value_gives_sweep_spec_message(key, value, message):
+    with pytest.raises(ConfigError) as err:
+        load_config(None, parse_config_text(f"{key} = {value}\n"))
+    assert str(err.value) == message
 
 
 def test_sweep_from_config_builds_spec():
@@ -105,7 +116,7 @@ def test_float_scenario_value_loads_or_raises_config_error(key, value):
     except ConfigError as exc:
         assert key in str(exc)
         return
-    loaded = getattr(cfg.params, key)
+    loaded = getattr(cfg.base, key)
     assert math.isfinite(loaded) and loaded == value
 
 
