@@ -110,10 +110,27 @@ def builtin_fixture() -> dict:
     }
 
 
+def _field(obj, key: str, what: str):
+    """obj[key], where obj is the part of a fixture that what names: an
+    error names what if obj is not a JSON object or has no key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{what} has no {key!r}")
+    return obj[key]
+
+
+def _list(values, what: str) -> list:
+    """A fixture's JSON list, which what names in the error if it is none."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {values!r}")
+    return list(values)
+
+
 def _ids(values, what: str) -> list[int]:
     """A fixture's node or channel ids, each a JSON integer, none repeated: a
     bool, a float or a string is an error, never truncated to an id."""
-    ids = list(values)
+    ids = _list(values, what)
     for x in ids:
         if isinstance(x, bool) or not isinstance(x, numbers.Integral):
             raise ValueError(f"{what}: {x!r} is not an integer id")
@@ -126,7 +143,7 @@ def _numbers(values, what: str, null: float = math.nan) -> list:
     """A fixture's list of numbers, each null read as `null`: anything but a
     JSON number or null, such as a string or a bool, is an error, never
     coerced to a number."""
-    out = list(values)
+    out = _list(values, what)
     for x in out:
         if x is not None and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
             raise ValueError(f"{what}: {x!r} is not a number")
@@ -135,9 +152,9 @@ def _numbers(values, what: str, null: float = math.nan) -> list:
 
 def _tree_from_fixture(fixture: dict) -> tuple[int, dict[int, int]]:
     """The fixture's root and the parent of every other node of its tree."""
-    (root,) = _ids([fixture["root"]], "root")
+    (root,) = _ids([_field(fixture, "root", "fixture")], "root")
     parent: dict[int, int] = {}
-    for edge in fixture["tree_edges"]:
+    for edge in _list(_field(fixture, "tree_edges", "fixture"), "tree_edges"):
         u, v = _ids(edge, f"tree edge {edge!r}")
         if v == root:
             raise ValueError(f"tree edge {edge!r} leads into the root {root}")
@@ -149,7 +166,8 @@ def _tree_from_fixture(fixture: dict) -> tuple[int, dict[int, int]]:
 
 def _idle_channels(ev: dict, m: int) -> list[int]:
     """0-based indices of an event's idle channels; ids in the fixture are 1..m."""
-    ids = _ids(ev["idle_channels"], f"event of transmitter {ev['transmitter']}, idle channels")
+    label = f"event of transmitter {ev['transmitter']}"
+    ids = _ids(_field(ev, "idle_channels", label), f"{label}, idle channels")
     bad = [c for c in ids if not 1 <= c <= m]
     if bad:
         raise ValueError(f"event of transmitter {ev['transmitter']}: idle channel ids {bad} outside 1..{m}")
@@ -179,7 +197,7 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
     stray = set(parent) - reached
     if stray:
         raise ValueError(f"nodes {sorted(stray)} have no path to the root {root} along tree_edges")
-    destinations = _ids(fixture["destinations"], "destinations")
+    destinations = _ids(_field(fixture, "destinations", "fixture"), "destinations")
     missing = set(destinations) - reached
     if missing:
         raise ValueError(f"destinations not spanned by the tree: {sorted(missing)}")
@@ -193,15 +211,15 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
     stray = set(parent) - set(receiver)
     if stray:
         raise ValueError(f"tree is not pruned to the destination set, stray nodes: {sorted(stray)}")
-    events = fixture["events"]
+    events = _list(_field(fixture, "events", "fixture"), "events")
     if len(events) != len(transmitter):
         raise ValueError(f"expected {len(transmitter)} events for this tree, got {len(events)}")
-    packet_bits = fixture["packet_bits"]
+    packet_bits = _field(fixture, "packet_bits", "fixture")
     if isinstance(packet_bits, bool) or not isinstance(packet_bits, numbers.Integral) or packet_bits < 1:
         raise ValueError(f"packet_bits must be a positive integer, got {packet_bits!r}")
     if packet_bits > sys.float_info.max:
         raise ValueError(f"packet_bits must not exceed the largest float, {sys.float_info.max!r}")
-    mu = np.array(_numbers(fixture["mu_ms"], "mu_ms"), dtype=float) / 1000.0
+    mu = np.array(_numbers(_field(fixture, "mu_ms", "fixture"), "mu_ms"), dtype=float) / 1000.0
     if mu.size == 0:
         raise ValueError("metrics need at least one receiver per event and one channel")
     if not (np.isfinite(mu) & (mu > 0.0)).all():
@@ -210,8 +228,9 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
     pos_rows, tx_rows, avail_rows = [], [], []
     bounds = [*slots.starts.tolist(), len(receiver)]
     for e, ev in enumerate(events):
-        (tx,) = _ids([ev["transmitter"]], "transmitter")
-        receivers = _ids(ev["receivers"], f"receivers of transmitter {tx}")
+        (tx,) = _ids([_field(ev, "transmitter", f"event {e}")], "transmitter")
+        label = f"event of transmitter {tx}"
+        receivers = _ids(_field(ev, "receivers", label), f"receivers of transmitter {tx}")
         entry = tuple(receiver[bounds[e]:bounds[e + 1]])
         if tx != transmitter[e] or set(receivers) != set(entry):
             raise ValueError(
@@ -220,10 +239,11 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
             )
         idle[e, _idle_channels(ev, mu.size)] = True
         for r in entry:
-            pos_rows.append(_numbers(ev["pos"][str(r)], f"event of transmitter {tx}, receiver {r}, pos"))
-            tx_rows.append(_numbers(ev["tx_time_s"][str(r)], f"event of transmitter {tx}, receiver {r}, tx_time_s",
-                                    null=math.inf))
-        avail_rows.append(_numbers(ev["available_time_s"], f"event of transmitter {tx}, available_time_s"))
+            pos_row = _field(_field(ev, "pos", label), str(r), f"{label}, pos")
+            pos_rows.append(_numbers(pos_row, f"{label}, receiver {r}, pos"))
+            tx_row = _field(_field(ev, "tx_time_s", label), str(r), f"{label}, tx_time_s")
+            tx_rows.append(_numbers(tx_row, f"{label}, receiver {r}, tx_time_s", null=math.inf))
+        avail_rows.append(_numbers(_field(ev, "available_time_s", label), f"{label}, available_time_s"))
     pos, tx, available = (np.array(rows, dtype=float) for rows in (pos_rows, tx_rows, avail_rows))
     for name, array in (("pos", pos), ("tx_time", tx), ("available_time", available)):
         if array.shape != (len(array), mu.size):  # one row per receiver or event by construction

@@ -182,15 +182,6 @@ def _rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.default_rng((seed, *stream))
 
 
-def _selection_seeds(seeds, trees) -> list[np.random.SeedSequence]:
-    """Seed sequence of the rs generator of every (seed, tree kind), seed
-    after seed with tree kinds in order, hashed once:
-    np.random.Generator(np.random.PCG64(seq)) gives the stream of
-    _rng(seed, _STREAM_SELECTION, tree code, rs code) without hashing again."""
-    rs = _SCHEME_CODE[Scheme.RS]
-    return [np.random.SeedSequence((seed, _STREAM_SELECTION, _TREE_CODE[t], rs)) for seed in seeds for t in trees]
-
-
 @dataclass(frozen=True)
 class BlockStages:
     """What a block of trial seeds fixes before link metrics: one slot index
@@ -216,9 +207,19 @@ class BlockStages:
         return self._raw[key]
 
     @cached_property
-    def selection(self) -> list[np.random.SeedSequence]:
-        """Seed sequence of each tree's rs generator (_selection_seeds)."""
-        return _selection_seeds(self.seeds, self.trees)
+    def _selection(self) -> tuple[list[np.random.Generator], list[dict]]:
+        rs = _SCHEME_CODE[Scheme.RS]
+        rngs = [_rng(seed, _STREAM_SELECTION, _TREE_CODE[t], rs) for seed in self.seeds for t in self.trees]
+        return rngs, [rng.bit_generator.state for rng in rngs]
+
+    def selection(self) -> list[np.random.Generator]:
+        """The rs generator of every tree, seed after seed with tree kinds in
+        order, at the start of its stream: built once per block and reset,
+        which is cheaper than building it again, on every call."""
+        rngs, states = self._selection
+        for rng, state in zip(rngs, states):
+            rng.bit_generator.state = state
+        return rngs
 
 
 def _block_stages(params: ScenarioParams, trees, seeds) -> BlockStages:
@@ -253,12 +254,12 @@ def _judge_block(
 ) -> tuple[EventTable, np.ndarray, Judgement]:
     """Link metrics of every tree of a block under model in one event table,
     then every scheme's channels and their judgement in one pass. Every rs
-    scheme picks tree by tree with fresh generators from the block's seed
-    sequences."""
+    scheme picks tree by tree with the block's rs generators, each at the
+    start of its stream."""
     table = link_metrics(phy, threshold_draws(block.raw(model), model.p_idle), model.mu_idle, block.slots)
     channels = np.empty((len(block.slots.starts), len(schemes)), dtype=np.intp)
     for k, scheme in enumerate(schemes):
-        rngs = [np.random.Generator(np.random.PCG64(seq)) for seq in block.selection] if scheme is Scheme.RS else ()
+        rngs = block.selection() if scheme is Scheme.RS else ()
         channels[:, k] = select_channels(table, scheme, rngs)
     return table, channels, judge(table, channels, phy.packet_bits)
 

@@ -260,20 +260,22 @@ def draw_raw(slots: SlotIndex, model: ChannelModel, rngs):
     tree_starts = slots.tree_starts.tolist()
     if len(rngs) != len(tree_starts) - 1:
         raise ValueError(f"drawing needs one rng per tree, got {len(rngs)} for {len(tree_starts) - 1}")
-    bounds = [*slots.starts.tolist(), len(slots.event)]
-    uniform, residual = np.empty((len(slots.starts), model.m)), np.empty((len(slots.starts), model.m))
-    gains = np.empty((len(slots.event), model.m))
+    # Entry e's residuals, then its receivers' gains, are one call's rows of
+    # an (E + R, M) array: an exponential fill keeps no state between calls,
+    # so one call of r + 1 rows draws what calls of 1 and of r rows would.
+    rows = slots.starts + np.arange(len(slots.starts))
+    exponential = np.empty((len(slots.starts) + len(slots.event), model.m))
+    uniform = np.empty((len(slots.starts), model.m))
+    bounds = [*rows.tolist(), len(exponential)]
     for rng, first, end in zip(rngs, tree_starts, tree_starts[1:]):
         for e in range(first, end):
             rng.random(out=uniform[e])
             # Residuals are drawn for every channel, busy ones included, so that
             # runs differing only in p_idle consume identical generator positions.
-            rng.standard_exponential(out=residual[e])
-            rng.standard_exponential(out=gains[bounds[e]:bounds[e + 1]])
+            rng.standard_exponential(out=exponential[bounds[e]:bounds[e + 1]])
     # Scaling unit exponentials afterwards gives the same numbers as drawing
     # each channel's exponential with its own mean.
-    residual *= model.mu_idle
-    return uniform, residual, gains
+    return uniform, exponential[rows] * model.mu_idle, np.delete(exponential, rows, axis=0)
 
 
 def threshold_draws(raw, p_idle: np.ndarray):

@@ -224,7 +224,7 @@ def test_masa_and_rs_choice_frequencies_match_the_model(oracle_block, p_idle):
     model = params.channels()
     draws = threshold_draws(oracle_block.raw(model), model.p_idle)
     table = link_metrics(params.phy(), draws, model.mu_idle, oracle_block.slots)
-    rngs = [np.random.Generator(np.random.PCG64(seq)) for seq in oracle_block.selection]
+    rngs = oracle_block.selection()
     picks = {
         Scheme.MASA: select_channels(table, Scheme.MASA),
         Scheme.RS: select_channels(table, Scheme.RS, rngs, replay_all=True),

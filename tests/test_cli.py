@@ -18,15 +18,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# A value that assert_fixture_rejected deletes instead of setting.
+DELETE = object()
+
+
 def assert_fixture_rejected(tmp_path, capsys, path, value, message):
     """Set the built-in fixture's value at path (a list index one past the
-    end appends) and require `example --fixture` to exit 2 with message."""
+    end appends, DELETE removes the key) and require `example --fixture` to
+    exit 2 with message."""
     fixture = builtin_fixture()
     *keys, last = path
     target = fixture
     for key in keys:
         target = target[key]
-    if isinstance(target, list) and last == len(target):
+    if value is DELETE:
+        del target[last]
+    elif isinstance(target, list) and last == len(target):
         target.append(value)
     else:
         target[last] = value
@@ -123,13 +130,19 @@ class TestExampleCommand:
             (("events", 1, "tx_time_s", "10", 2), False, "receiver 10, tx_time_s: False is not a number"),
             (("events", 0, "available_time_s", 4), True, "event of transmitter 1, available_time_s: True is not a number"),
             (("events", 2, "available_time_s", 3), "0.003", "available_time_s: '0.003' is not a number"),
+            (("mu_ms",), 10, "mu_ms must be a list, got 10"),
+            (("events", 0, "pos", "6"), DELETE, "event of transmitter 1, pos has no '6'"),
+            (("packet_bits",), DELETE, "fixture has no 'packet_bits'"),
+            (("events", 0, "pos"), [[0.534, 0.0, 0.0, 0.7716, 0.8895, 0.9073]],
+             "event of transmitter 1, pos must be a JSON object, got list"),
         ],
         ids=[
             "air_time_zero", "air_time_negative", "air_time_nan", "availability_missing", "availability_negative",
             "mu_negative", "mu_zero", "mu_inf", "packet_bits_negative", "packet_bits_fraction",
             "packet_bits_beyond_float", "packet_bits_infinite_rate", "pos_above_one", "pos_negative",
             "mu_string", "mu_bool", "pos_string", "pos_bool", "air_time_string", "air_time_bool",
-            "availability_bool", "availability_string",
+            "availability_bool", "availability_string", "mu_not_list", "pos_receiver_missing",
+            "packet_bits_missing", "pos_not_object",
         ],
     )
     def test_bad_fixture_value_is_usage_error(self, tmp_path, capsys, path, value, message):
@@ -139,7 +152,9 @@ class TestExampleCommand:
         # changed the outcome or the throughputs without an error; a packet
         # size beyond float range ended in a traceback, and one whose rate
         # overflowed gave a RuntimeWarning and infinite throughputs; a number
-        # given as a string or a bool was read as that number
+        # given as a string or a bool was read as that number; a missing key,
+        # or a number or list where a list or object belongs, gave Python's
+        # own message, which named neither the field nor the event
         assert_fixture_rejected(tmp_path, capsys, path, value, message)
 
     # Edges 1->2, 1->6, 1->8, 1->9, 2->10, 8->7; events of transmitters 1, 2 and 8.

@@ -136,6 +136,9 @@ GEOMETRY_SETTINGS = [
     (40, 200.0, 60.0, 100, 100, 0),
     (80, 150.0, 35.0, 100, 40, 0),
     (160, 200.0, 60.0, 100, 20, 0),
+    # About 32 edges per node, far more than Kruskal sorts first (MST_PREFIX
+    # per node); seeds 8 and 9 join their last nodes only past that prefix.
+    (300, 200.0, 60.0, 100, 10, 0),
     (20, 200.0, 30.0, 2, 100, 100),
     (40, 200.0, 20.0, 1, 100, 100),
     (12, 200.0, 70.0, 2, 100, 71),

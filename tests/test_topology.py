@@ -9,6 +9,7 @@ from crn_multicast import experiment
 from crn_multicast.experiment import ScenarioParams
 from crn_multicast.session import TreeKind, slot_index
 from crn_multicast.topology import (
+    MST_PREFIX,
     Topology,
     build_mst,
     build_spt,
@@ -209,6 +210,20 @@ class TestShortestPathTree:
         want = ref.build_spt(ref.Topology(points, edges, 1.0, 2.0), root)
         assert (tree.parent, tree.edge_dist) == (want.parent, want.edge_dist)
 
+    def test_distances_that_improve_over_several_passes(self):
+        # A chain 0-1-...-9 of unit edges with shortcuts: node 9 is first
+        # reached straight from the root (20), then over node 5 (10.5), and
+        # only along the chain (9) after as many passes as the chain has hops.
+        chain = tuple((i, i + 1, 1.0) for i in range(9))
+        edges = chain + ((0, 9, 20.0), (0, 5, 6.0), (5, 9, 4.5), (0, 7, 7.5), (2, 8, 6.25))
+        points = np.zeros((10, 2))
+        topo = Topology.from_edges(points, edges, 1.0, 20.0)
+        tree = build_spt(topo, 0)
+        dist = floyd_warshall(topo.n, topo.edges)
+        assert [tree.path_distance(v) for v in range(10)] == dist[0] == [float(v) for v in range(10)]
+        want = ref.build_spt(ref.Topology(points, edges, 1.0, 20.0), 0)
+        assert (tree.parent, tree.edge_dist) == (want.parent, want.edge_dist)
+
     def test_edge_too_short_to_order_paths_rejected(self):
         # node 1 sits at zero distance from the root, so no node is closer
         # to the root than it and it has no parent to take
@@ -244,6 +259,24 @@ class TestMinimumSpanningTree:
         edges0 = {(min(v, p), max(v, p)) for v, p in t0.parent.items()}
         edges1 = {(min(v, p), max(v, p)) for v, p in t1.parent.items()}
         assert edges0 == edges1
+
+    def test_tied_lengths_across_the_sorted_prefix(self):
+        # Two 10-node cliques of distinct short edges, joined by 50 cross
+        # edges of one length and 50 longer ones: the tied run spans the
+        # MST_PREFIX * n-th shortest edge, and the one join between the
+        # cliques is its first edge in (u, v) order.
+        n, k = 20, MST_PREFIX * 20
+        intra = [(u, v) for u, v in itertools.combinations(range(n), 2) if (u < 10) == (v < 10)]
+        cross = [(u, v) for u in range(10) for v in range(10, n)]
+        edges = tuple((u, v, 1.0 + i / 128) for i, (u, v) in enumerate(intra))
+        edges += tuple((u, v, 3.0 if (u + v) % 2 else 4.0) for u, v in cross)
+        lengths = sorted(d for _, _, d in edges)
+        assert lengths[len(intra)] == lengths[k - 1] == lengths[k] == 3.0
+        points = np.zeros((n, 2))
+        tree = build_mst(Topology.from_edges(points, edges, 1.0, 4.0), 0)
+        want = ref.build_mst(ref.Topology(points, edges, 1.0, 4.0), 0)
+        assert (tree.parent, tree.edge_dist) == (want.parent, want.edge_dist)
+        assert tree.parent[11] == 0
 
     def test_n_minus_one_edges(self):
         topo = generate_topology(8, 80.0, 45.0, np.random.default_rng(4))
