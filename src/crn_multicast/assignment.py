@@ -27,14 +27,17 @@ class Scheme(Enum):
     RS = "rs"
 
 
-def choose_channels(scheme: Scheme, pos, rate, mu_idle, idle, starts) -> np.ndarray:
-    """Channel of every event in a table under pos, masa or mdr.
+def choose_channels(scheme: Scheme, pos, rate, mu_idle, idle, starts, picks=None) -> np.ndarray:
+    """Channel of every event in a table under scheme.
 
     pos and rate are (receivers x channels) with each event's receivers in
     consecutive rows starting at starts[e]; idle is (events x channels). The
-    worst receiver of each event is its column minimum over its rows. Ties go
-    to the lowest channel index (np.argmax returns the first maximum), and an
-    event without an idle channel gets -1.
+    worst receiver of each event is its column minimum over its rows. rs
+    reads only idle and picks, one uniform in [0, 1) per event: event e takes
+    its k-th idle channel (counting from 0), k = floor(picks[e] * n_idle),
+    which is below n_idle for every float below 1. Ties go to the lowest
+    channel index (np.argmax returns the first maximum), and an event without
+    an idle channel gets -1.
     """
     if scheme is Scheme.POS:
         score = np.minimum.reduceat(pos, starts, axis=0)
@@ -42,17 +45,12 @@ def choose_channels(scheme: Scheme, pos, rate, mu_idle, idle, starts) -> np.ndar
         score = np.minimum.reduceat(rate, starts, axis=0)
     elif scheme is Scheme.MASA:
         score = mu_idle[None, :]
+    elif scheme is Scheme.RS:
+        if picks is None:
+            raise ValueError("random selection needs an rng: no pick uniforms were drawn")
+        # 1 from the k-th idle channel on, whose index is the first maximum among idle channels.
+        score = np.cumsum(idle, axis=1) > np.floor(picks * idle.sum(axis=1))[:, None]
     else:
-        raise ValueError(f"scheme {scheme!r} does not choose by table")
+        raise ValueError(f"unknown scheme {scheme!r}")
     best = np.where(idle, score, -np.inf).argmax(axis=1)
     return np.where(idle.any(axis=1), best, -1)
-
-
-def random_channel(idle_channels: list[int], rng: np.random.Generator | None) -> int:
-    """Uniform pick among one event's idle channels with one rng call; -1,
-    and no call, when none is idle."""
-    if not idle_channels:
-        return -1
-    if rng is None:
-        raise ValueError("random selection needs an rng")
-    return idle_channels[int(rng.integers(len(idle_channels)))]

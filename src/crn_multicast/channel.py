@@ -1,12 +1,13 @@
 """Primary-user channel occupancy and Rayleigh fading.
 
 Each licensed channel alternates between busy (primary user present) and idle
-periods. Secondary transmissions sample channel state per transmitter event
-(session.draw_raw, turned into states by session.threshold_draws): an idle
-flag per channel plus, for idle channels, the residual time the channel stays
-available. Residuals are exponential with the
-channel's mean idle duration, which is the memoryless residual of exponential
-idle periods.
+periods. Secondary transmissions sample channel state per transmitter event:
+an idle flag per channel plus, for idle channels, the residual time the
+channel stays available. Residuals are exponential with the channel's mean
+idle duration, which is the memoryless residual of exponential idle periods.
+Every event of a tree is drawn at once, one generator call for all its idle
+uniforms and one for all its residuals (session.draw_raw), and turned into
+states by session.threshold_draws.
 """
 
 from __future__ import annotations

@@ -182,7 +182,8 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
     order. Every event is evaluated, even below a failed relay, so all
     selections can be inspected; delivery still requires the full root path to
     succeed. Data rates are recovered from the air times, so rate-based
-    selection stays available. rng feeds random selection.
+    selection stays available. rng feeds random selection, one pick uniform
+    per event drawn in one call.
     Every value read is checked, as fixtures come from outside the program;
     a null air time is an infinite one (a zero rate).
     """
@@ -262,8 +263,9 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
         if bad.any():
             s, j = np.argwhere(bad)[0]
             raise ValueError(f"{at[s]}, channel {j + 1}: {message}, got {float(values[s, j])!r}")
-    table = EventTable(slots, idle, available, pos, rate, tx, mu)
-    channels = select_channels(table, scheme, [rng], replay_all=True)[:, None]
+    picks = None if rng is None else rng.random(len(events))
+    table = EventTable(slots, idle, available, pos, rate, tx, mu, picks)
+    channels = select_channels(table, scheme)[:, None]
     return session_results(table, channels, judge(table, channels, packet_bits), replay_all=True)[0][0]
 
 

@@ -8,15 +8,15 @@ aggregate means with 95% normal-approximation confidence intervals.
 
 Every trial is judged in a block of trial seeds (BlockStages): the tree of
 every (seed, tree kind), seed after seed with tree kinds in order, stacked
-into one slot index and one event table, each tree drawn and picked for
-with its own generators. Each seed contributes its trees as parent arrays,
-and one level pass over the block's stack of them prunes, orders and
-indexes every tree at once (session.slot_index). A run is a block of one
-seed. A sweep runs blocks of up to BLOCK_SEEDS seeds, builds what a seed
-fixes regardless of the swept value (its geometry, and its raw draws once
-per distinct channel count) once per block for every value, judges each
-(block, value) as one table, and keeps rows in value-major order, as if
-every trial had run on its own.
+into one slot index and one event table, each tree's channel states, gains
+and rs picks drawn from its own generator. Each seed contributes its trees
+as parent arrays, and one level pass over the block's stack of them
+prunes, orders and indexes every tree at once (session.slot_index). A run
+is a block of one seed. A sweep runs blocks of up to BLOCK_SEEDS seeds,
+builds what a seed fixes regardless of the swept value (its geometry, and
+its raw draws, rs picks included, once per distinct channel count) once
+per block for every value, judges each (block, value) as one table, and
+keeps rows in value-major order, as if every trial had run on its own.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -168,14 +167,12 @@ SWEEP_VARIABLES = {
 }
 
 _TREE_CODE = {TreeKind.SPT: 0, TreeKind.MST: 1}
-_SCHEME_CODE = {Scheme.POS: 0, Scheme.MASA: 1, Scheme.MDR: 2, Scheme.RS: 3}
 
-# Sub-stream tags hashed into per-purpose generators, so adding schemes or
-# tree kinds never shifts anyone else's draws.
+# Sub-stream tags hashed into per-purpose generators, so adding tree kinds
+# never shifts anyone else's draws.
 _STREAM_TOPOLOGY = 0
 _STREAM_DESTINATIONS = 1
 _STREAM_EVENTS = 2
-_STREAM_SELECTION = 3
 
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:
@@ -195,31 +192,16 @@ class BlockStages:
     _raw: dict = field(default_factory=dict, repr=False, compare=False)
 
     def raw(self, model: ChannelModel):
-        """Raw draws (session.draw_raw) of every tree under model, each tree
-        from its own (seed, tree kind) generator, when first asked for and
-        then kept. They are keyed on what draw_raw reads of the model, its
-        mean idle durations (whose length is M), so models differing only in
-        p_idle share them."""
+        """Raw draws (session.draw_raw) of every tree under model, rs picks
+        included, each tree from its own (seed, tree kind) generator, when
+        first asked for and then kept. They are keyed on what draw_raw reads
+        of the model, its mean idle durations (whose length is M), so models
+        differing only in p_idle share them."""
         key = model.mu_idle.tobytes()
         if key not in self._raw:
             rngs = [_rng(seed, _STREAM_EVENTS, _TREE_CODE[t]) for seed in self.seeds for t in self.trees]
             self._raw[key] = draw_raw(self.slots, model, rngs)
         return self._raw[key]
-
-    @cached_property
-    def _selection(self) -> tuple[list[np.random.Generator], list[dict]]:
-        rs = _SCHEME_CODE[Scheme.RS]
-        rngs = [_rng(seed, _STREAM_SELECTION, _TREE_CODE[t], rs) for seed in self.seeds for t in self.trees]
-        return rngs, [rng.bit_generator.state for rng in rngs]
-
-    def selection(self) -> list[np.random.Generator]:
-        """The rs generator of every tree, seed after seed with tree kinds in
-        order, at the start of its stream: built once per block and reset,
-        which is cheaper than building it again, on every call."""
-        rngs, states = self._selection
-        for rng, state in zip(rngs, states):
-            rng.bit_generator.state = state
-        return rngs
 
 
 def _block_stages(params: ScenarioParams, trees, seeds) -> BlockStages:
@@ -253,14 +235,12 @@ def _judge_block(
     phy: PhyParams, model: ChannelModel, schemes, block: BlockStages
 ) -> tuple[EventTable, np.ndarray, Judgement]:
     """Link metrics of every tree of a block under model in one event table,
-    then every scheme's channels and their judgement in one pass. Every rs
-    scheme picks tree by tree with the block's rs generators, each at the
-    start of its stream."""
+    then every scheme's channels, rs from the block's pick uniforms, and
+    their judgement in one pass."""
     table = link_metrics(phy, threshold_draws(block.raw(model), model.p_idle), model.mu_idle, block.slots)
     channels = np.empty((len(block.slots.starts), len(schemes)), dtype=np.intp)
     for k, scheme in enumerate(schemes):
-        rngs = block.selection() if scheme is Scheme.RS else ()
-        channels[:, k] = select_channels(table, scheme, rngs)
+        channels[:, k] = select_channels(table, scheme)
     return table, channels, judge(table, channels, phy.packet_bits)
 
 

@@ -15,12 +15,13 @@ transmitter slot and parent edge length, and the destinations' slots.
 slot_index builds it for a whole stack of trees at once, straight from their
 (trees, n) parent arrays: one level pass orders every tree breadth-first,
 marking the parents of marked nodes up from the destinations prunes each
-tree, and the kept nodes, tree after tree, are the slots. So every (seed, tree kind) of a
-block of trial seeds is one index, drawn tree by tree with each tree's own
-generator (draw_raw), and its link metrics are one EventTable over it. pos,
-masa and mdr choose every entry's channel at once; rs picks entry by entry,
-drawing only for entries whose transmitter has the packet, with each tree's
-own generator. judge then settles every tree under every scheme's channels
+tree, and the kept nodes, tree after tree, are the slots. So every (seed,
+tree kind) of a block of trial seeds is one index, drawn in four generator
+calls per tree with each tree's own generator (draw_raw), and its link
+metrics are one EventTable over it. Every scheme chooses every entry's
+channel at once (select_channels): pos, masa and mdr from the table, rs from
+one pick uniform per entry, drawn whether or not the entry's transmitter
+gets the packet. judge then settles every tree under every scheme's channels
 in one array pass: one gather reads each hop's air time and fit on its
 chosen channel, and the air times are summed along each destination's path
 from the root (SlotIndex.dest_paths, built once per index), one step at a
@@ -47,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .assignment import Scheme, choose_channels, random_channel
+from .assignment import Scheme, choose_channels
 from .channel import ChannelModel
 from .phy import LinkBudgetError, PhyParams, link_arrays
 from .topology import tree_levels
@@ -178,6 +179,7 @@ class EventTable:
     rate: np.ndarray  # (R, M) bits/s
     tx_time: np.ndarray  # (R, M) s
     mu_idle: np.ndarray  # (M,) mean availability per channel, s
+    picks: np.ndarray | None = None  # (E,) rs pick uniforms in [0, 1); None where rs cannot run
 
     @cached_property
     def fits(self) -> np.ndarray:
@@ -199,7 +201,7 @@ class SessionResult:
     pdr: float  # delivered fraction of destinations
     table: EventTable = field(repr=False, compare=False)  # the table the tree was judged in
     entries: range = field(repr=False, compare=False)  # table entries of the tree
-    channels: np.ndarray = field(repr=False, compare=False)  # per table entry; -1 for none or not picked
+    channels: np.ndarray = field(repr=False, compare=False)  # per table entry; -1 where no channel is idle
     air: np.ndarray = field(repr=False, compare=False)  # per table slot, as in Judgement.air
     replay_all: bool = field(repr=False, compare=False)  # whether the hop view lists every entry
 
@@ -246,45 +248,47 @@ class SessionResult:
 
 
 def draw_raw(slots: SlotIndex, model: ChannelModel, rngs):
-    """Draw the random numbers behind every entry's channel states and fading
-    gains, before any idle probability applies, tree j of slots with rngs[j].
+    """Draw the random numbers behind every entry's channel states, fading
+    gains and rs pick, before any idle probability applies, tree j of slots
+    with rngs[j].
 
-    Each tree's entries are drawn one after another in schedule order, each
-    as one uniform per channel, then residual availability of every
-    channel, then the gains of its receivers, so each generator's stream is
-    the same as drawing every event of its tree on its own. Only the channel
-    count and mean idle durations of the model are used, so models differing
-    only in p_idle share these draws. Returns (E, M) uniforms, (E, M)
-    residuals and (R, M) gains, one row per receiver slot.
+    Each tree takes four generator calls, over all of its entries at once:
+    one uniform per entry and channel, then the residual availability of
+    every entry and channel, then the gains of every receiver slot and
+    channel, then one pick uniform per entry. Residuals are drawn for busy
+    channels too, and the picks whatever the channel states, so that runs
+    differing only in p_idle consume identical generator positions. Only the
+    channel count and mean idle durations of the model are used, so models
+    differing only in p_idle share these draws. Returns (E, M) uniforms, (E,
+    M) residuals, (R, M) gains, one row per receiver slot, and (E,) picks.
     """
     tree_starts = slots.tree_starts.tolist()
     if len(rngs) != len(tree_starts) - 1:
         raise ValueError(f"drawing needs one rng per tree, got {len(rngs)} for {len(tree_starts) - 1}")
-    # Entry e's residuals, then its receivers' gains, are one call's rows of
-    # an (E + R, M) array: an exponential fill keeps no state between calls,
-    # so one call of r + 1 rows draws what calls of 1 and of r rows would.
-    rows = slots.starts + np.arange(len(slots.starts))
-    exponential = np.empty((len(slots.starts) + len(slots.event), model.m))
-    uniform = np.empty((len(slots.starts), model.m))
-    bounds = [*rows.tolist(), len(exponential)]
-    for rng, first, end in zip(rngs, tree_starts, tree_starts[1:]):
-        for e in range(first, end):
-            rng.random(out=uniform[e])
-            # Residuals are drawn for every channel, busy ones included, so that
-            # runs differing only in p_idle consume identical generator positions.
-            rng.standard_exponential(out=exponential[bounds[e]:bounds[e + 1]])
+    n_entries, n_slots = len(slots.starts), len(slots.event)
+    uniform, residual = np.empty((n_entries, model.m)), np.empty((n_entries, model.m))
+    gains, picks = np.empty((n_slots, model.m)), np.empty(n_entries)
+    # Each tree's entries and slots follow the previous tree's.
+    slot_starts = np.append(slots.starts, n_slots)[tree_starts].tolist()
+    for rng, e0, e1, s0, s1 in zip(rngs, tree_starts, tree_starts[1:], slot_starts, slot_starts[1:]):
+        rng.random(out=uniform[e0:e1])
+        rng.standard_exponential(out=residual[e0:e1])
+        rng.standard_exponential(out=gains[s0:s1])
+        rng.random(out=picks[e0:e1])
     # Scaling unit exponentials afterwards gives the same numbers as drawing
     # each channel's exponential with its own mean.
-    return uniform, exponential[rows] * model.mu_idle, np.delete(exponential, rows, axis=0)
+    residual *= model.mu_idle
+    return uniform, residual, gains, picks
 
 
 def threshold_draws(raw, p_idle: np.ndarray):
     """Turn raw draws into channel states: a channel is idle where its uniform
     falls below its idle probability. Returns (E, M) idle flags, (E, M)
-    availability (NaN on busy channels) and the (R, M) gains unchanged."""
-    uniform, residual, gains = raw
+    availability (NaN on busy channels), and the (R, M) gains and (E,) picks
+    unchanged."""
+    uniform, residual, gains, picks = raw
     idle = uniform < p_idle
-    return idle, np.where(idle, residual, np.nan), gains
+    return idle, np.where(idle, residual, np.nan), gains, picks
 
 
 def link_metrics(phy: PhyParams, draws, mu_idle: np.ndarray, slots: SlotIndex) -> EventTable:
@@ -295,44 +299,24 @@ def link_metrics(phy: PhyParams, draws, mu_idle: np.ndarray, slots: SlotIndex) -
     An infinite rate would give zero air time, so it is an error: the signal
     to noise ratio overflows at a short enough distance whenever the transmit
     power is large enough against the noise power."""
-    idle, available, gains = draws
+    idle, available, gains, picks = draws
     rate, t, p = link_arrays(phy, slots.distances[:, None], gains, mu_idle)
     if not np.isfinite(rate).all():
         raise LinkBudgetError(
             f"pt_watts = {phy.pt!r} against a noise power bandwidth_hz * noise_psd = "
             f"{phy.bandwidth * phy.noise_psd!r} W overflows the signal to noise ratio: a data rate is not finite"
         )
-    return EventTable(slots, idle, available, np.where(idle[slots.event], p, 0.0), rate, t, mu_idle)
+    return EventTable(slots, idle, available, np.where(idle[slots.event], p, 0.0), rate, t, mu_idle, picks)
 
 
-def select_channels(table: EventTable, scheme: Scheme, rngs=(), replay_all: bool = False) -> np.ndarray:
-    """Channel of every entry of table under scheme; -1 for none.
-
-    pos, masa and mdr choose for the whole table at once. rs picks one
-    uniform idle channel per entry whose transmitter has the packet, or per
-    entry under replay_all (fixture replays), in schedule order, with rngs[j]
-    picking for tree j of the table. Which transmitters have the packet
-    depends on the picks above them, so the loop follows the packet down
-    each tree as it picks.
-    """
-    slots = table.slots
-    if scheme is not Scheme.RS:
-        return choose_channels(scheme, table.pos, table.rate, table.mu_idle, table.idle, slots.starts)
-    tree_starts = slots.tree_starts.tolist()
-    if len(rngs) != len(tree_starts) - 1:
-        raise ValueError(f"random selection needs one rng per tree, got {len(rngs)} for {len(tree_starts) - 1}")
-    tx_slot = slots.tx_slot.tolist()
-    channels = [-1] * len(tx_slot)
-    has = [False] * len(slots.event) + [True]  # per slot; the extra last entry, slot -1, is every root
-    bounds = [*slots.starts.tolist(), len(slots.event)]
-    for rng, first, end in zip(rngs, tree_starts, tree_starts[1:]):
-        for e in range(first, end):
-            tx = tx_slot[e]
-            if has[tx] or replay_all:
-                channels[e] = ch = random_channel(table.idle[e].nonzero()[0].tolist(), rng)
-                if has[tx] and ch >= 0:
-                    has[bounds[e]:bounds[e + 1]] = table.fits[bounds[e]:bounds[e + 1], ch].tolist()
-    return np.array(channels)
+def select_channels(table: EventTable, scheme: Scheme) -> np.ndarray:
+    """Channel of every entry of table under scheme, chosen for the whole
+    table at once (assignment.choose_channels); -1 for none. rs picks for
+    every entry, also one whose transmitter never gets the packet: judge
+    fails every hop below a failed one, whatever its channel."""
+    return choose_channels(
+        scheme, table.pos, table.rate, table.mu_idle, table.idle, table.slots.starts, table.picks
+    )
 
 
 @dataclass(frozen=True, eq=False)

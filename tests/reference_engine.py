@@ -6,12 +6,15 @@ work on a weight matrix where these copies keep edge tuples and adjacency
 lists, and of its pruning, layering and slot layout, which work on parent
 arrays where these copies keep a dict tree and a layer schedule (slot_index
 and stack_slots lay a schedule out as the package's SlotIndex, so the
-layouts compare array for array). Every layer entry is drawn, evaluated, selected and judged
-on its own (draw_event -> link_metrics -> select_channel ->
-execute_schedule), exactly as sessions ran before whole-tree tables; fixture
-replays are parsed into the same per-event metrics. The equivalence tests
-require the package's engine to reproduce these results bit for bit, hops
-and control trace included.
+layouts compare array for array). Each tree's draws are taken in the
+package's stream layout (draw_events: four generator calls per tree) and
+split into one draw per layer entry; every entry is then evaluated,
+selected and judged on its own (link_metrics -> select_channel ->
+execute_schedule), as sessions ran before whole-tree tables, rs indexing
+the entry's idle channels with its pick uniform. Fixture replays are parsed
+into the same per-event metrics, with one pick uniform per event. The
+equivalence tests require the package's engine to reproduce these results
+bit for bit, hops and control trace included.
 
 Results are returned as (Result, control trace) pairs. Result holds the
 same outcome fields as the package's SessionResult plus the hop records as
@@ -35,11 +38,9 @@ from crn_multicast.phy import PhyParams, data_rate, pos, received_power, tx_time
 from crn_multicast.session import HopRecord, SlotIndex, TreeKind
 
 _TREE_CODE = {TreeKind.SPT: 0, TreeKind.MST: 1}
-_SCHEME_CODE = {Scheme.POS: 0, Scheme.MASA: 1, Scheme.MDR: 2, Scheme.RS: 3}
 _STREAM_TOPOLOGY = 0
 _STREAM_DESTINATIONS = 1
 _STREAM_EVENTS = 2
-_STREAM_SELECTION = 3
 
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:
@@ -388,9 +389,10 @@ class EventMetrics:
     mu_idle: np.ndarray
     idle: np.ndarray
     available_time: np.ndarray  # NaN on busy channels
+    pick: float | None = None  # rs pick uniform in [0, 1); None without an rng
 
 
-def select_channel(scheme: Scheme, metrics: EventMetrics, rng: np.random.Generator | None = None) -> int | None:
+def select_channel(scheme: Scheme, metrics: EventMetrics) -> int | None:
     """The event's chosen channel, or None when no channel is idle."""
     idle_idx = np.flatnonzero(metrics.idle)
     if idle_idx.size == 0:
@@ -404,9 +406,9 @@ def select_channel(scheme: Scheme, metrics: EventMetrics, rng: np.random.Generat
         worst = metrics.rate[:, idle_idx].min(axis=0)
         j = idle_idx[int(np.argmax(worst))]
     elif scheme is Scheme.RS:
-        if rng is None:
+        if metrics.pick is None:
             raise ValueError("random selection needs an rng")
-        j = idle_idx[int(rng.integers(idle_idx.size))]
+        j = idle_idx[math.floor(metrics.pick * idle_idx.size)]
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return int(j)
@@ -417,19 +419,26 @@ class EventDraw:
     idle: np.ndarray
     available_time: np.ndarray
     gains: np.ndarray
-
-
-def draw_event(model: ChannelModel, n_receivers: int, rng: np.random.Generator) -> EventDraw:
-    """One event: idle flags, then residual availability of every channel
-    (busy ones included), then the gains of its receivers."""
-    idle = rng.random(model.m) < model.p_idle
-    residual = rng.exponential(model.mu_idle)
-    gains = rng.exponential(1.0, (n_receivers, model.m))
-    return EventDraw(idle, np.where(idle, residual, np.nan), gains)
+    pick: float
 
 
 def draw_events(schedule: LayerSchedule, model: ChannelModel, rng: np.random.Generator) -> list[EventDraw]:
-    return [draw_event(model, len(entry.receivers), rng) for entry in schedule.entries]
+    """One tree's draws: idle uniforms of every entry, then residual
+    availability of every entry's channels (busy ones included), then the
+    gains of every receiver in schedule order, then one pick uniform per
+    entry, each as one generator call; split into one draw per entry."""
+    n = len(schedule.entries)
+    uniform = rng.random((n, model.m))
+    residual = rng.exponential(model.mu_idle, (n, model.m))
+    gains = rng.exponential(1.0, (sum(len(entry.receivers) for entry in schedule.entries), model.m))
+    picks = rng.random(n)
+    draws, row = [], 0
+    for e, entry in enumerate(schedule.entries):
+        idle = uniform[e] < model.p_idle
+        rows = gains[row:row + len(entry.receivers)]
+        row += len(entry.receivers)
+        draws.append(EventDraw(idle, np.where(idle, residual[e], np.nan), rows, float(picks[e])))
+    return draws
 
 
 def link_metrics(phy: PhyParams, distances: np.ndarray, draw: EventDraw, mu_idle: np.ndarray) -> EventMetrics:
@@ -437,10 +446,10 @@ def link_metrics(phy: PhyParams, distances: np.ndarray, draw: EventDraw, mu_idle
     rate = data_rate(phy, pr)
     t = tx_time(phy, rate)
     p = np.where(draw.idle[None, :], pos(t, mu_idle[None, :]), 0.0)
-    return EventMetrics(p, rate, t, mu_idle, draw.idle, draw.available_time)
+    return EventMetrics(p, rate, t, mu_idle, draw.idle, draw.available_time, draw.pick)
 
 
-def execute_schedule(schedule, per_event, destinations, packet_bits, scheme, rng=None, replay_all=False):
+def execute_schedule(schedule, per_event, destinations, packet_bits, scheme, replay_all=False):
     root = schedule.entries[0].transmitter
     reached = {root}
     air_time = {root: 0.0}
@@ -454,7 +463,7 @@ def execute_schedule(schedule, per_event, destinations, packet_bits, scheme, rng
             trace.append(("MA", entry.transmitter, r))
         for r in entry.receivers:
             trace.append(("ACK", r, entry.transmitter))
-        channel = select_channel(scheme, metrics, rng)
+        channel = select_channel(scheme, metrics)
         if channel is None:
             times = tuple(math.nan for _ in entry.receivers)
             success = tuple(False for _ in entry.receivers)
@@ -500,7 +509,8 @@ def _check_pruned(tree: Tree, destinations) -> None:
 
 def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Generator | None = None):
     """Replay a worked-example fixture dict: one EventMetrics per event, rows
-    in schedule order, rates recovered from the air times."""
+    in schedule order, rates recovered from the air times, and rs picks from
+    one rng call of one uniform per event."""
     parent = {int(v): int(u) for u, v in fixture["tree_edges"]}
     tree = tree_from_parents(int(fixture["root"]), parent, {v: math.nan for v in parent})
     destinations = [int(d) for d in fixture["destinations"]]
@@ -510,8 +520,9 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
         raise ValueError("event count does not match the schedule")
     packet_bits = int(fixture["packet_bits"])
     mu_idle = np.asarray(fixture["mu_ms"], dtype=float) / 1000.0
+    picks = [None] * len(schedule.entries) if rng is None else rng.random(len(schedule.entries)).tolist()
     per_event = []
-    for entry, ev in zip(schedule.entries, fixture["events"]):
+    for entry, ev, pick in zip(schedule.entries, fixture["events"], picks):
         if int(ev["transmitter"]) != entry.transmitter or {int(r) for r in ev["receivers"]} != set(entry.receivers):
             raise ValueError("event does not match the schedule entry")
         idle = np.zeros(mu_idle.size, dtype=bool)
@@ -523,8 +534,8 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
             rate = np.where(tx > 0.0, packet_bits / tx, np.inf)
         pos_rows = np.array([ev["pos"][str(r)] for r in entry.receivers], dtype=float)
         avail = np.array([math.nan if a is None else a for a in ev["available_time_s"]], dtype=float)
-        per_event.append(EventMetrics(pos_rows, rate, tx, mu_idle, idle, avail))
-    return execute_schedule(schedule, per_event, destinations, packet_bits, scheme, rng, replay_all=True)
+        per_event.append(EventMetrics(pos_rows, rate, tx, mu_idle, idle, avail, pick))
+    return execute_schedule(schedule, per_event, destinations, packet_bits, scheme, replay_all=True)
 
 
 def run_scenario_sessions(params, schemes, trees, seed: int, channel_model: ChannelModel | None = None):
@@ -550,8 +561,5 @@ def run_scenario_sessions(params, schemes, trees, seed: int, channel_model: Chan
             for entry, draw in zip(schedule.entries, draws)
         ]
         for scheme in schemes:
-            sel_rng = _rng(seed, _STREAM_SELECTION, _TREE_CODE[tree_kind], _SCHEME_CODE[scheme])
-            results[(tree_kind, scheme)] = execute_schedule(
-                schedule, per_event, destinations, phy.packet_bits, scheme, sel_rng
-            )
+            results[(tree_kind, scheme)] = execute_schedule(schedule, per_event, destinations, phy.packet_bits, scheme)
     return results

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from crn_multicast.assignment import Scheme, random_channel
+from crn_multicast.assignment import Scheme, choose_channels
 from crn_multicast.channel import ChannelModel, ChannelParams, make_channels
 from crn_multicast.example_case import builtin_fixture, run_fixture
 from crn_multicast.experiment import (
@@ -190,8 +190,8 @@ def test_criterion_7_monotone_trends():
 
 def test_criterion_8_statistical_sanity():
     # Samples come from the draws sessions use (session.draw_raw, thresholded
-    # by session.threshold_draws) and from the rs chooser they call
-    # (random_channel).
+    # by session.threshold_draws) and from the chooser they call
+    # (choose_channels), which reads only idle flags and picks under rs.
     n = 100_000
     idle, _, _ = draw(make_channels(4, 0.01, 0.07, 0.5), np.random.default_rng(81), n)
     idle_ok = np.all(np.abs(idle.mean(axis=0) - 0.5) < 0.01)
@@ -205,9 +205,10 @@ def test_criterion_8_statistical_sanity():
     avail_ok = abs(avail.mean() - 0.05) / 0.05 < 0.02
 
     rng = np.random.default_rng(84)
-    counts = np.zeros(6)
-    for _ in range(n):
-        counts[random_channel([0, 2, 3, 5], rng)] += 1  # channels 2 and 5 busy
+    rs_idle = np.ones((n, 6), dtype=bool)
+    rs_idle[:, [1, 4]] = False  # channels 2 and 5 busy
+    # n entries in one call; rs reads no table values, so pos, rate, mu_idle and starts are None.
+    counts = np.bincount(choose_channels(Scheme.RS, None, None, None, rs_idle, None, rng.random(n)), minlength=6)
     rs_ok = np.all(np.abs(counts[[0, 2, 3, 5]] / n - 0.25) < 0.01) and counts[[1, 4]].sum() == 0
 
     report(

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from crn_multicast import experiment
-from crn_multicast.assignment import Scheme, choose_channels, random_channel
+from crn_multicast.assignment import Scheme, choose_channels
 from crn_multicast.experiment import ScenarioParams
 from crn_multicast.session import EventTable, TreeKind, link_metrics, select_channels, slot_index, threshold_draws
 
@@ -34,10 +35,10 @@ def metrics_from_pos(pos_rows, busy, mu=MU_S, packet_bits=32768):
 
 def select_channel(scheme, table, rng=None) -> int:
     """Channel the session engine picks for a one-event table; -1 when none
-    is idle. rs draws through random_channel, the others choose by table."""
-    if scheme is Scheme.RS:
-        return random_channel(table.idle[0].nonzero()[0].tolist(), rng)
-    return int(choose_channels(scheme, table.pos, table.rate, table.mu_idle, table.idle, table.slots.starts)[0])
+    is idle. rs takes its pick uniform from one rng call, and without an rng
+    has no picks."""
+    picks = None if rng is None else rng.random(1)
+    return int(select_channels(replace(table, picks=picks), scheme)[0])
 
 
 def group_table():
@@ -126,10 +127,10 @@ class TestOtherSchemes:
     def test_rs_is_uniform_over_idle_channels(self):
         metrics = group_table()  # 4 idle channels
         rng = np.random.default_rng(12345)
-        counts = np.zeros(6)
         n = 100_000
-        for _ in range(n):
-            counts[select_channel(Scheme.RS, metrics, rng)] += 1
+        # n copies of the event in one call; rs reads only the idle flags and the picks.
+        chosen = choose_channels(Scheme.RS, None, None, None, np.repeat(metrics.idle, n, axis=0), None, rng.random(n))
+        counts = np.bincount(chosen, minlength=6)
         idle = np.flatnonzero(metrics.idle[0])
         assert counts[~metrics.idle[0]].sum() == 0
         freqs = counts[idle] / n
@@ -224,10 +225,9 @@ def test_masa_and_rs_choice_frequencies_match_the_model(oracle_block, p_idle):
     model = params.channels()
     draws = threshold_draws(oracle_block.raw(model), model.p_idle)
     table = link_metrics(params.phy(), draws, model.mu_idle, oracle_block.slots)
-    rngs = oracle_block.selection()
     picks = {
         Scheme.MASA: select_channels(table, Scheme.MASA),
-        Scheme.RS: select_channels(table, Scheme.RS, rngs, replay_all=True),
+        Scheme.RS: select_channels(table, Scheme.RS),
     }
     m, q, n = model.m, 1.0 - p_idle, len(table.idle)
     larger = (model.mu_idle[None, :] > model.mu_idle[:, None]).sum(axis=1)
@@ -241,3 +241,48 @@ def test_masa_and_rs_choice_frequencies_match_the_model(oracle_block, p_idle):
         assert np.array_equal(chosen == -1, ~table.idle.any(axis=1))
         counts = np.bincount(chosen[chosen >= 0], minlength=m)
         assert np.abs(z(counts, expected[scheme])).max() <= 5.0, scheme
+
+
+def rs_table(idle, picks) -> EventTable:
+    """EventTable of a chain 0 -> 1 -> ... -> E, one entry per row of idle,
+    with rs pick uniforms picks; rs reads nothing else of it."""
+    idle = np.array(idle, dtype=bool)
+    e, m = idle.shape
+    slots = slot_index(np.array([[-1, *range(e)]]), np.ones((1, e + 1)), np.array([[e]]))
+    zeros = np.zeros((e, m))
+    return EventTable(slots, idle, np.where(idle, 0.01, np.nan), zeros, zeros, zeros + np.inf,
+                      np.full(m, 0.01), np.array(picks, dtype=float))
+
+
+class TestRandomPickBoundaries:
+    def test_pick_selects_the_floor_indexed_idle_channel(self):
+        # For n up to 8 idle channels, k / n * n is exactly k, so pick k / n
+        # is the (k+1)-th idle channel, 0 the first, and the largest float
+        # below 1 the last.
+        for n in range(1, 9):
+            idle = np.zeros(2 * n + 1, dtype=bool)
+            idle[1::2] = True  # channels 1, 3, ..., 2n - 1 idle
+            picks = [k / n for k in range(n)] + [np.nextafter(1.0, 0.0)]
+            chosen = select_channels(rs_table([idle] * len(picks), picks), Scheme.RS)
+            assert chosen.tolist() == [2 * k + 1 for k in range(n)] + [2 * n - 1], n
+
+    def test_every_channel_busy_gives_no_channel(self):
+        picks = [0.0, 0.5, np.nextafter(1.0, 0.0)]
+        table = rs_table([[True, False, True], [False, False, False], [False, True, False]], picks)
+        assert select_channels(table, Scheme.RS).tolist() == [0, -1, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda m: st.lists(st.tuples(
+    st.lists(st.booleans(), min_size=m, max_size=m),
+    st.one_of(st.just(0.0), st.just(float(np.nextafter(1.0, 0.0))), st.floats(0.0, 1.0, exclude_max=True)),
+), min_size=1, max_size=6)))
+def test_random_pick_is_always_an_idle_channel(entries):
+    idle, picks = zip(*entries)
+    chosen = select_channels(rs_table(idle, picks), Scheme.RS)
+    for row, u, channel in zip(idle, picks, chosen.tolist()):
+        options = np.flatnonzero(row)
+        if not options.size:
+            assert channel == -1
+        else:
+            assert row[channel] and channel == options[math.floor(u * options.size)]

@@ -253,10 +253,10 @@ class TestSharedStages:
         assert other_mu is not base and other_mu[0].shape == base[0].shape
         # the last tree, seed 4's MST, drawn alone gives the same numbers:
         # every (seed, tree kind) draws from its own stream
-        uniform, residual, gains = experiment._block_stages(SMALL, [TreeKind.MST], [4]).raw(SMALL.channels())
+        uniform, residual, gains, picks = experiment._block_stages(SMALL, [TreeKind.MST], [4]).raw(SMALL.channels())
         first = block.slots.tree_starts[3]
         assert np.array_equal(uniform, base[0][first:]) and np.array_equal(residual, base[1][first:])
-        assert np.array_equal(gains, base[2][block.slots.starts[first]:])
+        assert np.array_equal(gains, base[2][block.slots.starts[first]:]) and np.array_equal(picks, base[3][first:])
 
 
 class TestSeedBlocks:

@@ -1,0 +1,174 @@
+#!/usr/bin/env python3
+"""Before-and-after bench of the sweep path: a parent tree against this one.
+
+    python tools/bench_pr.py --parent DIR --out BENCH.json
+
+DIR is a checkout of the commit to compare against (made with `git clone` or
+`git archive`); the other tree is the one holding this script. Both run the
+README's example config (the block from its `# scenario` line to the end of
+the code fence) with `trials` set to --trials, in --pairs pairs whose order
+alternates (parent first, then change first, and so on), each tree in fresh
+interpreters with PYTHONPATH set to its src/:
+
+- sweep_wall_s: the wall time of `python -m crn_multicast.cli sweep` on the
+  config, interpreter start-up and CSV writing included;
+- stages: per-stage medians, in ms, on one fixed block of 32 trial seeds
+  from the config's seed, through functions both trees have:
+  `experiment._block_stages` (geometry and slot index), `BlockStages.raw`
+  on a fresh block (the draws), and `experiment._judge_block` at each swept
+  value with the draws cached (link metrics, every scheme's channels and
+  the judgement). Each is timed --repeats times per pair.
+
+trials_per_s is trials x swept values over the median sweep wall time. The
+output is one JSON object: {machine, python, numpy, scenario, trials,
+stages, trials_per_s, sweep_wall_s}, with "parent" and "change" entries in
+the last three.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy
+
+ROOT = Path(__file__).resolve().parents[1]
+BLOCK_SEEDS = 32
+
+# Run in a fresh interpreter: argv is src, config, repeats. Prints the
+# package's location and each stage's times in ms as one JSON object.
+STAGES_CODE = """
+import json, sys, time
+sys.path.insert(0, sys.argv[1])
+import crn_multicast
+from crn_multicast import experiment
+from crn_multicast.config import load_config
+
+spec, repeats = load_config(sys.argv[2]), int(sys.argv[3])
+trees, schemes = tuple(dict.fromkeys(spec.trees)), tuple(dict.fromkeys(spec.schemes))
+seeds = range(spec.seed, spec.seed + %d)
+points = [(params.phy(), params.channels()) for _, params in spec.scenarios()]
+times = {"block_stages": [], "raw": [], "judge_block": []}
+
+def timed(stage, call):
+    start = time.perf_counter()
+    out = call()
+    times[stage].append((time.perf_counter() - start) * 1e3)
+    return out
+
+for _ in range(repeats):
+    block = timed("block_stages", lambda: experiment._block_stages(spec.base, trees, seeds))
+    for _, model in points:
+        fresh = experiment.BlockStages(block.seeds, block.trees, block.slots)
+        timed("raw", lambda: fresh.raw(model))
+    for phy, model in points:
+        block.raw(model)  # the draws are cached before the judgement is timed
+        timed("judge_block", lambda: experiment._judge_block(phy, model, schemes, block))
+print(json.dumps({"package": crn_multicast.__file__, "times": times}))
+""" % BLOCK_SEEDS
+
+
+def readme_config(trials: int) -> str:
+    """The README's example config with trials set to trials."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("# scenario")
+    end = lines.index("```", start)
+    config = [f"trials = {trials}" if line.split("=")[0].strip() == "trials" else line for line in lines[start:end]]
+    return "\n".join(config) + "\n"
+
+
+def scenario(config: str) -> dict:
+    """Key-value pairs of a config file, comments dropped."""
+    pairs = (line.split("#")[0].split("=", 1) for line in config.splitlines())
+    return {p[0].strip(): p[1].strip() for p in pairs if len(p) == 2}
+
+
+def cpu_name() -> str:
+    """The CPU's model name where /proc/cpuinfo gives it, else the machine type."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            return next((ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")), platform.machine())
+    except OSError:
+        return platform.machine()
+
+
+def run_tree(tree: Path, argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True, check=True)
+
+
+def sweep_wall(tree: Path, config: Path, work: Path) -> float:
+    """Seconds of one `python -m crn_multicast.cli sweep` of config."""
+    out = work / "out"
+    start = time.perf_counter()
+    run_tree(tree, ["-m", "crn_multicast.cli", "sweep", "--config", str(config), "--out", str(out)], work)
+    return time.perf_counter() - start
+
+
+def stage_times(tree: Path, config: Path, repeats: int, work: Path) -> dict[str, list[float]]:
+    done = run_tree(tree, ["-c", STAGES_CODE, str(tree / "src"), str(config), str(repeats)], work)
+    result = json.loads(done.stdout.splitlines()[-1])
+    if Path(result["package"]).resolve().parent != (tree / "src" / "crn_multicast").resolve():
+        raise SystemExit(f"error: imported crn_multicast from {result['package']}, not from {tree / 'src'}")
+    return result["times"]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the tree to compare against")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
+    parser.add_argument("--pairs", type=int, default=5, help="alternating parent/change pairs (default 5)")
+    parser.add_argument("--trials", type=int, default=1000, help="trials of the README config (default 1000)")
+    parser.add_argument("--repeats", type=int, default=5, help="stage timings per tree and pair (default 5)")
+    args = parser.parse_args(argv)
+    if min(args.pairs, args.trials, args.repeats) < 1:
+        parser.error("--pairs, --trials and --repeats must be at least 1")
+    trees = {"parent": args.parent.resolve(), "change": ROOT}
+    for name, tree in trees.items():
+        if not (tree / "src" / "crn_multicast" / "cli.py").is_file():
+            parser.error(f"{name} tree {tree} has no src/crn_multicast/cli.py")
+    config_text = readme_config(args.trials)
+    walls = {name: [] for name in trees}
+    stages = {name: {} for name in trees}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        config = work / "readme.cfg"
+        config.write_text(config_text, encoding="utf-8")
+        for pair in range(args.pairs):
+            for name in (("parent", "change") if pair % 2 == 0 else ("change", "parent")):
+                walls[name].append(sweep_wall(trees[name], config, work))
+                for stage, times in stage_times(trees[name], config, args.repeats, work).items():
+                    stages[name].setdefault(stage, []).extend(times)
+                print(f"pair {pair + 1}/{args.pairs} {name}: sweep {walls[name][-1]:.3f} s", file=sys.stderr)
+    values = len(scenario(config_text)["sweep_values"].split(","))
+    record = {
+        "machine": {"cpu": cpu_name(), "nproc": os.cpu_count(), "system": platform.platform()},
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scenario": scenario(config_text),
+        "trials": args.trials,
+        "pairs": args.pairs,
+        "stages": {
+            name: {f"{stage}_ms": statistics.median(times) for stage, times in per_tree.items()}
+            for name, per_tree in stages.items()
+        },
+        "trials_per_s": {name: args.trials * values / statistics.median(w) for name, w in walls.items()},
+        "sweep_wall_s": walls,
+    }
+    args.out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    for name in trees:
+        print(f"{name}: {record['trials_per_s'][name]:.1f} trials/s, "
+              + ", ".join(f"{k} {v:.3f}" for k, v in record["stages"][name].items()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
