@@ -9,9 +9,11 @@ aggregate means with 95% normal-approximation confidence intervals.
 Every trial is judged in a block of trial seeds (BlockStages): the tree of
 every (seed, tree kind), seed after seed with tree kinds in order, stacked
 into one slot index and one event table, each tree's channel states, gains
-and rs picks drawn from its own generator. Each seed contributes its trees
-as parent arrays, and one level pass over the block's stack of them
-prunes, orders and indexes every tree at once (session.slot_index). A run
+and rs picks drawn from its own generator. The block's geometry is placed and
+its trees built as parent arrays a chunk of seeds at a time, each chunk in
+the same numpy calls (topology.chunk_seeds), and one level pass over the
+block's stack of trees prunes, orders and indexes every tree at once
+(session.slot_index). A run
 is a block of one seed. A sweep runs blocks of up to BLOCK_SEEDS seeds,
 builds what a seed fixes regardless of the swept value (its geometry, and
 its raw draws, rs picks included, once per distinct channel count) once
@@ -26,6 +28,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +50,7 @@ from .session import (
     slot_index,
     threshold_draws,
 )
-from .topology import generate_topology, mst_parents, spt_parents
+from .topology import chunk_seeds, mst_stack, place_stack, spt_stack
 
 
 class DataFormatError(ValueError):
@@ -207,24 +210,30 @@ class BlockStages:
 def _block_stages(params: ScenarioParams, trees, seeds) -> BlockStages:
     """The slot index of every (seed, tree kind) of a block, seed after seed
     with tree kinds in order. Each seed's topology and destinations come
-    from its own generators and its trees are (n,) parent arrays
-    (spt_parents, mst_parents); the block's (trees, n) stack of them is
-    pruned, ordered and laid out as slots in one level pass
-    (session.slot_index). These depend on the seeds, n_nodes, n_dest, area
-    and range only."""
-    rows, n = len(seeds) * len(trees), params.n_nodes
-    parent, dist = np.empty((rows, n), dtype=np.intp), np.empty((rows, n))
-    destinations = np.empty((rows, params.n_dest), dtype=np.intp)
+    from its own generators. The block is placed and its trees built in
+    chunks of seeds (topology.chunk_seeds), each chunk's placements and
+    trees in the same numpy calls (place_stack, spt_stack, mst_stack); the
+    block's (trees, n) stack of parent arrays is pruned, ordered and laid
+    out as slots in one level pass (session.slot_index). These depend on the
+    seeds, n_nodes, n_dest, area and range only."""
+    n = params.n_nodes
+    builders = {TreeKind.SPT: spt_stack, TreeKind.MST: mst_stack}
+    parent = np.empty((len(seeds), len(trees), n), dtype=np.intp)
+    dist = np.empty((len(seeds), len(trees), n))
+    destinations = np.empty((len(seeds), len(trees), params.n_dest), dtype=np.intp)
+    # Every generator of the block first: made between array passes, each costs several times as much.
+    rngs = [_rng(seed, _STREAM_TOPOLOGY) for seed in seeds]
     for i, seed in enumerate(seeds):
-        topo = generate_topology(n, params.area_side_m, params.comm_range_m, _rng(seed, _STREAM_TOPOLOGY))
-        dest_rng = _rng(seed, _STREAM_DESTINATIONS)
-        destinations[i * len(trees):(i + 1) * len(trees)] = dest_rng.choice(
-            np.arange(1, n), size=params.n_dest, replace=False
-        )
-        for j, tree_kind in enumerate(trees, start=i * len(trees)):
-            parent[j], dist[j] = (spt_parents if tree_kind is TreeKind.SPT else mst_parents)(topo, 0)
-        del topo  # gone before the next seed's placement, so one topology is alive at a time
-    slots = slot_index(parent, dist, destinations)
+        destinations[i] = _rng(seed, _STREAM_DESTINATIONS).choice(np.arange(1, n), size=params.n_dest, replace=False)
+    step = chunk_seeds(n)
+    for first in range(0, len(seeds), step):
+        chunk = slice(first, first + step)
+        weights = place_stack(n, params.area_side_m, params.comm_range_m, rngs[chunk])[1]
+        built = {kind: builders[kind](weights, 0) for kind in dict.fromkeys(trees)}
+        for j, kind in enumerate(trees):
+            parent[chunk, j], dist[chunk, j] = built[kind]
+        del weights, built  # gone before the next chunk is placed, so one chunk is alive at a time
+    slots = slot_index(parent.reshape(-1, n), dist.reshape(-1, n), destinations.reshape(-1, params.n_dest))
     # The one check on distances: link_metrics runs the link equations unchecked.
     if not (slots.distances > 0.0).all():
         raise ValueError("distance must be positive (co-located nodes)")
@@ -299,8 +308,9 @@ class SweepSpec:
             raise ValueError("seed must be non-negative")
         if not self.schemes or not self.trees:
             raise ValueError("sweep needs at least one scheme and one tree kind")
-        # Every swept scenario is built, and so validated, here, so a bad
-        # value fails before the first trial runs rather than partway through.
+        # Every swept scenario is built, and so validated, here, once (scenarios
+        # keeps them), so a bad value fails before the first trial runs rather
+        # than partway through.
         self.scenarios()
         # Equal values would be aggregated as one point with every seed counted twice.
         repeats = [v for i, v in enumerate(self.values) if v in self.values[:i]]
@@ -308,7 +318,11 @@ class SweepSpec:
             raise ValueError(f"{self.variable} = {repeats[0]!r} equals an earlier swept value")
 
     def scenarios(self) -> list[tuple[float | int, ScenarioParams]]:
-        """(swept value, full scenario) pairs in sweep order."""
+        """(swept value, full scenario) pairs in sweep order, built once per spec."""
+        return list(self._scenarios)
+
+    @cached_property
+    def _scenarios(self) -> tuple[tuple[float | int, ScenarioParams], ...]:
         name = SWEEP_VARIABLES[self.variable]
         out = []
         for value in self.values:
@@ -316,7 +330,7 @@ class SweepSpec:
                 out.append((value, replace(self.base, **{name: value})))
             except ValueError as exc:
                 raise ValueError(f"{self.variable} = {value!r}: {exc}") from None
-        return out
+        return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,9 @@ def test_bench_writes_its_record(tmp_path):
     assert set(record) >= {"machine", "python", "numpy", "scenario", "trials", "stages", "trials_per_s", "sweep_wall_s"}
     assert record["trials"] == 2 and record["scenario"]["trials"] == "2"
     for name in ("parent", "change"):
-        assert set(record["stages"][name]) == {"block_stages_ms", "raw_ms", "judge_block_ms"}
+        assert set(record["stages"][name]) == {
+            "block_stages_ms", "raw_ms", "judge_block_ms", "block_stages_one_seed_ms",
+            "block_stages_n40_ms", "block_stages_n80_ms", "block_stages_n160_ms",
+        }
         assert all(ms > 0.0 for ms in record["stages"][name].values())
         assert len(record["sweep_wall_s"][name]) == 1 and record["trials_per_s"][name] > 0.0

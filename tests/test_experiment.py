@@ -120,7 +120,8 @@ class TestRunTrial:
         # _block_stages rejects a zero parent-edge length of a pruned tree.
         points = [(0.0, 0.0), (10.0, 0.0), (10.0, 0.0)]
         topo = Topology.from_edges(points, [(0, 1, 10.0), (1, 2, 0.0)], 200.0, 60.0)
-        monkeypatch.setattr(experiment, "generate_topology", lambda *args: topo)
+        placed = (topo.points[None], topo.weights[None], np.array([topo.comm_range]))
+        monkeypatch.setattr(experiment, "place_stack", lambda *args: placed)
         params = ScenarioParams(n_nodes=3, n_dest=2)
         with pytest.raises(ValueError, match="distance must be positive"):
             experiment._block_stages(params, [TreeKind.MST], [0])
@@ -208,12 +209,13 @@ def value_major_rows(spec: SweepSpec) -> list[TrialRow]:
 
 
 def count_calls(monkeypatch, name, *modules):
-    """Replace `name` in each module with one wrapper that counts its calls."""
+    """Replace `name` in each module with one wrapper that records the
+    positional arguments of each call."""
     original = getattr(modules[0], name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for module in modules:
@@ -231,10 +233,12 @@ class TestSharedStages:
         assert aggregate_to_csv(agg) == aggregate_to_csv(aggregate_trials(reference))
 
     @pytest.mark.parametrize("variable", list(SWEEP_AXES))
-    def test_topology_built_once_per_seed_unless_geometry_swept(self, monkeypatch, variable):
-        calls = count_calls(monkeypatch, "generate_topology", experiment)
+    def test_topology_built_once_per_block_unless_geometry_swept(self, monkeypatch, variable):
+        # 3 trials are one block, and one chunk at SMALL's node counts: each
+        # place_stack call places every seed of the block, from its generator
+        calls = count_calls(monkeypatch, "place_stack", experiment)
         run_sweep(SweepSpec(base=SMALL, variable=variable, values=SWEEP_AXES[variable], trials=3, seed=0))
-        assert len(calls) == (3 * 2 if variable in GEOMETRY_SWEPT else 3)
+        assert [len(rngs) for _, _, _, rngs in calls] == [3] * (2 if variable in GEOMETRY_SWEPT else 1)
 
     @pytest.mark.parametrize("variable", list(SWEEP_AXES))
     def test_raw_draws_taken_once_per_block_unless_channels_swept(self, monkeypatch, variable):
@@ -242,6 +246,14 @@ class TestSharedStages:
         calls = count_calls(monkeypatch, "draw_raw", session, experiment)
         run_sweep(SweepSpec(base=SMALL, variable=variable, values=SWEEP_AXES[variable], trials=3, seed=0))
         assert len(calls) == (2 if variable in DRAWS_SWEPT else 1)
+
+    def test_each_swept_scenario_validated_once_per_spec(self, monkeypatch):
+        # SweepSpec builds and checks every swept scenario; run_sweep reuses them
+        calls = count_calls(monkeypatch, "validate", ScenarioParams)
+        spec = SweepSpec(base=SMALL, variable="M", values=(3, 8, 5), trials=2, seed=0)
+        assert len(calls) == 3
+        run_sweep(spec)
+        assert len(calls) == 3
 
     def test_raw_draws_keyed_on_mean_idle_durations(self):
         block = experiment._block_stages(SMALL, [TreeKind.SPT, TreeKind.MST], [3, 4])

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -15,6 +16,7 @@ from crn_multicast.topology import (
     build_spt,
     generate_topology,
     mst_parents,
+    place_stack,
     spt_parents,
 )
 
@@ -155,6 +157,26 @@ class TestGenerateTopology:
             generate_topology(10, rng=np.random.default_rng(0), **kwargs)
 
 
+def test_stack_places_every_seed_as_it_would_alone():
+    # One stack of 8 placements with max_retries = 3: four connect on their
+    # first draw, three are redrawn, and one keeps its third draw and grows
+    # its range. Each equals the reference engine's placement of its seed
+    # on its own: points, every weight and the range.
+    n, area, comm_range, max_retries = 8, 100.0, 45.0, 3
+    rngs = [np.random.default_rng(seed) for seed in range(8)]
+    points, weights, ranges = place_stack(n, area, comm_range, rngs, max_retries)
+    kinds = collections.Counter()
+    for seed in range(8):
+        want = ref.generate_topology(n, area, comm_range, np.random.default_rng(seed), max_retries)
+        assert points[seed].tobytes() == want.points.tobytes()
+        assert np.array_equal(weights[seed], Topology.from_edges(want.points, want.edges, area, comm_range).weights)
+        assert ranges[seed] == want.comm_range
+        first_draw = np.random.default_rng(seed).uniform(0.0, area, size=(n, 2))
+        kinds["grown" if want.comm_range > comm_range else
+              "first" if np.array_equal(want.points, first_draw) else "redrawn"] += 1
+    assert kinds == {"first": 4, "redrawn": 3, "grown": 1}
+
+
 # ---------------------------------------------------------------- SPT
 
 class TestShortestPathTree:
@@ -223,6 +245,15 @@ class TestShortestPathTree:
         assert [tree.path_distance(v) for v in range(10)] == dist[0] == [float(v) for v in range(10)]
         want = ref.build_spt(ref.Topology(points, edges, 1.0, 20.0), 0)
         assert (tree.parent, tree.edge_dist) == (want.parent, want.edge_dist)
+
+    def test_co_located_tie_takes_the_closer_parent(self):
+        # node 1 sits on node 3 (a zero edge) and ties its distance, 2, with a
+        # lower id than node 2; only node 2 is closer to the root, so node 3
+        # hangs from node 2
+        edges = ((0, 2, 1.0), (2, 3, 1.0), (1, 2, 1.0), (1, 3, 0.0))
+        tree = build_spt(Topology.from_edges(np.zeros((4, 2)), edges, 1.0, 2.0), 0)
+        assert tree.parent == {1: 2, 2: 0, 3: 2}
+        assert tree.edge_dist == {1: 1.0, 2: 1.0, 3: 1.0}
 
     def test_edge_too_short_to_order_paths_rejected(self):
         # node 1 sits at zero distance from the root, so no node is closer

@@ -17,7 +17,11 @@ interpreters with PYTHONPATH set to its src/:
   `experiment._block_stages` (geometry and slot index), `BlockStages.raw`
   on a fresh block (the draws), and `experiment._judge_block` at each swept
   value with the draws cached (link metrics, every scheme's channels and
-  the judgement). Each is timed --repeats times per pair.
+  the judgement). `_block_stages` is also timed on each of the block's
+  first 20 seeds alone (`block_stages_one_seed`, the block of `run`) and
+  on the node_scale benchmark's blocks: the first 6 seeds, both tree
+  kinds, 4 destinations, at 40, 80 and 160 nodes (`block_stages_n40` ...).
+  Each is timed --repeats times per pair.
 
 trials_per_s is trials x swept values over the median sweep wall time. The
 output is one JSON object: {machine, python, numpy, scenario, trials,
@@ -42,21 +46,26 @@ import numpy
 
 ROOT = Path(__file__).resolve().parents[1]
 BLOCK_SEEDS = 32
+ONE_SEED_CALLS = 20  # one-seed blocks, on seeds from the config's, timed per repeat
 
 # Run in a fresh interpreter: argv is src, config, repeats. Prints the
 # package's location and each stage's times in ms as one JSON object.
 STAGES_CODE = """
 import json, sys, time
+from dataclasses import replace
 sys.path.insert(0, sys.argv[1])
 import crn_multicast
 from crn_multicast import experiment
 from crn_multicast.config import load_config
+from crn_multicast.session import TreeKind
 
 spec, repeats = load_config(sys.argv[2]), int(sys.argv[3])
 trees, schemes = tuple(dict.fromkeys(spec.trees)), tuple(dict.fromkeys(spec.schemes))
 seeds = range(spec.seed, spec.seed + %d)
 points = [(params.phy(), params.channels()) for _, params in spec.scenarios()]
-times = {"block_stages": [], "raw": [], "judge_block": []}
+node_scale = {n: replace(spec.base, n_nodes=n, n_dest=4) for n in (40, 80, 160)}
+times = {"block_stages": [], "raw": [], "judge_block": [], "block_stages_one_seed": []}
+times.update({"block_stages_n%%d" %% n: [] for n in node_scale})
 
 def timed(stage, call):
     start = time.perf_counter()
@@ -72,8 +81,12 @@ for _ in range(repeats):
     for phy, model in points:
         block.raw(model)  # the draws are cached before the judgement is timed
         timed("judge_block", lambda: experiment._judge_block(phy, model, schemes, block))
+    for seed in seeds[:%d]:
+        timed("block_stages_one_seed", lambda: experiment._block_stages(spec.base, trees, [seed]))
+    for n, params in node_scale.items():
+        timed("block_stages_n%%d" %% n, lambda: experiment._block_stages(params, (TreeKind.SPT, TreeKind.MST), seeds[:6]))
 print(json.dumps({"package": crn_multicast.__file__, "times": times}))
-""" % BLOCK_SEEDS
+""" % (BLOCK_SEEDS, ONE_SEED_CALLS)
 
 
 def readme_config(trials: int) -> str:
