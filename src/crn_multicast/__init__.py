@@ -9,7 +9,6 @@ from .experiment import (
     AggregateRow,
     ScenarioParams,
     SweepSpec,
-    TrialRow,
     aggregate_trials,
     run_scenario_sessions,
     run_sweep,
@@ -33,7 +32,6 @@ __all__ = [
     "Topology",
     "Tree",
     "TreeKind",
-    "TrialRow",
     "aggregate_trials",
     "build_mst",
     "build_spt",

@@ -145,10 +145,10 @@ def cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     out = Path(cfg.out_dir or SWEEP_OUT_DIR)
     out.mkdir(parents=True, exist_ok=True)
-    rows, agg = run_sweep(cfg)
-    trials_path, agg_path = write_sweep_csv(rows, agg, out)
-    print(f"wrote {trials_path} ({len(rows)} rows)")
-    print(f"wrote {agg_path} ({len(agg)} rows)")
+    avg, pdr = run_sweep(cfg)
+    trials_path, agg_path = write_sweep_csv(cfg, avg, pdr, out)
+    print(f"wrote {trials_path} ({avg.size} rows)")
+    print(f"wrote {agg_path} ({avg.size // cfg.trials} rows)")
     return 0
 
 

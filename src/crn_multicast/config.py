@@ -123,5 +123,9 @@ def load_config(path=None, overrides: dict | None = None) -> Config:
 
 
 def sweep_from_config(cfg: Config) -> SweepSpec:
-    """The sweep a config describes: the config itself, checked when it was built."""
+    """The sweep a config describes: the config itself, checked when it was built.
+
+    The package no longer needs it. It stays because the benchmark's set-up
+    probe (perfbench/run.py) imports it, and goes when the benchmark stops
+    doing so."""
     return cfg

@@ -18,12 +18,12 @@ is a block of one seed. A sweep runs blocks of up to BLOCK_SEEDS seeds,
 builds what a seed fixes regardless of the swept value (its geometry, and
 its raw draws, rs picks included, once per distinct channel count) once
 per block for every value, judges each (block, value) as one table, and
-keeps rows in value-major order, as if every trial had run on its own.
+fills that value's slice of the sweep's per-trial arrays, as if every trial
+had run on its own.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import sys
@@ -229,10 +229,9 @@ def _block_stages(params: ScenarioParams, trees, seeds) -> BlockStages:
     for first in range(0, len(seeds), step):
         chunk = slice(first, first + step)
         weights = place_stack(n, params.area_side_m, params.comm_range_m, rngs[chunk])[1]
-        built = {kind: builders[kind](weights, 0) for kind in dict.fromkeys(trees)}
         for j, kind in enumerate(trees):
-            parent[chunk, j], dist[chunk, j] = built[kind]
-        del weights, built  # gone before the next chunk is placed, so one chunk is alive at a time
+            parent[chunk, j], dist[chunk, j] = builders[kind](weights, 0)
+        del weights  # gone before the next chunk is placed, so one chunk is alive at a time
     slots = slot_index(parent.reshape(-1, n), dist.reshape(-1, n), destinations.reshape(-1, params.n_dest))
     # The one check on distances: link_metrics runs the link equations unchecked.
     if not (slots.distances > 0.0).all():
@@ -285,7 +284,8 @@ class SweepSpec:
     """One-parameter sweep: the base scenario, the swept variable and its
     values, trials per value, base seed, schemes and tree kinds. Every field
     and every swept scenario is checked on construction; the defaults are the
-    config file's."""
+    config file's. A repeated scheme or tree kind counts once, in first-seen
+    order, as in run_scenario_sessions' results."""
 
     base: ScenarioParams = ScenarioParams()
     variable: str = "p_idle"
@@ -296,6 +296,8 @@ class SweepSpec:
     trees: tuple[TreeKind, ...] = (TreeKind.SPT, TreeKind.MST)
 
     def __post_init__(self):
+        object.__setattr__(self, "schemes", tuple(dict.fromkeys(self.schemes)))
+        object.__setattr__(self, "trees", tuple(dict.fromkeys(self.trees)))
         if self.variable not in SWEEP_VARIABLES:
             raise ValueError(
                 f"unknown sweep variable {self.variable!r}, expected one of {sorted(SWEEP_VARIABLES)}"
@@ -334,17 +336,6 @@ class SweepSpec:
 
 
 @dataclass(frozen=True)
-class TrialRow:
-    tree: TreeKind
-    scheme: Scheme
-    variable: str
-    value: float | int
-    trial: int
-    avg_throughput_bps: float
-    pdr: float
-
-
-@dataclass(frozen=True)
 class AggregateRow:
     tree: TreeKind
     scheme: Scheme
@@ -357,35 +348,24 @@ class AggregateRow:
     trials: int
 
 
-def aggregate_trials(rows: list[TrialRow]) -> list[AggregateRow]:
-    """Collapse per-trial rows into mean and CI rows, one per
-    (tree, scheme, value), in first-seen order.
+def aggregate_trials(spec: SweepSpec, avg: np.ndarray, pdr: np.ndarray) -> list[AggregateRow]:
+    """Mean and CI rows of a sweep's per-trial arrays (run_sweep), one per
+    (value, tree, scheme) in that order.
 
-    Groups with equally many members are reduced together, one group per
-    row of a (groups x members) array, so each group's mean and standard
-    deviation (ddof=1) are numpy's for that group alone. A group of one has
-    a CI of 0."""
-    groups: dict[tuple, list[TrialRow]] = {}
-    for row in rows:
-        groups.setdefault((row.tree, row.scheme, row.variable, row.value), []).append(row)
-    members = list(groups.values())
-    by_size: dict[int, list[int]] = {}
-    for g, group in enumerate(members):
-        by_size.setdefault(len(group), []).append(g)
-    # Per group: mean throughput, its CI, mean PDR, its CI.
-    stats = np.zeros((len(members), 4))
-    for size, gs in by_size.items():
-        for column, values in enumerate((
-            (r.avg_throughput_bps for g in gs for r in members[g]), (r.pdr for g in gs for r in members[g]),
-        )):
-            matrix = np.fromiter(values, float, count=size * len(gs)).reshape(len(gs), size)
-            stats[gs, 2 * column] = matrix.mean(axis=1)
-            if size > 1:
-                stats[gs, 2 * column + 1] = 1.96 * matrix.std(axis=1, ddof=1) / math.sqrt(size)
+    Each point's mean and standard deviation (ddof=1) are numpy's over its
+    own trials, reduced along the contiguous trial axis, so numpy sums them
+    pairwise as it sums a list of them. A single trial has a CI of 0."""
+    n = spec.trials
+    stats = []
+    for column in (np.ascontiguousarray(avg), np.ascontiguousarray(pdr)):
+        stats.append(column.mean(axis=-1).tolist())
+        ci = 1.96 * column.std(axis=-1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(column.shape[:-1])
+        stats.append(ci.tolist())
     return [
-        AggregateRow(tree, scheme, variable, value, mean_tp, ci_tp, mean_pdr, ci_pdr, len(group))
-        for (tree, scheme, variable, value), group, (mean_tp, ci_tp, mean_pdr, ci_pdr)
-        in zip(groups, members, stats.tolist())
+        AggregateRow(tree, scheme, spec.variable, value, *(stat[v][t][s] for stat in stats), n)
+        for v, value in enumerate(spec.values)
+        for t, tree in enumerate(spec.trees)
+        for s, scheme in enumerate(spec.schemes)
     ]
 
 
@@ -399,8 +379,10 @@ _GEOMETRY_FIELDS = {"n_nodes", "n_dest"}
 BLOCK_SEEDS = 32
 
 
-def run_sweep(spec: SweepSpec) -> tuple[list[TrialRow], list[AggregateRow]]:
-    """Run trials at every swept value with trial seeds seed+i and aggregate.
+def run_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Run trials at every swept value with trial seeds seed+i: each trial's
+    average throughput and PDR, as float64 arrays shaped (values, trees,
+    schemes, trials) in the spec's order, the trial axis contiguous.
 
     Reusing trial seeds across values pairs the sweep points through common
     topologies and draws, which keeps trends smooth at modest trial counts.
@@ -408,30 +390,27 @@ def run_sweep(spec: SweepSpec) -> tuple[list[TrialRow], list[AggregateRow]]:
     block built once for all values unless the geometry is swept; one
     block's stages are alive at a time. Per (block, value) the block is one
     event table, judged by _judge_block exactly as run_scenario_sessions
-    judges its block of one seed, so rows come out value-major, equal to
-    running run_scenario_sessions seed by seed.
+    judges its block of one seed, so every trial equals run_scenario_sessions
+    at its seed.
     """
-    points = [(value, params, params.channels(), params.phy()) for value, params in spec.scenarios()]
+    points = [(params, params.channels(), params.phy()) for _, params in spec.scenarios()]
     shared = SWEEP_VARIABLES[spec.variable] not in _GEOMETRY_FIELDS
-    # Keyed like run_scenario_sessions' results: a repeated scheme or tree kind counts once.
-    schemes, trees = tuple(dict.fromkeys(spec.schemes)), tuple(dict.fromkeys(spec.trees))
-    value_rows: list[list[TrialRow]] = [[] for _ in points]
+    shape = (len(points), len(spec.trees), len(spec.schemes), spec.trials)
+    avg, pdr = np.empty(shape), np.empty(shape)
     for first in range(0, spec.trials, BLOCK_SEEDS):
-        trials = range(first, min(first + BLOCK_SEEDS, spec.trials))
-        seeds = [spec.seed + i for i in trials]
-        shared_block = _block_stages(spec.base, trees, seeds) if shared else None
-        for out, (value, params, model, phy) in zip(value_rows, points):
-            block = shared_block or _block_stages(params, trees, seeds)
-            judged = _judge_block(phy, model, schemes, block)[2]
+        seeds = range(spec.seed + first, spec.seed + min(first + BLOCK_SEEDS, spec.trials))
+        trials = slice(first, first + len(seeds))
+        shared_block = _block_stages(spec.base, spec.trees, seeds) if shared else None
+        for v, (params, model, phy) in enumerate(points):
+            block = shared_block or _block_stages(params, spec.trees, seeds)
+            judged = _judge_block(phy, model, spec.schemes, block)[2]
             n_dest = judged.delivered.shape[1]
-            avg, pdr = (judged.total / n_dest).tolist(), (judged.delivered.sum(axis=1) / n_dest).tolist()
-            # Tree j of the block is trial j // len(trees) on tree kind j % len(trees).
-            for j, (i, t) in enumerate(itertools.product(trials, trees)):
-                out += [TrialRow(t, s, spec.variable, value, i, a, p) for s, a, p in zip(schemes, avg[j], pdr[j])]
+            # Tree j of the block is seed j // len(trees) on tree kind j % len(trees).
+            for out, per_tree in ((avg, judged.total / n_dest), (pdr, judged.delivered.sum(axis=1) / n_dest)):
+                out[v, :, :, trials] = per_tree.reshape(len(seeds), *shape[1:3]).transpose(1, 2, 0)
             del block  # gone before the next block is built, so one block is alive at a time
         del shared_block
-    rows = [row for block_rows in value_rows for row in block_rows]
-    return rows, aggregate_trials(rows)
+    return avg, pdr
 
 
 TRIALS_HEADER = "tree,scheme,variable,value,trial,avg_throughput_bps,pdr"
@@ -444,13 +423,17 @@ def _fmt(v) -> str:
     return repr(v) if isinstance(v, float) else str(v)
 
 
-def trials_to_csv(rows: list[TrialRow]) -> str:
+def trials_to_csv(spec: SweepSpec, avg: np.ndarray, pdr: np.ndarray) -> str:
+    """One line per trial of a sweep's per-trial arrays (run_sweep), in
+    value, trial, tree, scheme order."""
+    labels = [f"{tree.value},{scheme.value}" for tree in spec.trees for scheme in spec.schemes]
+    # (values, trials, trees x schemes) nested lists of floats, whose repr is the CSV's.
+    by_trial = [a.reshape(len(spec.values), len(labels), spec.trials).transpose(0, 2, 1).tolist() for a in (avg, pdr)]
     lines = [TRIALS_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.tree.value},{r.scheme.value},{r.variable},{_fmt(r.value)},"
-            f"{r.trial},{r.avg_throughput_bps!r},{r.pdr!r}"
-        )
+    for value, avg_v, pdr_v in zip(spec.values, *by_trial):
+        point = f"{spec.variable},{_fmt(value)}"
+        for i, (avg_i, pdr_i) in enumerate(zip(avg_v, pdr_v)):
+            lines += [f"{label},{point},{i},{a!r},{p!r}" for label, a, p in zip(labels, avg_i, pdr_i)]
     return "\n".join(lines) + "\n"
 
 
@@ -484,22 +467,6 @@ def _parse_csv(text: str, header: str, path) -> list[tuple[int, list[str]]]:
         if len(fields) != n_fields:
             raise DataFormatError(f"{path}, line {lineno}: expected {n_fields} fields, got {len(fields)}")
         rows.append((lineno, fields))
-    return rows
-
-
-def read_trials_csv(path) -> list[TrialRow]:
-    rows = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, f in _parse_csv(text, TRIALS_HEADER, path):
-        try:
-            rows.append(
-                TrialRow(
-                    TreeKind(f[0]), Scheme(f[1]), f[2], _parse_number(f[3]),
-                    int(f[4]), float(f[5]), float(f[6]),
-                )
-            )
-        except ValueError as exc:
-            raise DataFormatError(f"{path}, line {lineno}: {exc}") from exc
     return rows
 
 
@@ -541,11 +508,13 @@ def read_aggregate_csv(path) -> list[AggregateRow]:
     return rows
 
 
-def write_sweep_csv(rows: list[TrialRow], agg: list[AggregateRow], out_dir) -> tuple[Path, Path]:
+def write_sweep_csv(spec: SweepSpec, avg: np.ndarray, pdr: np.ndarray, out_dir) -> tuple[Path, Path]:
+    """trials.csv and aggregate.csv of a sweep's per-trial arrays (run_sweep)
+    in out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trials_path = out / "trials.csv"
     agg_path = out / "aggregate.csv"
-    trials_path.write_text(trials_to_csv(rows), encoding="utf-8", newline="\n")
-    agg_path.write_text(aggregate_to_csv(agg), encoding="utf-8", newline="\n")
+    trials_path.write_text(trials_to_csv(spec, avg, pdr), encoding="utf-8", newline="\n")
+    agg_path.write_text(aggregate_to_csv(aggregate_trials(spec, avg, pdr)), encoding="utf-8", newline="\n")
     return trials_path, agg_path

@@ -281,7 +281,8 @@ def generate_topology(
 def build_spt(topology: Topology, root: int) -> Tree:
     """Shortest path tree rooted at root (Dijkstra).
 
-    Equal-distance ties keep the predecessor with the lower node id.
+    Equal-distance ties keep the lowest-id predecessor strictly closer to
+    the root, so a node never hangs from one it ties over a zero edge.
     """
     if not 0 <= root < topology.n:
         raise ValueError(f"root {root} is not a node of the topology")
@@ -306,7 +307,7 @@ def build_spt(topology: Topology, root: int) -> Tree:
                 parent[v] = u
                 edge_dist[v] = w
                 heapq.heappush(heap, (nd, v))
-            elif nd == old and u < parent[v]:
+            elif nd == old and du < nd and u < parent[v]:
                 parent[v] = u
                 edge_dist[v] = w
     if len(done) != topology.n:

@@ -17,6 +17,7 @@ from crn_multicast.experiment import (
     ScenarioParams,
     SweepSpec,
     aggregate_to_csv,
+    aggregate_trials,
     run_scenario_sessions,
     run_sweep,
     trials_to_csv,
@@ -177,7 +178,7 @@ def test_criterion_7_monotone_trends():
             base=DEFAULTS, variable=variable, values=values, trials=1000, seed=20_000,
             schemes=(Scheme.POS,), trees=(TreeKind.SPT,),
         )
-        _, agg = run_sweep(spec)
+        agg = aggregate_trials(spec, *run_sweep(spec))
         points = [(r.mean_throughput_bps, r.ci95_throughput) for r in agg]
         verdicts[variable] = monotone_within_ci(points, increasing=increasing)
     elapsed = time.perf_counter() - start
@@ -223,7 +224,8 @@ def test_criterion_9_sweep_determinism():
         base=DEFAULTS, variable="p_idle", values=(0.5, 0.9), trials=10, seed=31_000,
         schemes=ALL_SCHEMES, trees=(TreeKind.SPT, TreeKind.MST),
     )
-    rows_a, agg_a = run_sweep(spec)
-    rows_b, agg_b = run_sweep(spec)
-    ok = trials_to_csv(rows_a) == trials_to_csv(rows_b) and aggregate_to_csv(agg_a) == aggregate_to_csv(agg_b)
+    a, b = run_sweep(spec), run_sweep(spec)
+    ok = trials_to_csv(spec, *a) == trials_to_csv(spec, *b) and (
+        aggregate_to_csv(aggregate_trials(spec, *a)) == aggregate_to_csv(aggregate_trials(spec, *b))
+    )
     report(9, ok, "two identical sweep runs produced byte-identical trial and aggregate CSVs")

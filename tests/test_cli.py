@@ -414,6 +414,22 @@ class TestSweepAndPlot:
         assert (a / "trials.csv").read_bytes() == (b / "trials.csv").read_bytes()
         assert (a / "aggregate.csv").read_bytes() == (b / "aggregate.csv").read_bytes()
 
+    def test_repeated_scheme_and_tree_flags_count_once(self, tmp_path, capsys):
+        # The golden sweep (2 values x 4 trials) with pos and spt each named
+        # twice: every row once, equal to the golden files' spt/pos rows.
+        golden = Path(__file__).parent / "golden"
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli(
+            capsys, "sweep", "--config", str(golden / "sweep.cfg"), "--out", str(out_dir),
+            "--scheme", "pos", "--scheme", "pos", "--tree", "spt", "--tree", "spt",
+        )
+        assert code == 0
+        assert out == f"wrote {out_dir / 'trials.csv'} (8 rows)\nwrote {out_dir / 'aggregate.csv'} (2 rows)\n"
+        for name in ("trials.csv", "aggregate.csv"):
+            header, *rows = (golden / name).read_text(encoding="utf-8").splitlines(keepends=True)
+            want = header + "".join(row for row in rows if row.startswith("spt,pos,"))
+            assert (out_dir / name).read_text(encoding="utf-8") == want
+
     def test_plot_renders_one_polyline_per_scheme(self, sweep_dir, tmp_path, capsys):
         charts = tmp_path / "charts"
         code, out, _ = run_cli(capsys, "plot", str(sweep_dir / "aggregate.csv"), "--out", str(charts))

@@ -11,11 +11,9 @@ from crn_multicast.experiment import (
     DataFormatError,
     ScenarioParams,
     SweepSpec,
-    TrialRow,
     aggregate_to_csv,
     aggregate_trials,
     read_aggregate_csv,
-    read_trials_csv,
     run_scenario_sessions,
     run_sweep,
     trials_to_csv,
@@ -109,8 +107,8 @@ class TestRunTrial:
 
         monkeypatch.setattr(session, "HopRecord", refuse)
         spec = SweepSpec(base=SMALL, variable="p_idle", values=(0.3, 0.9), trials=3, seed=4)
-        rows, _ = run_sweep(spec)
-        assert len(rows) == 2 * 3 * len(ALL_SCHEMES) * 2
+        avg, pdr = run_sweep(spec)
+        assert avg.shape == pdr.shape == (2, 2, len(ALL_SCHEMES), 3)
         result = run_scenario_sessions(SMALL, ALL_SCHEMES, [TreeKind.SPT], seed=4)[(TreeKind.SPT, Scheme.RS)]
         with pytest.raises(AssertionError, match="a hop record was built"):
             result.hops
@@ -131,17 +129,18 @@ class TestSweep:
     def test_single_trial_aggregate_equals_the_trial(self):
         spec = SweepSpec(base=SMALL, variable="p_idle", values=(0.5,), trials=1, seed=9,
                          schemes=(Scheme.POS,), trees=(TreeKind.SPT,))
-        rows, agg = run_sweep(spec)
-        assert len(rows) == 1 and len(agg) == 1
-        assert agg[0].mean_throughput_bps == rows[0].avg_throughput_bps
+        avg, pdr = run_sweep(spec)
+        agg = aggregate_trials(spec, avg, pdr)
+        assert avg.shape == pdr.shape == (1, 1, 1, 1) and len(agg) == 1
+        assert agg[0].mean_throughput_bps == avg.item()
         assert agg[0].ci95_throughput == 0.0
-        assert agg[0].mean_pdr == rows[0].pdr
+        assert agg[0].mean_pdr == pdr.item()
         assert agg[0].trials == 1
 
     def test_throughput_rises_with_idle_probability(self):
         spec = SweepSpec(base=SMALL, variable="p_idle", values=(0.1, 0.5, 0.9), trials=150, seed=2,
                          schemes=(Scheme.POS, Scheme.RS), trees=(TreeKind.SPT,))
-        _, agg = run_sweep(spec)
+        agg = aggregate_trials(spec, *run_sweep(spec))
         for scheme in (Scheme.POS, Scheme.RS):
             means = [r.mean_throughput_bps for r in agg if r.scheme is scheme]
             assert means[0] < means[1] < means[2]
@@ -149,7 +148,7 @@ class TestSweep:
     def test_throughput_falls_with_packet_size(self):
         spec = SweepSpec(base=SMALL, variable="packet_bits", values=(16384, 32768, 65536, 131072),
                          trials=150, seed=2, schemes=(Scheme.POS,), trees=(TreeKind.SPT,))
-        _, agg = run_sweep(spec)
+        agg = aggregate_trials(spec, *run_sweep(spec))
         means = [r.mean_throughput_bps for r in agg]
         pdrs = [r.mean_pdr for r in agg]
         assert means == sorted(means, reverse=True)
@@ -158,8 +157,9 @@ class TestSweep:
     def test_row_counts(self):
         spec = SweepSpec(base=SMALL, variable="M", values=(4, 8), trials=3, seed=0,
                          schemes=(Scheme.POS, Scheme.RS), trees=(TreeKind.SPT, TreeKind.MST))
-        rows, agg = run_sweep(spec)
-        assert len(rows) == 2 * 3 * 2 * 2
+        avg, pdr = run_sweep(spec)
+        agg = aggregate_trials(spec, avg, pdr)
+        assert len(trials_to_csv(spec, avg, pdr).splitlines()) == 1 + 2 * 3 * 2 * 2
         assert len(agg) == 2 * 2 * 2
         assert all(r.trials == 3 for r in agg)
 
@@ -198,14 +198,26 @@ GEOMETRY_SWEPT = {"n_nodes", "n_dest"}
 DRAWS_SWEPT = GEOMETRY_SWEPT | {"M"}
 
 
-def value_major_rows(spec: SweepSpec) -> list[TrialRow]:
-    """The sweep without shared stages: every (value, trial) from scratch."""
-    rows = []
-    for value, params in spec.scenarios():
+def value_major_arrays(spec: SweepSpec, run=run_scenario_sessions, result=lambda res: res):
+    """The sweep without shared stages: every (value, trial) from scratch
+    through run, as run_sweep's (values, trees, schemes, trials) arrays of
+    average throughput and PDR; result picks the SessionResult out of each
+    of run's values."""
+    shape = (len(spec.values), len(spec.trees), len(spec.schemes), spec.trials)
+    avg, pdr = np.empty(shape), np.empty(shape)
+    for v, (_, params) in enumerate(spec.scenarios()):
         for i in range(spec.trials):
-            for (tree, scheme), res in run_scenario_sessions(params, spec.schemes, spec.trees, spec.seed + i).items():
-                rows.append(TrialRow(tree, scheme, spec.variable, value, i, res.avg_throughput, res.pdr))
-    return rows
+            sessions = run(params, spec.schemes, spec.trees, spec.seed + i)
+            for t, tree in enumerate(spec.trees):
+                for s, scheme in enumerate(spec.schemes):
+                    res = result(sessions[(tree, scheme)])
+                    avg[v, t, s, i], pdr[v, t, s, i] = res.avg_throughput, res.pdr
+    return avg, pdr
+
+
+def assert_same_csv(spec: SweepSpec, got, want):
+    assert trials_to_csv(spec, *got) == trials_to_csv(spec, *want)
+    assert aggregate_to_csv(aggregate_trials(spec, *got)) == aggregate_to_csv(aggregate_trials(spec, *want))
 
 
 def count_calls(monkeypatch, name, *modules):
@@ -227,10 +239,7 @@ class TestSharedStages:
     @pytest.mark.parametrize("variable", list(SWEEP_AXES))
     def test_sweep_equals_value_major_loop_byte_for_byte(self, variable):
         spec = SweepSpec(base=SMALL, variable=variable, values=SWEEP_AXES[variable], trials=4, seed=13)
-        rows, agg = run_sweep(spec)
-        reference = value_major_rows(spec)
-        assert trials_to_csv(rows) == trials_to_csv(reference)
-        assert aggregate_to_csv(agg) == aggregate_to_csv(aggregate_trials(reference))
+        assert_same_csv(spec, run_sweep(spec), value_major_arrays(spec))
 
     @pytest.mark.parametrize("variable", list(SWEEP_AXES))
     def test_topology_built_once_per_block_unless_geometry_swept(self, monkeypatch, variable):
@@ -281,22 +290,15 @@ class TestSeedBlocks:
         monkeypatch.setattr(experiment, "BLOCK_SEEDS", 3)
         tables = count_calls(monkeypatch, "_judge_block", experiment)
         spec = SweepSpec(base=SMALL, variable=variable, values=SWEEP_AXES[variable], trials=7, seed=21)
-        rows, agg = run_sweep(spec)
+        got = run_sweep(spec)
         assert len(tables) == 3 * len(spec.values)
-        reference = []
-        for value, params in spec.scenarios():
-            for i in range(spec.trials):
-                sessions = ref.run_scenario_sessions(params, spec.schemes, spec.trees, spec.seed + i)
-                for (tree, scheme), (res, _) in sessions.items():
-                    reference.append(TrialRow(tree, scheme, spec.variable, value, i, res.avg_throughput, res.pdr))
-        assert trials_to_csv(rows) == trials_to_csv(reference)
-        assert aggregate_to_csv(agg) == aggregate_to_csv(aggregate_trials(reference))
+        assert_same_csv(spec, got, value_major_arrays(spec, ref.run_scenario_sessions, lambda res: res[0]))
 
 
 def test_tree_kinds_are_independent(monkeypatch):
     # A block stacks every (seed, tree kind), but each tree keeps its own
     # generators: reversing the tree kinds or running one alone leaves every
-    # (tree, scheme)'s results and rows as they are.
+    # (tree, scheme)'s results and trials as they are.
     monkeypatch.setattr(experiment, "BLOCK_SEEDS", 2)
     spt, mst = (experiment._block_stages(SMALL, [tree], [6]).slots for tree in (TreeKind.SPT, TreeKind.MST))
     stacked = experiment._block_stages(SMALL, (TreeKind.SPT, TreeKind.MST), [6]).slots
@@ -304,82 +306,73 @@ def test_tree_kinds_are_independent(monkeypatch):
         assert np.array_equal(getattr(stacked, name), np.concatenate([getattr(spt, name), getattr(mst, name)]))
     spec = SweepSpec(base=SMALL, variable="M", values=(3, 8), trials=5, seed=6)
     sessions = run_scenario_sessions(SMALL, ALL_SCHEMES, spec.trees, 6)
-    rows, agg = run_sweep(spec)
-    rows = {(r.tree, r.scheme, r.value, r.trial): r for r in rows}
-    agg = {(r.tree, r.scheme, r.value): r for r in agg}
+    avg, pdr = run_sweep(spec)
+    agg = {(r.tree, r.scheme, r.value): r for r in aggregate_trials(spec, avg, pdr)}
     for trees in ((TreeKind.MST, TreeKind.SPT), (TreeKind.SPT,), (TreeKind.MST,)):
         got = run_scenario_sessions(SMALL, ALL_SCHEMES, trees, 6)
         assert list(got) == [(t, s) for t in trees for s in ALL_SCHEMES]
         for key, result in got.items():
             assert result == sessions[key] and result.hops == sessions[key].hops
-        got_rows, got_agg = run_sweep(replace(spec, trees=trees))
-        assert len(got_rows) == 2 * 5 * len(ALL_SCHEMES) * len(trees)
+        got_spec = replace(spec, trees=trees)
+        got_avg, got_pdr = run_sweep(got_spec)
+        columns = [spec.trees.index(tree) for tree in trees]
+        assert np.array_equal(got_avg, avg[:, columns]) and np.array_equal(got_pdr, pdr[:, columns])
+        got_agg = aggregate_trials(got_spec, got_avg, got_pdr)
         assert len(got_agg) == 2 * len(ALL_SCHEMES) * len(trees)
-        assert all(row == rows[(row.tree, row.scheme, row.value, row.trial)] for row in got_rows)
         assert all(row == agg[(row.tree, row.scheme, row.value)] for row in got_agg)
 
 
-def test_aggregate_equals_per_group_numpy_statistics():
-    # Groups of 1, 2, 9 and 20 members, interleaved: a group of one has CI 0
-    # without a RuntimeWarning (an error under this suite's settings), larger
-    # groups take numpy's pairwise sums, and groups keep first-seen order.
-    rng = np.random.default_rng(3)
-    sizes = {0.1: 1, 0.2: 9, 0.3: 2, 0.4: 20, 0.5: 1}
-    rows = [
-        TrialRow(TreeKind.SPT, Scheme.POS, "p_idle", value, i, float(rng.exponential(1e6)), float(rng.random()))
-        for i in range(max(sizes.values())) for value, size in sizes.items() if i < size
-    ]
-    agg = aggregate_trials(rows)
-    assert [a.value for a in agg] == list(sizes)
-    for a in agg:
-        members = [r for r in rows if r.value == a.value]
+@pytest.mark.parametrize("trials", [1, 2, 9, 20])
+def test_aggregate_equals_per_group_numpy_statistics(trials):
+    # Each point's mean and CI are numpy's over its own list of trials: one
+    # trial has CI 0 without a RuntimeWarning (an error under this suite's
+    # settings), more take numpy's pairwise sums (8 at a time from 8 on),
+    # whatever the arrays' memory order, and points come in value, tree,
+    # scheme order.
+    spec = SweepSpec(base=SMALL, variable="p_idle", values=(0.1, 0.5, 0.9), trials=trials, seed=0,
+                     schemes=(Scheme.POS, Scheme.RS), trees=(TreeKind.SPT, TreeKind.MST))
+    rng = np.random.default_rng(trials)
+    shape = (len(spec.values), len(spec.trees), len(spec.schemes), trials)
+    avg, pdr = rng.exponential(1e6, shape), rng.random(shape)
+    agg = aggregate_trials(spec, avg, pdr)
+    points = [(v, t, s) for v in spec.values for t in spec.trees for s in spec.schemes]
+    assert [(a.value, a.tree, a.scheme) for a in agg] == points
+    for a, avg_point, pdr_point in zip(agg, avg.reshape(-1, trials).tolist(), pdr.reshape(-1, trials).tolist()):
         for got, ci, values in (
-            (a.mean_throughput_bps, a.ci95_throughput, [r.avg_throughput_bps for r in members]),
-            (a.mean_pdr, a.ci95_pdr, [r.pdr for r in members]),
+            (a.mean_throughput_bps, a.ci95_throughput, avg_point), (a.mean_pdr, a.ci95_pdr, pdr_point),
         ):
             assert got == float(np.mean(values))
-            n = len(values)
-            assert ci == (1.96 * float(np.std(values, ddof=1)) / np.sqrt(n) if n > 1 else 0.0)
-        assert a.trials == len(members)
+            assert ci == (1.96 * float(np.std(values, ddof=1)) / np.sqrt(trials) if trials > 1 else 0.0)
+        assert a.trials == trials
+    assert aggregate_trials(spec, np.asfortranarray(avg), np.asfortranarray(pdr)) == agg
 
 
 class TestCsvRoundTrip:
+    SPEC = SweepSpec(base=SMALL, variable="p_idle", values=(0.3, 0.7), trials=4, seed=5,
+                     schemes=(Scheme.POS, Scheme.RS), trees=(TreeKind.SPT,))
+
     @pytest.fixture()
     def sweep_output(self):
-        spec = SweepSpec(base=SMALL, variable="p_idle", values=(0.3, 0.7), trials=4, seed=5,
-                         schemes=(Scheme.POS, Scheme.RS), trees=(TreeKind.SPT,))
-        return run_sweep(spec)
+        return run_sweep(self.SPEC)
 
-    def test_trials_round_trip(self, tmp_path, sweep_output):
-        rows, agg = sweep_output
-        trials_path, agg_path = write_sweep_csv(rows, agg, tmp_path)
-        assert read_trials_csv(trials_path) == rows
-        assert read_aggregate_csv(agg_path) == agg
+    def test_aggregate_round_trip(self, tmp_path, sweep_output):
+        trials_path, agg_path = write_sweep_csv(self.SPEC, *sweep_output, tmp_path)
+        assert trials_path.read_text(encoding="utf-8") == trials_to_csv(self.SPEC, *sweep_output)
+        assert read_aggregate_csv(agg_path) == aggregate_trials(self.SPEC, *sweep_output)
 
-    def test_aggregate_recomputed_from_trials_file_is_identical(self, tmp_path, sweep_output):
-        rows, agg = sweep_output
-        trials_path, agg_path = write_sweep_csv(rows, agg, tmp_path)
-        reloaded = read_trials_csv(trials_path)
-        assert aggregate_to_csv(aggregate_trials(reloaded)) == agg_path.read_text(encoding="utf-8")
-
-    def test_byte_identical_across_runs(self, tmp_path, sweep_output):
-        spec = SweepSpec(base=SMALL, variable="p_idle", values=(0.3, 0.7), trials=4, seed=5,
-                         schemes=(Scheme.POS, Scheme.RS), trees=(TreeKind.SPT,))
-        rows2, agg2 = run_sweep(spec)
-        assert trials_to_csv(rows2) == trials_to_csv(sweep_output[0])
-        assert aggregate_to_csv(agg2) == aggregate_to_csv(sweep_output[1])
+    def test_byte_identical_across_runs(self, sweep_output):
+        assert_same_csv(self.SPEC, run_sweep(self.SPEC), sweep_output)
 
     def test_malformed_header_rejected(self, tmp_path):
         bad = tmp_path / "x.csv"
         bad.write_text("nope\n", encoding="utf-8")
         with pytest.raises(DataFormatError):
-            read_trials_csv(bad)
+            read_aggregate_csv(bad)
 
     def test_field_count_error_names_the_line(self, tmp_path, sweep_output):
-        rows, agg = sweep_output
-        trials_path, _ = write_sweep_csv(rows, agg, tmp_path)
-        text = trials_path.read_text(encoding="utf-8").splitlines()
+        _, agg_path = write_sweep_csv(self.SPEC, *sweep_output, tmp_path)
+        text = agg_path.read_text(encoding="utf-8").splitlines()
         text[3] = "spt,pos,p_idle"
-        trials_path.write_text("\n".join(text) + "\n", encoding="utf-8")
+        agg_path.write_text("\n".join(text) + "\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="line 4"):
-            read_trials_csv(trials_path)
+            read_aggregate_csv(agg_path)

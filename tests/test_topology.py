@@ -212,8 +212,8 @@ class TestShortestPathTree:
         assert build_spt(topo, 0) == build_spt(topo, 0)
 
     # Equal path sums over one hop and over two or three; every sum is exact
-    # in binary, so the tie is exact. Dijkstra keeps the lower-id predecessor,
-    # whichever of the two paths that lies on.
+    # in binary, so the tie is exact. Dijkstra keeps the lower-id predecessor
+    # strictly closer to the root, whichever of the two paths that lies on.
     @pytest.mark.parametrize(
         "root, edges, node, parent",
         [
@@ -221,8 +221,14 @@ class TestShortestPathTree:
             (1, ((1, 2, 2.0), (0, 1, 1.0), (0, 2, 1.0)), 2, 0),
             (0, ((0, 3, 2.0), (0, 1, 0.5), (1, 2, 0.5), (2, 3, 1.0)), 3, 0),
             (3, ((0, 3, 2.0), (2, 3, 0.5), (1, 2, 0.5), (0, 1, 1.0)), 0, 1),
+            # node 1 ties node 3's distance over a zero edge with a lower id
+            # than node 2, but only node 2 is closer to the root
+            (0, ((0, 2, 1.0), (2, 3, 1.0), (1, 2, 1.0), (1, 3, 0.0)), 3, 2),
         ],
-        ids=["direct_lower_two_hops", "relay_lower_two_hops", "direct_lower_three_hops", "relay_lower_three_hops"],
+        ids=[
+            "direct_lower_two_hops", "relay_lower_two_hops", "direct_lower_three_hops", "relay_lower_three_hops",
+            "zero_edge_tie_takes_the_closer_node",
+        ],
     )
     def test_equal_sums_over_different_hop_counts(self, root, edges, node, parent):
         n = 1 + max(max(u, v) for u, v, _ in edges)

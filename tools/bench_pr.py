@@ -60,7 +60,6 @@ from crn_multicast.config import load_config
 from crn_multicast.session import TreeKind
 
 spec, repeats = load_config(sys.argv[2]), int(sys.argv[3])
-trees, schemes = tuple(dict.fromkeys(spec.trees)), tuple(dict.fromkeys(spec.schemes))
 seeds = range(spec.seed, spec.seed + %d)
 points = [(params.phy(), params.channels()) for _, params in spec.scenarios()]
 node_scale = {n: replace(spec.base, n_nodes=n, n_dest=4) for n in (40, 80, 160)}
@@ -74,15 +73,15 @@ def timed(stage, call):
     return out
 
 for _ in range(repeats):
-    block = timed("block_stages", lambda: experiment._block_stages(spec.base, trees, seeds))
+    block = timed("block_stages", lambda: experiment._block_stages(spec.base, spec.trees, seeds))
     for _, model in points:
         fresh = experiment.BlockStages(block.seeds, block.trees, block.slots)
         timed("raw", lambda: fresh.raw(model))
     for phy, model in points:
         block.raw(model)  # the draws are cached before the judgement is timed
-        timed("judge_block", lambda: experiment._judge_block(phy, model, schemes, block))
+        timed("judge_block", lambda: experiment._judge_block(phy, model, spec.schemes, block))
     for seed in seeds[:%d]:
-        timed("block_stages_one_seed", lambda: experiment._block_stages(spec.base, trees, [seed]))
+        timed("block_stages_one_seed", lambda: experiment._block_stages(spec.base, spec.trees, [seed]))
     for n, params in node_scale.items():
         timed("block_stages_n%%d" %% n, lambda: experiment._block_stages(params, (TreeKind.SPT, TreeKind.MST), seeds[:6]))
 print(json.dumps({"package": crn_multicast.__file__, "times": times}))
