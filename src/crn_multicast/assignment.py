@@ -28,29 +28,31 @@ class Scheme(Enum):
 
 
 def choose_channels(scheme: Scheme, pos, rate, mu_idle, idle, starts, picks=None) -> np.ndarray:
-    """Channel of every event in a table under scheme.
+    """Channel of every event in a table under scheme, for one or several
+    sets of idle flags at once.
 
     pos and rate are (receivers x channels) with each event's receivers in
-    consecutive rows starting at starts[e]; idle is (events x channels). The
-    worst receiver of each event is its column minimum over its rows. rs
-    reads only idle and picks, one uniform in [0, 1) per event: event e takes
-    its k-th idle channel (counting from 0), k = floor(picks[e] * n_idle),
-    which is below n_idle for every float below 1. Ties go to the lowest
-    channel index (np.argmax returns the first maximum), and an event without
-    an idle channel gets -1.
+    consecutive rows starting at starts[e]; idle is (events x channels), or
+    (sets x events x channels) for several sets, giving one row of channels
+    per set. The worst receiver of each event is its column minimum over its
+    rows, read only on idle channels. rs reads only idle and picks, one
+    uniform in [0, 1) per event: event e takes its k-th idle channel
+    (counting from 0), k = floor(picks[e] * n_idle), which is below n_idle
+    for every float below 1. Ties go to the lowest channel index (np.argmax
+    returns the first maximum), and an event without an idle channel gets -1.
     """
     if scheme is Scheme.POS:
         score = np.minimum.reduceat(pos, starts, axis=0)
     elif scheme is Scheme.MDR:
         score = np.minimum.reduceat(rate, starts, axis=0)
     elif scheme is Scheme.MASA:
-        score = mu_idle[None, :]
+        score = mu_idle
     elif scheme is Scheme.RS:
         if picks is None:
             raise ValueError("random selection needs an rng: no pick uniforms were drawn")
         # 1 from the k-th idle channel on, whose index is the first maximum among idle channels.
-        score = np.cumsum(idle, axis=1) > np.floor(picks * idle.sum(axis=1))[:, None]
+        score = np.cumsum(idle, axis=-1) > np.floor(picks * idle.sum(axis=-1))[..., None]
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    best = np.where(idle, score, -np.inf).argmax(axis=1)
-    return np.where(idle.any(axis=1), best, -1)
+    best = np.where(idle, score, -np.inf).argmax(axis=-1)
+    return np.where(idle.any(axis=-1), best, -1)

@@ -7,7 +7,7 @@ channel stays available. Residuals are exponential with the channel's mean
 idle duration, which is the memoryless residual of exponential idle periods.
 Every event of a tree is drawn at once, one generator call for all its idle
 uniforms and one for all its residuals (session.draw_raw), and turned into
-states by session.threshold_draws.
+states by session.idle_flags.
 """
 
 from __future__ import annotations

@@ -264,8 +264,8 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
             s, j = np.argwhere(bad)[0]
             raise ValueError(f"{at[s]}, channel {j + 1}: {message}, got {float(values[s, j])!r}")
     picks = None if rng is None else rng.random(len(events))
-    table = EventTable(slots, idle, available, pos, rate, tx, mu, picks)
-    channels = select_channels(table, scheme)[:, None]
+    table = EventTable(slots, available, pos, rate, tx, mu, picks)
+    channels = select_channels(table, idle, scheme)[:, None]
     return session_results(table, channels, judge(table, channels, packet_bits), replay_all=True)[0][0]
 
 

@@ -13,13 +13,22 @@ and rs picks drawn from its own generator. The block's geometry is placed and
 its trees built as parent arrays a chunk of seeds at a time, each chunk in
 the same numpy calls (topology.chunk_seeds), and one level pass over the
 block's stack of trees prunes, orders and indexes every tree at once
-(session.slot_index). A run
-is a block of one seed. A sweep runs blocks of up to BLOCK_SEEDS seeds,
-builds what a seed fixes regardless of the swept value (its geometry, and
-its raw draws, rs picks included, once per distinct channel count) once
-per block for every value, judges each (block, value) as one table, and
-fills that value's slice of the sweep's per-trial arrays, as if every trial
-had run on its own.
+(session.slot_index). A run is a block of one seed. A sweep runs blocks of
+up to BLOCK_SEEDS seeds and builds what a seed fixes regardless of the
+swept value (its geometry, and its raw draws, rs picks included, once per
+distinct set of mean idle durations) once per block for every value.
+
+Swept values that share a block, radio parameters and mean idle durations
+share one link table (session.EventTable), since idle probabilities only
+decide which channels are idle: in a p_idle sweep that is every value, in
+any other sweep each value is alone. Each such group of a block is judged
+in one pass (_judge_block): one table, each value's idle flags thresholded
+from the shared uniforms, every scheme's channels under every value's flags,
+and one judgement over values x schemes columns. A chosen channel is always
+an idle one, so its fit against the shared table is the fit a value judged
+alone reads, and every column is what that value alone would give. Each
+value fills its slice of the sweep's per-trial arrays, as if every trial had
+run on its own; run and fixture replays are groups of one value.
 """
 
 from __future__ import annotations
@@ -43,12 +52,12 @@ from .session import (
     SlotIndex,
     TreeKind,
     draw_raw,
+    idle_flags,
     judge,
     link_metrics,
     select_channels,
     session_results,
     slot_index,
-    threshold_draws,
 )
 from .topology import chunk_seeds, mst_stack, place_stack, spt_stack
 
@@ -240,15 +249,21 @@ def _block_stages(params: ScenarioParams, trees, seeds) -> BlockStages:
 
 
 def _judge_block(
-    phy: PhyParams, model: ChannelModel, schemes, block: BlockStages
+    phy: PhyParams, models, schemes, block: BlockStages
 ) -> tuple[EventTable, np.ndarray, Judgement]:
-    """Link metrics of every tree of a block under model in one event table,
-    then every scheme's channels, rs from the block's pick uniforms, and
-    their judgement in one pass."""
-    table = link_metrics(phy, threshold_draws(block.raw(model), model.p_idle), model.mu_idle, block.slots)
-    channels = np.empty((len(block.slots.starts), len(schemes)), dtype=np.intp)
+    """Judge a block under channel models that share their mean idle
+    durations, differing at most in idle probabilities, in one pass: the
+    link metrics of every tree in one event table, each model's idle flags
+    from the block's raw draws, every scheme's channels under every model's
+    flags, rs from the block's pick uniforms, and one judgement of their
+    (entries, models x schemes) columns, model after model."""
+    raw = block.raw(models[0])
+    table = link_metrics(phy, raw, models[0].mu_idle, block.slots)
+    idle = idle_flags(raw, np.stack([model.p_idle for model in models]))
+    channels = np.empty((len(block.slots.starts), len(models), len(schemes)), dtype=np.intp)
     for k, scheme in enumerate(schemes):
-        channels[:, k] = select_channels(table, scheme)
+        channels[:, :, k] = select_channels(table, idle, scheme).T
+    channels = channels.reshape(len(channels), -1)
     return table, channels, judge(table, channels, phy.packet_bits)
 
 
@@ -264,14 +279,14 @@ def run_scenario_sessions(
     All schemes of one tree kind see bitwise-identical channel states and
     gains; only their channel decisions (and hence successes) differ.
     channel_model defaults to the one params describes. The scenario is a
-    block of one seed (_block_stages), judged as one table, as each block of
-    a sweep is. A negative seed is a ValueError from the seed's first
-    generator, before any draw.
+    block of one seed (_block_stages), judged with one model as each block
+    of a sweep is judged with its group of models. A negative seed is a
+    ValueError from the seed's first generator, before any draw.
     """
     model = channel_model if channel_model is not None else params.channels()
     # Keyed results: a repeated tree kind counts once, in first-seen order.
     trees = tuple(dict.fromkeys(trees))
-    table, channels, judged = _judge_block(params.phy(), model, schemes, _block_stages(params, trees, [seed]))
+    table, channels, judged = _judge_block(params.phy(), [model], schemes, _block_stages(params, trees, [seed]))
     results: dict[tuple[TreeKind, Scheme], SessionResult] = {}
     for tree_kind, tree_results in zip(trees, session_results(table, channels, judged)):
         for scheme, result in zip(schemes, tree_results):
@@ -388,26 +403,34 @@ def run_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     topologies and draws, which keeps trends smooth at modest trial counts.
     Trials run in blocks of up to BLOCK_SEEDS seeds (BlockStages), each
     block built once for all values unless the geometry is swept; one
-    block's stages are alive at a time. Per (block, value) the block is one
-    event table, judged by _judge_block exactly as run_scenario_sessions
-    judges its block of one seed, so every trial equals run_scenario_sessions
-    at its seed.
+    block's stages are alive at a time. Values whose scenarios share the
+    block, the radio and the mean idle durations (every value of a p_idle
+    sweep) are judged together, the rest each alone; either way
+    _judge_block judges a block as run_scenario_sessions judges its block of
+    one seed, so every trial equals run_scenario_sessions at its seed.
     """
     points = [(params, params.channels(), params.phy()) for _, params in spec.scenarios()]
     shared = SWEEP_VARIABLES[spec.variable] not in _GEOMETRY_FIELDS
+    # Values sharing one link table: the same radio and mean idle durations over a shared block.
+    groups: dict = {}
+    for v, (_, model, phy) in enumerate(points):
+        groups.setdefault((phy, model.mu_idle.tobytes()) if shared else v, []).append(v)
     shape = (len(points), len(spec.trees), len(spec.schemes), spec.trials)
     avg, pdr = np.empty(shape), np.empty(shape)
     for first in range(0, spec.trials, BLOCK_SEEDS):
         seeds = range(spec.seed + first, spec.seed + min(first + BLOCK_SEEDS, spec.trials))
         trials = slice(first, first + len(seeds))
         shared_block = _block_stages(spec.base, spec.trees, seeds) if shared else None
-        for v, (params, model, phy) in enumerate(points):
+        for values in groups.values():
+            params, _, phy = points[values[0]]
             block = shared_block or _block_stages(params, spec.trees, seeds)
-            judged = _judge_block(phy, model, spec.schemes, block)[2]
+            judged = _judge_block(phy, [points[v][1] for v in values], spec.schemes, block)[2]
             n_dest = judged.delivered.shape[1]
-            # Tree j of the block is seed j // len(trees) on tree kind j % len(trees).
+            # Tree j of the block is seed j // len(trees) on tree kind j % len(trees), and
+            # column c is value values[c // len(schemes)] under scheme c % len(schemes).
+            split = (len(seeds), shape[1], len(values), shape[2])
             for out, per_tree in ((avg, judged.total / n_dest), (pdr, judged.delivered.sum(axis=1) / n_dest)):
-                out[v, :, :, trials] = per_tree.reshape(len(seeds), *shape[1:3]).transpose(1, 2, 0)
+                out[values, :, :, trials] = per_tree.reshape(split).transpose(2, 1, 3, 0)
             del block  # gone before the next block is built, so one block is alive at a time
         del shared_block
     return avg, pdr

@@ -18,17 +18,22 @@ marking the parents of marked nodes up from the destinations prunes each
 tree, and the kept nodes, tree after tree, are the slots. So every (seed,
 tree kind) of a block of trial seeds is one index, drawn in four generator
 calls per tree with each tree's own generator (draw_raw), and its link
-metrics are one EventTable over it. Every scheme chooses every entry's
-channel at once (select_channels): pos, masa and mdr from the table, rs from
-one pick uniform per entry, drawn whether or not the entry's transmitter
-gets the packet. judge then settles every tree under every scheme's channels
-in one array pass: one gather reads each hop's air time and fit on its
-chosen channel, and the air times are summed along each destination's path
-from the root (SlotIndex.dest_paths, built once per index), one step at a
-time for all paths together. Sweeps read only each tree's delivered
-destinations and total throughput; run (a block of one seed) and fixture
-replays (one tree) build SessionResults from the judgement
-(session_results).
+metrics are one EventTable over it, on every channel whether idle or not:
+idle probabilities only decide which channels are idle, so one table
+serves every idle probability over the same mean idle durations, and
+idle_flags thresholds the uniforms at one or several of them at once.
+Every scheme chooses every entry's channel under every set of idle flags at
+once (select_channels): pos, masa and mdr from the table, rs from one pick
+uniform per entry, drawn whether or not the entry's transmitter gets the
+packet. A chosen channel is always idle, so its fit against the table's
+availability is the hop's. judge then settles every tree under every column
+of chosen channels in one array pass: one gather reads each hop's air time
+and fit on its chosen channel, and the air times are summed along each
+destination's path from the root (SlotIndex.dest_paths, built once per
+index), one step at a time for all paths together. Sweeps read only each
+tree's delivered destinations and total throughput; run (a block of one
+seed) and fixture replays (one tree) build SessionResults from the
+judgement (session_results).
 
 Hop records (SessionResult.hops, and control_trace from them) are a view
 built from the table and the node ids of its index when first read; sampled
@@ -168,13 +173,14 @@ def slot_index(parent: np.ndarray, dist: np.ndarray, destinations: np.ndarray, r
 @dataclass(frozen=True, eq=False)
 class EventTable:
     """Link metrics of every entry of a layer schedule, as flat arrays in the
-    slot layout of slots. Per-event arrays are (events x channels),
-    per-receiver ones (slots x channels); busy channels carry zero success
-    probability. Builders check what they pass in (see the module docstring)."""
+    slot layout of slots, on every channel whether idle or not: which
+    channels are idle is a separate (E, M) array of flags, or several
+    (idle_flags). Per-event arrays are (events x channels), per-receiver ones
+    (slots x channels). Builders check what they pass in (see the module
+    docstring)."""
 
     slots: SlotIndex
-    idle: np.ndarray  # (E, M) bool
-    available_time: np.ndarray  # (E, M) s; NaN on busy channels
+    available_time: np.ndarray  # (E, M) s; sampled availability, read only on idle channels
     pos: np.ndarray  # (R, M) success probability
     rate: np.ndarray  # (R, M) bits/s
     tx_time: np.ndarray  # (R, M) s
@@ -185,7 +191,7 @@ class EventTable:
     def fits(self) -> np.ndarray:
         """(R, M) bool: whether the packet's air time to each slot fits within
         its event's sampled availability of each channel, the success rule of
-        every hop. Busy channels never fit: their availability is NaN."""
+        every hop on an idle channel."""
         return self.tx_time <= self.available_time[self.slots.event]
 
 
@@ -281,41 +287,41 @@ def draw_raw(slots: SlotIndex, model: ChannelModel, rngs):
     return uniform, residual, gains, picks
 
 
-def threshold_draws(raw, p_idle: np.ndarray):
-    """Turn raw draws into channel states: a channel is idle where its uniform
-    falls below its idle probability. Returns (E, M) idle flags, (E, M)
-    availability (NaN on busy channels), and the (R, M) gains and (E,) picks
-    unchanged."""
-    uniform, residual, gains, picks = raw
-    idle = uniform < p_idle
-    return idle, np.where(idle, residual, np.nan), gains, picks
+def idle_flags(raw, p_idle: np.ndarray) -> np.ndarray:
+    """Channel states of raw draws (draw_raw): a channel is idle where its
+    uniform falls below its idle probability. p_idle is (M,) for one model,
+    giving (E, M) flags, or (V, M) for V models at once, giving (V, E, M)."""
+    return raw[0] < p_idle[..., None, :]
 
 
-def link_metrics(phy: PhyParams, draws, mu_idle: np.ndarray, slots: SlotIndex) -> EventTable:
-    """Evaluate the link equations for a whole tree at once: gains to received
-    power to rate to air time to success probability, per slot and channel,
-    over each slot's parent-edge distance in slots.
+def link_metrics(phy: PhyParams, raw, mu_idle: np.ndarray, slots: SlotIndex) -> EventTable:
+    """Evaluate the link equations for a whole stack of trees at once: gains
+    to received power to rate to air time to success probability, per slot
+    and channel, over each slot's parent-edge distance in slots, from raw
+    draws (draw_raw). The table holds every channel's residual as its
+    availability: idle flags decide which channels a scheme may choose.
 
     An infinite rate would give zero air time, so it is an error: the signal
     to noise ratio overflows at a short enough distance whenever the transmit
     power is large enough against the noise power."""
-    idle, available, gains, picks = draws
+    _, residual, gains, picks = raw
     rate, t, p = link_arrays(phy, slots.distances[:, None], gains, mu_idle)
     if not np.isfinite(rate).all():
         raise LinkBudgetError(
             f"pt_watts = {phy.pt!r} against a noise power bandwidth_hz * noise_psd = "
             f"{phy.bandwidth * phy.noise_psd!r} W overflows the signal to noise ratio: a data rate is not finite"
         )
-    return EventTable(slots, idle, available, np.where(idle[slots.event], p, 0.0), rate, t, mu_idle, picks)
+    return EventTable(slots, residual, p, rate, t, mu_idle, picks)
 
 
-def select_channels(table: EventTable, scheme: Scheme) -> np.ndarray:
-    """Channel of every entry of table under scheme, chosen for the whole
-    table at once (assignment.choose_channels); -1 for none. rs picks for
-    every entry, also one whose transmitter never gets the packet: judge
-    fails every hop below a failed one, whatever its channel."""
+def select_channels(table: EventTable, idle: np.ndarray, scheme: Scheme) -> np.ndarray:
+    """Channel of every entry of table under scheme and idle flags idle,
+    (E, M) or (V, E, M), chosen for the whole table and every set of flags
+    at once (assignment.choose_channels): (E,) or (V, E), -1 for none. rs
+    picks for every entry, also one whose transmitter never gets the packet:
+    judge fails every hop below a failed one, whatever its channel."""
     return choose_channels(
-        scheme, table.pos, table.rate, table.mu_idle, table.idle, table.slots.starts, table.picks
+        scheme, table.pos, table.rate, table.mu_idle, idle, table.slots.starts, table.picks
     )
 
 
@@ -334,12 +340,12 @@ def judge(table: EventTable, channels: np.ndarray, packet_bits: int) -> Judgemen
     an (E, S) array of chosen channels (-1 for none), and deliver.
 
     A slot gets the packet iff every hop on its path from the root fits: a
-    channel was chosen and the air time on it fits within its sampled
-    availability (table.fits). One gather reads every slot's air time and
-    fit on its chosen channel, NaN where the hop fails, and the air times
-    are added along every destination's path (SlotIndex.dest_paths) from
-    the root side one slot after another, the same float additions as
-    walking the path hop by hop. A failed hop leaves NaN on every path
+    channel was chosen, so an idle one, and the air time on it fits within
+    its sampled availability (table.fits). One gather reads every slot's
+    air time and fit on its chosen channel, NaN where the hop fails, and the
+    air times are added along every destination's path (SlotIndex.dest_paths)
+    from the root side one slot after another, gathered a step at a time for
+    all paths, the same float additions as walking the path hop by hop. A failed hop leaves NaN on every path
     through it: fitting air times are numbers, and a sum of numbers that
     overflows is inf, never NaN, and as with Python floats no error. A
     destination's throughput is packet_bits over its path's sum, and a
@@ -356,11 +362,14 @@ def judge(table: EventTable, channels: np.ndarray, packet_bits: int) -> Judgemen
     # One row per slot plus a last one for the roots, which hold the packet at air time 0.
     air = np.zeros((len(slot_ch) + 1, slot_ch.shape[1]))
     air[:-1] = np.where(table.fits.take(cells) & (slot_ch >= 0), table.tx_time.take(cells), np.nan)
-    along = air.take(slots.dest_paths, axis=0).reshape((-1, *slots.dest_slot.shape, air.shape[1]))
+    # One (paths, S) gather per step rather than one (height, paths, S) gather:
+    # the columns of a group of values would make that one large.
+    paths = slots.dest_paths
     with np.errstate(over="ignore"):
-        dest_air = along[0].copy()
-        for step in along[1:]:
-            dest_air += step
+        dest_air = air.take(paths[0], axis=0)
+        for row in paths[1:]:
+            dest_air += air.take(row, axis=0)
+        dest_air = dest_air.reshape(*slots.dest_slot.shape, air.shape[1])
         delivered = ~np.isnan(dest_air)
         throughput = np.divide(float(packet_bits), dest_air, out=np.zeros(dest_air.shape), where=delivered)
     # np.add.accumulate adds in order along its axis, as Python's sum does.

@@ -191,7 +191,7 @@ def test_criterion_7_monotone_trends():
 
 def test_criterion_8_statistical_sanity():
     # Samples come from the draws sessions use (session.draw_raw, thresholded
-    # by session.threshold_draws) and from the chooser they call
+    # by session.idle_flags) and from the chooser they call
     # (choose_channels), which reads only idle flags and picks under rs.
     n = 100_000
     idle, _, _ = draw(make_channels(4, 0.01, 0.07, 0.5), np.random.default_rng(81), n)

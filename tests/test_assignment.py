@@ -9,7 +9,7 @@ from scipy import stats
 from crn_multicast import experiment
 from crn_multicast.assignment import Scheme, choose_channels
 from crn_multicast.experiment import ScenarioParams
-from crn_multicast.session import EventTable, TreeKind, link_metrics, select_channels, slot_index, threshold_draws
+from crn_multicast.session import EventTable, TreeKind, idle_flags, link_metrics, select_channels, slot_index
 
 MU_S = np.array([0.010, 0.020, 0.030, 0.040, 0.050, 0.060])
 
@@ -17,7 +17,7 @@ MU_S = np.array([0.010, 0.020, 0.030, 0.040, 0.050, 0.060])
 def metrics_from_pos(pos_rows, busy, mu=MU_S, packet_bits=32768):
     """One-event EventTable built from a success-probability table (one row
     per receiver) plus a busy set (channels 1-based), with air times and
-    rates consistent with the table."""
+    rates consistent with the table, and its (1, M) idle flags."""
     pos = np.array(pos_rows, dtype=float)
     m = pos.shape[1]
     idle = np.ones(m, dtype=bool)
@@ -30,15 +30,16 @@ def metrics_from_pos(pos_rows, busy, mu=MU_S, packet_bits=32768):
     # one transmitter, node 0, with a receiver per row, at unit distance
     parent = np.array([[-1] + [0] * len(pos)])
     slots = slot_index(parent, np.ones(parent.shape), np.array([range(1, len(pos) + 1)]))
-    return EventTable(slots, idle[None, :], np.where(idle, mu, np.nan)[None, :], pos, rate, tx, mu)
+    return EventTable(slots, np.where(idle, mu, np.nan)[None, :], pos, rate, tx, mu), idle[None, :]
 
 
-def select_channel(scheme, table, rng=None) -> int:
-    """Channel the session engine picks for a one-event table; -1 when none
-    is idle. rs takes its pick uniform from one rng call, and without an rng
-    has no picks."""
+def select_channel(scheme, metrics, rng=None) -> int:
+    """Channel the session engine picks for a one-event (table, idle flags)
+    pair; -1 when none is idle. rs takes its pick uniform from one rng call,
+    and without an rng has no picks."""
+    table, idle = metrics
     picks = None if rng is None else rng.random(1)
-    return int(select_channels(replace(table, picks=picks), scheme)[0])
+    return int(select_channels(replace(table, picks=picks), idle, scheme)[0])
 
 
 def group_table():
@@ -65,18 +66,18 @@ def unicast_leaf_table():
 
 class TestMaxMinSelection:
     def test_group_event_picks_best_worst_receiver(self):
-        table = group_table()
-        assert select_channel(Scheme.POS, table) == 4  # channel 5, 1-based
+        table, idle = group_table()
+        assert select_channel(Scheme.POS, (table, idle)) == 4  # channel 5, 1-based
         assert table.pos[:, 4].min() == pytest.approx(0.8869)
 
     def test_unicast_through_relay(self):
-        table = unicast_relay_table()
-        assert select_channel(Scheme.POS, table) == 5  # channel 6
+        table, idle = unicast_relay_table()
+        assert select_channel(Scheme.POS, (table, idle)) == 5  # channel 6
         assert table.pos[:, 5].min() == pytest.approx(0.91)
 
     def test_unicast_leaf_hop(self):
-        table = unicast_leaf_table()
-        assert select_channel(Scheme.POS, table) == 3  # channel 4
+        table, idle = unicast_leaf_table()
+        assert select_channel(Scheme.POS, (table, idle)) == 3  # channel 4
         assert table.pos[:, 3].min() == pytest.approx(0.8093)
 
     def test_perturbed_column_moves_the_choice(self):
@@ -99,10 +100,10 @@ class TestMaxMinSelection:
         assert select_channel(Scheme.POS, metrics_from_pos(rows, busy=())) == 5
 
     def test_scaling_every_pos_value_keeps_the_choice(self):
-        base = group_table()
+        base, idle = group_table()
         for c in (0.1, 0.5, 0.9):
-            scaled = replace(base, pos=base.pos * c)
-            assert select_channel(Scheme.POS, scaled) == select_channel(Scheme.POS, base)
+            scaled = replace(base, pos=base.pos * c), idle
+            assert select_channel(Scheme.POS, scaled) == select_channel(Scheme.POS, (base, idle))
 
 
 class TestOtherSchemes:
@@ -114,25 +115,25 @@ class TestOtherSchemes:
         assert select_channel(Scheme.MASA, metrics) == 4
 
     def test_mdr_picks_largest_worst_rate(self):
-        metrics = group_table()
-        idle = np.flatnonzero(metrics.idle[0])
-        expected = idle[int(np.argmax(metrics.rate[:, idle].min(axis=0)))]
-        assert select_channel(Scheme.MDR, metrics) == expected
+        table, flags = group_table()
+        idle = np.flatnonzero(flags[0])
+        expected = idle[int(np.argmax(table.rate[:, idle].min(axis=0)))]
+        assert select_channel(Scheme.MDR, (table, flags)) == expected
 
     def test_mdr_scaling_invariance(self):
-        base = group_table()
-        scaled = replace(base, rate=base.rate * 3.5)
-        assert select_channel(Scheme.MDR, scaled) == select_channel(Scheme.MDR, base)
+        base, idle = group_table()
+        scaled = replace(base, rate=base.rate * 3.5), idle
+        assert select_channel(Scheme.MDR, scaled) == select_channel(Scheme.MDR, (base, idle))
 
     def test_rs_is_uniform_over_idle_channels(self):
-        metrics = group_table()  # 4 idle channels
+        flags = group_table()[1]  # 4 idle channels
         rng = np.random.default_rng(12345)
         n = 100_000
         # n copies of the event in one call; rs reads only the idle flags and the picks.
-        chosen = choose_channels(Scheme.RS, None, None, None, np.repeat(metrics.idle, n, axis=0), None, rng.random(n))
+        chosen = choose_channels(Scheme.RS, None, None, None, np.repeat(flags, n, axis=0), None, rng.random(n))
         counts = np.bincount(chosen, minlength=6)
-        idle = np.flatnonzero(metrics.idle[0])
-        assert counts[~metrics.idle[0]].sum() == 0
+        idle = np.flatnonzero(flags[0])
+        assert counts[~flags[0]].sum() == 0
         freqs = counts[idle] / n
         assert np.all(np.abs(freqs - 0.25) < 0.01)
         chi2 = stats.chisquare(counts[idle]).pvalue
@@ -190,10 +191,11 @@ def random_metrics(draw):
 @given(random_metrics(), st.sampled_from(list(Scheme)), st.integers(min_value=0, max_value=2**31))
 def test_chosen_channel_is_always_idle(metrics, scheme, seed):
     channel = select_channel(scheme, metrics, np.random.default_rng(seed))
+    idle = metrics[1][0]
     if channel == -1:
-        assert not metrics.idle.any()
+        assert not idle.any()
     else:
-        assert metrics.idle[0, channel]
+        assert idle[channel]
 
 
 @settings(max_examples=200, deadline=None)
@@ -202,8 +204,9 @@ def test_pos_choice_dominates_every_idle_column_minimum(metrics):
     channel = select_channel(Scheme.POS, metrics)
     if channel == -1:
         return
-    for j in np.flatnonzero(metrics.idle[0]):
-        assert metrics.pos[:, channel].min() >= metrics.pos[:, j].min() - 1e-12
+    table, idle = metrics
+    for j in np.flatnonzero(idle[0]):
+        assert table.pos[:, channel].min() >= table.pos[:, j].min() - 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -223,35 +226,36 @@ def test_masa_and_rs_choice_frequencies_match_the_model(oracle_block, p_idle):
     #   no channel is idle with probability (1 - p)^M.
     params = ScenarioParams(m_channels=6, p_idle=p_idle)
     model = params.channels()
-    draws = threshold_draws(oracle_block.raw(model), model.p_idle)
-    table = link_metrics(params.phy(), draws, model.mu_idle, oracle_block.slots)
+    raw = oracle_block.raw(model)
+    table, idle = link_metrics(params.phy(), raw, model.mu_idle, oracle_block.slots), idle_flags(raw, model.p_idle)
     picks = {
-        Scheme.MASA: select_channels(table, Scheme.MASA),
-        Scheme.RS: select_channels(table, Scheme.RS),
+        Scheme.MASA: select_channels(table, idle, Scheme.MASA),
+        Scheme.RS: select_channels(table, idle, Scheme.RS),
     }
-    m, q, n = model.m, 1.0 - p_idle, len(table.idle)
+    m, q, n = model.m, 1.0 - p_idle, len(idle)
     larger = (model.mu_idle[None, :] > model.mu_idle[:, None]).sum(axis=1)
     expected = {Scheme.MASA: p_idle * q ** larger, Scheme.RS: np.full(m, (1.0 - q ** m) / m)}
 
     def z(count, prob):
         return (count / n - prob) / np.sqrt(prob * (1.0 - prob) / n)
 
-    assert np.abs(z(np.count_nonzero(~draws[0].any(axis=1)), q ** m)) <= 5.0
+    assert np.abs(z(np.count_nonzero(~idle.any(axis=1)), q ** m)) <= 5.0
     for scheme, chosen in picks.items():
-        assert np.array_equal(chosen == -1, ~table.idle.any(axis=1))
+        assert np.array_equal(chosen == -1, ~idle.any(axis=1))
         counts = np.bincount(chosen[chosen >= 0], minlength=m)
         assert np.abs(z(counts, expected[scheme])).max() <= 5.0, scheme
 
 
-def rs_table(idle, picks) -> EventTable:
-    """EventTable of a chain 0 -> 1 -> ... -> E, one entry per row of idle,
-    with rs pick uniforms picks; rs reads nothing else of it."""
+def rs_channels(idle, picks) -> np.ndarray:
+    """rs's channels on an EventTable of a chain 0 -> 1 -> ... -> E, one
+    entry per row of idle, with rs pick uniforms picks; rs reads nothing
+    else of it."""
     idle = np.array(idle, dtype=bool)
     e, m = idle.shape
     slots = slot_index(np.array([[-1, *range(e)]]), np.ones((1, e + 1)), np.array([[e]]))
     zeros = np.zeros((e, m))
-    return EventTable(slots, idle, np.where(idle, 0.01, np.nan), zeros, zeros, zeros + np.inf,
-                      np.full(m, 0.01), np.array(picks, dtype=float))
+    table = EventTable(slots, zeros + 0.01, zeros, zeros, zeros + np.inf, np.full(m, 0.01), np.array(picks, dtype=float))
+    return select_channels(table, idle, Scheme.RS)
 
 
 class TestRandomPickBoundaries:
@@ -263,13 +267,12 @@ class TestRandomPickBoundaries:
             idle = np.zeros(2 * n + 1, dtype=bool)
             idle[1::2] = True  # channels 1, 3, ..., 2n - 1 idle
             picks = [k / n for k in range(n)] + [np.nextafter(1.0, 0.0)]
-            chosen = select_channels(rs_table([idle] * len(picks), picks), Scheme.RS)
+            chosen = rs_channels([idle] * len(picks), picks)
             assert chosen.tolist() == [2 * k + 1 for k in range(n)] + [2 * n - 1], n
 
     def test_every_channel_busy_gives_no_channel(self):
         picks = [0.0, 0.5, np.nextafter(1.0, 0.0)]
-        table = rs_table([[True, False, True], [False, False, False], [False, True, False]], picks)
-        assert select_channels(table, Scheme.RS).tolist() == [0, -1, 1]
+        assert rs_channels([[True, False, True], [False, False, False], [False, True, False]], picks).tolist() == [0, -1, 1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -279,7 +282,7 @@ class TestRandomPickBoundaries:
 ), min_size=1, max_size=6)))
 def test_random_pick_is_always_an_idle_channel(entries):
     idle, picks = zip(*entries)
-    chosen = select_channels(rs_table(idle, picks), Scheme.RS)
+    chosen = rs_channels(idle, picks)
     for row, u, channel in zip(idle, picks, chosen.tolist()):
         options = np.flatnonzero(row)
         if not options.size:

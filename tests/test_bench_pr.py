@@ -21,7 +21,7 @@ def test_bench_writes_its_record(tmp_path):
     assert record["trials"] == 2 and record["scenario"]["trials"] == "2"
     for name in ("parent", "change"):
         assert set(record["stages"][name]) == {
-            "block_stages_ms", "raw_ms", "judge_block_ms", "block_stages_one_seed_ms",
+            "block_stages_ms", "raw_ms", "sweep_block_ms", "block_stages_one_seed_ms",
             "block_stages_n40_ms", "block_stages_n80_ms", "block_stages_n160_ms",
         }
         assert all(ms > 0.0 for ms in record["stages"][name].values())

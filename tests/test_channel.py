@@ -5,21 +5,24 @@ import pytest
 from scipy import stats
 
 from crn_multicast.channel import ChannelModel, ChannelParams, make_channels
-from crn_multicast.session import draw_raw, slot_index, threshold_draws
+from crn_multicast.session import draw_raw, idle_flags, slot_index
 
 
 def draw(model, rng, events, receivers=1):
     """The draws sessions take (session.draw_raw, thresholded at the model's
-    idle probabilities) over one tree of `events` entries with `receivers`
-    receivers each: (E, M) idle flags, (E, M) availability, (E * receivers,
-    M) gains; the rs picks are left out. Node v > 0 is a receiver of entry (v - 1) // receivers, whose
-    transmitter is the first receiver of the entry before (the root, 0, for
-    entry 0)."""
+    idle probabilities by session.idle_flags) over one tree of `events`
+    entries with `receivers` receivers each: (E, M) idle flags, (E, M)
+    availability of the idle channels (NaN on busy ones, which no scheme
+    chooses), (E * receivers, M) gains; the rs picks are left out. Node
+    v > 0 is a receiver of entry (v - 1) // receivers, whose transmitter is
+    the first receiver of the entry before (the root, 0, for entry 0)."""
     nodes = range(1, events * receivers + 1)
     parent = [-1, *(((v - 1) // receivers - 1) * receivers + 1 if v > receivers else 0 for v in nodes)]
     # Every node a destination, so pruning keeps the whole tree.
     slots = slot_index(np.array([parent]), np.ones((1, len(parent))), np.array([nodes]))
-    return threshold_draws(draw_raw(slots, model, [rng]), model.p_idle)[:3]
+    raw = draw_raw(slots, model, [rng])
+    idle = idle_flags(raw, model.p_idle)
+    return idle, np.where(idle, raw[1], np.nan), raw[2]
 
 
 class TestMakeChannels:

@@ -87,9 +87,9 @@ class TestRunTrial:
         block = experiment._block_stages(SMALL, trees, seeds)
         for params in (SMALL, replace(SMALL, m_channels=3), replace(SMALL, p_idle=0.3, bandwidth_hz=2e6)):
             phy, model = params.phy(), params.channels()
-            table, channels, shared = experiment._judge_block(phy, model, ALL_SCHEMES, block)
+            table, channels, shared = experiment._judge_block(phy, [model], ALL_SCHEMES, block)
             fresh_block = experiment._block_stages(params, trees, seeds)
-            _, fresh_channels, fresh = experiment._judge_block(phy, model, ALL_SCHEMES, fresh_block)
+            _, fresh_channels, fresh = experiment._judge_block(phy, [model], ALL_SCHEMES, fresh_block)
             assert np.array_equal(channels, fresh_channels)
             for name in ("air", "delivered", "throughput", "total"):
                 assert np.array_equal(getattr(shared, name), getattr(fresh, name), equal_nan=True)
@@ -284,15 +284,40 @@ class TestSeedBlocks:
     @pytest.mark.parametrize("variable", list(SWEEP_AXES))
     def test_blocks_match_reference_engine_seed_by_seed(self, monkeypatch, variable):
         # Blocks of 3 over 7 trials: two full blocks and a partial one, each
-        # judged as one stacked table of every (seed, tree kind) per value.
-        # The reference engine runs every seed on its own and shares no code
-        # with judge.
+        # judged as one stacked table of every (seed, tree kind): once for
+        # all values of a p_idle sweep, which share the table, and once per
+        # value on every other axis. The reference engine runs every seed on
+        # its own and shares no code with judge.
         monkeypatch.setattr(experiment, "BLOCK_SEEDS", 3)
         tables = count_calls(monkeypatch, "_judge_block", experiment)
         spec = SweepSpec(base=SMALL, variable=variable, values=SWEEP_AXES[variable], trials=7, seed=21)
         got = run_sweep(spec)
-        assert len(tables) == 3 * len(spec.values)
+        per_call = [len(spec.values)] if variable == "p_idle" else [1] * len(spec.values)
+        assert [len(models) for _, models, _, _ in tables] == per_call * 3
         assert_same_csv(spec, got, value_major_arrays(spec, ref.run_scenario_sessions, lambda res: res[0]))
+
+
+class TestGroupedJudgement:
+    @pytest.mark.parametrize("n_seeds", [1, 3, 33])
+    def test_each_value_equals_its_judgement_alone(self, n_seeds):
+        # Values sharing a block's link table are judged as extra columns,
+        # value after value. Each value's columns must be what the value
+        # judged alone gives, bit for bit, under every scheme; at p_idle 0.05
+        # many events have no idle channel, so -1 columns sit beside chosen
+        # ones in the one judgement.
+        values = (0.05, 0.5, 0.95)
+        block = experiment._block_stages(SMALL, (TreeKind.SPT, TreeKind.MST), range(5, 5 + n_seeds))
+        phy, models = SMALL.phy(), [replace(SMALL, p_idle=p).channels() for p in values]
+        _, channels, grouped = experiment._judge_block(phy, models, ALL_SCHEMES, block)
+        k = len(ALL_SCHEMES)
+        assert channels.shape == (len(block.slots.starts), len(values) * k)
+        assert (channels[:, :k] == -1).any() and (channels[:, :k] >= 0).any()
+        for v, model in enumerate(models):
+            _, alone_channels, alone = experiment._judge_block(phy, [model], ALL_SCHEMES, block)
+            columns = slice(v * k, (v + 1) * k)
+            assert np.array_equal(channels[:, columns], alone_channels)
+            for name in ("air", "delivered", "throughput", "total"):
+                assert np.array_equal(getattr(grouped, name)[..., columns], getattr(alone, name), equal_nan=True)
 
 
 def test_tree_kinds_are_independent(monkeypatch):

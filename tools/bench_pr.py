@@ -15,9 +15,10 @@ interpreters with PYTHONPATH set to its src/:
 - stages: per-stage medians, in ms, on one fixed block of 32 trial seeds
   from the config's seed, through functions both trees have:
   `experiment._block_stages` (geometry and slot index), `BlockStages.raw`
-  on a fresh block (the draws), and `experiment._judge_block` at each swept
-  value with the draws cached (link metrics, every scheme's channels and
-  the judgement). `_block_stages` is also timed on each of the block's
+  on a fresh block (the draws), and `experiment.run_sweep` of the config
+  with `trials` set to 32, one block at every swept value (`sweep_block`:
+  geometry, draws, link metrics, every scheme's channels and the
+  judgement). `_block_stages` is also timed on each of the block's
   first 20 seeds alone (`block_stages_one_seed`, the block of `run`) and
   on the node_scale benchmark's blocks: the first 6 seeds, both tree
   kinds, 4 destinations, at 40, 80 and 160 nodes (`block_stages_n40` ...).
@@ -61,9 +62,10 @@ from crn_multicast.session import TreeKind
 
 spec, repeats = load_config(sys.argv[2]), int(sys.argv[3])
 seeds = range(spec.seed, spec.seed + %d)
-points = [(params.phy(), params.channels()) for _, params in spec.scenarios()]
+models = [params.channels() for _, params in spec.scenarios()]
+block_spec = replace(spec, trials=len(seeds))
 node_scale = {n: replace(spec.base, n_nodes=n, n_dest=4) for n in (40, 80, 160)}
-times = {"block_stages": [], "raw": [], "judge_block": [], "block_stages_one_seed": []}
+times = {"block_stages": [], "raw": [], "sweep_block": [], "block_stages_one_seed": []}
 times.update({"block_stages_n%%d" %% n: [] for n in node_scale})
 
 def timed(stage, call):
@@ -74,12 +76,10 @@ def timed(stage, call):
 
 for _ in range(repeats):
     block = timed("block_stages", lambda: experiment._block_stages(spec.base, spec.trees, seeds))
-    for _, model in points:
+    for model in models:
         fresh = experiment.BlockStages(block.seeds, block.trees, block.slots)
         timed("raw", lambda: fresh.raw(model))
-    for phy, model in points:
-        block.raw(model)  # the draws are cached before the judgement is timed
-        timed("judge_block", lambda: experiment._judge_block(phy, model, spec.schemes, block))
+    timed("sweep_block", lambda: experiment.run_sweep(block_spec))
     for seed in seeds[:%d]:
         timed("block_stages_one_seed", lambda: experiment._block_stages(spec.base, spec.trees, [seed]))
     for n, params in node_scale.items():
