@@ -15,7 +15,6 @@ from .experiment import (
 )
 from .phy import PhyParams, data_rate, pos, received_power, tx_time
 from .session import HopRecord, SessionResult, TreeKind, session_to_csv
-from .topology import Topology, Tree, build_mst, build_spt, generate_topology
 
 __version__ = "0.1.0"
 
@@ -29,14 +28,9 @@ __all__ = [
     "Scheme",
     "SessionResult",
     "SweepSpec",
-    "Topology",
-    "Tree",
     "TreeKind",
     "aggregate_trials",
-    "build_mst",
-    "build_spt",
     "data_rate",
-    "generate_topology",
     "make_channels",
     "pos",
     "received_power",

@@ -443,7 +443,8 @@ AGGREGATE_HEADER = (
 
 
 def _fmt(v) -> str:
-    return repr(v) if isinstance(v, float) else str(v)
+    # float() first: a float subclass such as numpy.float64 reprs as np.float64(0.1).
+    return repr(float(v)) if isinstance(v, float) else str(v)
 
 
 def trials_to_csv(spec: SweepSpec, avg: np.ndarray, pdr: np.ndarray) -> str:

@@ -5,82 +5,29 @@ area, with an edge between every pair within communication range, held as one
 (n, n) matrix of Euclidean edge lengths, inf off the edges. Trees are rooted
 at the multicast source (shortest paths by min-plus relaxation, giving the
 tree Dijkstra's algorithm builds; minimum spanning by Kruskal's algorithm)
-and held as (n,) arrays of each node's parent and parent-edge length;
-build_spt and build_mst wrap them as a Tree of dicts.
+and held as arrays of each node's parent and parent-edge length.
 
-Geometry is built for a stack of seeds at once, as (seeds, n, n) weights and
-(seeds, n) parent arrays: place_stack places and connects every seed's nodes
-from the seed's own generator, measuring and checking the whole stack in the
-same numpy calls and redrawing only the disconnected placements; spt_stack
-relaxes every seed's distances together; mst_stack lists the stack's edges
-in one pass and runs Kruskal seed by seed. generate_topology, spt_parents
-and mst_parents are the stack of one. A block of trial seeds is built in
-chunks of chunk_seeds(n) seeds, so each chunk's (seeds, n, n) arrays hold at
-most CHUNK_CELLS cells (or one seed). tree_levels walks a stack of trees down
-from their roots one level at a time, every tree of the stack in the same
-numpy calls, in breadth-first order; session.slot_index prunes the levels to
-the destinations and lays the result out as transmission slots.
+Every stage takes a stack of seeds, one seed being a stack of one, as
+(seeds, n, n) weights and (seeds, n) parent arrays: place_stack places and
+connects every seed's nodes from the seed's own generator, measuring and
+checking the whole stack in the same numpy calls and redrawing only the
+disconnected placements; spt_stack relaxes every seed's distances together;
+mst_stack lists the stack's edges in one pass and runs Kruskal seed by seed.
+A block of trial seeds is built in chunks of chunk_seeds(n) seeds, so each
+chunk's (seeds, n, n) arrays hold at most CHUNK_CELLS cells (or one seed).
+tree_levels walks a stack of trees down from their roots one level at a
+time, every tree of the stack in the same numpy calls, in breadth-first
+order; session.slot_index prunes the levels to the destinations and lays
+the result out as transmission slots.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
-
-
-@dataclass(frozen=True, eq=False)
-class Topology:
-    """Connected undirected graph over node positions, an (n, 2) array in
-    meters; weights is the symmetric (n, n) matrix of edge lengths in meters,
-    inf on the diagonal and wherever two nodes share no edge."""
-
-    points: np.ndarray
-    weights: np.ndarray
-    area_side: float
-    comm_range: float
-
-    @classmethod
-    def from_edges(cls, points, edges, area_side: float, comm_range: float) -> Topology:
-        weights = np.full((len(points), len(points)), math.inf)
-        for u, v, d in edges:
-            weights[u, v] = weights[v, u] = d
-        return cls(np.asarray(points, dtype=float), weights, area_side, comm_range)
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int, float], ...]:
-        """(u, v, d) per edge with u < v, in (u, v) order."""
-        u, v = np.nonzero(np.triu(self.weights < math.inf))
-        return tuple(zip(u.tolist(), v.tolist(), self.weights[u, v].tolist()))
-
-
-@dataclass(frozen=True)
-class Tree:
-    """Rooted tree over a subset of node ids: parent maps every non-root node
-    to its parent, edge_dist to the length of its parent edge."""
-
-    root: int
-    parent: dict[int, int]
-    edge_dist: dict[int, float]
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.parent)
-
-    def path_distance(self, v: int) -> float:
-        """Summed edge lengths from v up to the root, v's edge first."""
-        total = 0
-        while v != self.root:
-            total += self.edge_dist[v]
-            v = self.parent[v]
-        return total
 
 
 # Cells, seeds x n x n, of one chunk of a block's geometry (chunk_seeds):
@@ -123,13 +70,19 @@ def place_stack(
     n: int, area_side: float, comm_range: float, rngs, max_retries: int = 100
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Place n nodes uniformly in a square per generator of rngs and connect
-    pairs within range, as generate_topology does for each, with every
-    placement of the stack measured and checked in the same numpy calls.
+    pairs within range, every placement of the stack measured and checked in
+    the same numpy calls.
 
-    Returns (seeds, n, 2) points, (seeds, n, n) weights as Topology.weights
-    and each placement's (seeds,) range. Each generator makes its own draws,
-    so a placement does not depend on the others of its stack; only the
-    disconnected ones are redrawn, and their ranges grown.
+    A disconnected placement is redrawn from its own generator, up to
+    max_retries placements in all; then the last one is kept and its range
+    grown in 10% steps until the graph connects (at the latest at the area
+    diagonal). Each generator makes its own draws, so a placement does not
+    depend on the others of its stack.
+
+    Returns (seeds, n, 2) points in meters, (seeds, n, n) weights (the
+    symmetric edge lengths in meters, inf on the diagonal and between nodes
+    out of range) and each placement's (seeds,) range used: the only place a
+    grown range shows.
     """
     if n < 2:
         raise ValueError("a topology needs at least 2 nodes")
@@ -162,27 +115,6 @@ def place_stack(
         np.divide(dist, within, out=dist)
     dist.reshape(len(rngs), n * n)[:, :: n + 1] = math.inf  # the diagonals
     return points, dist, ranges
-
-
-def generate_topology(
-    n: int, area_side: float, comm_range: float, rng: np.random.Generator, max_retries: int = 100
-) -> Topology:
-    """Place n nodes uniformly in a square and connect pairs within range.
-
-    A disconnected placement is redrawn, up to max_retries placements in all;
-    then the last one is kept and the range grown in 10% steps until the graph
-    connects (at the latest at the area diagonal). The returned comm_range is
-    the range used, the only place a grown range shows. place_stack with one
-    generator.
-    """
-    points, weights, ranges = place_stack(n, area_side, comm_range, [rng], max_retries)
-    return Topology(points[0], weights[0], area_side, ranges.item())
-
-
-def _tree(root: int, parent: np.ndarray, dist: np.ndarray) -> Tree:
-    kids = np.flatnonzero(parent >= 0)
-    keys = kids.tolist()
-    return Tree(root, dict(zip(keys, parent[kids].tolist())), dict(zip(keys, dist[kids].tolist())))
 
 
 def _check_root(weights: np.ndarray, root: int) -> None:
@@ -248,15 +180,10 @@ def spt_stack(weights: np.ndarray, root: int) -> tuple[np.ndarray, np.ndarray]:
     return parent, _edge_lengths(weights, rows, root)
 
 
-def spt_parents(topology: Topology, root: int) -> tuple[np.ndarray, np.ndarray]:
-    """spt_stack of the one topology, as (n,) arrays."""
-    parent, dist = spt_stack(topology.weights[None], root)
-    return parent[0], dist[0]
-
-
-# Edges per node that Kruskal sorts first. Median us of mst_parents over 200
-# default placements (2-vCPU x86), with 4n / 5n / 6n / all edges first: N = 40
-# 93 / 87 / 87 / 87, N = 80 205 / 199 / 200 / 202, N = 160 503 / 462 / 458 / 588.
+# Edges per node that Kruskal sorts first. Median us of mst_stack on one seed
+# over 200 default placements (2-vCPU x86), with 4n / 5n / 6n / all edges
+# first: N = 40 93 / 87 / 87 / 87, N = 80 205 / 199 / 200 / 202, N = 160
+# 503 / 462 / 458 / 588.
 MST_PREFIX = 6
 
 
@@ -326,22 +253,6 @@ def _kruskal(flat: np.ndarray, lengths: np.ndarray, n: int, root: int) -> list[i
     while x >= 0:
         parent[x], x, up = up, parent[x], x
     return parent
-
-
-def mst_parents(topology: Topology, root: int) -> tuple[np.ndarray, np.ndarray]:
-    """mst_stack of the one topology, as (n,) arrays."""
-    parent, dist = mst_stack(topology.weights[None], root)
-    return parent[0], dist[0]
-
-
-def build_spt(topology: Topology, root: int) -> Tree:
-    """spt_parents' tree as a Tree."""
-    return _tree(root, *spt_parents(topology, root))
-
-
-def build_mst(topology: Topology, root: int) -> Tree:
-    """mst_parents' tree as a Tree."""
-    return _tree(root, *mst_parents(topology, root))
 
 
 def tree_levels(parent: np.ndarray, root: int) -> list[np.ndarray]:

@@ -24,10 +24,10 @@ from crn_multicast.experiment import (
 )
 from crn_multicast.phy import PhyParams, data_rate, pos, received_power
 from crn_multicast.session import TreeKind
-from crn_multicast.topology import build_mst, build_spt
+from crn_multicast.topology import mst_stack, spt_stack
 
 from test_channel import draw
-from test_topology import floyd_warshall, min_spanning_weight_bruteforce, random_connected_topology
+from test_topology import dict_trees, edges_of, floyd_warshall, min_spanning_weight_bruteforce, random_connected_topology
 
 ALL_SCHEMES = (Scheme.POS, Scheme.MASA, Scheme.MDR, Scheme.RS)
 DEFAULTS = ScenarioParams()  # N=40, Nr=16, M=20, BW 1 MHz, D 4 KB, Pt 0.1 W, mu 2..70 ms
@@ -89,19 +89,20 @@ def test_criterion_3_tree_oracles():
     ok = True
     for seed in range(200):
         rng = np.random.default_rng(seed)
-        topo = random_connected_topology(rng, n_max=12)
-        spt = build_spt(topo, 0)
-        mst = build_mst(topo, 0)
-        ok &= spt.n_edges == topo.n - 1 and mst.n_edges == topo.n - 1
-        dist = floyd_warshall(topo.n, topo.edges)
-        for v in range(topo.n):
+        _, weights, _ = random_connected_topology(rng, n_max=12)
+        n, edges = weights.shape[-1], edges_of(weights[0])
+        [spt], [mst] = dict_trees(*spt_stack(weights, 0), 0), dict_trees(*mst_stack(weights, 0), 0)
+        ok &= spt.n_edges == n - 1 and mst.n_edges == n - 1
+        dist = floyd_warshall(n, edges)
+        for v in range(n):
             ok &= abs(spt.path_distance(v) - dist[0][v]) <= 1e-9
             ok &= spt.path_distance(v) <= mst.path_distance(v) + 1e-9
     for seed in range(12):
         rng = np.random.default_rng(5000 + seed)
-        topo = random_connected_topology(rng, n_max=7, n_min=4)
-        best = min_spanning_weight_bruteforce(topo.n, topo.edges)
-        ok &= abs(sum(build_mst(topo, 0).edge_dist.values()) - best) <= 1e-9
+        _, weights, _ = random_connected_topology(rng, n_max=7, n_min=4)
+        best = min_spanning_weight_bruteforce(weights.shape[-1], edges_of(weights[0]))
+        [mst] = dict_trees(*mst_stack(weights, 0), 0)
+        ok &= abs(sum(mst.edge_dist.values()) - best) <= 1e-9
     elapsed = time.perf_counter() - start
     ok &= elapsed < 30.0
     report(3, ok, f"200 SPT/Floyd-Warshall + 12 MST/brute-force instances in {elapsed:.1f} s")

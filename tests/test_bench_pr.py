@@ -17,12 +17,19 @@ def test_bench_writes_its_record(tmp_path):
         check=True, capture_output=True, timeout=120,
     )
     record = json.loads(out.read_text())
-    assert set(record) >= {"machine", "python", "numpy", "scenario", "trials", "stages", "trials_per_s", "sweep_wall_s"}
+    assert set(record) >= {
+        "machine", "python", "numpy", "scenario", "trials", "stages", "stage_ratio", "trials_per_s", "sweep_wall_s",
+    }
     assert record["trials"] == 2 and record["scenario"]["trials"] == "2"
+    stages = {
+        "block_stages_ms", "raw_ms", "sweep_block_ms", "block_stages_one_seed_ms",
+        "block_stages_n40_ms", "block_stages_n80_ms", "block_stages_n160_ms",
+    }
+    # one pair: each ratio is that pair's change median over its parent median
+    assert set(record["stage_ratio"]) == stages
+    for stage, ratio in record["stage_ratio"].items():
+        assert ratio == record["stages"]["change"][stage] / record["stages"]["parent"][stage]
     for name in ("parent", "change"):
-        assert set(record["stages"][name]) == {
-            "block_stages_ms", "raw_ms", "sweep_block_ms", "block_stages_one_seed_ms",
-            "block_stages_n40_ms", "block_stages_n80_ms", "block_stages_n160_ms",
-        }
+        assert set(record["stages"][name]) == stages
         assert all(ms > 0.0 for ms in record["stages"][name].values())
         assert len(record["sweep_wall_s"][name]) == 1 and record["trials_per_s"][name] > 0.0

@@ -22,8 +22,8 @@ from crn_multicast.example_case import builtin_fixture, run_fixture
 from crn_multicast import experiment
 from crn_multicast.experiment import ScenarioParams, run_scenario_sessions
 from crn_multicast.session import TreeKind, slot_index
-from crn_multicast.topology import build_mst, build_spt, generate_topology, mst_parents, spt_parents
-from test_topology import assert_same_slots, reference_slots
+from crn_multicast.topology import mst_stack, place_stack, spt_stack
+from test_topology import assert_same_slots, dict_trees, edges_of, reference_slots
 
 SCHEMES = tuple(Scheme)
 TREES = (TreeKind.SPT, TreeKind.MST)
@@ -147,24 +147,27 @@ GEOMETRY_SETTINGS = [
 
 @pytest.mark.parametrize("n, area, comm_range, max_retries, seeds, grown", GEOMETRY_SETTINGS)
 def test_geometry_matches_reference(n, area, comm_range, max_retries, seeds, grown):
-    # Placement, edges, range growth, and the SPT and MST at three roots
-    # against the reference engine's copy of the earlier geometry code; at
-    # root 0 the slot index of both trees, pruned and layered in one level
-    # pass, must equal the reference's layout of each tree on its own.
-    n_grown = 0
-    for seed in range(seeds):
-        got = generate_topology(n, area, comm_range, np.random.default_rng(seed), max_retries)
-        want = ref.generate_topology(n, area, comm_range, np.random.default_rng(seed), max_retries)
-        assert got.points.tobytes() == want.points.tobytes()
-        assert got.edges == want.edges
-        assert (got.area_side, got.comm_range) == (want.area_side, want.comm_range)
-        n_grown += got.comm_range > comm_range
-        dests = np.random.default_rng((seed, 1)).choice(np.arange(1, n), size=max(1, n // 3), replace=False)
-        for root in (0, n // 2, n - 1):
-            for build, ref_build in ((build_spt, ref.build_spt), (build_mst, ref.build_mst)):
-                tree, ref_tree = build(got, root), ref_build(want, root)
-                assert (tree.root, tree.parent, tree.edge_dist) == (ref_tree.root, ref_tree.parent, ref_tree.edge_dist)
-        arrays = [spt_parents(got, 0), mst_parents(got, 0)]
-        slots = slot_index(np.stack([a[0] for a in arrays]), np.stack([a[1] for a in arrays]), np.array([dests] * 2))
-        assert_same_slots(slots, reference_slots([ref.build_spt(want, 0), ref.build_mst(want, 0)], [dests] * 2))
-    assert n_grown == grown
+    # The setting's seeds placed as one stack, and the SPT and MST of the
+    # whole stack at three roots, against the reference engine's copy of the
+    # earlier geometry code on each seed alone: placement, edges, range
+    # growth and trees. At root 0 the slot index of every seed's two trees,
+    # pruned and layered in one level pass, must equal the reference's
+    # layout of each tree on its own.
+    rngs = [np.random.default_rng(seed) for seed in range(seeds)]
+    points, weights, ranges = place_stack(n, area, comm_range, rngs, max_retries)
+    want = [ref.generate_topology(n, area, comm_range, np.random.default_rng(seed), max_retries) for seed in range(seeds)]
+    for seed, topo in enumerate(want):
+        assert points[seed].tobytes() == topo.points.tobytes()
+        assert edges_of(weights[seed]) == topo.edges
+        assert ranges[seed] == topo.comm_range
+    assert np.count_nonzero(ranges > comm_range) == grown
+    for root in (0, n // 2, n - 1):
+        for build, ref_build in ((spt_stack, ref.build_spt), (mst_stack, ref.build_mst)):
+            assert dict_trees(*build(weights, root), root) == [ref_build(topo, root) for topo in want]
+    # Tree j of the stack is seed j // 2's SPT (j even) or MST (j odd).
+    arrays = [np.stack(pair, axis=1).reshape(2 * seeds, n) for pair in zip(spt_stack(weights, 0), mst_stack(weights, 0))]
+    dests = [np.random.default_rng((seed, 1)).choice(np.arange(1, n), size=max(1, n // 3), replace=False)
+             for seed in range(seeds)]
+    slots = slot_index(*arrays, np.repeat(dests, 2, axis=0))
+    trees = [build(topo, 0) for topo in want for build in (ref.build_spt, ref.build_mst)]
+    assert_same_slots(slots, reference_slots(trees, np.repeat(dests, 2, axis=0)))

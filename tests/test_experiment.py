@@ -20,7 +20,7 @@ from crn_multicast.experiment import (
     write_sweep_csv,
 )
 from crn_multicast.session import TreeKind
-from crn_multicast.topology import Topology
+from test_topology import weights_of
 
 SMALL = ScenarioParams(n_nodes=14, n_dest=5, m_channels=8)
 ALL_SCHEMES = (Scheme.POS, Scheme.MASA, Scheme.MDR, Scheme.RS)
@@ -116,9 +116,8 @@ class TestRunTrial:
     def test_co_located_nodes_rejected_once_per_tree(self, monkeypatch):
         # link_metrics runs the link equations without range checks, so
         # _block_stages rejects a zero parent-edge length of a pruned tree.
-        points = [(0.0, 0.0), (10.0, 0.0), (10.0, 0.0)]
-        topo = Topology.from_edges(points, [(0, 1, 10.0), (1, 2, 0.0)], 200.0, 60.0)
-        placed = (topo.points[None], topo.weights[None], np.array([topo.comm_range]))
+        points = np.array([[(0.0, 0.0), (10.0, 0.0), (10.0, 0.0)]])
+        placed = (points, weights_of(3, [(0, 1, 10.0), (1, 2, 0.0)])[None], np.array([60.0]))
         monkeypatch.setattr(experiment, "place_stack", lambda *args: placed)
         params = ScenarioParams(n_nodes=3, n_dest=2)
         with pytest.raises(ValueError, match="distance must be positive"):
@@ -384,6 +383,18 @@ class TestCsvRoundTrip:
         trials_path, agg_path = write_sweep_csv(self.SPEC, *sweep_output, tmp_path)
         assert trials_path.read_text(encoding="utf-8") == trials_to_csv(self.SPEC, *sweep_output)
         assert read_aggregate_csv(agg_path) == aggregate_trials(self.SPEC, *sweep_output)
+
+    def test_numpy_valued_sweep_writes_the_same_csv(self, tmp_path):
+        # numpy floats repr as np.float64(0.1), which no reader parses
+        values = np.linspace(0.1, 0.9, 3)
+        spec = replace(self.SPEC, values=tuple(values), trials=2)
+        paths = [
+            write_sweep_csv(s, *run_sweep(s), tmp_path / name)
+            for name, s in (("numpy", spec), ("python", replace(spec, values=tuple(values.tolist()))))
+        ]
+        for numpy_path, python_path in zip(*paths):
+            assert numpy_path.read_bytes() == python_path.read_bytes()
+        assert [row.value for row in read_aggregate_csv(paths[0][1])][::2] == [0.1, 0.5, 0.9]
 
     def test_byte_identical_across_runs(self, sweep_output):
         assert_same_csv(self.SPEC, run_sweep(self.SPEC), sweep_output)

@@ -9,16 +9,7 @@ import reference_engine as ref
 from crn_multicast import experiment
 from crn_multicast.experiment import ScenarioParams
 from crn_multicast.session import TreeKind, slot_index
-from crn_multicast.topology import (
-    MST_PREFIX,
-    Topology,
-    build_mst,
-    build_spt,
-    generate_topology,
-    mst_parents,
-    place_stack,
-    spt_parents,
-)
+from crn_multicast.topology import MST_PREFIX, mst_stack, place_stack, spt_stack
 
 
 # ---------------------------------------------------------------- oracles
@@ -77,76 +68,90 @@ def min_spanning_weight_bruteforce(n, edges):
 
 
 def random_connected_topology(rng, n_max=12, n_min=4):
+    """place_stack's (1, n, 2) points, (1, n, n) weights and (1,) range of
+    one placement of n_min to n_max nodes drawn from rng."""
     n = int(rng.integers(n_min, n_max + 1))
-    return generate_topology(n, area_side=100.0, comm_range=55.0, rng=rng)
+    return place_stack(n, 100.0, 55.0, [rng])
 
 
-def point_distance(topo, u, v):
+def weights_of(n, edges):
+    """(n, n) weight matrix of (u, v, d) edges, inf off them."""
+    weights = np.full((n, n), math.inf)
+    for u, v, d in edges:
+        weights[u, v] = weights[v, u] = d
+    return weights
+
+
+def edges_of(weights):
+    """(u, v, d) per edge of an (n, n) weight matrix, u < v, in (u, v) order."""
+    u, v = np.nonzero(np.triu(weights < math.inf))
+    return tuple(zip(u.tolist(), v.tolist(), weights[u, v].tolist()))
+
+
+def dict_trees(parent, dist, root):
+    """Each tree of a (seeds, n) stack of parent arrays (spt_stack,
+    mst_stack) as the reference engine's dict tree."""
+    trees = []
+    for p, d in zip(parent.tolist(), dist.tolist()):
+        kids = [v for v, u in enumerate(p) if u >= 0]
+        trees.append(ref.tree_from_parents(root, {v: p[v] for v in kids}, {v: d[v] for v in kids}))
+    return trees
+
+
+def point_distance(points, u, v):
     # same operation order as the vectorized pair distances, so bit-identical
-    dx, dy = topo.points[u] - topo.points[v]
+    dx, dy = points[u] - points[v]
     return math.sqrt(dx * dx + dy * dy)
 
 
-def path_topology(*weights):
-    # nodes 0..k on a line with the given consecutive gaps
-    xs = [0.0]
-    for w in weights:
-        xs.append(xs[-1] + w)
-    points = np.column_stack([xs, np.zeros(len(xs))])
-    edges = tuple((i, i + 1, float(w)) for i, w in enumerate(weights))
-    return Topology.from_edges(points, edges, area_side=max(xs), comm_range=max(weights))
+# ---------------------------------------------------------------- placement
 
-
-# ---------------------------------------------------------------- generation
-
-class TestGenerateTopology:
+class TestPlaceStack:
     def test_two_nodes_in_range_get_one_edge(self):
-        rng = np.random.default_rng(0)
-        topo = generate_topology(2, area_side=10.0, comm_range=20.0, rng=rng)
-        assert len(topo.edges) == 1
-        u, v, d = topo.edges[0]
-        assert d == pytest.approx(point_distance(topo, u, v))
+        points, weights, _ = place_stack(2, 10.0, 20.0, [np.random.default_rng(0)])
+        assert edges_of(weights[0]) == ((0, 1, point_distance(points[0], 0, 1)),)
 
     def test_same_seed_same_topology(self):
-        a = generate_topology(25, 200.0, 60.0, np.random.default_rng(5))
-        b = generate_topology(25, 200.0, 60.0, np.random.default_rng(5))
-        assert np.array_equal(a.points, b.points)
-        assert (a.edges, a.area_side, a.comm_range) == (b.edges, b.area_side, b.comm_range)
+        a = place_stack(25, 200.0, 60.0, [np.random.default_rng(5)])
+        b = place_stack(25, 200.0, 60.0, [np.random.default_rng(5)])
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_connectivity_over_many_seeds(self):
-        for seed in range(100):
-            topo = generate_topology(40, 200.0, 60.0, np.random.default_rng(seed))
-            assert bfs_reachable(topo.n, topo.edges) == set(range(topo.n))
+        _, weights, _ = place_stack(40, 200.0, 60.0, [np.random.default_rng(seed) for seed in range(100)])
+        for w in weights:
+            assert bfs_reachable(40, edges_of(w)) == set(range(40))
 
     def test_edges_exactly_within_range(self):
-        topo = generate_topology(30, 200.0, 60.0, np.random.default_rng(3))
-        have = {(u, v) for u, v, _ in topo.edges}
-        for u in range(topo.n):
-            for v in range(u + 1, topo.n):
-                d = point_distance(topo, u, v)
-                assert ((u, v) in have) == (d <= topo.comm_range)
+        points, weights, ranges = place_stack(30, 200.0, 60.0, [np.random.default_rng(3)])
+        have = {(u, v) for u, v, _ in edges_of(weights[0])}
+        for u in range(30):
+            for v in range(u + 1, 30):
+                d = point_distance(points[0], u, v)
+                assert ((u, v) in have) == (d <= ranges[0])
+                assert weights[0, u, v] == weights[0, v, u] == (d if d <= ranges[0] else math.inf)
+        assert np.all(np.diagonal(weights[0]) == math.inf)
 
     def test_range_grows_when_placements_cannot_connect(self):
         # 2 nodes with a tiny range almost never connect at first try
-        topo = generate_topology(2, area_side=1000.0, comm_range=1e-6, rng=np.random.default_rng(1), max_retries=3)
-        assert bfs_reachable(topo.n, topo.edges) == {0, 1}
-        assert topo.comm_range > 1e-6
+        _, weights, ranges = place_stack(2, 1000.0, 1e-6, [np.random.default_rng(1)], max_retries=3)
+        assert bfs_reachable(2, edges_of(weights[0])) == {0, 1}
+        assert ranges[0] > 1e-6
 
     def test_positions_inside_area(self):
-        topo = generate_topology(50, 120.0, 50.0, np.random.default_rng(8))
-        assert topo.points.shape == (50, 2)
-        assert np.all((0.0 <= topo.points) & (topo.points <= 120.0))
+        points, _, _ = place_stack(50, 120.0, 50.0, [np.random.default_rng(8)])
+        assert points.shape == (1, 50, 2)
+        assert np.all((0.0 <= points) & (points <= 120.0))
 
     def test_too_few_nodes_rejected(self):
-        with pytest.raises(ValueError):
-            generate_topology(1, 100.0, 30.0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            place_stack(1, 100.0, 30.0, [np.random.default_rng(0)])
 
     @pytest.mark.parametrize("max_retries", [0, -1])
     def test_no_placement_rejected(self, max_retries):
         # with no placement drawn, range growth had nothing to grow on and
         # raised UnboundLocalError
         with pytest.raises(ValueError, match="max_retries must be at least 1"):
-            generate_topology(10, 100.0, 30.0, np.random.default_rng(0), max_retries)
+            place_stack(10, 100.0, 30.0, [np.random.default_rng(0)], max_retries)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     @pytest.mark.parametrize("which", ["area_side", "comm_range"])
@@ -154,7 +159,7 @@ class TestGenerateTopology:
         # a NaN range used to grow forever, because no distance is <= NaN
         kwargs = {"area_side": 100.0, "comm_range": 30.0, which: bad}
         with pytest.raises(ValueError, match="positive and finite"):
-            generate_topology(10, rng=np.random.default_rng(0), **kwargs)
+            place_stack(10, rngs=[np.random.default_rng(0)], **kwargs)
 
 
 def test_stack_places_every_seed_as_it_would_alone():
@@ -169,7 +174,7 @@ def test_stack_places_every_seed_as_it_would_alone():
     for seed in range(8):
         want = ref.generate_topology(n, area, comm_range, np.random.default_rng(seed), max_retries)
         assert points[seed].tobytes() == want.points.tobytes()
-        assert np.array_equal(weights[seed], Topology.from_edges(want.points, want.edges, area, comm_range).weights)
+        assert np.array_equal(weights[seed], weights_of(n, want.edges))
         assert ranges[seed] == want.comm_range
         first_draw = np.random.default_rng(seed).uniform(0.0, area, size=(n, 2))
         kinds["grown" if want.comm_range > comm_range else
@@ -181,35 +186,35 @@ def test_stack_places_every_seed_as_it_would_alone():
 
 class TestShortestPathTree:
     def test_path_graph(self):
-        topo = path_topology(1.0, 2.0)
-        tree = build_spt(topo, 0)
-        assert tree.parent == {1: 0, 2: 1}
-        assert tree.edge_dist == {1: 1.0, 2: 2.0}
+        parent, dist = spt_stack(weights_of(3, ((0, 1, 1.0), (1, 2, 2.0)))[None], 0)
+        assert parent.tolist() == [[-1, 0, 1]]
+        assert dist.tolist() == [[0.0, 1.0, 2.0]]
 
     def test_eight_node_tree_has_seven_edges(self):
-        topo = generate_topology(8, 80.0, 45.0, np.random.default_rng(2))
-        assert build_spt(topo, 0).n_edges == 7
+        _, weights, _ = place_stack(8, 80.0, 45.0, [np.random.default_rng(2)])
+        parent, _ = spt_stack(weights, 0)
+        assert np.count_nonzero(parent >= 0) == 7
 
     def test_distances_match_floyd_warshall(self):
         for seed in range(200):
             rng = np.random.default_rng(seed)
-            topo = random_connected_topology(rng)
-            tree = build_spt(topo, 0)
-            dist = floyd_warshall(topo.n, topo.edges)
-            for v in range(topo.n):
+            _, weights, _ = random_connected_topology(rng)
+            n = weights.shape[-1]
+            [tree] = dict_trees(*spt_stack(weights, 0), 0)
+            dist = floyd_warshall(n, edges_of(weights[0]))
+            for v in range(n):
                 assert tree.path_distance(v) == pytest.approx(dist[0][v], abs=1e-9)
 
     def test_tie_breaks_prefer_lower_predecessor(self):
         # 0-1 and 0-2 weight 1; both 1-3 and 2-3 weight 1: two equal paths to 3
-        points = np.column_stack([np.arange(4.0), np.zeros(4)])
         edges = ((0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0))
-        topo = Topology.from_edges(points, edges, 4.0, 2.0)
-        tree = build_spt(topo, 0)
-        assert tree.parent[3] == 1
+        parent, _ = spt_stack(weights_of(4, edges)[None], 0)
+        assert parent[0, 3] == 1
 
     def test_determinism(self):
-        topo = generate_topology(20, 150.0, 60.0, np.random.default_rng(9))
-        assert build_spt(topo, 0) == build_spt(topo, 0)
+        _, weights, _ = place_stack(20, 150.0, 60.0, [np.random.default_rng(9)])
+        a, b = spt_stack(weights, 0), spt_stack(weights, 0)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     # Equal path sums over one hop and over two or three; every sum is exact
     # in binary, so the tie is exact. Dijkstra keeps the lower-id predecessor
@@ -232,11 +237,9 @@ class TestShortestPathTree:
     )
     def test_equal_sums_over_different_hop_counts(self, root, edges, node, parent):
         n = 1 + max(max(u, v) for u, v, _ in edges)
-        points = np.zeros((n, 2))
-        tree = build_spt(Topology.from_edges(points, edges, 1.0, 2.0), root)
+        [tree] = dict_trees(*spt_stack(weights_of(n, edges)[None], root), root)
         assert tree.parent[node] == parent
-        want = ref.build_spt(ref.Topology(points, edges, 1.0, 2.0), root)
-        assert (tree.parent, tree.edge_dist) == (want.parent, want.edge_dist)
+        assert tree == ref.build_spt(ref.Topology(np.zeros((n, 2)), edges, 1.0, 2.0), root)
 
     def test_distances_that_improve_over_several_passes(self):
         # A chain 0-1-...-9 of unit edges with shortcuts: node 9 is first
@@ -244,39 +247,33 @@ class TestShortestPathTree:
         # only along the chain (9) after as many passes as the chain has hops.
         chain = tuple((i, i + 1, 1.0) for i in range(9))
         edges = chain + ((0, 9, 20.0), (0, 5, 6.0), (5, 9, 4.5), (0, 7, 7.5), (2, 8, 6.25))
-        points = np.zeros((10, 2))
-        topo = Topology.from_edges(points, edges, 1.0, 20.0)
-        tree = build_spt(topo, 0)
-        dist = floyd_warshall(topo.n, topo.edges)
+        [tree] = dict_trees(*spt_stack(weights_of(10, edges)[None], 0), 0)
+        dist = floyd_warshall(10, edges)
         assert [tree.path_distance(v) for v in range(10)] == dist[0] == [float(v) for v in range(10)]
-        want = ref.build_spt(ref.Topology(points, edges, 1.0, 20.0), 0)
-        assert (tree.parent, tree.edge_dist) == (want.parent, want.edge_dist)
+        assert tree == ref.build_spt(ref.Topology(np.zeros((10, 2)), edges, 1.0, 20.0), 0)
 
     def test_co_located_tie_takes_the_closer_parent(self):
         # node 1 sits on node 3 (a zero edge) and ties its distance, 2, with a
         # lower id than node 2; only node 2 is closer to the root, so node 3
         # hangs from node 2
         edges = ((0, 2, 1.0), (2, 3, 1.0), (1, 2, 1.0), (1, 3, 0.0))
-        tree = build_spt(Topology.from_edges(np.zeros((4, 2)), edges, 1.0, 2.0), 0)
-        assert tree.parent == {1: 2, 2: 0, 3: 2}
-        assert tree.edge_dist == {1: 1.0, 2: 1.0, 3: 1.0}
+        parent, dist = spt_stack(weights_of(4, edges)[None], 0)
+        assert parent.tolist() == [[-1, 2, 0, 2]]
+        assert dist.tolist() == [[0.0, 1.0, 1.0, 1.0]]
 
     def test_edge_too_short_to_order_paths_rejected(self):
         # node 1 sits at zero distance from the root, so no node is closer
         # to the root than it and it has no parent to take
-        topo = Topology.from_edges(np.zeros((3, 2)), ((0, 1, 0.0), (1, 2, 1.0)), 1.0, 1.0)
         with pytest.raises(ValueError, match="edge lengths too short"):
-            build_spt(topo, 0)
+            spt_stack(weights_of(3, ((0, 1, 0.0), (1, 2, 1.0)))[None], 0)
 
 
 # ---------------------------------------------------------------- MST
 
 class TestMinimumSpanningTree:
     def test_triangle(self):
-        points = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         edges = ((0, 1, 1.0), (0, 2, 2.0), (1, 2, 3.0))
-        topo = Topology.from_edges(points, edges, 3.0, 3.0)
-        tree = build_mst(topo, 0)
+        [tree] = dict_trees(*mst_stack(weights_of(3, edges)[None], 0), 0)
         kept = {(min(v, p), max(v, p)) for v, p in tree.parent.items()}
         assert kept == {(0, 1), (0, 2)}
         assert sum(tree.edge_dist.values()) == pytest.approx(3.0)
@@ -284,18 +281,18 @@ class TestMinimumSpanningTree:
     def test_weight_matches_bruteforce_enumeration(self):
         for seed in range(12):
             rng = np.random.default_rng(1000 + seed)
-            topo = random_connected_topology(rng, n_max=7, n_min=4)
-            tree = build_mst(topo, 0)
-            best = min_spanning_weight_bruteforce(topo.n, topo.edges)
-            assert sum(tree.edge_dist.values()) == pytest.approx(best, abs=1e-9)
+            _, weights, _ = random_connected_topology(rng, n_max=7, n_min=4)
+            _, dist = mst_stack(weights, 0)
+            best = min_spanning_weight_bruteforce(weights.shape[-1], edges_of(weights[0]))
+            assert dist.sum() == pytest.approx(best, abs=1e-9)
 
     def test_edge_set_independent_of_root(self):
-        topo = random_connected_topology(np.random.default_rng(77), n_max=10)
-        t0 = build_mst(topo, 0)
-        t1 = build_mst(topo, topo.n - 1)
-        edges0 = {(min(v, p), max(v, p)) for v, p in t0.parent.items()}
-        edges1 = {(min(v, p), max(v, p)) for v, p in t1.parent.items()}
-        assert edges0 == edges1
+        _, weights, _ = random_connected_topology(np.random.default_rng(77), n_max=10)
+        kept = []
+        for root in (0, weights.shape[-1] - 1):
+            [tree] = dict_trees(*mst_stack(weights, root), root)
+            kept.append({(min(v, p), max(v, p)) for v, p in tree.parent.items()})
+        assert kept[0] == kept[1]
 
     def test_tied_lengths_across_the_sorted_prefix(self):
         # Two 10-node cliques of distinct short edges, joined by 50 cross
@@ -309,31 +306,29 @@ class TestMinimumSpanningTree:
         edges += tuple((u, v, 3.0 if (u + v) % 2 else 4.0) for u, v in cross)
         lengths = sorted(d for _, _, d in edges)
         assert lengths[len(intra)] == lengths[k - 1] == lengths[k] == 3.0
-        points = np.zeros((n, 2))
-        tree = build_mst(Topology.from_edges(points, edges, 1.0, 4.0), 0)
-        want = ref.build_mst(ref.Topology(points, edges, 1.0, 4.0), 0)
-        assert (tree.parent, tree.edge_dist) == (want.parent, want.edge_dist)
+        [tree] = dict_trees(*mst_stack(weights_of(n, edges)[None], 0), 0)
+        assert tree == ref.build_mst(ref.Topology(np.zeros((n, 2)), edges, 1.0, 4.0), 0)
         assert tree.parent[11] == 0
 
     def test_n_minus_one_edges(self):
-        topo = generate_topology(8, 80.0, 45.0, np.random.default_rng(4))
-        assert build_mst(topo, 0).n_edges == 7
+        _, weights, _ = place_stack(8, 80.0, 45.0, [np.random.default_rng(4)])
+        parent, _ = mst_stack(weights, 0)
+        assert np.count_nonzero(parent >= 0) == 7
 
     def test_spt_paths_never_longer_than_mst_paths(self):
         for seed in range(40):
             rng = np.random.default_rng(3000 + seed)
-            topo = random_connected_topology(rng)
-            spt = build_spt(topo, 0)
-            mst = build_mst(topo, 0)
-            for v in range(topo.n):
+            _, weights, _ = random_connected_topology(rng)
+            [spt] = dict_trees(*spt_stack(weights, 0), 0)
+            [mst] = dict_trees(*mst_stack(weights, 0), 0)
+            for v in range(weights.shape[-1]):
                 assert spt.path_distance(v) <= mst.path_distance(v) + 1e-9
 
 
-@pytest.mark.parametrize("build", [build_spt, build_mst])
+@pytest.mark.parametrize("build", [spt_stack, mst_stack])
 def test_disconnected_graph_rejected_by_both_builders(build):
-    topo = Topology.from_edges(np.zeros((4, 2)), ((0, 1, 1.0), (2, 3, 1.0)), 1.0, 1.0)
     with pytest.raises(ValueError, match="topology is not connected"):
-        build(topo, 0)
+        build(weights_of(4, ((0, 1, 1.0), (2, 3, 1.0)))[None], 0)
 
 
 # ---------------------------------------------------------------- pruning and layering
@@ -484,11 +479,12 @@ def test_equal_lengths_keep_kruskal_order_and_lower_id_predecessor():
         (u, v, 1.0) for u in range(side * side) for v in (u + 1, u + side)
         if v < side * side and (v == u + side or v % side)
     )
-    topo, want = Topology.from_edges(points, edges, side, 1.0), ref.Topology(points, edges, side, 1.0)
+    want = ref.Topology(points, edges, side, 1.0)
     dests = [5, 10, 15, 12]
-    arrays = {TreeKind.SPT: spt_parents(topo, 0), TreeKind.MST: mst_parents(topo, 0)}
+    weights = weights_of(side * side, edges)[None]
+    arrays = {TreeKind.SPT: spt_stack(weights, 0), TreeKind.MST: mst_stack(weights, 0)}
     for order in TREE_ORDERS:
-        parent = np.stack([arrays[kind][0] for kind in order])
-        dist = np.stack([arrays[kind][1] for kind in order])
+        parent = np.concatenate([arrays[kind][0] for kind in order])
+        dist = np.concatenate([arrays[kind][1] for kind in order])
         got = slot_index(parent, dist, np.array([dests] * len(order)))
         assert_same_slots(got, reference_slots([REF_BUILD[kind](want, 0) for kind in order], [dests] * len(order)))

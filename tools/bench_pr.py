@@ -24,10 +24,14 @@ interpreters with PYTHONPATH set to its src/:
   kinds, 4 destinations, at 40, 80 and 160 nodes (`block_stages_n40` ...).
   Each is timed --repeats times per pair.
 
-trials_per_s is trials x swept values over the median sweep wall time. The
-output is one JSON object: {machine, python, numpy, scenario, trials,
-stages, trials_per_s, sweep_wall_s}, with "parent" and "change" entries in
-the last three.
+trials_per_s is trials x swept values over the median sweep wall time.
+stages pools each tree's timings of a stage over all pairs, so host drift
+between pairs can read as a difference; stage_ratio is the median over
+pairs of each pair's change/parent ratio of the stage's medians, which
+compares the two trees only within a pair. The output is one JSON object:
+{machine, python, numpy, scenario, trials, pairs, stages, stage_ratio,
+trials_per_s, sweep_wall_s}, with "parent" and "change" entries in stages,
+trials_per_s and sweep_wall_s.
 """
 
 from __future__ import annotations
@@ -149,7 +153,7 @@ def main(argv=None) -> int:
             parser.error(f"{name} tree {tree} has no src/crn_multicast/cli.py")
     config_text = readme_config(args.trials)
     walls = {name: [] for name in trees}
-    stages = {name: {} for name in trees}
+    stages = {name: {} for name in trees}  # stage: its times of each pair
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         config = work / "readme.cfg"
@@ -158,7 +162,7 @@ def main(argv=None) -> int:
             for name in (("parent", "change") if pair % 2 == 0 else ("change", "parent")):
                 walls[name].append(sweep_wall(trees[name], config, work))
                 for stage, times in stage_times(trees[name], config, args.repeats, work).items():
-                    stages[name].setdefault(stage, []).extend(times)
+                    stages[name].setdefault(stage, []).append(times)
                 print(f"pair {pair + 1}/{args.pairs} {name}: sweep {walls[name][-1]:.3f} s", file=sys.stderr)
     values = len(scenario(config_text)["sweep_values"].split(","))
     record = {
@@ -169,8 +173,15 @@ def main(argv=None) -> int:
         "trials": args.trials,
         "pairs": args.pairs,
         "stages": {
-            name: {f"{stage}_ms": statistics.median(times) for stage, times in per_tree.items()}
+            name: {f"{stage}_ms": statistics.median(sum(pairs, [])) for stage, pairs in per_tree.items()}
             for name, per_tree in stages.items()
+        },
+        "stage_ratio": {
+            f"{stage}_ms": statistics.median(
+                statistics.median(change) / statistics.median(parent)
+                for change, parent in zip(pairs, stages["parent"][stage])
+            )
+            for stage, pairs in stages["change"].items()
         },
         "trials_per_s": {name: args.trials * values / statistics.median(w) for name, w in walls.items()},
         "sweep_wall_s": walls,
@@ -179,6 +190,7 @@ def main(argv=None) -> int:
     for name in trees:
         print(f"{name}: {record['trials_per_s'][name]:.1f} trials/s, "
               + ", ".join(f"{k} {v:.3f}" for k, v in record["stages"][name].items()))
+    print("change/parent: " + ", ".join(f"{k} {v:.3f}" for k, v in record["stage_ratio"].items()))
     return 0
 
 
