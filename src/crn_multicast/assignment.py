@@ -41,17 +41,23 @@ def choose_channels(scheme: Scheme, pos, rate, mu_idle, idle, starts, picks=None
     for every float below 1. Ties go to the lowest channel index (np.argmax
     returns the first maximum), and an event without an idle channel gets -1.
     """
+    if scheme is Scheme.RS:
+        if picks is None:
+            raise ValueError("random selection needs an rng: no pick uniforms were drawn")
+        # Running idle counts from one product with an upper triangle of ones,
+        # exact in float32 below 2**24 channels. The k-th idle channel is the
+        # number of channels whose running count is at most k.
+        m = idle.shape[-1]
+        running = idle.astype(np.float32) @ np.triu(np.ones((m, m), np.float32))
+        n_idle = running[..., -1]
+        chosen = np.count_nonzero(running <= np.floor(picks * n_idle)[..., None], axis=-1)
+        return np.where(n_idle > 0, chosen, -1)
     if scheme is Scheme.POS:
         score = np.minimum.reduceat(pos, starts, axis=0)
     elif scheme is Scheme.MDR:
         score = np.minimum.reduceat(rate, starts, axis=0)
     elif scheme is Scheme.MASA:
         score = mu_idle
-    elif scheme is Scheme.RS:
-        if picks is None:
-            raise ValueError("random selection needs an rng: no pick uniforms were drawn")
-        # 1 from the k-th idle channel on, whose index is the first maximum among idle channels.
-        score = np.cumsum(idle, axis=-1) > np.floor(picks * idle.sum(axis=-1))[..., None]
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     best = np.where(idle, score, -np.inf).argmax(axis=-1)

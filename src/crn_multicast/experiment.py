@@ -9,7 +9,12 @@ aggregate means with 95% normal-approximation confidence intervals.
 Every trial is judged in a block of trial seeds (BlockStages): the tree of
 every (seed, tree kind), seed after seed with tree kinds in order, stacked
 into one slot index and one event table, each tree's channel states, gains
-and rs picks drawn from its own generator. The block's geometry is placed and
+and rs picks drawn from its own generator. Every generator of the block, each
+seed's topology and destination generators and each tree's events generator,
+is numpy's default_rng((seed, *stream)) in state, seeded from words that one
+hashing pass computes for the whole block (seeding.stream_words); the block
+keeps its events words, so every set of raw draws builds its generators
+without hashing. The block's geometry is placed and
 its trees built as parent arrays a chunk of seeds at a time, each chunk in
 the same numpy calls (topology.chunk_seeds), and one level pass over the
 block's stack of trees prunes, orders and indexes every tree at once
@@ -59,6 +64,7 @@ from .session import (
     session_results,
     slot_index,
 )
+from .seeding import generators, stream_words
 from .topology import chunk_seeds, mst_stack, place_stack, spt_stack
 
 
@@ -181,26 +187,29 @@ SWEEP_VARIABLES = {
 _TREE_CODE = {TreeKind.SPT: 0, TreeKind.MST: 1}
 
 # Sub-stream tags hashed into per-purpose generators, so adding tree kinds
-# never shifts anyone else's draws.
-_STREAM_TOPOLOGY = 0
-_STREAM_DESTINATIONS = 1
-_STREAM_EVENTS = 2
+# never shifts anyone else's draws: every generator is
+# default_rng((seed, *stream)), seeded a block at a time (seeding).
+_STREAM_TOPOLOGY = (0,)
+_STREAM_DESTINATIONS = (1,)
 
 
-def _rng(seed: int, *stream: int) -> np.random.Generator:
-    return np.random.default_rng((seed, *stream))
+def _events_streams(trees) -> tuple[tuple[int, int], ...]:
+    return tuple((2, _TREE_CODE[t]) for t in trees)
 
 
 @dataclass(frozen=True)
 class BlockStages:
     """What a block of trial seeds fixes before link metrics: one slot index
     over the tree of every (seed, tree kind), seed after seed with tree
-    kinds in order within each seed (_block_stages), and the raw draws taken
-    so far."""
+    kinds in order within each seed (_block_stages), the PCG64 seed words
+    of every tree's events generator, (seeds, trees, 4), and the raw draws
+    taken so far. Built without event words, a block hashes them when its
+    first draws are taken."""
 
     seeds: tuple[int, ...]
     trees: tuple[TreeKind, ...]
     slots: SlotIndex
+    event_words: np.ndarray | None = field(default=None, repr=False, compare=False)
     _raw: dict = field(default_factory=dict, repr=False, compare=False)
 
     def raw(self, model: ChannelModel):
@@ -208,36 +217,41 @@ class BlockStages:
         included, each tree from its own (seed, tree kind) generator, when
         first asked for and then kept. They are keyed on what draw_raw reads
         of the model, its mean idle durations (whose length is M), so models
-        differing only in p_idle share them."""
+        differing only in p_idle share them; each set of draws builds its
+        generators afresh from the block's event words."""
         key = model.mu_idle.tobytes()
         if key not in self._raw:
-            rngs = [_rng(seed, _STREAM_EVENTS, _TREE_CODE[t]) for seed in self.seeds for t in self.trees]
-            self._raw[key] = draw_raw(self.slots, model, rngs)
+            if self.event_words is None:
+                object.__setattr__(self, "event_words", stream_words(self.seeds, _events_streams(self.trees)))
+            self._raw[key] = draw_raw(self.slots, model, generators(self.event_words.reshape(-1, 4)))
         return self._raw[key]
 
 
 def _block_stages(params: ScenarioParams, trees, seeds) -> BlockStages:
     """The slot index of every (seed, tree kind) of a block, seed after seed
     with tree kinds in order. Each seed's topology and destinations come
-    from its own generators. The block is placed and its trees built in
-    chunks of seeds (topology.chunk_seeds), each chunk's placements and
-    trees in the same numpy calls (place_stack, spt_stack, mst_stack); the
-    block's (trees, n) stack of parent arrays is pruned, ordered and laid
-    out as slots in one level pass (session.slot_index). These depend on the
+    from its own generators, seeded together with every events generator of
+    the block in one hashing pass (seeding.stream_words), so a bad seed
+    fails here, before any draw. The block is placed and its trees built in chunks of
+    seeds (topology.chunk_seeds), each chunk's placements and trees in the
+    same numpy calls (place_stack, spt_stack, mst_stack); the block's
+    (trees, n) stack of parent arrays is pruned, ordered and laid out as
+    slots in one level pass (session.slot_index). These depend on the
     seeds, n_nodes, n_dest, area and range only."""
     n = params.n_nodes
     builders = {TreeKind.SPT: spt_stack, TreeKind.MST: mst_stack}
+    words = stream_words(seeds, (_STREAM_TOPOLOGY, _STREAM_DESTINATIONS, *_events_streams(trees)))
     parent = np.empty((len(seeds), len(trees), n), dtype=np.intp)
     dist = np.empty((len(seeds), len(trees), n))
     destinations = np.empty((len(seeds), len(trees), params.n_dest), dtype=np.intp)
-    # Every generator of the block first: made between array passes, each costs several times as much.
-    rngs = [_rng(seed, _STREAM_TOPOLOGY) for seed in seeds]
-    for i, seed in enumerate(seeds):
-        destinations[i] = _rng(seed, _STREAM_DESTINATIONS).choice(np.arange(1, n), size=params.n_dest, replace=False)
+    rngs = generators(words[:, :2].reshape(-1, 4))  # each seed's topology, then destination generator
+    topology_rngs = rngs[0::2]
+    for i, rng in enumerate(rngs[1::2]):
+        destinations[i] = rng.choice(np.arange(1, n), size=params.n_dest, replace=False)
     step = chunk_seeds(n)
     for first in range(0, len(seeds), step):
         chunk = slice(first, first + step)
-        weights = place_stack(n, params.area_side_m, params.comm_range_m, rngs[chunk])[1]
+        weights = place_stack(n, params.area_side_m, params.comm_range_m, topology_rngs[chunk])[1]
         for j, kind in enumerate(trees):
             parent[chunk, j], dist[chunk, j] = builders[kind](weights, 0)
         del weights  # gone before the next chunk is placed, so one chunk is alive at a time
@@ -245,7 +259,7 @@ def _block_stages(params: ScenarioParams, trees, seeds) -> BlockStages:
     # The one check on distances: link_metrics runs the link equations unchecked.
     if not (slots.distances > 0.0).all():
         raise ValueError("distance must be positive (co-located nodes)")
-    return BlockStages(tuple(seeds), tuple(trees), slots)
+    return BlockStages(tuple(seeds), tuple(trees), slots, words[:, 2:])
 
 
 def _judge_block(
@@ -281,7 +295,8 @@ def run_scenario_sessions(
     channel_model defaults to the one params describes. The scenario is a
     block of one seed (_block_stages), judged with one model as each block
     of a sweep is judged with its group of models. A negative seed is a
-    ValueError from the seed's first generator, before any draw.
+    ValueError, and one that is not an integer a TypeError, from the
+    block's seeding, before any draw.
     """
     model = channel_model if channel_model is not None else params.channels()
     # Keyed results: a repeated tree kind counts once, in first-seen order.
@@ -319,6 +334,11 @@ class SweepSpec:
             )
         if not self.values:
             raise ValueError("sweep needs at least one value")
+        # Trial seeds are hashed as 32-bit words (seeding.stream_words), so only integers reach them.
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.seed < 0:

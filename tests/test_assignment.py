@@ -289,3 +289,33 @@ def test_random_pick_is_always_an_idle_channel(entries):
             assert channel == -1
         else:
             assert row[channel] and channel == options[math.floor(u * options.size)]
+
+
+@st.composite
+def rs_cases(draw):
+    """Idle flags, (events, M) or (sets, events, M), and one pick per event,
+    the largest float below 1 among them."""
+    m = draw(st.integers(min_value=1, max_value=40))
+    events = draw(st.integers(min_value=1, max_value=5))
+    shape = (events, m) if draw(st.booleans()) else (draw(st.integers(min_value=1, max_value=3)), events, m)
+    flags = draw(st.lists(st.booleans(), min_size=math.prod(shape), max_size=math.prod(shape)))
+    pick = st.floats(min_value=0.0, max_value=1.0, exclude_max=True) | st.just(np.nextafter(1.0, 0.0))
+    return np.array(flags, dtype=bool).reshape(shape), np.array(draw(st.lists(pick, min_size=events, max_size=events)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rs_cases())
+def test_rs_takes_the_idle_channel_with_k_idle_channels_before_it(case):
+    # k = floor(pick * n_idle): the chosen channel is idle and exactly k idle
+    # channels come before it; without an idle channel there is no choice.
+    idle, picks = case
+    chosen = choose_channels(Scheme.RS, None, None, None, idle, None, picks)
+    assert chosen.shape == idle.shape[:-1]
+    for index in np.ndindex(chosen.shape):
+        flags, channel = idle[index], chosen[index]
+        n_idle = int(flags.sum())
+        if n_idle == 0:
+            assert channel == -1
+        else:
+            assert flags[channel]
+            assert flags[:channel].sum() == math.floor(picks[index[-1]] * n_idle)

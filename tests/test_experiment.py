@@ -166,6 +166,12 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec(base=SMALL, variable="frequency", values=(1,), trials=1, seed=0)
 
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", 3.0), ("trials", 2.5), ("trials", 2.0)])
+    def test_non_integer_seed_or_trials_rejected(self, field, value):
+        # Found at construction, not as a TypeError inside run_sweep.
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            SweepSpec(base=SMALL, variable="p_idle", values=(0.5,), **{"trials": 1, "seed": 0, field: value})
+
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
             SweepSpec(base=SMALL, variable="bw", values=(), trials=1, seed=0)

@@ -7,7 +7,9 @@ pruning and layer order), the sparse/ sweep placements that are redrawn or
 whose range grows, the long/ sweep the summation order of means and CIs over
 more trials than numpy's 8-element pairwise block, the idle/ sweep every
 p_idle value of two blocks judged together over one link table, with events
-that have no idle channel beside ones that have, the run files
+that have no idle channel beside ones that have, the wide/ sweep a block of
+trial seeds on both sides of 2**32, whose generators are seeded from one and
+from two 32-bit entropy words, the run files
 per-destination throughputs of every tree and scheme, and the example files
 both reports of the worked example. A change that alters them
 on purpose regenerates them with
@@ -17,6 +19,7 @@ on purpose regenerates them with
     crn-multicast sweep --config tests/golden/sparse/sweep.cfg --out tests/golden/sparse
     crn-multicast sweep --config tests/golden/long/sweep.cfg --out tests/golden/long
     crn-multicast sweep --config tests/golden/idle/sweep.cfg --out tests/golden/idle
+    crn-multicast sweep --config tests/golden/wide/sweep.cfg --out tests/golden/wide
     crn-multicast run --config tests/golden/run.cfg --seed 7 --json --out tests/golden/run \
         | grep -v '^wrote ' > tests/golden/run/run.json
     crn-multicast example > tests/golden/example/example.txt
@@ -38,6 +41,7 @@ NODES_GOLDEN = GOLDEN / "nodes"
 SPARSE_GOLDEN = GOLDEN / "sparse"
 LONG_GOLDEN = GOLDEN / "long"
 IDLE_GOLDEN = GOLDEN / "idle"
+WIDE_GOLDEN = GOLDEN / "wide"
 RUN_GOLDEN = GOLDEN / "run"
 SESSION_FILES = sorted(p.name for p in RUN_GOLDEN.glob("session_*.csv"))
 
@@ -100,6 +104,18 @@ def rerun_idle(tmp_path_factory):
 @pytest.mark.parametrize("name", ["trials.csv", "aggregate.csv"])
 def test_idle_sweep_reproduces_golden_bytes(rerun_idle, name):
     assert (rerun_idle / name).read_bytes() == (IDLE_GOLDEN / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def rerun_wide(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden_wide")
+    assert main(["sweep", "--config", str(WIDE_GOLDEN / "sweep.cfg"), "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("name", ["trials.csv", "aggregate.csv"])
+def test_wide_seed_sweep_reproduces_golden_bytes(rerun_wide, name):
+    assert (rerun_wide / name).read_bytes() == (WIDE_GOLDEN / name).read_bytes()
 
 
 @pytest.fixture(scope="module")

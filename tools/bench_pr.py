@@ -19,9 +19,12 @@ interpreters with PYTHONPATH set to its src/:
   with `trials` set to 32, one block at every swept value (`sweep_block`:
   geometry, draws, link metrics, every scheme's channels and the
   judgement). `_block_stages` is also timed on each of the block's
-  first 20 seeds alone (`block_stages_one_seed`, the block of `run`) and
-  on the node_scale benchmark's blocks: the first 6 seeds, both tree
-  kinds, 4 destinations, at 40, 80 and 160 nodes (`block_stages_n40` ...).
+  first 20 seeds alone (`block_stages_one_seed`, the block of `run`),
+  and with that block's raw draws under the config's first model
+  (`run_one_seed`: all of `run` before link metrics, so every generator
+  of the seed), and on the node_scale benchmark's blocks: the first 6
+  seeds, both tree kinds, 4 destinations, at 40, 80 and 160 nodes
+  (`block_stages_n40` ...).
   Each is timed --repeats times per pair.
 
 trials_per_s is trials x swept values over the median sweep wall time.
@@ -69,7 +72,7 @@ seeds = range(spec.seed, spec.seed + %d)
 models = [params.channels() for _, params in spec.scenarios()]
 block_spec = replace(spec, trials=len(seeds))
 node_scale = {n: replace(spec.base, n_nodes=n, n_dest=4) for n in (40, 80, 160)}
-times = {"block_stages": [], "raw": [], "sweep_block": [], "block_stages_one_seed": []}
+times = {"block_stages": [], "raw": [], "sweep_block": [], "block_stages_one_seed": [], "run_one_seed": []}
 times.update({"block_stages_n%%d" %% n: [] for n in node_scale})
 
 def timed(stage, call):
@@ -86,10 +89,12 @@ for _ in range(repeats):
     timed("sweep_block", lambda: experiment.run_sweep(block_spec))
     for seed in seeds[:%d]:
         timed("block_stages_one_seed", lambda: experiment._block_stages(spec.base, spec.trees, [seed]))
+    for seed in seeds[:%d]:
+        timed("run_one_seed", lambda: experiment._block_stages(spec.base, spec.trees, [seed]).raw(models[0]))
     for n, params in node_scale.items():
         timed("block_stages_n%%d" %% n, lambda: experiment._block_stages(params, (TreeKind.SPT, TreeKind.MST), seeds[:6]))
 print(json.dumps({"package": crn_multicast.__file__, "times": times}))
-""" % (BLOCK_SEEDS, ONE_SEED_CALLS)
+""" % (BLOCK_SEEDS, ONE_SEED_CALLS, ONE_SEED_CALLS)
 
 
 def readme_config(trials: int) -> str:
