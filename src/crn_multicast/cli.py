@@ -22,7 +22,9 @@ from pathlib import Path
 from .assignment import Scheme
 from .config import SWEEP_OUT_DIR, Config, ConfigError, load_config
 from .example_case import builtin_fixture, check_fixture
-from .experiment import DataFormatError, read_aggregate_csv, run_scenario_sessions, run_sweep, write_sweep_csv
+from .experiment import (
+    DataFormatError, read_aggregate_csv, run_scenario_sessions, run_sweep, write_output, write_sweep_csv,
+)
 from .phy import LinkBudgetError
 from .plotting import write_charts
 from .session import TreeKind, session_to_csv
@@ -136,7 +138,7 @@ def cmd_run(args) -> int:
     if cfg.out_dir:
         for (tree, scheme), res in sessions.items():
             path = out / f"session_{tree.value}_{scheme.value}.csv"
-            path.write_text(session_to_csv(res), encoding="utf-8", newline="\n")
+            write_output(path, session_to_csv(res))
             print(f"wrote {path}")
     return 0
 

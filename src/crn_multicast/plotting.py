@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .experiment import AggregateRow
+from .experiment import AggregateRow, write_output
 from .session import TreeKind
 
 WIDTH, HEIGHT = 640, 420
@@ -142,7 +142,8 @@ def render_chart(rows: list[AggregateRow], metric: str, tree: TreeKind) -> str:
 
 
 def write_charts(rows: list[AggregateRow], out_dir) -> list[Path]:
-    """One SVG per (metric, tree kind) present in the aggregate rows."""
+    """One SVG per (metric, tree kind) present in the aggregate rows, each
+    rewritten in place (experiment.write_output)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     trees = []
@@ -153,6 +154,6 @@ def write_charts(rows: list[AggregateRow], out_dir) -> list[Path]:
     for tree in trees:
         for metric in _METRICS:
             path = out / f"{metric}_{tree.value}.svg"
-            path.write_text(render_chart(rows, metric, tree), encoding="utf-8", newline="\n")
+            write_output(path, render_chart(rows, metric, tree))
             paths.append(path)
     return paths

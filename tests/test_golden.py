@@ -11,7 +11,9 @@ that have no idle channel beside ones that have, the wide/ sweep a block of
 trial seeds on both sides of 2**32, whose generators are seeded from one and
 from two 32-bit entropy words, the run files
 per-destination throughputs of every tree and scheme, and the example files
-both reports of the worked example. A change that alters them
+both reports of the worked example. The overwrite tests write the sweep, its
+charts and the run into a directory where every output name already holds a
+longer junk file, a symlink or a directory. A change that alters them
 on purpose regenerates them with
 
     crn-multicast sweep --config tests/golden/sweep.cfg --out tests/golden
@@ -30,6 +32,8 @@ and says why in CHANGES.md.
 
 import contextlib
 import io
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -147,3 +151,130 @@ def test_run_reproduces_golden_session_bytes(rerun_run, name):
 def test_example_reproduces_golden_report(capsys, name, argv):
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / "example" / name).read_bytes()
+
+
+SWEEP_FILES = ["trials.csv", "aggregate.csv"]
+CHART_FILES = [f"{metric}_{tree}.svg" for metric in ("throughput", "pdr") for tree in ("spt", "mst")]
+OUTPUT_FILES = SWEEP_FILES + CHART_FILES + SESSION_FILES
+JUNK = bytes(range(256)) * 256  # 64 KB, longer than every output
+PLANTED_MODE = 0o640
+LINKED = "session_spt_pos.csv"  # planted as a symlink to a file in another directory
+
+
+def _write_golden_outputs(out):
+    """The golden sweep, its charts and the golden run, all into out; the
+    exit code of each command."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return [
+            main(["sweep", "--config", str(GOLDEN / "sweep.cfg"), "--out", str(out)]),
+            main(["plot", str(out / "aggregate.csv"), "--out", str(out)]),
+            main(["run", "--config", str(GOLDEN / "run.cfg"), "--seed", "7", "--json", "--out", str(out)]),
+        ]
+
+
+@pytest.fixture(scope="module")
+def charts(tmp_path_factory):
+    """The charts of the golden aggregate, plotted into an empty directory."""
+    out = tmp_path_factory.mktemp("golden_charts")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["plot", str(GOLDEN / "aggregate.csv"), "--out", str(out)]) == 0
+    return out
+
+
+def _expected_bytes(name, charts):
+    if name in SWEEP_FILES:
+        return (GOLDEN / name).read_bytes()
+    if name in CHART_FILES:
+        return (charts / name).read_bytes()
+    return (RUN_GOLDEN / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def overwritten(tmp_path_factory):
+    """Every output name planted with 64 KB of junk (one of them as a symlink
+    to a junk file elsewhere), then the golden outputs written over them.
+    Returns the directory, the link's target, each planted file's
+    (inode, mode) and the commands' exit codes."""
+    out = tmp_path_factory.mktemp("overwritten")
+    target = tmp_path_factory.mktemp("link_target") / "target.csv"
+    target.write_bytes(JUNK)
+    (out / LINKED).symlink_to(target)
+    planted = {}
+    for name in OUTPUT_FILES:
+        path = out / name
+        if name != LINKED:
+            path.write_bytes(JUNK)
+        path.chmod(PLANTED_MODE)
+        st = path.stat()
+        planted[name] = (st.st_ino, st.st_mode)
+    return out, target, planted, _write_golden_outputs(out)
+
+
+def test_chart_names_are_every_chart_plot_writes(charts):
+    assert sorted(p.name for p in charts.iterdir()) == sorted(CHART_FILES)
+
+
+def test_every_command_succeeds_over_planted_files(overwritten):
+    assert overwritten[3] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("name", OUTPUT_FILES)
+def test_overwrite_leaves_exactly_the_golden_bytes(overwritten, charts, name):
+    out = overwritten[0]
+    assert (out / name).read_bytes() == _expected_bytes(name, charts)
+
+
+@pytest.mark.parametrize("name", OUTPUT_FILES)
+def test_overwrite_keeps_the_planted_files_inode_and_mode(overwritten, name):
+    out, _, planted, _ = overwritten
+    st = (out / name).stat()
+    assert (st.st_ino, st.st_mode) == planted[name]
+    assert stat.S_IMODE(st.st_mode) == PLANTED_MODE
+
+
+def test_overwrite_through_a_symlink_keeps_the_link_and_fills_its_target(overwritten):
+    out, target = overwritten[:2]
+    assert (out / LINKED).is_symlink()
+    assert Path(os.readlink(out / LINKED)) == target
+    assert target.read_bytes() == (RUN_GOLDEN / LINKED).read_bytes()
+
+
+def test_new_output_gets_the_mode_write_text_gives(tmp_path, charts):
+    """Under one umask, a missing output is created with the mode that
+    Path.write_text gives a new file."""
+    previous = os.umask(0o027)
+    try:
+        assert _write_golden_outputs(tmp_path / "out") == [0, 0, 0]
+        (tmp_path / "probe.txt").write_text("probe", encoding="utf-8")
+    finally:
+        os.umask(previous)
+    mode = (tmp_path / "probe.txt").stat().st_mode
+    for name in OUTPUT_FILES:
+        path = tmp_path / "out" / name
+        assert path.stat().st_mode == mode, name
+        assert path.read_bytes() == _expected_bytes(name, charts)
+
+
+@pytest.mark.parametrize("command, name", [("sweep", "aggregate.csv"), ("plot", "pdr_mst.svg"), ("run", LINKED)])
+def test_directory_at_an_output_name_is_usage_error(tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    argv = {
+        "sweep": ["sweep", "--config", str(GOLDEN / "sweep.cfg"), "--out", str(out)],
+        "plot": ["plot", str(GOLDEN / "aggregate.csv"), "--out", str(out)],
+        "run": ["run", "--config", str(GOLDEN / "run.cfg"), "--seed", "7", "--out", str(out)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+    assert (out / name).is_dir()
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_output_symlinked_to_the_null_device_is_written(tmp_path):
+    """A device is written but never cut: truncating /dev/null fails."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / LINKED).symlink_to(os.devnull)
+    assert _write_golden_outputs(out) == [0, 0, 0]
+    assert Path(os.readlink(out / LINKED)) == Path(os.devnull)

@@ -24,7 +24,13 @@ interpreters with PYTHONPATH set to its src/:
   (`run_one_seed`: all of `run` before link metrics, so every generator
   of the seed), and on the node_scale benchmark's blocks: the first 6
   seeds, both tree kinds, 4 destinations, at 40, 80 and 160 nodes
-  (`block_stages_n40` ...).
+  (`block_stages_n40` ...). Two more stages time whole CLI calls in the
+  same process, the way perfbench's workloads make them: `run_cli` is 20
+  `run --json --out DIR` calls on seeds from the config's, and
+  `sweep_plot_cli` 20 `sweep` + `plot` pairs of the config at 8 trials,
+  each stage into one directory that all its calls reuse (so every call
+  after the first rewrites existing files), with stdout to the null
+  device; each call (each pair) is one timing.
   Each is timed --repeats times per pair.
 
 trials_per_s is trials x swept values over the median sweep wall time.
@@ -55,15 +61,18 @@ import numpy
 ROOT = Path(__file__).resolve().parents[1]
 BLOCK_SEEDS = 32
 ONE_SEED_CALLS = 20  # one-seed blocks, on seeds from the config's, timed per repeat
+CLI_CALLS = 20  # run calls, and sweep + plot pairs, per repeat
+CLI_TRIALS = 8  # trials per value of each sweep call, as perfbench's paper_sweep
 
 # Run in a fresh interpreter: argv is src, config, repeats. Prints the
 # package's location and each stage's times in ms as one JSON object.
 STAGES_CODE = """
-import json, sys, time
+import contextlib, json, os, sys, tempfile, time
 from dataclasses import replace
 sys.path.insert(0, sys.argv[1])
 import crn_multicast
 from crn_multicast import experiment
+from crn_multicast.cli import main
 from crn_multicast.config import load_config
 from crn_multicast.session import TreeKind
 
@@ -74,6 +83,26 @@ block_spec = replace(spec, trials=len(seeds))
 node_scale = {n: replace(spec.base, n_nodes=n, n_dest=4) for n in (40, 80, 160)}
 times = {"block_stages": [], "raw": [], "sweep_block": [], "block_stages_one_seed": [], "run_one_seed": []}
 times.update({"block_stages_n%%d" %% n: [] for n in node_scale})
+times.update({"run_cli": [], "sweep_plot_cli": []})
+run_out, sweep_out = tempfile.mkdtemp(dir="."), tempfile.mkdtemp(dir=".")
+cli_argvs = {
+    "run_cli": [
+        [["run", "--config", sys.argv[2], "--seed", str(spec.seed + i), "--json", "--out", run_out]]
+        for i in range(%d)
+    ],
+    "sweep_plot_cli": [
+        [
+            ["sweep", "--config", sys.argv[2], "--seed", str(spec.seed + i * %d), "--trials", "%d", "--out", sweep_out],
+            ["plot", os.path.join(sweep_out, "aggregate.csv"), "--out", sweep_out],
+        ]
+        for i in range(%d)
+    ],
+}
+
+def cli(argvs):
+    for argv in argvs:
+        if main(argv) != 0:
+            raise SystemExit("error: %%s exited non-zero" %% " ".join(argv))
 
 def timed(stage, call):
     start = time.perf_counter()
@@ -93,8 +122,12 @@ for _ in range(repeats):
         timed("run_one_seed", lambda: experiment._block_stages(spec.base, spec.trees, [seed]).raw(models[0]))
     for n, params in node_scale.items():
         timed("block_stages_n%%d" %% n, lambda: experiment._block_stages(params, (TreeKind.SPT, TreeKind.MST), seeds[:6]))
+    with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+        for stage, calls in cli_argvs.items():
+            for argvs in calls:
+                timed(stage, lambda: cli(argvs))
 print(json.dumps({"package": crn_multicast.__file__, "times": times}))
-""" % (BLOCK_SEEDS, ONE_SEED_CALLS, ONE_SEED_CALLS)
+""" % (BLOCK_SEEDS, CLI_CALLS, CLI_TRIALS, CLI_TRIALS, CLI_CALLS, ONE_SEED_CALLS, ONE_SEED_CALLS)
 
 
 def readme_config(trials: int) -> str:
