@@ -4,7 +4,7 @@ assignment (pos, masa, mdr, rs) under a Markov idle/busy primary-user model
 with Rayleigh fading, and throughput/packet-delivery-rate measurement."""
 
 from .assignment import Scheme
-from .channel import ChannelModel, ChannelParams, make_channels
+from .channel import ChannelModel, make_channels
 from .experiment import (
     AggregateRow,
     ScenarioParams,
@@ -14,19 +14,16 @@ from .experiment import (
     run_sweep,
 )
 from .phy import PhyParams, data_rate, pos, received_power, tx_time
-from .session import HopRecord, SessionResult, TreeKind, session_to_csv
+from .session import TreeKind, session_to_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AggregateRow",
     "ChannelModel",
-    "ChannelParams",
-    "HopRecord",
     "PhyParams",
     "ScenarioParams",
     "Scheme",
-    "SessionResult",
     "SweepSpec",
     "TreeKind",
     "aggregate_trials",

@@ -111,34 +111,43 @@ def cmd_run(args) -> int:
     if cfg.out_dir:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    sessions = run_scenario_sessions(cfg.base, cfg.schemes, cfg.trees, cfg.seed)
+    table, _, judged = run_scenario_sessions(cfg.base, cfg.schemes, cfg.trees, cfg.seed)
+    n_dest = cfg.base.n_dest
+    # Python values, whose repr is the reports', indexed [tree][scheme], then by destination.
+    delivered, throughput = (a.transpose(0, 2, 1).tolist() for a in (judged.delivered, judged.throughput))
+    total = judged.total.tolist()
+    avg, pdr = (a.tolist() for a in judged.averages())
+    dests = [table.slots.destinations[j * n_dest:(j + 1) * n_dest] for j in range(len(cfg.trees))]
+    sessions = [
+        (j, k, f"{tree.value}/{scheme.value}")
+        for j, tree in enumerate(cfg.trees)
+        for k, scheme in enumerate(cfg.schemes)
+    ]
     if args.json:
         payload = {
-            f"{tree.value}/{scheme.value}": {
-                "pdr": res.pdr,
-                "avg_throughput_bps": res.avg_throughput,
-                "total_throughput_bps": res.total_throughput,
-                "throughput_bps": {str(k): v for k, v in res.throughput.items()},
+            name: {
+                "pdr": pdr[j][k],
+                "avg_throughput_bps": avg[j][k],
+                "total_throughput_bps": total[j][k],
+                "throughput_bps": {str(d): t for d, t in zip(dests[j], throughput[j][k])},
             }
-            for (tree, scheme), res in sessions.items()
+            for j, k, name in sessions
         }
         payload["seed"] = cfg.seed
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(f"seed {cfg.seed}: {cfg.base.n_nodes} nodes, {cfg.base.n_dest} destinations")
-        for (tree, scheme), res in sessions.items():
-            delivered = sum(res.delivered.values())
+        print(f"seed {cfg.seed}: {cfg.base.n_nodes} nodes, {n_dest} destinations")
+        for j, k, name in sessions:
             print(
-                f"{tree.value}/{scheme.value}: delivered {delivered}/{len(res.delivered)} "
-                f"(pdr {res.pdr:.2f}), avg throughput {res.avg_throughput / 1e6:.4f} Mbps"
+                f"{name}: delivered {sum(delivered[j][k])}/{n_dest} "
+                f"(pdr {pdr[j][k]:.2f}), avg throughput {avg[j][k] / 1e6:.4f} Mbps"
             )
-            for dest in sorted(res.delivered):
-                state = "delivered" if res.delivered[dest] else "missed"
-                print(f"  dest {dest}: {state}, {res.throughput[dest] / 1e6:.4f} Mbps")
+            for dest, ok, t in zip(dests[j], delivered[j][k], throughput[j][k]):
+                print(f"  dest {dest}: {'delivered' if ok else 'missed'}, {t / 1e6:.4f} Mbps")
     if cfg.out_dir:
-        for (tree, scheme), res in sessions.items():
-            path = out / f"session_{tree.value}_{scheme.value}.csv"
-            write_output(path, session_to_csv(res))
+        for j, k, name in sessions:
+            path = out / f"session_{name.replace('/', '_')}.csv"
+            write_output(path, session_to_csv(dests[j], delivered[j][k], throughput[j][k], total[j][k]))
             print(f"wrote {path}")
     return 0
 

@@ -25,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from .assignment import Scheme
-from .session import EventTable, SessionResult, judge, select_channels, session_results, slot_index
+from .session import EventTable, Judgement, judge, select_channels, slot_index
 from .topology import tree_levels
 
 PACKET_BITS = 32768  # 4 KB
@@ -174,14 +174,18 @@ def _idle_channels(ev: dict, m: int) -> list[int]:
     return [c - 1 for c in ids]
 
 
-def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Generator | None = None) -> SessionResult:
-    """Replay the fixture's session from its link tables instead of sampling.
+def run_fixture(
+    fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Generator | None = None
+) -> tuple[EventTable, np.ndarray, Judgement]:
+    """Replay the fixture's session from its link tables instead of sampling:
+    its event table of one tree, its (events, 1) chosen channels and their
+    Judgement, as run_scenario_sessions returns a seeded one.
 
     Events must line up one-to-one with the tree's layer schedule (same
     transmitters and receiver sets, in order); receivers are taken in schedule
-    order. Every event is evaluated, even below a failed relay, so all
-    selections can be inspected; delivery still requires the full root path to
-    succeed. Data rates are recovered from the air times, so rate-based
+    order. Every event has its channel chosen, even below a failed relay, so
+    all selections can be inspected; delivery still requires the full root
+    path to succeed. Data rates are recovered from the air times, so rate-based
     selection stays available. rng feeds random selection, one pick uniform
     per event drawn in one call.
     Every value read is checked, as fixtures come from outside the program;
@@ -266,7 +270,7 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
     picks = None if rng is None else rng.random(len(events))
     table = EventTable(slots, available, pos, rate, tx, mu, picks)
     channels = select_channels(table, idle, scheme)[:, None]
-    return session_results(table, channels, judge(table, channels, packet_bits), replay_all=True)[0][0]
+    return table, channels, judge(table, channels, packet_bits)
 
 
 def check_fixture(fixture: dict, rel_tol: float = 0.005) -> tuple[bool, list[str], dict]:
@@ -276,7 +280,8 @@ def check_fixture(fixture: dict, rel_tol: float = 0.005) -> tuple[bool, list[str
     Selections and the PDR must match exactly; per-destination throughputs
     within rel_tol; total and average within 2 * rel_tol.
     """
-    result = run_fixture(fixture)
+    table, channels, judged = run_fixture(fixture)
+    slots = table.slots
     expected = fixture["expected"]
     lines: list[str] = []
     failures: list[str] = []
@@ -289,33 +294,39 @@ def check_fixture(fixture: dict, rel_tol: float = 0.005) -> tuple[bool, list[str
         if not ok:
             failures.append(f"{label}: got {got!r}, expected {want!r}")
 
-    selections = [None if h.chosen_channel is None else h.chosen_channel + 1 for h in result.hops]
-    for hop, sel in zip(result.hops, selections):
-        ok = [r for r, s in zip(hop.receivers, hop.success) if s]
+    # Every entry, also one below a failed relay: its receivers and, on its
+    # chosen channel, the ones whose air time fits.
+    chosen = channels[:, 0].tolist()
+    selections = [None if ch < 0 else ch + 1 for ch in chosen]
+    bounds = [*slots.starts.tolist(), len(slots.receiver)]
+    for tx, ch, sel, lo, hi in zip(slots.transmitter.tolist(), chosen, selections, bounds, bounds[1:]):
+        receivers = slots.receiver[lo:hi].tolist()
+        ok = [] if ch < 0 else [r for r, fit in zip(receivers, table.fits[lo:hi, ch].tolist()) if fit]
         lines.append(
-            f"node {hop.transmitter} -> {', '.join(str(r) for r in hop.receivers)}: "
+            f"node {tx} -> {', '.join(str(r) for r in receivers)}: "
             f"channel {sel} selected, received by [{', '.join(str(r) for r in ok) or 'none'}]"
         )
     check("selected channels", selections, list(expected["selected_channels"]))
-    for dest in sorted(result.delivered):
-        got = result.throughput[dest]
+    delivered, throughput = judged.delivered[0, :, 0].tolist(), judged.throughput[0, :, 0].tolist()
+    total = judged.total[0, 0].item()
+    avg, pdr = (a[0, 0].item() for a in judged.averages())
+    for dest, got, ok in zip(slots.destinations, throughput, delivered):
         want = float(expected["throughput_bps"][str(dest)])
-        state = "delivered" if result.delivered[dest] else "missed"
-        lines.append(f"destination {dest}: {state}, throughput {got / 1e6:.4f} Mbps")
+        lines.append(f"destination {dest}: {'delivered' if ok else 'missed'}, throughput {got / 1e6:.4f} Mbps")
         check(f"throughput of destination {dest}", got, want, tol=rel_tol)
-    lines.append(f"total throughput: {result.total_throughput / 1e6:.4f} Mbps")
-    lines.append(f"average throughput: {result.avg_throughput / 1e6:.4f} Mbps")
-    lines.append(f"packet delivery rate: {result.pdr:.2f}")
-    check("total throughput", result.total_throughput, float(expected["total_throughput_bps"]), tol=2 * rel_tol)
-    check("average throughput", result.avg_throughput, float(expected["avg_throughput_bps"]), tol=2 * rel_tol)
-    check("packet delivery rate", result.pdr, float(expected["pdr"]))
+    lines.append(f"total throughput: {total / 1e6:.4f} Mbps")
+    lines.append(f"average throughput: {avg / 1e6:.4f} Mbps")
+    lines.append(f"packet delivery rate: {pdr:.2f}")
+    check("total throughput", total, float(expected["total_throughput_bps"]), tol=2 * rel_tol)
+    check("average throughput", avg, float(expected["avg_throughput_bps"]), tol=2 * rel_tol)
+    check("packet delivery rate", pdr, float(expected["pdr"]))
 
     payload = {
         "selected_channels": selections,
-        "throughput_bps": {str(k): result.throughput[k] for k in sorted(result.throughput)},
-        "total_throughput_bps": result.total_throughput,
-        "avg_throughput_bps": result.avg_throughput,
-        "pdr": result.pdr,
+        "throughput_bps": {str(k): t for k, t in zip(slots.destinations, throughput)},
+        "total_throughput_bps": total,
+        "avg_throughput_bps": avg,
+        "pdr": pdr,
         "ok": not failures,
         "mismatches": failures,
     }

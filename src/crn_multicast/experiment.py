@@ -61,7 +61,6 @@ from .phy import SPEED_OF_LIGHT, PhyParams
 from .session import (
     EventTable,
     Judgement,
-    SessionResult,
     SlotIndex,
     TreeKind,
     draw_raw,
@@ -69,7 +68,6 @@ from .session import (
     judge,
     link_metrics,
     select_channels,
-    session_results,
     slot_index,
 )
 from .seeding import generators, stream_words
@@ -295,8 +293,10 @@ def run_scenario_sessions(
     trees,
     seed: int,
     channel_model: ChannelModel | None = None,
-) -> dict[tuple[TreeKind, Scheme], SessionResult]:
-    """One seeded scenario: full session results per (tree kind, scheme).
+) -> tuple[EventTable, np.ndarray, Judgement]:
+    """One seeded scenario: its event table, its (entries, schemes) chosen
+    channels and their Judgement. Tree j is trees[j], a repeated tree kind
+    counting once in first-seen order, and column k is schemes[k].
 
     All schemes of one tree kind see bitwise-identical channel states and
     gains; only their channel decisions (and hence successes) differ.
@@ -307,14 +307,8 @@ def run_scenario_sessions(
     block's seeding, before any draw.
     """
     model = channel_model if channel_model is not None else params.channels()
-    # Keyed results: a repeated tree kind counts once, in first-seen order.
-    trees = tuple(dict.fromkeys(trees))
-    table, channels, judged = _judge_block(params.phy(), [model], schemes, _block_stages(params, trees, [seed]))
-    results: dict[tuple[TreeKind, Scheme], SessionResult] = {}
-    for tree_kind, tree_results in zip(trees, session_results(table, channels, judged)):
-        for scheme, result in zip(schemes, tree_results):
-            results[(tree_kind, scheme)] = result
-    return results
+    block = _block_stages(params, tuple(dict.fromkeys(trees)), [seed])
+    return _judge_block(params.phy(), [model], schemes, block)
 
 
 @dataclass(frozen=True)
@@ -323,7 +317,7 @@ class SweepSpec:
     values, trials per value, base seed, schemes and tree kinds. Every field
     and every swept scenario is checked on construction; the defaults are the
     config file's. A repeated scheme or tree kind counts once, in first-seen
-    order, as in run_scenario_sessions' results."""
+    order."""
 
     base: ScenarioParams = ScenarioParams()
     variable: str = "p_idle"
@@ -453,11 +447,10 @@ def run_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
             params, _, phy = points[values[0]]
             block = shared_block or _block_stages(params, spec.trees, seeds)
             judged = _judge_block(phy, [points[v][1] for v in values], spec.schemes, block)[2]
-            n_dest = judged.delivered.shape[1]
             # Tree j of the block is seed j // len(trees) on tree kind j % len(trees), and
             # column c is value values[c // len(schemes)] under scheme c % len(schemes).
             split = (len(seeds), shape[1], len(values), shape[2])
-            for out, per_tree in ((avg, judged.total / n_dest), (pdr, judged.delivered.sum(axis=1) / n_dest)):
+            for out, per_tree in zip((avg, pdr), judged.averages()):
                 out[values, :, :, trials] = per_tree.reshape(split).transpose(2, 1, 3, 0)
             del block  # gone before the next block is built, so one block is alive at a time
         del shared_block

@@ -30,24 +30,24 @@ availability is the hop's. judge then settles every tree under every column
 of chosen channels in one array pass: one gather reads each hop's air time
 and fit on its chosen channel, and the air times are summed along each
 destination's path from the root (SlotIndex.dest_paths, built once per
-index), one step at a time for all paths together. Sweeps read only each
-tree's delivered destinations and total throughput; run (a block of one
-seed) and fixture replays (one tree) build SessionResults from the
-judgement (session_results).
+index), one step at a time for all paths together. The table, the chosen
+channels and the Judgement are the one result of a session: sweeps, run
+(a block of one seed) and fixture replays (one tree) all read them, and
+Judgement.averages gives every tree's average throughput and PDR. What
+happened at an entry is read straight from them: its node ids from the
+slot index, its channel from the chosen channels (-1 for none), each
+receiver's fit from table.fits on that channel.
 
-Hop records (SessionResult.hops, and control_trace from them) are a view
-built from the table and the node ids of its index when first read; sampled
-sweeps never read it. Inputs are checked where they enter, once:
-experiment._block_stages rejects co-located parent edges, ChannelModel
-non-positive mean idle durations, link_metrics a non-finite rate, and
+Inputs are checked where they enter, once: experiment._block_stages
+rejects co-located parent edges, ChannelModel bad mean idle durations and
+idle probabilities, link_metrics a non-finite rate, and
 example_case.run_fixture every fixture value. An EventTable checks nothing;
 the phy functions keep every check for direct callers.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -62,18 +62,6 @@ from .topology import tree_levels
 class TreeKind(Enum):
     SPT = "spt"
     MST = "mst"
-
-
-@dataclass(frozen=True)
-class HopRecord:
-    """What happened at one transmitter event."""
-
-    transmitter: int
-    receivers: tuple[int, ...]
-    chosen_channel: int | None
-    tx_time: tuple[float, ...]  # per receiver, on the chosen channel; NaN if none
-    success: tuple[bool, ...]
-    available_time: float  # sampled availability of the chosen channel; NaN if none
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,64 +183,6 @@ class EventTable:
         return self.tx_time <= self.available_time[self.slots.event]
 
 
-@dataclass(frozen=True)
-class SessionResult:
-    """Outcome of one session. == compares the outcome fields only; the hop
-    records are a view over the fields after them."""
-
-    delivered: dict[int, bool]
-    throughput: dict[int, float]  # bits/s per destination; 0 when undelivered
-    total_throughput: float
-    avg_throughput: float  # total divided by the number of destinations
-    pdr: float  # delivered fraction of destinations
-    table: EventTable = field(repr=False, compare=False)  # the table the tree was judged in
-    entries: range = field(repr=False, compare=False)  # table entries of the tree
-    channels: np.ndarray = field(repr=False, compare=False)  # per table entry; -1 where no channel is idle
-    air: np.ndarray = field(repr=False, compare=False)  # per table slot, as in Judgement.air
-    replay_all: bool = field(repr=False, compare=False)  # whether the hop view lists every entry
-
-    @cached_property
-    def hops(self) -> tuple[HopRecord, ...]:
-        """What happened at each recorded entry, in schedule order: in sampled
-        sessions every entry whose transmitter had the packet, in fixture
-        replays every entry. Node ids come from the table's slot index."""
-        slots = self.table.slots
-        tx_slot = slots.tx_slot.tolist()
-        recorded = self.entries
-        if not self.replay_all:
-            # A slot got the packet iff its hop fits and its transmitter got
-            # it; every slot comes after its transmitter's, and the extra last
-            # entry, slot -1, is every root.
-            air = self.air.tolist()
-            got = [False] * (len(air) - 1) + [True]
-            for s, entry in enumerate(slots.event.tolist()):
-                got[s] = got[tx_slot[entry]] and not math.isnan(air[s])
-            recorded = [e for e in recorded if got[tx_slot[e]]]
-        transmitter, receiver = slots.transmitter.tolist(), slots.receiver.tolist()
-        bounds = [*slots.starts.tolist(), len(receiver)]
-        hops = []
-        for e in recorded:
-            ch, lo, hi = int(self.channels[e]), bounds[e], bounds[e + 1]
-            tx, receivers, n = transmitter[e], tuple(receiver[lo:hi]), hi - lo
-            if ch < 0:
-                hops.append(HopRecord(tx, receivers, None, (math.nan,) * n, (False,) * n, math.nan))
-                continue
-            times = tuple(self.table.tx_time[lo:hi, ch].tolist())
-            success = tuple(self.table.fits[lo:hi, ch].tolist())
-            hops.append(HopRecord(tx, receivers, ch, times, success, float(self.table.available_time[e, ch])))
-        return tuple(hops)
-
-    @property
-    def control_trace(self) -> tuple[tuple[str, int, int], ...]:
-        """(kind, from, to) per control message: each recorded hop announces
-        the packet to its receivers (MA), then collects their ACKs."""
-        trace = []
-        for hop in self.hops:
-            trace += [("MA", hop.transmitter, r) for r in hop.receivers]
-            trace += [("ACK", r, hop.transmitter) for r in hop.receivers]
-        return tuple(trace)
-
-
 def draw_raw(slots: SlotIndex, model: ChannelModel, rngs):
     """Draw the random numbers behind every entry's channel states, fading
     gains and rs pick, before any idle probability applies, tree j of slots
@@ -334,6 +264,13 @@ class Judgement:
     throughput: np.ndarray  # (trees, D, S) bits/s per destination; 0 when undelivered
     total: np.ndarray  # (trees, S) throughputs summed one destination after another
 
+    def averages(self) -> tuple[np.ndarray, np.ndarray]:
+        """(trees, S) average throughput and PDR of every tree under every
+        column: its total over the destination count, and the delivered
+        fraction of its destinations."""
+        n_dest = self.delivered.shape[1]
+        return self.total / n_dest, self.delivered.sum(axis=1) / n_dest
+
 
 def judge(table: EventTable, channels: np.ndarray, packet_bits: int) -> Judgement:
     """Judge every hop of every tree of table under each column of channels,
@@ -377,42 +314,13 @@ def judge(table: EventTable, channels: np.ndarray, packet_bits: int) -> Judgemen
     return Judgement(air, delivered, throughput, total)
 
 
-def session_results(
-    table: EventTable, channels: np.ndarray, judged: Judgement, replay_all: bool = False
-) -> list[list[SessionResult]]:
-    """SessionResults of a table's judgement: per tree, one per channel
-    column. The hop view lists every entry under replay_all (fixture
-    replays), else every entry whose transmitter had the packet."""
-    n_dest = judged.delivered.shape[1]
-    tree_starts = table.slots.tree_starts.tolist()
-    results = []
-    for j, (first, end) in enumerate(zip(tree_starts, tree_starts[1:])):
-        dests = table.slots.destinations[j * n_dest:(j + 1) * n_dest]
-        results.append([
-            SessionResult(
-                delivered=dict(zip(dests, delivered)),
-                throughput=dict(zip(dests, throughput)),
-                total_throughput=total,
-                avg_throughput=total / n_dest,
-                pdr=sum(delivered) / n_dest,
-                table=table,
-                entries=range(first, end),
-                channels=channels[:, k],
-                air=judged.air[:, k],
-                replay_all=replay_all,
-            )
-            for k, (delivered, throughput, total) in enumerate(zip(
-                judged.delivered[j].T.tolist(), judged.throughput[j].T.tolist(), judged.total[j].tolist(),
-            ))
-        ])
-    return results
-
-
-def session_to_csv(result: SessionResult) -> str:
-    """Record set for fixture diffing: one row per destination plus a summary
-    row carrying the PDR and the total throughput."""
+def session_to_csv(destinations, delivered, throughput, total: float) -> str:
+    """Record set of one tree under one channel column, for fixture diffing:
+    one row per destination, in the order given (a SlotIndex's are sorted),
+    with its delivery flag and throughput, plus a summary row carrying the
+    PDR and the total throughput. Each number is written as the repr of a
+    Python float."""
     lines = ["dest,delivered,throughput_bps"]
-    for k in sorted(result.delivered):
-        lines.append(f"{k},{int(result.delivered[k])},{result.throughput[k]!r}")
-    lines.append(f"summary,{result.pdr!r},{result.total_throughput!r}")
+    lines += [f"{k},{int(ok)},{float(t)!r}" for k, ok, t in zip(destinations, delivered, throughput)]
+    lines.append(f"summary,{float(sum(delivered)) / len(delivered)!r},{float(total)!r}")
     return "\n".join(lines) + "\n"

@@ -16,11 +16,12 @@ into the same per-event metrics, with one pick uniform per event. The
 equivalence tests require the package's engine to reproduce these results
 bit for bit, hops and control trace included.
 
-Results are returned as (Result, control trace) pairs. Result holds the
-same outcome fields as the package's SessionResult plus the hop records as
-a plain tuple, built in the loop, so the equivalence tests compare them
-field by field with the package's results, its hop view and its derived
-trace.
+Results are returned as (Result, control trace) pairs. Result holds each
+session's outcome (delivery and throughput per destination, total and
+average throughput, PDR) plus its hop records, built in the loop: every
+entry whose transmitter had the packet, or every entry in a fixture replay.
+The equivalence tests compare them field by field with the package's
+event table, chosen channels and Judgement.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from crn_multicast.assignment import Scheme
 from crn_multicast.channel import ChannelModel
 from crn_multicast.phy import PhyParams, data_rate, pos, received_power, tx_time
-from crn_multicast.session import HopRecord, SlotIndex, TreeKind
+from crn_multicast.session import SlotIndex, TreeKind
 
 _TREE_CODE = {TreeKind.SPT: 0, TreeKind.MST: 1}
 _STREAM_TOPOLOGY = 0
@@ -368,6 +369,18 @@ def build_mst(topology: Topology, root: int) -> Tree:
 
 
 @dataclass(frozen=True)
+class HopRecord:
+    """What happened at one transmitter event."""
+
+    transmitter: int
+    receivers: tuple[int, ...]
+    chosen_channel: int | None
+    tx_time: tuple[float, ...]  # per receiver, on the chosen channel; NaN if none
+    success: tuple[bool, ...]
+    available_time: float  # sampled availability of the chosen channel; NaN if none
+
+
+@dataclass(frozen=True)
 class Result:
     """Outcome of one session, with every hop record."""
 
@@ -540,7 +553,7 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
 
 
 def run_scenario_sessions(params, schemes, trees, seed: int, channel_model: ChannelModel | None = None):
-    """Per (tree kind, scheme): (SessionResult, control trace) of one seeded scenario."""
+    """Per (tree kind, scheme): (Result, control trace) of one seeded scenario."""
     params.validate()
     model = channel_model if channel_model is not None else params.channels()
     topo = generate_topology(

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from crn_multicast.assignment import Scheme, choose_channels
-from crn_multicast.channel import ChannelModel, ChannelParams, make_channels
+from crn_multicast.channel import ChannelModel, make_channels
 from crn_multicast.example_case import builtin_fixture, run_fixture
 from crn_multicast.experiment import (
     ScenarioParams,
@@ -42,34 +42,38 @@ def mean_results(params, schemes, trees, trials, base_seed=10_000):
     tput = {(t, s): 0.0 for t in trees for s in schemes}
     pdr = {(t, s): 0.0 for t in trees for s in schemes}
     for i in range(trials):
-        out = run_scenario_sessions(params, schemes, trees, seed=base_seed + i)
-        for key, res in out.items():
-            tput[key] += res.avg_throughput / trials
-            pdr[key] += res.pdr / trials
+        judged = run_scenario_sessions(params, schemes, trees, seed=base_seed + i)[2]
+        avg_i, pdr_i = (a.tolist() for a in judged.averages())  # Python floats, added trial after trial
+        for j, t in enumerate(trees):
+            for k, s in enumerate(schemes):
+                tput[(t, s)] += avg_i[j][k] / trials
+                pdr[(t, s)] += pdr_i[j][k] / trials
     return tput, pdr
 
 
 def test_criterion_1_worked_example_oracle():
     start = time.perf_counter()
-    result = run_fixture(builtin_fixture())
+    table, channels, judged = run_fixture(builtin_fixture())
     elapsed = time.perf_counter() - start
-    selections = [h.chosen_channel + 1 for h in result.hops]
+    selections = (channels[:, 0] + 1).tolist()
+    throughput = dict(zip(table.slots.destinations, judged.throughput[0, :, 0].tolist()))
+    total, pdr = judged.total[0, 0].item(), judged.averages()[1][0, 0].item()
     checks = [
         selections == [5, 6, 4],
-        math.isclose(result.throughput[6], 5.5539e6, rel_tol=0.005),
-        math.isclose(result.throughput[9], 6.4251e6, rel_tol=0.005),
-        math.isclose(result.throughput[10], 2.8e6, rel_tol=0.005),
-        result.throughput[7] == 0.0,
-        result.throughput[8] == 0.0,
-        math.isclose(result.total_throughput, 14.779e6, rel_tol=0.01),
-        result.pdr == 0.6,
+        math.isclose(throughput[6], 5.5539e6, rel_tol=0.005),
+        math.isclose(throughput[9], 6.4251e6, rel_tol=0.005),
+        math.isclose(throughput[10], 2.8e6, rel_tol=0.005),
+        throughput[7] == 0.0,
+        throughput[8] == 0.0,
+        math.isclose(total, 14.779e6, rel_tol=0.01),
+        pdr == 0.6,
         elapsed < 1.0,
     ]
     report(
         1,
         all(checks),
         f"selections CH{selections[0]}/CH{selections[1]}/CH{selections[2]}, "
-        f"total {result.total_throughput / 1e6:.3f} Mbps, pdr {result.pdr}, {elapsed * 1e3:.0f} ms",
+        f"total {total / 1e6:.3f} Mbps, pdr {pdr}, {elapsed * 1e3:.0f} ms",
     )
 
 
@@ -201,7 +205,7 @@ def test_criterion_8_statistical_sanity():
     _, _, gains = draw(make_channels(1, 0.01, 0.01, 0.5), np.random.default_rng(82), 1, receivers=n)
     gain_ok = abs(gains.mean() - 1.0) < 0.02
 
-    avail_model = ChannelModel((ChannelParams(0.05, 0.999),))
+    avail_model = ChannelModel([0.05], [0.999])
     _, avail, _ = draw(avail_model, np.random.default_rng(83), n)
     avail = avail[:, 0][~np.isnan(avail[:, 0])]
     avail_ok = abs(avail.mean() - 0.05) / 0.05 < 0.02

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from crn_multicast.channel import ChannelModel, ChannelParams, make_channels
+from crn_multicast.channel import ChannelModel, make_channels
 from crn_multicast.session import draw_raw, idle_flags, slot_index
 
 
@@ -29,7 +29,7 @@ class TestMakeChannels:
     def test_six_channel_grid(self):
         model = make_channels(6, 0.010, 0.060, 0.7)
         assert model.mu_idle == pytest.approx([0.01, 0.02, 0.03, 0.04, 0.05, 0.06], rel=1e-12)
-        assert all(c.p_idle == 0.7 for c in model.channels)
+        assert model.p_idle.tolist() == [0.7] * 6
 
     def test_single_channel_gets_mu_min(self):
         model = make_channels(1, 0.004, 0.060, 0.5)
@@ -74,16 +74,42 @@ class TestChannelModel:
         # before: a NaN mu_idle gave pdr 0 under every scheme, and p_idle
         # 1.5 or NaN was accepted, when passed to run_scenario_sessions
         with pytest.raises(ValueError, match=re.escape(message)):
-            ChannelModel((ChannelParams(0.05, 0.5), ChannelParams(mu, p_idle)))
+            ChannelModel([0.05, mu], [0.5, p_idle])
+
+    @pytest.mark.parametrize(
+        "mu, p_idle, message",
+        [
+            ([0.05, 0.06], [0.5], "mu_idle and p_idle must have one value per channel, got 2 and 1"),
+            ([[0.05, 0.06]], [[0.5, 0.5]], "mu_idle and p_idle must be 1-D arrays, got shapes (1, 2) and (1, 2)"),
+            (0.05, 0.5, "mu_idle and p_idle must be 1-D arrays, got shapes () and ()"),
+            ([], [], "a channel model needs at least one channel"),
+        ],
+        ids=["lengths_differ", "two_d", "scalars", "no_channels"],
+    )
+    def test_bad_array_shapes_rejected(self, mu, p_idle, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ChannelModel(mu, p_idle)
 
     @pytest.mark.parametrize("p_idle", [0.0, 1.0])
     def test_boundary_idle_probabilities_are_legal(self, p_idle):
-        assert ChannelModel((ChannelParams(0.05, p_idle),)).p_idle.tolist() == [p_idle]
+        assert ChannelModel([0.05], [p_idle]).p_idle.tolist() == [p_idle]
+
+    def test_arrays_are_copied_float_and_read_only(self):
+        # draws are shared between models keyed on mu_idle.tobytes(), so a
+        # model's arrays never change after construction
+        mu = np.array([1, 2])
+        model = ChannelModel(mu, [0.5, 0.5])
+        mu[0] = 9
+        assert model.mu_idle.dtype == np.float64 and model.mu_idle.tolist() == [1.0, 2.0]
+        assert model.m == 2
+        with pytest.raises(ValueError, match="read-only"):
+            model.p_idle[0] = 0.1
+
 
 
 class TestEventState:
     def test_boundary_p_idle_one_means_all_idle(self):
-        model = ChannelModel(tuple(ChannelParams(0.05, 1.0) for _ in range(8)))
+        model = ChannelModel(np.full(8, 0.05), np.ones(8))
         idle, available, _ = draw(model, np.random.default_rng(0), 50)
         assert idle.all()
         assert np.all(available > 0)
@@ -94,7 +120,7 @@ class TestEventState:
         assert np.all(np.abs(idle.mean(axis=0) - 0.5) < 0.01)
 
     def test_available_time_mean(self):
-        model = ChannelModel((ChannelParams(0.050, 0.999),))
+        model = ChannelModel([0.050], [0.999])
         _, available, _ = draw(model, np.random.default_rng(7), 100_000)
         draws = available[:, 0][~np.isnan(available[:, 0])]
         assert abs(draws.mean() - 0.050) / 0.050 < 0.02
@@ -102,7 +128,7 @@ class TestEventState:
     def test_available_time_is_exponential(self):
         # KS statistic against Exponential(mu) under the asymptotic 1% critical value
         mu = 0.030
-        model = ChannelModel((ChannelParams(mu, 0.999),))
+        model = ChannelModel([mu], [0.999])
         _, available, _ = draw(model, np.random.default_rng(11), 10_000)
         draws = available[:, 0][~np.isnan(available[:, 0])]
         stat = stats.kstest(draws, "expon", args=(0, mu)).statistic

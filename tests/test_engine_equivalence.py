@@ -2,13 +2,15 @@
 
 tests/reference_engine.py keeps the per-event pipeline that whole-tree tables
 replaced. Both engines draw from the same generator calls in the same order
-and apply the same arithmetic element by element, so their session results
-must be equal: every decision, hop record, control message, delivery and
-throughput, bit for bit. SessionResult's == sees only the outcome fields, so
-the hop records, a view the package builds when first read, are compared on
-their own.
+and apply the same arithmetic element by element, so their sessions must
+agree: every decision, hop, control message, delivery and throughput, bit
+for bit. The reference keeps a hop record per entry it ran; the package
+keeps arrays (its event table, chosen channels and Judgement), so each
+reference hop is compared field by field with what the arrays hold at its
+entry.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,9 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 import reference_engine as ref
 from crn_multicast.assignment import Scheme, choose_channels
-from crn_multicast.channel import ChannelModel, ChannelParams
+from crn_multicast.channel import ChannelModel
 from crn_multicast.example_case import builtin_fixture, run_fixture
-from crn_multicast import experiment
 from crn_multicast.experiment import ScenarioParams, run_scenario_sessions
 from crn_multicast.session import TreeKind, slot_index
 from crn_multicast.topology import mst_stack, place_stack, spt_stack
@@ -37,22 +38,78 @@ CASES = {
     "p_idle_0.5": (replace(DEFAULTS, p_idle=0.5), None),
     "n_nodes_160": (replace(DEFAULTS, n_nodes=160, n_dest=4), None),
     "one_channel": (replace(DEFAULTS, m_channels=1), None),
-    "all_busy": (DEFAULTS, ChannelModel(tuple(ChannelParams(float(mu), 0.0) for mu in MU_GRID))),
-    "always_idle": (DEFAULTS, ChannelModel(tuple(ChannelParams(float(mu), 1.0) for mu in MU_GRID))),
+    "all_busy": (DEFAULTS, ChannelModel(MU_GRID, np.zeros_like(MU_GRID))),
+    "always_idle": (DEFAULTS, ChannelModel(MU_GRID, np.ones_like(MU_GRID))),
 }
 
 
-OUTCOME_FIELDS = ("delivered", "throughput", "total_throughput", "avg_throughput", "pdr")
+def recorded_entries(got, j, k, every_entry=False):
+    """Entries of tree j the reference records under column k of a package
+    result (table, channels, judgement): every entry of a fixture replay
+    (every_entry), else those whose transmitter got the packet. A slot got
+    it iff its hop's air time is a number and its transmitter's slot got
+    it; every slot comes after its transmitter's, and air's last row, slot
+    -1, stands for the roots."""
+    table, _, judged = got
+    slots = table.slots
+    entries = range(*slots.tree_starts[j:j + 2].tolist())
+    if every_entry:
+        return list(entries)
+    reached = np.append(~np.isnan(judged.air[:-1, k]), True)
+    for s, e in enumerate(slots.event.tolist()):
+        reached[s] &= reached[slots.tx_slot[e]]
+    return [e for e in entries if reached[slots.tx_slot[e]]]
 
 
-def assert_same(got, want):
+def entry_hop(got, e, k):
+    """Entry e under column k of a package result, as the reference's hop
+    record: its channel (None for -1), and each receiver's air time and fit
+    and the availability on that channel (NaN, NaN and False without one)."""
+    table, channels, _ = got
+    slots = table.slots
+    lo, hi = np.append(slots.starts, len(slots.receiver))[e:e + 2]
+    ch = channels[e, k].item()
+    receivers = tuple(slots.receiver[lo:hi].tolist())
+    if ch < 0:
+        nan = (math.nan,) * len(receivers)
+        return ref.HopRecord(slots.transmitter[e].item(), receivers, None, nan, (False,) * len(receivers), math.nan)
+    return ref.HopRecord(
+        slots.transmitter[e].item(), receivers, ch, tuple(table.tx_time[lo:hi, ch].tolist()),
+        tuple(table.fits[lo:hi, ch].tolist()), table.available_time[e, ch].item(),
+    )
+
+
+def same_number(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def assert_same(got, j, k, want, every_entry=False):
+    """Tree j under column k of a package result (table, channels,
+    judgement) against the reference's (Result, control trace)."""
     result, trace = want
-    for name in OUTCOME_FIELDS:
-        assert getattr(got, name) == getattr(result, name), name
-    # HopRecord's == compares every field; a NaN matches only when both sides
-    # hold math.nan itself, which both engines use for a hop without a channel.
-    assert got.hops == result.hops
-    assert got.control_trace == trace
+    table, _, judged = got
+    n_dest = judged.delivered.shape[1]
+    dests = table.slots.destinations[j * n_dest:(j + 1) * n_dest]
+    avg, pdr = judged.averages()
+    assert dict(zip(dests, judged.delivered[j, :, k].tolist())) == result.delivered
+    assert dict(zip(dests, judged.throughput[j, :, k].tolist())) == result.throughput
+    assert judged.total[j, k].item() == result.total_throughput
+    assert avg[j, k].item() == result.avg_throughput
+    assert pdr[j, k].item() == result.pdr
+    hops = [entry_hop(got, e, k) for e in recorded_entries(got, j, k, every_entry)]
+    assert len(hops) == len(result.hops)
+    for mine, hop in zip(hops, result.hops):
+        assert (mine.transmitter, mine.receivers) == (hop.transmitter, hop.receivers)
+        assert mine.chosen_channel == hop.chosen_channel, hop
+        assert len(mine.tx_time) == len(hop.tx_time) and all(map(same_number, mine.tx_time, hop.tx_time)), hop
+        assert mine.success == hop.success, hop
+        assert same_number(mine.available_time, hop.available_time), hop
+    # Each recorded entry announces the packet to its receivers (MA), then collects their ACKs.
+    expected = []
+    for hop in hops:
+        expected += [("MA", hop.transmitter, r) for r in hop.receivers]
+        expected += [("ACK", r, hop.transmitter) for r in hop.receivers]
+    assert tuple(expected) == trace
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -61,9 +118,10 @@ def test_scenario_sessions_match_reference(case):
     for seed in SEEDS:
         got = run_scenario_sessions(params, SCHEMES, TREES, seed, channel_model=model)
         want = ref.run_scenario_sessions(params, SCHEMES, TREES, seed, channel_model=model)
-        assert list(got) == list(want)
-        for key in want:
-            assert_same(got[key], want[key])
+        assert list(want) == [(tree, scheme) for tree in TREES for scheme in SCHEMES]
+        for j, tree in enumerate(TREES):
+            for k, scheme in enumerate(SCHEMES):
+                assert_same(got, j, k, want[(tree, scheme)])
 
 
 def test_cases_exercise_every_outcome():
@@ -72,11 +130,13 @@ def test_cases_exercise_every_outcome():
     # relays that never got the packet and were skipped.
     hops, skipped = [], 0
     for params, model in CASES.values():
-        # Entries of each tree kind's layer schedule, one per transmitter.
-        entries = dict(zip(TREES, np.diff(experiment._block_stages(params, TREES, [0]).slots.tree_starts)))
-        for (tree, _), res in run_scenario_sessions(params, SCHEMES, TREES, 0, model).items():
-            hops += res.hops
-            skipped += len(res.hops) < entries[tree]
+        got = run_scenario_sessions(params, SCHEMES, TREES, 0, model)
+        slots = got[0].slots
+        for j in range(len(TREES)):
+            for k in range(len(SCHEMES)):
+                entries = recorded_entries(got, j, k)
+                hops += [entry_hop(got, e, k) for e in entries]
+                skipped += len(entries) < slots.tree_starts[j + 1] - slots.tree_starts[j]
     assert any(hop.chosen_channel is None for hop in hops)
     assert any(True in hop.success for hop in hops)
     assert any(False in hop.success for hop in hops if hop.chosen_channel is not None)
@@ -85,7 +145,8 @@ def test_cases_exercise_every_outcome():
 
 @pytest.mark.parametrize("scheme", [Scheme.POS, Scheme.MASA, Scheme.MDR])
 def test_run_fixture_matches_reference(scheme):
-    assert_same(run_fixture(builtin_fixture(), scheme=scheme), ref.run_fixture(builtin_fixture(), scheme=scheme))
+    want = ref.run_fixture(builtin_fixture(), scheme=scheme)
+    assert_same(run_fixture(builtin_fixture(), scheme=scheme), 0, 0, want, every_entry=True)
 
 
 def test_random_replay_of_fixture_matches_reference():
@@ -96,7 +157,7 @@ def test_random_replay_of_fixture_matches_reference():
     for seed in range(50):
         got = run_fixture(fixture, Scheme.RS, rng=np.random.default_rng(seed))
         want = ref.run_fixture(fixture, Scheme.RS, rng=np.random.default_rng(seed))
-        assert_same(got, want)
+        assert_same(got, 0, 0, want, every_entry=True)
 
 
 @st.composite

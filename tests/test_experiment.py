@@ -6,7 +6,7 @@ import pytest
 import reference_engine as ref
 from crn_multicast import experiment, session
 from crn_multicast.assignment import Scheme
-from crn_multicast.channel import ChannelModel, ChannelParams
+from crn_multicast.channel import ChannelModel
 from crn_multicast.experiment import (
     DataFormatError,
     ScenarioParams,
@@ -26,50 +26,77 @@ SMALL = ScenarioParams(n_nodes=14, n_dest=5, m_channels=8)
 ALL_SCHEMES = (Scheme.POS, Scheme.MASA, Scheme.MDR, Scheme.RS)
 
 
+def session_arrays(got, j, k):
+    """Everything a result (table, channels, judgement) holds on tree j under
+    column k: its destinations; each entry's transmitter, chosen channel and
+    availability on every channel; each slot's receiver, air time on every
+    channel and hop air time (NaN where the hop fails); each destination's
+    delivery and throughput; and the total."""
+    table, channels, judged = got
+    slots = table.slots
+    e0, e1 = slots.tree_starts[j:j + 2].tolist()
+    s0, s1 = np.append(slots.starts, len(slots.event))[[e0, e1]].tolist()
+    n_dest = judged.delivered.shape[1]
+    return {
+        "destinations": np.array(slots.destinations[j * n_dest:(j + 1) * n_dest]),
+        "transmitter": slots.transmitter[e0:e1],
+        "channels": channels[e0:e1, k],
+        "available_time": table.available_time[e0:e1],
+        "receiver": slots.receiver[s0:s1],
+        "tx_time": table.tx_time[s0:s1],
+        "air": judged.air[s0:s1, k],
+        "delivered": judged.delivered[j, :, k],
+        "throughput": judged.throughput[j, :, k],
+        "total": judged.total[j, k],
+    }
+
+
+def assert_same_session(got, want):
+    """Two session_arrays results hold the same arrays, bit for bit."""
+    assert got.keys() == want.keys()
+    for name in got:
+        assert np.array_equal(got[name], want[name], equal_nan=True), name
+
+
 class TestRunTrial:
     def test_deterministic(self):
         a = run_scenario_sessions(SMALL, [Scheme.POS], [TreeKind.SPT], seed=42)
         b = run_scenario_sessions(SMALL, [Scheme.POS], [TreeKind.SPT], seed=42)
-        assert a == b
-        assert [r.hops for r in a.values()] == [r.hops for r in b.values()]
+        assert_same_session(session_arrays(a, 0, 0), session_arrays(b, 0, 0))
 
     def test_schemes_and_trees_share_draws(self):
         # adding schemes or tree kinds must not disturb anyone else's streams
         alone = run_scenario_sessions(SMALL, [Scheme.POS], [TreeKind.SPT], seed=7)
         together = run_scenario_sessions(SMALL, ALL_SCHEMES, [TreeKind.SPT, TreeKind.MST], seed=7)
-        key = (TreeKind.SPT, Scheme.POS)
-        assert together[key] == alone[key]
-        assert together[key].hops == alone[key].hops
+        assert_same_session(session_arrays(together, 0, 0), session_arrays(alone, 0, 0))
 
     def test_paired_schemes_see_identical_events(self):
-        # availability is drawn once per (event, channel): two schemes picking
-        # the same channel at the same hop must observe the same sample
+        # availability is drawn once per (event, channel): every scheme, run
+        # alone or beside the others, reads the same table, and schemes do
+        # pick the same channel at the same hop
         found = 0
         for seed in range(10):
-            sessions = run_scenario_sessions(SMALL, ALL_SCHEMES, [TreeKind.SPT], seed=seed)
-            seen: dict[tuple[int, int], float] = {}
-            for res in sessions.values():
-                for h in res.hops:
-                    if h.chosen_channel is None:
-                        continue
-                    key = (h.transmitter, h.chosen_channel)
-                    if key in seen:
-                        found += 1
-                        assert h.available_time == seen[key]
-                    seen[key] = h.available_time
+            table, channels, _ = run_scenario_sessions(SMALL, ALL_SCHEMES, [TreeKind.SPT], seed=seed)
+            for k, scheme in enumerate(ALL_SCHEMES):
+                alone, alone_channels, _ = run_scenario_sessions(SMALL, [scheme], [TreeKind.SPT], seed=seed)
+                assert np.array_equal(alone_channels[:, 0], channels[:, k])
+                assert np.array_equal(alone.available_time, table.available_time)
+                assert np.array_equal(alone.tx_time, table.tx_time)
+            found += sum(len(set(row)) < len(row) for row in channels.tolist() if -1 not in row)
         assert found > 0
 
     def test_single_idle_channel_removes_all_freedom(self):
-        model = ChannelModel((ChannelParams(0.050, 0.9),))
-        outcomes = run_scenario_sessions(SMALL, ALL_SCHEMES, [TreeKind.SPT], seed=11, channel_model=model)
-        first = outcomes[(TreeKind.SPT, Scheme.POS)]
-        assert all(outcomes[(TreeKind.SPT, s)] == first for s in ALL_SCHEMES)
-        assert all(outcomes[(TreeKind.SPT, s)].hops == first.hops for s in ALL_SCHEMES)
+        model = ChannelModel([0.050], [0.9])
+        got = run_scenario_sessions(SMALL, ALL_SCHEMES, [TreeKind.SPT], seed=11, channel_model=model)
+        for k in range(1, len(ALL_SCHEMES)):
+            assert_same_session(session_arrays(got, 0, k), session_arrays(got, 0, 0))
 
     def test_always_idle_abundant_availability_delivers_all(self):
-        model = ChannelModel(tuple(ChannelParams(1e6, 1.0) for _ in range(4)))
-        outcomes = run_scenario_sessions(SMALL, ALL_SCHEMES, [TreeKind.SPT, TreeKind.MST], seed=5, channel_model=model)
-        assert all(oc.pdr == 1.0 for oc in outcomes.values())
+        model = ChannelModel(np.full(4, 1e6), np.ones(4))
+        _, _, judged = run_scenario_sessions(
+            SMALL, ALL_SCHEMES, [TreeKind.SPT, TreeKind.MST], seed=5, channel_model=model
+        )
+        assert (judged.averages()[1] == 1.0).all()
 
     def test_bad_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -87,31 +114,17 @@ class TestRunTrial:
         block = experiment._block_stages(SMALL, trees, seeds)
         for params in (SMALL, replace(SMALL, m_channels=3), replace(SMALL, p_idle=0.3, bandwidth_hz=2e6)):
             phy, model = params.phy(), params.channels()
-            table, channels, shared = experiment._judge_block(phy, [model], ALL_SCHEMES, block)
+            shared = experiment._judge_block(phy, [model], ALL_SCHEMES, block)
             fresh_block = experiment._block_stages(params, trees, seeds)
             _, fresh_channels, fresh = experiment._judge_block(phy, [model], ALL_SCHEMES, fresh_block)
-            assert np.array_equal(channels, fresh_channels)
+            assert np.array_equal(shared[1], fresh_channels)
             for name in ("air", "delivered", "throughput", "total"):
-                assert np.array_equal(getattr(shared, name), getattr(fresh, name), equal_nan=True)
-            results = session.session_results(table, channels, shared)
+                assert np.array_equal(getattr(shared[2], name), getattr(fresh, name), equal_nan=True)
             for j, seed in enumerate(seeds):
                 alone = run_scenario_sessions(params, ALL_SCHEMES, trees, seed)
-                for t, tree in enumerate(trees):
-                    got = dict(zip(ALL_SCHEMES, results[len(trees) * j + t]))
-                    assert all(got[s] == alone[(tree, s)] for s in ALL_SCHEMES)
-
-    def test_sampled_sessions_build_no_hop_records(self, monkeypatch):
-        # Hop records are a view built when first read; sweeps never read it.
-        def refuse(*args, **kwargs):
-            raise AssertionError("a hop record was built")
-
-        monkeypatch.setattr(session, "HopRecord", refuse)
-        spec = SweepSpec(base=SMALL, variable="p_idle", values=(0.3, 0.9), trials=3, seed=4)
-        avg, pdr = run_sweep(spec)
-        assert avg.shape == pdr.shape == (2, 2, len(ALL_SCHEMES), 3)
-        result = run_scenario_sessions(SMALL, ALL_SCHEMES, [TreeKind.SPT], seed=4)[(TreeKind.SPT, Scheme.RS)]
-        with pytest.raises(AssertionError, match="a hop record was built"):
-            result.hops
+                for t in range(len(trees)):
+                    for k in range(len(ALL_SCHEMES)):
+                        assert_same_session(session_arrays(shared, len(trees) * j + t, k), session_arrays(alone, t, k))
 
     def test_co_located_nodes_rejected_once_per_tree(self, monkeypatch):
         # link_metrics runs the link equations without range checks, so
@@ -203,20 +216,30 @@ GEOMETRY_SWEPT = {"n_nodes", "n_dest"}
 DRAWS_SWEPT = GEOMETRY_SWEPT | {"M"}
 
 
-def value_major_arrays(spec: SweepSpec, run=run_scenario_sessions, result=lambda res: res):
+def package_trial(params, schemes, trees, seed):
+    """(tree, scheme) -> (average throughput, PDR) of one seeded scenario."""
+    avg, pdr = run_scenario_sessions(params, schemes, trees, seed)[2].averages()
+    return {(tree, scheme): (avg[j, k], pdr[j, k]) for j, tree in enumerate(trees) for k, scheme in enumerate(schemes)}
+
+
+def reference_trial(params, schemes, trees, seed):
+    """package_trial through the reference engine."""
+    sessions = ref.run_scenario_sessions(params, schemes, trees, seed)
+    return {key: (result.avg_throughput, result.pdr) for key, (result, _) in sessions.items()}
+
+
+def value_major_arrays(spec: SweepSpec, trial=package_trial):
     """The sweep without shared stages: every (value, trial) from scratch
-    through run, as run_sweep's (values, trees, schemes, trials) arrays of
-    average throughput and PDR; result picks the SessionResult out of each
-    of run's values."""
+    through trial, as run_sweep's (values, trees, schemes, trials) arrays of
+    average throughput and PDR."""
     shape = (len(spec.values), len(spec.trees), len(spec.schemes), spec.trials)
     avg, pdr = np.empty(shape), np.empty(shape)
     for v, (_, params) in enumerate(spec.scenarios()):
         for i in range(spec.trials):
-            sessions = run(params, spec.schemes, spec.trees, spec.seed + i)
+            sessions = trial(params, spec.schemes, spec.trees, spec.seed + i)
             for t, tree in enumerate(spec.trees):
                 for s, scheme in enumerate(spec.schemes):
-                    res = result(sessions[(tree, scheme)])
-                    avg[v, t, s, i], pdr[v, t, s, i] = res.avg_throughput, res.pdr
+                    avg[v, t, s, i], pdr[v, t, s, i] = sessions[(tree, scheme)]
     return avg, pdr
 
 
@@ -299,7 +322,7 @@ class TestSeedBlocks:
         got = run_sweep(spec)
         per_call = [len(spec.values)] if variable == "p_idle" else [1] * len(spec.values)
         assert [len(models) for _, models, _, _ in tables] == per_call * 3
-        assert_same_csv(spec, got, value_major_arrays(spec, ref.run_scenario_sessions, lambda res: res[0]))
+        assert_same_csv(spec, got, value_major_arrays(spec, reference_trial))
 
 
 class TestGroupedJudgement:
@@ -340,9 +363,10 @@ def test_tree_kinds_are_independent(monkeypatch):
     agg = {(r.tree, r.scheme, r.value): r for r in aggregate_trials(spec, avg, pdr)}
     for trees in ((TreeKind.MST, TreeKind.SPT), (TreeKind.SPT,), (TreeKind.MST,)):
         got = run_scenario_sessions(SMALL, ALL_SCHEMES, trees, 6)
-        assert list(got) == [(t, s) for t in trees for s in ALL_SCHEMES]
-        for key, result in got.items():
-            assert result == sessions[key] and result.hops == sessions[key].hops
+        assert len(got[0].slots.tree_starts) == len(trees) + 1
+        for t, tree in enumerate(trees):
+            for k in range(len(ALL_SCHEMES)):
+                assert_same_session(session_arrays(got, t, k), session_arrays(sessions, spec.trees.index(tree), k))
         got_spec = replace(spec, trees=trees)
         got_avg, got_pdr = run_sweep(got_spec)
         columns = [spec.trees.index(tree) for tree in trees]

@@ -9,7 +9,7 @@ more trials than numpy's 8-element pairwise block, the idle/ sweep every
 p_idle value of two blocks judged together over one link table, with events
 that have no idle channel beside ones that have, the wide/ sweep a block of
 trial seeds on both sides of 2**32, whose generators are seeded from one and
-from two 32-bit entropy words, the run files
+from two 32-bit entropy words, the run files both run reports and the
 per-destination throughputs of every tree and scheme, and the example files
 both reports of the worked example. The overwrite tests write the sweep, its
 charts and the run into a directory where every output name already holds a
@@ -24,6 +24,7 @@ on purpose regenerates them with
     crn-multicast sweep --config tests/golden/wide/sweep.cfg --out tests/golden/wide
     crn-multicast run --config tests/golden/run.cfg --seed 7 --json --out tests/golden/run \
         | grep -v '^wrote ' > tests/golden/run/run.json
+    crn-multicast run --config tests/golden/run.cfg --seed 7 > tests/golden/run/run.txt
     crn-multicast example > tests/golden/example/example.txt
     crn-multicast example --json > tests/golden/example/example.json
 
@@ -139,6 +140,11 @@ def test_run_covers_every_tree_and_scheme():
 def test_run_reproduces_golden_report(rerun_run):
     _, report = rerun_run
     assert report.encode() == (RUN_GOLDEN / "run.json").read_bytes()
+
+
+def test_run_reproduces_golden_text_report(capsys):
+    assert main(["run", "--config", str(GOLDEN / "run.cfg"), "--seed", "7"]) == 0
+    assert capsys.readouterr().out.encode() == (RUN_GOLDEN / "run.txt").read_bytes()
 
 
 @pytest.mark.parametrize("name", SESSION_FILES)

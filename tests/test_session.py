@@ -1,43 +1,70 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from crn_multicast.assignment import Scheme
-from crn_multicast.channel import ChannelModel, ChannelParams
+from crn_multicast.channel import ChannelModel
 from crn_multicast.example_case import builtin_fixture, check_fixture, run_fixture
-from crn_multicast import experiment
 from crn_multicast.experiment import ScenarioParams, run_scenario_sessions
 from crn_multicast.session import TreeKind, session_to_csv
+from test_engine_equivalence import recorded_entries
 
 PACKET_BITS = 32768
+
+
+def per_dest(got, name, j=0, k=0):
+    """Destination -> value of the judgement's (trees, D, S) array name, for
+    tree j under column k of a result (table, channels, judgement)."""
+    table, _, judged = got
+    n_dest = judged.delivered.shape[1]
+    return dict(zip(table.slots.destinations[j * n_dest:(j + 1) * n_dest], getattr(judged, name)[j, :, k].tolist()))
+
+
+def pdr_of(got, j=0, k=0):
+    return got[2].averages()[1][j, k].item()
+
+
+def hop_fits(got, k=0):
+    """Per entry under column k: each receiver's fit on its chosen channel,
+    all False where no channel was chosen."""
+    table, channels, _ = got
+    bounds = np.append(table.slots.starts, len(table.slots.receiver))
+    return [
+        tuple(table.fits[lo:hi, ch].tolist()) if ch >= 0 else (False,) * (hi - lo)
+        for ch, lo, hi in zip(channels[:, k].tolist(), bounds, bounds[1:])
+    ]
 
 
 # ------------------------------------------------------------ worked example
 
 class TestWorkedExampleReplay:
     def test_selected_channels(self):
-        result = run_fixture(builtin_fixture())
-        assert [h.chosen_channel for h in result.hops] == [4, 5, 3]  # CH5, CH6, CH4
+        _, channels, _ = run_fixture(builtin_fixture())
+        assert channels[:, 0].tolist() == [4, 5, 3]  # CH5, CH6, CH4
 
     def test_per_destination_throughput(self):
-        result = run_fixture(builtin_fixture())
-        assert result.throughput[6] == pytest.approx(PACKET_BITS / 0.0059)
-        assert result.throughput[9] == pytest.approx(PACKET_BITS / 0.0051)
-        assert result.throughput[10] == pytest.approx(PACKET_BITS / (0.0060 + 0.0057))
-        assert result.throughput[7] == 0.0
-        assert result.throughput[8] == 0.0
+        throughput = per_dest(run_fixture(builtin_fixture()), "throughput")
+        assert throughput[6] == pytest.approx(PACKET_BITS / 0.0059)
+        assert throughput[9] == pytest.approx(PACKET_BITS / 0.0051)
+        assert throughput[10] == pytest.approx(PACKET_BITS / (0.0060 + 0.0057))
+        assert throughput[7] == 0.0
+        assert throughput[8] == 0.0
 
     def test_totals_and_pdr(self):
-        result = run_fixture(builtin_fixture())
-        assert result.total_throughput == pytest.approx(14.779680e6, rel=1e-4)
-        assert result.avg_throughput == pytest.approx(result.total_throughput / 5)
-        assert result.pdr == 0.6
+        _, _, judged = run_fixture(builtin_fixture())
+        avg, pdr = judged.averages()
+        assert judged.total[0, 0] == pytest.approx(14.779680e6, rel=1e-4)
+        assert avg[0, 0] == pytest.approx(judged.total[0, 0] / 5)
+        assert pdr[0, 0] == 0.6
 
     def test_relay_events_reported_even_after_upstream_failure(self):
-        # node 8 misses the packet yet its own hop decision is still recorded
-        result = run_fixture(builtin_fixture())
-        assert [h.transmitter for h in result.hops] == [1, 2, 8]
-        assert result.delivered[7] is False
+        # node 8 misses the packet yet its own hop decision is still made
+        got = run_fixture(builtin_fixture())
+        table, channels, _ = got
+        assert table.slots.transmitter.tolist() == [1, 2, 8]
+        assert channels[2, 0] >= 0
+        assert per_dest(got, "delivered")[7] is False
 
     def test_check_fixture_accepts_builtin(self):
         ok, _, payload = check_fixture(builtin_fixture())
@@ -52,9 +79,9 @@ class TestWorkedExampleReplay:
         assert payload["mismatches"]
 
     def test_masa_on_injected_tables_picks_highest_availability(self):
-        result = run_fixture(builtin_fixture(), scheme=Scheme.MASA)
+        _, channels, _ = run_fixture(builtin_fixture(), scheme=Scheme.MASA)
         # availability grid rises with channel index, so the highest idle wins
-        assert [h.chosen_channel for h in result.hops] == [5, 5, 3]
+        assert channels[:, 0].tolist() == [5, 5, 3]
 
 
 # ------------------------------------------------------------ injected sessions
@@ -90,44 +117,44 @@ def replay(edges, events, destinations):
 class TestInjectedSession:
     def test_single_hop_success(self):
         ev = injected(0, [1], [[0.9, 0.8]], [[0.004, 0.006]], [0.005, 0.005])
-        result = replay([(0, 1)], [ev], {1})
-        assert result.pdr == 1.0
-        assert result.throughput[1] == pytest.approx(PACKET_BITS / 0.004)
+        got = replay([(0, 1)], [ev], {1})
+        assert pdr_of(got) == 1.0
+        assert per_dest(got, "throughput")[1] == pytest.approx(PACKET_BITS / 0.004)
 
     def test_downstream_failure_zeroes_the_subtree(self):
         events = [
             injected(0, [1], [[0.9]], [[0.010]], [0.005]),  # hop 0->1 fails
             injected(1, [2], [[0.9]], [[0.001]], [0.005]),  # would succeed locally
         ]
-        result = replay(TWO_HOP, events, {1, 2})
-        assert result.delivered == {1: False, 2: False}
-        assert result.throughput == {1: 0.0, 2: 0.0}
-        assert result.pdr == 0.0
-        # both hops still recorded with their own outcomes
-        assert [h.success for h in result.hops] == [(False,), (True,)]
+        got = replay(TWO_HOP, events, {1, 2})
+        assert per_dest(got, "delivered") == {1: False, 2: False}
+        assert per_dest(got, "throughput") == {1: 0.0, 2: 0.0}
+        assert pdr_of(got) == 0.0
+        # both hops still judged with their own outcomes
+        assert hop_fits(got) == [(False,), (True,)]
 
     def test_two_hop_throughput_sums_air_time(self):
         events = [
             injected(0, [1], [[0.9]], [[0.004]], [0.006]),
             injected(1, [2], [[0.9]], [[0.002]], [0.006]),
         ]
-        result = replay(TWO_HOP, events, {2})
-        assert result.pdr == 1.0
-        assert result.throughput[2] == pytest.approx(PACKET_BITS / 0.006)
+        got = replay(TWO_HOP, events, {2})
+        assert pdr_of(got) == 1.0
+        assert per_dest(got, "throughput")[2] == pytest.approx(PACKET_BITS / 0.006)
 
     def test_air_time_equal_to_availability_succeeds(self):
         ev = injected(0, [1], [[0.9]], [[0.005]], [0.005])
-        result = replay([(0, 1)], [ev], {1})
-        assert result.hops[0].success == (True,)
+        assert hop_fits(replay([(0, 1)], [ev], {1})) == [(True,)]
 
     def test_receivers_aligned_to_the_schedule(self):
         # the event lists its receivers out of schedule order; each row
         # stays with its receiver, so only receiver 2 overruns
         ev = injected(0, [2, 1], [[0.9], [0.8]], [[0.009], [0.004]], [0.005])
-        result = replay([(0, 1), (0, 2)], [ev], {1, 2})
-        assert result.hops[0].receivers == (1, 2)
-        assert result.hops[0].tx_time == (0.004, 0.009)
-        assert result.delivered == {1: True, 2: False}
+        got = replay([(0, 1), (0, 2)], [ev], {1, 2})
+        table, channels, _ = got
+        assert table.slots.receiver.tolist() == [1, 2]
+        assert table.tx_time[:, channels[0, 0]].tolist() == [0.004, 0.009]
+        assert per_dest(got, "delivered") == {1: True, 2: False}
 
     def test_event_count_mismatch_rejected(self):
         ev = injected(0, [1], [[0.9]], [[0.004]], [0.006])
@@ -182,10 +209,10 @@ class TestInjectedSession:
             for table in ("pos", "tx_time_s"):
                 ev[table] = {str(int(r) + shift): row for r, row in ev[table].items()}
         want, got = run_fixture(fixture), run_fixture(moved)
-        assert got.throughput == {k + shift: v for k, v in want.throughput.items()}
-        assert [(h.transmitter, h.receivers) for h in got.hops] == [
-            (h.transmitter + shift, tuple(r + shift for r in h.receivers)) for h in want.hops
-        ]
+        assert per_dest(got, "throughput") == {k + shift: v for k, v in per_dest(want, "throughput").items()}
+        for name in ("transmitter", "receiver"):
+            assert (getattr(got[0].slots, name) == getattr(want[0].slots, name) + shift).all()
+        assert np.array_equal(got[1], want[1])
 
     def test_busy_channel_with_nonzero_pos_rejected(self):
         fixture = builtin_fixture()
@@ -215,87 +242,73 @@ def sampled_params(p_idle=0.9, mu=0.050, m=6):
 
 def sampled(params, seed, channel_model=None):
     """The pos session over the SPT of one seeded scenario."""
-    sessions = run_scenario_sessions(params, [Scheme.POS], [TreeKind.SPT], seed, channel_model)
-    return sessions[(TreeKind.SPT, Scheme.POS)]
+    return run_scenario_sessions(params, [Scheme.POS], [TreeKind.SPT], seed, channel_model)
 
 
 class TestSampledSession:
     def test_all_channels_busy_delivers_nothing(self):
-        model = ChannelModel(tuple(ChannelParams(0.05, 1e-12) for _ in range(6)))
-        result = sampled(sampled_params(), 0, model)
-        assert result.pdr == 0.0
-        assert result.total_throughput == 0.0
-        assert all(h.chosen_channel is None for h in result.hops)
+        model = ChannelModel(np.full(6, 0.05), np.full(6, 1e-12))
+        got = sampled(sampled_params(), 0, model)
+        assert pdr_of(got) == 0.0
+        assert got[2].total[0, 0] == 0.0
+        assert (got[1] == -1).all()
 
     def test_abundant_availability_delivers_everything(self):
-        model = ChannelModel(tuple(ChannelParams(1e6, 1.0) for _ in range(6)))
-        result = sampled(sampled_params(), 0, model)
-        assert result.pdr == 1.0
-        hop_times = [h.tx_time[0] for h in result.hops]
-        (dest,) = result.throughput
-        assert result.throughput[dest] == pytest.approx(PACKET_BITS / sum(hop_times))
+        model = ChannelModel(np.full(6, 1e6), np.ones(6))
+        got = sampled(sampled_params(), 0, model)
+        assert pdr_of(got) == 1.0
+        # One destination: the pruned tree is its path, one slot per hop.
+        (throughput,) = per_dest(got, "throughput").values()
+        assert throughput == pytest.approx(PACKET_BITS / sum(got[2].air[:-1, 0].tolist()))
 
     def test_success_is_exactly_airtime_within_availability(self):
         params = sampled_params(p_idle=0.7)
         for seed in range(60):
-            result = sampled(params, seed)
-            for hop in result.hops:
-                if hop.chosen_channel is None:
-                    assert not any(hop.success)
-                else:
-                    for t, ok in zip(hop.tx_time, hop.success):
-                        assert ok == (t <= hop.available_time)
+            table, channels, judged = sampled(params, seed)
+            entry = table.slots.event
+            ch = channels[entry, 0]
+            fits = (ch >= 0) & (table.tx_time[np.arange(len(entry)), ch] <= table.available_time[entry, ch])
+            assert np.array_equal(~np.isnan(judged.air[:-1, 0]), fits)
 
     def test_skipped_relay_transmits_nothing(self):
         params = sampled_params(p_idle=0.4, mu=0.004)
         saw_skip = False
         for seed in range(200):
-            slots = experiment._block_stages(params, [TreeKind.SPT], [seed]).slots
-            result = sampled(params, seed)
-            first = result.hops[0] if result.hops else None
-            if first is not None and not any(first.success):
-                saw_skip |= len(slots.starts) > 1
-                assert len(result.hops) == 1  # later layers never transmit
-                assert result.pdr == 0.0
+            got = sampled(params, seed)
+            if not any(hop_fits(got)[0]):
+                saw_skip |= len(got[0].slots.starts) > 1
+                assert recorded_entries(got, 0, 0) == [0]  # later layers never transmit
+                assert pdr_of(got) == 0.0
         assert saw_skip
-
-    def test_control_trace_shape(self):
-        params = replace(sampled_params(), n_dest=4)
-        slots = experiment._block_stages(params, [TreeKind.SPT], [1]).slots
-        # Each entry's transmitter and receivers, from the slot index's node ids.
-        bounds = [*slots.starts.tolist(), len(slots.receiver)]
-        receivers = [slots.receiver[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])]
-        entries = list(zip(slots.transmitter.tolist(), receivers))
-        assert any(len(rs) > 1 for _, rs in entries)  # a branching tree, not a path
-        model = ChannelModel(tuple(ChannelParams(1e6, 1.0) for _ in range(4)))
-        result = sampled(params, 1, model)
-        expected = []
-        for tx, rs in entries:
-            expected += [("MA", tx, r) for r in rs]
-            expected += [("ACK", r, tx) for r in rs]
-        assert list(result.control_trace) == expected
 
     def test_same_seed_same_result(self):
         params = sampled_params(p_idle=0.6)
-        a, b = sampled(params, 33), sampled(params, 33)
-        assert a == b
-        assert a.hops == b.hops
+        (_, channels_a, a), (_, channels_b, b) = sampled(params, 33), sampled(params, 33)
+        assert np.array_equal(channels_a, channels_b)
+        for name in ("air", "delivered", "throughput", "total"):
+            assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
 
     def test_delivered_count_matches_pdr(self):
         params = sampled_params(p_idle=0.6, mu=0.01)
         for seed in range(40):
-            result = sampled(params, seed)
-            n = len(result.delivered)
-            assert result.pdr * n == pytest.approx(sum(result.delivered.values()))
-            for k, ok in result.delivered.items():
-                assert (result.throughput[k] > 0) == ok
+            got = sampled(params, seed)
+            delivered, throughput = per_dest(got, "delivered"), per_dest(got, "throughput")
+            assert pdr_of(got) * len(delivered) == pytest.approx(sum(delivered.values()))
+            for k, ok in delivered.items():
+                assert (throughput[k] > 0) == ok
 
 
 # ------------------------------------------------------------ serialization
 
+def fixture_csv_columns():
+    """session_to_csv's arguments for the worked example, as numpy values."""
+    table, _, judged = run_fixture(builtin_fixture())
+    return table.slots.destinations, judged.delivered[0, :, 0], judged.throughput[0, :, 0], judged.total[0, 0]
+
+
 def test_session_to_csv_layout():
-    result = run_fixture(builtin_fixture())
-    text = session_to_csv(result)
+    dests, delivered, throughput, total = fixture_csv_columns()
+    text = session_to_csv(dests, delivered.tolist(), throughput.tolist(), total.item())
     lines = text.strip().split("\n")
     assert lines[0] == "dest,delivered,throughput_bps"
     assert len(lines) == 1 + 5 + 1
@@ -303,3 +316,12 @@ def test_session_to_csv_layout():
     assert lines[2] == "7,0,0.0"
     assert lines[-1].startswith("summary,0.6,")
     assert float(lines[-1].split(",")[2]) == pytest.approx(14.78e6, rel=1e-3)
+
+
+def test_session_to_csv_writes_numpy_values_as_python_floats():
+    # repr(np.float64(x)) is "np.float64(x)" under numpy 2, so every number
+    # is written as the repr of a Python float, whatever it arrives as.
+    dests, delivered, throughput, total = fixture_csv_columns()
+    text = session_to_csv(dests, delivered, throughput, total)
+    assert text == session_to_csv(dests, delivered.tolist(), throughput.tolist(), total.item())
+    assert "np." not in text
