@@ -6,34 +6,37 @@ same pre-drawn channel states and fading gains under every requested scheme
 Sweeps repeat trials with seeds seed+i at each value of one swept variable and
 aggregate means with 95% normal-approximation confidence intervals.
 
-Every trial is judged in a block of trial seeds (BlockStages): the tree of
-every (seed, tree kind), seed after seed with tree kinds in order, stacked
-into one slot index and one event table, each tree's channel states, gains
-and rs picks drawn from its own generator. Every generator of the block, each
-seed's topology and destination generators and each tree's events generator,
-is numpy's default_rng((seed, *stream)) in state, seeded from words that one
-hashing pass computes for the whole block (seeding.stream_words); the block
-keeps its events words, so every set of raw draws builds its generators
-without hashing. The block's geometry is placed and
-its trees built as parent arrays a chunk of seeds at a time, each chunk in
-the same numpy calls (topology.chunk_seeds), and one level pass over the
-block's stack of trees prunes, orders and indexes every tree at once
-(session.slot_index). A run is a block of one seed. A sweep runs blocks of
-up to BLOCK_SEEDS seeds and builds what a seed fixes regardless of the
-swept value (its geometry, and its raw draws, rs picks included, once per
-distinct set of mean idle durations) once per block for every value.
+Every trial is judged in a block of trial seeds, in three stages, and each
+stage is shared by every swept value that agrees on what it reads:
 
-Swept values that share a block, radio parameters and mean idle durations
-share one link table (session.EventTable), since idle probabilities only
-decide which channels are idle: in a p_idle sweep that is every value, in
-any other sweep each value is alone. Each such group of a block is judged
-in one pass (_judge_block): one table, each value's idle flags thresholded
-from the shared uniforms, every scheme's channels under every value's flags,
-and one judgement over values x schemes columns. A chosen channel is always
-an idle one, so its fit against the shared table is the fit a value judged
-alone reads, and every column is what that value alone would give. Each
-value fills its slice of the sweep's per-trial arrays, as if every trial had
-run on its own; run and fixture replays are groups of one value.
+- the geometry (_block_stages) reads n_nodes, n_dest, the area and the
+  range. It stacks the tree of every (seed, tree kind), seed after seed with
+  tree kinds in order, into one slot index, and hashes the seed words of
+  every generator of the block in one pass (seeding.stream_words): each
+  seed's topology and destination generators and each tree's events
+  generator, every one numpy's default_rng((seed, *stream)) in state. The
+  block is placed and its trees built as parent arrays a chunk of seeds at
+  a time, each chunk in the same numpy calls (topology.chunk_seeds), and one
+  level pass over the stack prunes, orders and indexes every tree at once
+  (session.slot_index);
+- the raw draws (session.draw_raw) also read the mean idle durations: each
+  tree's channel states, gains and rs picks from its own events generator;
+- the link table (session.EventTable) also reads the radio (PhyParams).
+  Idle probabilities only decide which channels are idle, so values that
+  differ only in p_idle share one table and are judged in one pass
+  (_judge_block): each value's idle flags thresholded from the shared
+  uniforms, every scheme's channels under every value's flags, and one
+  judgement over values x schemes columns. A chosen channel is always an
+  idle one, so its fit against the shared table is the fit a value judged
+  alone reads.
+
+A sweep nests its values in one plan by these three keys (run_sweep): the
+values of a p_idle sweep share all three stages; bw, pt and packet_bits
+share a block's geometry and draws, with a table per value; M shares the
+geometry, with draws per value; n_nodes and n_dest get a geometry per value.
+Each value fills its slice of the sweep's per-trial arrays, as if every
+trial had run on its own. A run is a block of one seed through the same
+three calls, and fixture replays are tables of one tree.
 
 Every output file of the package, the sweep CSVs, run's session CSVs and
 the SVG charts, is written by write_output: rewritten in place to exactly
@@ -49,7 +52,7 @@ import numbers
 import os
 import stat
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -203,47 +206,19 @@ def _events_streams(trees) -> tuple[tuple[int, int], ...]:
     return tuple((2, _TREE_CODE[t]) for t in trees)
 
 
-@dataclass(frozen=True)
-class BlockStages:
-    """What a block of trial seeds fixes before link metrics: one slot index
-    over the tree of every (seed, tree kind), seed after seed with tree
-    kinds in order within each seed (_block_stages), the PCG64 seed words
-    of every tree's events generator, (seeds, trees, 4), and the raw draws
-    taken so far. Built without event words, a block hashes them when its
-    first draws are taken."""
-
-    seeds: tuple[int, ...]
-    trees: tuple[TreeKind, ...]
-    slots: SlotIndex
-    event_words: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _raw: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def raw(self, model: ChannelModel):
-        """Raw draws (session.draw_raw) of every tree under model, rs picks
-        included, each tree from its own (seed, tree kind) generator, when
-        first asked for and then kept. They are keyed on what draw_raw reads
-        of the model, its mean idle durations (whose length is M), so models
-        differing only in p_idle share them; each set of draws builds its
-        generators afresh from the block's event words."""
-        key = model.mu_idle.tobytes()
-        if key not in self._raw:
-            if self.event_words is None:
-                object.__setattr__(self, "event_words", stream_words(self.seeds, _events_streams(self.trees)))
-            self._raw[key] = draw_raw(self.slots, model, generators(self.event_words.reshape(-1, 4)))
-        return self._raw[key]
-
-
-def _block_stages(params: ScenarioParams, trees, seeds) -> BlockStages:
+def _block_stages(params: ScenarioParams, trees, seeds) -> tuple[SlotIndex, np.ndarray]:
     """The slot index of every (seed, tree kind) of a block, seed after seed
-    with tree kinds in order. Each seed's topology and destinations come
-    from its own generators, seeded together with every events generator of
-    the block in one hashing pass (seeding.stream_words), so a bad seed
-    fails here, before any draw. The block is placed and its trees built in chunks of
-    seeds (topology.chunk_seeds), each chunk's placements and trees in the
-    same numpy calls (place_stack, spt_stack, mst_stack); the block's
-    (trees, n) stack of parent arrays is pruned, ordered and laid out as
-    slots in one level pass (session.slot_index). These depend on the
-    seeds, n_nodes, n_dest, area and range only."""
+    with tree kinds in order, and the (trees, 4) PCG64 seed words of each
+    tree's events generator, in the same order. Each seed's topology and
+    destinations come from its own generators, seeded together with every
+    events generator of the block in one hashing pass
+    (seeding.stream_words), so a bad seed fails here, before any draw. The
+    block is placed and its trees built in chunks of seeds
+    (topology.chunk_seeds), each chunk's placements and trees in the same
+    numpy calls (place_stack, spt_stack, mst_stack); the block's (trees, n)
+    stack of parent arrays is pruned, ordered and laid out as slots in one
+    level pass (session.slot_index). These depend on the seeds, n_nodes,
+    n_dest, area and range only."""
     n = params.n_nodes
     builders = {TreeKind.SPT: spt_stack, TreeKind.MST: mst_stack}
     words = stream_words(seeds, (_STREAM_TOPOLOGY, _STREAM_DESTINATIONS, *_events_streams(trees)))
@@ -265,22 +240,22 @@ def _block_stages(params: ScenarioParams, trees, seeds) -> BlockStages:
     # The one check on distances: link_metrics runs the link equations unchecked.
     if not (slots.distances > 0.0).all():
         raise ValueError("distance must be positive (co-located nodes)")
-    return BlockStages(tuple(seeds), tuple(trees), slots, words[:, 2:])
+    return slots, words[:, 2:].reshape(-1, 4)
 
 
 def _judge_block(
-    phy: PhyParams, models, schemes, block: BlockStages
+    phy: PhyParams, models, schemes, slots: SlotIndex, raw
 ) -> tuple[EventTable, np.ndarray, Judgement]:
-    """Judge a block under channel models that share their mean idle
-    durations, differing at most in idle probabilities, in one pass: the
-    link metrics of every tree in one event table, each model's idle flags
-    from the block's raw draws, every scheme's channels under every model's
-    flags, rs from the block's pick uniforms, and one judgement of their
-    (entries, models x schemes) columns, model after model."""
-    raw = block.raw(models[0])
-    table = link_metrics(phy, raw, models[0].mu_idle, block.slots)
+    """Judge a block's slots and raw draws (session.draw_raw) under channel
+    models that share the draws' mean idle durations, differing at most in
+    idle probabilities, in one pass: the link metrics of every tree in one
+    event table, each model's idle flags from the draws, every scheme's
+    channels under every model's flags, rs from the draws' pick uniforms,
+    and one judgement of their (entries, models x schemes) columns, model
+    after model."""
+    table = link_metrics(phy, raw, models[0].mu_idle, slots)
     idle = idle_flags(raw, np.stack([model.p_idle for model in models]))
-    channels = np.empty((len(block.slots.starts), len(models), len(schemes)), dtype=np.intp)
+    channels = np.empty((len(slots.starts), len(models), len(schemes)), dtype=np.intp)
     for k, scheme in enumerate(schemes):
         channels[:, :, k] = select_channels(table, idle, scheme).T
     channels = channels.reshape(len(channels), -1)
@@ -301,14 +276,14 @@ def run_scenario_sessions(
     All schemes of one tree kind see bitwise-identical channel states and
     gains; only their channel decisions (and hence successes) differ.
     channel_model defaults to the one params describes. The scenario is a
-    block of one seed (_block_stages), judged with one model as each block
-    of a sweep is judged with its group of models. A negative seed is a
+    block of one seed through the three calls that judge each block of a
+    sweep: _block_stages, draw_raw and _judge_block. A negative seed is a
     ValueError, and one that is not an integer a TypeError, from the
     block's seeding, before any draw.
     """
     model = channel_model if channel_model is not None else params.channels()
-    block = _block_stages(params, tuple(dict.fromkeys(trees)), [seed])
-    return _judge_block(params.phy(), [model], schemes, block)
+    slots, words = _block_stages(params, tuple(dict.fromkeys(trees)), [seed])
+    return _judge_block(params.phy(), [model], schemes, slots, draw_raw(slots, model, generators(words)))
 
 
 @dataclass(frozen=True)
@@ -406,9 +381,6 @@ def aggregate_trials(spec: SweepSpec, avg: np.ndarray, pdr: np.ndarray) -> list[
     ]
 
 
-# Swept fields that change a trial seed's geometry, so a block's stages cannot be shared.
-_GEOMETRY_FIELDS = {"n_nodes", "n_dest"}
-
 # Trial seeds judged together: the trees of a block's seeds are stacked into
 # one table, so per-call overhead is paid per block rather than per seed.
 # On a 1000-trial sweep 32 was within 3% of the fastest size, 64, at about 40%
@@ -423,37 +395,40 @@ def run_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
 
     Reusing trial seeds across values pairs the sweep points through common
     topologies and draws, which keeps trends smooth at modest trial counts.
-    Trials run in blocks of up to BLOCK_SEEDS seeds (BlockStages), each
-    block built once for all values unless the geometry is swept; one
-    block's stages are alive at a time. Values whose scenarios share the
-    block, the radio and the mean idle durations (every value of a p_idle
-    sweep) are judged together, the rest each alone; either way
-    _judge_block judges a block as run_scenario_sessions judges its block of
-    one seed, so every trial equals run_scenario_sessions at its seed.
+    The plan nests the values by what each stage reads: geometry by n_nodes,
+    n_dest, area and range, raw draws also by the mean idle durations, and a
+    link table also by the radio. Trials run in blocks of up to BLOCK_SEEDS
+    seeds, and each block takes one _block_stages per geometry, one draw_raw
+    per draw set and one _judge_block per table, each alive only inside its
+    own loop. These are the calls run_scenario_sessions makes on its block
+    of one seed, so every trial equals run_scenario_sessions at its seed.
     """
-    points = [(params, params.channels(), params.phy()) for _, params in spec.scenarios()]
-    shared = SWEEP_VARIABLES[spec.variable] not in _GEOMETRY_FIELDS
-    # Values sharing one link table: the same radio and mean idle durations over a shared block.
-    groups: dict = {}
-    for v, (_, model, phy) in enumerate(points):
-        groups.setdefault((phy, model.mu_idle.tobytes()) if shared else v, []).append(v)
-    shape = (len(points), len(spec.trees), len(spec.schemes), spec.trials)
+    plan: dict = {}  # geometry -> (params, {mean idle durations -> (model, {radio -> values})})
+    models = []
+    for v, (_, params) in enumerate(spec.scenarios()):
+        models.append(params.channels())
+        geometry = (params.n_nodes, params.n_dest, params.area_side_m, params.comm_range_m)
+        draw_sets = plan.setdefault(geometry, (params, {}))[1]
+        tables = draw_sets.setdefault(models[v].mu_idle.tobytes(), (models[v], {}))[1]
+        tables.setdefault(params.phy(), []).append(v)
+    shape = (len(models), len(spec.trees), len(spec.schemes), spec.trials)
     avg, pdr = np.empty(shape), np.empty(shape)
     for first in range(0, spec.trials, BLOCK_SEEDS):
         seeds = range(spec.seed + first, spec.seed + min(first + BLOCK_SEEDS, spec.trials))
         trials = slice(first, first + len(seeds))
-        shared_block = _block_stages(spec.base, spec.trees, seeds) if shared else None
-        for values in groups.values():
-            params, _, phy = points[values[0]]
-            block = shared_block or _block_stages(params, spec.trees, seeds)
-            judged = _judge_block(phy, [points[v][1] for v in values], spec.schemes, block)[2]
-            # Tree j of the block is seed j // len(trees) on tree kind j % len(trees), and
-            # column c is value values[c // len(schemes)] under scheme c % len(schemes).
-            split = (len(seeds), shape[1], len(values), shape[2])
-            for out, per_tree in zip((avg, pdr), judged.averages()):
-                out[values, :, :, trials] = per_tree.reshape(split).transpose(2, 1, 3, 0)
-            del block  # gone before the next block is built, so one block is alive at a time
-        del shared_block
+        for params, draw_sets in plan.values():
+            slots, words = _block_stages(params, spec.trees, seeds)
+            for model, tables in draw_sets.values():
+                raw = draw_raw(slots, model, generators(words))
+                for phy, values in tables.items():
+                    judged = _judge_block(phy, [models[v] for v in values], spec.schemes, slots, raw)[2]
+                    # Tree j of the block is seed j // len(trees) on tree kind j % len(trees), and
+                    # column c is value values[c // len(schemes)] under scheme c % len(schemes).
+                    split = (len(seeds), shape[1], len(values), shape[2])
+                    for out, per_tree in zip((avg, pdr), judged.averages()):
+                        out[values, :, :, trials] = per_tree.reshape(split).transpose(2, 1, 3, 0)
+                del raw  # gone before the next draws are taken, so one set is alive at a time
+            del slots, words  # gone before the next geometry is built, so one block is alive at a time
     return avg, pdr
 
 
@@ -492,6 +467,11 @@ def aggregate_to_csv(rows: list[AggregateRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Charts' y-axis headroom: the axis of a mean metric ends this factor above
+# its largest mean + CI (plotting.render_chart).
+_Y_HEADROOM = 1.05
+
+
 def _parse_number(text: str):
     try:
         return int(text)
@@ -519,7 +499,7 @@ def read_aggregate_csv(path) -> list[AggregateRow]:
     """Aggregate rows of a CSV file that charts can draw: finite numbers,
     means and CIs that are not negative with a mean PDR of at most 1, one
     swept variable, one row per (tree, scheme, value), and axis ranges that
-    stay finite (the span of the values, 1.05 x (mean + CI))."""
+    stay finite (the span of the values, _Y_HEADROOM x (mean + CI))."""
     rows, seen, lo, hi = [], {}, math.inf, -math.inf
     text = Path(path).read_text(encoding="utf-8")
     for lineno, f in _parse_csv(text, AGGREGATE_HEADER, path):
@@ -545,8 +525,8 @@ def read_aggregate_csv(path) -> list[AggregateRow]:
             if not _finite(hi - lo):
                 raise ValueError(f"swept values from {lo!r} to {hi!r} span a range that overflows")
             for mean, ci in ((row.mean_throughput_bps, row.ci95_throughput), (row.mean_pdr, row.ci95_pdr)):
-                if not _finite(1.05 * (mean + ci)):
-                    raise ValueError(f"1.05 x (mean + CI) overflows for mean {mean!r} and CI {ci!r}")
+                if not _finite(_Y_HEADROOM * (mean + ci)):
+                    raise ValueError(f"{_Y_HEADROOM} x (mean + CI) overflows for mean {mean!r} and CI {ci!r}")
         except ValueError as exc:
             raise DataFormatError(f"{path}, line {lineno}: {exc}") from exc
         rows.append(row)

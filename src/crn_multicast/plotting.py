@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .experiment import AggregateRow, write_output
+from .experiment import _Y_HEADROOM, AggregateRow, write_output
 from .session import TreeKind
 
 WIDTH, HEIGHT = 640, 420
@@ -60,7 +60,7 @@ def render_chart(rows: list[AggregateRow], metric: str, tree: TreeKind) -> str:
     elif y_hi <= 0.0:
         y_hi = 1.0
     else:
-        y_hi *= 1.05
+        y_hi *= _Y_HEADROOM
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B

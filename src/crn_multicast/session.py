@@ -82,10 +82,15 @@ class SlotIndex:
     transmitter: np.ndarray  # (E,) node id of each entry's transmitter
     receiver: np.ndarray  # (R,) node id of each slot's receiver
     height: int  # slots on the longest path from a root
-    destinations: tuple[int, ...]  # each tree's, sorted, tree after tree
     dest_slot: np.ndarray  # (trees, D) slot of each destination, in the same order
     distances: np.ndarray  # (R,) parent-edge length of each slot's receiver
     tree_starts: np.ndarray  # (trees + 1,) first entry of each tree, then E
+
+    @cached_property
+    def destinations(self) -> tuple[int, ...]:
+        """Each tree's destination node ids, sorted, tree after tree: the
+        receivers of dest_slot."""
+        return tuple(self.receiver[self.dest_slot].ravel().tolist())
 
     @cached_property
     def dest_paths(self) -> np.ndarray:
@@ -153,8 +158,8 @@ def slot_index(parent: np.ndarray, dist: np.ndarray, destinations: np.ndarray, r
     starts = np.flatnonzero(new)
     tx = tx[starts]
     return SlotIndex(
-        starts, np.cumsum(new) - 1, slot_of[tx], tx % n, order % n, height, tuple(dests.ravel().tolist()),
-        slot_of[dest_flat], dist.ravel()[order], np.searchsorted(tx // n, np.arange(trees + 1)),
+        starts, np.cumsum(new) - 1, slot_of[tx], tx % n, order % n, height, slot_of[dest_flat],
+        dist.ravel()[order], np.searchsorted(tx // n, np.arange(trees + 1)),
     )
 
 

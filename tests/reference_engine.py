@@ -164,7 +164,7 @@ def slot_index(tree: Tree, schedule: LayerSchedule, destinations) -> SlotIndex:
     return SlotIndex(
         np.cumsum([0, *counts[:-1]]), np.repeat(np.arange(len(counts)), counts), np.array(tx_slot),
         np.array([entry.transmitter for entry in schedule.entries]), np.array(receivers),
-        height, dests, np.array([[slot_of[k] for k in dests]]),
+        height, np.array([[slot_of[k] for k in dests]]),
         np.array([tree.edge_dist[r] for r in receivers]), np.array([0, len(counts)]),
     )
 
@@ -188,7 +188,6 @@ def stack_slots(indexes) -> SlotIndex:
         np.concatenate([x.transmitter for x in indexes]),
         np.concatenate([x.receiver for x in indexes]),
         max(x.height for x in indexes),
-        tuple(k for x in indexes for k in x.destinations),
         np.concatenate([x.dest_slot for x in indexes]) + np.repeat(slot_off[:-1], n_trees)[:, None],
         np.concatenate([x.distances for x in indexes]),
         np.append(np.concatenate([x.tree_starts[:-1] for x in indexes]) + np.repeat(entry_off[:-1], n_trees),

@@ -9,7 +9,8 @@ from scipy import stats
 from crn_multicast import experiment
 from crn_multicast.assignment import Scheme, choose_channels
 from crn_multicast.experiment import ScenarioParams
-from crn_multicast.session import EventTable, TreeKind, idle_flags, link_metrics, select_channels, slot_index
+from crn_multicast.seeding import generators
+from crn_multicast.session import EventTable, TreeKind, draw_raw, idle_flags, link_metrics, select_channels, slot_index
 
 MU_S = np.array([0.010, 0.020, 0.030, 0.040, 0.050, 0.060])
 
@@ -211,8 +212,11 @@ def test_pos_choice_dominates_every_idle_column_minimum(metrics):
 
 @pytest.fixture(scope="module")
 def oracle_block():
-    """64 seeds' SPT and MST slots at M = 6: about 2400 entries."""
-    return experiment._block_stages(ScenarioParams(m_channels=6), (TreeKind.SPT, TreeKind.MST), range(64))
+    """64 seeds' SPT and MST slots at M = 6, about 2400 entries, and their
+    raw draws, which every idle probability shares."""
+    params = ScenarioParams(m_channels=6)
+    slots, words = experiment._block_stages(params, (TreeKind.SPT, TreeKind.MST), range(64))
+    return slots, draw_raw(slots, params.channels(), generators(words))
 
 
 @pytest.mark.parametrize("p_idle", [0.1, 0.5, 0.9])
@@ -226,8 +230,8 @@ def test_masa_and_rs_choice_frequencies_match_the_model(oracle_block, p_idle):
     #   no channel is idle with probability (1 - p)^M.
     params = ScenarioParams(m_channels=6, p_idle=p_idle)
     model = params.channels()
-    raw = oracle_block.raw(model)
-    table, idle = link_metrics(params.phy(), raw, model.mu_idle, oracle_block.slots), idle_flags(raw, model.p_idle)
+    slots, raw = oracle_block
+    table, idle = link_metrics(params.phy(), raw, model.mu_idle, slots), idle_flags(raw, model.p_idle)
     picks = {
         Scheme.MASA: select_channels(table, idle, Scheme.MASA),
         Scheme.RS: select_channels(table, idle, Scheme.RS),

@@ -34,8 +34,9 @@ from scipy import integrate
 
 from crn_multicast import experiment
 from crn_multicast.assignment import Scheme
-from crn_multicast.experiment import BlockStages, ScenarioParams
-from crn_multicast.session import TreeKind
+from crn_multicast.experiment import ScenarioParams
+from crn_multicast.seeding import generators, stream_words
+from crn_multicast.session import TreeKind, draw_raw
 
 SEED = 5  # the seed whose geometry every copy shares
 COPIES = 3000
@@ -51,11 +52,13 @@ Z = 5.0
 @pytest.fixture(scope="module")
 def geometry():
     """One seed's trees, and a block of COPIES copies of them whose copy i
-    draws its events from trial seed i."""
+    draws its events from trial seed i, with those draws: every idle
+    probability reads the same ones."""
     params = ScenarioParams(m_channels=6)
-    one = experiment._block_stages(params, TREES, [SEED])
-    copies = experiment._block_stages(params, TREES, [SEED] * COPIES)
-    return one.slots, BlockStages(tuple(range(COPIES)), TREES, copies.slots)
+    one = experiment._block_stages(params, TREES, [SEED])[0]
+    copies = experiment._block_stages(params, TREES, [SEED] * COPIES)[0]
+    words = stream_words(range(COPIES), experiment._events_streams(TREES))
+    return one, copies, draw_raw(copies, params.channels(), generators(words.reshape(-1, 4)))
 
 
 def hop_success(params: ScenarioParams, d: float, mu: float) -> float:
@@ -94,9 +97,9 @@ def closed_form(params: ScenarioParams, slots, scheme: Scheme) -> np.ndarray:
 
 @pytest.mark.parametrize("p_idle", [0.1, 0.5, 0.9])
 def test_delivery_rates_match_the_closed_form(geometry, p_idle):
-    one, block = geometry
+    one, copies, raw = geometry
     params = ScenarioParams(m_channels=6, p_idle=p_idle)
-    _, _, judged = experiment._judge_block(params.phy(), [params.channels()], SCHEMES, block)
+    _, _, judged = experiment._judge_block(params.phy(), [params.channels()], SCHEMES, copies, raw)
     # Tree j of the block is copy j // 2 of tree kind j % 2.
     rates = judged.delivered.reshape(COPIES, len(TREES), -1, len(SCHEMES)).mean(axis=0)
     for k, scheme in enumerate(SCHEMES):

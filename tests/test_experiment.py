@@ -19,6 +19,7 @@ from crn_multicast.experiment import (
     trials_to_csv,
     write_sweep_csv,
 )
+from crn_multicast.seeding import generators
 from crn_multicast.session import TreeKind
 from test_topology import weights_of
 
@@ -49,6 +50,13 @@ def session_arrays(got, j, k):
         "throughput": judged.throughput[j, :, k],
         "total": judged.total[j, k],
     }
+
+
+def judge_block(phy, models, slots, words):
+    """_judge_block of a block's slots, every scheme, on the draws of its
+    events words (_block_stages) under models[0]."""
+    raw = session.draw_raw(slots, models[0], generators(words))
+    return experiment._judge_block(phy, models, ALL_SCHEMES, slots, raw)
 
 
 def assert_same_session(got, want):
@@ -107,16 +115,15 @@ class TestRunTrial:
             run_scenario_sessions(replace(SMALL, n_dest=14), [Scheme.POS], [TreeKind.SPT], seed=0)
 
     def test_stages_reused_across_scenarios_match_fresh_ones(self):
-        # one block's stages serving scenarios that differ in p_idle, M and
-        # bandwidth, revisiting a cached key last, must give what each
-        # scenario builds alone
+        # one block's geometry serving scenarios that differ in p_idle, M and
+        # bandwidth, returning to the first one's mean idle durations last,
+        # must give what each scenario builds alone
         trees, seeds = (TreeKind.SPT, TreeKind.MST), [9, 10]
-        block = experiment._block_stages(SMALL, trees, seeds)
+        slots, words = experiment._block_stages(SMALL, trees, seeds)
         for params in (SMALL, replace(SMALL, m_channels=3), replace(SMALL, p_idle=0.3, bandwidth_hz=2e6)):
             phy, model = params.phy(), params.channels()
-            shared = experiment._judge_block(phy, [model], ALL_SCHEMES, block)
-            fresh_block = experiment._block_stages(params, trees, seeds)
-            _, fresh_channels, fresh = experiment._judge_block(phy, [model], ALL_SCHEMES, fresh_block)
+            shared = judge_block(phy, [model], slots, words)
+            _, fresh_channels, fresh = judge_block(phy, [model], *experiment._block_stages(params, trees, seeds))
             assert np.array_equal(shared[1], fresh_channels)
             for name in ("air", "delivered", "throughput", "total"):
                 assert np.array_equal(getattr(shared[2], name), getattr(fresh, name), equal_nan=True)
@@ -293,19 +300,19 @@ class TestSharedStages:
         assert len(calls) == 3
 
     def test_raw_draws_keyed_on_mean_idle_durations(self):
-        block = experiment._block_stages(SMALL, [TreeKind.SPT, TreeKind.MST], [3, 4])
-        base = block.raw(SMALL.channels())
-        assert block.raw(replace(SMALL, p_idle=0.2).channels()) is base
-        other_m = block.raw(replace(SMALL, m_channels=3).channels())
-        other_mu = block.raw(replace(SMALL, mu_max_s=0.05).channels())
+        slots, words = experiment._block_stages(SMALL, [TreeKind.SPT, TreeKind.MST], [3, 4])
+        base = session.draw_raw(slots, SMALL.channels(), generators(words))
+        other_m = session.draw_raw(slots, replace(SMALL, m_channels=3).channels(), generators(words))
+        other_mu = session.draw_raw(slots, replace(SMALL, mu_max_s=0.05).channels(), generators(words))
         assert other_m[0].shape[1] == 3
         assert other_mu is not base and other_mu[0].shape == base[0].shape
         # the last tree, seed 4's MST, drawn alone gives the same numbers:
         # every (seed, tree kind) draws from its own stream
-        uniform, residual, gains, picks = experiment._block_stages(SMALL, [TreeKind.MST], [4]).raw(SMALL.channels())
-        first = block.slots.tree_starts[3]
+        alone, alone_words = experiment._block_stages(SMALL, [TreeKind.MST], [4])
+        uniform, residual, gains, picks = session.draw_raw(alone, SMALL.channels(), generators(alone_words))
+        first = slots.tree_starts[3]
         assert np.array_equal(uniform, base[0][first:]) and np.array_equal(residual, base[1][first:])
-        assert np.array_equal(gains, base[2][block.slots.starts[first]:]) and np.array_equal(picks, base[3][first:])
+        assert np.array_equal(gains, base[2][slots.starts[first]:]) and np.array_equal(picks, base[3][first:])
 
 
 class TestSeedBlocks:
@@ -321,7 +328,7 @@ class TestSeedBlocks:
         spec = SweepSpec(base=SMALL, variable=variable, values=SWEEP_AXES[variable], trials=7, seed=21)
         got = run_sweep(spec)
         per_call = [len(spec.values)] if variable == "p_idle" else [1] * len(spec.values)
-        assert [len(models) for _, models, _, _ in tables] == per_call * 3
+        assert [len(models) for _, models, *_ in tables] == per_call * 3
         assert_same_csv(spec, got, value_major_arrays(spec, reference_trial))
 
 
@@ -334,14 +341,14 @@ class TestGroupedJudgement:
         # many events have no idle channel, so -1 columns sit beside chosen
         # ones in the one judgement.
         values = (0.05, 0.5, 0.95)
-        block = experiment._block_stages(SMALL, (TreeKind.SPT, TreeKind.MST), range(5, 5 + n_seeds))
+        slots, words = experiment._block_stages(SMALL, (TreeKind.SPT, TreeKind.MST), range(5, 5 + n_seeds))
         phy, models = SMALL.phy(), [replace(SMALL, p_idle=p).channels() for p in values]
-        _, channels, grouped = experiment._judge_block(phy, models, ALL_SCHEMES, block)
+        _, channels, grouped = judge_block(phy, models, slots, words)
         k = len(ALL_SCHEMES)
-        assert channels.shape == (len(block.slots.starts), len(values) * k)
+        assert channels.shape == (len(slots.starts), len(values) * k)
         assert (channels[:, :k] == -1).any() and (channels[:, :k] >= 0).any()
         for v, model in enumerate(models):
-            _, alone_channels, alone = experiment._judge_block(phy, [model], ALL_SCHEMES, block)
+            _, alone_channels, alone = judge_block(phy, [model], slots, words)
             columns = slice(v * k, (v + 1) * k)
             assert np.array_equal(channels[:, columns], alone_channels)
             for name in ("air", "delivered", "throughput", "total"):
@@ -353,8 +360,8 @@ def test_tree_kinds_are_independent(monkeypatch):
     # generators: reversing the tree kinds or running one alone leaves every
     # (tree, scheme)'s results and trials as they are.
     monkeypatch.setattr(experiment, "BLOCK_SEEDS", 2)
-    spt, mst = (experiment._block_stages(SMALL, [tree], [6]).slots for tree in (TreeKind.SPT, TreeKind.MST))
-    stacked = experiment._block_stages(SMALL, (TreeKind.SPT, TreeKind.MST), [6]).slots
+    spt, mst = (experiment._block_stages(SMALL, [tree], [6])[0] for tree in (TreeKind.SPT, TreeKind.MST))
+    stacked = experiment._block_stages(SMALL, (TreeKind.SPT, TreeKind.MST), [6])[0]
     for name in ("transmitter", "receiver"):
         assert np.array_equal(getattr(stacked, name), np.concatenate([getattr(spt, name), getattr(mst, name)]))
     spec = SweepSpec(base=SMALL, variable="M", values=(3, 8), trials=5, seed=6)

@@ -9,7 +9,9 @@ more trials than numpy's 8-element pairwise block, the idle/ sweep every
 p_idle value of two blocks judged together over one link table, with events
 that have no idle channel beside ones that have, the wide/ sweep a block of
 trial seeds on both sides of 2**32, whose generators are seeded from one and
-from two 32-bit entropy words, the run files both run reports and the
+from two 32-bit entropy words, the bw/ sweep values that share a block's
+draws with a link table each, the M/ sweep values that share a block's
+geometry with draws each, the run files both run reports and the
 per-destination throughputs of every tree and scheme, and the example files
 both reports of the worked example. The overwrite tests write the sweep, its
 charts and the run into a directory where every output name already holds a
@@ -22,6 +24,8 @@ on purpose regenerates them with
     crn-multicast sweep --config tests/golden/long/sweep.cfg --out tests/golden/long
     crn-multicast sweep --config tests/golden/idle/sweep.cfg --out tests/golden/idle
     crn-multicast sweep --config tests/golden/wide/sweep.cfg --out tests/golden/wide
+    crn-multicast sweep --config tests/golden/bw/sweep.cfg --out tests/golden/bw
+    crn-multicast sweep --config tests/golden/M/sweep.cfg --out tests/golden/M
     crn-multicast run --config tests/golden/run.cfg --seed 7 --json --out tests/golden/run \
         | grep -v '^wrote ' > tests/golden/run/run.json
     crn-multicast run --config tests/golden/run.cfg --seed 7 > tests/golden/run/run.txt
@@ -42,85 +46,38 @@ import pytest
 from crn_multicast.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-NODES_GOLDEN = GOLDEN / "nodes"
-SPARSE_GOLDEN = GOLDEN / "sparse"
-LONG_GOLDEN = GOLDEN / "long"
-IDLE_GOLDEN = GOLDEN / "idle"
-WIDE_GOLDEN = GOLDEN / "wide"
 RUN_GOLDEN = GOLDEN / "run"
 SESSION_FILES = sorted(p.name for p in RUN_GOLDEN.glob("session_*.csv"))
+SWEEP_FILES = ["trials.csv", "aggregate.csv"]
+# Every golden sweep, as the directory of its sweep.cfg under GOLDEN ("." for the top-level one).
+SWEEPS = sorted(cfg.parent.relative_to(GOLDEN).as_posix() for cfg in GOLDEN.rglob("sweep.cfg"))
 
 
 @pytest.fixture(scope="module")
-def rerun(tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden")
-    assert main(["sweep", "--config", str(GOLDEN / "sweep.cfg"), "--out", str(out)]) == 0
-    return out
+def rerun(request, tmp_path_factory):
+    """The golden sweep in directory request.param, rerun into a new
+    directory: the golden directory and the new one."""
+    golden, out = GOLDEN / request.param, tmp_path_factory.mktemp("golden")
+    assert main(["sweep", "--config", str(golden / "sweep.cfg"), "--out", str(out)]) == 0
+    return golden, out
 
 
-@pytest.mark.parametrize("name", ["trials.csv", "aggregate.csv"])
+def test_every_golden_sweep_is_found():
+    assert set(SWEEPS) == {".", "nodes", "sparse", "long", "idle", "wide", "bw", "M"}
+
+
+@pytest.mark.parametrize(
+    "rerun, name",
+    [
+        pytest.param(sweep, name, id=name if sweep == "." else f"{sweep}-{name}")
+        for sweep in SWEEPS
+        for name in SWEEP_FILES
+    ],
+    indirect=["rerun"],
+)
 def test_sweep_reproduces_golden_bytes(rerun, name):
-    assert (rerun / name).read_bytes() == (GOLDEN / name).read_bytes()
-
-
-@pytest.fixture(scope="module")
-def rerun_nodes(tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden_nodes")
-    assert main(["sweep", "--config", str(NODES_GOLDEN / "sweep.cfg"), "--out", str(out)]) == 0
-    return out
-
-
-@pytest.mark.parametrize("name", ["trials.csv", "aggregate.csv"])
-def test_node_count_sweep_reproduces_golden_bytes(rerun_nodes, name):
-    assert (rerun_nodes / name).read_bytes() == (NODES_GOLDEN / name).read_bytes()
-
-
-@pytest.fixture(scope="module")
-def rerun_sparse(tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden_sparse")
-    assert main(["sweep", "--config", str(SPARSE_GOLDEN / "sweep.cfg"), "--out", str(out)]) == 0
-    return out
-
-
-@pytest.mark.parametrize("name", ["trials.csv", "aggregate.csv"])
-def test_sparse_sweep_reproduces_golden_bytes(rerun_sparse, name):
-    assert (rerun_sparse / name).read_bytes() == (SPARSE_GOLDEN / name).read_bytes()
-
-
-@pytest.fixture(scope="module")
-def rerun_long(tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden_long")
-    assert main(["sweep", "--config", str(LONG_GOLDEN / "sweep.cfg"), "--out", str(out)]) == 0
-    return out
-
-
-@pytest.mark.parametrize("name", ["trials.csv", "aggregate.csv"])
-def test_long_sweep_reproduces_golden_bytes(rerun_long, name):
-    assert (rerun_long / name).read_bytes() == (LONG_GOLDEN / name).read_bytes()
-
-
-@pytest.fixture(scope="module")
-def rerun_idle(tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden_idle")
-    assert main(["sweep", "--config", str(IDLE_GOLDEN / "sweep.cfg"), "--out", str(out)]) == 0
-    return out
-
-
-@pytest.mark.parametrize("name", ["trials.csv", "aggregate.csv"])
-def test_idle_sweep_reproduces_golden_bytes(rerun_idle, name):
-    assert (rerun_idle / name).read_bytes() == (IDLE_GOLDEN / name).read_bytes()
-
-
-@pytest.fixture(scope="module")
-def rerun_wide(tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden_wide")
-    assert main(["sweep", "--config", str(WIDE_GOLDEN / "sweep.cfg"), "--out", str(out)]) == 0
-    return out
-
-
-@pytest.mark.parametrize("name", ["trials.csv", "aggregate.csv"])
-def test_wide_seed_sweep_reproduces_golden_bytes(rerun_wide, name):
-    assert (rerun_wide / name).read_bytes() == (WIDE_GOLDEN / name).read_bytes()
+    golden, out = rerun
+    assert (out / name).read_bytes() == (golden / name).read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +116,6 @@ def test_example_reproduces_golden_report(capsys, name, argv):
     assert capsys.readouterr().out.encode() == (GOLDEN / "example" / name).read_bytes()
 
 
-SWEEP_FILES = ["trials.csv", "aggregate.csv"]
 CHART_FILES = [f"{metric}_{tree}.svg" for metric in ("throughput", "pdr") for tree in ("spt", "mst")]
 OUTPUT_FILES = SWEEP_FILES + CHART_FILES + SESSION_FILES
 JUNK = bytes(range(256)) * 256  # 64 KB, longer than every output

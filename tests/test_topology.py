@@ -464,7 +464,7 @@ def test_block_slot_index_matches_reference(n, n_dest, block):
         for kind, build in REF_BUILD.items():
             trees[seed, kind] = build(topo, 0)
     for order in TREE_ORDERS:
-        got = experiment._block_stages(params, order, seeds).slots
+        got = experiment._block_stages(params, order, seeds)[0]
         keys = [(seed, kind) for seed in seeds for kind in order]
         assert_same_slots(got, reference_slots([trees[k] for k in keys], [dests[seed] for seed, _ in keys]))
 

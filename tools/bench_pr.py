@@ -14,9 +14,10 @@ interpreters with PYTHONPATH set to its src/:
   config, interpreter start-up and CSV writing included;
 - stages: per-stage medians, in ms, on one fixed block of 32 trial seeds
   from the config's seed, through functions both trees have:
-  `experiment._block_stages` (geometry and slot index), `BlockStages.raw`
-  on a fresh block (the draws), and `experiment.run_sweep` of the config
-  with `trials` set to 32, one block at every swept value (`sweep_block`:
+  `experiment._block_stages` (geometry and slot index), `session.draw_raw`
+  of its slot index under each swept model, on generators seeded afresh
+  from `seeding.stream_words` (the draws), and `experiment.run_sweep` of
+  the config with `trials` set to 32, one block at every swept value (`sweep_block`:
   geometry, draws, link metrics, every scheme's channels and the
   judgement). `_block_stages` is also timed on each of the block's
   first 20 seeds alone (`block_stages_one_seed`, the block of `run`),
@@ -71,7 +72,7 @@ import contextlib, json, os, sys, tempfile, time
 from dataclasses import replace
 sys.path.insert(0, sys.argv[1])
 import crn_multicast
-from crn_multicast import experiment
+from crn_multicast import experiment, seeding, session
 from crn_multicast.cli import main
 from crn_multicast.config import load_config
 from crn_multicast.session import TreeKind
@@ -104,6 +105,14 @@ def cli(argvs):
         if main(argv) != 0:
             raise SystemExit("error: %%s exited non-zero" %% " ".join(argv))
 
+def slots_of(block):
+    # _block_stages returns (slot index, words), or an older tree's object holding .slots
+    return block[0] if isinstance(block, tuple) else block.slots
+
+def draws(slots, model, seeds):
+    words = seeding.stream_words(seeds, experiment._events_streams(spec.trees)).reshape(-1, 4)
+    return session.draw_raw(slots, model, seeding.generators(words))
+
 def timed(stage, call):
     start = time.perf_counter()
     out = call()
@@ -111,15 +120,14 @@ def timed(stage, call):
     return out
 
 for _ in range(repeats):
-    block = timed("block_stages", lambda: experiment._block_stages(spec.base, spec.trees, seeds))
+    slots = slots_of(timed("block_stages", lambda: experiment._block_stages(spec.base, spec.trees, seeds)))
     for model in models:
-        fresh = experiment.BlockStages(block.seeds, block.trees, block.slots)
-        timed("raw", lambda: fresh.raw(model))
+        timed("raw", lambda: draws(slots, model, seeds))
     timed("sweep_block", lambda: experiment.run_sweep(block_spec))
     for seed in seeds[:%d]:
         timed("block_stages_one_seed", lambda: experiment._block_stages(spec.base, spec.trees, [seed]))
     for seed in seeds[:%d]:
-        timed("run_one_seed", lambda: experiment._block_stages(spec.base, spec.trees, [seed]).raw(models[0]))
+        timed("run_one_seed", lambda: draws(slots_of(experiment._block_stages(spec.base, spec.trees, [seed])), models[0], [seed]))
     for n, params in node_scale.items():
         timed("block_stages_n%%d" %% n, lambda: experiment._block_stages(params, (TreeKind.SPT, TreeKind.MST), seeds[:6]))
     with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
