@@ -32,10 +32,12 @@ def choose_channels(scheme: Scheme, pos, rate, mu_idle, idle, starts, picks=None
     sets of idle flags at once.
 
     pos and rate are (receivers x channels) with each event's receivers in
-    consecutive rows starting at starts[e]; idle is (events x channels), or
-    (sets x events x channels) for several sets, giving one row of channels
-    per set. The worst receiver of each event is its column minimum over its
-    rows, read only on idle channels. rs reads only idle and picks, one
+    consecutive rows starting at starts[e], or (radios x receivers x
+    channels) for several radios; idle is (events x channels), or (sets x
+    events x channels) for several sets, giving one row of channels per set
+    (or per radio, where the radios broadcast against the sets). The worst
+    receiver of each event is its column minimum over its rows, read only on
+    idle channels. rs reads only idle and picks, one
     uniform in [0, 1) per event: event e takes its k-th idle channel
     (counting from 0), k = floor(picks[e] * n_idle), which is below n_idle
     for every float below 1. Ties go to the lowest channel index (np.argmax
@@ -53,9 +55,9 @@ def choose_channels(scheme: Scheme, pos, rate, mu_idle, idle, starts, picks=None
         chosen = np.count_nonzero(running <= np.floor(picks * n_idle)[..., None], axis=-1)
         return np.where(n_idle > 0, chosen, -1)
     if scheme is Scheme.POS:
-        score = np.minimum.reduceat(pos, starts, axis=0)
+        score = np.minimum.reduceat(pos, starts, axis=-2)
     elif scheme is Scheme.MDR:
-        score = np.minimum.reduceat(rate, starts, axis=0)
+        score = np.minimum.reduceat(rate, starts, axis=-2)
     elif scheme is Scheme.MASA:
         score = mu_idle
     else:

@@ -24,7 +24,8 @@ class ChannelModel:
     """Licensed channels of a scenario as two (M,) float arrays, checked and
     made read-only on construction: sessions use them without checking them
     again. Nothing compares or hashes a model; sweeps key their shared draws
-    on mu_idle.tobytes()."""
+    on the (m_channels, mu_min_s, mu_max_s) the model is made from, and
+    build one model per key."""
 
     mu_idle: np.ndarray  # mean idle-period duration of each channel, s
     p_idle: np.ndarray  # long-run fraction of time each channel is idle

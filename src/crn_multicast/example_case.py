@@ -178,8 +178,9 @@ def run_fixture(
     fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Generator | None = None
 ) -> tuple[EventTable, np.ndarray, Judgement]:
     """Replay the fixture's session from its link tables instead of sampling:
-    its event table of one tree, its (events, 1) chosen channels and their
-    Judgement, as run_scenario_sessions returns a seeded one.
+    its event table of one tree on one radio, its (events, 1) chosen
+    channels and their Judgement, as run_scenario_sessions returns a seeded
+    one.
 
     Events must line up one-to-one with the tree's layer schedule (same
     transmitters and receiver sets, in order); receivers are taken in schedule
@@ -267,9 +268,9 @@ def run_fixture(
             s, j = np.argwhere(bad)[0]
             raise ValueError(f"{at[s]}, channel {j + 1}: {message}, got {float(values[s, j])!r}")
     picks = None if rng is None else rng.random(len(events))
-    table = EventTable(slots, available, pos, rate, tx, mu, picks)
-    channels = select_channels(table, idle, scheme)[:, None]
-    return table, channels, judge(table, channels, packet_bits)
+    table = EventTable(slots, available, pos[None], rate[None], tx[None], mu, np.array([float(packet_bits)]), picks)
+    channels = select_channels(table, idle[None], scheme).T
+    return table, channels, judge(table, channels)
 
 
 # check_fixture's relative tolerance on each destination's throughput; the
@@ -305,7 +306,7 @@ def check_fixture(fixture: dict) -> tuple[bool, list[str], dict]:
     bounds = [*slots.starts.tolist(), len(slots.receiver)]
     for tx, ch, sel, lo, hi in zip(slots.transmitter.tolist(), chosen, selections, bounds, bounds[1:]):
         receivers = slots.receiver[lo:hi].tolist()
-        ok = [] if ch < 0 else [r for r, fit in zip(receivers, table.fits[lo:hi, ch].tolist()) if fit]
+        ok = [] if ch < 0 else [r for r, fit in zip(receivers, table.fits[0, lo:hi, ch].tolist()) if fit]
         lines.append(
             f"node {tx} -> {', '.join(str(r) for r in receivers)}: "
             f"channel {sel} selected, received by [{', '.join(str(r) for r in ok) or 'none'}]"

@@ -6,8 +6,9 @@ same pre-drawn channel states and fading gains under every requested scheme
 Sweeps repeat trials with seeds seed+i at each value of one swept variable and
 aggregate means with 95% normal-approximation confidence intervals.
 
-Every trial is judged in a block of trial seeds, in three stages, and each
-stage is shared by every swept value that agrees on what it reads:
+Every trial is judged in a block of trial seeds, in three stages. The
+first two are shared by every swept value that agrees on what they read,
+and the third judges all of those values at once:
 
 - the geometry (_block_stages) reads n_nodes, n_dest, the area and the
   range. It stacks the tree of every (seed, tree kind), seed after seed with
@@ -19,24 +20,27 @@ stage is shared by every swept value that agrees on what it reads:
   a time, each chunk in the same numpy calls (topology.chunk_seeds), and one
   level pass over the stack prunes, orders and indexes every tree at once
   (session.slot_index);
-- the raw draws (session.draw_raw) also read the mean idle durations: each
-  tree's channel states, gains and rs picks from its own events generator;
-- the link table (session.EventTable) also reads the radio (PhyParams).
-  Idle probabilities only decide which channels are idle, so values that
-  differ only in p_idle share one table and are judged in one pass
-  (_judge_block): each value's idle flags thresholded from the shared
-  uniforms, every scheme's channels under every value's flags, and one
-  judgement over values x schemes columns. A chosen channel is always an
-  idle one, so its fit against the shared table is the fit a value judged
-  alone reads.
+- the raw draws (session.draw_raw) also read the channel count and mean
+  idle durations: each tree's channel states, gains and rs picks from its
+  own events generator;
+- the judgement (_judge_block) reads everything else: the radio (PhyParams)
+  and the idle probabilities. It judges every value of a draw set in one
+  pass: one link table (session.EventTable) with a layer per distinct radio
+  (one layer when the values share a radio), each value's idle flags
+  thresholded from the shared uniforms, every scheme's channels under every
+  value's flags against its radio's layer, and one judgement over values x
+  schemes columns, each column on its value's radio. A chosen channel is
+  always an idle one, so its fit against the shared table is the fit a
+  value judged alone reads.
 
-A sweep nests its values in one plan by these three keys (run_sweep): the
-values of a p_idle sweep share all three stages; bw, pt and packet_bits
-share a block's geometry and draws, with a table per value; M shares the
-geometry, with draws per value; n_nodes and n_dest get a geometry per value.
-Each value fills its slice of the sweep's per-trial arrays, as if every
-trial had run on its own. A run is a block of one seed through the same
-three calls, and fixture replays are tables of one tree.
+A sweep nests its values in one plan by the first two keys (run_sweep),
+geometry, then draw set, then values: the values of a p_idle, bw, pt or
+packet_bits sweep share a block's geometry and draws and are judged in one
+call; M shares the geometry, with draws per value; n_nodes and n_dest get a
+geometry per value. Each value fills its slice of the sweep's per-trial
+arrays, as if every trial had run on its own. A run is a block of one seed
+through the same three calls, and fixture replays are tables of one tree
+on one radio.
 
 Every output file of the package, the sweep CSVs, run's session CSVs and
 the SVG charts, is written by write_output: rewritten in place to exactly
@@ -244,22 +248,24 @@ def _block_stages(params: ScenarioParams, trees, seeds) -> tuple[SlotIndex, np.n
 
 
 def _judge_block(
-    phy: PhyParams, models, schemes, slots: SlotIndex, raw
+    phys, p_idle: np.ndarray, mu_idle: np.ndarray, schemes, slots: SlotIndex, raw
 ) -> tuple[EventTable, np.ndarray, Judgement]:
-    """Judge a block's slots and raw draws (session.draw_raw) under channel
-    models that share the draws' mean idle durations, differing at most in
-    idle probabilities, in one pass: the link metrics of every tree in one
-    event table, each model's idle flags from the draws, every scheme's
-    channels under every model's flags, rs from the draws' pick uniforms,
-    and one judgement of their (entries, models x schemes) columns, model
-    after model."""
-    table = link_metrics(phy, raw, models[0].mu_idle, slots)
-    idle = idle_flags(raw, np.stack([model.p_idle for model in models]))
-    channels = np.empty((len(slots.starts), len(models), len(schemes)), dtype=np.intp)
+    """Judge a block's slots and raw draws (session.draw_raw) over mean idle
+    durations mu_idle under V values in one pass, value v on radio phys[v]
+    with idle probabilities p_idle[v] ((V, M), or (V, 1) for one per value):
+    one event table with one layer for all values when they share a radio
+    and one per value otherwise, each value's idle flags from the draws,
+    every scheme's channels under every value's flags, rs from the draws'
+    pick uniforms, and one judgement of their (entries, values x schemes)
+    columns, value after value."""
+    radios = phys[:1] if len(set(phys)) == 1 else list(phys)
+    table = link_metrics(radios, raw, mu_idle, slots)
+    idle = idle_flags(raw, p_idle)
+    channels = np.empty((len(slots.starts), len(phys), len(schemes)), dtype=np.intp)
     for k, scheme in enumerate(schemes):
         channels[:, :, k] = select_channels(table, idle, scheme).T
     channels = channels.reshape(len(channels), -1)
-    return table, channels, judge(table, channels, phy.packet_bits)
+    return table, channels, judge(table, channels)
 
 
 def run_scenario_sessions(
@@ -283,7 +289,8 @@ def run_scenario_sessions(
     """
     model = channel_model if channel_model is not None else params.channels()
     slots, words = _block_stages(params, tuple(dict.fromkeys(trees)), [seed])
-    return _judge_block(params.phy(), [model], schemes, slots, draw_raw(slots, model, generators(words)))
+    raw = draw_raw(slots, model, generators(words))
+    return _judge_block([params.phy()], model.p_idle[None], model.mu_idle, schemes, slots, raw)
 
 
 @dataclass(frozen=True)
@@ -396,37 +403,43 @@ def run_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     Reusing trial seeds across values pairs the sweep points through common
     topologies and draws, which keeps trends smooth at modest trial counts.
     The plan nests the values by what each stage reads: geometry by n_nodes,
-    n_dest, area and range, raw draws also by the mean idle durations, and a
-    link table also by the radio. Trials run in blocks of up to BLOCK_SEEDS
-    seeds, and each block takes one _block_stages per geometry, one draw_raw
-    per draw set and one _judge_block per table, each alive only inside its
-    own loop. These are the calls run_scenario_sessions makes on its block
-    of one seed, so every trial equals run_scenario_sessions at its seed.
+    n_dest, area and range, and raw draws also by the channel count and
+    idle durations, with one channel model per draw set. Trials run in
+    blocks of up to BLOCK_SEEDS seeds, and each block takes one
+    _block_stages per geometry and one draw_raw and one _judge_block per
+    draw set, which judges every value of the set, whatever its radio and
+    idle probability, each alive only inside its own loop. These are the
+    calls run_scenario_sessions makes on its block of one seed, so every
+    trial equals run_scenario_sessions at its seed.
     """
-    plan: dict = {}  # geometry -> (params, {mean idle durations -> (model, {radio -> values})})
-    models = []
-    for v, (_, params) in enumerate(spec.scenarios()):
-        models.append(params.channels())
+    scenarios = [params for _, params in spec.scenarios()]
+    phys = [params.phy() for params in scenarios]
+    p_idle = np.array([[params.p_idle] for params in scenarios])  # (values, 1): one for every channel
+    plan: dict = {}  # geometry -> (params, {(M, mu_min, mu_max) -> (channel model, values)})
+    for v, params in enumerate(scenarios):
         geometry = (params.n_nodes, params.n_dest, params.area_side_m, params.comm_range_m)
         draw_sets = plan.setdefault(geometry, (params, {}))[1]
-        tables = draw_sets.setdefault(models[v].mu_idle.tobytes(), (models[v], {}))[1]
-        tables.setdefault(params.phy(), []).append(v)
-    shape = (len(models), len(spec.trees), len(spec.schemes), spec.trials)
+        key = (params.m_channels, params.mu_min_s, params.mu_max_s)
+        if key not in draw_sets:
+            draw_sets[key] = (params.channels(), [])
+        draw_sets[key][1].append(v)
+    shape = (len(scenarios), len(spec.trees), len(spec.schemes), spec.trials)
     avg, pdr = np.empty(shape), np.empty(shape)
     for first in range(0, spec.trials, BLOCK_SEEDS):
         seeds = range(spec.seed + first, spec.seed + min(first + BLOCK_SEEDS, spec.trials))
         trials = slice(first, first + len(seeds))
         for params, draw_sets in plan.values():
             slots, words = _block_stages(params, spec.trees, seeds)
-            for model, tables in draw_sets.values():
+            for model, values in draw_sets.values():
                 raw = draw_raw(slots, model, generators(words))
-                for phy, values in tables.items():
-                    judged = _judge_block(phy, [models[v] for v in values], spec.schemes, slots, raw)[2]
-                    # Tree j of the block is seed j // len(trees) on tree kind j % len(trees), and
-                    # column c is value values[c // len(schemes)] under scheme c % len(schemes).
-                    split = (len(seeds), shape[1], len(values), shape[2])
-                    for out, per_tree in zip((avg, pdr), judged.averages()):
-                        out[values, :, :, trials] = per_tree.reshape(split).transpose(2, 1, 3, 0)
+                judged = _judge_block(
+                    [phys[v] for v in values], p_idle[values], model.mu_idle, spec.schemes, slots, raw
+                )[2]
+                # Tree j of the block is seed j // len(trees) on tree kind j % len(trees), and
+                # column c is value values[c // len(schemes)] under scheme c % len(schemes).
+                split = (len(seeds), shape[1], len(values), shape[2])
+                for out, per_tree in zip((avg, pdr), judged.averages()):
+                    out[values, :, :, trials] = per_tree.reshape(split).transpose(2, 1, 3, 0)
                 del raw  # gone before the next draws are taken, so one set is alive at a time
             del slots, words  # gone before the next geometry is built, so one block is alive at a time
     return avg, pdr

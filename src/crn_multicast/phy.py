@@ -48,7 +48,7 @@ def received_power(phy: PhyParams, d, gain):
         raise ValueError("distance must be positive (co-located nodes)")
     if np.any(gain < 0.0):
         raise ValueError("gain must be non-negative")
-    pr = _received_power(phy, d, gain)
+    pr = _received_power(phy.pt, phy.path_loss_exp, _wave_factor(phy.wavelength), d, gain)
     return float(pr) if pr.ndim == 0 else pr
 
 
@@ -57,7 +57,7 @@ def data_rate(phy: PhyParams, pr):
     pr = np.asarray(pr, dtype=float)
     if np.any(pr < 0.0):
         raise ValueError("received power must be non-negative")
-    r = _data_rate(phy, pr)
+    r = _data_rate(phy.bandwidth, phy.bandwidth * phy.noise_psd, pr)
     return float(r) if r.ndim == 0 else r
 
 
@@ -67,7 +67,7 @@ def tx_time(phy: PhyParams, rate):
     if np.any(rate < 0.0):
         raise ValueError("rate must be non-negative")
     with np.errstate(divide="ignore"):
-        t = _tx_time(phy, rate)
+        t = _tx_time(phy.packet_bits, rate)
     return float(t) if t.ndim == 0 else t
 
 
@@ -84,10 +84,16 @@ def pos(tx_time, mu_idle):
     return float(p) if p.ndim == 0 else p
 
 
-def link_arrays(phy: PhyParams, d: np.ndarray, gain: np.ndarray, mu_idle: np.ndarray):
-    """Rate, air time and success probability of every (receiver, channel)
-    pair at once, from (R, 1) distances, (R, M) gains and (M,) mean idle
+def link_arrays(radios, d: np.ndarray, gain: np.ndarray, mu_idle: np.ndarray):
+    """Rate, air time and success probability of every (radio, receiver,
+    channel) at once, as (K, R, M) arrays, from a sequence of K radios
+    (PhyParams), (R, 1) distances, (R, M) gains and (M,) mean idle
     durations, without the range checks of the functions above.
+
+    Each radio's constants are Python floats, as for one radio alone,
+    broadcast over the gains as (K, 1, 1) arrays, so every element is that
+    radio's own arithmetic. One distance power serves all radios, so they
+    must share the path loss exponent.
 
     For callers whose inputs hold by construction: distances positive (a
     tree's parent edges, checked once per tree), gains non-negative
@@ -95,9 +101,17 @@ def link_arrays(phy: PhyParams, d: np.ndarray, gain: np.ndarray, mu_idle: np.nda
     checks them), so received power, rate and air time are non-negative too.
     Overflow gives an infinite rate, which the caller must reject.
     """
+    path_loss_exp = radios[0].path_loss_exp
+    if any(phy.path_loss_exp != path_loss_exp for phy in radios):
+        raise ValueError("radios evaluated together must share path_loss_exp")
+    pt, wave, bandwidth, noise, packet_bits = np.array(
+        [(phy.pt, _wave_factor(phy.wavelength), phy.bandwidth, phy.bandwidth * phy.noise_psd, phy.packet_bits)
+         for phy in radios],
+        dtype=float,
+    ).T[:, :, None, None]
     with np.errstate(over="ignore", divide="ignore"):
-        rate = _data_rate(phy, _received_power(phy, d, gain))
-        t = _tx_time(phy, rate)
+        rate = _data_rate(bandwidth, noise, _received_power(pt, path_loss_exp, wave, d, gain))
+        t = _tx_time(packet_bits, rate)
     return rate, t, _pos(t, mu_idle)
 
 
@@ -105,16 +119,20 @@ def link_arrays(phy: PhyParams, d: np.ndarray, gain: np.ndarray, mu_idle: np.nda
 # their inputs first, link_arrays relies on its callers.
 
 
-def _received_power(phy: PhyParams, d: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    return phy.pt / d**phy.path_loss_exp * (phy.wavelength / (4.0 * math.pi)) ** 2 * gain
+def _wave_factor(wavelength: float) -> float:
+    return (wavelength / (4.0 * math.pi)) ** 2
 
 
-def _data_rate(phy: PhyParams, pr: np.ndarray) -> np.ndarray:
-    return phy.bandwidth * np.log2(1.0 + pr / (phy.bandwidth * phy.noise_psd))
+def _received_power(pt, path_loss_exp, wave_factor, d: np.ndarray, gain: np.ndarray) -> np.ndarray:
+    return pt / d**path_loss_exp * wave_factor * gain
 
 
-def _tx_time(phy: PhyParams, rate: np.ndarray) -> np.ndarray:
-    return np.where(rate > 0.0, phy.packet_bits / rate, np.inf)
+def _data_rate(bandwidth, noise_power, pr: np.ndarray) -> np.ndarray:
+    return bandwidth * np.log2(1.0 + pr / noise_power)
+
+
+def _tx_time(packet_bits, rate: np.ndarray) -> np.ndarray:
+    return np.where(rate > 0.0, packet_bits / rate, np.inf)
 
 
 def _pos(t: np.ndarray, mu: np.ndarray) -> np.ndarray:

@@ -8,35 +8,37 @@ channel fits within the channel's sampled availability. A destination is
 delivered iff every hop on its root path succeeded, and its throughput is the
 packet size divided by the summed air time along that path.
 
-A session runs on flat arrays. Each receiver of a tree's breadth-first layer
-schedule owns one slot, and a SlotIndex is the one description of that
-layout: each entry's transmitter node, each slot's receiver node, entry,
-transmitter slot and parent edge length, and the destinations' slots.
-slot_index builds it for a whole stack of trees at once, straight from their
-(trees, n) parent arrays: one level pass orders every tree breadth-first,
-marking the parents of marked nodes up from the destinations prunes each
-tree, and the kept nodes, tree after tree, are the slots. So every (seed,
-tree kind) of a block of trial seeds is one index, drawn in four generator
-calls per tree with each tree's own generator (draw_raw), and its link
-metrics are one EventTable over it, on every channel whether idle or not:
-idle probabilities only decide which channels are idle, so one table
-serves every idle probability over the same mean idle durations, and
-idle_flags thresholds the uniforms at one or several of them at once.
-Every scheme chooses every entry's channel under every set of idle flags at
-once (select_channels): pos, masa and mdr from the table, rs from one pick
-uniform per entry, drawn whether or not the entry's transmitter gets the
-packet. A chosen channel is always idle, so its fit against the table's
-availability is the hop's. judge then settles every tree under every column
-of chosen channels in one array pass: one gather reads each hop's air time
-and fit on its chosen channel, and the air times are summed along each
+A session runs on flat arrays. Each receiver of a tree's breadth-first
+layer schedule owns one slot, and a SlotIndex is the one description of
+that layout: each entry's transmitter node, each slot's receiver node,
+entry, transmitter slot and parent edge length, and the destinations'
+slots. slot_index builds it for a whole stack of trees at once, straight
+from their (trees, n) parent arrays: one level pass orders every tree
+breadth-first, marking the parents of marked nodes up from the destinations
+prunes each tree, and the kept nodes, tree after tree, are the slots. So
+every (seed, tree kind) of a block of trial seeds is one index, drawn in
+four generator calls per tree with each tree's own generator (draw_raw),
+and its link metrics are one EventTable over it, on every channel whether
+idle or not, with one layer per radio (link_metrics): idle probabilities
+only decide which channels are idle, so one table serves every idle
+probability and every radio over the same mean idle durations, and
+idle_flags thresholds the uniforms at one or several of them at once. Every
+scheme chooses every entry's channel under every set of idle flags at once
+(select_channels), each set against its radio's layer: pos, masa and mdr
+from the table, rs from one pick uniform per entry, drawn whether or not
+the entry's transmitter gets the packet. A chosen channel is always idle,
+so its fit against the table's availability is the hop's. judge then
+settles every tree under every column of chosen channels, each column on
+its own radio, in one array pass: one gather reads each hop's air time and
+fit on its chosen channel, and the air times are summed along each
 destination's path from the root (SlotIndex.dest_paths, built once per
 index), one step at a time for all paths together. The table, the chosen
-channels and the Judgement are the one result of a session: sweeps, run
-(a block of one seed) and fixture replays (one tree) all read them, and
+channels and the Judgement are the one result of a session: sweeps, run (a
+block of one seed) and fixture replays (one tree) all read them, and
 Judgement.averages gives every tree's average throughput and PDR. What
-happened at an entry is read straight from them: its node ids from the
-slot index, its channel from the chosen channels (-1 for none), each
-receiver's fit from table.fits on that channel.
+happened at an entry is read straight from them: its node ids from the slot
+index, its channel from the chosen channels (-1 for none), each receiver's
+fit from table.fits on that channel, in its radio's layer.
 
 Inputs are checked where they enter, once: experiment._block_stages
 rejects co-located parent edges, ChannelModel bad mean idle durations and
@@ -55,7 +57,7 @@ import numpy as np
 
 from .assignment import Scheme, choose_channels
 from .channel import ChannelModel
-from .phy import LinkBudgetError, PhyParams, link_arrays
+from .phy import LinkBudgetError, link_arrays
 from .topology import tree_levels
 
 
@@ -165,26 +167,28 @@ def slot_index(parent: np.ndarray, dist: np.ndarray, destinations: np.ndarray, r
 
 @dataclass(frozen=True, eq=False)
 class EventTable:
-    """Link metrics of every entry of a layer schedule, as flat arrays in the
-    slot layout of slots, on every channel whether idle or not: which
-    channels are idle is a separate (E, M) array of flags, or several
-    (idle_flags). Per-event arrays are (events x channels), per-receiver ones
-    (slots x channels). Builders check what they pass in (see the module
-    docstring)."""
+    """Link metrics of every entry of a layer schedule under K radios, as
+    flat arrays in the slot layout of slots, on every channel whether idle
+    or not: which channels are idle is a separate (E, M) array of flags, or
+    several (idle_flags). Per-event arrays are (events x channels) and
+    shared by every radio; per-receiver ones are (radios x slots x
+    channels), one layer per radio. Builders check what they pass in (see
+    the module docstring)."""
 
     slots: SlotIndex
     available_time: np.ndarray  # (E, M) s; sampled availability, read only on idle channels
-    pos: np.ndarray  # (R, M) success probability
-    rate: np.ndarray  # (R, M) bits/s
-    tx_time: np.ndarray  # (R, M) s
+    pos: np.ndarray  # (K, R, M) success probability
+    rate: np.ndarray  # (K, R, M) bits/s
+    tx_time: np.ndarray  # (K, R, M) s
     mu_idle: np.ndarray  # (M,) mean availability per channel, s
+    packet_bits: np.ndarray  # (K,) float packet size of each radio, bits
     picks: np.ndarray | None = None  # (E,) rs pick uniforms in [0, 1); None where rs cannot run
 
     @cached_property
     def fits(self) -> np.ndarray:
-        """(R, M) bool: whether the packet's air time to each slot fits within
-        its event's sampled availability of each channel, the success rule of
-        every hop on an idle channel."""
+        """(K, R, M) bool: whether each radio's air time to each slot fits
+        within its event's sampled availability of each channel, the success
+        rule of every hop on an idle channel."""
         return self.tx_time <= self.available_time[self.slots.event]
 
 
@@ -229,32 +233,38 @@ def idle_flags(raw, p_idle: np.ndarray) -> np.ndarray:
     return raw[0] < p_idle[..., None, :]
 
 
-def link_metrics(phy: PhyParams, raw, mu_idle: np.ndarray, slots: SlotIndex) -> EventTable:
-    """Evaluate the link equations for a whole stack of trees at once: gains
-    to received power to rate to air time to success probability, per slot
-    and channel, over each slot's parent-edge distance in slots, from raw
-    draws (draw_raw). The table holds every channel's residual as its
+def link_metrics(radios, raw, mu_idle: np.ndarray, slots: SlotIndex) -> EventTable:
+    """Evaluate the link equations for a whole stack of trees under K radios
+    (PhyParams) at once, radio k as layer k of the table (phy.link_arrays):
+    gains to received power to rate to air time to success probability, per
+    slot and channel, over each slot's parent-edge distance in slots, from
+    raw draws (draw_raw). The table holds every channel's residual as its
     availability: idle flags decide which channels a scheme may choose.
 
-    An infinite rate would give zero air time, so it is an error: the signal
-    to noise ratio overflows at a short enough distance whenever the transmit
-    power is large enough against the noise power."""
+    An infinite rate would give zero air time, so it is an error, naming
+    the first radio that has one: the signal to noise ratio overflows at a
+    short enough distance whenever the transmit power is large enough
+    against the noise power."""
     _, residual, gains, picks = raw
-    rate, t, p = link_arrays(phy, slots.distances[:, None], gains, mu_idle)
+    rate, t, p = link_arrays(radios, slots.distances[:, None], gains, mu_idle)
     if not np.isfinite(rate).all():
+        phy = radios[int(np.isfinite(rate).reshape(len(radios), -1).all(axis=1).argmin())]
         raise LinkBudgetError(
             f"pt_watts = {phy.pt!r} against a noise power bandwidth_hz * noise_psd = "
             f"{phy.bandwidth * phy.noise_psd!r} W overflows the signal to noise ratio: a data rate is not finite"
         )
-    return EventTable(slots, residual, p, rate, t, mu_idle, picks)
+    bits = np.array([phy.packet_bits for phy in radios], dtype=float)
+    return EventTable(slots, residual, p, rate, t, mu_idle, bits, picks)
 
 
 def select_channels(table: EventTable, idle: np.ndarray, scheme: Scheme) -> np.ndarray:
     """Channel of every entry of table under scheme and idle flags idle,
-    (E, M) or (V, E, M), chosen for the whole table and every set of flags
-    at once (assignment.choose_channels): (E,) or (V, E), -1 for none. rs
-    picks for every entry, also one whose transmitter never gets the packet:
-    judge fails every hop below a failed one, whatever its channel."""
+    (V, E, M), chosen for the whole table and every set of flags at once
+    (assignment.choose_channels): (V, E), -1 for none. The table's K radios
+    broadcast against the V sets: one radio serves every set, or set v
+    reads radio v. rs picks for every entry, also one whose transmitter
+    never gets the packet: judge fails every hop below a failed one,
+    whatever its channel."""
     return choose_channels(
         scheme, table.pos, table.rate, table.mu_idle, idle, table.slots.starts, table.picks
     )
@@ -277,9 +287,11 @@ class Judgement:
         return self.total / n_dest, self.delivered.sum(axis=1) / n_dest
 
 
-def judge(table: EventTable, channels: np.ndarray, packet_bits: int) -> Judgement:
+def judge(table: EventTable, channels: np.ndarray) -> Judgement:
     """Judge every hop of every tree of table under each column of channels,
-    an (E, S) array of chosen channels (-1 for none), and deliver.
+    an (E, S) array of chosen channels (-1 for none), and deliver. The
+    columns are laid out radio after radio, S / K to each of the table's K
+    radios: column c is judged on radio c // (S / K).
 
     A slot gets the packet iff every hop on its path from the root fits: a
     channel was chosen, so an idle one, and the air time on it fits within
@@ -292,15 +304,17 @@ def judge(table: EventTable, channels: np.ndarray, packet_bits: int) -> Judgemen
     overflows is inf, never NaN, and as with Python floats no error. A
     destination's throughput is packet_bits over its path's sum, and a
     tree's total adds the throughputs in destination order, as Python's sum
-    does.
+    does. Each column reads only its own radio's layer and packet size.
     """
     slots = table.slots
     # ndarray.take, not np.take: on a table of one tree np.take's Python
     # wrapper costs more than the gather itself.
     slot_ch = channels.take(slots.event, axis=0)
-    # Flat cell indexes; a -1 channel reads a neighbouring cell, never used.
-    m = table.tx_time.shape[1]
-    cells = slot_ch + np.arange(0, len(slot_ch) * m, m)[:, None]
+    # Flat cell indexes into the (K, R, M) arrays, each column in its radio's
+    # layer; a -1 channel reads a neighbouring cell, never used.
+    k, r, m = table.tx_time.shape
+    per_radio = slot_ch.shape[1] // k
+    cells = slot_ch + (np.arange(0, r * m, m)[:, None] + np.arange(0, k * r * m, r * m).repeat(per_radio))
     # One row per slot plus a last one for the roots, which hold the packet at air time 0.
     air = np.zeros((len(slot_ch) + 1, slot_ch.shape[1]))
     air[:-1] = np.where(table.fits.take(cells) & (slot_ch >= 0), table.tx_time.take(cells), np.nan)
@@ -313,7 +327,8 @@ def judge(table: EventTable, channels: np.ndarray, packet_bits: int) -> Judgemen
             dest_air += air.take(row, axis=0)
         dest_air = dest_air.reshape(*slots.dest_slot.shape, air.shape[1])
         delivered = ~np.isnan(dest_air)
-        throughput = np.divide(float(packet_bits), dest_air, out=np.zeros(dest_air.shape), where=delivered)
+        bits = table.packet_bits.repeat(per_radio)
+        throughput = np.divide(bits, dest_air, out=np.zeros(dest_air.shape), where=delivered)
     # np.add.accumulate adds in order along its axis, as Python's sum does.
     total = np.add.accumulate(throughput, axis=1)[:, -1]
     return Judgement(air, delivered, throughput, total)

@@ -16,9 +16,10 @@ MU_S = np.array([0.010, 0.020, 0.030, 0.040, 0.050, 0.060])
 
 
 def metrics_from_pos(pos_rows, busy, mu=MU_S, packet_bits=32768):
-    """One-event EventTable built from a success-probability table (one row
-    per receiver) plus a busy set (channels 1-based), with air times and
-    rates consistent with the table, and its (1, M) idle flags."""
+    """One-event, one-radio EventTable built from a success-probability
+    table (one row per receiver) plus a busy set (channels 1-based), with
+    air times and rates consistent with the table, and its (1, M) idle
+    flags."""
     pos = np.array(pos_rows, dtype=float)
     m = pos.shape[1]
     idle = np.ones(m, dtype=bool)
@@ -31,7 +32,10 @@ def metrics_from_pos(pos_rows, busy, mu=MU_S, packet_bits=32768):
     # one transmitter, node 0, with a receiver per row, at unit distance
     parent = np.array([[-1] + [0] * len(pos)])
     slots = slot_index(parent, np.ones(parent.shape), np.array([range(1, len(pos) + 1)]))
-    return EventTable(slots, np.where(idle, mu, np.nan)[None, :], pos, rate, tx, mu), idle[None, :]
+    table = EventTable(
+        slots, np.where(idle, mu, np.nan)[None, :], pos[None], rate[None], tx[None], mu, np.array([packet_bits], float)
+    )
+    return table, idle[None, :]
 
 
 def select_channel(scheme, metrics, rng=None) -> int:
@@ -40,7 +44,7 @@ def select_channel(scheme, metrics, rng=None) -> int:
     and without an rng has no picks."""
     table, idle = metrics
     picks = None if rng is None else rng.random(1)
-    return int(select_channels(replace(table, picks=picks), idle, scheme)[0])
+    return int(select_channels(replace(table, picks=picks), idle[None], scheme)[0, 0])
 
 
 def group_table():
@@ -69,17 +73,17 @@ class TestMaxMinSelection:
     def test_group_event_picks_best_worst_receiver(self):
         table, idle = group_table()
         assert select_channel(Scheme.POS, (table, idle)) == 4  # channel 5, 1-based
-        assert table.pos[:, 4].min() == pytest.approx(0.8869)
+        assert table.pos[0, :, 4].min() == pytest.approx(0.8869)
 
     def test_unicast_through_relay(self):
         table, idle = unicast_relay_table()
         assert select_channel(Scheme.POS, (table, idle)) == 5  # channel 6
-        assert table.pos[:, 5].min() == pytest.approx(0.91)
+        assert table.pos[0, :, 5].min() == pytest.approx(0.91)
 
     def test_unicast_leaf_hop(self):
         table, idle = unicast_leaf_table()
         assert select_channel(Scheme.POS, (table, idle)) == 3  # channel 4
-        assert table.pos[:, 3].min() == pytest.approx(0.8093)
+        assert table.pos[0, :, 3].min() == pytest.approx(0.8093)
 
     def test_perturbed_column_moves_the_choice(self):
         # Dropping one channel-5 entry below every other column minimum makes
@@ -118,7 +122,7 @@ class TestOtherSchemes:
     def test_mdr_picks_largest_worst_rate(self):
         table, flags = group_table()
         idle = np.flatnonzero(flags[0])
-        expected = idle[int(np.argmax(table.rate[:, idle].min(axis=0)))]
+        expected = idle[int(np.argmax(table.rate[0][:, idle].min(axis=0)))]
         assert select_channel(Scheme.MDR, (table, flags)) == expected
 
     def test_mdr_scaling_invariance(self):
@@ -207,7 +211,7 @@ def test_pos_choice_dominates_every_idle_column_minimum(metrics):
         return
     table, idle = metrics
     for j in np.flatnonzero(idle[0]):
-        assert table.pos[:, channel].min() >= table.pos[:, j].min() - 1e-12
+        assert table.pos[0, :, channel].min() >= table.pos[0, :, j].min() - 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -231,7 +235,7 @@ def test_masa_and_rs_choice_frequencies_match_the_model(oracle_block, p_idle):
     params = ScenarioParams(m_channels=6, p_idle=p_idle)
     model = params.channels()
     slots, raw = oracle_block
-    table, idle = link_metrics(params.phy(), raw, model.mu_idle, slots), idle_flags(raw, model.p_idle)
+    table, idle = link_metrics([params.phy()], raw, model.mu_idle, slots), idle_flags(raw, model.p_idle)
     picks = {
         Scheme.MASA: select_channels(table, idle, Scheme.MASA),
         Scheme.RS: select_channels(table, idle, Scheme.RS),
@@ -257,8 +261,10 @@ def rs_channels(idle, picks) -> np.ndarray:
     idle = np.array(idle, dtype=bool)
     e, m = idle.shape
     slots = slot_index(np.array([[-1, *range(e)]]), np.ones((1, e + 1)), np.array([[e]]))
-    zeros = np.zeros((e, m))
-    table = EventTable(slots, zeros + 0.01, zeros, zeros, zeros + np.inf, np.full(m, 0.01), np.array(picks, dtype=float))
+    zeros = np.zeros((1, e, m))
+    table = EventTable(
+        slots, zeros[0] + 0.01, zeros, zeros, zeros + np.inf, np.full(m, 0.01), np.ones(1), np.array(picks, dtype=float)
+    )
     return select_channels(table, idle, Scheme.RS)
 
 

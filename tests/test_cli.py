@@ -352,6 +352,30 @@ def test_overflowing_signal_to_noise_ratio_is_usage_error(tmp_path, capsys, comm
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "variable, values, radio",
+    [
+        ("pt", "0.1,1e308", "pt_watts = 1e+308 against a noise power bandwidth_hz * noise_psd = 1e-12 W"),
+        ("bw", "1e6,1e-300", "pt_watts = 0.1 against a noise power bandwidth_hz * noise_psd = 1e-318 W"),
+    ],
+)
+def test_overflow_in_one_swept_radio_names_that_radio(tmp_path, capsys, variable, values, radio):
+    # The values of a radio sweep share a block's draws and are judged
+    # together; the error still names the one value whose rate overflows,
+    # and the sweep writes no CSV.
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(
+        f"n_nodes = 12\nn_dest = 3\nsweep_variable = {variable}\nsweep_values = {values}\ntrials = 2\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err == (
+        f"error: {radio} overflows the signal to noise ratio: a data rate is not finite\n"
+    )
+    assert out == "" and not (tmp_path / "out" / "trials.csv").exists()
+
+
 def test_run_writes_to_config_out_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.txt"

@@ -99,7 +99,8 @@ def closed_form(params: ScenarioParams, slots, scheme: Scheme) -> np.ndarray:
 def test_delivery_rates_match_the_closed_form(geometry, p_idle):
     one, copies, raw = geometry
     params = ScenarioParams(m_channels=6, p_idle=p_idle)
-    _, _, judged = experiment._judge_block(params.phy(), [params.channels()], SCHEMES, copies, raw)
+    model = params.channels()
+    _, _, judged = experiment._judge_block([params.phy()], model.p_idle[None], model.mu_idle, SCHEMES, copies, raw)
     # Tree j of the block is copy j // 2 of tree kind j % 2.
     rates = judged.delivered.reshape(COPIES, len(TREES), -1, len(SCHEMES)).mean(axis=0)
     for k, scheme in enumerate(SCHEMES):

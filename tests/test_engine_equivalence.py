@@ -62,9 +62,10 @@ def recorded_entries(got, j, k, every_entry=False):
 
 
 def entry_hop(got, e, k):
-    """Entry e under column k of a package result, as the reference's hop
-    record: its channel (None for -1), and each receiver's air time and fit
-    and the availability on that channel (NaN, NaN and False without one)."""
+    """Entry e under column k of a package result on one radio, as the
+    reference's hop record: its channel (None for -1), and each receiver's
+    air time and fit and the availability on that channel (NaN, NaN and
+    False without one)."""
     table, channels, _ = got
     slots = table.slots
     lo, hi = np.append(slots.starts, len(slots.receiver))[e:e + 2]
@@ -74,8 +75,8 @@ def entry_hop(got, e, k):
         nan = (math.nan,) * len(receivers)
         return ref.HopRecord(slots.transmitter[e].item(), receivers, None, nan, (False,) * len(receivers), math.nan)
     return ref.HopRecord(
-        slots.transmitter[e].item(), receivers, ch, tuple(table.tx_time[lo:hi, ch].tolist()),
-        tuple(table.fits[lo:hi, ch].tolist()), table.available_time[e, ch].item(),
+        slots.transmitter[e].item(), receivers, ch, tuple(table.tx_time[0, lo:hi, ch].tolist()),
+        tuple(table.fits[0, lo:hi, ch].tolist()), table.available_time[e, ch].item(),
     )
 
 

@@ -28,11 +28,11 @@ ALL_SCHEMES = (Scheme.POS, Scheme.MASA, Scheme.MDR, Scheme.RS)
 
 
 def session_arrays(got, j, k):
-    """Everything a result (table, channels, judgement) holds on tree j under
-    column k: its destinations; each entry's transmitter, chosen channel and
-    availability on every channel; each slot's receiver, air time on every
-    channel and hop air time (NaN where the hop fails); each destination's
-    delivery and throughput; and the total."""
+    """Everything a result (table, channels, judgement) on one radio holds
+    on tree j under column k: its destinations; each entry's transmitter,
+    chosen channel and availability on every channel; each slot's receiver,
+    air time on every channel and hop air time (NaN where the hop fails);
+    each destination's delivery and throughput; and the total."""
     table, channels, judged = got
     slots = table.slots
     e0, e1 = slots.tree_starts[j:j + 2].tolist()
@@ -44,7 +44,7 @@ def session_arrays(got, j, k):
         "channels": channels[e0:e1, k],
         "available_time": table.available_time[e0:e1],
         "receiver": slots.receiver[s0:s1],
-        "tx_time": table.tx_time[s0:s1],
+        "tx_time": table.tx_time[0, s0:s1],
         "air": judged.air[s0:s1, k],
         "delivered": judged.delivered[j, :, k],
         "throughput": judged.throughput[j, :, k],
@@ -52,11 +52,13 @@ def session_arrays(got, j, k):
     }
 
 
-def judge_block(phy, models, slots, words):
+def judge_block(phys, models, slots, words):
     """_judge_block of a block's slots, every scheme, on the draws of its
-    events words (_block_stages) under models[0]."""
+    events words (_block_stages) under models[0]: value v on radio phys[v]
+    with the idle probabilities of models[v]."""
     raw = session.draw_raw(slots, models[0], generators(words))
-    return experiment._judge_block(phy, models, ALL_SCHEMES, slots, raw)
+    p_idle = np.stack([model.p_idle for model in models])
+    return experiment._judge_block(phys, p_idle, models[0].mu_idle, ALL_SCHEMES, slots, raw)
 
 
 def assert_same_session(got, want):
@@ -122,8 +124,8 @@ class TestRunTrial:
         slots, words = experiment._block_stages(SMALL, trees, seeds)
         for params in (SMALL, replace(SMALL, m_channels=3), replace(SMALL, p_idle=0.3, bandwidth_hz=2e6)):
             phy, model = params.phy(), params.channels()
-            shared = judge_block(phy, [model], slots, words)
-            _, fresh_channels, fresh = judge_block(phy, [model], *experiment._block_stages(params, trees, seeds))
+            shared = judge_block([phy], [model], slots, words)
+            _, fresh_channels, fresh = judge_block([phy], [model], *experiment._block_stages(params, trees, seeds))
             assert np.array_equal(shared[1], fresh_channels)
             for name in ("air", "delivered", "throughput", "total"):
                 assert np.array_equal(getattr(shared[2], name), getattr(fresh, name), equal_nan=True)
@@ -320,15 +322,16 @@ class TestSeedBlocks:
     def test_blocks_match_reference_engine_seed_by_seed(self, monkeypatch, variable):
         # Blocks of 3 over 7 trials: two full blocks and a partial one, each
         # judged as one stacked table of every (seed, tree kind): once for
-        # all values of a p_idle sweep, which share the table, and once per
-        # value on every other axis. The reference engine runs every seed on
-        # its own and shares no code with judge.
+        # all values of a p_idle, bw, pt or packet_bits sweep, which share
+        # the block's draws, and once per value on every other axis. The
+        # reference engine runs every seed on its own and shares no code
+        # with judge.
         monkeypatch.setattr(experiment, "BLOCK_SEEDS", 3)
         tables = count_calls(monkeypatch, "_judge_block", experiment)
         spec = SweepSpec(base=SMALL, variable=variable, values=SWEEP_AXES[variable], trials=7, seed=21)
         got = run_sweep(spec)
-        per_call = [len(spec.values)] if variable == "p_idle" else [1] * len(spec.values)
-        assert [len(models) for _, models, *_ in tables] == per_call * 3
+        per_call = [1] * len(spec.values) if variable in DRAWS_SWEPT else [len(spec.values)]
+        assert [len(phys) for phys, *_ in tables] == per_call * 3
         assert_same_csv(spec, got, value_major_arrays(spec, reference_trial))
 
 
@@ -340,19 +343,48 @@ class TestGroupedJudgement:
         # judged alone gives, bit for bit, under every scheme; at p_idle 0.05
         # many events have no idle channel, so -1 columns sit beside chosen
         # ones in the one judgement.
-        values = (0.05, 0.5, 0.95)
-        slots, words = experiment._block_stages(SMALL, (TreeKind.SPT, TreeKind.MST), range(5, 5 + n_seeds))
-        phy, models = SMALL.phy(), [replace(SMALL, p_idle=p).channels() for p in values]
-        _, channels, grouped = judge_block(phy, models, slots, words)
-        k = len(ALL_SCHEMES)
-        assert channels.shape == (len(slots.starts), len(values) * k)
-        assert (channels[:, :k] == -1).any() and (channels[:, :k] >= 0).any()
-        for v, model in enumerate(models):
-            _, alone_channels, alone = judge_block(phy, [model], slots, words)
-            columns = slice(v * k, (v + 1) * k)
-            assert np.array_equal(channels[:, columns], alone_channels)
-            for name in ("air", "delivered", "throughput", "total"):
-                assert np.array_equal(getattr(grouped, name)[..., columns], getattr(alone, name), equal_nan=True)
+        assert_grouped_equals_alone(SMALL, "p_idle", (0.05, 0.5, 0.95), n_seeds)
+
+    @pytest.mark.parametrize("n_seeds", [1, 3, 33])
+    @pytest.mark.parametrize(
+        "variable, values",
+        [("bw", (2e5, 1e6, 5e6)), ("pt", (1e-3, 0.1, 10.0)), ("packet_bits", (4096, 32768, 262144))],
+        ids=["bw", "pt", "packet_bits"],
+    )
+    def test_each_radio_equals_its_judgement_alone(self, variable, values, n_seeds):
+        # Values on different radios are judged together too, each on its
+        # own layer of the one table: the same must hold, and each value's
+        # layer must be the table it gets alone. At p_idle 0.2 many events
+        # have no idle channel.
+        assert_grouped_equals_alone(replace(SMALL, p_idle=0.2), variable, values, n_seeds)
+
+
+def assert_grouped_equals_alone(base, variable, values, n_seeds):
+    """Judge values of variable on a block of n_seeds seeds in one
+    _judge_block call, and each value alone: every value's columns, and its
+    radio's layer of the table, are bit for bit what it gets alone, under
+    every scheme; the first value's columns hold both -1 and chosen
+    channels, and no two values judge alike."""
+    scenarios = [replace(base, **{experiment.SWEEP_VARIABLES[variable]: value}) for value in values]
+    phys, models = [params.phy() for params in scenarios], [params.channels() for params in scenarios]
+    slots, words = experiment._block_stages(base, (TreeKind.SPT, TreeKind.MST), range(5, 5 + n_seeds))
+    table, channels, grouped = judge_block(phys, models, slots, words)
+    k = len(ALL_SCHEMES)
+    radios = 1 if variable == "p_idle" else len(values)
+    assert table.tx_time.shape[0] == radios and table.packet_bits.shape == (radios,)
+    assert channels.shape == (len(slots.starts), len(values) * k)
+    assert (channels[:, :k] == -1).any() and (channels[:, :k] >= 0).any()
+    for v, (phy, model) in enumerate(zip(phys, models)):
+        alone_table, alone_channels, alone = judge_block([phy], [model], slots, words)
+        radio = v if radios > 1 else 0
+        for name in ("pos", "rate", "tx_time", "fits"):
+            assert np.array_equal(getattr(table, name)[radio], getattr(alone_table, name)[0]), name
+        assert table.packet_bits[radio] == alone_table.packet_bits[0]
+        columns = slice(v * k, (v + 1) * k)
+        assert np.array_equal(channels[:, columns], alone_channels)
+        for name in ("air", "delivered", "throughput", "total"):
+            assert np.array_equal(getattr(grouped, name)[..., columns], getattr(alone, name), equal_nan=True)
+    assert len({grouped.air[:, v * k:(v + 1) * k].tobytes() for v in range(len(values))}) == len(values)
 
 
 def test_tree_kinds_are_independent(monkeypatch):

@@ -10,8 +10,9 @@ p_idle value of two blocks judged together over one link table, with events
 that have no idle channel beside ones that have, the wide/ sweep a block of
 trial seeds on both sides of 2**32, whose generators are seeded from one and
 from two 32-bit entropy words, the bw/ sweep values that share a block's
-draws with a link table each, the M/ sweep values that share a block's
-geometry with draws each, the run files both run reports and the
+draws and are judged in one pass, each on its own radio's link metrics, the
+pt/ sweep transmit powers and the packet_bits/ sweep packet sizes judged the
+same way, the M/ sweep values that share a block's geometry with draws each, the run files both run reports and the
 per-destination throughputs of every tree and scheme, and the example files
 both reports of the worked example. The overwrite tests write the sweep, its
 charts and the run into a directory where every output name already holds a
@@ -26,6 +27,8 @@ on purpose regenerates them with
     crn-multicast sweep --config tests/golden/wide/sweep.cfg --out tests/golden/wide
     crn-multicast sweep --config tests/golden/bw/sweep.cfg --out tests/golden/bw
     crn-multicast sweep --config tests/golden/M/sweep.cfg --out tests/golden/M
+    crn-multicast sweep --config tests/golden/pt/sweep.cfg --out tests/golden/pt
+    crn-multicast sweep --config tests/golden/packet_bits/sweep.cfg --out tests/golden/packet_bits
     crn-multicast run --config tests/golden/run.cfg --seed 7 --json --out tests/golden/run \
         | grep -v '^wrote ' > tests/golden/run/run.json
     crn-multicast run --config tests/golden/run.cfg --seed 7 > tests/golden/run/run.txt
@@ -63,7 +66,7 @@ def rerun(request, tmp_path_factory):
 
 
 def test_every_golden_sweep_is_found():
-    assert set(SWEEPS) == {".", "nodes", "sparse", "long", "idle", "wide", "bw", "M"}
+    assert set(SWEEPS) == {".", "nodes", "sparse", "long", "idle", "wide", "bw", "M", "pt", "packet_bits"}
 
 
 @pytest.mark.parametrize(

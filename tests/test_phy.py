@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from crn_multicast.phy import PhyParams, data_rate, pos, received_power, tx_time
+from crn_multicast.phy import PhyParams, data_rate, link_arrays, pos, received_power, tx_time
 
 
 def make_phy(**overrides):
@@ -159,3 +159,30 @@ def test_vectorized_evaluation_matches_scalars():
     assert pr.shape == (3,)
     for i in range(3):
         assert pr[i] == received_power(phy, float(d[i]), float(gains[i]))
+
+
+def test_radios_evaluated_together_match_each_alone_bit_for_bit():
+    # Every radio constant may differ but the path loss exponent; each layer
+    # of the stacked arrays is that radio evaluated alone, and the checked
+    # functions give the same numbers.
+    radios = [
+        make_phy(),
+        make_phy(pt=2.0, bandwidth=3e6, packet_bits=8192),
+        make_phy(wavelength=0.3, noise_psd=4e-18, packet_bits=10**20),
+    ]
+    rng = np.random.default_rng(3)
+    d, gains, mu = rng.uniform(5.0, 80.0, (6, 1)), rng.exponential(size=(6, 4)), np.array([0.002, 0.01, 0.03, 0.07])
+    together = link_arrays(radios, d, gains, mu)
+    for k, phy in enumerate(radios):
+        alone = link_arrays([phy], d, gains, mu)
+        for got, want in zip(together, alone):
+            assert got.shape == (3, 6, 4) and np.array_equal(got[k], want[0])
+        rate = data_rate(phy, received_power(phy, d, gains))
+        assert np.array_equal(alone[0][0], rate)
+        assert np.array_equal(alone[1][0], tx_time(phy, rate))
+        assert np.array_equal(alone[2][0], pos(tx_time(phy, rate), mu))
+
+
+def test_radios_with_different_path_loss_exponents_rejected():
+    with pytest.raises(ValueError, match="share path_loss_exp"):
+        link_arrays([make_phy(), make_phy(path_loss_exp=3.0)], np.ones((1, 1)), np.ones((1, 2)), np.ones(2))

@@ -27,11 +27,11 @@ def pdr_of(got, j=0, k=0):
 
 def hop_fits(got, k=0):
     """Per entry under column k: each receiver's fit on its chosen channel,
-    all False where no channel was chosen."""
+    all False where no channel was chosen, on a table of one radio."""
     table, channels, _ = got
     bounds = np.append(table.slots.starts, len(table.slots.receiver))
     return [
-        tuple(table.fits[lo:hi, ch].tolist()) if ch >= 0 else (False,) * (hi - lo)
+        tuple(table.fits[0, lo:hi, ch].tolist()) if ch >= 0 else (False,) * (hi - lo)
         for ch, lo, hi in zip(channels[:, k].tolist(), bounds, bounds[1:])
     ]
 
@@ -153,7 +153,7 @@ class TestInjectedSession:
         got = replay([(0, 1), (0, 2)], [ev], {1, 2})
         table, channels, _ = got
         assert table.slots.receiver.tolist() == [1, 2]
-        assert table.tx_time[:, channels[0, 0]].tolist() == [0.004, 0.009]
+        assert table.tx_time[0, :, channels[0, 0]].tolist() == [0.004, 0.009]
         assert per_dest(got, "delivered") == {1: True, 2: False}
 
     def test_event_count_mismatch_rejected(self):
@@ -267,7 +267,7 @@ class TestSampledSession:
             table, channels, judged = sampled(params, seed)
             entry = table.slots.event
             ch = channels[entry, 0]
-            fits = (ch >= 0) & (table.tx_time[np.arange(len(entry)), ch] <= table.available_time[entry, ch])
+            fits = (ch >= 0) & (table.tx_time[0, np.arange(len(entry)), ch] <= table.available_time[entry, ch])
             assert np.array_equal(~np.isnan(judged.air[:-1, 0]), fits)
 
     def test_skipped_relay_transmits_nothing(self):

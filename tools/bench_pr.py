@@ -31,7 +31,11 @@ interpreters with PYTHONPATH set to its src/:
   `sweep_plot_cli` 20 `sweep` + `plot` pairs of the config at 8 trials,
   each stage into one directory that all its calls reuse (so every call
   after the first rewrites existing files), with stdout to the null
-  device; each call (each pair) is one timing.
+  device; each call (each pair) is one timing. `trend_axes_cli` is 20
+  requests shaped like perfbench's trend_axes workload, each five `sweep`
+  calls of the config with pos on the SPT at 5 trials, one per axis (bw, M,
+  pt, p_idle and packet_bits, each over that workload's values), every
+  axis into its own reused directory; each request is one timing.
   Each is timed --repeats times per pair.
 
 trials_per_s is trials x swept values over the median sweep wall time.
@@ -64,6 +68,15 @@ BLOCK_SEEDS = 32
 ONE_SEED_CALLS = 20  # one-seed blocks, on seeds from the config's, timed per repeat
 CLI_CALLS = 20  # run calls, and sweep + plot pairs, per repeat
 CLI_TRIALS = 8  # trials per value of each sweep call, as perfbench's paper_sweep
+# trend_axes_cli's sweeps: each axis and its values, as perfbench's trend_axes
+TREND_AXES = {
+    "bw": "0.5e6,1e6,2e6,3e6",
+    "M": "5,10,20,30",
+    "pt": "0.05,0.1,0.5",
+    "p_idle": "0.1,0.5,0.9",
+    "packet_bits": "16384,32768,65536,131072",
+}
+TREND_TRIALS = 5
 
 # Run in a fresh interpreter: argv is src, config, repeats. Prints the
 # package's location and each stage's times in ms as one JSON object.
@@ -84,8 +97,14 @@ block_spec = replace(spec, trials=len(seeds))
 node_scale = {n: replace(spec.base, n_nodes=n, n_dest=4) for n in (40, 80, 160)}
 times = {"block_stages": [], "raw": [], "sweep_block": [], "block_stages_one_seed": [], "run_one_seed": []}
 times.update({"block_stages_n%%d" %% n: [] for n in node_scale})
-times.update({"run_cli": [], "sweep_plot_cli": []})
-run_out, sweep_out = tempfile.mkdtemp(dir="."), tempfile.mkdtemp(dir=".")
+times.update({"run_cli": [], "sweep_plot_cli": [], "trend_axes_cli": []})
+run_out, sweep_out, trend_out = (tempfile.mkdtemp(dir=".") for _ in range(3))
+trend_configs = []
+for axis, values in %r.items():
+    path = os.path.join(trend_out, axis + ".cfg")
+    with open(sys.argv[2], encoding="utf-8") as fh, open(path, "w", encoding="utf-8") as out:
+        out.write(fh.read() + "schemes = pos\\ntrees = spt\\nsweep_variable = %%s\\nsweep_values = %%s\\n" %% (axis, values))
+    trend_configs.append((path, os.path.join(trend_out, axis)))
 cli_argvs = {
     "run_cli": [
         [["run", "--config", sys.argv[2], "--seed", str(spec.seed + i), "--json", "--out", run_out]]
@@ -96,6 +115,10 @@ cli_argvs = {
             ["sweep", "--config", sys.argv[2], "--seed", str(spec.seed + i * %d), "--trials", "%d", "--out", sweep_out],
             ["plot", os.path.join(sweep_out, "aggregate.csv"), "--out", sweep_out],
         ]
+        for i in range(%d)
+    ],
+    "trend_axes_cli": [
+        [["sweep", "--config", cfg, "--seed", str(spec.seed + i * %d), "--trials", "%d", "--out", out] for cfg, out in trend_configs]
         for i in range(%d)
     ],
 }
@@ -135,7 +158,10 @@ for _ in range(repeats):
             for argvs in calls:
                 timed(stage, lambda: cli(argvs))
 print(json.dumps({"package": crn_multicast.__file__, "times": times}))
-""" % (BLOCK_SEEDS, CLI_CALLS, CLI_TRIALS, CLI_TRIALS, CLI_CALLS, ONE_SEED_CALLS, ONE_SEED_CALLS)
+""" % (
+    BLOCK_SEEDS, TREND_AXES, CLI_CALLS, CLI_TRIALS, CLI_TRIALS, CLI_CALLS, TREND_TRIALS, TREND_TRIALS, CLI_CALLS,
+    ONE_SEED_CALLS, ONE_SEED_CALLS,
+)
 
 
 def readme_config(trials: int) -> str:
