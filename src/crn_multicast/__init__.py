@@ -13,7 +13,7 @@ from .experiment import (
     run_scenario_sessions,
     run_sweep,
 )
-from .phy import PhyParams, data_rate, pos, received_power, tx_time
+from .phy import PhyParams
 from .session import TreeKind, session_to_csv
 
 __version__ = "0.1.0"
@@ -27,12 +27,8 @@ __all__ = [
     "SweepSpec",
     "TreeKind",
     "aggregate_trials",
-    "data_rate",
     "make_channels",
-    "pos",
-    "received_power",
     "run_scenario_sessions",
     "run_sweep",
     "session_to_csv",
-    "tx_time",
 ]

@@ -43,8 +43,8 @@ fit from table.fits on that channel, in its radio's layer.
 Inputs are checked where they enter, once: experiment._block_stages
 rejects co-located parent edges, ChannelModel bad mean idle durations and
 idle probabilities, link_metrics a non-finite rate, and
-example_case.run_fixture every fixture value. An EventTable checks nothing;
-the phy functions keep every check for direct callers.
+example_case.run_fixture every fixture value. An EventTable checks nothing,
+and phy.link_arrays, the one evaluation of the link equations, no range.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Reference engine: the per-event session pipeline the event-table engine replaced.
 
-Kept only as a test oracle, independent of the package's draw, metric and
-selection code, of its placement, connectivity, SPT and MST code, which
-work on a weight matrix where these copies keep edge tuples and adjacency
-lists, and of its pruning, layering and slot layout, which work on parent
-arrays where these copies keep a dict tree and a layer schedule (slot_index
-and stack_slots lay a schedule out as the package's SlotIndex, so the
-layouts compare array for array). Each tree's draws are taken in the
+Kept only as a test oracle, independent of the package's draw, link-budget,
+metric and selection code, of its placement, connectivity, SPT and MST
+code, which work on a weight matrix where these copies keep edge tuples and
+adjacency lists, and of its pruning, layering and slot layout, which work
+on parent arrays where these copies keep a dict tree and a layer schedule
+(slot_index and stack_slots lay a schedule out as the package's SlotIndex,
+so the layouts compare array for array). Each tree's draws are taken in the
 package's stream layout (draw_events: four generator calls per tree) and
 split into one draw per layer entry; every entry is then evaluated,
 selected and judged on its own (link_metrics -> select_channel ->
@@ -14,7 +14,7 @@ execute_schedule), as sessions ran before whole-tree tables, rs indexing
 the entry's idle channels with its pick uniform. Fixture replays are parsed
 into the same per-event metrics, with one pick uniform per event. The
 equivalence tests require the package's engine to reproduce these results
-bit for bit, hops and control trace included.
+bit for bit, link tables, hops and control trace included.
 
 Results are returned as (Result, control trace) pairs. Result holds each
 session's outcome (delivery and throughput per destination, total and
@@ -35,7 +35,7 @@ import numpy as np
 
 from crn_multicast.assignment import Scheme
 from crn_multicast.channel import ChannelModel
-from crn_multicast.phy import PhyParams, data_rate, pos, received_power, tx_time
+from crn_multicast.phy import PhyParams
 from crn_multicast.session import SlotIndex, TreeKind
 
 _TREE_CODE = {TreeKind.SPT: 0, TreeKind.MST: 1}
@@ -455,10 +455,16 @@ def draw_events(schedule: LayerSchedule, model: ChannelModel, rng: np.random.Gen
 
 
 def link_metrics(phy: PhyParams, distances: np.ndarray, draw: EventDraw, mu_idle: np.ndarray) -> EventMetrics:
-    pr = received_power(phy, distances[:, None], draw.gains)
-    rate = data_rate(phy, pr)
-    t = tx_time(phy, rate)
-    p = np.where(draw.idle[None, :], pos(t, mu_idle[None, :]), 0.0)
+    """One event's link equations, written out here rather than read from
+    the package: Friis received power over the receiver's distance and
+    fading gain, Shannon rate over the channel's noise power, air time of
+    one packet (infinite at zero rate), and the chance exp(-t / mu) that
+    it ends within the channel's idle period (zero on busy channels)."""
+    pr = phy.pt / distances[:, None] ** phy.path_loss_exp * (phy.wavelength / (4.0 * math.pi)) ** 2 * draw.gains
+    rate = phy.bandwidth * np.log2(1.0 + pr / (phy.bandwidth * phy.noise_psd))
+    with np.errstate(divide="ignore"):
+        t = np.where(rate > 0.0, phy.packet_bits / rate, np.inf)
+    p = np.where(draw.idle[None, :], np.exp(-t / mu_idle[None, :]), 0.0)
     return EventMetrics(p, rate, t, mu_idle, draw.idle, draw.available_time, draw.pick)
 
 
@@ -551,10 +557,9 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
     return execute_schedule(schedule, per_event, destinations, packet_bits, scheme, replay_all=True)
 
 
-def run_scenario_sessions(params, schemes, trees, seed: int, channel_model: ChannelModel | None = None):
-    """Per (tree kind, scheme): (Result, control trace) of one seeded scenario."""
-    params.validate()
-    model = channel_model if channel_model is not None else params.channels()
+def scenario_events(params, trees, seed: int, model: ChannelModel):
+    """One seeded scenario's destinations and, per tree kind, its layer
+    schedule and the per-event metrics of each entry."""
     topo = generate_topology(
         params.n_nodes, params.area_side_m, params.comm_range_m, _rng(seed, _STREAM_TOPOLOGY)
     )
@@ -563,16 +568,28 @@ def run_scenario_sessions(params, schemes, trees, seed: int, channel_model: Chan
         int(v) for v in dest_rng.choice(np.arange(1, params.n_nodes), size=params.n_dest, replace=False)
     )
     phy = params.phy()
-    results = {}
+    events = {}
     for tree_kind in trees:
         build = build_spt if tree_kind is TreeKind.SPT else build_mst
         pruned = prune_tree(build(topo, 0), destinations)
         schedule = layerize(pruned)
         draws = draw_events(schedule, model, _rng(seed, _STREAM_EVENTS, _TREE_CODE[tree_kind]))
-        per_event = [
+        events[tree_kind] = schedule, [
             link_metrics(phy, np.array([pruned.edge_dist[r] for r in entry.receivers]), draw, model.mu_idle)
             for entry, draw in zip(schedule.entries, draws)
         ]
+    return destinations, events
+
+
+def run_scenario_sessions(params, schemes, trees, seed: int, channel_model: ChannelModel | None = None):
+    """Per (tree kind, scheme): (Result, control trace) of one seeded scenario."""
+    params.validate()
+    model = channel_model if channel_model is not None else params.channels()
+    destinations, events = scenario_events(params, trees, seed, model)
+    results = {}
+    for tree_kind, (schedule, per_event) in events.items():
         for scheme in schemes:
-            results[(tree_kind, scheme)] = execute_schedule(schedule, per_event, destinations, phy.packet_bits, scheme)
+            results[(tree_kind, scheme)] = execute_schedule(
+                schedule, per_event, destinations, params.packet_bits, scheme
+            )
     return results

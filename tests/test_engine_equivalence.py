@@ -125,6 +125,30 @@ def test_scenario_sessions_match_reference(case):
                 assert_same(got, j, k, want[(tree, scheme)])
 
 
+@pytest.mark.parametrize("case", list(CASES))
+def test_link_tables_match_reference(case):
+    # Every entry's rate and air time on every channel, and its success
+    # probability on every idle one, equal the reference's own link
+    # equations bit for bit, so a fault in the package's equations shows
+    # here even where it changes no decision (a pos raised to any power
+    # keeps every pos choice).
+    params, model = CASES[case]
+    model = model if model is not None else params.channels()
+    for seed in range(10):
+        table = run_scenario_sessions(params, SCHEMES[:1], TREES, seed, channel_model=model)[0]
+        _, events = ref.scenario_events(params, TREES, seed, model)
+        slots = table.slots
+        bounds = np.append(slots.starts, len(slots.receiver))
+        for j, (_, per_event) in enumerate(events.values()):
+            entries = range(*slots.tree_starts[j:j + 2].tolist())
+            assert len(entries) == len(per_event)
+            for e, metrics in zip(entries, per_event):
+                rows = slice(bounds[e], bounds[e + 1])
+                assert np.array_equal(table.rate[0, rows], metrics.rate)
+                assert np.array_equal(table.tx_time[0, rows], metrics.tx_time)
+                assert np.array_equal(table.pos[0, rows][:, metrics.idle], metrics.pos[:, metrics.idle])
+
+
 def test_cases_exercise_every_outcome():
     # The oracle is only as strong as its cases: together they must contain
     # events without an idle channel, failed hops and successful ones, and
