@@ -4,7 +4,6 @@ assignment (pos, masa, mdr, rs) under a Markov idle/busy primary-user model
 with Rayleigh fading, and throughput/packet-delivery-rate measurement."""
 
 from .assignment import Scheme
-from .channel import ChannelModel, make_channels
 from .experiment import (
     AggregateRow,
     ScenarioParams,
@@ -20,14 +19,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateRow",
-    "ChannelModel",
     "PhyParams",
     "ScenarioParams",
     "Scheme",
     "SweepSpec",
     "TreeKind",
     "aggregate_trials",
-    "make_channels",
     "run_scenario_sessions",
     "run_sweep",
     "session_to_csv",

@@ -63,7 +63,6 @@ from pathlib import Path
 import numpy as np
 
 from .assignment import Scheme
-from .channel import ChannelModel, make_channels
 from .phy import SPEED_OF_LIGHT, PhyParams
 from .session import (
     EventTable,
@@ -182,8 +181,10 @@ class ScenarioParams:
             packet_bits=self.packet_bits,
         )
 
-    def channels(self) -> ChannelModel:
-        return make_channels(self.m_channels, self.mu_min_s, self.mu_max_s, self.p_idle)
+    def mu_idle(self) -> np.ndarray:
+        """The (M,) mean idle durations of the scenario's channels, s: evenly
+        spaced over [mu_min_s, mu_max_s], mu_min_s for a single channel."""
+        return np.linspace(self.mu_min_s, self.mu_max_s, self.m_channels)
 
 
 # The swept variable names accepted by SweepSpec, mapped to ScenarioParams fields.
@@ -269,11 +270,7 @@ def _judge_block(
 
 
 def run_scenario_sessions(
-    params: ScenarioParams,
-    schemes,
-    trees,
-    seed: int,
-    channel_model: ChannelModel | None = None,
+    params: ScenarioParams, schemes, trees, seed: int
 ) -> tuple[EventTable, np.ndarray, Judgement]:
     """One seeded scenario: its event table, its (entries, schemes) chosen
     channels and their Judgement. Tree j is trees[j], a repeated tree kind
@@ -281,16 +278,16 @@ def run_scenario_sessions(
 
     All schemes of one tree kind see bitwise-identical channel states and
     gains; only their channel decisions (and hence successes) differ.
-    channel_model defaults to the one params describes. The scenario is a
-    block of one seed through the three calls that judge each block of a
-    sweep: _block_stages, draw_raw and _judge_block. A negative seed is a
-    ValueError, and one that is not an integer a TypeError, from the
+    The scenario is a block of one seed through the three calls that judge
+    each block of a sweep: _block_stages, draw_raw over params.mu_idle()
+    and _judge_block with params.p_idle for every channel. A negative seed
+    is a ValueError, and one that is not an integer a TypeError, from the
     block's seeding, before any draw.
     """
-    model = channel_model if channel_model is not None else params.channels()
+    mu_idle = params.mu_idle()
     slots, words = _block_stages(params, tuple(dict.fromkeys(trees)), [seed])
-    raw = draw_raw(slots, model, generators(words))
-    return _judge_block([params.phy()], model.p_idle[None], model.mu_idle, schemes, slots, raw)
+    raw = draw_raw(slots, mu_idle, generators(words))
+    return _judge_block([params.phy()], np.array([[params.p_idle]]), mu_idle, schemes, slots, raw)
 
 
 @dataclass(frozen=True)
@@ -404,8 +401,8 @@ def run_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     topologies and draws, which keeps trends smooth at modest trial counts.
     The plan nests the values by what each stage reads: geometry by n_nodes,
     n_dest, area and range, and raw draws also by the channel count and
-    idle durations, with one channel model per draw set. Trials run in
-    blocks of up to BLOCK_SEEDS seeds, and each block takes one
+    mean idle durations, with one params.mu_idle() per draw set. Trials
+    run in blocks of up to BLOCK_SEEDS seeds, and each block takes one
     _block_stages per geometry and one draw_raw and one _judge_block per
     draw set, which judges every value of the set, whatever its radio and
     idle probability, each alive only inside its own loop. These are the
@@ -415,13 +412,13 @@ def run_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     scenarios = [params for _, params in spec.scenarios()]
     phys = [params.phy() for params in scenarios]
     p_idle = np.array([[params.p_idle] for params in scenarios])  # (values, 1): one for every channel
-    plan: dict = {}  # geometry -> (params, {(M, mu_min, mu_max) -> (channel model, values)})
+    plan: dict = {}  # geometry -> (params, {(M, mu_min, mu_max) -> (mean idle durations, values)})
     for v, params in enumerate(scenarios):
         geometry = (params.n_nodes, params.n_dest, params.area_side_m, params.comm_range_m)
         draw_sets = plan.setdefault(geometry, (params, {}))[1]
         key = (params.m_channels, params.mu_min_s, params.mu_max_s)
         if key not in draw_sets:
-            draw_sets[key] = (params.channels(), [])
+            draw_sets[key] = (params.mu_idle(), [])
         draw_sets[key][1].append(v)
     shape = (len(scenarios), len(spec.trees), len(spec.schemes), spec.trials)
     avg, pdr = np.empty(shape), np.empty(shape)
@@ -430,11 +427,9 @@ def run_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
         trials = slice(first, first + len(seeds))
         for params, draw_sets in plan.values():
             slots, words = _block_stages(params, spec.trees, seeds)
-            for model, values in draw_sets.values():
-                raw = draw_raw(slots, model, generators(words))
-                judged = _judge_block(
-                    [phys[v] for v in values], p_idle[values], model.mu_idle, spec.schemes, slots, raw
-                )[2]
+            for mu_idle, values in draw_sets.values():
+                raw = draw_raw(slots, mu_idle, generators(words))
+                judged = _judge_block([phys[v] for v in values], p_idle[values], mu_idle, spec.schemes, slots, raw)[2]
                 # Tree j of the block is seed j // len(trees) on tree kind j % len(trees), and
                 # column c is value values[c // len(schemes)] under scheme c % len(schemes).
                 split = (len(seeds), shape[1], len(values), shape[2])

@@ -60,9 +60,10 @@ def link_arrays(radios, d: np.ndarray, gain: np.ndarray, mu_idle: np.ndarray):
     Nothing is range-checked: inputs hold by construction. Distances are
     positive (a block's parent edges, checked once per block), gains
     non-negative (exponential draws) and mean idle durations positive
-    (ChannelModel checks them), so received power, rate and air time are
+    (ScenarioParams checks them), so received power, rate and air time are
     non-negative too, and a zero rate gives an infinite air time. Overflow
-    gives an infinite rate, which the caller must reject.
+    gives an infinite rate, which the caller must reject. A mean idle
+    duration so small that t / mu_idle overflows gives a pos of 0.
     """
     path_loss_exp = radios[0].path_loss_exp
     if any(phy.path_loss_exp != path_loss_exp for phy in radios):
@@ -76,7 +77,7 @@ def link_arrays(radios, d: np.ndarray, gain: np.ndarray, mu_idle: np.ndarray):
     with np.errstate(over="ignore", divide="ignore"):
         rate = bandwidth * np.log2(1.0 + pt / d**path_loss_exp * wave * gain / noise)
         t = packet_bits / rate
-    # exp(-t / mu_idle) in place: three (K, R, M) arrays are alive at the peak.
-    p = np.divide(t, -mu_idle)
+        # exp(-t / mu_idle) in place: three (K, R, M) arrays are alive at the peak.
+        p = np.divide(t, -mu_idle)
     np.exp(p, out=p)
     return rate, t, p

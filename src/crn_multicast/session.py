@@ -40,11 +40,12 @@ happened at an entry is read straight from them: its node ids from the slot
 index, its channel from the chosen channels (-1 for none), each receiver's
 fit from table.fits on that channel, in its radio's layer.
 
-Inputs are checked where they enter, once: experiment._block_stages
-rejects co-located parent edges, ChannelModel bad mean idle durations and
-idle probabilities, link_metrics a non-finite rate, and
-example_case.run_fixture every fixture value. An EventTable checks nothing,
-and phy.link_arrays, the one evaluation of the link equations, no range.
+Inputs are checked where they enter, once: experiment.ScenarioParams
+rejects bad mean idle durations and idle probabilities,
+experiment._block_stages co-located parent edges, link_metrics a
+non-finite rate, and example_case.run_fixture every fixture value. An
+EventTable checks nothing, and phy.link_arrays, the one evaluation of the
+link equations, no range.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from functools import cached_property
 import numpy as np
 
 from .assignment import Scheme, choose_channels
-from .channel import ChannelModel
 from .phy import LinkBudgetError, link_arrays
 from .topology import tree_levels
 
@@ -192,27 +192,32 @@ class EventTable:
         return self.tx_time <= self.available_time[self.slots.event]
 
 
-def draw_raw(slots: SlotIndex, model: ChannelModel, rngs):
+def draw_raw(slots: SlotIndex, mu_idle: np.ndarray, rngs):
     """Draw the random numbers behind every entry's channel states, fading
-    gains and rs pick, before any idle probability applies, tree j of slots
-    with rngs[j].
+    gains and rs pick, before any idle probability applies, over M channels
+    with mean idle durations mu_idle, (M,), tree j of slots with rngs[j].
+
+    Each licensed channel alternates between busy (primary user present)
+    and idle periods. An entry samples each channel's state, and for an
+    idle channel the residual time it stays available: exponential with the
+    channel's mean idle duration, since the residual of an exponential idle
+    period is memoryless.
 
     Each tree takes four generator calls, over all of its entries at once:
     one uniform per entry and channel, then the residual availability of
     every entry and channel, then the gains of every receiver slot and
     channel, then one pick uniform per entry. Residuals are drawn for busy
     channels too, and the picks whatever the channel states, so that runs
-    differing only in p_idle consume identical generator positions. Only the
-    channel count and mean idle durations of the model are used, so models
-    differing only in p_idle share these draws. Returns (E, M) uniforms, (E,
-    M) residuals, (R, M) gains, one row per receiver slot, and (E,) picks.
+    differing only in p_idle consume identical generator positions and
+    share these draws. Returns (E, M) uniforms, (E, M) residuals, (R, M)
+    gains, one row per receiver slot, and (E,) picks.
     """
     tree_starts = slots.tree_starts.tolist()
     if len(rngs) != len(tree_starts) - 1:
         raise ValueError(f"drawing needs one rng per tree, got {len(rngs)} for {len(tree_starts) - 1}")
-    n_entries, n_slots = len(slots.starts), len(slots.event)
-    uniform, residual = np.empty((n_entries, model.m)), np.empty((n_entries, model.m))
-    gains, picks = np.empty((n_slots, model.m)), np.empty(n_entries)
+    n_entries, n_slots, m = len(slots.starts), len(slots.event), len(mu_idle)
+    uniform, residual = np.empty((n_entries, m)), np.empty((n_entries, m))
+    gains, picks = np.empty((n_slots, m)), np.empty(n_entries)
     # Each tree's entries and slots follow the previous tree's.
     slot_starts = np.append(slots.starts, n_slots)[tree_starts].tolist()
     for rng, e0, e1, s0, s1 in zip(rngs, tree_starts, tree_starts[1:], slot_starts, slot_starts[1:]):
@@ -221,15 +226,18 @@ def draw_raw(slots: SlotIndex, model: ChannelModel, rngs):
         rng.standard_exponential(out=gains[s0:s1])
         rng.random(out=picks[e0:e1])
     # Scaling unit exponentials afterwards gives the same numbers as drawing
-    # each channel's exponential with its own mean.
-    residual *= model.mu_idle
+    # each channel's exponential with its own mean; a mean near the float
+    # maximum gives an infinite residual, available for ever.
+    with np.errstate(over="ignore"):
+        residual *= mu_idle
     return uniform, residual, gains, picks
 
 
 def idle_flags(raw, p_idle: np.ndarray) -> np.ndarray:
     """Channel states of raw draws (draw_raw): a channel is idle where its
-    uniform falls below its idle probability. p_idle is (M,) for one model,
-    giving (E, M) flags, or (V, M) for V models at once, giving (V, E, M)."""
+    uniform falls below its idle probability. p_idle is (M,) for one set of
+    channels, giving (E, M) flags, or (V, M) for V sets at once, giving (V,
+    E, M); a length-1 last axis gives every channel the same probability."""
     return raw[0] < p_idle[..., None, :]
 
 

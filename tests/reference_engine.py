@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from crn_multicast.assignment import Scheme
-from crn_multicast.channel import ChannelModel
 from crn_multicast.phy import PhyParams
 from crn_multicast.session import SlotIndex, TreeKind
 
@@ -435,19 +434,22 @@ class EventDraw:
     pick: float
 
 
-def draw_events(schedule: LayerSchedule, model: ChannelModel, rng: np.random.Generator) -> list[EventDraw]:
-    """One tree's draws: idle uniforms of every entry, then residual
-    availability of every entry's channels (busy ones included), then the
-    gains of every receiver in schedule order, then one pick uniform per
-    entry, each as one generator call; split into one draw per entry."""
-    n = len(schedule.entries)
-    uniform = rng.random((n, model.m))
-    residual = rng.exponential(model.mu_idle, (n, model.m))
-    gains = rng.exponential(1.0, (sum(len(entry.receivers) for entry in schedule.entries), model.m))
+def draw_events(schedule: LayerSchedule, channels, rng: np.random.Generator) -> list[EventDraw]:
+    """One tree's draws over channels, a pair of (M,) arrays of mean idle
+    durations and idle probabilities: idle uniforms of every entry, then
+    residual availability of every entry's channels (busy ones included),
+    then the gains of every receiver in schedule order, then one pick
+    uniform per entry, each as one generator call; split into one draw per
+    entry."""
+    mu_idle, p_idle = channels
+    n, m = len(schedule.entries), len(mu_idle)
+    uniform = rng.random((n, m))
+    residual = rng.exponential(mu_idle, (n, m))
+    gains = rng.exponential(1.0, (sum(len(entry.receivers) for entry in schedule.entries), m))
     picks = rng.random(n)
     draws, row = [], 0
     for e, entry in enumerate(schedule.entries):
-        idle = uniform[e] < model.p_idle
+        idle = uniform[e] < p_idle
         rows = gains[row:row + len(entry.receivers)]
         row += len(entry.receivers)
         draws.append(EventDraw(idle, np.where(idle, residual[e], np.nan), rows, float(picks[e])))
@@ -557,9 +559,16 @@ def run_fixture(fixture: dict, scheme: Scheme = Scheme.POS, rng: np.random.Gener
     return execute_schedule(schedule, per_event, destinations, packet_bits, scheme, replay_all=True)
 
 
-def scenario_events(params, trees, seed: int, model: ChannelModel):
+def scenario_channels(params):
+    """A scenario's channels: (M,) arrays of mean idle durations and of idle
+    probabilities, params.p_idle on every channel."""
+    return params.mu_idle(), np.full(params.m_channels, params.p_idle)
+
+
+def scenario_events(params, trees, seed: int, channels):
     """One seeded scenario's destinations and, per tree kind, its layer
-    schedule and the per-event metrics of each entry."""
+    schedule and the per-event metrics of each entry, over channels (as
+    scenario_channels gives them)."""
     topo = generate_topology(
         params.n_nodes, params.area_side_m, params.comm_range_m, _rng(seed, _STREAM_TOPOLOGY)
     )
@@ -573,19 +582,20 @@ def scenario_events(params, trees, seed: int, model: ChannelModel):
         build = build_spt if tree_kind is TreeKind.SPT else build_mst
         pruned = prune_tree(build(topo, 0), destinations)
         schedule = layerize(pruned)
-        draws = draw_events(schedule, model, _rng(seed, _STREAM_EVENTS, _TREE_CODE[tree_kind]))
+        draws = draw_events(schedule, channels, _rng(seed, _STREAM_EVENTS, _TREE_CODE[tree_kind]))
         events[tree_kind] = schedule, [
-            link_metrics(phy, np.array([pruned.edge_dist[r] for r in entry.receivers]), draw, model.mu_idle)
+            link_metrics(phy, np.array([pruned.edge_dist[r] for r in entry.receivers]), draw, channels[0])
             for entry, draw in zip(schedule.entries, draws)
         ]
     return destinations, events
 
 
-def run_scenario_sessions(params, schemes, trees, seed: int, channel_model: ChannelModel | None = None):
-    """Per (tree kind, scheme): (Result, control trace) of one seeded scenario."""
+def run_scenario_sessions(params, schemes, trees, seed: int, channels=None):
+    """Per (tree kind, scheme): (Result, control trace) of one seeded
+    scenario, over channels (default: scenario_channels(params))."""
     params.validate()
-    model = channel_model if channel_model is not None else params.channels()
-    destinations, events = scenario_events(params, trees, seed, model)
+    channels = channels if channels is not None else scenario_channels(params)
+    destinations, events = scenario_events(params, trees, seed, channels)
     results = {}
     for tree_kind, (schedule, per_event) in events.items():
         for scheme in schemes:

@@ -11,7 +11,6 @@ from dataclasses import replace
 import numpy as np
 
 from crn_multicast.assignment import Scheme, choose_channels
-from crn_multicast.channel import ChannelModel, make_channels
 from crn_multicast.example_case import builtin_fixture, run_fixture
 from crn_multicast.experiment import (
     ScenarioParams,
@@ -209,14 +208,13 @@ def test_criterion_8_statistical_sanity():
     # by session.idle_flags) and from the chooser they call
     # (choose_channels), which reads only idle flags and picks under rs.
     n = 100_000
-    idle, _, _ = draw(make_channels(4, 0.01, 0.07, 0.5), np.random.default_rng(81), n)
+    idle, _, _ = draw(np.linspace(0.01, 0.07, 4), np.full(4, 0.5), np.random.default_rng(81), n)
     idle_ok = np.all(np.abs(idle.mean(axis=0) - 0.5) < 0.01)
 
-    _, _, gains = draw(make_channels(1, 0.01, 0.01, 0.5), np.random.default_rng(82), 1, receivers=n)
+    _, _, gains = draw([0.01], [0.5], np.random.default_rng(82), 1, receivers=n)
     gain_ok = abs(gains.mean() - 1.0) < 0.02
 
-    avail_model = ChannelModel([0.05], [0.999])
-    _, avail, _ = draw(avail_model, np.random.default_rng(83), n)
+    _, avail, _ = draw([0.05], [0.999], np.random.default_rng(83), n)
     avail = avail[:, 0][~np.isnan(avail[:, 0])]
     avail_ok = abs(avail.mean() - 0.05) / 0.05 < 0.02
 

@@ -220,7 +220,7 @@ def oracle_block():
     raw draws, which every idle probability shares."""
     params = ScenarioParams(m_channels=6)
     slots, words = experiment._block_stages(params, (TreeKind.SPT, TreeKind.MST), range(64))
-    return slots, draw_raw(slots, params.channels(), generators(words))
+    return slots, draw_raw(slots, params.mu_idle(), generators(words))
 
 
 @pytest.mark.parametrize("p_idle", [0.1, 0.5, 0.9])
@@ -233,15 +233,15 @@ def test_masa_and_rs_choice_frequencies_match_the_model(oracle_block, p_idle):
     #   rs picks each channel with probability (1 - (1 - p)^M) / M;
     #   no channel is idle with probability (1 - p)^M.
     params = ScenarioParams(m_channels=6, p_idle=p_idle)
-    model = params.channels()
+    mu_idle = params.mu_idle()
     slots, raw = oracle_block
-    table, idle = link_metrics([params.phy()], raw, model.mu_idle, slots), idle_flags(raw, model.p_idle)
+    table, idle = link_metrics([params.phy()], raw, mu_idle, slots), idle_flags(raw, np.full(len(mu_idle), p_idle))
     picks = {
         Scheme.MASA: select_channels(table, idle, Scheme.MASA),
         Scheme.RS: select_channels(table, idle, Scheme.RS),
     }
-    m, q, n = model.m, 1.0 - p_idle, len(idle)
-    larger = (model.mu_idle[None, :] > model.mu_idle[:, None]).sum(axis=1)
+    m, q, n = len(mu_idle), 1.0 - p_idle, len(idle)
+    larger = (mu_idle[None, :] > mu_idle[:, None]).sum(axis=1)
     expected = {Scheme.MASA: p_idle * q ** larger, Scheme.RS: np.full(m, (1.0 - q ** m) / m)}
 
     def z(count, prob):

@@ -376,6 +376,26 @@ def test_overflow_in_one_swept_radio_names_that_radio(tmp_path, capsys, variable
     assert out == "" and not (tmp_path / "out" / "trials.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "lines, mst_mdr_pdr, pdr",
+    [("mu_max_s = 1e308\n", 0.875, 1.0), ("mu_min_s = 1e-320\nmu_max_s = 1e-320\n", 0.0, 0.0)],
+    ids=["near_float_max", "subnormal"],
+)
+def test_extreme_mean_idle_durations_run_without_warnings(tmp_path, capsys, lines, mst_mdr_pdr, pdr):
+    # Each overflowed in numpy: a RuntimeWarning on stderr, and exit 3 under
+    # -W error::RuntimeWarning or pytest's filter. Their limits are an
+    # infinite availability and a pos of 0.
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(lines, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--seed", "1", "--json")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    sessions = [f"{tree}/{scheme}" for tree in ("spt", "mst") for scheme in ("pos", "masa", "mdr", "rs")]
+    assert {name: report[name]["pdr"] for name in sessions} == {
+        name: mst_mdr_pdr if name == "mst/mdr" else pdr for name in sessions
+    }
+
+
 def test_run_writes_to_config_out_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.txt"

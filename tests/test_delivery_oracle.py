@@ -58,7 +58,7 @@ def geometry():
     one = experiment._block_stages(params, TREES, [SEED])[0]
     copies = experiment._block_stages(params, TREES, [SEED] * COPIES)[0]
     words = stream_words(range(COPIES), experiment._events_streams(TREES))
-    return one, copies, draw_raw(copies, params.channels(), generators(words.reshape(-1, 4)))
+    return one, copies, draw_raw(copies, params.mu_idle(), generators(words.reshape(-1, 4)))
 
 
 def hop_success(params: ScenarioParams, d: float, mu: float) -> float:
@@ -79,15 +79,15 @@ def hop_success(params: ScenarioParams, d: float, mu: float) -> float:
 def closed_form(params: ScenarioParams, slots, scheme: Scheme) -> np.ndarray:
     """(trees x D) delivery probability of every destination of one seed's
     trees, in slots.dest_slot order."""
-    p, model = params.p_idle, params.channels()
-    q, m = 1.0 - p, model.m
+    p, mu_idle = params.p_idle, params.mu_idle()
+    q, m = 1.0 - p, len(mu_idle)
     if scheme is Scheme.MASA:
-        larger = (model.mu_idle[None, :] > model.mu_idle[:, None]).sum(axis=1)
+        larger = (mu_idle[None, :] > mu_idle[:, None]).sum(axis=1)
         choose = p * q ** larger
     else:
         choose = np.full(m, (1.0 - q**m) / m)
     per_slot = np.array([
-        sum(choose[j] * hop_success(params, d, model.mu_idle[j]) for j in range(m))
+        sum(choose[j] * hop_success(params, d, mu_idle[j]) for j in range(m))
         for d in slots.distances.tolist()
     ])
     # The roots' padding row of dest_paths, -1, reads an extra certain hop.
@@ -99,8 +99,9 @@ def closed_form(params: ScenarioParams, slots, scheme: Scheme) -> np.ndarray:
 def test_delivery_rates_match_the_closed_form(geometry, p_idle):
     one, copies, raw = geometry
     params = ScenarioParams(m_channels=6, p_idle=p_idle)
-    model = params.channels()
-    _, _, judged = experiment._judge_block([params.phy()], model.p_idle[None], model.mu_idle, SCHEMES, copies, raw)
+    mu_idle = params.mu_idle()
+    idle_rows = np.full((1, len(mu_idle)), p_idle)
+    _, _, judged = experiment._judge_block([params.phy()], idle_rows, mu_idle, SCHEMES, copies, raw)
     # Tree j of the block is copy j // 2 of tree kind j % 2.
     rates = judged.delivered.reshape(COPIES, len(TREES), -1, len(SCHEMES)).mean(axis=0)
     for k, scheme in enumerate(SCHEMES):

@@ -19,11 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 import reference_engine as ref
 from crn_multicast.assignment import Scheme, choose_channels
-from crn_multicast.channel import ChannelModel
 from crn_multicast.example_case import builtin_fixture, run_fixture
 from crn_multicast.experiment import ScenarioParams, run_scenario_sessions
 from crn_multicast.session import TreeKind, slot_index
 from crn_multicast.topology import mst_stack, place_stack, spt_stack
+from test_experiment import channel_sessions
 from test_topology import assert_same_slots, dict_trees, edges_of, reference_slots
 
 SCHEMES = tuple(Scheme)
@@ -32,15 +32,26 @@ SEEDS = range(100)
 DEFAULTS = ScenarioParams()
 MU_GRID = np.linspace(DEFAULTS.mu_min_s, DEFAULTS.mu_max_s, DEFAULTS.m_channels)
 
+# Each case's scenario and, where it has channels no scenario allows, its
+# (mean idle durations, idle probabilities) arrays.
 CASES = {
     "defaults": (DEFAULTS, None),
     "p_idle_0.1": (replace(DEFAULTS, p_idle=0.1), None),
     "p_idle_0.5": (replace(DEFAULTS, p_idle=0.5), None),
     "n_nodes_160": (replace(DEFAULTS, n_nodes=160, n_dest=4), None),
     "one_channel": (replace(DEFAULTS, m_channels=1), None),
-    "all_busy": (DEFAULTS, ChannelModel(MU_GRID, np.zeros_like(MU_GRID))),
-    "always_idle": (DEFAULTS, ChannelModel(MU_GRID, np.ones_like(MU_GRID))),
+    "all_busy": (DEFAULTS, (MU_GRID, np.zeros_like(MU_GRID))),
+    "always_idle": (DEFAULTS, (MU_GRID, np.ones_like(MU_GRID))),
 }
+
+
+def case_sessions(case, schemes, seed):
+    """The package's sessions of a case: run_scenario_sessions, or the same
+    stages on the case's own channel arrays."""
+    params, channels = CASES[case]
+    if channels is None:
+        return run_scenario_sessions(params, schemes, TREES, seed)
+    return channel_sessions(params, schemes, TREES, seed, *channels)
 
 
 def recorded_entries(got, j, k, every_entry=False):
@@ -115,10 +126,10 @@ def assert_same(got, j, k, want, every_entry=False):
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_scenario_sessions_match_reference(case):
-    params, model = CASES[case]
+    params, channels = CASES[case]
     for seed in SEEDS:
-        got = run_scenario_sessions(params, SCHEMES, TREES, seed, channel_model=model)
-        want = ref.run_scenario_sessions(params, SCHEMES, TREES, seed, channel_model=model)
+        got = case_sessions(case, SCHEMES, seed)
+        want = ref.run_scenario_sessions(params, SCHEMES, TREES, seed, channels)
         assert list(want) == [(tree, scheme) for tree in TREES for scheme in SCHEMES]
         for j, tree in enumerate(TREES):
             for k, scheme in enumerate(SCHEMES):
@@ -132,11 +143,11 @@ def test_link_tables_match_reference(case):
     # equations bit for bit, so a fault in the package's equations shows
     # here even where it changes no decision (a pos raised to any power
     # keeps every pos choice).
-    params, model = CASES[case]
-    model = model if model is not None else params.channels()
+    params, channels = CASES[case]
+    channels = channels if channels is not None else ref.scenario_channels(params)
     for seed in range(10):
-        table = run_scenario_sessions(params, SCHEMES[:1], TREES, seed, channel_model=model)[0]
-        _, events = ref.scenario_events(params, TREES, seed, model)
+        table = case_sessions(case, SCHEMES[:1], seed)[0]
+        _, events = ref.scenario_events(params, TREES, seed, channels)
         slots = table.slots
         bounds = np.append(slots.starts, len(slots.receiver))
         for j, (_, per_event) in enumerate(events.values()):
@@ -154,8 +165,8 @@ def test_cases_exercise_every_outcome():
     # events without an idle channel, failed hops and successful ones, and
     # relays that never got the packet and were skipped.
     hops, skipped = [], 0
-    for params, model in CASES.values():
-        got = run_scenario_sessions(params, SCHEMES, TREES, 0, model)
+    for case in CASES:
+        got = case_sessions(case, SCHEMES, 0)
         slots = got[0].slots
         for j in range(len(TREES)):
             for k in range(len(SCHEMES)):

@@ -6,7 +6,6 @@ import pytest
 import reference_engine as ref
 from crn_multicast import experiment, session
 from crn_multicast.assignment import Scheme
-from crn_multicast.channel import ChannelModel
 from crn_multicast.experiment import (
     DataFormatError,
     ScenarioParams,
@@ -52,13 +51,26 @@ def session_arrays(got, j, k):
     }
 
 
-def judge_block(phys, models, slots, words):
+def judge_block(scenarios, slots, words):
     """_judge_block of a block's slots, every scheme, on the draws of its
-    events words (_block_stages) under models[0]: value v on radio phys[v]
-    with the idle probabilities of models[v]."""
-    raw = session.draw_raw(slots, models[0], generators(words))
-    p_idle = np.stack([model.p_idle for model in models])
-    return experiment._judge_block(phys, p_idle, models[0].mu_idle, ALL_SCHEMES, slots, raw)
+    events words (_block_stages) under the mean idle durations of
+    scenarios[0]: value v on the radio of scenarios[v], with its p_idle on
+    every channel."""
+    mu_idle = scenarios[0].mu_idle()
+    raw = session.draw_raw(slots, mu_idle, generators(words))
+    p_idle = np.array([np.full(len(mu_idle), params.p_idle) for params in scenarios])
+    phys = [params.phy() for params in scenarios]
+    return experiment._judge_block(phys, p_idle, mu_idle, ALL_SCHEMES, slots, raw)
+
+
+def channel_sessions(params, schemes, trees, seed, mu_idle, p_idle):
+    """run_scenario_sessions with the scenario's channels given as (M,)
+    arrays of mean idle durations and idle probabilities, which may hold
+    values no scenario has (a channel never or always idle): the same three
+    stages, _block_stages, draw_raw and _judge_block, on plain arrays."""
+    slots, words = experiment._block_stages(params, tuple(dict.fromkeys(trees)), [seed])
+    raw = session.draw_raw(slots, mu_idle, generators(words))
+    return experiment._judge_block([params.phy()], np.asarray(p_idle)[None], mu_idle, schemes, slots, raw)
 
 
 def assert_same_session(got, want):
@@ -96,17 +108,32 @@ class TestRunTrial:
         assert found > 0
 
     def test_single_idle_channel_removes_all_freedom(self):
-        model = ChannelModel([0.050], [0.9])
-        got = run_scenario_sessions(SMALL, ALL_SCHEMES, [TreeKind.SPT], seed=11, channel_model=model)
+        got = channel_sessions(SMALL, ALL_SCHEMES, [TreeKind.SPT], 11, np.array([0.050]), np.array([0.9]))
         for k in range(1, len(ALL_SCHEMES)):
             assert_same_session(session_arrays(got, 0, k), session_arrays(got, 0, 0))
 
     def test_always_idle_abundant_availability_delivers_all(self):
-        model = ChannelModel(np.full(4, 1e6), np.ones(4))
-        _, _, judged = run_scenario_sessions(
-            SMALL, ALL_SCHEMES, [TreeKind.SPT, TreeKind.MST], seed=5, channel_model=model
+        _, _, judged = channel_sessions(
+            SMALL, ALL_SCHEMES, [TreeKind.SPT, TreeKind.MST], 5, np.full(4, 1e6), np.ones(4)
         )
         assert (judged.averages()[1] == 1.0).all()
+
+    # A mean idle duration near the float maximum overflowed draw_raw's
+    # residual scaling, and a subnormal one link_arrays' t / mu_idle: each a
+    # RuntimeWarning, an error under pytest's filter. Their limits are an
+    # infinite availability and a pos of 0.
+    def test_mean_idle_duration_near_float_max_is_available_for_ever(self):
+        params = ScenarioParams(mu_max_s=1e308)
+        table, _, judged = run_scenario_sessions(params, ALL_SCHEMES, [TreeKind.SPT, TreeKind.MST], seed=1)
+        assert np.isinf(table.available_time[:, -1]).any()
+        assert (table.pos[..., -1] == 1.0).all()
+        assert judged.averages()[1].tolist() == [[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.875, 1.0]]
+
+    def test_subnormal_mean_idle_duration_gives_pos_zero(self):
+        params = ScenarioParams(mu_min_s=1e-320, mu_max_s=1e-320)
+        table, _, judged = run_scenario_sessions(params, ALL_SCHEMES, [TreeKind.SPT, TreeKind.MST], seed=1)
+        assert (table.pos == 0.0).all()
+        assert (judged.averages()[1] == 0.0).all()
 
     def test_bad_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -123,9 +150,8 @@ class TestRunTrial:
         trees, seeds = (TreeKind.SPT, TreeKind.MST), [9, 10]
         slots, words = experiment._block_stages(SMALL, trees, seeds)
         for params in (SMALL, replace(SMALL, m_channels=3), replace(SMALL, p_idle=0.3, bandwidth_hz=2e6)):
-            phy, model = params.phy(), params.channels()
-            shared = judge_block([phy], [model], slots, words)
-            _, fresh_channels, fresh = judge_block([phy], [model], *experiment._block_stages(params, trees, seeds))
+            shared = judge_block([params], slots, words)
+            _, fresh_channels, fresh = judge_block([params], *experiment._block_stages(params, trees, seeds))
             assert np.array_equal(shared[1], fresh_channels)
             for name in ("air", "delivered", "throughput", "total"):
                 assert np.array_equal(getattr(shared[2], name), getattr(fresh, name), equal_nan=True)
@@ -303,15 +329,15 @@ class TestSharedStages:
 
     def test_raw_draws_keyed_on_mean_idle_durations(self):
         slots, words = experiment._block_stages(SMALL, [TreeKind.SPT, TreeKind.MST], [3, 4])
-        base = session.draw_raw(slots, SMALL.channels(), generators(words))
-        other_m = session.draw_raw(slots, replace(SMALL, m_channels=3).channels(), generators(words))
-        other_mu = session.draw_raw(slots, replace(SMALL, mu_max_s=0.05).channels(), generators(words))
+        base = session.draw_raw(slots, SMALL.mu_idle(), generators(words))
+        other_m = session.draw_raw(slots, replace(SMALL, m_channels=3).mu_idle(), generators(words))
+        other_mu = session.draw_raw(slots, replace(SMALL, mu_max_s=0.05).mu_idle(), generators(words))
         assert other_m[0].shape[1] == 3
         assert other_mu is not base and other_mu[0].shape == base[0].shape
         # the last tree, seed 4's MST, drawn alone gives the same numbers:
         # every (seed, tree kind) draws from its own stream
         alone, alone_words = experiment._block_stages(SMALL, [TreeKind.MST], [4])
-        uniform, residual, gains, picks = session.draw_raw(alone, SMALL.channels(), generators(alone_words))
+        uniform, residual, gains, picks = session.draw_raw(alone, SMALL.mu_idle(), generators(alone_words))
         first = slots.tree_starts[3]
         assert np.array_equal(uniform, base[0][first:]) and np.array_equal(residual, base[1][first:])
         assert np.array_equal(gains, base[2][slots.starts[first]:]) and np.array_equal(picks, base[3][first:])
@@ -366,16 +392,15 @@ def assert_grouped_equals_alone(base, variable, values, n_seeds):
     every scheme; the first value's columns hold both -1 and chosen
     channels, and no two values judge alike."""
     scenarios = [replace(base, **{experiment.SWEEP_VARIABLES[variable]: value}) for value in values]
-    phys, models = [params.phy() for params in scenarios], [params.channels() for params in scenarios]
     slots, words = experiment._block_stages(base, (TreeKind.SPT, TreeKind.MST), range(5, 5 + n_seeds))
-    table, channels, grouped = judge_block(phys, models, slots, words)
+    table, channels, grouped = judge_block(scenarios, slots, words)
     k = len(ALL_SCHEMES)
     radios = 1 if variable == "p_idle" else len(values)
     assert table.tx_time.shape[0] == radios and table.packet_bits.shape == (radios,)
     assert channels.shape == (len(slots.starts), len(values) * k)
     assert (channels[:, :k] == -1).any() and (channels[:, :k] >= 0).any()
-    for v, (phy, model) in enumerate(zip(phys, models)):
-        alone_table, alone_channels, alone = judge_block([phy], [model], slots, words)
+    for v, params in enumerate(scenarios):
+        alone_table, alone_channels, alone = judge_block([params], slots, words)
         radio = v if radios > 1 else 0
         for name in ("pos", "rate", "tx_time", "fits"):
             assert np.array_equal(getattr(table, name)[radio], getattr(alone_table, name)[0]), name

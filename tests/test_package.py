@@ -11,14 +11,12 @@ def test_public_api_is_exactly_this_list():
     # A change to the public API is deliberate: it changes this list too.
     assert crn_multicast.__all__ == [
         "AggregateRow",
-        "ChannelModel",
         "PhyParams",
         "ScenarioParams",
         "Scheme",
         "SweepSpec",
         "TreeKind",
         "aggregate_trials",
-        "make_channels",
         "run_scenario_sessions",
         "run_sweep",
         "session_to_csv",

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from crn_multicast.assignment import Scheme
-from crn_multicast.channel import ChannelModel
 from crn_multicast.example_case import builtin_fixture, check_fixture, run_fixture
 from crn_multicast.experiment import ScenarioParams, run_scenario_sessions
 from crn_multicast.session import TreeKind, session_to_csv
 from test_engine_equivalence import recorded_entries
+from test_experiment import channel_sessions
 
 PACKET_BITS = 32768
 
@@ -240,22 +240,23 @@ def sampled_params(p_idle=0.9, mu=0.050, m=6):
     return replace(SAMPLED, p_idle=p_idle, mu_min_s=mu, mu_max_s=mu, m_channels=m)
 
 
-def sampled(params, seed, channel_model=None):
-    """The pos session over the SPT of one seeded scenario."""
-    return run_scenario_sessions(params, [Scheme.POS], [TreeKind.SPT], seed, channel_model)
+def sampled(params, seed, channels=None):
+    """The pos session over the SPT of one seeded scenario, on its own
+    channels or on channels, (mean idle durations, idle probabilities)."""
+    if channels is None:
+        return run_scenario_sessions(params, [Scheme.POS], [TreeKind.SPT], seed)
+    return channel_sessions(params, [Scheme.POS], [TreeKind.SPT], seed, *channels)
 
 
 class TestSampledSession:
     def test_all_channels_busy_delivers_nothing(self):
-        model = ChannelModel(np.full(6, 0.05), np.full(6, 1e-12))
-        got = sampled(sampled_params(), 0, model)
+        got = sampled(sampled_params(), 0, (np.full(6, 0.05), np.full(6, 1e-12)))
         assert pdr_of(got) == 0.0
         assert got[2].total[0, 0] == 0.0
         assert (got[1] == -1).all()
 
     def test_abundant_availability_delivers_everything(self):
-        model = ChannelModel(np.full(6, 1e6), np.ones(6))
-        got = sampled(sampled_params(), 0, model)
+        got = sampled(sampled_params(), 0, (np.full(6, 1e6), np.ones(6)))
         assert pdr_of(got) == 1.0
         # One destination: the pruned tree is its path, one slot per hop.
         (throughput,) = per_dest(got, "throughput").values()

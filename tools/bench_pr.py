@@ -17,13 +17,14 @@ unchanged code, too wide to resolve a 10% stage change. It measures:
 - stages: per-stage medians, in ms, on one fixed block of 32 trial seeds
   from the config's seed, through functions both trees have:
   `experiment._block_stages` (geometry and slot index), `session.draw_raw`
-  of its slot index under each swept model, on generators seeded afresh
+  of its slot index under each swept value's mean idle durations
+  (`ScenarioParams.mu_idle`), on generators seeded afresh
   from `seeding.stream_words` (the draws), and `experiment.run_sweep` of
   the config with `trials` set to 32, one block at every swept value (`sweep_block`:
   geometry, draws, link metrics, every scheme's channels and the
   judgement). `_block_stages` is also timed on each of the block's
   first 20 seeds alone (`block_stages_one_seed`, the block of `run`),
-  and with that block's raw draws under the config's first model
+  and with that block's raw draws under the config's first mean idle durations
   (`run_one_seed`: all of `run` before link metrics, so every generator
   of the seed), and on the node_scale benchmark's blocks: the first 6
   seeds, both tree kinds, 4 destinations, at 40, 80 and 160 nodes
@@ -94,7 +95,7 @@ from crn_multicast.session import TreeKind
 
 spec, repeats = load_config(sys.argv[2]), int(sys.argv[3])
 seeds = range(spec.seed, spec.seed + %d)
-models = [params.channels() for _, params in spec.scenarios()]
+mu_idles = [params.mu_idle() for _, params in spec.scenarios()]
 block_spec = replace(spec, trials=len(seeds))
 node_scale = {n: replace(spec.base, n_nodes=n, n_dest=4) for n in (40, 80, 160)}
 times = {"block_stages": [], "raw": [], "sweep_block": [], "block_stages_one_seed": [], "run_one_seed": []}
@@ -130,9 +131,9 @@ def cli(argvs):
         if main(argv) != 0:
             raise SystemExit("error: %%s exited non-zero" %% " ".join(argv))
 
-def draws(slots, model, seeds):
+def draws(slots, mu_idle, seeds):
     words = seeding.stream_words(seeds, experiment._events_streams(spec.trees)).reshape(-1, 4)
-    return session.draw_raw(slots, model, seeding.generators(words))
+    return session.draw_raw(slots, mu_idle, seeding.generators(words))
 
 def timed(stage, call):
     start = time.perf_counter()
@@ -142,13 +143,13 @@ def timed(stage, call):
 
 for _ in range(repeats):
     slots = timed("block_stages", lambda: experiment._block_stages(spec.base, spec.trees, seeds))[0]
-    for model in models:
-        timed("raw", lambda: draws(slots, model, seeds))
+    for mu_idle in mu_idles:
+        timed("raw", lambda: draws(slots, mu_idle, seeds))
     timed("sweep_block", lambda: experiment.run_sweep(block_spec))
     for seed in seeds[:%d]:
         timed("block_stages_one_seed", lambda: experiment._block_stages(spec.base, spec.trees, [seed]))
     for seed in seeds[:%d]:
-        timed("run_one_seed", lambda: draws(experiment._block_stages(spec.base, spec.trees, [seed])[0], models[0], [seed]))
+        timed("run_one_seed", lambda: draws(experiment._block_stages(spec.base, spec.trees, [seed])[0], mu_idles[0], [seed]))
     for n, params in node_scale.items():
         timed("block_stages_n%%d" %% n, lambda: experiment._block_stages(params, (TreeKind.SPT, TreeKind.MST), seeds[:6]))
     with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
