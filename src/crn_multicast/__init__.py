@@ -12,14 +12,12 @@ from .experiment import (
     run_scenario_sessions,
     run_sweep,
 )
-from .phy import PhyParams
 from .session import TreeKind, session_to_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AggregateRow",
-    "PhyParams",
     "ScenarioParams",
     "Scheme",
     "SweepSpec",

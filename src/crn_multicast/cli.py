@@ -89,7 +89,7 @@ def cmd_example(args) -> int:
             raise ConfigError(f"fixture file not found: {path}")
         try:
             fixture = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer literal too long to convert
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     else:
         fixture = builtin_fixture()

@@ -54,21 +54,10 @@ POS_TABLES = {
 AVAILABLE_S = {1: 0.0062, 2: 0.0060, 8: 0.0030}
 TX_OVERRIDES_S = {(1, 8, 5): 0.0065}
 
-EXPECTED = {
-    "selected_channels": [5, 6, 4],
-    "throughput_bps": {
-        "6": PACKET_BITS / 0.0059,
-        "7": 0.0,
-        "8": 0.0,
-        "9": PACKET_BITS / 0.0051,
-        "10": PACKET_BITS / (0.0060 + 0.0057),
-    },
-    "pdr": 0.6,
-}
-
 
 def builtin_fixture() -> dict:
-    """The canned replay scenario as a JSON-serializable dict."""
+    """The canned replay scenario as a new JSON-serializable dict, which the
+    caller may edit."""
     events = []
     for tx in sorted(POS_TABLES):
         table = POS_TABLES[tx]
@@ -96,9 +85,14 @@ def builtin_fixture() -> dict:
                 "available_time_s": [AVAILABLE_S[tx] if up else None for up in idle],
             }
         )
-    expected = dict(EXPECTED)
-    expected["total_throughput_bps"] = sum(expected["throughput_bps"].values())
-    expected["avg_throughput_bps"] = expected["total_throughput_bps"] / len(DESTINATIONS)
+    throughput = {
+        "6": PACKET_BITS / 0.0059,
+        "7": 0.0,
+        "8": 0.0,
+        "9": PACKET_BITS / 0.0051,
+        "10": PACKET_BITS / (0.0060 + 0.0057),
+    }
+    total = sum(throughput.values())
     return {
         "mu_ms": list(MU_MS),
         "packet_bits": PACKET_BITS,
@@ -106,7 +100,13 @@ def builtin_fixture() -> dict:
         "tree_edges": [list(e) for e in TREE_EDGES],
         "destinations": list(DESTINATIONS),
         "events": events,
-        "expected": expected,
+        "expected": {
+            "selected_channels": [5, 6, 4],
+            "throughput_bps": throughput,
+            "pdr": 0.6,
+            "total_throughput_bps": total,
+            "avg_throughput_bps": total / len(DESTINATIONS),
+        },
     }
 
 
@@ -139,15 +139,25 @@ def _ids(values, what: str) -> list[int]:
     return [int(x) for x in ids]
 
 
-def _numbers(values, what: str, null: float = math.nan) -> list:
-    """A fixture's list of numbers, each null read as `null`: anything but a
-    JSON number or null, such as a string or a bool, is an error, never
-    coerced to a number."""
+def _numbers(values, what: str, null: float | None = math.nan, channels: int | None = None) -> list:
+    """A fixture's list of numbers, each null read as `null` (an error if
+    null is None), one per channel if channels is given: anything but a JSON
+    number or null, such as a string, a bool or an integer beyond float
+    range, is an error, never coerced to a number."""
     out = _list(values, what)
+    if channels is not None and len(out) != channels:
+        raise ValueError(f"{what} must hold {channels} numbers, one per channel, got {len(out)}")
     for x in out:
-        if x is not None and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
+        if isinstance(x, bool) or not isinstance(x, numbers.Real) and (x is not None or null is None):
             raise ValueError(f"{what}: {x!r} is not a number")
+        if isinstance(x, numbers.Integral) and not -sys.float_info.max <= x <= sys.float_info.max:
+            raise ValueError(f"{what}: an integer beyond float range is not a number")
     return [null if x is None else x for x in out]
+
+
+def _number(obj, key: str, what: str) -> float:
+    """obj[key] (_field), one JSON number (_numbers): null is an error."""
+    return float(_numbers([_field(obj, key, what)], f"{what} {key}", null=None)[0])
 
 
 def _tree_from_fixture(fixture: dict) -> tuple[int, dict[int, int]]:
@@ -162,16 +172,6 @@ def _tree_from_fixture(fixture: dict) -> tuple[int, dict[int, int]]:
             raise ValueError(f"node {v} has two parent edges, from {parent[v]} and from {u}")
         parent[v] = u
     return root, parent
-
-
-def _idle_channels(ev: dict, m: int) -> list[int]:
-    """0-based indices of an event's idle channels; ids in the fixture are 1..m."""
-    label = f"event of transmitter {ev['transmitter']}"
-    ids = _ids(_field(ev, "idle_channels", label), f"{label}, idle channels")
-    bad = [c for c in ids if not 1 <= c <= m]
-    if bad:
-        raise ValueError(f"event of transmitter {ev['transmitter']}: idle channel ids {bad} outside 1..{m}")
-    return [c - 1 for c in ids]
 
 
 def run_fixture(
@@ -242,17 +242,18 @@ def run_fixture(
                 f"event for transmitter {ev['transmitter']} does not match the "
                 f"schedule entry ({transmitter[e]} -> {entry})"
             )
-        idle[e, _idle_channels(ev, mu.size)] = True
+        ids = _ids(_field(ev, "idle_channels", label), f"{label}, idle channels")  # 1..M in the fixture
+        bad = [c for c in ids if not 1 <= c <= mu.size]
+        if bad:
+            raise ValueError(f"{label}: idle channel ids {bad} outside 1..{mu.size}")
+        idle[e, [c - 1 for c in ids]] = True
         for r in entry:
             pos_row = _field(_field(ev, "pos", label), str(r), f"{label}, pos")
-            pos_rows.append(_numbers(pos_row, f"{label}, receiver {r}, pos"))
+            pos_rows.append(_numbers(pos_row, f"{label}, receiver {r}, pos", channels=mu.size))
             tx_row = _field(_field(ev, "tx_time_s", label), str(r), f"{label}, tx_time_s")
-            tx_rows.append(_numbers(tx_row, f"{label}, receiver {r}, tx_time_s", null=math.inf))
-        avail_rows.append(_numbers(_field(ev, "available_time_s", label), f"{label}, available_time_s"))
+            tx_rows.append(_numbers(tx_row, f"{label}, receiver {r}, tx_time_s", null=math.inf, channels=mu.size))
+        avail_rows.append(_numbers(_field(ev, "available_time_s", label), f"{label}, available_time_s", channels=mu.size))
     pos, tx, available = (np.array(rows, dtype=float) for rows in (pos_rows, tx_rows, avail_rows))
-    for name, array in (("pos", pos), ("tx_time", tx), ("available_time", available)):
-        if array.shape != (len(array), mu.size):  # one row per receiver or event by construction
-            raise ValueError(f"{name} must have shape {(len(array), mu.size)}")
     slot_idle, slot_avail = idle[slots.event], available[slots.event]
     with np.errstate(divide="ignore", over="ignore"):
         rate = np.where(tx > 0.0, float(packet_bits) / tx, np.inf)
@@ -287,7 +288,7 @@ def check_fixture(fixture: dict) -> tuple[bool, list[str], dict]:
     """
     table, channels, judged = run_fixture(fixture)
     slots = table.slots
-    expected = fixture["expected"]
+    expected = _field(fixture, "expected", "fixture")
     lines: list[str] = []
     failures: list[str] = []
 
@@ -311,20 +312,21 @@ def check_fixture(fixture: dict) -> tuple[bool, list[str], dict]:
             f"node {tx} -> {', '.join(str(r) for r in receivers)}: "
             f"channel {sel} selected, received by [{', '.join(str(r) for r in ok) or 'none'}]"
         )
-    check("selected channels", selections, list(expected["selected_channels"]))
+    want_channels = _list(_field(expected, "selected_channels", "expected"), "expected selected_channels")
+    check("selected channels", selections, want_channels)
     delivered, throughput = judged.delivered[0, :, 0].tolist(), judged.throughput[0, :, 0].tolist()
     total = judged.total[0, 0].item()
     avg, pdr = (a[0, 0].item() for a in judged.averages())
     for dest, got, ok in zip(slots.destinations, throughput, delivered):
-        want = float(expected["throughput_bps"][str(dest)])
+        want = _number(_field(expected, "throughput_bps", "expected"), str(dest), "expected throughput_bps")
         lines.append(f"destination {dest}: {'delivered' if ok else 'missed'}, throughput {got / 1e6:.4f} Mbps")
         check(f"throughput of destination {dest}", got, want, tol=_REL_TOL)
     lines.append(f"total throughput: {total / 1e6:.4f} Mbps")
     lines.append(f"average throughput: {avg / 1e6:.4f} Mbps")
     lines.append(f"packet delivery rate: {pdr:.2f}")
-    check("total throughput", total, float(expected["total_throughput_bps"]), tol=2 * _REL_TOL)
-    check("average throughput", avg, float(expected["avg_throughput_bps"]), tol=2 * _REL_TOL)
-    check("packet delivery rate", pdr, float(expected["pdr"]))
+    check("total throughput", total, _number(expected, "total_throughput_bps", "expected"), tol=2 * _REL_TOL)
+    check("average throughput", avg, _number(expected, "avg_throughput_bps", "expected"), tol=2 * _REL_TOL)
+    check("packet delivery rate", pdr, _number(expected, "pdr", "expected"))
 
     payload = {
         "selected_channels": selections,

@@ -23,15 +23,15 @@ and the third judges all of those values at once:
 - the raw draws (session.draw_raw) also read the channel count and mean
   idle durations: each tree's channel states, gains and rs picks from its
   own events generator;
-- the judgement (_judge_block) reads everything else: the radio (PhyParams)
-  and the idle probabilities. It judges every value of a draw set in one
-  pass: one link table (session.EventTable) with a layer per distinct radio
-  (one layer when the values share a radio), each value's idle flags
-  thresholded from the shared uniforms, every scheme's channels under every
-  value's flags against its radio's layer, and one judgement over values x
-  schemes columns, each column on its value's radio. A chosen channel is
-  always an idle one, so its fit against the shared table is the fit a
-  value judged alone reads.
+- the judgement (_judge_block) reads everything else: the radio
+  (phy.RADIO_FIELDS) and the idle probabilities. It judges every value of a
+  draw set in one pass: one link table (session.EventTable) with a layer per
+  distinct radio (one layer when the values share one), each value's idle
+  flags thresholded from the shared uniforms, every scheme's channels under
+  every value's flags against its radio's layer, and one judgement over
+  values x schemes columns, each column on its value's radio. A chosen
+  channel is always an idle one, so its fit against the shared table is the
+  fit a value judged alone reads.
 
 A sweep nests its values in one plan by the first two keys (run_sweep),
 geometry, then draw set, then values: the values of a p_idle, bw, pt or
@@ -58,12 +58,13 @@ import stat
 import sys
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .assignment import Scheme
-from .phy import SPEED_OF_LIGHT, PhyParams
+from .phy import RADIO_FIELDS, SPEED_OF_LIGHT
 from .session import (
     EventTable,
     Judgement,
@@ -171,16 +172,6 @@ class ScenarioParams:
                 "bandwidth_hz * noise_psd that underflows to 0"
             )
 
-    def phy(self) -> PhyParams:
-        return PhyParams.from_carrier(
-            pt=self.pt_watts,
-            path_loss_exp=self.path_loss_exp,
-            carrier_freq_hz=self.carrier_freq_hz,
-            noise_psd=self.noise_psd,
-            bandwidth=self.bandwidth_hz,
-            packet_bits=self.packet_bits,
-        )
-
     def mu_idle(self) -> np.ndarray:
         """The (M,) mean idle durations of the scenario's channels, s: evenly
         spaced over [mu_min_s, mu_max_s], mu_min_s for a single channel."""
@@ -249,20 +240,20 @@ def _block_stages(params: ScenarioParams, trees, seeds) -> tuple[SlotIndex, np.n
 
 
 def _judge_block(
-    phys, p_idle: np.ndarray, mu_idle: np.ndarray, schemes, slots: SlotIndex, raw
+    scenarios, p_idle: np.ndarray, mu_idle: np.ndarray, schemes, slots: SlotIndex, raw
 ) -> tuple[EventTable, np.ndarray, Judgement]:
     """Judge a block's slots and raw draws (session.draw_raw) over mean idle
-    durations mu_idle under V values in one pass, value v on radio phys[v]
-    with idle probabilities p_idle[v] ((V, M), or (V, 1) for one per value):
-    one event table with one layer for all values when they share a radio
-    and one per value otherwise, each value's idle flags from the draws,
-    every scheme's channels under every value's flags, rs from the draws'
+    durations mu_idle under V values in one pass, value v on the radio of
+    scenarios[v] with idle probabilities p_idle[v] ((V, M), or (V, 1) for
+    one per value): one event table with one layer for all values when they
+    agree on every phy.RADIO_FIELDS field and one per value otherwise, each
+    value's idle flags from the draws, every scheme's channels under every value's flags, rs from the draws'
     pick uniforms, and one judgement of their (entries, values x schemes)
     columns, value after value."""
-    radios = phys[:1] if len(set(phys)) == 1 else list(phys)
+    radios = scenarios[:1] if len(set(map(attrgetter(*RADIO_FIELDS), scenarios))) == 1 else list(scenarios)
     table = link_metrics(radios, raw, mu_idle, slots)
     idle = idle_flags(raw, p_idle)
-    channels = np.empty((len(slots.starts), len(phys), len(schemes)), dtype=np.intp)
+    channels = np.empty((len(slots.starts), len(scenarios), len(schemes)), dtype=np.intp)
     for k, scheme in enumerate(schemes):
         channels[:, :, k] = select_channels(table, idle, scheme).T
     channels = channels.reshape(len(channels), -1)
@@ -287,7 +278,7 @@ def run_scenario_sessions(
     mu_idle = params.mu_idle()
     slots, words = _block_stages(params, tuple(dict.fromkeys(trees)), [seed])
     raw = draw_raw(slots, mu_idle, generators(words))
-    return _judge_block([params.phy()], np.array([[params.p_idle]]), mu_idle, schemes, slots, raw)
+    return _judge_block([params], np.array([[params.p_idle]]), mu_idle, schemes, slots, raw)
 
 
 @dataclass(frozen=True)
@@ -410,7 +401,6 @@ def run_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     trial equals run_scenario_sessions at its seed.
     """
     scenarios = [params for _, params in spec.scenarios()]
-    phys = [params.phy() for params in scenarios]
     p_idle = np.array([[params.p_idle] for params in scenarios])  # (values, 1): one for every channel
     plan: dict = {}  # geometry -> (params, {(M, mu_min, mu_max) -> (mean idle durations, values)})
     for v, params in enumerate(scenarios):
@@ -429,7 +419,7 @@ def run_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
             slots, words = _block_stages(params, spec.trees, seeds)
             for mu_idle, values in draw_sets.values():
                 raw = draw_raw(slots, mu_idle, generators(words))
-                judged = _judge_block([phys[v] for v in values], p_idle[values], mu_idle, spec.schemes, slots, raw)[2]
+                judged = _judge_block([scenarios[v] for v in values], p_idle[values], mu_idle, spec.schemes, slots, raw)[2]
                 # Tree j of the block is seed j // len(trees) on tree kind j % len(trees), and
                 # column c is value values[c // len(schemes)] under scheme c % len(schemes).
                 split = (len(seeds), shape[1], len(values), shape[2])
@@ -506,8 +496,9 @@ def _parse_csv(text: str, header: str, path) -> list[tuple[int, list[str]]]:
 def read_aggregate_csv(path) -> list[AggregateRow]:
     """Aggregate rows of a CSV file that charts can draw: finite numbers,
     means and CIs that are not negative with a mean PDR of at most 1, one
-    swept variable, one row per (tree, scheme, value), and axis ranges that
-    stay finite (the span of the values, _Y_HEADROOM x (mean + CI))."""
+    swept variable of SWEEP_VARIABLES (which charts write into their SVG
+    unescaped), one row per (tree, scheme, value), and axis ranges that stay
+    finite (the span of the values, _Y_HEADROOM x (mean + CI))."""
     rows, seen, lo, hi = [], {}, math.inf, -math.inf
     text = Path(path).read_text(encoding="utf-8")
     for lineno, f in _parse_csv(text, AGGREGATE_HEADER, path):
@@ -523,6 +514,8 @@ def read_aggregate_csv(path) -> list[AggregateRow]:
                 raise ValueError(f"mean_pdr must lie in [0, 1], got {row.mean_pdr!r}")
             if min(values[1:]) < 0.0:
                 raise ValueError(f"means and CIs must not be negative, got {values[1:]}")
+            if row.variable not in SWEEP_VARIABLES:
+                raise ValueError(f"unknown sweep variable {row.variable!r}, not one of {', '.join(SWEEP_VARIABLES)}")
             if rows and row.variable != rows[0].variable:
                 raise ValueError(f"variable {row.variable!r} differs from {rows[0].variable!r} above")
             key = (row.tree, row.scheme, float(row.value))

@@ -8,7 +8,6 @@ distances, gains and mean idle durations at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,36 +18,19 @@ class LinkBudgetError(ValueError):
     """Radio parameters drive a link equation out of float range."""
 
 
-@dataclass(frozen=True)
-class PhyParams:
-    """Radio parameters shared by every link in a scenario."""
-
-    pt: float  # transmit power, W
-    path_loss_exp: float  # path loss exponent, ~2 free space .. ~6 heavy clutter
-    wavelength: float  # carrier wavelength, m
-    noise_psd: float  # thermal noise power spectral density, W/Hz
-    bandwidth: float  # channel bandwidth, Hz
-    packet_bits: int  # data packet size, bits
-
-    def __post_init__(self):
-        for name in ("pt", "path_loss_exp", "wavelength", "noise_psd", "bandwidth", "packet_bits"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-
-    @classmethod
-    def from_carrier(cls, *, pt, path_loss_exp, carrier_freq_hz, noise_psd, bandwidth, packet_bits):
-        """Build params with the wavelength derived from the carrier frequency."""
-        return cls(pt, path_loss_exp, SPEED_OF_LIGHT / carrier_freq_hz, noise_psd, bandwidth, packet_bits)
+# The ScenarioParams fields the link equations read: two scenarios that
+# agree on all of them are one radio.
+RADIO_FIELDS = ("pt_watts", "path_loss_exp", "carrier_freq_hz", "noise_psd", "bandwidth_hz", "packet_bits")
 
 
 def link_arrays(radios, d: np.ndarray, gain: np.ndarray, mu_idle: np.ndarray):
     """Rate, air time and success probability of every (radio, receiver,
     channel) at once, as (K, R, M) arrays, from a sequence of K radios
-    (PhyParams), (R, 1) distances, (R, M) gains and (M,) mean idle
-    durations:
+    (ScenarioParams, of which only the RADIO_FIELDS are read), (R, 1)
+    distances, (R, M) gains and (M,) mean idle durations:
 
-        received power  Pr  = pt / d**path_loss_exp * (wavelength / 4 pi)**2 * gain
-        rate            r   = bandwidth * log2(1 + Pr / (bandwidth * noise_psd))
+        received power  Pr  = pt_watts / d**path_loss_exp * (SPEED_OF_LIGHT / carrier_freq_hz / 4 pi)**2 * gain
+        rate            r   = bandwidth_hz * log2(1 + Pr / (bandwidth_hz * noise_psd))
         air time        t   = packet_bits / r
         success         pos = exp(-t / mu_idle)
 
@@ -59,19 +41,19 @@ def link_arrays(radios, d: np.ndarray, gain: np.ndarray, mu_idle: np.ndarray):
 
     Nothing is range-checked: inputs hold by construction. Distances are
     positive (a block's parent edges, checked once per block), gains
-    non-negative (exponential draws) and mean idle durations positive
-    (ScenarioParams checks them), so received power, rate and air time are
-    non-negative too, and a zero rate gives an infinite air time. Overflow
-    gives an infinite rate, which the caller must reject. A mean idle
-    duration so small that t / mu_idle overflows gives a pos of 0.
+    non-negative (exponential draws), radio constants and mean idle durations
+    positive (ScenarioParams checks them), so received power, rate and air
+    time are non-negative too, and a zero rate gives an infinite air time.
+    Overflow gives an infinite rate, which the caller must reject. A mean
+    idle duration so small that t / mu_idle overflows gives a pos of 0.
     """
     path_loss_exp = radios[0].path_loss_exp
-    if any(phy.path_loss_exp != path_loss_exp for phy in radios):
+    if any(radio.path_loss_exp != path_loss_exp for radio in radios):
         raise ValueError("radios evaluated together must share path_loss_exp")
     pt, wave, bandwidth, noise, packet_bits = np.array(
-        [(phy.pt, (phy.wavelength / (4.0 * math.pi)) ** 2, phy.bandwidth, phy.bandwidth * phy.noise_psd,
-          phy.packet_bits)
-         for phy in radios],
+        [(radio.pt_watts, (SPEED_OF_LIGHT / radio.carrier_freq_hz / (4.0 * math.pi)) ** 2, radio.bandwidth_hz,
+          radio.bandwidth_hz * radio.noise_psd, radio.packet_bits)
+         for radio in radios],
         dtype=float,
     ).T[:, :, None, None]
     with np.errstate(over="ignore", divide="ignore"):

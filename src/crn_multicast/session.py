@@ -243,7 +243,7 @@ def idle_flags(raw, p_idle: np.ndarray) -> np.ndarray:
 
 def link_metrics(radios, raw, mu_idle: np.ndarray, slots: SlotIndex) -> EventTable:
     """Evaluate the link equations for a whole stack of trees under K radios
-    (PhyParams) at once, radio k as layer k of the table (phy.link_arrays):
+    (ScenarioParams) at once, radio k as layer k of the table (phy.link_arrays):
     gains to received power to rate to air time to success probability, per
     slot and channel, over each slot's parent-edge distance in slots, from
     raw draws (draw_raw). The table holds every channel's residual as its
@@ -256,12 +256,12 @@ def link_metrics(radios, raw, mu_idle: np.ndarray, slots: SlotIndex) -> EventTab
     _, residual, gains, picks = raw
     rate, t, p = link_arrays(radios, slots.distances[:, None], gains, mu_idle)
     if not np.isfinite(rate).all():
-        phy = radios[int(np.isfinite(rate).reshape(len(radios), -1).all(axis=1).argmin())]
+        radio = radios[int(np.isfinite(rate).reshape(len(radios), -1).all(axis=1).argmin())]
         raise LinkBudgetError(
-            f"pt_watts = {phy.pt!r} against a noise power bandwidth_hz * noise_psd = "
-            f"{phy.bandwidth * phy.noise_psd!r} W overflows the signal to noise ratio: a data rate is not finite"
+            f"pt_watts = {radio.pt_watts!r} against a noise power bandwidth_hz * noise_psd = "
+            f"{radio.bandwidth_hz * radio.noise_psd!r} W overflows the signal to noise ratio: a data rate is not finite"
         )
-    bits = np.array([phy.packet_bits for phy in radios], dtype=float)
+    bits = np.array([radio.packet_bits for radio in radios], dtype=float)
     return EventTable(slots, residual, p, rate, t, mu_idle, bits, picks)
 
 

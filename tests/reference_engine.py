@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from crn_multicast.assignment import Scheme
-from crn_multicast.phy import PhyParams
 from crn_multicast.session import SlotIndex, TreeKind
 
+_SPEED_OF_LIGHT = 299_792_458.0  # m/s
 _TREE_CODE = {TreeKind.SPT: 0, TreeKind.MST: 1}
 _STREAM_TOPOLOGY = 0
 _STREAM_DESTINATIONS = 1
@@ -456,16 +456,17 @@ def draw_events(schedule: LayerSchedule, channels, rng: np.random.Generator) -> 
     return draws
 
 
-def link_metrics(phy: PhyParams, distances: np.ndarray, draw: EventDraw, mu_idle: np.ndarray) -> EventMetrics:
+def link_metrics(params, distances: np.ndarray, draw: EventDraw, mu_idle: np.ndarray) -> EventMetrics:
     """One event's link equations, written out here rather than read from
     the package: Friis received power over the receiver's distance and
     fading gain, Shannon rate over the channel's noise power, air time of
     one packet (infinite at zero rate), and the chance exp(-t / mu) that
     it ends within the channel's idle period (zero on busy channels)."""
-    pr = phy.pt / distances[:, None] ** phy.path_loss_exp * (phy.wavelength / (4.0 * math.pi)) ** 2 * draw.gains
-    rate = phy.bandwidth * np.log2(1.0 + pr / (phy.bandwidth * phy.noise_psd))
+    wavelength = _SPEED_OF_LIGHT / params.carrier_freq_hz
+    pr = params.pt_watts / distances[:, None] ** params.path_loss_exp * (wavelength / (4.0 * math.pi)) ** 2 * draw.gains
+    rate = params.bandwidth_hz * np.log2(1.0 + pr / (params.bandwidth_hz * params.noise_psd))
     with np.errstate(divide="ignore"):
-        t = np.where(rate > 0.0, phy.packet_bits / rate, np.inf)
+        t = np.where(rate > 0.0, params.packet_bits / rate, np.inf)
     p = np.where(draw.idle[None, :], np.exp(-t / mu_idle[None, :]), 0.0)
     return EventMetrics(p, rate, t, mu_idle, draw.idle, draw.available_time, draw.pick)
 
@@ -576,7 +577,6 @@ def scenario_events(params, trees, seed: int, channels):
     destinations = frozenset(
         int(v) for v in dest_rng.choice(np.arange(1, params.n_nodes), size=params.n_dest, replace=False)
     )
-    phy = params.phy()
     events = {}
     for tree_kind in trees:
         build = build_spt if tree_kind is TreeKind.SPT else build_mst
@@ -584,7 +584,7 @@ def scenario_events(params, trees, seed: int, channels):
         schedule = layerize(pruned)
         draws = draw_events(schedule, channels, _rng(seed, _STREAM_EVENTS, _TREE_CODE[tree_kind]))
         events[tree_kind] = schedule, [
-            link_metrics(phy, np.array([pruned.edge_dist[r] for r in entry.receivers]), draw, channels[0])
+            link_metrics(params, np.array([pruned.edge_dist[r] for r in entry.receivers]), draw, channels[0])
             for entry, draw in zip(schedule.entries, draws)
         ]
     return destinations, events

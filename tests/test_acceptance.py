@@ -21,7 +21,7 @@ from crn_multicast.experiment import (
     run_sweep,
     trials_to_csv,
 )
-from crn_multicast.phy import PhyParams, link_arrays
+from crn_multicast.phy import SPEED_OF_LIGHT, link_arrays
 from crn_multicast.session import TreeKind
 from crn_multicast.topology import mst_stack, spt_stack
 
@@ -79,15 +79,15 @@ def test_criterion_1_worked_example_oracle():
 def test_criterion_2_equation_unit_oracles():
     # pt = 1 W, d = 1 m and wavelength 4 pi make the wave factor 1, so the
     # received power is the gain: 3 * B * N0 gives exactly 2 Mbps, and 100000
-    # bits at 2 Mbps take 0.05 s; an infinite gain gives zero air time.
-    unit = PhyParams(
-        pt=1.0, path_loss_exp=4.0, wavelength=4.0 * math.pi, noise_psd=1e-18, bandwidth=1e6, packet_bits=100000
-    )
+    # bits at 2 Mbps take 0.05 s; an infinite gain gives zero air time. Both
+    # wavelengths come back exactly from their carriers, c / (c / w) == w.
+    unit = replace(DEFAULTS, pt_watts=1.0, carrier_freq_hz=SPEED_OF_LIGHT / (4.0 * math.pi), packet_bits=100000)
     gains = np.array([[3.0 * 1e6 * 1e-18, math.inf]])
     rate, _, p = link_arrays([unit], np.ones((1, 1)), gains, np.array([0.05, 0.033]))
-    phy = PhyParams(pt=0.1, path_loss_exp=4.0, wavelength=0.5, noise_psd=1e-18, bandwidth=1e6, packet_bits=32768)
-    hand_rate = link_arrays([phy], np.full((1, 1), 10.0), np.ones((1, 1)), np.ones(1))[0].item()
-    received = phy.bandwidth * phy.noise_psd * (2.0 ** (hand_rate / phy.bandwidth) - 1.0)  # Shannon inverted
+    radio = replace(DEFAULTS, carrier_freq_hz=SPEED_OF_LIGHT / 0.5)  # 0.1 W, 1 MHz, N0 1e-18, exponent 4
+    hand_rate = link_arrays([radio], np.full((1, 1), 10.0), np.ones((1, 1)), np.ones(1))[0].item()
+    # Shannon inverted
+    received = radio.bandwidth_hz * radio.noise_psd * (2.0 ** (hand_rate / radio.bandwidth_hz) - 1.0)
     checks = [
         p[0, 0, 1] == 1.0,
         abs(p[0, 0, 0] - math.exp(-1.0)) <= 1e-12,

@@ -235,7 +235,7 @@ def test_masa_and_rs_choice_frequencies_match_the_model(oracle_block, p_idle):
     params = ScenarioParams(m_channels=6, p_idle=p_idle)
     mu_idle = params.mu_idle()
     slots, raw = oracle_block
-    table, idle = link_metrics([params.phy()], raw, mu_idle, slots), idle_flags(raw, np.full(len(mu_idle), p_idle))
+    table, idle = link_metrics([params], raw, mu_idle, slots), idle_flags(raw, np.full(len(mu_idle), p_idle))
     picks = {
         Scheme.MASA: select_channels(table, idle, Scheme.MASA),
         Scheme.RS: select_channels(table, idle, Scheme.RS),

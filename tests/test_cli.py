@@ -75,12 +75,30 @@ class TestExampleCommand:
         assert code == 1
         assert "MISMATCH" in out
 
+    def test_builtin_fixture_is_a_fresh_copy(self):
+        # Editing one copy's expected block, nested dicts included, leaves
+        # the next copy as it was.
+        fixture = builtin_fixture()
+        del fixture["expected"]["throughput_bps"]["6"]
+        fixture["expected"]["selected_channels"].append(1)
+        assert "6" in builtin_fixture()["expected"]["throughput_bps"]
+        assert builtin_fixture()["expected"]["selected_channels"] == [5, 6, 4]
+
     def test_unreadable_fixture_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         code, _, err = run_cli(capsys, "example", "--fixture", str(path))
         assert code == 2
         assert "error" in err
+
+    def test_integer_too_long_to_read_is_usage_error(self, tmp_path, capsys):
+        # before: an integer literal beyond Python's 4300-digit conversion
+        # limit ended in a traceback (exit 3)
+        path = tmp_path / "long.json"
+        path.write_text('{"root": ' + "9" * 5000 + "}", encoding="utf-8")
+        code, _, err = run_cli(capsys, "example", "--fixture", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "not valid JSON" in err
 
     def test_structurally_invalid_fixture_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "empty.json"
@@ -135,6 +153,21 @@ class TestExampleCommand:
             (("packet_bits",), DELETE, "fixture has no 'packet_bits'"),
             (("events", 0, "pos"), [[0.534, 0.0, 0.0, 0.7716, 0.8895, 0.9073]],
              "event of transmitter 1, pos must be a JSON object, got list"),
+            (("events", 0, "pos", "6", 6), 0.5,
+             "event of transmitter 1, receiver 6, pos must hold 6 numbers, one per channel, got 7"),
+            (("events", 1, "tx_time_s", "10", 5), DELETE,
+             "receiver 10, tx_time_s must hold 6 numbers, one per channel, got 5"),
+            (("events", 1, "available_time_s", 5), DELETE,
+             "event of transmitter 2, available_time_s must hold 6 numbers, one per channel, got 5"),
+            (("events", 0, "pos", "6", 0), 10**400, "receiver 6, pos: an integer beyond float range is not a number"),
+            (("expected",), DELETE, "fixture has no 'expected'"),
+            (("expected", "selected_channels"), DELETE, "expected has no 'selected_channels'"),
+            (("expected", "selected_channels"), 5, "expected selected_channels must be a list, got 5"),
+            (("expected", "throughput_bps", "6"), DELETE, "expected throughput_bps has no '6'"),
+            (("expected", "pdr"), None, "expected pdr: None is not a number"),
+            (("expected", "pdr"), "0.6", "expected pdr: '0.6' is not a number"),
+            (("expected", "total_throughput_bps"), 10**400,
+             "expected total_throughput_bps: an integer beyond float range"),
         ],
         ids=[
             "air_time_zero", "air_time_negative", "air_time_nan", "availability_missing", "availability_negative",
@@ -142,7 +175,9 @@ class TestExampleCommand:
             "packet_bits_beyond_float", "packet_bits_infinite_rate", "pos_above_one", "pos_negative",
             "mu_string", "mu_bool", "pos_string", "pos_bool", "air_time_string", "air_time_bool",
             "availability_bool", "availability_string", "mu_not_list", "pos_receiver_missing",
-            "packet_bits_missing", "pos_not_object",
+            "packet_bits_missing", "pos_not_object", "pos_row_long", "air_time_row_short", "availability_row_short",
+            "pos_beyond_float", "expected_missing", "expected_selections_missing", "expected_selections_not_list",
+            "expected_destination_missing", "expected_pdr_null", "expected_pdr_string", "expected_total_beyond_float",
         ],
     )
     def test_bad_fixture_value_is_usage_error(self, tmp_path, capsys, path, value, message):
@@ -154,7 +189,10 @@ class TestExampleCommand:
         # overflowed gave a RuntimeWarning and infinite throughputs; a number
         # given as a string or a bool was read as that number; a missing key,
         # or a number or list where a list or object belongs, gave Python's
-        # own message, which named neither the field nor the event
+        # own message, which named neither the field nor the event; so did a
+        # row of the wrong length unless every row had it, a missing or null
+        # expected value, and an integer beyond float range, which ended in a
+        # traceback; an expected value given as a string was read as a number
         assert_fixture_rejected(tmp_path, capsys, path, value, message)
 
     # Edges 1->2, 1->6, 1->8, 1->9, 2->10, 8->7; events of transmitters 1, 2 and 8.
@@ -502,6 +540,7 @@ class TestSweepAndPlot:
             ("spt,pos,p_idle,0.3,1.0,inf,1.0,0.0,2\n", "line 3: numbers must be finite"),
             ("spt,pos,p_idle,nan,1.0,0.0,1.0,0.0,2\n", "line 3: numbers must be finite"),
             ("spt,rs,M,4,1.0,0.0,1.0,0.0,2\n", "line 3: variable 'M' differs from 'p_idle'"),
+            ("spt,pos,a&b<c,0.5,1e6,0,0.5,0,10\n", "line 3: unknown sweep variable 'a&b<c'"),
             ("spt,pos,p_idle,5e-1,1.0,0.0,1.0,0.0,2\n", "line 3: spt/pos at 0.5 repeats line 2"),
             ("spt,rs,p_idle,1e308,1.0,0.0,1.0,0.0,2\nspt,rs,p_idle,-1e308,1.0,0.0,1.0,0.0,2\n",
              "line 4: swept values from -1e+308 to 1e+308 span a range that overflows"),
@@ -514,7 +553,7 @@ class TestSweepAndPlot:
             ("spt,pos,p_idle,0.3,1.0,0.0,1.0,-0.1,2\n", "line 3: means and CIs must not be negative"),
         ],
         ids=[
-            "mean_nan", "ci_inf", "value_nan", "two_variables", "repeated_key", "x_span_overflows",
+            "mean_nan", "ci_inf", "value_nan", "two_variables", "unknown_variable", "repeated_key", "x_span_overflows",
             "mean_plus_ci_overflows", "y_margin_overflows", "pdr_above_one", "pdr_negative",
             "throughput_negative", "throughput_ci_negative", "pdr_ci_negative",
         ],
@@ -524,7 +563,8 @@ class TestSweepAndPlot:
         # variable was drawn into the first one's chart, a repeated (tree,
         # scheme, value) as a zig-zag, and values or means near the float
         # limit gave nan and inf coordinates; a mean PDR above 1 or a negative
-        # mean drew its point off the chart
+        # mean drew its point off the chart; a variable holding XML specials
+        # was written raw into both charts, which no XML parser then read
         bad = tmp_path / "agg.csv"
         bad.write_text(
             "tree,scheme,variable,value,mean_throughput_bps,ci95_throughput,mean_pdr,ci95_pdr,trials\n"

@@ -35,6 +35,7 @@ from scipy import integrate
 from crn_multicast import experiment
 from crn_multicast.assignment import Scheme
 from crn_multicast.experiment import ScenarioParams
+from crn_multicast.phy import SPEED_OF_LIGHT
 from crn_multicast.seeding import generators, stream_words
 from crn_multicast.session import TreeKind, draw_raw
 
@@ -63,13 +64,13 @@ def geometry():
 
 def hop_success(params: ScenarioParams, d: float, mu: float) -> float:
     """E_g[exp(-T(g, d) / mu)], g ~ Exp(1)."""
-    phy = params.phy()
-    c = phy.pt * (phy.wavelength / (4.0 * math.pi)) ** 2 / (phy.bandwidth * phy.noise_psd)
-    snr_per_gain = c / d**phy.path_loss_exp
+    wavelength = SPEED_OF_LIGHT / params.carrier_freq_hz
+    c = params.pt_watts * (wavelength / (4.0 * math.pi)) ** 2 / (params.bandwidth_hz * params.noise_psd)
+    snr_per_gain = c / d**params.path_loss_exp
 
     def integrand(g):
-        rate = phy.bandwidth * math.log2(1.0 + snr_per_gain * g)
-        return math.exp(-g - phy.packet_bits / rate / mu) if rate > 0.0 else 0.0
+        rate = params.bandwidth_hz * math.log2(1.0 + snr_per_gain * g)
+        return math.exp(-g - params.packet_bits / rate / mu) if rate > 0.0 else 0.0
 
     value, error = integrate.quad(integrand, 0.0, math.inf, epsabs=1e-12, epsrel=1e-10, limit=200)
     assert error < 1e-8
@@ -101,7 +102,7 @@ def test_delivery_rates_match_the_closed_form(geometry, p_idle):
     params = ScenarioParams(m_channels=6, p_idle=p_idle)
     mu_idle = params.mu_idle()
     idle_rows = np.full((1, len(mu_idle)), p_idle)
-    _, _, judged = experiment._judge_block([params.phy()], idle_rows, mu_idle, SCHEMES, copies, raw)
+    _, _, judged = experiment._judge_block([params], idle_rows, mu_idle, SCHEMES, copies, raw)
     # Tree j of the block is copy j // 2 of tree kind j % 2.
     rates = judged.delivered.reshape(COPIES, len(TREES), -1, len(SCHEMES)).mean(axis=0)
     for k, scheme in enumerate(SCHEMES):

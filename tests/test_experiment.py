@@ -59,8 +59,7 @@ def judge_block(scenarios, slots, words):
     mu_idle = scenarios[0].mu_idle()
     raw = session.draw_raw(slots, mu_idle, generators(words))
     p_idle = np.array([np.full(len(mu_idle), params.p_idle) for params in scenarios])
-    phys = [params.phy() for params in scenarios]
-    return experiment._judge_block(phys, p_idle, mu_idle, ALL_SCHEMES, slots, raw)
+    return experiment._judge_block(scenarios, p_idle, mu_idle, ALL_SCHEMES, slots, raw)
 
 
 def channel_sessions(params, schemes, trees, seed, mu_idle, p_idle):
@@ -70,7 +69,7 @@ def channel_sessions(params, schemes, trees, seed, mu_idle, p_idle):
     stages, _block_stages, draw_raw and _judge_block, on plain arrays."""
     slots, words = experiment._block_stages(params, tuple(dict.fromkeys(trees)), [seed])
     raw = session.draw_raw(slots, mu_idle, generators(words))
-    return experiment._judge_block([params.phy()], np.asarray(p_idle)[None], mu_idle, schemes, slots, raw)
+    return experiment._judge_block([params], np.asarray(p_idle)[None], mu_idle, schemes, slots, raw)
 
 
 def assert_same_session(got, want):
@@ -357,7 +356,7 @@ class TestSeedBlocks:
         spec = SweepSpec(base=SMALL, variable=variable, values=SWEEP_AXES[variable], trials=7, seed=21)
         got = run_sweep(spec)
         per_call = [1] * len(spec.values) if variable in DRAWS_SWEPT else [len(spec.values)]
-        assert [len(phys) for phys, *_ in tables] == per_call * 3
+        assert [len(scenarios) for scenarios, *_ in tables] == per_call * 3
         assert_same_csv(spec, got, value_major_arrays(spec, reference_trial))
 
 

@@ -11,7 +11,6 @@ def test_public_api_is_exactly_this_list():
     # A change to the public API is deliberate: it changes this list too.
     assert crn_multicast.__all__ == [
         "AggregateRow",
-        "PhyParams",
         "ScenarioParams",
         "Scheme",
         "SweepSpec",
