@@ -2,7 +2,9 @@
 
 The format is a plain text file: one `key = value` pair per line, `#` starts
 a comment, blank lines ignored. List values are comma separated. Unknown keys
-are rejected so typos fail loudly. Command-line flags win over file values.
+are rejected so typos fail loudly, and so is a key set twice, which would
+otherwise let the later line win unseen. Command-line flags win over file
+values.
 
 A loaded file is a Config: a SweepSpec plus out_dir. SweepSpec holds the
 defaults and the checks of every harness value and swept scenario, so `run`
@@ -75,8 +77,10 @@ _HARNESS_KEYS = {
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Parse key = value lines into typed values; unknown keys are an error."""
+    """Parse key = value lines into typed values; an unknown key, or a key
+    set twice, is an error."""
     values: dict = {}
+    set_on: dict = {}  # key: the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -92,6 +96,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
             caster = _HARNESS_KEYS[key][1]
         else:
             raise ConfigError(f"{source}, line {lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ConfigError(f"{source}, line {lineno}: config key {key!r} repeats line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = caster(value)
         except ConfigError:

@@ -56,7 +56,7 @@ import numbers
 import os
 import stat
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
@@ -112,43 +112,47 @@ class ScenarioParams:
     def __post_init__(self):
         self.validate()
 
-    def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, numbers.Real) and not _finite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
-        for name in ("n_nodes", "n_dest", "m_channels", "packet_bits"):
+    def validate(self, field: str | None = None) -> None:
+        """Check the scenario, raising ValueError at the first failing check.
+
+        With no field, every check runs, in a fixed order. With a field name,
+        only the checks that read that field run, in the same order: this is
+        how a sweep checks each swept value (SweepSpec), on a copy of its
+        checked base with that one field set. The checks that do not read
+        the field pass on the copy as they did on the base, so the copy fails
+        the same first check, with the same message, as a scenario built with
+        the value would."""
+        names = _FIELD_NAMES if field is None else (field,)
+
+        def reads(*checked: str) -> bool:
+            return field is None or field in checked
+
+        for name in names:
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            # An exact int or float is tested first: the numbers ABC checks are slow.
+            if (type(value) in (int, float) or isinstance(value, numbers.Real)) and not _finite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in names:
+            value = getattr(self, name)
+            if name in _INTEGER_FIELDS and type(value) is not int and not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_nodes < 2:
+        if reads("n_nodes") and self.n_nodes < 2:
             raise ValueError("n_nodes must be at least 2")
-        if not 1 <= self.n_dest < self.n_nodes:
+        if reads("n_dest", "n_nodes") and not 1 <= self.n_dest < self.n_nodes:
             raise ValueError("n_dest must satisfy 1 <= n_dest < n_nodes")
-        if self.m_channels < 1:
+        if reads("m_channels") and self.m_channels < 1:
             raise ValueError("m_channels must be at least 1")
-        if not 0.0 < self.p_idle < 1.0:
+        if reads("p_idle") and not 0.0 < self.p_idle < 1.0:
             raise ValueError("p_idle must lie strictly between 0 and 1")
-        for name in (
-            "bandwidth_hz",
-            "packet_bits",
-            "pt_watts",
-            "mu_min_s",
-            "mu_max_s",
-            "noise_psd",
-            "path_loss_exp",
-            "carrier_freq_hz",
-            "area_side_m",
-            "comm_range_m",
-        ):
-            if getattr(self, name) <= 0:
+        for name in names:
+            if name in _POSITIVE_FIELDS and getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.mu_min_s > self.mu_max_s:
+        if reads("mu_min_s", "mu_max_s") and self.mu_min_s > self.mu_max_s:
             raise ValueError("mu_min_s must not exceed mu_max_s")
         # Received power is this constant over d**path_loss_exp times a gain;
         # x * x, unlike x ** 2, gives inf rather than OverflowError.
         half_wave = SPEED_OF_LIGHT / self.carrier_freq_hz / (4.0 * math.pi)
-        if not _finite(self.pt_watts * half_wave * half_wave):
+        if reads("pt_watts", "carrier_freq_hz") and not _finite(self.pt_watts * half_wave * half_wave):
             raise ValueError(
                 f"pt_watts = {self.pt_watts!r} and carrier_freq_hz = {self.carrier_freq_hz!r} give a "
                 "non-finite link budget pt_watts * (wavelength / 4 pi)**2"
@@ -157,16 +161,16 @@ class ScenarioParams:
         # area side: an overflowing squared diagonal makes them infinite, and
         # a square below the smallest normal float loses them to underflow.
         side_sq = self.area_side_m * self.area_side_m
-        if not _finite(side_sq + side_sq):
+        if reads("area_side_m") and not _finite(side_sq + side_sq):
             raise ValueError(
                 f"area_side_m = {self.area_side_m!r} gives a squared diagonal 2 * area_side_m**2 that overflows"
             )
-        if side_sq < sys.float_info.min:
+        if reads("area_side_m") and side_sq < sys.float_info.min:
             raise ValueError(
                 f"area_side_m = {self.area_side_m!r} gives a square area_side_m**2 below the smallest normal float"
             )
         # A zero noise power would divide every received power by zero.
-        if self.bandwidth_hz * self.noise_psd == 0.0:
+        if reads("bandwidth_hz", "noise_psd") and self.bandwidth_hz * self.noise_psd == 0.0:
             raise ValueError(
                 f"bandwidth_hz = {self.bandwidth_hz!r} and noise_psd = {self.noise_psd!r} give a noise power "
                 "bandwidth_hz * noise_psd that underflows to 0"
@@ -176,6 +180,25 @@ class ScenarioParams:
         """The (M,) mean idle durations of the scenario's channels, s: evenly
         spaced over [mu_min_s, mu_max_s], mu_min_s for a single channel."""
         return np.linspace(self.mu_min_s, self.mu_max_s, self.m_channels)
+
+
+# Checks run per field in field order, the order of _FIELD_NAMES.
+_FIELD_NAMES = tuple(f.name for f in fields(ScenarioParams))
+_INTEGER_FIELDS = frozenset({"n_nodes", "n_dest", "m_channels", "packet_bits"})
+_POSITIVE_FIELDS = frozenset(
+    {
+        "bandwidth_hz",
+        "packet_bits",
+        "pt_watts",
+        "mu_min_s",
+        "mu_max_s",
+        "noise_psd",
+        "path_loss_exp",
+        "carrier_freq_hz",
+        "area_side_m",
+        "comm_range_m",
+    }
+)
 
 
 # The swept variable names accepted by SweepSpec, mapped to ScenarioParams fields.
@@ -286,8 +309,12 @@ class SweepSpec:
     """One-parameter sweep: the base scenario, the swept variable and its
     values, trials per value, base seed, schemes and tree kinds. Every field
     and every swept scenario is checked on construction; the defaults are the
-    config file's. A repeated scheme or tree kind counts once, in first-seen
-    order."""
+    config file's. The base, a ScenarioParams, was checked in full when it
+    was built; each swept scenario is the base's fields with the swept one
+    set, checked by the ScenarioParams checks that read that field alone
+    (ScenarioParams.validate), so a bad value raises what a scenario built
+    with it would, after "<variable> = <value>: ". A repeated scheme or tree
+    kind counts once, in first-seen order."""
 
     base: ScenarioParams = ScenarioParams()
     variable: str = "p_idle"
@@ -317,7 +344,7 @@ class SweepSpec:
             raise ValueError("seed must be non-negative")
         if not self.schemes or not self.trees:
             raise ValueError("sweep needs at least one scheme and one tree kind")
-        # Every swept scenario is built, and so validated, here, once (scenarios
+        # Every swept scenario is built and checked here, once (scenarios
         # keeps them), so a bad value fails before the first trial runs rather
         # than partway through.
         self.scenarios()
@@ -335,10 +362,15 @@ class SweepSpec:
         name = SWEEP_VARIABLES[self.variable]
         out = []
         for value in self.values:
+            # The checked base's fields with the swept one set, built without
+            # __init__: only the checks that read the swept field can fail.
+            params = object.__new__(type(self.base))
+            vars(params).update(vars(self.base), **{name: value})
             try:
-                out.append((value, replace(self.base, **{name: value})))
+                params.validate(name)
             except ValueError as exc:
                 raise ValueError(f"{self.variable} = {value!r}: {exc}") from None
+            out.append((value, params))
         return tuple(out)
 
 

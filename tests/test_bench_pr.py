@@ -23,8 +23,8 @@ def test_bench_writes_its_record(tmp_path):
     assert record["trials"] == 2 and record["scenario"]["trials"] == "2"
     stages = {
         "block_stages_ms", "raw_ms", "sweep_block_ms", "block_stages_one_seed_ms", "run_one_seed_ms",
-        "block_stages_n40_ms", "block_stages_n80_ms", "block_stages_n160_ms", "run_cli_ms", "sweep_plot_cli_ms",
-        "trend_axes_cli_ms",
+        "block_stages_n40_ms", "block_stages_n80_ms", "block_stages_n160_ms", "config_load_ms", "run_cli_ms",
+        "sweep_plot_cli_ms", "trend_axes_cli_ms",
     }
     # one pair: each ratio is that pair's change median over its parent median
     assert set(record["stage_ratio"]) == stages

@@ -623,6 +623,19 @@ class TestBadSweepFailsFast:
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_repeated_config_key_is_usage_error_before_any_trial(tmp_path, capsys, no_trials, command):
+    # the later line no longer wins unseen: the file names both lines
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(SMALL_CONFIG + "p_idle = 0.5\np_idle = 0.7\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), "--out", str(out_dir))
+    assert code == 2
+    first = SMALL_CONFIG.count("\n") + 1
+    assert err == f"error: {cfg}, line {first + 1}: config key 'p_idle' repeats line {first}\n"
+    assert out == "" and not out_dir.exists()
+
+
 def test_parser_is_reused_across_calls_without_carrying_state(tmp_path, capsys):
     # main builds its parser once per process; each call must still print
     # what a fresh process prints, whatever the calls before it parsed.

@@ -1,8 +1,9 @@
 import math
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +15,7 @@ from crn_multicast.config import (
     parse_config_text,
     sweep_from_config,
 )
-from crn_multicast.experiment import SWEEP_VARIABLES, ScenarioParams
+from crn_multicast.experiment import SWEEP_VARIABLES, ScenarioParams, SweepSpec
 from crn_multicast.session import TreeKind
 
 FLOAT_KEYS = [f.name for f in fields(ScenarioParams) if f.type == "float"]
@@ -150,3 +151,91 @@ def test_sweep_text_builds_a_valid_spec_or_raises_config_error(variable, tokens)
     for value, params in spec.scenarios():
         assert math.isfinite(value)
         params.validate()
+
+
+# Good and bad values of every sweep variable: non-finite, zero, negative and
+# beyond float range for all; non-integral for the integer fields; n_dest and
+# n_nodes against each other; a bandwidth whose noise power underflows; the
+# p_idle bounds; and bool and numpy scalars, whose types a scenario keeps.
+COMMON_VALUES = [math.nan, math.inf, -math.inf, 0, 0.0, -1, 10**400, True]
+SWEPT_VALUES = {
+    "bw": [0.5e6, 2e6, 1000000, 1e-300, 1e-310, np.float64(3e6)],
+    "packet_bits": [1, 16384, 5.0, 16384.0, np.int64(65536)],
+    "M": [1, 5, 30, 5.0, np.int64(10)],
+    "pt": [0.05, 1, 1e300, 1e308, np.float64(0.5)],
+    "p_idle": [0.1, 0.5, 0.9, 1, 1.0, np.float64(0.5)],
+    "n_dest": [1, 4, 39, 40, 41, 5.0, np.int64(8)],
+    "n_nodes": [2, 16, 17, 40, 160, 5.0, np.int64(80)],
+}
+BASES = {
+    "defaults": ScenarioParams(),
+    # small n_nodes, a tiny noise density and a low carrier, so the
+    # cross-field checks fail at other values
+    "tight": ScenarioParams(n_nodes=10, n_dest=9, noise_psd=1e-300, carrier_freq_hz=1e3),
+}
+
+
+def _typed_fields(params):
+    return [(f.name, getattr(params, f.name), type(getattr(params, f.name))) for f in fields(params)]
+
+
+@pytest.mark.parametrize("base", BASES.values(), ids=BASES.keys())
+@pytest.mark.parametrize("variable", SWEEP_VARIABLES)
+def test_swept_scenario_is_the_scenario_built_with_its_value(variable, base):
+    # each swept scenario equals the one built directly with its value, field
+    # by field and type by type, or both raise the same message
+    name = SWEEP_VARIABLES[variable]
+    for value in SWEPT_VALUES[variable] + COMMON_VALUES:
+        try:
+            direct = ScenarioParams(**{**asdict(base), name: value})
+        except ValueError as exc:
+            with pytest.raises(ValueError) as swept:
+                SweepSpec(base, variable, (value,))
+            assert str(swept.value) == f"{variable} = {value!r}: {exc}"
+            continue
+        ((swept_value, swept),) = SweepSpec(base, variable, (value,)).scenarios()
+        assert swept_value is value
+        assert _typed_fields(swept) == _typed_fields(direct)
+        assert swept == direct and hash(swept) == hash(direct)
+
+
+# perfbench's trend_axes workload: five sweeps, 18 values in all.
+TREND_AXES = {
+    "bw": "0.5e6,1e6,2e6,3e6",
+    "M": "5,10,20,30",
+    "pt": "0.05,0.1,0.5",
+    "p_idle": "0.1,0.5,0.9",
+    "packet_bits": "16384,32768,65536,131072",
+}
+
+
+def test_a_sweep_checks_its_base_in_full_once_and_each_value_by_its_field(monkeypatch):
+    # ScenarioParams.validate() is the full check; validate(name) runs the
+    # checks that read field name
+    calls = []
+    validate = ScenarioParams.validate
+
+    def counted(self, *args):
+        calls.append(args)
+        return validate(self, *args)
+
+    monkeypatch.setattr(ScenarioParams, "validate", counted)
+    for variable, values in TREND_AXES.items():
+        start = len(calls)
+        cfg = load_config(None, parse_config_text(f"sweep_variable = {variable}\nsweep_values = {values}\n"))
+        assert calls[start:] == [()] + [(SWEEP_VARIABLES[variable],)] * len(cfg.values)
+    assert calls.count(()) == len(TREND_AXES)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p_idle = 0.5\n# the same key again\np_idle = 0.7\n", "cfg.txt, line 3: config key 'p_idle' repeats line 1"),
+        ("sweep_values = 0.1,0.5\nsweep_values = 0.1,0.5\n", "cfg.txt, line 2: config key 'sweep_values' repeats line 1"),
+    ],
+    ids=["other_value", "same_value"],
+)
+def test_repeated_key_names_the_key_and_both_lines(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text, source="cfg.txt")
+    assert str(err.value) == message

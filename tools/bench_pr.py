@@ -38,7 +38,12 @@ unchanged code, too wide to resolve a 10% stage change. It measures:
   requests shaped like perfbench's trend_axes workload, each five `sweep`
   calls of the config with pos on the SPT at 5 trials, one per axis (bw, M,
   pt, p_idle and packet_bits, each over that workload's values), every
-  axis into its own reused directory; each request is one timing.
+  axis into its own reused directory; each request is one timing. Each
+  axis's config is the README config with its schemes, trees,
+  sweep_variable and sweep_values lines set in place, since a config file
+  may set a key only once. `config_load` is 20 rounds of
+  `config.load_config` on those five configs, the parsing and checking that
+  perfbench traces as its config.load layer; each round is one timing.
   Each is timed --repeats times per pair.
 
 trials_per_s is trials x swept values over the median sweep wall time.
@@ -81,8 +86,10 @@ TREND_AXES = {
 }
 TREND_TRIALS = 5
 
-# Run in a fresh interpreter: argv is src, config, repeats. Prints the
-# package's location and each stage's times in ms as one JSON object.
+# Run in a fresh interpreter: argv is src, config, repeats and the directory
+# holding trend_axes_cli's configs, one <axis>.cfg per TREND_AXES key.
+# Prints the package's location and each stage's times in ms as one JSON
+# object.
 STAGES_CODE = """
 import contextlib, json, os, sys, tempfile, time
 from dataclasses import replace
@@ -100,14 +107,9 @@ block_spec = replace(spec, trials=len(seeds))
 node_scale = {n: replace(spec.base, n_nodes=n, n_dest=4) for n in (40, 80, 160)}
 times = {"block_stages": [], "raw": [], "sweep_block": [], "block_stages_one_seed": [], "run_one_seed": []}
 times.update({"block_stages_n%%d" %% n: [] for n in node_scale})
-times.update({"run_cli": [], "sweep_plot_cli": [], "trend_axes_cli": []})
+times.update({"config_load": [], "run_cli": [], "sweep_plot_cli": [], "trend_axes_cli": []})
 run_out, sweep_out, trend_out = (tempfile.mkdtemp(dir=".") for _ in range(3))
-trend_configs = []
-for axis, values in %r.items():
-    path = os.path.join(trend_out, axis + ".cfg")
-    with open(sys.argv[2], encoding="utf-8") as fh, open(path, "w", encoding="utf-8") as out:
-        out.write(fh.read() + "schemes = pos\\ntrees = spt\\nsweep_variable = %%s\\nsweep_values = %%s\\n" %% (axis, values))
-    trend_configs.append((path, os.path.join(trend_out, axis)))
+trend_configs = [(os.path.join(sys.argv[4], axis + ".cfg"), os.path.join(trend_out, axis)) for axis in %r]
 cli_argvs = {
     "run_cli": [
         [["run", "--config", sys.argv[2], "--seed", str(spec.seed + i), "--json", "--out", run_out]]
@@ -152,6 +154,8 @@ for _ in range(repeats):
         timed("run_one_seed", lambda: draws(experiment._block_stages(spec.base, spec.trees, [seed])[0], mu_idles[0], [seed]))
     for n, params in node_scale.items():
         timed("block_stages_n%%d" %% n, lambda: experiment._block_stages(params, (TreeKind.SPT, TreeKind.MST), seeds[:6]))
+    for _ in range(%d):
+        timed("config_load", lambda: [load_config(cfg) for cfg, _ in trend_configs])
     with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
         for stage, calls in cli_argvs.items():
             for argvs in calls:
@@ -159,17 +163,26 @@ for _ in range(repeats):
 print(json.dumps({"package": crn_multicast.__file__, "times": times}))
 """ % (
     BLOCK_SEEDS, TREND_AXES, CLI_CALLS, CLI_TRIALS, CLI_TRIALS, CLI_CALLS, TREND_TRIALS, TREND_TRIALS, CLI_CALLS,
-    ONE_SEED_CALLS, ONE_SEED_CALLS,
+    ONE_SEED_CALLS, ONE_SEED_CALLS, CLI_CALLS,
 )
+
+
+def config_with(config: str, **values) -> str:
+    """config with each key of values set to its value: on the key's own
+    line where config sets it, since a config file may set a key only once,
+    else on a line of its own at the end."""
+    lines = []
+    for line in config.splitlines():
+        key = line.split("#")[0].split("=")[0].strip()
+        lines.append(f"{key} = {values.pop(key)}" if key in values else line)
+    return "\n".join(lines + [f"{key} = {value}" for key, value in values.items()]) + "\n"
 
 
 def readme_config(trials: int) -> str:
     """The README's example config with trials set to trials."""
     lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
     start = lines.index("# scenario")
-    end = lines.index("```", start)
-    config = [f"trials = {trials}" if line.split("=")[0].strip() == "trials" else line for line in lines[start:end]]
-    return "\n".join(config) + "\n"
+    return config_with("\n".join(lines[start:lines.index("```", start)]), trials=trials)
 
 
 def scenario(config: str) -> dict:
@@ -201,7 +214,8 @@ def sweep_wall(tree: Path, config: Path, work: Path) -> float:
 
 
 def stage_times(tree: Path, config: Path, repeats: int, work: Path) -> dict[str, list[float]]:
-    done = run_tree(tree, ["-c", STAGES_CODE, str(tree / "src"), str(config), str(repeats)], work)
+    argv = ["-c", STAGES_CODE, str(tree / "src"), str(config), str(repeats), str(work / "trend")]
+    done = run_tree(tree, argv, work)
     result = json.loads(done.stdout.splitlines()[-1])
     if Path(result["package"]).resolve().parent != (tree / "src" / "crn_multicast").resolve():
         raise SystemExit(f"error: imported crn_multicast from {result['package']}, not from {tree / 'src'}")
@@ -229,6 +243,10 @@ def main(argv=None) -> int:
         work = Path(tmp)
         config = work / "readme.cfg"
         config.write_text(config_text, encoding="utf-8")
+        (work / "trend").mkdir()
+        for axis, values in TREND_AXES.items():
+            trend = config_with(config_text, schemes="pos", trees="spt", sweep_variable=axis, sweep_values=values)
+            (work / "trend" / f"{axis}.cfg").write_text(trend, encoding="utf-8")
         for pair in range(args.pairs):
             for name in (("parent", "change") if pair % 2 == 0 else ("change", "parent")):
                 walls[name].append(sweep_wall(trees[name], config, work))
