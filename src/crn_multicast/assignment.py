@@ -27,24 +27,26 @@ class Scheme(Enum):
     RS = "rs"
 
 
-def choose_channels(scheme: Scheme, pos, rate, mu_idle, idle, starts, picks=None) -> np.ndarray:
-    """Channel of every event in a table under scheme, for one or several
-    sets of idle flags at once.
+def choose_channels(scheme: Scheme, table, idle) -> np.ndarray:
+    """Channel of every entry of an event table (session.EventTable) under
+    scheme, for one or several sets of idle flags at once.
 
-    pos and rate are (receivers x channels) with each event's receivers in
-    consecutive rows starting at starts[e], or (radios x receivers x
-    channels) for several radios; idle is (events x channels), or (sets x
-    events x channels) for several sets, giving one row of channels per set
-    (or per radio, where the radios broadcast against the sets). The worst
-    receiver of each event is its column minimum over its rows, read only on
-    idle channels. rs reads only idle and picks, one
-    uniform in [0, 1) per event: event e takes its k-th idle channel
-    (counting from 0), k = floor(picks[e] * n_idle), which is below n_idle
-    for every float below 1. Ties go to the lowest channel index (np.argmax
-    returns the first maximum), and an event without an idle channel gets -1.
+    The table's pos and rate are (radios x slots x channels), each entry's
+    receivers in consecutive slots from table.slots.starts[e]; idle is
+    (events x channels), or (sets x events x channels) for several sets,
+    giving one row of channels per set, where the radios broadcast against
+    the sets: one radio serves every set, or set v reads radio v. The worst
+    receiver of each entry is its column minimum over its slots, read only
+    on idle channels. masa reads table.mu_idle, and rs only idle and
+    table.picks, one uniform in [0, 1) per entry: entry e takes its k-th
+    idle channel (counting from 0), k = floor(picks[e] * n_idle), which is
+    below n_idle for every float below 1. rs picks for every entry, also one
+    whose transmitter never gets the packet. Ties go to the lowest channel
+    index (np.argmax returns the first maximum), and an entry without an
+    idle channel gets -1.
     """
     if scheme is Scheme.RS:
-        if picks is None:
+        if table.picks is None:
             raise ValueError("random selection needs an rng: no pick uniforms were drawn")
         # Running idle counts from one product with an upper triangle of ones,
         # exact in float32 below 2**24 channels. The k-th idle channel is the
@@ -52,14 +54,14 @@ def choose_channels(scheme: Scheme, pos, rate, mu_idle, idle, starts, picks=None
         m = idle.shape[-1]
         running = idle.astype(np.float32) @ np.triu(np.ones((m, m), np.float32))
         n_idle = running[..., -1]
-        chosen = np.count_nonzero(running <= np.floor(picks * n_idle)[..., None], axis=-1)
+        chosen = np.count_nonzero(running <= np.floor(table.picks * n_idle)[..., None], axis=-1)
         return np.where(n_idle > 0, chosen, -1)
     if scheme is Scheme.POS:
-        score = np.minimum.reduceat(pos, starts, axis=-2)
+        score = np.minimum.reduceat(table.pos, table.slots.starts, axis=-2)
     elif scheme is Scheme.MDR:
-        score = np.minimum.reduceat(rate, starts, axis=-2)
+        score = np.minimum.reduceat(table.rate, table.slots.starts, axis=-2)
     elif scheme is Scheme.MASA:
-        score = mu_idle
+        score = table.mu_idle
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     best = np.where(idle, score, -np.inf).argmax(axis=-1)

@@ -24,8 +24,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .assignment import Scheme
-from .session import EventTable, Judgement, judge, select_channels, slot_index
+from .assignment import Scheme, choose_channels
+from .session import EventTable, Judgement, judge, slot_index
 from .topology import tree_levels
 
 PACKET_BITS = 32768  # 4 KB
@@ -270,7 +270,7 @@ def run_fixture(
             raise ValueError(f"{at[s]}, channel {j + 1}: {message}, got {float(values[s, j])!r}")
     picks = None if rng is None else rng.random(len(events))
     table = EventTable(slots, available, pos[None], rate[None], tx[None], mu, np.array([float(packet_bits)]), picks)
-    channels = select_channels(table, idle[None], scheme).T
+    channels = choose_channels(scheme, table, idle[None]).T
     return table, channels, judge(table, channels)
 
 
@@ -300,14 +300,13 @@ def check_fixture(fixture: dict) -> tuple[bool, list[str], dict]:
         if not ok:
             failures.append(f"{label}: got {got!r}, expected {want!r}")
 
-    # Every entry, also one below a failed relay: its receivers and, on its
-    # chosen channel, the ones whose air time fits.
-    chosen = channels[:, 0].tolist()
-    selections = [None if ch < 0 else ch + 1 for ch in chosen]
+    # Every entry, also one below a failed relay: its receivers and the ones
+    # whose hop succeeded, an air time that is a number (Judgement.air).
+    selections = [None if ch < 0 else ch + 1 for ch in channels[:, 0].tolist()]
     bounds = [*slots.starts.tolist(), len(slots.receiver)]
-    for tx, ch, sel, lo, hi in zip(slots.transmitter.tolist(), chosen, selections, bounds, bounds[1:]):
+    for tx, sel, lo, hi in zip(slots.transmitter.tolist(), selections, bounds, bounds[1:]):
         receivers = slots.receiver[lo:hi].tolist()
-        ok = [] if ch < 0 else [r for r, fit in zip(receivers, table.fits[0, lo:hi, ch].tolist()) if fit]
+        ok = [r for r, air in zip(receivers, judged.air[lo:hi, 0].tolist()) if not math.isnan(air)]
         lines.append(
             f"node {tx} -> {', '.join(str(r) for r in receivers)}: "
             f"channel {sel} selected, received by [{', '.join(str(r) for r in ok) or 'none'}]"

@@ -63,7 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assignment import Scheme
+from .assignment import Scheme, choose_channels
 from .phy import RADIO_FIELDS, SPEED_OF_LIGHT
 from .session import (
     EventTable,
@@ -74,7 +74,6 @@ from .session import (
     idle_flags,
     judge,
     link_metrics,
-    select_channels,
     slot_index,
 )
 from .seeding import generators, stream_words
@@ -263,22 +262,23 @@ def _block_stages(params: ScenarioParams, trees, seeds) -> tuple[SlotIndex, np.n
 
 
 def _judge_block(
-    scenarios, p_idle: np.ndarray, mu_idle: np.ndarray, schemes, slots: SlotIndex, raw
+    scenarios, mu_idle: np.ndarray, schemes, slots: SlotIndex, raw
 ) -> tuple[EventTable, np.ndarray, Judgement]:
     """Judge a block's slots and raw draws (session.draw_raw) over mean idle
-    durations mu_idle under V values in one pass, value v on the radio of
-    scenarios[v] with idle probabilities p_idle[v] ((V, M), or (V, 1) for
-    one per value): one event table with one layer for all values when they
-    agree on every phy.RADIO_FIELDS field and one per value otherwise, each
-    value's idle flags from the draws, every scheme's channels under every value's flags, rs from the draws'
-    pick uniforms, and one judgement of their (entries, values x schemes)
-    columns, value after value."""
+    durations mu_idle under V values in one pass, value v being scenarios[v]:
+    one event table with one layer for all values when they agree on every
+    phy.RADIO_FIELDS field and one per value otherwise, each value's idle
+    flags from the draws at its scenario's p_idle on every channel, every
+    scheme's channels under every value's flags from the table
+    (assignment.choose_channels), rs from the draws' pick uniforms, and one
+    judgement of their (entries, values x schemes) columns, value after
+    value."""
     radios = scenarios[:1] if len(set(map(attrgetter(*RADIO_FIELDS), scenarios))) == 1 else list(scenarios)
     table = link_metrics(radios, raw, mu_idle, slots)
-    idle = idle_flags(raw, p_idle)
+    idle = idle_flags(raw, np.array([[params.p_idle] for params in scenarios]))  # (V, 1): one for every channel
     channels = np.empty((len(slots.starts), len(scenarios), len(schemes)), dtype=np.intp)
     for k, scheme in enumerate(schemes):
-        channels[:, :, k] = select_channels(table, idle, scheme).T
+        channels[:, :, k] = choose_channels(scheme, table, idle).T
     channels = channels.reshape(len(channels), -1)
     return table, channels, judge(table, channels)
 
@@ -294,14 +294,13 @@ def run_scenario_sessions(
     gains; only their channel decisions (and hence successes) differ.
     The scenario is a block of one seed through the three calls that judge
     each block of a sweep: _block_stages, draw_raw over params.mu_idle()
-    and _judge_block with params.p_idle for every channel. A negative seed
-    is a ValueError, and one that is not an integer a TypeError, from the
-    block's seeding, before any draw.
+    and _judge_block. A negative seed is a ValueError, and one that is not
+    an integer a TypeError, from the block's seeding, before any draw.
     """
     mu_idle = params.mu_idle()
     slots, words = _block_stages(params, tuple(dict.fromkeys(trees)), [seed])
     raw = draw_raw(slots, mu_idle, generators(words))
-    return _judge_block([params], np.array([[params.p_idle]]), mu_idle, schemes, slots, raw)
+    return _judge_block([params], mu_idle, schemes, slots, raw)
 
 
 @dataclass(frozen=True)
@@ -433,7 +432,6 @@ def run_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     trial equals run_scenario_sessions at its seed.
     """
     scenarios = [params for _, params in spec.scenarios()]
-    p_idle = np.array([[params.p_idle] for params in scenarios])  # (values, 1): one for every channel
     plan: dict = {}  # geometry -> (params, {(M, mu_min, mu_max) -> (mean idle durations, values)})
     for v, params in enumerate(scenarios):
         geometry = (params.n_nodes, params.n_dest, params.area_side_m, params.comm_range_m)
@@ -451,7 +449,7 @@ def run_sweep(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
             slots, words = _block_stages(params, spec.trees, seeds)
             for mu_idle, values in draw_sets.values():
                 raw = draw_raw(slots, mu_idle, generators(words))
-                judged = _judge_block([scenarios[v] for v in values], p_idle[values], mu_idle, spec.schemes, slots, raw)[2]
+                judged = _judge_block([scenarios[v] for v in values], mu_idle, spec.schemes, slots, raw)[2]
                 # Tree j of the block is seed j // len(trees) on tree kind j % len(trees), and
                 # column c is value values[c // len(schemes)] under scheme c % len(schemes).
                 split = (len(seeds), shape[1], len(values), shape[2])

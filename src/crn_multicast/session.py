@@ -23,22 +23,24 @@ idle or not, with one layer per radio (link_metrics): idle probabilities
 only decide which channels are idle, so one table serves every idle
 probability and every radio over the same mean idle durations, and
 idle_flags thresholds the uniforms at one or several of them at once. Every
-scheme chooses every entry's channel under every set of idle flags at once
-(select_channels), each set against its radio's layer: pos, masa and mdr
-from the table, rs from one pick uniform per entry, drawn whether or not
-the entry's transmitter gets the packet. A chosen channel is always idle,
-so its fit against the table's availability is the hop's. judge then
-settles every tree under every column of chosen channels, each column on
-its own radio, in one array pass: one gather reads each hop's air time and
-fit on its chosen channel, and the air times are summed along each
-destination's path from the root (SlotIndex.dest_paths, built once per
-index), one step at a time for all paths together. The table, the chosen
-channels and the Judgement are the one result of a session: sweeps, run (a
-block of one seed) and fixture replays (one tree) all read them, and
-Judgement.averages gives every tree's average throughput and PDR. What
-happened at an entry is read straight from them: its node ids from the slot
-index, its channel from the chosen channels (-1 for none), each receiver's
-fit from table.fits on that channel, in its radio's layer.
+scheme chooses every entry's channel from the table under every set of
+idle flags at once (assignment.choose_channels), each set against its
+radio's layer: pos, masa and mdr from the table's metrics, rs from its one
+pick uniform per entry, drawn whether or not the entry's transmitter gets
+the packet. judge then settles every tree under every column of chosen
+channels, each column on its own radio, in one array pass. It is the one
+place that compares air time with availability: a chosen channel is always
+idle, so a hop succeeds iff its air time on that channel fits within its
+entry's availability. Gathers read both at each hop's chosen cell, and the
+air times are summed along each destination's path from the root
+(SlotIndex.dest_paths, built once per index), one step at a time for all
+paths together. The table, the chosen channels and the Judgement are the
+one result of a session: sweeps, run (a block of one seed) and fixture
+replays (one tree) all read them, and Judgement.averages gives every tree's
+average throughput and PDR. What happened at an entry is read straight
+from them: its node ids from the slot index, its channel from the chosen
+channels (-1 for none), and whether each receiver's hop succeeded from the
+Judgement's air, NaN where it failed.
 
 Inputs are checked where they enter, once: experiment.ScenarioParams
 rejects bad mean idle durations and idle probabilities,
@@ -56,7 +58,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .assignment import Scheme, choose_channels
 from .phy import LinkBudgetError, link_arrays
 from .topology import tree_levels
 
@@ -184,13 +185,6 @@ class EventTable:
     packet_bits: np.ndarray  # (K,) float packet size of each radio, bits
     picks: np.ndarray | None = None  # (E,) rs pick uniforms in [0, 1); None where rs cannot run
 
-    @cached_property
-    def fits(self) -> np.ndarray:
-        """(K, R, M) bool: whether each radio's air time to each slot fits
-        within its event's sampled availability of each channel, the success
-        rule of every hop on an idle channel."""
-        return self.tx_time <= self.available_time[self.slots.event]
-
 
 def draw_raw(slots: SlotIndex, mu_idle: np.ndarray, rngs):
     """Draw the random numbers behind every entry's channel states, fading
@@ -265,19 +259,6 @@ def link_metrics(radios, raw, mu_idle: np.ndarray, slots: SlotIndex) -> EventTab
     return EventTable(slots, residual, p, rate, t, mu_idle, bits, picks)
 
 
-def select_channels(table: EventTable, idle: np.ndarray, scheme: Scheme) -> np.ndarray:
-    """Channel of every entry of table under scheme and idle flags idle,
-    (V, E, M), chosen for the whole table and every set of flags at once
-    (assignment.choose_channels): (V, E), -1 for none. The table's K radios
-    broadcast against the V sets: one radio serves every set, or set v
-    reads radio v. rs picks for every entry, also one whose transmitter
-    never gets the packet: judge fails every hop below a failed one,
-    whatever its channel."""
-    return choose_channels(
-        scheme, table.pos, table.rate, table.mu_idle, idle, table.slots.starts, table.picks
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class Judgement:
     """Outcome of every tree of a table under each of S channel columns."""
@@ -303,29 +284,35 @@ def judge(table: EventTable, channels: np.ndarray) -> Judgement:
 
     A slot gets the packet iff every hop on its path from the root fits: a
     channel was chosen, so an idle one, and the air time on it fits within
-    its sampled availability (table.fits). One gather reads every slot's
-    air time and fit on its chosen channel, NaN where the hop fails, and the
-    air times are added along every destination's path (SlotIndex.dest_paths)
-    from the root side one slot after another, gathered a step at a time for
-    all paths, the same float additions as walking the path hop by hop. A failed hop leaves NaN on every path
-    through it: fitting air times are numbers, and a sum of numbers that
-    overflows is inf, never NaN, and as with Python floats no error. A
-    destination's throughput is packet_bits over its path's sum, and a
-    tree's total adds the throughputs in destination order, as Python's sum
-    does. Each column reads only its own radio's layer and packet size.
+    its entry's sampled availability of it, tx_time <= available_time. This
+    is the one place that rule is applied. Gathers read every slot's air
+    time and its entry's availability on its chosen channel, giving each
+    hop's air time, NaN where it fails (Judgement.air). The air times are
+    added along every destination's path (SlotIndex.dest_paths) from the
+    root side one slot after another, gathered a step at a time for all
+    paths, the same float additions as walking the path hop by hop. A failed
+    hop leaves NaN on every path through it: fitting air times are numbers,
+    and a sum of numbers that overflows is inf, never NaN, and as with
+    Python floats no error. A destination's throughput is packet_bits over
+    its path's sum, and a tree's total adds the throughputs in destination
+    order, as Python's sum does. Each column reads only its own radio's
+    layer and packet size.
     """
     slots = table.slots
     # ndarray.take, not np.take: on a table of one tree np.take's Python
     # wrapper costs more than the gather itself.
     slot_ch = channels.take(slots.event, axis=0)
-    # Flat cell indexes into the (K, R, M) arrays, each column in its radio's
-    # layer; a -1 channel reads a neighbouring cell, never used.
+    # Flat cell indexes into the (K, R, M) air times, each column in its
+    # radio's layer, and into the (E, M) availabilities, each slot at its
+    # entry; a -1 channel reads a neighbouring cell, never used.
     k, r, m = table.tx_time.shape
     per_radio = slot_ch.shape[1] // k
     cells = slot_ch + (np.arange(0, r * m, m)[:, None] + np.arange(0, k * r * m, r * m).repeat(per_radio))
+    tx_time = table.tx_time.take(cells)
+    fits = tx_time <= table.available_time.take(slot_ch + (slots.event * m)[:, None])
     # One row per slot plus a last one for the roots, which hold the packet at air time 0.
     air = np.zeros((len(slot_ch) + 1, slot_ch.shape[1]))
-    air[:-1] = np.where(table.fits.take(cells) & (slot_ch >= 0), table.tx_time.take(cells), np.nan)
+    air[:-1] = np.where(fits & (slot_ch >= 0), tx_time, np.nan)
     # One (paths, S) gather per step rather than one (height, paths, S) gather:
     # the columns of a group of values would make that one large.
     paths = slots.dest_paths

@@ -25,6 +25,7 @@ from crn_multicast.phy import SPEED_OF_LIGHT, link_arrays
 from crn_multicast.session import TreeKind
 from crn_multicast.topology import mst_stack, spt_stack
 
+from test_assignment import rs_table
 from test_channel import draw
 from test_topology import dict_trees, edges_of, floyd_warshall, min_spanning_weight_bruteforce, random_connected_topology
 
@@ -206,7 +207,8 @@ def test_criterion_7_monotone_trends():
 def test_criterion_8_statistical_sanity():
     # Samples come from the draws sessions use (session.draw_raw, thresholded
     # by session.idle_flags) and from the chooser they call
-    # (choose_channels), which reads only idle flags and picks under rs.
+    # (choose_channels), which reads only idle flags and the table's picks
+    # under rs.
     n = 100_000
     idle, _, _ = draw(np.linspace(0.01, 0.07, 4), np.full(4, 0.5), np.random.default_rng(81), n)
     idle_ok = np.all(np.abs(idle.mean(axis=0) - 0.5) < 0.01)
@@ -221,8 +223,8 @@ def test_criterion_8_statistical_sanity():
     rng = np.random.default_rng(84)
     rs_idle = np.ones((n, 6), dtype=bool)
     rs_idle[:, [1, 4]] = False  # channels 2 and 5 busy
-    # n entries in one call; rs reads no table values, so pos, rate, mu_idle and starts are None.
-    counts = np.bincount(choose_channels(Scheme.RS, None, None, None, rs_idle, None, rng.random(n)), minlength=6)
+    # n entries in one call, on a table of n one-hop trees that holds their picks.
+    counts = np.bincount(choose_channels(Scheme.RS, rs_table(rng.random(n), 6), rs_idle), minlength=6)
     rs_ok = np.all(np.abs(counts[[0, 2, 3, 5]] / n - 0.25) < 0.01) and counts[[1, 4]].sum() == 0
 
     report(

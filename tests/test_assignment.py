@@ -10,7 +10,7 @@ from crn_multicast import experiment
 from crn_multicast.assignment import Scheme, choose_channels
 from crn_multicast.experiment import ScenarioParams
 from crn_multicast.seeding import generators
-from crn_multicast.session import EventTable, TreeKind, draw_raw, idle_flags, link_metrics, select_channels, slot_index
+from crn_multicast.session import EventTable, TreeKind, draw_raw, idle_flags, link_metrics, slot_index
 
 MU_S = np.array([0.010, 0.020, 0.030, 0.040, 0.050, 0.060])
 
@@ -44,7 +44,7 @@ def select_channel(scheme, metrics, rng=None) -> int:
     and without an rng has no picks."""
     table, idle = metrics
     picks = None if rng is None else rng.random(1)
-    return int(select_channels(replace(table, picks=picks), idle[None], scheme)[0, 0])
+    return int(choose_channels(scheme, replace(table, picks=picks), idle[None])[0, 0])
 
 
 def group_table():
@@ -135,7 +135,7 @@ class TestOtherSchemes:
         rng = np.random.default_rng(12345)
         n = 100_000
         # n copies of the event in one call; rs reads only the idle flags and the picks.
-        chosen = choose_channels(Scheme.RS, None, None, None, np.repeat(flags, n, axis=0), None, rng.random(n))
+        chosen = rs_channels(np.repeat(flags, n, axis=0), rng.random(n))
         counts = np.bincount(chosen, minlength=6)
         idle = np.flatnonzero(flags[0])
         assert counts[~flags[0]].sum() == 0
@@ -237,8 +237,8 @@ def test_masa_and_rs_choice_frequencies_match_the_model(oracle_block, p_idle):
     slots, raw = oracle_block
     table, idle = link_metrics([params], raw, mu_idle, slots), idle_flags(raw, np.full(len(mu_idle), p_idle))
     picks = {
-        Scheme.MASA: select_channels(table, idle, Scheme.MASA),
-        Scheme.RS: select_channels(table, idle, Scheme.RS),
+        Scheme.MASA: choose_channels(Scheme.MASA, table, idle),
+        Scheme.RS: choose_channels(Scheme.RS, table, idle),
     }
     m, q, n = len(mu_idle), 1.0 - p_idle, len(idle)
     larger = (mu_idle[None, :] > mu_idle[:, None]).sum(axis=1)
@@ -254,18 +254,23 @@ def test_masa_and_rs_choice_frequencies_match_the_model(oracle_block, p_idle):
         assert np.abs(z(counts, expected[scheme])).max() <= 5.0, scheme
 
 
-def rs_channels(idle, picks) -> np.ndarray:
-    """rs's channels on an EventTable of a chain 0 -> 1 -> ... -> E, one
-    entry per row of idle, with rs pick uniforms picks; rs reads nothing
-    else of it."""
-    idle = np.array(idle, dtype=bool)
-    e, m = idle.shape
-    slots = slot_index(np.array([[-1, *range(e)]]), np.ones((1, e + 1)), np.array([[e]]))
+def rs_table(picks, m) -> EventTable:
+    """An EventTable of len(picks) one-hop trees 0 -> 1 over m channels, one
+    entry each, holding the rs pick uniforms picks; rs reads nothing else
+    of it."""
+    e = len(picks)
+    slots = slot_index(np.tile([-1, 0], (e, 1)), np.ones((e, 2)), np.ones((e, 1), dtype=np.intp))
     zeros = np.zeros((1, e, m))
-    table = EventTable(
+    return EventTable(
         slots, zeros[0] + 0.01, zeros, zeros, zeros + np.inf, np.full(m, 0.01), np.ones(1), np.array(picks, dtype=float)
     )
-    return select_channels(table, idle, Scheme.RS)
+
+
+def rs_channels(idle, picks) -> np.ndarray:
+    """rs's channels under idle flags idle, (E, M) or (sets, E, M), on a
+    table of E entries with rs pick uniforms picks (rs_table)."""
+    idle = np.array(idle, dtype=bool)
+    return choose_channels(Scheme.RS, rs_table(picks, idle.shape[-1]), idle)
 
 
 class TestRandomPickBoundaries:
@@ -319,7 +324,7 @@ def test_rs_takes_the_idle_channel_with_k_idle_channels_before_it(case):
     # k = floor(pick * n_idle): the chosen channel is idle and exactly k idle
     # channels come before it; without an idle channel there is no choice.
     idle, picks = case
-    chosen = choose_channels(Scheme.RS, None, None, None, idle, None, picks)
+    chosen = rs_channels(idle, picks)
     assert chosen.shape == idle.shape[:-1]
     for index in np.ndindex(chosen.shape):
         flags, channel = idle[index], chosen[index]

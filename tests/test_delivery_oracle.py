@@ -101,8 +101,7 @@ def test_delivery_rates_match_the_closed_form(geometry, p_idle):
     one, copies, raw = geometry
     params = ScenarioParams(m_channels=6, p_idle=p_idle)
     mu_idle = params.mu_idle()
-    idle_rows = np.full((1, len(mu_idle)), p_idle)
-    _, _, judged = experiment._judge_block([params], idle_rows, mu_idle, SCHEMES, copies, raw)
+    _, _, judged = experiment._judge_block([params], mu_idle, SCHEMES, copies, raw)
     # Tree j of the block is copy j // 2 of tree kind j % 2.
     rates = judged.delivered.reshape(COPIES, len(TREES), -1, len(SCHEMES)).mean(axis=0)
     for k, scheme in enumerate(SCHEMES):

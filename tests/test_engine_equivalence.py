@@ -21,7 +21,7 @@ import reference_engine as ref
 from crn_multicast.assignment import Scheme, choose_channels
 from crn_multicast.example_case import builtin_fixture, run_fixture
 from crn_multicast.experiment import ScenarioParams, run_scenario_sessions
-from crn_multicast.session import TreeKind, slot_index
+from crn_multicast.session import EventTable, TreeKind, slot_index
 from crn_multicast.topology import mst_stack, place_stack, spt_stack
 from test_experiment import channel_sessions
 from test_topology import assert_same_slots, dict_trees, edges_of, reference_slots
@@ -75,9 +75,9 @@ def recorded_entries(got, j, k, every_entry=False):
 def entry_hop(got, e, k):
     """Entry e under column k of a package result on one radio, as the
     reference's hop record: its channel (None for -1), and each receiver's
-    air time and fit and the availability on that channel (NaN, NaN and
-    False without one)."""
-    table, channels, _ = got
+    air time, its fit as judge decided it (a number in Judgement.air) and
+    the availability on that channel (NaN, NaN and False without one)."""
+    table, channels, judged = got
     slots = table.slots
     lo, hi = np.append(slots.starts, len(slots.receiver))[e:e + 2]
     ch = channels[e, k].item()
@@ -87,7 +87,7 @@ def entry_hop(got, e, k):
         return ref.HopRecord(slots.transmitter[e].item(), receivers, None, nan, (False,) * len(receivers), math.nan)
     return ref.HopRecord(
         slots.transmitter[e].item(), receivers, ch, tuple(table.tx_time[0, lo:hi, ch].tolist()),
-        tuple(table.fits[0, lo:hi, ch].tolist()), table.available_time[e, ch].item(),
+        tuple((~np.isnan(judged.air[lo:hi, k])).tolist()), table.available_time[e, ch].item(),
     )
 
 
@@ -213,11 +213,24 @@ def event_tables(draw):
     return starts, counts, pos, rate, mu, idle
 
 
+def spine_table(counts, pos, rate, mu) -> EventTable:
+    """A one-radio EventTable whose entries have counts[e] receivers, with
+    one row of pos and rate per receiver slot: a tree where entry e's
+    lowest receiver transmits entry e + 1, so breadth-first order is entry
+    order, with every node a destination."""
+    parent, spine = [-1], 0
+    for c in counts:
+        spine, parent = len(parent), parent + [spine] * c
+    slots = slot_index(np.array([parent]), np.ones((1, len(parent))), np.arange(1, len(parent))[None])
+    nan = np.full((len(counts), len(mu)), np.nan)
+    return EventTable(slots, nan, pos[None], rate[None], np.full((1, *pos.shape), np.inf), mu, np.ones(1))
+
+
 @settings(max_examples=200, deadline=None)
 @given(event_tables(), st.sampled_from([Scheme.POS, Scheme.MASA, Scheme.MDR]))
 def test_table_choice_matches_per_event_choice(table, scheme):
     starts, counts, pos, rate, mu, idle = table
-    chosen = choose_channels(scheme, pos, rate, mu, idle, starts)
+    chosen = choose_channels(scheme, spine_table(counts, pos, rate, mu), idle[None])[0]
     for e, (lo, n) in enumerate(zip(starts, counts)):
         rows = slice(lo, lo + n)
         one = ref.EventMetrics(pos[rows], rate[rows], np.zeros((n, len(mu))), mu, idle[e], np.full(len(mu), np.nan))

@@ -5,7 +5,7 @@ import pytest
 
 import reference_engine as ref
 from crn_multicast import experiment, session
-from crn_multicast.assignment import Scheme
+from crn_multicast.assignment import Scheme, choose_channels
 from crn_multicast.experiment import (
     DataFormatError,
     ScenarioParams,
@@ -54,22 +54,25 @@ def session_arrays(got, j, k):
 def judge_block(scenarios, slots, words):
     """_judge_block of a block's slots, every scheme, on the draws of its
     events words (_block_stages) under the mean idle durations of
-    scenarios[0]: value v on the radio of scenarios[v], with its p_idle on
-    every channel."""
+    scenarios[0]: value v on the radio and p_idle of scenarios[v]."""
     mu_idle = scenarios[0].mu_idle()
     raw = session.draw_raw(slots, mu_idle, generators(words))
-    p_idle = np.array([np.full(len(mu_idle), params.p_idle) for params in scenarios])
-    return experiment._judge_block(scenarios, p_idle, mu_idle, ALL_SCHEMES, slots, raw)
+    return experiment._judge_block(scenarios, mu_idle, ALL_SCHEMES, slots, raw)
 
 
 def channel_sessions(params, schemes, trees, seed, mu_idle, p_idle):
     """run_scenario_sessions with the scenario's channels given as (M,)
     arrays of mean idle durations and idle probabilities, which may hold
-    values no scenario has (a channel never or always idle): the same three
-    stages, _block_stages, draw_raw and _judge_block, on plain arrays."""
+    values no scenario has (a channel never or always idle): _block_stages
+    and draw_raw, then what _judge_block does for one value, with these idle
+    probabilities: link_metrics, idle_flags, every scheme's choose_channels
+    and judge."""
     slots, words = experiment._block_stages(params, tuple(dict.fromkeys(trees)), [seed])
     raw = session.draw_raw(slots, mu_idle, generators(words))
-    return experiment._judge_block([params], np.asarray(p_idle)[None], mu_idle, schemes, slots, raw)
+    table = session.link_metrics([params], raw, mu_idle, slots)
+    idle = session.idle_flags(raw, np.asarray(p_idle)[None])  # one set of flags, on the table's one radio
+    channels = np.concatenate([choose_channels(scheme, table, idle) for scheme in schemes]).T
+    return table, channels, session.judge(table, channels)
 
 
 def assert_same_session(got, want):
@@ -145,7 +148,9 @@ class TestRunTrial:
     def test_stages_reused_across_scenarios_match_fresh_ones(self):
         # one block's geometry serving scenarios that differ in p_idle, M and
         # bandwidth, returning to the first one's mean idle durations last,
-        # must give what each scenario builds alone
+        # must give what each scenario builds alone, and so must
+        # channel_sessions, which repeats _judge_block's stage for one value,
+        # on the scenario's own channels
         trees, seeds = (TreeKind.SPT, TreeKind.MST), [9, 10]
         slots, words = experiment._block_stages(SMALL, trees, seeds)
         for params in (SMALL, replace(SMALL, m_channels=3), replace(SMALL, p_idle=0.3, bandwidth_hz=2e6)):
@@ -154,11 +159,15 @@ class TestRunTrial:
             assert np.array_equal(shared[1], fresh_channels)
             for name in ("air", "delivered", "throughput", "total"):
                 assert np.array_equal(getattr(shared[2], name), getattr(fresh, name), equal_nan=True)
+            p_idle = np.full(params.m_channels, params.p_idle)
             for j, seed in enumerate(seeds):
                 alone = run_scenario_sessions(params, ALL_SCHEMES, trees, seed)
+                arrays = channel_sessions(params, ALL_SCHEMES, trees, seed, params.mu_idle(), p_idle)
+                assert np.array_equal(arrays[1], alone[1])
                 for t in range(len(trees)):
                     for k in range(len(ALL_SCHEMES)):
                         assert_same_session(session_arrays(shared, len(trees) * j + t, k), session_arrays(alone, t, k))
+                        assert_same_session(session_arrays(arrays, t, k), session_arrays(alone, t, k))
 
     def test_co_located_nodes_rejected_once_per_tree(self, monkeypatch):
         # link_metrics runs the link equations without range checks, so
@@ -401,8 +410,9 @@ def assert_grouped_equals_alone(base, variable, values, n_seeds):
     for v, params in enumerate(scenarios):
         alone_table, alone_channels, alone = judge_block([params], slots, words)
         radio = v if radios > 1 else 0
-        for name in ("pos", "rate", "tx_time", "fits"):
+        for name in ("pos", "rate", "tx_time"):
             assert np.array_equal(getattr(table, name)[radio], getattr(alone_table, name)[0]), name
+        assert np.array_equal(table.available_time, alone_table.available_time)
         assert table.packet_bits[radio] == alone_table.packet_bits[0]
         columns = slice(v * k, (v + 1) * k)
         assert np.array_equal(channels[:, columns], alone_channels)

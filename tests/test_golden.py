@@ -15,10 +15,11 @@ pt/ sweep transmit powers and the packet_bits/ sweep packet sizes judged the
 same way, the M/ sweep values that share a block's geometry with draws each,
 the M1/ sweep one channel, which gets mu_min_s, beside two, the run files
 both run reports and the per-destination throughputs of every tree and
-scheme, and the example files both reports of the worked example. The overwrite tests write the sweep, its
-charts and the run into a directory where every output name already holds a
-longer junk file, a symlink or a directory. A change that alters them
-on purpose regenerates them with
+scheme, the example files both reports of the worked example, and the
+charts/ files the SVG charts of the top-level aggregate. The overwrite
+tests write the sweep, its charts and the run into a directory where every
+output name already holds a longer junk file, a symlink or a directory. A
+change that alters them on purpose regenerates them with
 
     crn-multicast sweep --config tests/golden/sweep.cfg --out tests/golden
     crn-multicast sweep --config tests/golden/nodes/sweep.cfg --out tests/golden/nodes
@@ -36,6 +37,7 @@ on purpose regenerates them with
     crn-multicast run --config tests/golden/run.cfg --seed 7 > tests/golden/run/run.txt
     crn-multicast example > tests/golden/example/example.txt
     crn-multicast example --json > tests/golden/example/example.json
+    crn-multicast plot tests/golden/aggregate.csv --out tests/golden/charts
 
 and says why in CHANGES.md.
 """
@@ -122,6 +124,7 @@ def test_example_reproduces_golden_report(capsys, name, argv):
 
 
 CHART_FILES = [f"{metric}_{tree}.svg" for metric in ("throughput", "pdr") for tree in ("spt", "mst")]
+CHART_GOLDEN = GOLDEN / "charts"
 OUTPUT_FILES = SWEEP_FILES + CHART_FILES + SESSION_FILES
 JUNK = bytes(range(256)) * 256  # 64 KB, longer than every output
 PLANTED_MODE = 0o640
@@ -148,11 +151,11 @@ def charts(tmp_path_factory):
     return out
 
 
-def _expected_bytes(name, charts):
+def _expected_bytes(name):
     if name in SWEEP_FILES:
         return (GOLDEN / name).read_bytes()
     if name in CHART_FILES:
-        return (charts / name).read_bytes()
+        return (CHART_GOLDEN / name).read_bytes()
     return (RUN_GOLDEN / name).read_bytes()
 
 
@@ -179,6 +182,12 @@ def overwritten(tmp_path_factory):
 
 def test_chart_names_are_every_chart_plot_writes(charts):
     assert sorted(p.name for p in charts.iterdir()) == sorted(CHART_FILES)
+    assert sorted(p.name for p in CHART_GOLDEN.iterdir()) == sorted(CHART_FILES)
+
+
+@pytest.mark.parametrize("name", CHART_FILES)
+def test_charts_reproduce_golden_bytes(charts, name):
+    assert (charts / name).read_bytes() == (CHART_GOLDEN / name).read_bytes()
 
 
 def test_every_command_succeeds_over_planted_files(overwritten):
@@ -186,9 +195,9 @@ def test_every_command_succeeds_over_planted_files(overwritten):
 
 
 @pytest.mark.parametrize("name", OUTPUT_FILES)
-def test_overwrite_leaves_exactly_the_golden_bytes(overwritten, charts, name):
+def test_overwrite_leaves_exactly_the_golden_bytes(overwritten, name):
     out = overwritten[0]
-    assert (out / name).read_bytes() == _expected_bytes(name, charts)
+    assert (out / name).read_bytes() == _expected_bytes(name)
 
 
 @pytest.mark.parametrize("name", OUTPUT_FILES)
@@ -206,7 +215,7 @@ def test_overwrite_through_a_symlink_keeps_the_link_and_fills_its_target(overwri
     assert target.read_bytes() == (RUN_GOLDEN / LINKED).read_bytes()
 
 
-def test_new_output_gets_the_mode_write_text_gives(tmp_path, charts):
+def test_new_output_gets_the_mode_write_text_gives(tmp_path):
     """Under one umask, a missing output is created with the mode that
     Path.write_text gives a new file."""
     previous = os.umask(0o027)
@@ -219,7 +228,7 @@ def test_new_output_gets_the_mode_write_text_gives(tmp_path, charts):
     for name in OUTPUT_FILES:
         path = tmp_path / "out" / name
         assert path.stat().st_mode == mode, name
-        assert path.read_bytes() == _expected_bytes(name, charts)
+        assert path.read_bytes() == _expected_bytes(name)
 
 
 @pytest.mark.parametrize("command, name", [("sweep", "aggregate.csv"), ("plot", "pdr_mst.svg"), ("run", LINKED)])

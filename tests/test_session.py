@@ -26,14 +26,12 @@ def pdr_of(got, j=0, k=0):
 
 
 def hop_fits(got, k=0):
-    """Per entry under column k: each receiver's fit on its chosen channel,
-    all False where no channel was chosen, on a table of one radio."""
-    table, channels, _ = got
+    """Per entry under column k: whether judge let each receiver's hop
+    succeed, its air time being a number (Judgement.air), all False where no
+    channel was chosen."""
+    table, _, judged = got
     bounds = np.append(table.slots.starts, len(table.slots.receiver))
-    return [
-        tuple(table.fits[0, lo:hi, ch].tolist()) if ch >= 0 else (False,) * (hi - lo)
-        for ch, lo, hi in zip(channels[:, k].tolist(), bounds, bounds[1:])
-    ]
+    return [tuple((~np.isnan(judged.air[lo:hi, k])).tolist()) for lo, hi in zip(bounds, bounds[1:])]
 
 
 # ------------------------------------------------------------ worked example
