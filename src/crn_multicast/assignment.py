@@ -33,9 +33,9 @@ def choose_channels(scheme: Scheme, table, idle) -> np.ndarray:
 
     The table's pos and rate are (radios x slots x channels), each entry's
     receivers in consecutive slots from table.slots.starts[e]; idle is
-    (events x channels), or (sets x events x channels) for several sets,
-    giving one row of channels per set, where the radios broadcast against
-    the sets: one radio serves every set, or set v reads radio v. The worst
+    (sets x events x channels), and every scheme returns (sets x events)
+    channels, one row per set, where the radios broadcast against the sets:
+    one radio serves every set, or set v reads radio v. The worst
     receiver of each entry is its column minimum over its slots, read only
     on idle channels. masa reads table.mu_idle, and rs only idle and
     table.picks, one uniform in [0, 1) per entry: entry e takes its k-th

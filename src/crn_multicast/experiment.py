@@ -17,9 +17,9 @@ and the third judges all of those values at once:
   seed's topology and destination generators and each tree's events
   generator, every one numpy's default_rng((seed, *stream)) in state. The
   block is placed and its trees built as parent arrays a chunk of seeds at
-  a time, each chunk in the same numpy calls (topology.chunk_seeds), and one
-  level pass over the stack prunes, orders and indexes every tree at once
-  (session.slot_index);
+  a time, each chunk in the same numpy calls (topology.chunk_seeds), and
+  session.slot_index prunes every tree of the stack at once, walks only the
+  pruned trees level by level, and lays them out as one index;
 - the raw draws (session.draw_raw) also read the channel count and mean
   idle durations: each tree's channel states, gains and rs picks from its
   own events generator;
@@ -234,9 +234,9 @@ def _block_stages(params: ScenarioParams, trees, seeds) -> tuple[SlotIndex, np.n
     block is placed and its trees built in chunks of seeds
     (topology.chunk_seeds), each chunk's placements and trees in the same
     numpy calls (place_stack, spt_stack, mst_stack); the block's (trees, n)
-    stack of parent arrays is pruned, ordered and laid out as slots in one
-    level pass (session.slot_index). These depend on the seeds, n_nodes,
-    n_dest, area and range only."""
+    stack of parent arrays is pruned, walked level by level and laid out as
+    slots, every tree at once (session.slot_index). These depend on the
+    seeds, n_nodes, n_dest, area and range only."""
     n = params.n_nodes
     builders = {TreeKind.SPT: spt_stack, TreeKind.MST: mst_stack}
     words = stream_words(seeds, (_STREAM_TOPOLOGY, _STREAM_DESTINATIONS, *_events_streams(trees)))

@@ -13,9 +13,10 @@ layer schedule owns one slot, and a SlotIndex is the one description of
 that layout: each entry's transmitter node, each slot's receiver node,
 entry, transmitter slot and parent edge length, and the destinations'
 slots. slot_index builds it for a whole stack of trees at once, straight
-from their (trees, n) parent arrays: one level pass orders every tree
-breadth-first, marking the parents of marked nodes up from the destinations
-prunes each tree, and the kept nodes, tree after tree, are the slots. So
+from their (trees, n) parent arrays: it prunes, walks, then lays out.
+Marking the parents of marked nodes up from the destinations prunes each
+tree, one level walk orders only the pruned trees breadth-first, and their
+non-roots, tree after tree, are the slots. So
 every (seed, tree kind) of a block of trial seeds is one index, drawn in
 four generator calls per tree with each tree's own generator (draw_raw),
 and its link metrics are one EventTable over it, on every channel whether
@@ -119,15 +120,16 @@ def slot_index(parent: np.ndarray, dist: np.ndarray, destinations: np.ndarray, r
     nodes to reach, each joined to the root by parent edges; the root
     itself is not one.
 
-    One level pass (topology.tree_levels) orders every tree's nodes
-    breadth-first. Marking the parent of every marked node, starting from
-    the destinations, prunes each tree to its root-to-destination paths;
-    the marks climb along a parent pointer that doubles its reach each
-    step, so log2(levels) steps mark every path. The marked non-roots in
-    level order, tree after tree, are the slots: each entry's receivers are
-    one node's marked children, in order of id, and entries follow their
-    transmitters' breadth-first order, as a walk from each root transmitting
-    once per internal node gives them.
+    Prune, walk, lay out. Marking the parent of every marked node, starting
+    from the destinations, prunes each tree to its root-to-destination
+    paths; the marks climb along a parent pointer that doubles its reach
+    each step, so log2(n) steps mark every path. One level walk
+    (topology.tree_levels) over the parent arrays with every unmarked node
+    cut off orders the pruned trees breadth-first, and its depth is the
+    height. The non-roots in level order, tree after tree, are the slots:
+    each entry's receivers are one node's marked children, in order of id,
+    and entries follow their transmitters' breadth-first order, as a walk
+    from each root transmitting once per internal node gives them.
     """
     trees, n = parent.shape
     dests = np.sort(destinations, axis=1)
@@ -135,7 +137,6 @@ def slot_index(parent: np.ndarray, dist: np.ndarray, destinations: np.ndarray, r
         raise ValueError("destination set is empty, nothing to multicast")
     if (dests == root).any():
         raise ValueError("the root cannot be one of its own destinations")
-    levels = tree_levels(parent, root)
     # Flat parent ids, with one extra node, trees * n, above every root and itself.
     flat = np.append(np.where(parent >= 0, parent + np.arange(0, trees * n, n)[:, None], trees * n), trees * n)
     dest_flat = dests + np.arange(0, trees * n, n)[:, None]
@@ -143,16 +144,13 @@ def slot_index(parent: np.ndarray, dist: np.ndarray, destinations: np.ndarray, r
     keep[dest_flat] = True
     # Mark the parent of every marked node, doubling the reach each step: after
     # j steps every node fewer than 2**j steps above a destination is marked,
-    # and no destination is as deep as the number of levels.
+    # and no node is n steps below its root.
     up = flat
-    for _ in range((len(levels) - 1).bit_length()):
+    for _ in range((n - 1).bit_length()):
         keep[up[keep]] = True
         up = up[up]
+    levels = tree_levels(np.where(keep[:-1].reshape(trees, n), parent, -1), root)
     order = np.concatenate(levels[1:])
-    kept = keep[order]
-    # The depth of the deepest kept node.
-    height = int(np.repeat(np.arange(1, len(levels)), [len(level) for level in levels[1:]])[kept].max())
-    order = order[kept]
     order = order[np.argsort(order // n, kind="stable")]  # level order within each tree, tree after tree
     slot_of = np.full(trees * n, -1)
     slot_of[order] = np.arange(len(order))
@@ -161,7 +159,7 @@ def slot_index(parent: np.ndarray, dist: np.ndarray, destinations: np.ndarray, r
     starts = np.flatnonzero(new)
     tx = tx[starts]
     return SlotIndex(
-        starts, np.cumsum(new) - 1, slot_of[tx], tx % n, order % n, height, slot_of[dest_flat],
+        starts, np.cumsum(new) - 1, slot_of[tx], tx % n, order % n, len(levels) - 1, slot_of[dest_flat],
         dist.ravel()[order], np.searchsorted(tx // n, np.arange(trees + 1)),
     )
 

@@ -17,8 +17,8 @@ A block of trial seeds is built in chunks of chunk_seeds(n) seeds, so each
 chunk's (seeds, n, n) arrays hold at most CHUNK_CELLS cells (or one seed).
 tree_levels walks a stack of trees down from their roots one level at a
 time, every tree of the stack in the same numpy calls, in breadth-first
-order; session.slot_index prunes the levels to the destinations and lays
-the result out as transmission slots.
+order; session.slot_index prunes the trees to their destinations, walks
+only the pruned trees, and lays the levels out as transmission slots.
 """
 
 from __future__ import annotations

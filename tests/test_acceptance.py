@@ -224,7 +224,7 @@ def test_criterion_8_statistical_sanity():
     rs_idle = np.ones((n, 6), dtype=bool)
     rs_idle[:, [1, 4]] = False  # channels 2 and 5 busy
     # n entries in one call, on a table of n one-hop trees that holds their picks.
-    counts = np.bincount(choose_channels(Scheme.RS, rs_table(rng.random(n), 6), rs_idle), minlength=6)
+    counts = np.bincount(choose_channels(Scheme.RS, rs_table(rng.random(n), 6), rs_idle[None])[0], minlength=6)
     rs_ok = np.all(np.abs(counts[[0, 2, 3, 5]] / n - 0.25) < 0.01) and counts[[1, 4]].sum() == 0
 
     report(

@@ -237,8 +237,8 @@ def test_masa_and_rs_choice_frequencies_match_the_model(oracle_block, p_idle):
     slots, raw = oracle_block
     table, idle = link_metrics([params], raw, mu_idle, slots), idle_flags(raw, np.full(len(mu_idle), p_idle))
     picks = {
-        Scheme.MASA: choose_channels(Scheme.MASA, table, idle),
-        Scheme.RS: choose_channels(Scheme.RS, table, idle),
+        Scheme.MASA: choose_channels(Scheme.MASA, table, idle[None])[0],
+        Scheme.RS: choose_channels(Scheme.RS, table, idle[None])[0],
     }
     m, q, n = len(mu_idle), 1.0 - p_idle, len(idle)
     larger = (mu_idle[None, :] > mu_idle[:, None]).sum(axis=1)
@@ -254,6 +254,20 @@ def test_masa_and_rs_choice_frequencies_match_the_model(oracle_block, p_idle):
         assert np.abs(z(counts, expected[scheme])).max() <= 5.0, scheme
 
 
+@pytest.mark.parametrize("sets", [1, 2])
+def test_every_scheme_gives_one_row_of_channels_per_set(sets):
+    # One seed's SPT and MST on one radio: every scheme gives the (sets,
+    # events) channels of the (sets, events, channels) flags.
+    params = ScenarioParams(n_nodes=20, n_dest=5, m_channels=6)
+    slots, words = experiment._block_stages(params, (TreeKind.SPT, TreeKind.MST), [3])
+    raw = draw_raw(slots, params.mu_idle(), generators(words))
+    table = link_metrics([params], raw, params.mu_idle(), slots)
+    idle = idle_flags(raw, np.linspace(0.3, 0.7, sets)[:, None])
+    assert idle.shape == (sets, len(slots.starts), 6)
+    for scheme in Scheme:
+        assert choose_channels(scheme, table, idle).shape == (sets, len(slots.starts)), scheme
+
+
 def rs_table(picks, m) -> EventTable:
     """An EventTable of len(picks) one-hop trees 0 -> 1 over m channels, one
     entry each, holding the rs pick uniforms picks; rs reads nothing else
@@ -267,10 +281,10 @@ def rs_table(picks, m) -> EventTable:
 
 
 def rs_channels(idle, picks) -> np.ndarray:
-    """rs's channels under idle flags idle, (E, M) or (sets, E, M), on a
-    table of E entries with rs pick uniforms picks (rs_table)."""
+    """rs's (E,) channels under one (E, M) set of idle flags, on a table of
+    E entries with rs pick uniforms picks (rs_table)."""
     idle = np.array(idle, dtype=bool)
-    return choose_channels(Scheme.RS, rs_table(picks, idle.shape[-1]), idle)
+    return choose_channels(Scheme.RS, rs_table(picks, idle.shape[-1]), idle[None])[0]
 
 
 class TestRandomPickBoundaries:
@@ -308,11 +322,11 @@ def test_random_pick_is_always_an_idle_channel(entries):
 
 @st.composite
 def rs_cases(draw):
-    """Idle flags, (events, M) or (sets, events, M), and one pick per event,
-    the largest float below 1 among them."""
+    """Idle flags, (sets, events, M), and one pick per event, the largest
+    float below 1 among them."""
     m = draw(st.integers(min_value=1, max_value=40))
     events = draw(st.integers(min_value=1, max_value=5))
-    shape = (events, m) if draw(st.booleans()) else (draw(st.integers(min_value=1, max_value=3)), events, m)
+    shape = (draw(st.integers(min_value=1, max_value=3)), events, m)
     flags = draw(st.lists(st.booleans(), min_size=math.prod(shape), max_size=math.prod(shape)))
     pick = st.floats(min_value=0.0, max_value=1.0, exclude_max=True) | st.just(np.nextafter(1.0, 0.0))
     return np.array(flags, dtype=bool).reshape(shape), np.array(draw(st.lists(pick, min_size=events, max_size=events)))
@@ -324,7 +338,7 @@ def test_rs_takes_the_idle_channel_with_k_idle_channels_before_it(case):
     # k = floor(pick * n_idle): the chosen channel is idle and exactly k idle
     # channels come before it; without an idle channel there is no choice.
     idle, picks = case
-    chosen = rs_channels(idle, picks)
+    chosen = choose_channels(Scheme.RS, rs_table(picks, idle.shape[-1]), idle)
     assert chosen.shape == idle.shape[:-1]
     for index in np.ndindex(chosen.shape):
         flags, channel = idle[index], chosen[index]

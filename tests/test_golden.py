@@ -13,10 +13,12 @@ from two 32-bit entropy words, the bw/ sweep values that share a block's
 draws and are judged in one pass, each on its own radio's link metrics, the
 pt/ sweep transmit powers and the packet_bits/ sweep packet sizes judged the
 same way, the M/ sweep values that share a block's geometry with draws each,
-the M1/ sweep one channel, which gets mu_min_s, beside two, the run files
-both run reports and the per-destination throughputs of every tree and
-scheme, the example files both reports of the worked example, and the
-charts/ files the SVG charts of the top-level aggregate. The overwrite
+the M1/ sweep one channel, which gets mu_min_s, beside two, the n_dest/
+sweep one destination, five, and every node but the root, each value
+pruning the trees to its own kept nodes, the run files both run reports
+and the per-destination throughputs of every tree and scheme, the example
+files both reports of the worked example, and the charts/ files the SVG
+charts of the top-level aggregate. The overwrite
 tests write the sweep, its charts and the run into a directory where every
 output name already holds a longer junk file, a symlink or a directory. A
 change that alters them on purpose regenerates them with
@@ -32,6 +34,7 @@ change that alters them on purpose regenerates them with
     crn-multicast sweep --config tests/golden/M1/sweep.cfg --out tests/golden/M1
     crn-multicast sweep --config tests/golden/pt/sweep.cfg --out tests/golden/pt
     crn-multicast sweep --config tests/golden/packet_bits/sweep.cfg --out tests/golden/packet_bits
+    crn-multicast sweep --config tests/golden/n_dest/sweep.cfg --out tests/golden/n_dest
     crn-multicast run --config tests/golden/run.cfg --seed 7 --json --out tests/golden/run \
         | grep -v '^wrote ' > tests/golden/run/run.json
     crn-multicast run --config tests/golden/run.cfg --seed 7 > tests/golden/run/run.txt
@@ -70,7 +73,7 @@ def rerun(request, tmp_path_factory):
 
 
 def test_every_golden_sweep_is_found():
-    assert set(SWEEPS) == {".", "nodes", "sparse", "long", "idle", "wide", "bw", "M", "M1", "pt", "packet_bits"}
+    assert set(SWEEPS) == {".", "nodes", "sparse", "long", "idle", "wide", "bw", "M", "M1", "pt", "packet_bits", "n_dest"}
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference_engine as ref
 from crn_multicast import experiment
@@ -488,3 +489,42 @@ def test_equal_lengths_keep_kruskal_order_and_lower_id_predecessor():
         dist = np.concatenate([arrays[kind][1] for kind in order])
         got = slot_index(parent, dist, np.array([dests] * len(order)))
         assert_same_slots(got, reference_slots([REF_BUILD[kind](want, 0) for kind in order], [dests] * len(order)))
+
+
+@st.composite
+def tree_stacks(draw):
+    """A stack of 1 to 4 random trees over the same n node ids (2 to 30)
+    with one shared root, not always 0, as (trees, n) parent and parent-edge
+    length arrays, and each tree's destinations, equally many per tree.
+    Each tree spans the root and a random share of the other nodes, each
+    hung from a node placed before it, or is a chain through every node
+    whose deepest node is no destination."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    root = draw(st.integers(min_value=0, max_value=n - 1))
+    n_trees = draw(st.integers(min_value=1, max_value=4))
+    parent = np.full((n_trees, n), -1)
+    candidates = []
+    for j in range(n_trees):
+        nodes = [root, *draw(st.permutations([v for v in range(n) if v != root]))]
+        chain = draw(st.booleans())
+        if not chain:
+            nodes = nodes[: draw(st.integers(min_value=2, max_value=n))]
+        for i in range(1, len(nodes)):
+            parent[j, nodes[i]] = nodes[i - 1] if chain else nodes[draw(st.integers(min_value=0, max_value=i - 1))]
+        candidates.append(nodes[1:-1] if chain and len(nodes) > 2 else nodes[1:])
+    n_dest = draw(st.integers(min_value=1, max_value=min(map(len, candidates))))
+    dests = [draw(st.permutations(options))[:n_dest] for options in candidates]
+    return root, parent, np.arange(1.0, n_trees * n + 1).reshape(n_trees, n), dests
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_stacks())
+def test_random_tree_stack_slot_index_matches_reference(case):
+    root, parent, dist, dests = case
+    trees = [
+        ref.tree_from_parents(root, {v: p for v, p in enumerate(row.tolist()) if p >= 0},
+                              {v: float(d) for v, d in enumerate(lengths.tolist()) if row[v] >= 0})
+        for row, lengths in zip(parent, dist)
+    ]
+    got = slot_index(parent, dist, np.array(dests), root)
+    assert_same_slots(got, reference_slots(trees, dests))
