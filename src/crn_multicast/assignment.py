@@ -56,13 +56,14 @@ def choose_channels(scheme: Scheme, table, idle) -> np.ndarray:
         n_idle = running[..., -1]
         chosen = np.count_nonzero(running <= np.floor(table.picks * n_idle)[..., None], axis=-1)
         return np.where(n_idle > 0, chosen, -1)
-    if scheme is Scheme.POS:
-        score = np.minimum.reduceat(table.pos, table.slots.starts, axis=-2)
-    elif scheme is Scheme.MDR:
-        score = np.minimum.reduceat(table.rate, table.slots.starts, axis=-2)
-    elif scheme is Scheme.MASA:
-        score = table.mu_idle
+    if scheme is Scheme.MASA:
+        # One score per channel, so masa takes the first idle channel in one
+        # stable order of falling mean idle duration: ties to the lower index.
+        order = np.argsort(-table.mu_idle, kind="stable")
+        best = order[idle[..., order].argmax(axis=-1)]
+    elif scheme is Scheme.POS or scheme is Scheme.MDR:
+        worst = np.minimum.reduceat(table.pos if scheme is Scheme.POS else table.rate, table.slots.starts, axis=-2)
+        best = np.where(idle, worst, -np.inf).argmax(axis=-1)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    best = np.where(idle, score, -np.inf).argmax(axis=-1)
     return np.where(idle.any(axis=-1), best, -1)

@@ -106,6 +106,46 @@ def cmd_example(args) -> int:
     return 0 if ok else 1
 
 
+def _run_report(seed: int, sessions, dests, pdr, avg, total, throughput) -> str:
+    """The `run --json` report: json.dumps(payload, indent=2, sort_keys=True)
+    of payload = {"seed": seed} plus, for each (j, k, name) of sessions,
+    payload[name] = {"pdr": pdr[j][k], "avg_throughput_bps": avg[j][k],
+    "total_throughput_bps": total[j][k], "throughput_bps": {str(d): t for d,
+    t in zip(dests[j], throughput[j][k])}}, written in that fixed shape.
+
+    json indents only through its pure-Python encoder, which took about a
+    tenth of a `run --json` call, so the layout is written here and json's C
+    encoder, unindented, spells only the numbers (float repr, NaN, Infinity
+    and -Infinity): each session's as one JSON list, split at the ", " that
+    no number holds. Names are ASCII with no quote or backslash, each tree's
+    dests are at least one distinct int, and every number but the seed is a
+    float. Keys sort as strings, as with sort_keys ("15" before "3"), and a
+    repeated name keeps its last entry, as a dict would.
+    """
+    # Each tree's destination keys in string order, with the index of each
+    # one's throughput.
+    layouts = []
+    for tree_dests in dests:
+        keyed = sorted((str(d), i) for i, d in enumerate(tree_dests))
+        layouts.append(([f'      "{key}": ' for key, _ in keyed], [i for _, i in keyed]))
+    blocks = {"seed": f'  "seed": {seed}'}
+    for j, k, name in sessions:
+        heads, order = layouts[j]
+        rates = throughput[j][k]
+        numbers = json.dumps([pdr[j][k], avg[j][k], total[j][k], *[rates[i] for i in order]])
+        p, a, t, *spelled = numbers[1:-1].split(", ")
+        listed = ",\n".join(map(str.__add__, heads, spelled))
+        blocks[name] = (
+            f'  "{name}": {{\n'
+            f'    "avg_throughput_bps": {a},\n'
+            f'    "pdr": {p},\n'
+            f'    "throughput_bps": {{\n{listed}\n    }},\n'
+            f'    "total_throughput_bps": {t}\n'
+            "  }"
+        )
+    return "{\n" + ",\n".join(blocks[key] for key in sorted(blocks)) + "\n}"
+
+
 def cmd_run(args) -> int:
     cfg = _config_from_args(args)
     if cfg.out_dir:
@@ -124,17 +164,7 @@ def cmd_run(args) -> int:
         for k, scheme in enumerate(cfg.schemes)
     ]
     if args.json:
-        payload = {
-            name: {
-                "pdr": pdr[j][k],
-                "avg_throughput_bps": avg[j][k],
-                "total_throughput_bps": total[j][k],
-                "throughput_bps": {str(d): t for d, t in zip(dests[j], throughput[j][k])},
-            }
-            for j, k, name in sessions
-        }
-        payload["seed"] = cfg.seed
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_run_report(cfg.seed, sessions, dests, pdr, avg, total, throughput))
     else:
         print(f"seed {cfg.seed}: {cfg.base.n_nodes} nodes, {n_dest} destinations")
         for j, k, name in sessions:

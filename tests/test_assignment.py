@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -348,3 +349,46 @@ def test_rs_takes_the_idle_channel_with_k_idle_channels_before_it(case):
         else:
             assert flags[channel]
             assert flags[:channel].sum() == math.floor(picks[index[-1]] * n_idle)
+
+
+def masa_by_argmax(mu, idle) -> np.ndarray:
+    """masa's channels by the largest idle mean of each row, the first on a
+    tie, -1 for a row with no idle channel."""
+    best = np.where(idle, mu, -np.inf).argmax(axis=-1)
+    return np.where(idle.any(axis=-1), best, -1)
+
+
+@st.composite
+def masa_cases(draw):
+    """Means over M channels drawn from three values, so ties are common, and
+    (sets, events, M) idle flags for one or two sets."""
+    m = draw(st.integers(min_value=1, max_value=12))
+    shape = (draw(st.integers(min_value=1, max_value=2)), draw(st.integers(min_value=1, max_value=6)), m)
+    mu = draw(st.lists(st.sampled_from([0.004, 0.03, 0.07]), min_size=m, max_size=m))
+    flags = draw(st.lists(st.booleans(), min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(mu), np.array(flags, dtype=bool).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(masa_cases())
+def test_masa_order_matches_the_argmax_rule(case):
+    mu, idle = case
+    chosen = choose_channels(Scheme.MASA, SimpleNamespace(mu_idle=mu), idle)
+    assert np.array_equal(chosen, masa_by_argmax(mu, idle))
+
+
+@pytest.mark.parametrize("sets", [1, 2])
+@pytest.mark.parametrize(
+    "mu",
+    [MU_S, MU_S[::-1], np.full(6, 0.02), np.array([0.03]), ScenarioParams(m_channels=20).mu_idle()],
+    ids=["rising", "falling", "equal", "one_channel", "readme"],
+)
+def test_masa_order_matches_the_argmax_rule_on_busy_and_idle_rows(mu, sets):
+    # Rows at idle probabilities from 0 (every channel busy) to 1, with
+    # channel means rising, falling, all equal, and one channel.
+    p = np.linspace(0.0, 1.0, 8)
+    idle = np.random.default_rng(len(mu)).random((sets, 8, 40, len(mu))) < p[:, None, None]
+    idle = idle.reshape(sets, 8 * 40, len(mu))
+    assert not idle[:, :40].any() and idle[:, -40:].all()
+    chosen = choose_channels(Scheme.MASA, SimpleNamespace(mu_idle=mu), idle)
+    assert np.array_equal(chosen, masa_by_argmax(mu, idle))

@@ -1,14 +1,16 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import crn_multicast
-from crn_multicast.cli import _build_parser, main
+from crn_multicast.cli import _build_parser, _run_report, main
 from crn_multicast.example_case import builtin_fixture
 
 
@@ -295,6 +297,61 @@ class TestRunCommand:
     def test_missing_config_file_is_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "run", "--config", str(tmp_path / "nope.txt"))
         assert code == 2
+
+
+# Floats json writes in every spelling it has: zeros of both signs,
+# subnormals, the edge of the float range and the three non-finite values.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2e-308, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def run_reports(draw):
+    """A seed and the report lists of 1-2 trees and 1-4 schemes, a scheme
+    possibly repeated: the (j, k, name) sessions, each tree's dests, 1-16
+    distinct ids in 1..200 so that their string order differs from their
+    numeric order, and pdr, avg, total and throughput indexed [tree][scheme]."""
+    numbers = st.floats() | st.sampled_from(EDGE_FLOATS)
+    trees = draw(st.lists(st.sampled_from(["spt", "mst"]), min_size=1, max_size=2, unique=True))
+    schemes = draw(st.lists(st.sampled_from(["pos", "masa", "mdr", "rs"]), min_size=1, max_size=4))
+    dests = [draw(st.lists(st.integers(1, 200), min_size=1, max_size=16, unique=True)) for _ in trees]
+    pdr, avg, total = ([[draw(numbers) for _ in schemes] for _ in trees] for _ in range(3))
+    throughput = [[draw(st.lists(numbers, min_size=len(d), max_size=len(d))) for _ in schemes] for d in dests]
+    sessions = [(j, k, f"{tree}/{scheme}") for j, tree in enumerate(trees) for k, scheme in enumerate(schemes)]
+    seed = draw(st.sampled_from([0, 2**64, 2**64 + 1]) | st.integers(0, 2**70))
+    return seed, sessions, dests, pdr, avg, total, throughput
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_reports())
+def test_run_report_is_json_dumps_of_its_payload(report):
+    # The stdlib is the oracle: the writer's text is json.dumps of the
+    # payload it stands for, byte for byte.
+    seed, sessions, dests, pdr, avg, total, throughput = report
+    payload = {
+        name: {
+            "pdr": pdr[j][k],
+            "avg_throughput_bps": avg[j][k],
+            "total_throughput_bps": total[j][k],
+            "throughput_bps": {str(d): t for d, t in zip(dests[j], throughput[j][k])},
+        }
+        for j, k, name in sessions
+    }
+    payload["seed"] = seed
+    assert _run_report(*report) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_run_json_report_of_readme_config_round_trips_through_json(tmp_path, capsys):
+    # Over 50 seeds of the README config, without its out_dir line so that
+    # stdout is the report alone, json reads every report back and writes it
+    # again, sorted and indented, to exactly the same text.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```\n(# scenario\n.*?)```", readme, re.DOTALL).group(1)
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(re.sub(r"(?m)^out_dir = .*\n", "", block), encoding="utf-8")
+    for seed in range(1, 51):
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--seed", str(seed), "--json")
+        assert code == 0 and err == ""
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", seed
 
 
 @pytest.fixture()
