@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from crn_multicast import experiment
@@ -369,26 +369,25 @@ def masa_cases(draw):
     return np.array(mu), np.array(flags, dtype=bool).reshape(shape)
 
 
+def busy_to_idle_rows(mu, sets):
+    """mu with (sets, 40, M) idle flags in rows at idle probabilities from 0
+    (every channel busy) to 1 (every channel idle)."""
+    p = np.repeat(np.linspace(0.0, 1.0, 8), 5)
+    idle = np.random.default_rng(len(mu)).random((sets, 40, len(mu))) < p[:, None]
+    assert not idle[:, :5].any() and idle[:, -5:].all()
+    return mu, idle
+
+
+# Fixed cases beside the drawn ones: channel means rising, falling, all equal,
+# one channel and the README's 20, each from all-busy to all-idle rows.
+@example(busy_to_idle_rows(MU_S, 1))
+@example(busy_to_idle_rows(MU_S[::-1], 2))
+@example(busy_to_idle_rows(np.full(6, 0.02), 1))
+@example(busy_to_idle_rows(np.array([0.03]), 2))
+@example(busy_to_idle_rows(ScenarioParams(m_channels=20).mu_idle(), 2))
 @settings(max_examples=300, deadline=None)
 @given(masa_cases())
 def test_masa_order_matches_the_argmax_rule(case):
     mu, idle = case
-    chosen = choose_channels(Scheme.MASA, SimpleNamespace(mu_idle=mu), idle)
-    assert np.array_equal(chosen, masa_by_argmax(mu, idle))
-
-
-@pytest.mark.parametrize("sets", [1, 2])
-@pytest.mark.parametrize(
-    "mu",
-    [MU_S, MU_S[::-1], np.full(6, 0.02), np.array([0.03]), ScenarioParams(m_channels=20).mu_idle()],
-    ids=["rising", "falling", "equal", "one_channel", "readme"],
-)
-def test_masa_order_matches_the_argmax_rule_on_busy_and_idle_rows(mu, sets):
-    # Rows at idle probabilities from 0 (every channel busy) to 1, with
-    # channel means rising, falling, all equal, and one channel.
-    p = np.linspace(0.0, 1.0, 8)
-    idle = np.random.default_rng(len(mu)).random((sets, 8, 40, len(mu))) < p[:, None, None]
-    idle = idle.reshape(sets, 8 * 40, len(mu))
-    assert not idle[:, :40].any() and idle[:, -40:].all()
     chosen = choose_channels(Scheme.MASA, SimpleNamespace(mu_idle=mu), idle)
     assert np.array_equal(chosen, masa_by_argmax(mu, idle))

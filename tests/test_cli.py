@@ -340,16 +340,29 @@ def test_run_report_is_json_dumps_of_its_payload(report):
     assert _run_report(*report) == json.dumps(payload, indent=2, sort_keys=True)
 
 
-def test_run_json_report_of_readme_config_round_trips_through_json(tmp_path, capsys):
-    # Over 50 seeds of the README config, without its out_dir line so that
-    # stdout is the report alone, json reads every report back and writes it
-    # again, sorted and indented, to exactly the same text.
+def readme_config(tmp_path) -> str:
+    """The README's example config without its out_dir line, so that stdout
+    is the report alone."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```\n(# scenario\n.*?)```", readme, re.DOTALL).group(1)
     cfg = tmp_path / "readme.cfg"
     cfg.write_text(re.sub(r"(?m)^out_dir = .*\n", "", block), encoding="utf-8")
-    for seed in range(1, 51):
-        code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--seed", str(seed), "--json")
+    return str(cfg)
+
+
+@pytest.mark.parametrize("config, seeds", [("readme", 50), ("golden_run_cfg", 10), ("default", 10)])
+def test_run_json_report_round_trips_through_json(tmp_path, capsys, config, seeds):
+    # The stdlib is an independent oracle of the run --json report: json
+    # reads every report back and writes it again, sorted and indented, to
+    # exactly the same text, for the README config, the golden run config
+    # and the default config.
+    flags = {
+        "readme": ["--config", readme_config(tmp_path)],
+        "golden_run_cfg": ["--config", str(Path(__file__).parent / "golden" / "run.cfg")],
+        "default": [],
+    }[config]
+    for seed in range(1, seeds + 1):
+        code, out, err = run_cli(capsys, "run", *flags, "--seed", str(seed), "--json")
         assert code == 0 and err == ""
         assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", seed
 
