@@ -31,13 +31,12 @@ def choose_channels(scheme: Scheme, table, idle) -> np.ndarray:
     """Channel of every entry of an event table (session.EventTable) under
     scheme, for one or several sets of idle flags at once.
 
-    The table's pos and rate are (radios x slots x channels), each entry's
-    receivers in consecutive slots from table.slots.starts[e]; idle is
-    (sets x events x channels), and every scheme returns (sets x events)
-    channels, one row per set, where the radios broadcast against the sets:
-    one radio serves every set, or set v reads radio v. The worst
-    receiver of each entry is its column minimum over its slots, read only
-    on idle channels. masa reads table.mu_idle, and rs only idle and
+    The table's pos and rate are each entry's worst receiver's, (radios x
+    events x channels), read only on idle channels: pos and mdr differ only
+    in which of them they read. idle is (sets x events x channels), and
+    every scheme returns (sets x events) channels, one row per set, where
+    the radios broadcast against the sets: one radio serves every set, or
+    set v reads radio v. masa reads table.mu_idle, and rs only idle and
     table.picks, one uniform in [0, 1) per entry: entry e takes its k-th
     idle channel (counting from 0), k = floor(picks[e] * n_idle), which is
     below n_idle for every float below 1. rs picks for every entry, also one
@@ -62,8 +61,7 @@ def choose_channels(scheme: Scheme, table, idle) -> np.ndarray:
         order = np.argsort(-table.mu_idle, kind="stable")
         best = order[idle[..., order].argmax(axis=-1)]
     elif scheme is Scheme.POS or scheme is Scheme.MDR:
-        worst = np.minimum.reduceat(table.pos if scheme is Scheme.POS else table.rate, table.slots.starts, axis=-2)
-        best = np.where(idle, worst, -np.inf).argmax(axis=-1)
+        best = np.where(idle, table.pos if scheme is Scheme.POS else table.rate, -np.inf).argmax(axis=-1)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return np.where(idle.any(axis=-1), best, -1)

@@ -269,7 +269,8 @@ def run_fixture(
             s, j = np.argwhere(bad)[0]
             raise ValueError(f"{at[s]}, channel {j + 1}: {message}, got {float(values[s, j])!r}")
     picks = None if rng is None else rng.random(len(events))
-    table = EventTable(slots, available, pos[None], rate[None], tx[None], mu, np.array([float(packet_bits)]), picks)
+    worst_pos, worst_rate = slots.worst(pos[None]), slots.worst(rate[None])
+    table = EventTable(slots, available, worst_pos, worst_rate, tx[None], mu, np.array([float(packet_bits)]), picks)
     channels = choose_channels(scheme, table, idle[None]).T
     return table, channels, judge(table, channels)
 

@@ -7,6 +7,7 @@ viewable anywhere and diffable in review.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 from .experiment import _Y_HEADROOM, AggregateRow, write_output
@@ -29,8 +30,6 @@ _METRICS = {
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 
@@ -52,7 +51,9 @@ def render_chart(rows: list[AggregateRow], metric: str, tree: TreeKind) -> str:
     xs = sorted({float(r.value) for r in rows})
     x_lo, x_hi = min(xs), max(xs)
     if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+        # From 2**52 on x +- 0.5 can round back to x, so large values pad by a millionth.
+        pad = max(0.5, abs(x_lo) * 1e-6)
+        x_lo, x_hi = max(x_lo - pad, -sys.float_info.max), min(x_hi + pad, sys.float_info.max)
     y_hi = max(getattr(r, mean_attr) + getattr(r, ci_attr) for r in rows)
     y_lo = 0.0
     if metric == "pdr":
@@ -108,11 +109,7 @@ def render_chart(rows: list[AggregateRow], metric: str, tree: TreeKind) -> str:
         f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{y_label}</text>'
     )
 
-    schemes = []
-    for r in rows:
-        if r.scheme not in schemes:
-            schemes.append(r.scheme)
-    for k, scheme in enumerate(schemes):
+    for k, scheme in enumerate(dict.fromkeys(r.scheme for r in rows)):
         color = SCHEME_COLORS.get(scheme.value, "#555555")
         series = sorted((float(r.value), getattr(r, mean_attr), getattr(r, ci_attr))
                         for r in rows if r.scheme is scheme)
@@ -146,12 +143,8 @@ def write_charts(rows: list[AggregateRow], out_dir) -> list[Path]:
     rewritten in place (experiment.write_output)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trees = []
-    for r in rows:
-        if r.tree not in trees:
-            trees.append(r.tree)
     paths = []
-    for tree in trees:
+    for tree in dict.fromkeys(r.tree for r in rows):
         for metric in _METRICS:
             path = out / f"{metric}_{tree.value}.svg"
             write_output(path, render_chart(rows, metric, tree))

@@ -23,16 +23,17 @@ and its link metrics are one EventTable over it, on every channel whether
 idle or not, with one layer per radio (link_metrics): idle probabilities
 only decide which channels are idle, so one table serves every idle
 probability and every radio over the same mean idle durations, and
-idle_flags thresholds the uniforms at one or several of them at once. Every
-scheme chooses every entry's channel from the table under every set of
-idle flags at once (assignment.choose_channels), each set against its
-radio's layer: pos, masa and mdr from the table's metrics, rs from its one
-pick uniform per entry, drawn whether or not the entry's transmitter gets
-the packet. judge then settles every tree under every column of chosen
-channels, each column on its own radio, in one array pass. It is the one
-place that compares air time with availability: a chosen channel is always
-idle, so a hop succeeds iff its air time on that channel fits within its
-entry's availability. Gathers read both at each hop's chosen cell, and the
+idle_flags thresholds the uniforms at one or several of them at once.
+Every scheme chooses every entry's channel from the table under every set
+of idle flags at once (assignment.choose_channels), each set against its
+radio's layer: pos and mdr from each entry's worst receiver's pos or rate,
+reduced where the table is built (SlotIndex.worst), masa from the mean
+idle durations, rs from its one pick uniform per entry, drawn whether or
+not the entry's transmitter gets the packet. judge then settles every tree
+under every column of chosen channels, each column on its own radio, in
+one array pass. It is the one place that compares air time with
+availability: a chosen channel is always idle, so a hop succeeds iff its
+air time on that channel fits within its entry's availability. Gathers read both at each hop's chosen cell, and the
 air times are summed along each destination's path from the root
 (SlotIndex.dest_paths, built once per index), one step at a time for all
 paths together. The table, the chosen channels and the Judgement are the
@@ -59,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .phy import LinkBudgetError, link_arrays
+from .phy import LinkBudgetError, link_arrays, pos
 from .topology import tree_levels
 
 
@@ -110,6 +111,10 @@ class SlotIndex:
         for k in range(self.height - 1, 0, -1):
             paths[k - 1] = parent[paths[k]]
         return paths
+
+    def worst(self, per_slot: np.ndarray) -> np.ndarray:
+        """(K, E, M) minimum of a (K, R, M) array over each entry's slots."""
+        return np.minimum.reduceat(per_slot, self.starts, axis=-2)
 
 
 def slot_index(parent: np.ndarray, dist: np.ndarray, destinations: np.ndarray, root: int = 0) -> SlotIndex:
@@ -166,18 +171,17 @@ def slot_index(parent: np.ndarray, dist: np.ndarray, destinations: np.ndarray, r
 
 @dataclass(frozen=True, eq=False)
 class EventTable:
-    """Link metrics of every entry of a layer schedule under K radios, as
-    flat arrays in the slot layout of slots, on every channel whether idle
-    or not: which channels are idle is a separate (E, M) array of flags, or
-    several (idle_flags). Per-event arrays are (events x channels) and
-    shared by every radio; per-receiver ones are (radios x slots x
-    channels), one layer per radio. Builders check what they pass in (see
-    the module docstring)."""
+    """Link metrics of every entry of a layer schedule under K radios, on
+    every channel whether idle or not: which channels are idle is a separate
+    (E, M) array of flags, or several (idle_flags). (E, M) arrays are shared
+    by every radio; the others have one layer per radio: pos and rate of each
+    entry's worst receiver (SlotIndex.worst), and tx_time per slot, for
+    judge. Builders check what they pass in (see the module docstring)."""
 
     slots: SlotIndex
     available_time: np.ndarray  # (E, M) s; sampled availability, read only on idle channels
-    pos: np.ndarray  # (K, R, M) success probability
-    rate: np.ndarray  # (K, R, M) bits/s
+    pos: np.ndarray  # (K, E, M) worst receiver's success probability
+    rate: np.ndarray  # (K, E, M) worst receiver's bits/s
     tx_time: np.ndarray  # (K, R, M) s
     mu_idle: np.ndarray  # (M,) mean availability per channel, s
     packet_bits: np.ndarray  # (K,) float packet size of each radio, bits
@@ -235,18 +239,18 @@ def idle_flags(raw, p_idle: np.ndarray) -> np.ndarray:
 
 def link_metrics(radios, raw, mu_idle: np.ndarray, slots: SlotIndex) -> EventTable:
     """Evaluate the link equations for a whole stack of trees under K radios
-    (ScenarioParams) at once, radio k as layer k of the table (phy.link_arrays):
-    gains to received power to rate to air time to success probability, per
-    slot and channel, over each slot's parent-edge distance in slots, from
-    raw draws (draw_raw). The table holds every channel's residual as its
+    (ScenarioParams) at once, radio k as layer k of the table, from raw
+    draws (draw_raw): rate and air time per slot and channel over each
+    slot's parent-edge distance (phy.link_arrays), then pos of each entry's
+    worst rate (SlotIndex.worst, phy.pos). Every channel's residual is its
     availability: idle flags decide which channels a scheme may choose.
 
-    An infinite rate would give zero air time, so it is an error, naming
-    the first radio that has one: the signal to noise ratio overflows at a
-    short enough distance whenever the transmit power is large enough
-    against the noise power."""
+    An infinite rate at any slot would give zero air time, so it is an
+    error, naming the first radio that has one: the signal to noise ratio
+    overflows at a short enough distance whenever the transmit power is
+    large enough against the noise power."""
     _, residual, gains, picks = raw
-    rate, t, p = link_arrays(radios, slots.distances[:, None], gains, mu_idle)
+    rate, t = link_arrays(radios, slots.distances[:, None], gains)
     if not np.isfinite(rate).all():
         radio = radios[int(np.isfinite(rate).reshape(len(radios), -1).all(axis=1).argmin())]
         raise LinkBudgetError(
@@ -254,7 +258,8 @@ def link_metrics(radios, raw, mu_idle: np.ndarray, slots: SlotIndex) -> EventTab
             f"{radio.bandwidth_hz * radio.noise_psd!r} W overflows the signal to noise ratio: a data rate is not finite"
         )
     bits = np.array([radio.packet_bits for radio in radios], dtype=float)
-    return EventTable(slots, residual, p, rate, t, mu_idle, bits, picks)
+    rate = slots.worst(rate)
+    return EventTable(slots, residual, pos(bits, rate, mu_idle), rate, t, mu_idle, bits, picks)
 
 
 @dataclass(frozen=True, eq=False)

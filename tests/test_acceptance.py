@@ -21,7 +21,7 @@ from crn_multicast.experiment import (
     run_sweep,
     trials_to_csv,
 )
-from crn_multicast.phy import SPEED_OF_LIGHT, link_arrays
+from crn_multicast.phy import SPEED_OF_LIGHT, link_arrays, pos
 from crn_multicast.session import TreeKind
 from crn_multicast.topology import mst_stack, spt_stack
 
@@ -84,9 +84,10 @@ def test_criterion_2_equation_unit_oracles():
     # wavelengths come back exactly from their carriers, c / (c / w) == w.
     unit = replace(DEFAULTS, pt_watts=1.0, carrier_freq_hz=SPEED_OF_LIGHT / (4.0 * math.pi), packet_bits=100000)
     gains = np.array([[3.0 * 1e6 * 1e-18, math.inf]])
-    rate, _, p = link_arrays([unit], np.ones((1, 1)), gains, np.array([0.05, 0.033]))
+    rate, _ = link_arrays([unit], np.ones((1, 1)), gains)
+    p = pos(np.array([100000.0]), rate, np.array([0.05, 0.033]))
     radio = replace(DEFAULTS, carrier_freq_hz=SPEED_OF_LIGHT / 0.5)  # 0.1 W, 1 MHz, N0 1e-18, exponent 4
-    hand_rate = link_arrays([radio], np.full((1, 1), 10.0), np.ones((1, 1)), np.ones(1))[0].item()
+    hand_rate = link_arrays([radio], np.full((1, 1), 10.0), np.ones((1, 1)))[0].item()
     # Shannon inverted
     received = radio.bandwidth_hz * radio.noise_psd * (2.0 ** (hand_rate / radio.bandwidth_hz) - 1.0)
     checks = [

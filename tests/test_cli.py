@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import xml.dom.minidom
 from pathlib import Path
 
 import pytest
@@ -646,6 +647,28 @@ class TestSweepAndPlot:
         assert code == 2
         assert err.startswith("error:") and f"{bad}, {message}" in err
         assert out == "" and not charts.exists()
+
+    @pytest.mark.parametrize("value", ["1e17", "1.7976931348623157e308", "-1.7976931348623157e308", "40"])
+    def test_plot_charts_an_aggregate_of_one_value(self, tmp_path, capsys, value):
+        # before: one swept value so large that value +- 0.5 rounds back to it
+        # left a zero-width axis, a ZeroDivisionError (exit 3) and the chart
+        # directory behind. Each chart now puts the value's points on one
+        # vertical line within the axis, with finite coordinates.
+        agg = tmp_path / "agg.csv"
+        agg.write_text(
+            "tree,scheme,variable,value,mean_throughput_bps,ci95_throughput,mean_pdr,ci95_pdr,trials\n"
+            f"spt,pos,packet_bits,{value},1e6,0,0.5,0,10\nspt,rs,packet_bits,{value},2e6,1e5,0.7,0.1,10\n",
+            encoding="utf-8",
+        )
+        charts = tmp_path / "charts"
+        code, out, err = run_cli(capsys, "plot", str(agg), "--out", str(charts))
+        assert (code, err) == (0, "")
+        assert out == "".join(f"wrote {charts / name}\n" for name in ("throughput_spt.svg", "pdr_spt.svg"))
+        for name in ("throughput_spt.svg", "pdr_spt.svg"):
+            svg = xml.dom.minidom.parse(str(charts / name))
+            xs = {float(c.getAttribute("cx")) for c in svg.getElementsByTagName("circle")}
+            assert len(xs) == 1 and 70.0 <= xs.pop() <= 480.0
+            assert "nan" not in (charts / name).read_text(encoding="utf-8")
 
     def test_plot_missing_file_is_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "plot", str(tmp_path / "none.csv"))

@@ -138,11 +138,12 @@ def test_scenario_sessions_match_reference(case):
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_link_tables_match_reference(case):
-    # Every entry's rate and air time on every channel, and its success
-    # probability on every idle one, equal the reference's own link
-    # equations bit for bit, so a fault in the package's equations shows
-    # here even where it changes no decision (a pos raised to any power
-    # keeps every pos choice).
+    # Every receiver's air time and every entry's worst rate on every
+    # channel, and its worst success probability on every idle one, equal
+    # the minima of the reference's own per-receiver link equations bit for
+    # bit, so a fault in the package's equations or in its reduction to the
+    # worst receiver shows here even where it changes no decision (a pos
+    # raised to any power keeps every pos choice).
     params, channels = CASES[case]
     channels = channels if channels is not None else ref.scenario_channels(params)
     for seed in range(10):
@@ -155,9 +156,9 @@ def test_link_tables_match_reference(case):
             assert len(entries) == len(per_event)
             for e, metrics in zip(entries, per_event):
                 rows = slice(bounds[e], bounds[e + 1])
-                assert np.array_equal(table.rate[0, rows], metrics.rate)
+                assert np.array_equal(table.rate[0, e], metrics.rate.min(0))
                 assert np.array_equal(table.tx_time[0, rows], metrics.tx_time)
-                assert np.array_equal(table.pos[0, rows][:, metrics.idle], metrics.pos[:, metrics.idle])
+                assert np.array_equal(table.pos[0, e, metrics.idle], metrics.pos[:, metrics.idle].min(0))
 
 
 def test_cases_exercise_every_outcome():
@@ -214,16 +215,18 @@ def event_tables(draw):
 
 
 def spine_table(counts, pos, rate, mu) -> EventTable:
-    """A one-radio EventTable whose entries have counts[e] receivers, with
-    one row of pos and rate per receiver slot: a tree where entry e's
-    lowest receiver transmits entry e + 1, so breadth-first order is entry
-    order, with every node a destination."""
+    """A one-radio EventTable whose entries have counts[e] receivers, from
+    one row of pos and rate per receiver slot, each reduced to its entry's
+    worst receiver by SlotIndex.worst as a table's builders do: a tree
+    where entry e's lowest receiver transmits entry e + 1, so breadth-first
+    order is entry order, with every node a destination."""
     parent, spine = [-1], 0
     for c in counts:
         spine, parent = len(parent), parent + [spine] * c
     slots = slot_index(np.array([parent]), np.ones((1, len(parent))), np.arange(1, len(parent))[None])
     nan = np.full((len(counts), len(mu)), np.nan)
-    return EventTable(slots, nan, pos[None], rate[None], np.full((1, *pos.shape), np.inf), mu, np.ones(1))
+    worst_pos, worst_rate = slots.worst(pos[None]), slots.worst(rate[None])
+    return EventTable(slots, nan, worst_pos, worst_rate, np.full((1, *pos.shape), np.inf), mu, np.ones(1))
 
 
 @settings(max_examples=200, deadline=None)

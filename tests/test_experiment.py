@@ -121,7 +121,7 @@ class TestRunTrial:
         assert (judged.averages()[1] == 1.0).all()
 
     # A mean idle duration near the float maximum overflowed draw_raw's
-    # residual scaling, and a subnormal one link_arrays' t / mu_idle: each a
+    # residual scaling, and a subnormal one phy.pos' t / mu_idle: each a
     # RuntimeWarning, an error under pytest's filter. Their limits are an
     # infinite availability and a pos of 0.
     def test_mean_idle_duration_near_float_max_is_available_for_ever(self):

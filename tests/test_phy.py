@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crn_multicast.experiment import ScenarioParams
-from crn_multicast.phy import RADIO_FIELDS, SPEED_OF_LIGHT, link_arrays
+from crn_multicast.phy import RADIO_FIELDS, SPEED_OF_LIGHT, link_arrays, pos
 
 
 def make_radio(wavelength=0.5, **overrides):
@@ -22,9 +22,17 @@ def unit_radio(**overrides):
     return make_radio(**{"pt_watts": 1.0, "wavelength": 4.0 * math.pi, **overrides})
 
 
+def link_table(radios, d, gains, mu):
+    """(K, R, M) rate, air time and success probability of every (radio,
+    receiver, channel): link_arrays, then phy.pos of every receiver's own
+    rate."""
+    rate, t = link_arrays(radios, d, gains)
+    return rate, t, pos(np.array([float(radio.packet_bits) for radio in radios]), rate, mu)
+
+
 def link(radio, d=1.0, gain=1.0, mu=0.05):
     """(rate, air time, success probability) of one receiver on one channel."""
-    rate, t, p = link_arrays([radio], np.array([[d]]), np.array([[gain]]), np.array([mu]))
+    rate, t, p = link_table([radio], np.array([[d]]), np.array([[gain]]), np.array([mu]))
     return rate.item(), t.item(), p.item()
 
 
@@ -81,7 +89,7 @@ class TestTxTime:
         # 4 KB = 4 * 8 * 1024 = 32768 bits, at exactly 2 Mbps and at drawn rates
         assert link(unit_radio(), gain=3.0 * 1e6 * 1e-18)[1] == 32768 / 2_000_000.0
         gains = np.random.default_rng(5).exponential(size=(4, 3))
-        rate, t, _ = link_arrays([make_radio()], np.full((4, 1), 30.0), gains, np.full(3, 0.05))
+        rate, t = link_arrays([make_radio()], np.full((4, 1), 30.0), gains)
         assert np.array_equal(t, 32768 / rate)
 
     def test_zero_rate_is_never_satisfiable(self):
@@ -112,7 +120,7 @@ class TestPos:
     def test_is_exp_of_minus_airtime_over_mean(self):
         gains = np.random.default_rng(7).exponential(size=(5, 4))
         mu = np.array([0.002, 0.01, 0.03, 0.07])
-        _, t, p = link_arrays([make_radio()], np.full((5, 1), 40.0), gains, mu)
+        _, t, p = link_table([make_radio()], np.full((5, 1), 40.0), gains, mu)
         assert np.array_equal(p, np.exp(-t / mu))
 
     # at exactly 2 Mbps the air time is bits / 2e6, 1e-6 .. 1 s before the
@@ -125,7 +133,7 @@ class TestPos:
     )
     def test_decreasing_in_airtime(self, bits, factor, mu):
         radios = [unit_radio(packet_bits=bits), unit_radio(packet_bits=math.ceil(bits * factor))]
-        _, _, p = link_arrays(radios, np.ones((1, 1)), np.full((1, 1), 3.0 * 1e6 * 1e-18), np.array([mu]))
+        _, _, p = link_table(radios, np.ones((1, 1)), np.full((1, 1), 3.0 * 1e6 * 1e-18), np.array([mu]))
         assert p[1, 0, 0] < p[0, 0, 0]
 
     @given(
@@ -135,22 +143,39 @@ class TestPos:
     )
     def test_increasing_in_availability(self, bits, mu, factor):
         gain = np.full((1, 2), 3.0 * 1e6 * 1e-18)
-        _, _, p = link_arrays([unit_radio(packet_bits=bits)], np.ones((1, 1)), gain, np.array([mu, mu * factor]))
+        _, _, p = link_table([unit_radio(packet_bits=bits)], np.ones((1, 1)), gain, np.array([mu, mu * factor]))
         assert p[0, 0, 1] > p[0, 0, 0]
 
     def test_bounded_to_unit_interval(self):
         gains = np.array([[0.0, 1e-300, 1e-12, 1.0, 1e6, math.inf]])
-        _, _, p = link_arrays([make_radio()], np.full((1, 1), 10.0), gains, np.full(6, 0.03))
+        _, _, p = link_table([make_radio()], np.full((1, 1), 10.0), gains, np.full(6, 0.03))
         assert ((0.0 <= p) & (p <= 1.0)).all()
+
+
+def test_pos_of_the_worst_rate_is_the_worst_pos_bit_for_bit():
+    # A table holds each entry's pos as phy.pos of its worst receiver's rate:
+    # the same bits as the worst of its receivers' own pos. Here 100 entries
+    # of 3 receivers each, under two radios, over gains scaled by zero, tiny,
+    # huge and infinite factors, and mean idle durations from subnormal to
+    # near the float maximum.
+    radios = [make_radio(), make_radio(pt_watts=2.0, packet_bits=10**20)]
+    rng = np.random.default_rng(11)
+    scale = rng.choice([0.0, 1e-300, 1e-3, 1.0, 30.0, 1e9, math.inf], size=(300, 6), p=[.02, .02, .1, .5, .3, .04, .02])
+    mu = np.array([1e-320, 1e-6, 0.002, 0.03, 1e5, 1.7e308])
+    rate, _, p = link_table(radios, rng.uniform(1.0, 90.0, (300, 1)), rng.exponential(size=(300, 6)) * scale, mu)
+    bits = np.array([float(radio.packet_bits) for radio in radios])
+    worst = pos(bits, rate.reshape(2, 100, 3, 6).min(axis=2), mu)
+    assert np.array_equal(worst, p.reshape(2, 100, 3, 6).min(axis=2))
+    assert ((0.0 < worst) & (worst < 1.0)).mean() > 0.15 and (worst == 0.0).any() and (worst == 1.0).any()
 
 
 def test_pipeline_is_finite_and_deterministic():
     radio = make_radio()
     d, gains, mu = np.array([[1.0], [10.0], [55.0]]), np.tile([0.2, 1.0, 4.0], (3, 1)), np.full(3, 0.05)
-    _, t, p = link_arrays([radio], d, gains, mu)
+    _, t, p = link_table([radio], d, gains, mu)
     assert np.isfinite(t).all() and (t > 0).all()
     assert ((0.0 < p) & (p < 1.0)).all()
-    assert np.array_equal(link_arrays([radio], d, gains, mu)[2], p)
+    assert np.array_equal(link_table([radio], d, gains, mu)[2], p)
 
 
 def test_vectorized_evaluation_matches_scalars():
@@ -158,10 +183,10 @@ def test_vectorized_evaluation_matches_scalars():
     radio, mu = make_radio(), np.array([0.01, 0.05])
     d = np.array([[10.0], [20.0], [40.0]])
     gains = np.array([[1.0, 0.3], [0.5, 2.5], [2.0, 0.0]])
-    table = link_arrays([radio], d, gains, mu)
+    table = link_table([radio], d, gains, mu)
     assert all(array.shape == (1, 3, 2) for array in table)
     for i in range(3):
-        alone = link_arrays([radio], d[i:i + 1], gains[i:i + 1], mu)
+        alone = link_table([radio], d[i:i + 1], gains[i:i + 1], mu)
         for got, want in zip(table, alone):
             assert np.array_equal(got[:, i:i + 1], want)
 
@@ -176,16 +201,16 @@ def test_radios_evaluated_together_match_each_alone_bit_for_bit():
     ]
     rng = np.random.default_rng(3)
     d, gains, mu = rng.uniform(5.0, 80.0, (6, 1)), rng.exponential(size=(6, 4)), np.array([0.002, 0.01, 0.03, 0.07])
-    together = link_arrays(radios, d, gains, mu)
+    together = link_table(radios, d, gains, mu)
     for k, radio in enumerate(radios):
-        alone = link_arrays([radio], d, gains, mu)
+        alone = link_table([radio], d, gains, mu)
         for got, want in zip(together, alone):
             assert got.shape == (3, 6, 4) and np.array_equal(got[k], want[0])
 
 
 def test_radios_with_different_path_loss_exponents_rejected():
     with pytest.raises(ValueError, match="share path_loss_exp"):
-        link_arrays([make_radio(), make_radio(path_loss_exp=3.0)], np.ones((1, 1)), np.ones((1, 2)), np.ones(2))
+        link_arrays([make_radio(), make_radio(path_loss_exp=3.0)], np.ones((1, 1)), np.ones((1, 2)))
 
 
 # One valid change of every ScenarioParams field.
@@ -204,7 +229,7 @@ def test_radio_fields_are_exactly_what_link_arrays_reads(name):
     base = ScenarioParams()
     d, gains, mu = np.full((1, 1), 10.0), np.array([[0.5, 2.0]]), np.array([0.01, 0.05])
     changed = replace(base, **{name: FIELD_CHANGES[name]})
-    before, after = (link_arrays([radio], d, gains, mu) for radio in (base, changed))
+    before, after = (link_table([radio], d, gains, mu) for radio in (base, changed))
     differs = any(not np.array_equal(a, b) for a, b in zip(before, after))
     assert differs == (name in RADIO_FIELDS)
 

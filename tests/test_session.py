@@ -6,7 +6,8 @@ import pytest
 from crn_multicast.assignment import Scheme
 from crn_multicast.example_case import builtin_fixture, check_fixture, run_fixture
 from crn_multicast.experiment import ScenarioParams, run_scenario_sessions
-from crn_multicast.session import TreeKind, session_to_csv
+from crn_multicast.phy import LinkBudgetError, link_arrays
+from crn_multicast.session import TreeKind, link_metrics, session_to_csv, slot_index
 from test_engine_equivalence import recorded_entries
 from test_experiment import channel_sessions
 
@@ -295,6 +296,24 @@ class TestSampledSession:
             assert pdr_of(got) * len(delivered) == pytest.approx(sum(delivered.values()))
             for k, ok in delivered.items():
                 assert (throughput[k] > 0) == ok
+
+
+def test_infinite_rate_at_a_receiver_other_than_the_worst_is_rejected():
+    # One entry, 0 -> 1 and 0 -> 2, on two channels: receiver 1's gain of
+    # 1e308 on channel 0 overflows its rate under the default 0.1 W radio,
+    # while receiver 2's gain of 1 keeps the entry's worst rate finite on
+    # every channel, so only a check of every slot sees the overflow. The
+    # 1e-30 W radio evaluated with it overflows nowhere.
+    slots = slot_index(np.array([[-1, 0, 0]]), np.ones((1, 3)), np.array([[1, 2]]))
+    gains, mu = np.array([[1e308, 1.0], [1.0, 1.0]]), np.full(2, 0.05)
+    radios = [replace(SAMPLED, pt_watts=1e-30), SAMPLED]
+    rate, _ = link_arrays(radios, slots.distances[:, None], gains)
+    assert np.isfinite(rate[0]).all() and np.isinf(rate[1, 0, 0]) and np.isfinite(slots.worst(rate)).all()
+    raw = (np.zeros((1, 2)), np.full((1, 2), 0.1), gains, np.zeros(1))
+    with pytest.raises(LinkBudgetError, match=r"^pt_watts = 0\.1 against a noise power .* a data rate is not finite$"):
+        link_metrics(radios, raw, mu, slots)
+    # Without the overflowing radio the same draws make a table.
+    assert np.isfinite(link_metrics(radios[:1], raw, mu, slots).rate).all()
 
 
 # ------------------------------------------------------------ serialization
