@@ -56,7 +56,7 @@ import numbers
 import os
 import stat
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
@@ -111,47 +111,37 @@ class ScenarioParams:
     def __post_init__(self):
         self.validate()
 
-    def validate(self, field: str | None = None) -> None:
+    def validate(self) -> None:
         """Check the scenario, raising ValueError at the first failing check.
-
-        With no field, every check runs, in a fixed order. With a field name,
-        only the checks that read that field run, in the same order: this is
-        how a sweep checks each swept value (SweepSpec), on a copy of its
-        checked base with that one field set. The checks that do not read
-        the field pass on the copy as they did on the base, so the copy fails
-        the same first check, with the same message, as a scenario built with
-        the value would."""
-        names = _FIELD_NAMES if field is None else (field,)
-
-        def reads(*checked: str) -> bool:
-            return field is None or field in checked
-
-        for name in names:
+        Every check runs, in a fixed order, on every scenario built: a swept
+        scenario (SweepSpec) is its base with one field set, built and
+        checked like any other."""
+        for name in _FIELD_NAMES:
             value = getattr(self, name)
             # An exact int or float is tested first: the numbers ABC checks are slow.
             if (type(value) in (int, float) or isinstance(value, numbers.Real)) and not _finite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        for name in names:
+        for name in _FIELD_NAMES:
             value = getattr(self, name)
             if name in _INTEGER_FIELDS and type(value) is not int and not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if reads("n_nodes") and self.n_nodes < 2:
+        if self.n_nodes < 2:
             raise ValueError("n_nodes must be at least 2")
-        if reads("n_dest", "n_nodes") and not 1 <= self.n_dest < self.n_nodes:
+        if not 1 <= self.n_dest < self.n_nodes:
             raise ValueError("n_dest must satisfy 1 <= n_dest < n_nodes")
-        if reads("m_channels") and self.m_channels < 1:
+        if self.m_channels < 1:
             raise ValueError("m_channels must be at least 1")
-        if reads("p_idle") and not 0.0 < self.p_idle < 1.0:
+        if not 0.0 < self.p_idle < 1.0:
             raise ValueError("p_idle must lie strictly between 0 and 1")
-        for name in names:
+        for name in _FIELD_NAMES:
             if name in _POSITIVE_FIELDS and getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if reads("mu_min_s", "mu_max_s") and self.mu_min_s > self.mu_max_s:
+        if self.mu_min_s > self.mu_max_s:
             raise ValueError("mu_min_s must not exceed mu_max_s")
         # Received power is this constant over d**path_loss_exp times a gain;
         # x * x, unlike x ** 2, gives inf rather than OverflowError.
         half_wave = SPEED_OF_LIGHT / self.carrier_freq_hz / (4.0 * math.pi)
-        if reads("pt_watts", "carrier_freq_hz") and not _finite(self.pt_watts * half_wave * half_wave):
+        if not _finite(self.pt_watts * half_wave * half_wave):
             raise ValueError(
                 f"pt_watts = {self.pt_watts!r} and carrier_freq_hz = {self.carrier_freq_hz!r} give a "
                 "non-finite link budget pt_watts * (wavelength / 4 pi)**2"
@@ -160,16 +150,16 @@ class ScenarioParams:
         # area side: an overflowing squared diagonal makes them infinite, and
         # a square below the smallest normal float loses them to underflow.
         side_sq = self.area_side_m * self.area_side_m
-        if reads("area_side_m") and not _finite(side_sq + side_sq):
+        if not _finite(side_sq + side_sq):
             raise ValueError(
                 f"area_side_m = {self.area_side_m!r} gives a squared diagonal 2 * area_side_m**2 that overflows"
             )
-        if reads("area_side_m") and side_sq < sys.float_info.min:
+        if side_sq < sys.float_info.min:
             raise ValueError(
                 f"area_side_m = {self.area_side_m!r} gives a square area_side_m**2 below the smallest normal float"
             )
         # A zero noise power would divide every received power by zero.
-        if reads("bandwidth_hz", "noise_psd") and self.bandwidth_hz * self.noise_psd == 0.0:
+        if self.bandwidth_hz * self.noise_psd == 0.0:
             raise ValueError(
                 f"bandwidth_hz = {self.bandwidth_hz!r} and noise_psd = {self.noise_psd!r} give a noise power "
                 "bandwidth_hz * noise_psd that underflows to 0"
@@ -184,6 +174,8 @@ class ScenarioParams:
 # Checks run per field in field order, the order of _FIELD_NAMES.
 _FIELD_NAMES = tuple(f.name for f in fields(ScenarioParams))
 _INTEGER_FIELDS = frozenset({"n_nodes", "n_dest", "m_channels", "packet_bits"})
+# The counts' least values; n_dest's bound by n_nodes is a cross-field check.
+_LEAST_COUNTS = {"n_nodes": 2, "n_dest": 1, "m_channels": 1}
 _POSITIVE_FIELDS = frozenset(
     {
         "bandwidth_hz",
@@ -308,12 +300,11 @@ class SweepSpec:
     """One-parameter sweep: the base scenario, the swept variable and its
     values, trials per value, base seed, schemes and tree kinds. Every field
     and every swept scenario is checked on construction; the defaults are the
-    config file's. The base, a ScenarioParams, was checked in full when it
-    was built; each swept scenario is the base's fields with the swept one
-    set, checked by the ScenarioParams checks that read that field alone
-    (ScenarioParams.validate), so a bad value raises what a scenario built
-    with it would, after "<variable> = <value>: ". A repeated scheme or tree
-    kind counts once, in first-seen order."""
+    config file's. Each swept scenario is the base with the swept field
+    set (dataclasses.replace), built and checked like any ScenarioParams, so
+    a bad value raises what a scenario built with it raises, after
+    "<variable> = <value>: ". A repeated scheme or tree kind counts once, in
+    first-seen order."""
 
     base: ScenarioParams = ScenarioParams()
     variable: str = "p_idle"
@@ -361,15 +352,10 @@ class SweepSpec:
         name = SWEEP_VARIABLES[self.variable]
         out = []
         for value in self.values:
-            # The checked base's fields with the swept one set, built without
-            # __init__: only the checks that read the swept field can fail.
-            params = object.__new__(type(self.base))
-            vars(params).update(vars(self.base), **{name: value})
             try:
-                params.validate(name)
+                out.append((value, replace(self.base, **{name: value})))
             except ValueError as exc:
                 raise ValueError(f"{self.variable} = {value!r}: {exc}") from None
-            out.append((value, params))
         return tuple(out)
 
 
@@ -527,9 +513,11 @@ def read_aggregate_csv(path) -> list[AggregateRow]:
     """Aggregate rows of a CSV file that charts can draw: finite numbers,
     means and CIs that are not negative with a mean PDR of at most 1, one
     swept variable of SWEEP_VARIABLES (which charts write into their SVG
-    unescaped), one row per (tree, scheme, value), and axis ranges that stay
-    finite (the span of the values, _Y_HEADROOM x (mean + CI))."""
-    rows, seen, lo, hi = [], {}, math.inf, -math.inf
+    unescaped), each value in its field's own range (which keeps the span
+    of the values finite), one row per (tree, scheme, value), and y-axis
+    ranges that stay finite (_Y_HEADROOM x (mean + CI)). An aggregate holds
+    no base scenario, so no cross-field check applies."""
+    rows, seen = [], {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, f in _parse_csv(text, AGGREGATE_HEADER, path):
         try:
@@ -548,13 +536,19 @@ def read_aggregate_csv(path) -> list[AggregateRow]:
                 raise ValueError(f"unknown sweep variable {row.variable!r}, not one of {', '.join(SWEEP_VARIABLES)}")
             if rows and row.variable != rows[0].variable:
                 raise ValueError(f"variable {row.variable!r} differs from {rows[0].variable!r} above")
+            name = SWEEP_VARIABLES[row.variable]
+            if name in _INTEGER_FIELDS and type(row.value) is not int:
+                raise ValueError(f"{name} must be an integer, got {row.value!r}")
+            if row.value < _LEAST_COUNTS.get(name, -math.inf):
+                raise ValueError(f"{name} must be at least {_LEAST_COUNTS[name]}, got {row.value!r}")
+            if name == "p_idle" and not 0.0 < row.value < 1.0:
+                raise ValueError(f"p_idle must lie strictly between 0 and 1, got {row.value!r}")
+            if name in _POSITIVE_FIELDS and row.value <= 0:
+                raise ValueError(f"{name} must be strictly positive, got {row.value!r}")
             key = (row.tree, row.scheme, float(row.value))
             if key in seen:
                 raise ValueError(f"{row.tree.value}/{row.scheme.value} at {row.value!r} repeats line {seen[key]}")
             seen[key] = lineno
-            lo, hi = min(lo, key[2]), max(hi, key[2])
-            if not _finite(hi - lo):
-                raise ValueError(f"swept values from {lo!r} to {hi!r} span a range that overflows")
             for mean, ci in ((row.mean_throughput_bps, row.ci95_throughput), (row.mean_pdr, row.ci95_pdr)):
                 if not _finite(_Y_HEADROOM * (mean + ci)):
                     raise ValueError(f"{_Y_HEADROOM} x (mean + CI) overflows for mean {mean!r} and CI {ci!r}")

@@ -26,10 +26,13 @@ def test_bench_writes_its_record(tmp_path):
         "block_stages_n40_ms", "block_stages_n80_ms", "block_stages_n160_ms", "config_load_ms", "run_cli_ms",
         "sweep_plot_cli_ms", "trend_axes_cli_ms",
     }
-    # one pair: each ratio is that pair's change median over its parent median
-    assert set(record["stage_ratio"]) == stages
-    for stage, ratio in record["stage_ratio"].items():
-        assert ratio == record["stages"]["change"][stage] / record["stages"]["parent"][stage]
+    # one pair: each stage's ratio is that pair's change median over its
+    # parent median, and sweep_wall_s's its change wall over its parent wall
+    assert set(record["stage_ratio"]) == stages | {"sweep_wall_s"}
+    for stage in stages:
+        assert record["stage_ratio"][stage] == record["stages"]["change"][stage] / record["stages"]["parent"][stage]
+    walls = record["sweep_wall_s"]
+    assert record["stage_ratio"]["sweep_wall_s"] == walls["change"][0] / walls["parent"][0]
     for name in ("parent", "change"):
         assert set(record["stages"][name]) == stages
         assert all(ms > 0.0 for ms in record["stages"][name].values())

@@ -540,6 +540,10 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert out == ""
 
 
+# A valid aggregate row, the first of most CSVs plot must reject.
+GOOD_ROW = "spt,pos,p_idle,0.5,2.0,0.1,0.5,0.1,2\n"
+
+
 class TestSweepAndPlot:
     @pytest.fixture()
     def sweep_dir(self, tmp_path, capsys):
@@ -607,26 +611,36 @@ class TestSweepAndPlot:
     @pytest.mark.parametrize(
         "rows, message",
         [
-            ("spt,pos,p_idle,0.3,nan,0.0,1.0,0.0,2\n", "line 3: numbers must be finite"),
-            ("spt,pos,p_idle,0.3,1.0,inf,1.0,0.0,2\n", "line 3: numbers must be finite"),
-            ("spt,pos,p_idle,nan,1.0,0.0,1.0,0.0,2\n", "line 3: numbers must be finite"),
-            ("spt,rs,M,4,1.0,0.0,1.0,0.0,2\n", "line 3: variable 'M' differs from 'p_idle'"),
-            ("spt,pos,a&b<c,0.5,1e6,0,0.5,0,10\n", "line 3: unknown sweep variable 'a&b<c'"),
-            ("spt,pos,p_idle,5e-1,1.0,0.0,1.0,0.0,2\n", "line 3: spt/pos at 0.5 repeats line 2"),
-            ("spt,rs,p_idle,1e308,1.0,0.0,1.0,0.0,2\nspt,rs,p_idle,-1e308,1.0,0.0,1.0,0.0,2\n",
-             "line 4: swept values from -1e+308 to 1e+308 span a range that overflows"),
-            ("spt,pos,p_idle,0.3,1e308,1e308,1.0,0.0,2\n", "line 3: 1.05 x (mean + CI) overflows"),
-            ("spt,pos,p_idle,0.3,1.75e308,0.0,1.0,0.0,2\n", "line 3: 1.05 x (mean + CI) overflows"),
-            ("spt,pos,p_idle,0.3,1.0,0.0,5.0,0.0,2\n", "line 3: mean_pdr must lie in [0, 1], got 5.0"),
-            ("spt,pos,p_idle,0.3,1.0,0.0,-0.2,0.0,2\n", "line 3: mean_pdr must lie in [0, 1], got -0.2"),
-            ("spt,pos,p_idle,0.3,-3.0,0.0,1.0,0.0,2\n", "line 3: means and CIs must not be negative"),
-            ("spt,pos,p_idle,0.3,1.0,-0.5,1.0,0.0,2\n", "line 3: means and CIs must not be negative"),
-            ("spt,pos,p_idle,0.3,1.0,0.0,1.0,-0.1,2\n", "line 3: means and CIs must not be negative"),
+            (GOOD_ROW + "spt,pos,p_idle,0.3,nan,0.0,1.0,0.0,2\n", "line 3: numbers must be finite"),
+            (GOOD_ROW + "spt,pos,p_idle,0.3,1.0,inf,1.0,0.0,2\n", "line 3: numbers must be finite"),
+            (GOOD_ROW + "spt,pos,p_idle,nan,1.0,0.0,1.0,0.0,2\n", "line 3: numbers must be finite"),
+            (GOOD_ROW + "spt,rs,M,4,1.0,0.0,1.0,0.0,2\n", "line 3: variable 'M' differs from 'p_idle'"),
+            (GOOD_ROW + "spt,pos,a&b<c,0.5,1e6,0,0.5,0,10\n", "line 3: unknown sweep variable 'a&b<c'"),
+            (GOOD_ROW + "spt,pos,p_idle,5e-1,1.0,0.0,1.0,0.0,2\n", "line 3: spt/pos at 0.5 repeats line 2"),
+            (GOOD_ROW + "spt,pos,p_idle,0.3,1e308,1e308,1.0,0.0,2\n", "line 3: 1.05 x (mean + CI) overflows"),
+            (GOOD_ROW + "spt,pos,p_idle,0.3,1.75e308,0.0,1.0,0.0,2\n", "line 3: 1.05 x (mean + CI) overflows"),
+            (GOOD_ROW + "spt,pos,p_idle,0.3,1.0,0.0,5.0,0.0,2\n", "line 3: mean_pdr must lie in [0, 1], got 5.0"),
+            (GOOD_ROW + "spt,pos,p_idle,0.3,1.0,0.0,-0.2,0.0,2\n", "line 3: mean_pdr must lie in [0, 1], got -0.2"),
+            (GOOD_ROW + "spt,pos,p_idle,0.3,-3.0,0.0,1.0,0.0,2\n", "line 3: means and CIs must not be negative"),
+            (GOOD_ROW + "spt,pos,p_idle,0.3,1.0,-0.5,1.0,0.0,2\n", "line 3: means and CIs must not be negative"),
+            (GOOD_ROW + "spt,pos,p_idle,0.3,1.0,0.0,1.0,-0.1,2\n", "line 3: means and CIs must not be negative"),
+            (GOOD_ROW + "spt,pos,p_idle,5,1e6,0,0.5,0,10\n", "line 3: p_idle must lie strictly between 0 and 1, got 5"),
+            (GOOD_ROW + "spt,pos,p_idle,0,1e6,0,0.5,0,10\n", "line 3: p_idle must lie strictly between 0 and 1, got 0"),
+            (GOOD_ROW + "spt,rs,p_idle,0.9,1.0,0.0,1.0,0.0,2\nspt,rs,p_idle,1e308,1.0,0.0,1.0,0.0,2\n",
+             "line 4: p_idle must lie strictly between 0 and 1, got 1e+308"),
+            ("spt,pos,packet_bits,-1.7976931348623157e308,1e6,0,0.5,0,10\n",
+             "line 2: packet_bits must be an integer, got -1.7976931348623157e+308"),
+            ("spt,pos,packet_bits,1.5,1e6,0,0.5,0,10\n", "line 2: packet_bits must be an integer, got 1.5"),
+            ("spt,pos,packet_bits,-16384,1e6,0,0.5,0,10\n", "line 2: packet_bits must be strictly positive, got -16384"),
+            ("spt,pos,M,5,1e6,0,0.5,0,10\nspt,pos,M,0,1e6,0,0.5,0,10\n", "line 3: m_channels must be at least 1, got 0"),
+            ("spt,pos,n_nodes,1,1e6,0,0.5,0,10\n", "line 2: n_nodes must be at least 2, got 1"),
         ],
         ids=[
-            "mean_nan", "ci_inf", "value_nan", "two_variables", "unknown_variable", "repeated_key", "x_span_overflows",
+            "mean_nan", "ci_inf", "value_nan", "two_variables", "unknown_variable", "repeated_key",
             "mean_plus_ci_overflows", "y_margin_overflows", "pdr_above_one", "pdr_negative",
-            "throughput_negative", "throughput_ci_negative", "pdr_ci_negative",
+            "throughput_negative", "throughput_ci_negative", "pdr_ci_negative", "p_idle_5", "p_idle_0",
+            "p_idle_1e308", "packet_bits_most_negative", "packet_bits_fraction", "packet_bits_negative", "M_0",
+            "n_nodes_1",
         ],
     )
     def test_plot_rejects_csv_it_cannot_draw(self, tmp_path, capsys, rows, message):
@@ -635,11 +649,12 @@ class TestSweepAndPlot:
         # scheme, value) as a zig-zag, and values or means near the float
         # limit gave nan and inf coordinates; a mean PDR above 1 or a negative
         # mean drew its point off the chart; a variable holding XML specials
-        # was written raw into both charts, which no XML parser then read
+        # was written raw into both charts, which no XML parser then read; a
+        # swept value that no sweep writes, such as a negative, fractional or
+        # huge packet_bits or a p_idle of 5, was charted with exit 0
         bad = tmp_path / "agg.csv"
         bad.write_text(
-            "tree,scheme,variable,value,mean_throughput_bps,ci95_throughput,mean_pdr,ci95_pdr,trials\n"
-            "spt,pos,p_idle,0.5,2.0,0.1,0.5,0.1,2\n" + rows,
+            "tree,scheme,variable,value,mean_throughput_bps,ci95_throughput,mean_pdr,ci95_pdr,trials\n" + rows,
             encoding="utf-8",
         )
         charts = tmp_path / "charts"
@@ -648,16 +663,17 @@ class TestSweepAndPlot:
         assert err.startswith("error:") and f"{bad}, {message}" in err
         assert out == "" and not charts.exists()
 
-    @pytest.mark.parametrize("value", ["1e17", "1.7976931348623157e308", "-1.7976931348623157e308", "40"])
+    @pytest.mark.parametrize("value", ["1e17", "1.7976931348623157e308", "40"])
     def test_plot_charts_an_aggregate_of_one_value(self, tmp_path, capsys, value):
         # before: one swept value so large that value +- 0.5 rounds back to it
         # left a zero-width axis, a ZeroDivisionError (exit 3) and the chart
         # directory behind. Each chart now puts the value's points on one
-        # vertical line within the axis, with finite coordinates.
+        # vertical line within the axis, with finite coordinates. bw takes
+        # any positive float, where packet_bits takes only integers.
         agg = tmp_path / "agg.csv"
         agg.write_text(
             "tree,scheme,variable,value,mean_throughput_bps,ci95_throughput,mean_pdr,ci95_pdr,trials\n"
-            f"spt,pos,packet_bits,{value},1e6,0,0.5,0,10\nspt,rs,packet_bits,{value},2e6,1e5,0.7,0.1,10\n",
+            f"spt,pos,bw,{value},1e6,0,0.5,0,10\nspt,rs,bw,{value},2e6,1e5,0.7,0.1,10\n",
             encoding="utf-8",
         )
         charts = tmp_path / "charts"

@@ -54,6 +54,7 @@ from pathlib import Path
 import pytest
 
 from crn_multicast.cli import main
+from crn_multicast.experiment import read_aggregate_csv
 
 GOLDEN = Path(__file__).parent / "golden"
 RUN_GOLDEN = GOLDEN / "run"
@@ -88,6 +89,14 @@ def test_every_golden_sweep_is_found():
 def test_sweep_reproduces_golden_bytes(rerun, name):
     golden, out = rerun
     assert (out / name).read_bytes() == (golden / name).read_bytes()
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_every_golden_aggregate_reads(sweep):
+    # plot rejects swept values out of their field's range; no value a sweep
+    # wrote is one of them
+    rows = read_aggregate_csv(GOLDEN / sweep / "aggregate.csv")
+    assert len(rows) == (GOLDEN / sweep / "aggregate.csv").read_text(encoding="utf-8").count("\n") - 1
 
 
 @pytest.fixture(scope="module")

@@ -50,7 +50,9 @@ trials_per_s is trials x swept values over the median sweep wall time.
 stages pools each tree's timings of a stage over all pairs, so host drift
 between pairs can read as a difference; stage_ratio is the median over
 pairs of each pair's change/parent ratio of the stage's medians, which
-compares the two trees only within a pair. The output is one JSON object:
+compares the two trees only within a pair, and its sweep_wall_s entry is
+the median over pairs of each pair's change/parent sweep wall time ratio.
+The output is one JSON object:
 {machine, python, numpy, scenario, trials, pairs, stages, stage_ratio,
 trials_per_s, sweep_wall_s}, with "parent" and "change" entries in stages,
 trials_per_s and sweep_wall_s.
@@ -271,7 +273,8 @@ def main(argv=None) -> int:
                 for change, parent in zip(pairs, stages["parent"][stage])
             )
             for stage, pairs in stages["change"].items()
-        },
+        }
+        | {"sweep_wall_s": statistics.median(c / p for c, p in zip(walls["change"], walls["parent"]))},
         "trials_per_s": {name: args.trials * values / statistics.median(w) for name, w in walls.items()},
         "sweep_wall_s": walls,
     }
